@@ -24,7 +24,7 @@ FUZZ_TARGETS := \
 
 FUZZTIME ?= 10s
 
-.PHONY: all build test vet vet-self vet-json vet-baseline vet-diff race chaos-smoke fuzz-smoke bench-compare bench-alloc check
+.PHONY: all build test vet vet-self vet-json vet-baseline vet-diff race chaos-smoke fuzz-smoke bench-compare bench-alloc bench-smoke check
 
 all: build
 
@@ -111,6 +111,16 @@ bench-compare:
 bench-alloc:
 	$(GO) test ./internal/ssp -run TestWriteAllocReport -alloc-report -alloc-out $(CURDIR)/current-alloc.json
 	$(GO) run ./cmd/checkreport -alloc-old BENCH_alloc.json -alloc-new current-alloc.json
+
+# bench-smoke runs one short workload of the repository benchmark
+# (BENCHMARK.json, bench/README.md) exactly as the driver does — built
+# from source into .bench_build/ — and fails unless the result line says
+# every output matched the reference model. It checks that the benchmark
+# still builds and verifies against the current tree, not its numbers.
+bench-smoke:
+	@out=$$(bash bench/run.sh --workload createlist_wan --seed 1 --seconds 6 --trace 0 | tail -n 1); \
+	echo "$$out"; \
+	case "$$out" in *'"correct":true'*) ;; *) echo 'bench-smoke: result line lacks "correct":true' >&2; exit 1;; esac
 
 # fuzz-smoke runs every fuzz target for a short burst — enough to catch
 # regressions on the saved corpus plus a little fresh exploration.

@@ -1,0 +1,209 @@
+package client
+
+import (
+	"fmt"
+	"sort"
+
+	"github.com/sharoes/sharoes/internal/cap"
+	"github.com/sharoes/sharoes/internal/meta"
+	"github.com/sharoes/sharoes/internal/obs"
+	"github.com/sharoes/sharoes/internal/types"
+	"github.com/sharoes/sharoes/internal/wire"
+)
+
+// --- batched replies -----------------------------------------------------
+
+// blobKey names one blob at the SSP.
+type blobKey struct {
+	ns  wire.NS
+	key string
+}
+
+// replyIndex matches a BatchGet reply to the request that produced it, by
+// (namespace, key): the same inode has blobs in several namespaces, and
+// one batch may carry many objects.
+type replyIndex map[blobKey]replyBlob
+
+type replyBlob struct {
+	val      []byte
+	returned bool
+}
+
+// indexReply indexes the items the SSP returned for the asked keys. Keys
+// the SSP omitted stay marked not-returned; an item that was never asked
+// for is the SSP answering a different question than the one put to it,
+// and is refused as tampering before any of the reply is used.
+func indexReply(asked, items []wire.KV) (replyIndex, error) {
+	idx := make(replyIndex, len(asked))
+	for _, kv := range asked {
+		idx[blobKey{kv.NS, kv.Key}] = replyBlob{}
+	}
+	for _, it := range items {
+		k := blobKey{it.NS, it.Key}
+		if _, ok := idx[k]; !ok {
+			return nil, fmt.Errorf("%w: unrequested %s blob %q in batch reply", types.ErrTampered, it.NS, it.Key)
+		}
+		idx[k] = replyBlob{val: it.Val, returned: true}
+	}
+	return idx, nil
+}
+
+// get returns the blob the SSP returned for (ns, key), if it returned one.
+func (x replyIndex) get(ns wire.NS, key string) ([]byte, bool) {
+	b := x[blobKey{ns, key}]
+	return b.val, b.returned
+}
+
+// --- sibling-batched getattr ----------------------------------------------
+
+// maxSiblingBatch caps how many siblings ride one getattr fetch: enough
+// that a listing of any ordinary directory is one or two round trips,
+// small enough that the reply stays a few tens of KiB.
+const maxSiblingBatch = 64
+
+// siblingCost is the cache charge assumed per prefetched child (sealed
+// metadata, manifest and resolved ref) when sizing a chunk against a
+// finite cache budget.
+const siblingCost = 1024
+
+// siblingChunk bounds one sibling batch to what the cache can keep: never
+// more than half a finite budget, so a prefetch cannot push out the view it
+// was read from or itself. A disabled cache prefetches nothing.
+func siblingChunk(cacheBytes int64) int {
+	if cacheBytes < 0 || cacheBytes/(2*siblingCost) > maxSiblingBatch {
+		return maxSiblingBatch
+	}
+	return int(cacheBytes / (2 * siblingCost))
+}
+
+// fetchStat is the one round trip of a getattr miss: the object's own
+// metadata and manifest and, when its parent was listed, the siblings
+// that follow it — verified and cached before the reply is handed back, so
+// the object actually asked for ends up the most recently used entry when
+// a finite cache has to evict.
+func (s *Session) fetchStat(r ref, at dirent) (replyIndex, error) {
+	want := appendStatKeys(nil, r)
+	sibs := s.listedSiblings(at)
+	if len(sibs) > 0 {
+		defer s.tracer.Start("client.stat.batch", obs.ClassNone).End()
+		for _, sib := range sibs {
+			want = appendStatKeys(want, sib.r)
+		}
+	}
+	items, err := s.store.BatchGet(want)
+	if err != nil {
+		return nil, err
+	}
+	blobs, err := indexReply(want, items)
+	if err != nil {
+		return nil, err
+	}
+	if len(sibs) > 0 {
+		s.cacheSiblings(at.dir, sibs, blobs)
+	}
+	return blobs, nil
+}
+
+// sibling is one prefetch candidate: a row of the listed parent.
+type sibling struct {
+	name string
+	r    ref
+}
+
+// listedSiblings picks the children to fetch along with a getattr miss on
+// the row at. It yields nothing unless ReadDir listed the parent and both
+// the mark and the full view are still cached — so names-only and
+// exec-only views, evicted or invalidated parents and disabled caches all
+// fall through to the plain two-blob fetch. Candidates are the rows that
+// follow at.name in table order (the order ReadDir returned them), minus
+// split points (their keys live behind a public-key-sealed pointer, not in
+// the row) and children whose metadata is already cached.
+func (s *Session) listedSiblings(at dirent) []sibling {
+	if at.name == "" || s.sibChunk == 0 {
+		return nil
+	}
+	tkey := meta.TableKey(at.dir.ino, at.dir.variant)
+	if _, ok := s.cache.Get(ckListed + tkey); !ok {
+		return nil
+	}
+	v, ok := s.cache.Get(ckView + tkey)
+	if !ok {
+		return nil
+	}
+	full, err := v.(*cap.View).Full()
+	if err != nil {
+		return nil
+	}
+	rows := full.Entries
+	next := sort.Search(len(rows), func(i int) bool { return rows[i].Name > at.name })
+	var sibs []sibling
+	for _, e := range rows[next:] {
+		if len(sibs) == s.sibChunk {
+			break
+		}
+		if e.Split {
+			continue
+		}
+		if _, ok := s.cache.Get(ckMeta + meta.MetaKey(e.Inode, e.Variant)); ok {
+			continue
+		}
+		sibs = append(sibs, sibling{name: e.Name, r: ref{ino: e.Inode, variant: e.Variant, mek: e.MEK, mvk: e.MVK}})
+	}
+	return sibs
+}
+
+// cacheSiblings opens the prefetched children out of a batch reply and
+// caches the ones that verify. Every blob passes exactly the checks a
+// getattr of that child would apply — metadata under the MEK/MVK of its
+// own row and its own AAD, the manifest under its own DEK/DVK — before
+// anything is inserted. A child whose blob is missing or fails is left
+// uncached: its own getattr refetches it and reports its own error, so a
+// tampered neighbour never fails (or poisons) an honest target. Children
+// are independent, so they open across the worker pool under one
+// wall-clock CRYPTO stopwatch.
+func (s *Session) cacheSiblings(dir ref, sibs []sibling, blobs replyIndex) {
+	type opened struct {
+		m               *meta.Metadata
+		man             *meta.Manifest
+		metaLen, manLen int64
+		err             error
+	}
+	out := make([]opened, len(sibs))
+	stop := s.crypto("open-siblings")
+	runParallel(len(sibs), func(i int) {
+		r, o := sibs[i].r, &out[i]
+		metaBlob, ok := blobs.get(wire.NSMeta, meta.MetaKey(r.ino, r.variant))
+		if !ok {
+			o.err = types.ErrNotExist
+			return
+		}
+		o.metaLen = int64(len(metaBlob))
+		o.m, o.err = meta.OpenMetadata(r.mek, r.mvk, meta.MetaAAD(r.ino, r.variant), metaBlob)
+		if o.err != nil || !hasManifest(o.m) {
+			return
+		}
+		if manBlob, ok := blobs.get(wire.NSData, meta.ManifestKey(r.ino)); ok {
+			o.manLen = int64(len(manBlob))
+			o.man, o.err = verifyManifest(r, o.m, manBlob)
+		}
+	})
+	stop()
+
+	var kept, rejected int64
+	for i, o := range out {
+		if o.err != nil {
+			rejected++
+			continue
+		}
+		kept++
+		r := sibs[i].r
+		s.cache.Put(ckMeta+meta.MetaKey(r.ino, r.variant), o.m, o.metaLen)
+		if o.man != nil {
+			s.cache.Put(ckManifest+meta.ManifestKey(r.ino), o.man, o.manLen)
+		}
+		s.cache.Put(refCacheKey(dir, sibs[i].name), r, int64(len(sibs[i].name))+96)
+	}
+	s.metrics.Counter("client.stat.batch").Inc()
+	s.metrics.Counter("client.stat.batch.entries").Add(kept)
+	s.metrics.Counter("client.stat.batch.rejected").Add(rejected)
+}

@@ -33,17 +33,23 @@ func (s *Session) fetchManifest(r ref, m *meta.Metadata) (*meta.Manifest, error)
 // openManifest verifies, decodes and caches a fetched manifest blob.
 func (s *Session) openManifest(r ref, m *meta.Metadata, blob []byte) (*meta.Manifest, error) {
 	stop := s.crypto("open-manifest")
-	pt, err := meta.OpenVerified(m.Keys.DEK, m.Keys.DVK, meta.ManifestAAD(r.ino, m.Attr.DataGen), blob)
-	var man *meta.Manifest
-	if err == nil {
-		man, err = meta.DecodeManifest(pt)
-	}
+	man, err := verifyManifest(r, m, blob)
 	stop()
 	if err != nil {
 		return nil, err
 	}
 	s.cache.Put(ckManifest+meta.ManifestKey(r.ino), man, int64(len(blob)))
 	return man, nil
+}
+
+// verifyManifest checks a manifest blob against the writer's signature
+// under the file's own DEK/DVK and generation-bound AAD, then decodes it.
+func verifyManifest(r ref, m *meta.Metadata, blob []byte) (*meta.Manifest, error) {
+	pt, err := meta.OpenVerified(m.Keys.DEK, m.Keys.DVK, meta.ManifestAAD(r.ino, m.Attr.DataGen), blob)
+	if err != nil {
+		return nil, err
+	}
+	return meta.DecodeManifest(pt)
 }
 
 // sealFileData seals a file's full content as blocks plus manifest,

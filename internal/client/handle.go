@@ -87,11 +87,11 @@ func (s *Session) OpenFile(path string, flags int, perm types.Perm) (*File, erro
 // readFileLocked is the shared read path (ReadFile and OpenFile): resolve,
 // fetch metadata+manifest in one round trip, then the blocks.
 func (s *Session) readFileLocked(path string) ([]byte, error) {
-	r, err := s.resolveRef(path)
+	r, at, err := s.resolveRef(path)
 	if err != nil {
 		return nil, err
 	}
-	m, man, err := s.statFetch(r)
+	m, man, err := s.statFetch(r, at)
 	if err != nil {
 		return nil, err
 	}

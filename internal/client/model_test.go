@@ -5,14 +5,17 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
+	"strings"
 	"testing"
 
 	"github.com/sharoes/sharoes/internal/layout"
 	"github.com/sharoes/sharoes/internal/migrate"
+	"github.com/sharoes/sharoes/internal/obs"
 	"github.com/sharoes/sharoes/internal/refmodel"
 	"github.com/sharoes/sharoes/internal/shard"
 	"github.com/sharoes/sharoes/internal/ssp"
 	"github.com/sharoes/sharoes/internal/types"
+	"github.com/sharoes/sharoes/internal/vfs"
 )
 
 // errClass buckets an error into a comparable sentinel class.
@@ -69,7 +72,16 @@ func TestModelEquivalence(t *testing.T) {
 	// are deterministic). In every mode each result and error class must
 	// STILL match the reference model — the read-after-write coherence
 	// proof for the buffering and sharding layers.
-	for _, mode := range []string{"", "wb", "wbshard"} {
+	//
+	// "lsl" instead turns the session caches on (every step starts from a
+	// Refresh, the only cross-client coherence Sharoes offers) and follows
+	// each step with an "ls -l" of the touched directory by the same user:
+	// ReadDir, then Stat of every entry. That drives the sibling-batched
+	// getattr over whatever views the random chmod/chown/ACL history has
+	// produced — full, names-only, exec-only, split rows — right after a
+	// mutation made through the same cache, and every listed name and
+	// attribute must match the model.
+	for _, mode := range []string{"", "wb", "wbshard", "lsl"} {
 		name := func(scheme string, seed int64) string {
 			if mode != "" {
 				return fmt.Sprintf("%s/seed%d/%s", scheme, seed, mode)
@@ -103,17 +115,22 @@ func TestModelEquivalence(t *testing.T) {
 						t.Fatal(err)
 					}
 					sstore := store
-					if mode != "" {
+					if mode == "wb" || mode == "wbshard" {
 						w := ssp.NewWriteBehind(store, ssp.WriteBehindOptions{})
 						defer w.Close()
 						sstore = w
 					}
 					model := refmodel.New("alice", "eng", 0o755, members)
 
+					var cacheBytes int64
+					if mode == "lsl" {
+						cacheBytes = -1
+					}
+					reg := obs.NewRegistry()
 					sess := make(map[types.UserID]*Session)
 					for _, u := range users {
 						s, err := Mount(Config{Store: sstore, User: fixUser[u], Registry: fixReg,
-							Layout: eng, FSID: "modelfs", CacheBytes: 0, BlockSize: 48})
+							Layout: eng, FSID: "modelfs", CacheBytes: cacheBytes, BlockSize: 48, Metrics: reg})
 						if err != nil {
 							t.Fatal(err)
 						}
@@ -140,10 +157,45 @@ func TestModelEquivalence(t *testing.T) {
 						return p
 					}
 
+					sameInfo := func(step int, desc string, u types.UserID, path string, got, want vfs.Info) {
+						t.Helper()
+						if got.Kind != want.Kind || got.Owner != want.Owner ||
+							got.Group != want.Group || got.Perm != want.Perm {
+							t.Fatalf("step %d: %s: info mismatch %+v vs %+v", step, desc, got, want)
+						}
+						if want.Kind == types.KindFile && model.CanRead(u, path) &&
+							got.Size != want.Size {
+							t.Fatalf("step %d: %s: size %d vs %d", step, desc, got.Size, want.Size)
+						}
+					}
+					listLong := func(step int, u types.UserID, s *Session, dir string) {
+						t.Helper()
+						desc := fmt.Sprintf("%s ls -l %s", u, dir)
+						got, ge := s.ReadDir(dir)
+						want, we := model.ReadDir(u, dir)
+						if errClass(ge) != errClass(we) || fmt.Sprint(got) != fmt.Sprint(want) {
+							t.Fatalf("step %d: %s: %v, %v vs %v, %v", step, desc, got, ge, want, we)
+						}
+						for _, n := range want {
+							p := strings.TrimSuffix(dir, "/") + "/" + n
+							gi, ge := s.Stat(p)
+							wi, we := model.Stat(u, p)
+							if errClass(ge) != errClass(we) {
+								t.Fatalf("step %d: %s: stat %s:\n  sharoes: %v\n  model:   %v", step, desc, p, ge, we)
+							}
+							if ge == nil {
+								sameInfo(step, desc, u, p, gi, wi)
+							}
+						}
+					}
+
 					for step := 0; step < steps; step++ {
 						u := users[rng.Intn(len(users))]
 						s := sess[u]
 						path := randPath()
+						if mode == "lsl" {
+							s.Refresh()
+						}
 						opn := rng.Intn(100)
 						var desc string
 						var gotErr, wantErr error
@@ -173,14 +225,7 @@ func TestModelEquivalence(t *testing.T) {
 							want, we := model.Stat(u, path)
 							gotErr, wantErr = ge, we
 							if ge == nil && we == nil {
-								if got.Kind != want.Kind || got.Owner != want.Owner ||
-									got.Group != want.Group || got.Perm != want.Perm {
-									t.Fatalf("step %d: %s: info mismatch %+v vs %+v", step, desc, got, want)
-								}
-								if want.Kind == types.KindFile && model.CanRead(u, path) &&
-									got.Size != want.Size {
-									t.Fatalf("step %d: %s: size %d vs %d", step, desc, got.Size, want.Size)
-								}
+								sameInfo(step, desc, u, path, got, want)
 							}
 						case opn < 60: // readdir
 							desc = fmt.Sprintf("%s readdir %s", u, path)
@@ -251,6 +296,13 @@ func TestModelEquivalence(t *testing.T) {
 						if errClass(gotErr) != errClass(wantErr) {
 							t.Fatalf("step %d: %s:\n  sharoes: %v\n  model:   %v", step, desc, gotErr, wantErr)
 						}
+						if mode == "lsl" {
+							dir, _, _ := types.SplitPath(path)
+							listLong(step, u, s, dir)
+						}
+					}
+					if n := reg.Counter("client.stat.batch").Value(); mode == "lsl" && n < 20 {
+						t.Errorf("only %d sibling batches in %d steps: the mode is not exercising the batch", n, steps)
 					}
 				})
 			}

@@ -33,11 +33,11 @@ func (s *Session) Stat(path string) (vfs.Info, error) {
 	if err != nil {
 		return vfs.Info{}, pathErr("stat", path, err)
 	}
-	r, err := s.resolveRef(path)
+	r, at, err := s.resolveRef(path)
 	if err != nil {
 		return vfs.Info{}, pathErr("stat", path, err)
 	}
-	m, man, err := s.statFetch(r)
+	m, man, err := s.statFetch(r, at)
 	if err != nil {
 		return vfs.Info{}, pathErr("stat", path, err)
 	}
@@ -54,14 +54,18 @@ func (s *Session) Stat(path string) (vfs.Info, error) {
 
 // statFetch retrieves the object's metadata and — for files the caller
 // can read — its manifest, batching both cache misses into one round trip
-// so that getattr keeps the paper's single-receive cost profile.
-func (s *Session) statFetch(r ref) (*meta.Metadata, *meta.Manifest, error) {
+// so that getattr keeps the paper's single-receive cost profile. When the
+// miss falls inside a directory ReadDir has listed (at names its row), the
+// same round trip also carries the not-yet-cached siblings that follow it
+// (see listedSiblings): "ls -l" pays one receive per directory, not one
+// per entry.
+func (s *Session) statFetch(r ref, at dirent) (*meta.Metadata, *meta.Manifest, error) {
 	metaCK := ckMeta + meta.MetaKey(r.ino, r.variant)
 	manCK := ckManifest + meta.ManifestKey(r.ino)
 
 	if mv, ok := s.cache.Get(metaCK); ok {
 		m := mv.(*meta.Metadata)
-		if m.Attr.Kind != types.KindFile || m.Keys.DEK.IsZero() {
+		if !hasManifest(m) {
 			return m, nil, nil
 		}
 		if man, ok := s.cache.Get(manCK); ok {
@@ -74,23 +78,12 @@ func (s *Session) statFetch(r ref) (*meta.Metadata, *meta.Manifest, error) {
 		return m, man, nil
 	}
 
-	items, err := s.store.BatchGet([]wire.KV{
-		{NS: wire.NSMeta, Key: meta.MetaKey(r.ino, r.variant)},
-		{NS: wire.NSData, Key: meta.ManifestKey(r.ino)},
-	})
+	blobs, err := s.fetchStat(r, at)
 	if err != nil {
 		return nil, nil, err
 	}
-	var metaBlob, manBlob []byte
-	for _, it := range items {
-		switch {
-		case it.NS == wire.NSMeta:
-			metaBlob = it.Val
-		case it.NS == wire.NSData:
-			manBlob = it.Val
-		}
-	}
-	if metaBlob == nil {
+	metaBlob, ok := blobs.get(wire.NSMeta, meta.MetaKey(r.ino, r.variant))
+	if !ok {
 		return nil, nil, types.ErrNotExist
 	}
 	stop := s.crypto("open-meta")
@@ -100,7 +93,8 @@ func (s *Session) statFetch(r ref) (*meta.Metadata, *meta.Manifest, error) {
 		return nil, nil, err
 	}
 	s.cache.Put(metaCK, m, int64(len(metaBlob)))
-	if m.Attr.Kind != types.KindFile || m.Keys.DEK.IsZero() || manBlob == nil {
+	manBlob, ok := blobs.get(wire.NSData, meta.ManifestKey(r.ino))
+	if !hasManifest(m) || !ok {
 		return m, nil, nil
 	}
 	man, err := s.openManifest(r, m, manBlob)
@@ -108,6 +102,21 @@ func (s *Session) statFetch(r ref) (*meta.Metadata, *meta.Manifest, error) {
 		return m, nil, nil // integrity problems surface on ReadFile
 	}
 	return m, man, nil
+}
+
+// hasManifest reports whether getattr reads size and mtime from the
+// object's manifest: files whose data the caller's variant can decrypt.
+func hasManifest(m *meta.Metadata) bool {
+	return m.Attr.Kind == types.KindFile && !m.Keys.DEK.IsZero()
+}
+
+// appendStatKeys adds the blobs getattr wants for one object. The manifest
+// key is asked for blind — the kind is only known once the metadata is
+// open — and a directory simply has none.
+func appendStatKeys(dst []wire.KV, r ref) []wire.KV {
+	return append(dst,
+		wire.KV{NS: wire.NSMeta, Key: meta.MetaKey(r.ino, r.variant)},
+		wire.KV{NS: wire.NSData, Key: meta.ManifestKey(r.ino)})
 }
 
 func infoFromAttr(name string, a meta.Attr) vfs.Info {
@@ -149,6 +158,13 @@ func (s *Session) ReadDir(path string) ([]string, error) {
 			err = types.ErrPermission
 		}
 		return nil, pathErr("readdir", path, err)
+	}
+	// A getattr of an entry usually follows ("ls -l"): remember that this
+	// view was listed, so the first such miss fetches its siblings too. The
+	// mark lives and dies with the view — only a full view carries the rows
+	// a sibling fetch needs, and a disabled cache cannot hold a mark at all.
+	if _, err := view.Full(); err == nil {
+		s.cache.Put(ckListed+meta.TableKey(r.ino, r.variant), struct{}{}, 1)
 	}
 	out := make([]string, len(names))
 	copy(out, names)

@@ -3,6 +3,7 @@ package client
 import (
 	"bytes"
 	"fmt"
+	"strings"
 	"sync"
 	"testing"
 
@@ -69,9 +70,22 @@ func TestConcurrentSessions(t *testing.T) {
 					errs <- fmt.Errorf("worker %d shared read: %v", i, err)
 					return
 				}
-				if _, err := s.ReadDir(dir); err != nil {
-					errs <- fmt.Errorf("worker %d readdir: %w", i, err)
-					return
+				// "ls -l" of the worker's own directory and of the shared
+				// root: the getattrs after each listing go through the
+				// sibling batch and its crypto worker pool, in every
+				// session at once.
+				for _, d := range []string{dir, "/"} {
+					names, err := s.ReadDir(d)
+					if err != nil {
+						errs <- fmt.Errorf("worker %d readdir %s: %w", i, d, err)
+						return
+					}
+					for _, n := range names {
+						if _, err := s.Stat(strings.TrimSuffix(d, "/") + "/" + n); err != nil {
+							errs <- fmt.Errorf("worker %d stat %s/%s: %w", i, d, n, err)
+							return
+						}
+					}
 				}
 				if _, err := s.Stat("/shared.txt"); err != nil {
 					errs <- fmt.Errorf("worker %d stat: %w", i, err)

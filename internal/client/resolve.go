@@ -17,29 +17,31 @@ import (
 // at a split point, from the user's sealed split pointer) — the in-band
 // key distribution that is the heart of Sharoes. It returns the final
 // object's reference without fetching its metadata, so callers can batch
-// that fetch with related blobs (Stat combines it with the manifest).
-func (s *Session) resolveRef(path string) (ref, error) {
+// that fetch with related blobs (Stat combines it with the manifest, and
+// with the siblings named by the returned directory row).
+func (s *Session) resolveRef(path string) (ref, dirent, error) {
 	defer s.tracer.Start("resolve", obs.ClassNone).End()
 	comps, err := types.PathComponents(path)
 	if err != nil {
-		return ref{}, err
+		return ref{}, dirent{}, err
 	}
-	cur := s.root
+	cur, at := s.root, dirent{}
 	for _, comp := range comps {
 		m, err := s.fetchMeta(cur)
 		if err != nil {
-			return ref{}, err
+			return ref{}, dirent{}, err
 		}
 		if m.Attr.Kind != types.KindDir {
-			return ref{}, types.ErrNotDir
+			return ref{}, dirent{}, types.ErrNotDir
 		}
+		at = dirent{dir: cur, name: comp}
 		// Traversal requires exec on the directory — enforced
 		// cryptographically for non-owners (no DEK ⇒ no table), and as
 		// policy for owners, like a local filesystem. The check runs on
 		// every hop, cached ref or not, so a chmod on an ancestor (which
 		// invalidates only its ckMeta entry) takes effect immediately.
 		if !s.triplet(m.Attr).CanExec() {
-			return ref{}, types.ErrPermission
+			return ref{}, dirent{}, types.ErrPermission
 		}
 		// A previously resolved hop skips the table lookup entirely.
 		// Entries are keyed by parent (inode, variant) and name, and are
@@ -54,15 +56,15 @@ func (s *Session) resolveRef(path string) (ref, error) {
 		}
 		view, err := s.openViewOf(cur, m)
 		if err != nil {
-			return ref{}, err
+			return ref{}, dirent{}, err
 		}
 		entry, err := view.Lookup(comp)
 		if err != nil {
 			switch {
 			case errors.Is(err, meta.ErrNoEntry):
-				return ref{}, types.ErrNotExist
+				return ref{}, dirent{}, types.ErrNotExist
 			default:
-				return ref{}, err
+				return ref{}, dirent{}, err
 			}
 		}
 		if entry.Split {
@@ -71,14 +73,22 @@ func (s *Session) resolveRef(path string) (ref, error) {
 			// hops are deliberately not cached.
 			cur, err = s.resolveSplit(entry.Inode)
 			if err != nil {
-				return ref{}, err
+				return ref{}, dirent{}, err
 			}
 		} else {
 			cur = ref{ino: entry.Inode, variant: entry.Variant, mek: entry.MEK, mvk: entry.MVK}
 			s.cache.Put(rkey, cur, int64(len(comp))+96)
 		}
 	}
-	return cur, nil
+	return cur, at, nil
+}
+
+// dirent names the directory row a resolved object was reached through:
+// the parent's (inode, variant) view and the entry name. The namespace
+// root has no row and gets the zero dirent.
+type dirent struct {
+	dir  ref
+	name string
 }
 
 // refCacheKey names a resolved directory entry in the session cache:
@@ -90,7 +100,7 @@ func refCacheKey(parent ref, comp string) string {
 
 // resolve walks to path and fetches the object's metadata.
 func (s *Session) resolve(path string) (ref, *meta.Metadata, error) {
-	r, err := s.resolveRef(path)
+	r, _, err := s.resolveRef(path)
 	if err != nil {
 		return ref{}, nil, err
 	}
@@ -189,15 +199,15 @@ func (s *Session) loadParentTables(r ref, m *meta.Metadata) (map[string]*meta.Di
 	if err != nil {
 		return nil, err
 	}
-	blobs := make(map[string][]byte, len(items))
-	for _, it := range items {
-		blobs[it.Key] = it.Val
+	blobs, err := indexReply(missing, items)
+	if err != nil {
+		return nil, err
 	}
 
 	// Decode the writer's own (full) view first: exec-only views are
 	// reassembled from its name list.
 	if _, ok := tables[r.variant]; !ok {
-		blob, ok := blobs[meta.TableKey(r.ino, r.variant)]
+		blob, ok := blobs.get(wire.NSData, meta.TableKey(r.ino, r.variant))
 		if !ok {
 			tables[r.variant] = &meta.DirTable{}
 		} else {
@@ -231,7 +241,7 @@ func (s *Session) loadParentTables(r ref, m *meta.Metadata) (map[string]*meta.Di
 		if _, ok := tables[pv.ID]; ok {
 			continue
 		}
-		blob, ok := blobs[meta.TableKey(r.ino, pv.ID)]
+		blob, ok := blobs.get(wire.NSData, meta.TableKey(r.ino, pv.ID))
 		if !ok {
 			tables[pv.ID] = &meta.DirTable{}
 			continue
@@ -308,6 +318,7 @@ func (s *Session) writeParentTables(r ref, m *meta.Metadata, tables map[string]*
 	}
 	s.cache.DeletePrefix(ckView + "t/" + fmt.Sprintf("%d/", uint64(r.ino)))
 	s.cache.DeletePrefix(ckRef + "d/" + fmt.Sprintf("%d/", uint64(r.ino)))
+	s.cache.DeletePrefix(ckListed + "t/" + fmt.Sprintf("%d/", uint64(r.ino)))
 	for id, tbl := range tables {
 		s.cache.Put(ckWTable+meta.TableKey(r.ino, id), tbl.Clone(), tableSize(tbl))
 	}

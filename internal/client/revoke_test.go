@@ -3,6 +3,7 @@ package client
 import (
 	"bytes"
 	"errors"
+	"fmt"
 	"testing"
 
 	"github.com/sharoes/sharoes/internal/keys"
@@ -404,6 +405,119 @@ func TestRevocationRemovesOldGeneration(t *testing.T) {
 					t.Errorf("blob %q survived re-keying", kv.Key)
 				}
 			}
+		}
+	})
+}
+
+// TestBatchedEntriesStayCoherent: entries cached by a sibling batch are
+// ordinary cached metadata — every mutation of a batched child or of the
+// listed parent takes effect on the session's very next operation, and a
+// second session sees it after Refresh, exactly as for entries it had
+// fetched one by one.
+func TestBatchedEntriesStayCoherent(t *testing.T) {
+	schemes(t, func(t *testing.T, w *world) {
+		alice := w.as("alice")
+		if err := alice.Mkdir("/d", perm(t, "755")); err != nil {
+			t.Fatal(err)
+		}
+		for _, n := range []string{"a", "b", "c", "d", "e"} {
+			if err := alice.WriteFile("/d/"+n, []byte(n), perm(t, "644")); err != nil {
+				t.Fatal(err)
+			}
+		}
+		// list pulls the whole directory through one batch.
+		list := func(s *Session) []string {
+			t.Helper()
+			names, err := s.ReadDir("/d")
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, err := s.Stat("/d/" + names[0]); err != nil {
+				t.Fatal(err)
+			}
+			return names
+		}
+		carol := w.as("carol")
+		list(alice)
+		list(carol)
+
+		// chmod of a batched child: the owner's next getattr shows it.
+		if err := alice.Chmod("/d/b", perm(t, "600")); err != nil {
+			t.Fatal(err)
+		}
+		if info, err := alice.Stat("/d/b"); err != nil || info.Perm != 0o600 {
+			t.Errorf("stat after chmod = %+v, %v", info, err)
+		}
+		// The revoked reader keeps her cached copy until Refresh — the
+		// coherence of any cached metadata — and then loses access.
+		carol.Refresh()
+		list(carol)
+		if _, err := carol.ReadFile("/d/b"); !errors.Is(err, types.ErrPermission) {
+			t.Errorf("carol read after revoke+refresh: %v", err)
+		}
+		if info, err := carol.Stat("/d/b"); err != nil || info.Perm != 0o600 {
+			t.Errorf("carol stat after revoke+refresh = %+v, %v", info, err)
+		}
+
+		// remove and rename of batched children.
+		list(alice)
+		if err := alice.Remove("/d/c"); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := alice.Stat("/d/c"); !errors.Is(err, types.ErrNotExist) {
+			t.Errorf("stat of removed batched child: %v", err)
+		}
+		list(alice)
+		if err := alice.Rename("/d/d", "/d/z"); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := alice.Stat("/d/d"); !errors.Is(err, types.ErrNotExist) {
+			t.Errorf("stat of renamed-away batched child: %v", err)
+		}
+		if got, err := alice.ReadFile("/d/z"); err != nil || string(got) != "d" {
+			t.Errorf("read of renamed batched child = %q, %v", got, err)
+		}
+		if names := list(alice); fmt.Sprint(names) != "[a b e z]" {
+			t.Errorf("listing after remove+rename = %v", names)
+		}
+		// A write through a batched entry is read back at once.
+		if err := alice.WriteFile("/d/e", []byte("rewritten"), 0); err != nil {
+			t.Fatal(err)
+		}
+		if info, err := alice.Stat("/d/e"); err != nil || info.Size != 9 {
+			t.Errorf("stat after overwrite = %+v, %v", info, err)
+		}
+
+		// chmod of the listed parent: traversal is re-checked on every hop,
+		// batched refs or not.
+		list(alice)
+		if err := alice.Chmod("/d", perm(t, "600")); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := alice.Stat("/d/a"); !errors.Is(err, types.ErrPermission) {
+			t.Errorf("owner stat through exec-less parent: %v", err)
+		}
+		if err := alice.Chmod("/d", perm(t, "700")); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := alice.Stat("/d/a"); err != nil {
+			t.Errorf("owner stat after restoring exec: %v", err)
+		}
+		carol.Refresh()
+		if _, err := carol.Stat("/d/a"); !errors.Is(err, types.ErrPermission) {
+			t.Errorf("carol stat in revoked parent: %v", err)
+		}
+		// Removing the (emptied) parent drops its mark, view and refs.
+		for _, n := range list(alice) {
+			if err := alice.Remove("/d/" + n); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := alice.Remove("/d"); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := alice.Stat("/d/a"); !errors.Is(err, types.ErrNotExist) {
+			t.Errorf("stat under removed parent: %v", err)
 		}
 	})
 }

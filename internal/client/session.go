@@ -97,6 +97,7 @@ type Session struct {
 	cache     *cache.Cache
 	blockSize uint32
 	lazy      bool
+	sibChunk  int // most siblings one getattr miss may prefetch (see siblingChunk)
 	groupKeys map[types.GroupID]sharocrypto.PrivateKey
 	root      ref
 	closed    bool
@@ -127,6 +128,7 @@ func Mount(cfg Config) (*Session, error) {
 		cache:     cache.New(cfg.CacheBytes),
 		blockSize: bs,
 		lazy:      cfg.LazyRevocation,
+		sibChunk:  siblingChunk(cfg.CacheBytes),
 	}
 	// Only attach a tracer the caller actually supplied: extra untraced
 	// sessions mounted over a shared client (the parallel workloads) must
@@ -283,6 +285,7 @@ const (
 	ckManifest = "F|"
 	ckBlock    = "B|"
 	ckRef      = "R|" // resolved directory-entry refs, keyed by parent inode
+	ckListed   = "L|" // directories ReadDir has listed, keyed like ckView
 )
 
 // fetchMeta retrieves and opens one metadata variant, via the cache.
@@ -362,4 +365,5 @@ func (s *Session) invalidateObject(ino types.Inode) {
 	s.cache.DeletePrefix(ckManifest + "f/" + fmt.Sprintf("%d/", uint64(ino)))
 	s.cache.DeletePrefix(ckBlock + "f/" + fmt.Sprintf("%d/", uint64(ino)))
 	s.cache.DeletePrefix(ckRef + "d/" + fmt.Sprintf("%d/", uint64(ino)))
+	s.cache.DeletePrefix(ckListed + "t/" + fmt.Sprintf("%d/", uint64(ino)))
 }

@@ -55,7 +55,7 @@ func (s *Session) Verify(path string) (*VerifyReport, error) {
 	s.cache.Clear()
 
 	report := &VerifyReport{}
-	r, err := s.resolveRef(path)
+	r, _, err := s.resolveRef(path)
 	if err != nil {
 		return nil, pathErr("verify", path, err)
 	}

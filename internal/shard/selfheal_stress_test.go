@@ -74,6 +74,24 @@ func TestSelfHealStress(t *testing.T) {
 	const opsPerWriter = 120
 	stop := make(chan struct{})
 
+	// Open the backends' connections, then cut them all before the first
+	// writer starts: however quickly the writers finish (an unloaded
+	// machine can beat the flapper's first 3 ms tick), their first
+	// operations cross a severed link and must redial, so the campaign
+	// always exercises the machinery it asserts on below.
+	for i := 0; i < 4*shards; i++ {
+		key := fmt.Sprintf("warm/%d", i)
+		if err := s.Put(wire.NSData, key, []byte(key)); err != nil {
+			t.Fatalf("warm-up put: %v", err)
+		}
+	}
+	if err := s.Barrier(); err != nil {
+		t.Fatalf("warm-up barrier: %v", err)
+	}
+	for _, lis := range listeners {
+		lis.SeverConns()
+	}
+
 	// Flapper: severs each shard's conns round-robin while writers run.
 	var flapWG sync.WaitGroup
 	flapWG.Add(1)

@@ -2,6 +2,7 @@ package ssp
 
 import (
 	"fmt"
+	"net"
 	"sync"
 	"testing"
 
@@ -75,6 +76,82 @@ func TestConcurrentMixedOps(t *testing.T) {
 						errs <- fmt.Errorf("stats: %w", err)
 						return
 					}
+				}
+			}
+		}(w)
+	}
+	wg.Wait()
+	close(errs)
+	for err := range errs {
+		t.Fatal(err)
+	}
+}
+
+// TestPackDispatchSharedClient is the regression test for the server's
+// pack dispatch: two goroutines share ONE pipelined client over loopback
+// TCP and issue bursts of asynchronous calls, so the client's writer
+// coalesces them into multi-request pack frames. The server must hold one
+// buffer reference per sub-message before it dispatches the first; taking
+// them one at a time let an early worker release the frame buffer back to
+// its pool under the sub-messages still to be decoded ("wire: Buf
+// over-released", or a put that stores another frame's bytes). Run under
+// -race (make race / CI).
+func TestPackDispatchSharedClient(t *testing.T) {
+	lis, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv := NewServer(NewMemStore(), nil)
+	go srv.Serve(lis)
+	defer srv.Close()
+
+	c, err := Dial(func() (net.Conn, error) { return net.Dial("tcp", lis.Addr().String()) }, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+
+	const (
+		workers = 2
+		bursts  = 150
+		burst   = 8 // puts per burst, then as many gets: 2 × 150 × 16 = 4800 calls
+	)
+	errs := make(chan error, workers)
+	var wg sync.WaitGroup
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			done := make(chan *Call, burst)
+			round := func(op wire.Op, i int) error {
+				for j := 0; j < burst; j++ {
+					key := fmt.Sprintf("w%d/k%d", w, j)
+					req := &wire.Request{Op: op, NS: wire.NSData, Key: key}
+					if op == wire.OpPut {
+						req.Val = []byte(fmt.Sprintf("%s@%d", key, i))
+					}
+					c.Go(req, done)
+				}
+				for j := 0; j < burst; j++ {
+					call := <-done
+					resp, err := call.Response()
+					if err != nil {
+						return fmt.Errorf("worker %d %v %s: %w", w, op, call.Req.Key, err)
+					}
+					if want := fmt.Sprintf("%s@%d", call.Req.Key, i); op == wire.OpGet && string(resp.Val) != want {
+						return fmt.Errorf("worker %d: %s = %q, want %q", w, call.Req.Key, resp.Val, want)
+					}
+				}
+				return nil
+			}
+			for i := 0; i < bursts; i++ {
+				if err := round(wire.OpPut, i); err != nil {
+					errs <- err
+					return
+				}
+				if err := round(wire.OpGet, i); err != nil {
+					errs <- err
+					return
 				}
 			}
 		}(w)

@@ -322,27 +322,36 @@ func (s *Server) readFrame(st *connState, entry *connEntry, workers *sync.WaitGr
 		s.process(st, entry, workers, sem, &m.Req, buf)
 		return true
 	case wire.KindPack:
-		// One buffer, one reference per sub-message: the read loop's
-		// reference goes to the first, each further sub-message Retains.
+		// Decode and validate every sub-message while the read loop still
+		// holds the only reference: a bad element drops the whole pack
+		// with nothing dispatched.
+		subs := make([]wire.Msg, len(m.Pack))
 		for i, raw := range m.Pack {
-			if i > 0 {
-				buf.Retain()
+			err := wire.DecodeV2Into(raw, &subs[i])
+			if err == nil && subs[i].Kind != wire.KindRequest {
+				err = fmt.Errorf("%w: pack element kind %d", wire.ErrBadMessage, subs[i].Kind)
 			}
-			sub, err := wire.DecodeV2(raw)
-			if err != nil || sub.Kind != wire.KindRequest {
+			if err != nil {
 				buf.Release()
-				if err == nil {
-					err = fmt.Errorf("%w: pack element kind %d", wire.ErrBadMessage, sub.Kind)
-				}
 				if !s.isDraining() {
 					s.log.Printf("ssp: read request: %v", err)
 				}
 				return false
 			}
-			s.process(st, entry, workers, sem, &sub.Req, buf)
 		}
-		if len(m.Pack) == 0 {
+		if len(subs) == 0 {
 			buf.Release()
+			return true
+		}
+		// One buffer, one reference per sub-message, all taken before the
+		// first dispatch: a worker that finishes early releases its own
+		// reference and can never drop the buffer under a sub-message that
+		// has not been handed out yet.
+		for i := 1; i < len(subs); i++ {
+			buf.Retain()
+		}
+		for i := range subs {
+			s.process(st, entry, workers, sem, &subs[i].Req, buf)
 		}
 		return true
 	default:
