@@ -18,6 +18,7 @@ FUZZ_TARGETS := \
 	./internal/meta:FuzzDecodeManifest \
 	./internal/meta:FuzzDecodeSuperblock \
 	./internal/meta:FuzzDecodeSplitPointer \
+	./internal/meta:FuzzOpenVerified \
 	./internal/cap:FuzzOpenView \
 	./internal/analysis:FuzzParseAllowDirective \
 	./internal/shard:FuzzDecodeRing
@@ -72,11 +73,12 @@ vet-json:
 
 # race runs the packages with dedicated concurrency stress tests under
 # the race detector (internal/analysis for its parallel package loader,
+# internal/layout for the crypto worker pool that seals file blocks,
 # internal/shard for concurrent quorum ops during live rebalancing and
 # the self-heal stress test, internal/resilience and internal/netsim for
 # the retry and sever paths).
 race:
-	$(GO) test -race ./internal/client ./internal/ssp ./internal/cache ./internal/obs ./internal/analysis ./internal/shard ./internal/netsim ./internal/resilience
+	$(GO) test -race ./internal/client ./internal/layout ./internal/ssp ./internal/cache ./internal/obs ./internal/analysis ./internal/shard ./internal/netsim ./internal/resilience
 
 # chaos-smoke runs a short fixed-seed chaos campaign — connection drops,
 # slow replicas and injected write errors against the 3-shard R=2 W=1
@@ -112,15 +114,20 @@ bench-alloc:
 	$(GO) test ./internal/ssp -run TestWriteAllocReport -alloc-report -alloc-out $(CURDIR)/current-alloc.json
 	$(GO) run ./cmd/checkreport -alloc-old BENCH_alloc.json -alloc-new current-alloc.json
 
-# bench-smoke runs one short workload of the repository benchmark
+# bench-smoke runs two short workloads of the repository benchmark
 # (BENCHMARK.json, bench/README.md) exactly as the driver does — built
-# from source into .bench_build/ — and fails unless the result line says
-# every output matched the reference model. It checks that the benchmark
-# still builds and verifies against the current tree, not its numbers.
+# from source into .bench_build/ — and fails unless each result line says
+# every output matched the reference model: createlist_wan for the
+# metadata path, bulk_tcp for the multi-block path (1 MiB files sealed
+# and opened across the crypto worker pool, re-read by the cold
+# verifier). It checks that the benchmark still builds and verifies
+# against the current tree, not its numbers.
 bench-smoke:
-	@out=$$(bash bench/run.sh --workload createlist_wan --seed 1 --seconds 6 --trace 0 | tail -n 1); \
-	echo "$$out"; \
-	case "$$out" in *'"correct":true'*) ;; *) echo 'bench-smoke: result line lacks "correct":true' >&2; exit 1;; esac
+	@for w in createlist_wan bulk_tcp; do \
+		out=$$(bash bench/run.sh --workload $$w --seed 1 --seconds 6 --trace 0 | tail -n 1); \
+		echo "$$out"; \
+		case "$$out" in *'"correct":true'*) ;; *) echo "bench-smoke: $$w result line lacks \"correct\":true" >&2; exit 1;; esac; \
+	done
 
 # fuzz-smoke runs every fuzz target for a short burst — enough to catch
 # regressions on the saved corpus plus a little fresh exploration.

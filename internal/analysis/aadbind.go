@@ -5,11 +5,12 @@ import (
 	"go/types"
 )
 
-// AADBind flags SymKey.Seal / SymKey.Open calls whose AAD argument is nil
-// or an empty literal. AES-GCM without additional authenticated data lets
-// a malicious SSP satisfy a request for one object with any other validly
-// sealed blob under the same key (a swap attack); every Seal/Open must
-// bind the blob to its logical location.
+// AADBind flags SymKey.Seal / SymKey.AppendSeal / SymKey.Open calls whose
+// AAD argument (always the last) is nil or an empty literal. AES-GCM
+// without additional authenticated data lets a malicious SSP satisfy a
+// request for one object with any other validly sealed blob under the
+// same key (a swap attack); every Seal/Open must bind the blob to its
+// logical location.
 type AADBind struct{}
 
 // Name implements Analyzer.
@@ -17,8 +18,12 @@ func (AADBind) Name() string { return "aadbind" }
 
 // Doc implements Analyzer.
 func (AADBind) Doc() string {
-	return "every SymKey.Seal/Open must bind a non-empty AAD to its object context"
+	return "every SymKey.Seal/AppendSeal/Open must bind a non-empty AAD to its object context"
 }
+
+// aadBindMethods maps the SymKey methods that take an AAD to their
+// argument count; the AAD is the last argument of each.
+var aadBindMethods = map[string]int{"Seal": 2, "Open": 2, "AppendSeal": 3}
 
 // Check implements Analyzer.
 func (a AADBind) Check(p *Package) []Finding {
@@ -30,7 +35,11 @@ func (a AADBind) Check(p *Package) []Finding {
 				return true
 			}
 			sel, ok := ast.Unparen(call.Fun).(*ast.SelectorExpr)
-			if !ok || (sel.Sel.Name != "Seal" && sel.Sel.Name != "Open") {
+			if !ok {
+				return true
+			}
+			nargs, ok := aadBindMethods[sel.Sel.Name]
+			if !ok {
 				return true
 			}
 			selection := p.Info.Selections[sel]
@@ -41,13 +50,13 @@ func (a AADBind) Check(p *Package) []Finding {
 			if ptr, ok := recv.(*types.Pointer); ok {
 				recv = ptr.Elem()
 			}
-			if !isKeyNamed(recv, "SymKey") || len(call.Args) != 2 {
+			if !isKeyNamed(recv, "SymKey") || len(call.Args) != nargs {
 				return true
 			}
-			if emptyAAD(p.Info, call.Args[1]) {
+			if aad := call.Args[nargs-1]; emptyAAD(p.Info, aad) {
 				out = append(out, Finding{
 					Analyzer: a.Name(),
-					Pos:      p.Fset.Position(call.Args[1].Pos()),
+					Pos:      p.Fset.Position(aad.Pos()),
 					Message:  "SymKey." + sel.Sel.Name + " with nil/empty AAD: bind the object context (inode, variant, generation)",
 				})
 			}

@@ -99,8 +99,8 @@ func TestKeyLeakObs(t *testing.T) {
 
 func TestAADBind(t *testing.T) {
 	bad := runOne(t, AADBind{}, "aadbindbad")
-	if len(bad) != 3 {
-		t.Fatalf("aadbindbad: got %d findings, want 3:\n%s", len(bad), findingsText(bad))
+	if len(bad) != 4 {
+		t.Fatalf("aadbindbad: got %d findings, want 4:\n%s", len(bad), findingsText(bad))
 	}
 	for _, f := range bad {
 		if f.Analyzer != "aadbind" {

@@ -32,7 +32,7 @@ func (KeyEgress) Doc() string {
 // keyEgressSanitizers are the sealing functions whose output is safe to
 // transmit or persist.
 var keyEgressSanitizers = map[string]map[string]bool{
-	sharocryptoPkgSuffix: {"Seal": true, "SealChunked": true},
+	sharocryptoPkgSuffix: {"Seal": true, "AppendSeal": true, "SealChunked": true},
 	"internal/meta":      {"Seal": true, "SealSigned": true, "SealSuperblock": true, "SealSplitPointer": true},
 	"internal/cap":       {"SealTableView": true},
 }

@@ -10,6 +10,7 @@ func Good(ctx []byte) ([]byte, error) {
 	k := sharocrypto.NewSymKey()
 	blob := k.Seal([]byte("x"), ctx) // dynamic AAD: fine
 	_ = k.Seal([]byte("x"), []byte("meta|1|u/alice"))
+	_ = k.AppendSeal(nil, []byte("x"), ctx)
 	//sharoes-vet:allow aadbind fixture: reviewed, value is self-describing
 	_ = k.Seal([]byte("x"), nil)
 	return k.Open(blob, ctx)

@@ -57,11 +57,11 @@ func (c *Cache) Get(key string) (any, bool) {
 // the budget and evicting least-recently-used entries as needed. Values
 // larger than the whole budget are not cached.
 func (c *Cache) Put(key string, val any, size int64) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if c.budget == 0 || (c.budget > 0 && size > c.budget) {
+	if !c.Holds(size) {
 		return
 	}
+	c.mu.Lock()
+	defer c.mu.Unlock()
 	if el, ok := c.m[key]; ok {
 		e := el.Value.(*entry)
 		c.used += size - e.size
@@ -74,6 +74,14 @@ func (c *Cache) Put(key string, val any, size int64) {
 	for c.budget > 0 && c.used > c.budget {
 		c.evictOldest()
 	}
+}
+
+// Holds reports whether a Put of size bytes would be kept: the cache is
+// enabled and the value fits the whole budget. Callers that must copy a
+// value before handing it over ask first. The budget is fixed at New, so
+// no lock is taken.
+func (c *Cache) Holds(size int64) bool {
+	return c.budget < 0 || (c.budget > 0 && size <= c.budget)
 }
 
 func (c *Cache) evictOldest() {
@@ -99,17 +107,22 @@ func (c *Cache) Delete(key string) {
 	}
 }
 
-// DeletePrefix removes every key with the given prefix — used to
-// invalidate all blocks of a file or all views of a directory.
-func (c *Cache) DeletePrefix(prefix string) {
+// DeletePrefix removes every key that starts with any of the given
+// prefixes — used to invalidate all blocks of a file, all views of a
+// directory, or everything cached for an inode — in one pass over the
+// cache however many prefixes there are.
+func (c *Cache) DeletePrefix(prefixes ...string) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	for key, el := range c.m {
-		if strings.HasPrefix(key, prefix) {
-			e := el.Value.(*entry)
-			c.ll.Remove(el)
-			delete(c.m, key)
-			c.used -= e.size
+		for _, prefix := range prefixes {
+			if strings.HasPrefix(key, prefix) {
+				e := el.Value.(*entry)
+				c.ll.Remove(el)
+				delete(c.m, key)
+				c.used -= e.size
+				break
+			}
 		}
 	}
 }

@@ -100,6 +100,53 @@ func TestDeleteAndPrefix(t *testing.T) {
 	}
 }
 
+// A set of prefixes is one invalidation: every key under any of them
+// goes, keys under none stay, and the byte count follows.
+func TestDeletePrefixSet(t *testing.T) {
+	c := New(-1)
+	for _, k := range []string{"M|m/7/c1", "V|t/7/c1", "B|f/7/0/0", "B|f/7/0/1", "M|m/70/c1", "B|f/8/0/0"} {
+		c.Put(k, k, 10)
+	}
+	c.DeletePrefix("M|m/7/", "V|t/7/", "B|f/7/", "W|t/7/")
+	for _, k := range []string{"M|m/7/c1", "V|t/7/c1", "B|f/7/0/0", "B|f/7/0/1"} {
+		if _, ok := c.Get(k); ok {
+			t.Errorf("%s survived", k)
+		}
+	}
+	for _, k := range []string{"M|m/70/c1", "B|f/8/0/0"} {
+		if _, ok := c.Get(k); !ok {
+			t.Errorf("%s over-deleted", k)
+		}
+	}
+	if c.Len() != 2 || c.Used() != 20 {
+		t.Errorf("len=%d used=%d, want 2 and 20", c.Len(), c.Used())
+	}
+	c.DeletePrefix() // no prefixes: nothing matches
+	if c.Len() != 2 {
+		t.Errorf("empty prefix set deleted entries: len=%d", c.Len())
+	}
+}
+
+func TestHolds(t *testing.T) {
+	for _, tc := range []struct {
+		budget, size int64
+		want         bool
+	}{
+		{0, 0, false}, {0, 1, false}, // disabled: keeps nothing
+		{-1, 1 << 40, true},                 // unlimited
+		{100, 100, true}, {100, 101, false}, // finite: up to the whole budget
+	} {
+		c := New(tc.budget)
+		if got := c.Holds(tc.size); got != tc.want {
+			t.Errorf("New(%d).Holds(%d) = %v, want %v", tc.budget, tc.size, got, tc.want)
+		}
+		c.Put("k", 1, tc.size)
+		if _, kept := c.Get("k"); kept != tc.want {
+			t.Errorf("New(%d): Put of %d kept=%v, Holds said %v", tc.budget, tc.size, kept, tc.want)
+		}
+	}
+}
+
 func TestClear(t *testing.T) {
 	c := New(-1)
 	c.Put("a", 1, 10)

@@ -5,6 +5,7 @@ import (
 	"sort"
 
 	"github.com/sharoes/sharoes/internal/cap"
+	"github.com/sharoes/sharoes/internal/layout"
 	"github.com/sharoes/sharoes/internal/meta"
 	"github.com/sharoes/sharoes/internal/obs"
 	"github.com/sharoes/sharoes/internal/types"
@@ -170,7 +171,7 @@ func (s *Session) cacheSiblings(dir ref, sibs []sibling, blobs replyIndex) {
 	}
 	out := make([]opened, len(sibs))
 	stop := s.crypto("open-siblings")
-	runParallel(len(sibs), func(i int) {
+	layout.RunParallel(len(sibs), func(i int) {
 		r, o := sibs[i].r, &out[i]
 		metaBlob, ok := blobs.get(wire.NSMeta, meta.MetaKey(r.ino, r.variant))
 		if !ok {

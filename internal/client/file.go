@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"time"
 
+	"github.com/sharoes/sharoes/internal/layout"
 	"github.com/sharoes/sharoes/internal/meta"
 	"github.com/sharoes/sharoes/internal/sharocrypto"
 	"github.com/sharoes/sharoes/internal/types"
@@ -60,34 +61,41 @@ func (s *Session) sealFileData(m *meta.Metadata, data []byte, mtime int64) ([]wi
 	if m.Keys.DEK.IsZero() || m.Keys.DSK.IsZero() {
 		return nil, types.ErrPermission
 	}
-	ino, gen := m.Attr.Inode, m.Attr.DataGen
 	bs := int(s.blockSize)
-	nBlocks := (len(data) + bs - 1) / bs
+	man := &meta.Manifest{Size: uint64(len(data)), BlockSize: s.blockSize, NBlocks: uint32((len(data) + bs - 1) / bs), MTime: mtime}
+	return s.sealBlocks(m, man, 0, data), nil
+}
 
-	kvs := make([]wire.KV, 0, nBlocks+1)
+// sealBlocks seals data as the file's blocks from block first on, plus
+// the new manifest, under one CRYPTO stopwatch (the blocks are sealed
+// across the worker pool inside layout.SealFileKVs), then — back on the
+// session goroutine — primes the cache with the plaintext it was given.
+func (s *Session) sealBlocks(m *meta.Metadata, man *meta.Manifest, first uint32, data []byte) []wire.KV {
 	stop := s.crypto("seal-data")
-	for i := 0; i < nBlocks; i++ {
-		lo, hi := i*bs, (i+1)*bs
-		if hi > len(data) {
-			hi = len(data)
-		}
-		aad := meta.BlockAAD(ino, gen, uint32(i))
-		sealed := meta.SealSigned(m.Keys.DEK, m.Keys.DSK, aad, data[lo:hi])
-		kvs = append(kvs, wire.KV{NS: wire.NSData, Key: meta.BlockKey(ino, gen, uint32(i)), Val: sealed})
-		blk := make([]byte, hi-lo)
-		copy(blk, data[lo:hi])
-		s.cache.Put(ckBlock+meta.BlockKey(ino, gen, uint32(i)), blk, int64(hi-lo))
-	}
-	man := &meta.Manifest{Size: uint64(len(data)), BlockSize: s.blockSize, NBlocks: uint32(nBlocks), MTime: mtime}
-	sealedMan := meta.SealSigned(m.Keys.DEK, m.Keys.DSK, meta.ManifestAAD(ino, gen), man.Encode())
+	kvs := layout.SealFileKVs(m, man, first, data)
 	stop()
-	kvs = append(kvs, wire.KV{NS: wire.NSData, Key: meta.ManifestKey(ino), Val: sealedMan})
-	s.cache.Put(ckManifest+meta.ManifestKey(ino), man, int64(len(sealedMan)))
-	return kvs, nil
+
+	bs := int(s.blockSize)
+	blocks, sealedMan := kvs[:len(kvs)-1], kvs[len(kvs)-1]
+	for i, kv := range blocks {
+		plain := data[i*bs : min((i+1)*bs, len(data))]
+		// The cache keeps its own copy (data belongs to the caller), so
+		// ask before making one it would drop.
+		if !s.cache.Holds(int64(len(plain))) {
+			continue
+		}
+		s.cache.Put(ckBlock+kv.Key, append([]byte(nil), plain...), int64(len(plain)))
+	}
+	s.cache.Put(ckManifest+sealedMan.Key, man, int64(len(sealedMan.Val)))
+	return kvs
 }
 
 // readBlocks fetches, verifies and decrypts the blocks [from, to) of a
 // file, using the cache and batching all misses into one round trip.
+// Blocks are independent — each carries its own nonce, AAD and signature
+// — so the fetched ones are verified and opened across the worker pool;
+// the closure writes only its own slot, and the cache is touched only
+// after the join, by this goroutine, with blocks that verified.
 func (s *Session) readBlocks(r ref, m *meta.Metadata, man *meta.Manifest, from, to uint32) ([][]byte, error) {
 	out := make([][]byte, to-from)
 	var missing []wire.KV
@@ -111,20 +119,29 @@ func (s *Session) readBlocks(r ref, m *meta.Metadata, man *meta.Manifest, from, 
 	if len(items) != len(missing) {
 		return nil, fmt.Errorf("%w: %d of %d blocks missing", types.ErrTampered, len(missing)-len(items), len(missing))
 	}
-	stop := s.crypto("open-block")
-	defer stop()
-	for _, it := range items {
+	// Match every reply to the one slot that asked for it; a key we did
+	// not request, or the same key twice, is the SSP misbehaving.
+	slots := make([]int, len(items))
+	for i, it := range items {
 		idx, ok := missIdx[it.Key]
 		if !ok {
 			return nil, fmt.Errorf("%w: unexpected block %q", types.ErrTampered, it.Key)
 		}
-		blockNo := from + uint32(idx)
-		aad := meta.BlockAAD(r.ino, m.Attr.DataGen, blockNo)
-		pt, err := meta.OpenVerified(m.Keys.DEK, m.Keys.DVK, aad, it.Val)
-		if err != nil {
-			return nil, err
+		delete(missIdx, it.Key)
+		slots[i] = idx
+	}
+	errs := make([]error, len(items))
+	stop := s.crypto("open-block")
+	layout.RunParallel(len(items), func(i int) {
+		aad := meta.BlockAAD(r.ino, m.Attr.DataGen, from+uint32(slots[i]))
+		out[slots[i]], errs[i] = meta.OpenVerified(m.Keys.DEK, m.Keys.DVK, aad, items[i].Val)
+	})
+	stop()
+	for i, it := range items {
+		if errs[i] != nil {
+			return nil, errs[i]
 		}
-		out[idx] = pt
+		pt := out[slots[i]]
 		s.cache.Put(ckBlock+it.Key, pt, int64(len(pt)))
 	}
 	return out, nil
@@ -244,7 +261,6 @@ func (s *Session) appendFile(path string, data []byte) error {
 		return err
 	}
 	bs := uint64(s.blockSize)
-	ino, gen := r.ino, m.Attr.DataGen
 
 	// Reassemble the tail: the final partial block, if any, plus the new
 	// data. Full blocks before it are untouched.
@@ -261,32 +277,13 @@ func (s *Session) appendFile(path string, data []byte) error {
 	tail = append(tail, data...)
 
 	newSize := man.Size + uint64(len(data))
-	kvs := make([]wire.KV, 0, len(tail)/int(bs)+2)
-	stop := s.crypto("seal-data")
-	for i := 0; i < len(tail); i += int(bs) {
-		hi := i + int(bs)
-		if hi > len(tail) {
-			hi = len(tail)
-		}
-		blockNo := firstDirty + uint32(i/int(bs))
-		aad := meta.BlockAAD(ino, gen, blockNo)
-		sealed := meta.SealSigned(m.Keys.DEK, m.Keys.DSK, aad, tail[i:hi])
-		key := meta.BlockKey(ino, gen, blockNo)
-		kvs = append(kvs, wire.KV{NS: wire.NSData, Key: key, Val: sealed})
-		blk := make([]byte, hi-i)
-		copy(blk, tail[i:hi])
-		s.cache.Put(ckBlock+key, blk, int64(hi-i))
-	}
 	newMan := &meta.Manifest{
 		Size:      newSize,
 		BlockSize: s.blockSize,
 		NBlocks:   uint32((newSize + bs - 1) / bs),
 		MTime:     time.Now().UnixNano(),
 	}
-	sealedMan := meta.SealSigned(m.Keys.DEK, m.Keys.DSK, meta.ManifestAAD(ino, gen), newMan.Encode())
-	stop()
-	kvs = append(kvs, wire.KV{NS: wire.NSData, Key: meta.ManifestKey(ino), Val: sealedMan})
-	s.cache.Put(ckManifest+meta.ManifestKey(ino), newMan, int64(len(sealedMan)))
+	kvs := s.sealBlocks(m, newMan, firstDirty, tail)
 	return s.store.BatchPut(kvs)
 }
 

@@ -3,9 +3,11 @@ package client
 import (
 	"errors"
 	"fmt"
+	"strconv"
 
 	"github.com/sharoes/sharoes/internal/cap"
 	"github.com/sharoes/sharoes/internal/keys"
+	"github.com/sharoes/sharoes/internal/layout"
 	"github.com/sharoes/sharoes/internal/meta"
 	"github.com/sharoes/sharoes/internal/obs"
 	"github.com/sharoes/sharoes/internal/types"
@@ -252,7 +254,7 @@ func (s *Session) loadParentTables(r ref, m *meta.Metadata) (map[string]*meta.Di
 		opened := make([]*meta.DirTable, len(jobs))
 		errs := make([]error, len(jobs))
 		stop := s.crypto("open-table")
-		runParallel(len(jobs), func(i int) {
+		layout.RunParallel(len(jobs), func(i int) {
 			j := jobs[i]
 			view, err := cap.OpenView(j.id, cap.TableKey(m, j.id), m.Keys.DVK, r.ino, j.blob)
 			if err != nil {
@@ -305,7 +307,7 @@ func (s *Session) writeParentTables(r ref, m *meta.Metadata, tables map[string]*
 	sealed := make([][]byte, len(jobs))
 	errs := make([]error, len(jobs))
 	stop := s.crypto("seal-table")
-	runParallel(len(jobs), func(i int) {
+	layout.RunParallel(len(jobs), func(i int) {
 		sealed[i], errs[i] = cap.SealTableView(jobs[i].tbl, m, jobs[i].cid, jobs[i].id)
 	})
 	stop()
@@ -316,9 +318,8 @@ func (s *Session) writeParentTables(r ref, m *meta.Metadata, tables map[string]*
 		}
 		kvs = append(kvs, wire.KV{NS: wire.NSData, Key: meta.TableKey(r.ino, j.id), Val: sealed[i]})
 	}
-	s.cache.DeletePrefix(ckView + "t/" + fmt.Sprintf("%d/", uint64(r.ino)))
-	s.cache.DeletePrefix(ckRef + "d/" + fmt.Sprintf("%d/", uint64(r.ino)))
-	s.cache.DeletePrefix(ckListed + "t/" + fmt.Sprintf("%d/", uint64(r.ino)))
+	id := strconv.FormatUint(uint64(r.ino), 10) + "/"
+	s.cache.DeletePrefix(ckView+"t/"+id, ckRef+"d/"+id, ckListed+"t/"+id)
 	for id, tbl := range tables {
 		s.cache.Put(ckWTable+meta.TableKey(r.ino, id), tbl.Clone(), tableSize(tbl))
 	}

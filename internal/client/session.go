@@ -16,6 +16,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"strconv"
 	"sync"
 	"time"
 
@@ -359,11 +360,14 @@ func (s *Session) variantCap(attr meta.Attr, variant string) (cap.ID, error) {
 // resolved refs of its directory entries (the inode may be a directory
 // whose table is about to change under it).
 func (s *Session) invalidateObject(ino types.Inode) {
-	s.cache.DeletePrefix(ckMeta + "m/" + fmt.Sprintf("%d/", uint64(ino)))
-	s.cache.DeletePrefix(ckView + "t/" + fmt.Sprintf("%d/", uint64(ino)))
-	s.cache.DeletePrefix(ckWTable + "t/" + fmt.Sprintf("%d/", uint64(ino)))
-	s.cache.DeletePrefix(ckManifest + "f/" + fmt.Sprintf("%d/", uint64(ino)))
-	s.cache.DeletePrefix(ckBlock + "f/" + fmt.Sprintf("%d/", uint64(ino)))
-	s.cache.DeletePrefix(ckRef + "d/" + fmt.Sprintf("%d/", uint64(ino)))
-	s.cache.DeletePrefix(ckListed + "t/" + fmt.Sprintf("%d/", uint64(ino)))
+	id := strconv.FormatUint(uint64(ino), 10) + "/"
+	s.cache.DeletePrefix(
+		ckMeta+"m/"+id,
+		ckView+"t/"+id,
+		ckWTable+"t/"+id,
+		ckManifest+"f/"+id,
+		ckBlock+"f/"+id,
+		ckRef+"d/"+id,
+		ckListed+"t/"+id,
+	)
 }

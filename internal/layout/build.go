@@ -140,25 +140,40 @@ func NewTables(eng Engine, attr meta.Attr) map[string]*meta.DirTable {
 	return out
 }
 
-// BuildFileKVs seals a file's content — blocks plus manifest — under the
-// file's data keys.
+// BuildFileKVs seals a file's whole content — blocks plus manifest —
+// under the file's data keys.
 func BuildFileKVs(m *meta.Metadata, data []byte, blockSize uint32, mtime int64) []wire.KV {
+	nBlocks := (len(data) + int(blockSize) - 1) / int(blockSize)
+	man := &meta.Manifest{Size: uint64(len(data)), BlockSize: blockSize, NBlocks: uint32(nBlocks), MTime: mtime}
+	return SealFileKVs(m, man, 0, data)
+}
+
+// SealFileKVs seals data as the blocks of a file from block first on —
+// man.BlockSize bytes each, the last one possibly short — and then man
+// itself, under the file's data keys. It returns the block KVs in index
+// order followed by the manifest KV. This is the one block-sealing loop:
+// whole-file writes and migration pass first = 0 and the whole content,
+// an append passes its first dirty block and the reassembled tail.
+//
+// Every block has its own nonce, AAD (inode, generation, index) and
+// signature, so blocks are sealed across the worker pool; a single block
+// is sealed inline.
+func SealFileKVs(m *meta.Metadata, man *meta.Manifest, first uint32, data []byte) []wire.KV {
 	ino, gen := m.Attr.Inode, m.Attr.DataGen
-	bs := int(blockSize)
-	nBlocks := (len(data) + bs - 1) / bs
-	kvs := make([]wire.KV, 0, nBlocks+1)
-	for i := 0; i < nBlocks; i++ {
+	bs := int(man.BlockSize)
+	n := (len(data) + bs - 1) / bs
+	kvs := make([]wire.KV, n+1)
+	RunParallel(n, func(i int) {
 		lo, hi := i*bs, (i+1)*bs
 		if hi > len(data) {
 			hi = len(data)
 		}
-		aad := meta.BlockAAD(ino, gen, uint32(i))
-		sealed := meta.SealSigned(m.Keys.DEK, m.Keys.DSK, aad, data[lo:hi])
-		kvs = append(kvs, wire.KV{NS: wire.NSData, Key: meta.BlockKey(ino, gen, uint32(i)), Val: sealed})
-	}
-	man := &meta.Manifest{Size: uint64(len(data)), BlockSize: blockSize, NBlocks: uint32(nBlocks), MTime: mtime}
+		idx := first + uint32(i)
+		sealed := meta.SealSigned(m.Keys.DEK, m.Keys.DSK, meta.BlockAAD(ino, gen, idx), data[lo:hi])
+		kvs[i] = wire.KV{NS: wire.NSData, Key: meta.BlockKey(ino, gen, idx), Val: sealed}
+	})
 	sealedMan := meta.SealSigned(m.Keys.DEK, m.Keys.DSK, meta.ManifestAAD(ino, gen), man.Encode())
-	kvs = append(kvs, wire.KV{NS: wire.NSData, Key: meta.ManifestKey(ino), Val: sealedMan})
+	kvs[n] = wire.KV{NS: wire.NSData, Key: meta.ManifestKey(ino), Val: sealedMan}
 	return kvs
 }
 

@@ -2,6 +2,7 @@ package meta
 
 import (
 	"bytes"
+	"errors"
 	"reflect"
 	"testing"
 
@@ -120,5 +121,40 @@ func FuzzDecodeSplitPointer(f *testing.F) {
 			return
 		}
 		roundTrip(t, p, func(x *SplitPointer) []byte { return x.Encode() }, DecodeSplitPointer)
+	})
+}
+
+// FuzzOpenVerified feeds arbitrary bytes — seeded with honest envelopes
+// of every signed structure — to the one verify-then-open path. Nothing
+// may panic; every failure must be types.ErrTampered; and whatever does
+// open must carry the plaintext the key holder sealed for that AAD (the
+// keys are fixed, so an envelope from another fuzz worker is honest too;
+// anything else that opens would be a forgery).
+func FuzzOpenVerified(f *testing.F) {
+	sym, sk, vk := fuzzKeys(f)
+	tab := &DirTable{Entries: []DirEntry{{Name: "a.txt", Inode: 4, Variant: "u/alice", MEK: sym, MVK: vk}}}
+	man := &Manifest{Size: 70000, BlockSize: 65536, NBlocks: 2, MTime: 77}
+	aads := [][]byte{MetaAAD(9, "c/3"), TableAAD(9, "c/3"), BlockAAD(9, 3, 1), ManifestAAD(9, 3)}
+	plains := [][]byte{seedMetadata(f).Encode(), tab.Encode(), bytes.Repeat([]byte{0xab}, 300), man.Encode()}
+	for i, plain := range plains {
+		blob := SealSigned(sym, sk, aads[i], plain)
+		f.Add(blob, uint8(i))
+		f.Add(blob[:len(blob)-1], uint8(i))
+		f.Add(blob, uint8(i+1)) // right blob, wrong AAD
+	}
+	f.Add([]byte{}, uint8(0))
+	f.Add([]byte{0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0x01}, uint8(2))
+	f.Fuzz(func(t *testing.T, blob []byte, which uint8) {
+		i := int(which) % len(aads)
+		pt, err := OpenVerified(sym, vk, aads[i], blob)
+		if err != nil {
+			if !errors.Is(err, types.ErrTampered) {
+				t.Fatalf("failure is not ErrTampered: %v", err)
+			}
+			return
+		}
+		if !bytes.Equal(pt, plains[i]) {
+			t.Fatalf("a plaintext the writer never sealed opened under AAD %q (%d bytes)", aads[i], len(pt))
+		}
 	})
 }

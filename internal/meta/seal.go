@@ -1,6 +1,8 @@
 package meta
 
 import (
+	"crypto/sha256"
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"strconv"
@@ -14,44 +16,71 @@ import (
 // evidence of an unauthorized write or SSP tampering.
 var ErrVerify = errors.New("meta: sealed object failed verification")
 
-// SealSigned encrypts plaintext under key, binding aad, then signs
-// ciphertext||aad with sk. This is the envelope for every signed structure
-// at the SSP: metadata objects (MEK+MSK), directory tables and file blocks
-// (DEK+DSK). The signature is what lets readers — who necessarily hold the
-// symmetric key — detect writes by non-writers, without trusting the SSP.
-func SealSigned(key sharocrypto.SymKey, sk sharocrypto.SignKey, aad, plaintext []byte) []byte {
-	ct := key.Seal(plaintext, aad)
-	signed := make([]byte, 0, len(ct)+len(aad))
-	signed = append(signed, ct...)
-	signed = append(signed, aad...)
-	sig := sk.Sign(signed)
+var errEnvelopeShape = errors.New("meta: blob is not one framed field plus one signature")
 
-	var w binenc.Writer
-	w.BytesField(ct)
-	w.Raw(sig)
-	return w.Bytes()
+// envelopeDomain separates the envelope digest from every other use of
+// SHA-256 in the system (content hashes, HMAC row keys, fingerprints).
+const envelopeDomain = "sharoes/signed-envelope\x00"
+
+// envelopeDigest is the 32-byte message the envelope's signature covers:
+// SHA-256(domain ‖ framed ‖ aad), where framed is the blob's own leading
+// bytes — uvarint(len) ‖ nonce‖ciphertext‖tag — exactly as stored. The
+// length prefix makes the split between sealed bytes and AAD
+// unambiguous, so distinct (sealed, aad) pairs never share a digest
+// input. Streamed: nothing is concatenated.
+func envelopeDigest(framed, aad []byte) [sha256.Size]byte {
+	h := sha256.New()
+	h.Write([]byte(envelopeDomain))
+	h.Write(framed)
+	h.Write(aad)
+	var d [sha256.Size]byte
+	h.Sum(d[:0])
+	return d
+}
+
+// SealSigned encrypts plaintext under key, binding aad, then signs a
+// digest of the whole sealed form and the aad with sk (envelopeDigest).
+// This is the envelope for every signed structure at the SSP: metadata
+// objects (MEK+MSK), directory tables, file blocks and manifests
+// (DEK+DSK). The signature is what lets readers — who necessarily hold
+// the symmetric key — detect writes by non-writers, without trusting the
+// SSP; that is why the digest is a collision-resistant hash of all of
+// nonce‖ciphertext‖tag and never the GCM tag alone, which anyone holding
+// the key can forge. The paper's writers likewise "sign the hash of the
+// content" (§II-B).
+//
+// Layout: uvarint(len(sealed)) ‖ sealed ‖ sig, built in one
+// exact-capacity buffer.
+func SealSigned(key sharocrypto.SymKey, sk sharocrypto.SignKey, aad, plaintext []byte) []byte {
+	sealedLen := len(plaintext) + sharocrypto.SealOverhead
+	var prefix [binary.MaxVarintLen64]byte
+	p := binary.PutUvarint(prefix[:], uint64(sealedLen))
+	out := make([]byte, 0, p+sealedLen+sharocrypto.SigSize)
+	out = append(out, prefix[:p]...)
+	out = key.AppendSeal(out, plaintext, aad)
+	d := envelopeDigest(out, aad)
+	return append(out, sk.Sign(d[:])...)
 }
 
 // OpenVerified reverses SealSigned: verifies the signature with vk, then
-// decrypts with key. Either failure is reported as ErrVerify wrapped with
+// decrypts with key. Either failure — or a blob that is not exactly one
+// framed field plus one signature — is reported as ErrVerify wrapped with
 // types.ErrTampered so clients surface a uniform integrity error.
 func OpenVerified(key sharocrypto.SymKey, vk sharocrypto.VerifyKey, aad, blob []byte) ([]byte, error) {
 	r := binenc.NewReader(blob)
-	ct, err := r.BytesField()
+	sealed, err := r.BytesField()
 	if err != nil {
 		return nil, tampered(err)
 	}
-	sig, err := r.Raw(sharocrypto.SigSize)
-	if err != nil {
+	if r.Remaining() != sharocrypto.SigSize {
+		return nil, tampered(errEnvelopeShape)
+	}
+	framed, sig := blob[:len(blob)-sharocrypto.SigSize], blob[len(blob)-sharocrypto.SigSize:]
+	d := envelopeDigest(framed, aad)
+	if err := vk.Verify(d[:], sig); err != nil {
 		return nil, tampered(err)
 	}
-	signed := make([]byte, 0, len(ct)+len(aad))
-	signed = append(signed, ct...)
-	signed = append(signed, aad...)
-	if err := vk.Verify(signed, sig); err != nil {
-		return nil, tampered(err)
-	}
-	pt, err := key.Open(ct, aad)
+	pt, err := key.Open(sealed, aad)
 	if err != nil {
 		return nil, tampered(err)
 	}

@@ -31,6 +31,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"sync"
 )
 
 // SymKeySize is the size of a symmetric key in bytes (128-bit AES).
@@ -85,12 +86,22 @@ const gcmNonceSize = 12
 // Seal encrypts plaintext under k with AES-128-GCM, binding aad as
 // additional authenticated data. The random nonce is prepended.
 func (k SymKey) Seal(plaintext, aad []byte) []byte {
-	aead := k.aead()
-	out := make([]byte, gcmNonceSize, gcmNonceSize+len(plaintext)+aead.Overhead())
-	if _, err := io.ReadFull(rand.Reader, out[:gcmNonceSize]); err != nil {
+	return k.AppendSeal(make([]byte, 0, len(plaintext)+SealOverhead), plaintext, aad)
+}
+
+// AppendSeal is Seal into a caller-owned buffer: it appends the
+// len(plaintext)+SealOverhead bytes of nonce‖ciphertext‖tag to dst and
+// returns the extended slice, so an envelope that frames the sealed
+// bytes can be built in one allocation. plaintext must not overlap the
+// spare capacity of dst.
+func (k SymKey) AppendSeal(dst, plaintext, aad []byte) []byte {
+	n := len(dst)
+	dst = append(dst, make([]byte, gcmNonceSize)...)
+	nonce := dst[n:]
+	if _, err := io.ReadFull(rand.Reader, nonce); err != nil {
 		panic("sharocrypto: entropy unavailable: " + err.Error())
 	}
-	return aead.Seal(out, out[:gcmNonceSize], plaintext, aad)
+	return k.aead().Seal(dst, nonce, plaintext, aad)
 }
 
 // Open decrypts a blob produced by Seal with the same key and aad.
@@ -149,7 +160,29 @@ func (k SymKey) NameTag(name string) [32]byte {
 
 // SignKey is a signing key (a DSK or MSK). Holding it makes a principal a
 // writer (DSK) or owner (MSK) of the associated object.
-type SignKey struct{ priv ed25519.PrivateKey }
+//
+// A SignKey is its 32-byte seed; the Ed25519 private key (a base-point
+// multiplication to derive) is expanded on the first Sign or VerifyKey
+// and shared by every copy of the value. Metadata decoding rebuilds DSK
+// and MSK on every open, reads included, and most of those keys never
+// sign anything.
+type SignKey struct{ k *signState }
+
+type signState struct {
+	seed [SignKeySeedSize]byte
+	once sync.Once
+	priv ed25519.PrivateKey // set by once
+}
+
+func newSignKey(seed [SignKeySeedSize]byte) SignKey {
+	return SignKey{k: &signState{seed: seed}}
+}
+
+// expanded returns the Ed25519 private key, deriving it on first use.
+func (s SignKey) expanded() ed25519.PrivateKey {
+	s.k.once.Do(func() { s.k.priv = ed25519.NewKeyFromSeed(s.k.seed[:]) })
+	return s.k.priv
+}
 
 // VerifyKey is the matching verification key (a DVK or MVK), distributed to
 // every reader so that unauthorized writes — by users or by the SSP itself —
@@ -167,17 +200,19 @@ const VerifyKeySize = ed25519.PublicKeySize
 
 // NewSigningPair generates a fresh signing/verification key pair.
 func NewSigningPair() (SignKey, VerifyKey) {
-	pub, priv, err := ed25519.GenerateKey(rand.Reader)
-	if err != nil {
+	var seed [SignKeySeedSize]byte
+	if _, err := io.ReadFull(rand.Reader, seed[:]); err != nil {
 		panic("sharocrypto: entropy unavailable: " + err.Error())
 	}
-	return SignKey{priv: priv}, VerifyKey{pub: pub}
+	sk := newSignKey(seed)
+	return sk, sk.VerifyKey()
 }
 
 // Sign signs msg. Per the paper, writers sign the hash of the content they
-// upload; ed25519 hashes internally.
+// upload: Ed25519 hashes msg twice with SHA-512, so callers with bulk
+// content pass a digest of it (meta.SealSigned does), not the content.
 func (s SignKey) Sign(msg []byte) []byte {
-	return ed25519.Sign(s.priv, msg)
+	return ed25519.Sign(s.expanded(), msg)
 }
 
 // Verify checks sig over msg.
@@ -190,11 +225,11 @@ func (v VerifyKey) Verify(msg, sig []byte) error {
 
 // VerifyKey returns the verification key matching s.
 func (s SignKey) VerifyKey() VerifyKey {
-	return VerifyKey{pub: s.priv.Public().(ed25519.PublicKey)}
+	return VerifyKey{pub: s.expanded().Public().(ed25519.PublicKey)}
 }
 
 // IsZero reports whether the key is unset (the "inaccessible" value).
-func (s SignKey) IsZero() bool { return len(s.priv) == 0 }
+func (s SignKey) IsZero() bool { return s.k == nil }
 
 // IsZero reports whether the key is unset.
 func (v VerifyKey) IsZero() bool { return len(v.pub) == 0 }
@@ -205,7 +240,7 @@ func (s SignKey) Marshal() []byte {
 		return nil
 	}
 	out := make([]byte, SignKeySeedSize)
-	copy(out, s.priv.Seed())
+	copy(out, s.k.seed[:])
 	return out
 }
 
@@ -214,7 +249,7 @@ func SignKeyFromBytes(b []byte) (SignKey, error) {
 	if len(b) != SignKeySeedSize {
 		return SignKey{}, fmt.Errorf("%w: sign key seed %d", ErrKeySize, len(b))
 	}
-	return SignKey{priv: ed25519.NewKeyFromSeed(b)}, nil
+	return newSignKey([SignKeySeedSize]byte(b)), nil
 }
 
 // Marshal serializes the verification key.

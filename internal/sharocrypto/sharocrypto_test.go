@@ -2,6 +2,7 @@ package sharocrypto
 
 import (
 	"bytes"
+	"crypto/ed25519"
 	"errors"
 	"sync"
 	"testing"
@@ -231,6 +232,90 @@ func TestSigningMarshal(t *testing.T) {
 	}
 	if _, err := VerifyKeyFromBytes([]byte("short")); err == nil {
 		t.Error("short verify key accepted")
+	}
+}
+
+// TestSignKeyExpandsLazily: a key rebuilt from its seed is the same key
+// as the stdlib builds eagerly — same Marshal, same VerifyKey, same
+// (deterministic) signatures — whether or not it has been expanded yet,
+// and copies of the value share one expansion, also when the first Sign
+// is raced from several goroutines (the parallel block path).
+func TestSignKeyExpandsLazily(t *testing.T) {
+	seed := bytes.Repeat([]byte{0x5a}, SignKeySeedSize)
+	want := ed25519.NewKeyFromSeed(seed)
+	msg := []byte("a digest-sized message, 32 byte.")
+
+	sk, err := SignKeyFromBytes(seed)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if sk.IsZero() {
+		t.Error("fresh key IsZero")
+	}
+	if sk.k.priv != nil {
+		t.Error("SignKeyFromBytes expanded the key eagerly")
+	}
+	if !bytes.Equal(sk.Marshal(), seed) {
+		t.Error("Marshal before expansion is not the seed")
+	}
+	if sk.k.priv != nil {
+		t.Error("Marshal expanded the key")
+	}
+
+	cp := sk // a copy, as metadata structs are copied
+	var wg sync.WaitGroup
+	sigs := make([][]byte, 8)
+	for i := range sigs {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			sigs[i] = cp.Sign(msg)
+		}(i)
+	}
+	wg.Wait()
+	for i, sig := range sigs {
+		if !bytes.Equal(sig, ed25519.Sign(want, msg)) {
+			t.Errorf("signature %d differs from the eagerly built key's", i)
+		}
+	}
+	if sk.k.priv == nil {
+		t.Error("expansion through a copy is not shared with the original")
+	}
+	if !bytes.Equal(sk.VerifyKey().Marshal(), want.Public().(ed25519.PublicKey)) {
+		t.Error("VerifyKey differs from the eagerly built key's")
+	}
+	if !bytes.Equal(sk.Marshal(), seed) {
+		t.Error("Marshal after expansion is not the seed")
+	}
+
+	// The seed is copied in: the caller's buffer is not retained.
+	seed[0] ^= 0xff
+	if bytes.Equal(sk.Marshal(), seed) {
+		t.Error("SignKey aliases the caller's seed buffer")
+	}
+}
+
+// TestAppendSeal: the append form writes exactly Seal's bytes after what
+// dst already holds, in place when dst has the room, and Open reads them.
+func TestAppendSeal(t *testing.T) {
+	k := NewSymKey()
+	aad, msg := []byte("block|1|0|0"), bytes.Repeat([]byte("m"), 100)
+	head := []byte("hdr")
+	buf := make([]byte, len(head), len(head)+len(msg)+SealOverhead)
+	copy(buf, head)
+	out := k.AppendSeal(buf, msg, aad)
+	if &out[0] != &buf[0] {
+		t.Error("AppendSeal reallocated a buffer with exact capacity")
+	}
+	if len(out) != cap(buf) || !bytes.Equal(out[:len(head)], head) {
+		t.Errorf("len %d (cap %d), head %q", len(out), cap(buf), out[:len(head)])
+	}
+	pt, err := k.Open(out[len(head):], aad)
+	if err != nil || !bytes.Equal(pt, msg) {
+		t.Errorf("Open of the appended bytes: %v", err)
+	}
+	if grown := k.AppendSeal(nil, msg, aad); len(grown) != len(msg)+SealOverhead {
+		t.Errorf("AppendSeal(nil) = %d bytes", len(grown))
 	}
 }
 

@@ -350,11 +350,13 @@ func (c *Client) writeBatch(pk *wire.Pack, scratch *[]byte, batch []*Call) {
 	} else {
 		for _, call := range live {
 			*scratch = wire.AppendRequest((*scratch)[:0], call.Req)
-			var n int
-			if n, err = wire.WriteFrame(c.bw, *scratch); err != nil {
+			// Charged before the write: a frame larger than c.bw goes
+			// straight to the socket, and the reply can complete the
+			// call before WriteFrame returns here.
+			atomic.StoreInt64(&call.bytesOut, int64(len(*scratch))+4)
+			if _, err = wire.WriteFrame(c.bw, *scratch); err != nil {
 				break
 			}
-			atomic.StoreInt64(&call.bytesOut, int64(n))
 		}
 	}
 	if err == nil {
@@ -384,11 +386,10 @@ func (c *Client) writeBatchV2(pk *wire.Pack, scratch *[]byte, live []*Call) erro
 				return err
 			}
 			*scratch = wire.AppendRequestV2((*scratch)[:0], call.Req)
-			n, err := wire.WriteFrame(c.bw, *scratch)
-			if err != nil {
+			atomic.StoreInt64(&call.bytesOut, int64(len(*scratch))+4) // before the write, as above
+			if _, err := wire.WriteFrame(c.bw, *scratch); err != nil {
 				return err
 			}
-			atomic.StoreInt64(&call.bytesOut, int64(n))
 			continue
 		}
 		sublen := pk.AddRequest(call.Req)
