@@ -3,6 +3,7 @@ package client
 import (
 	"fmt"
 	"sort"
+	"strconv"
 
 	"github.com/sharoes/sharoes/internal/cap"
 	"github.com/sharoes/sharoes/internal/layout"
@@ -12,7 +13,7 @@ import (
 	"github.com/sharoes/sharoes/internal/wire"
 )
 
-// --- batched replies -----------------------------------------------------
+// --- the fetch primitive ----------------------------------------------------
 
 // blobKey names one blob at the SSP.
 type blobKey struct {
@@ -20,9 +21,10 @@ type blobKey struct {
 	key string
 }
 
-// replyIndex matches a BatchGet reply to the request that produced it, by
+// replyIndex matches a fetch reply to the want-list that produced it, by
 // (namespace, key): the same inode has blobs in several namespaces, and
-// one batch may carry many objects.
+// one fetch may carry many objects. It has an entry for every key asked,
+// returned or not, so "asked for and absent" and "never asked" differ.
 type replyIndex map[blobKey]replyBlob
 
 type replyBlob struct {
@@ -30,10 +32,50 @@ type replyBlob struct {
 	returned bool
 }
 
+// fetch is the one read every operation goes through: a want-list of
+// everything the caller can name at this point, one BatchGet, and the
+// reply indexed by key for the caller to open. Nothing in the reply is
+// verified or cached here; each blob passes its own Open/Verify at the
+// place that uses it.
+func (s *Session) fetch(want []wire.KV) (replyIndex, error) {
+	if sp := s.tracer.Start("client.fetch", obs.ClassNone); sp != nil {
+		sp.Annotate("keys", strconv.Itoa(len(want)))
+		defer sp.End()
+	}
+	s.fetches++
+	items, err := s.store.BatchGet(want)
+	if err != nil {
+		return nil, err
+	}
+	return indexReply(want, items)
+}
+
+// blobOf returns the blob at (ns, key): out of pre when that fetch already
+// asked for it, otherwise by a fetch of its own. ok is false when the SSP
+// has no such blob.
+func (s *Session) blobOf(pre replyIndex, ns wire.NS, key string) (val []byte, ok bool, err error) {
+	b, asked := pre[blobKey{ns, key}]
+	if !asked {
+		one, err := s.fetch([]wire.KV{{NS: ns, Key: key}})
+		if err != nil {
+			return nil, false, err
+		}
+		b = one[blobKey{ns, key}]
+	}
+	return b.val, b.returned, nil
+}
+
+// list is the server-side listing fallback, counted with the fetches.
+func (s *Session) list(ns wire.NS, prefix string) ([]wire.KV, error) {
+	s.fetches++
+	return s.store.List(ns, prefix)
+}
+
 // indexReply indexes the items the SSP returned for the asked keys. Keys
 // the SSP omitted stay marked not-returned; an item that was never asked
-// for is the SSP answering a different question than the one put to it,
-// and is refused as tampering before any of the reply is used.
+// for, or that answers the same key twice, is the SSP answering a
+// different question than the one put to it, and is refused as tampering
+// before any of the reply is used.
 func indexReply(asked, items []wire.KV) (replyIndex, error) {
 	idx := make(replyIndex, len(asked))
 	for _, kv := range asked {
@@ -41,8 +83,8 @@ func indexReply(asked, items []wire.KV) (replyIndex, error) {
 	}
 	for _, it := range items {
 		k := blobKey{it.NS, it.Key}
-		if _, ok := idx[k]; !ok {
-			return nil, fmt.Errorf("%w: unrequested %s blob %q in batch reply", types.ErrTampered, it.NS, it.Key)
+		if b, ok := idx[k]; !ok || b.returned {
+			return nil, fmt.Errorf("%w: unrequested or repeated %s blob %q in batch reply", types.ErrTampered, it.NS, it.Key)
 		}
 		idx[k] = replyBlob{val: it.Val, returned: true}
 	}
@@ -77,32 +119,13 @@ func siblingChunk(cacheBytes int64) int {
 	return int(cacheBytes / (2 * siblingCost))
 }
 
-// fetchStat is the one round trip of a getattr miss: the object's own
-// metadata and manifest and, when its parent was listed, the siblings
-// that follow it — verified and cached before the reply is handed back, so
-// the object actually asked for ends up the most recently used entry when
-// a finite cache has to evict.
-func (s *Session) fetchStat(r ref, at dirent) (replyIndex, error) {
-	want := appendStatKeys(nil, r)
-	sibs := s.listedSiblings(at)
-	if len(sibs) > 0 {
-		defer s.tracer.Start("client.stat.batch", obs.ClassNone).End()
-		for _, sib := range sibs {
-			want = appendStatKeys(want, sib.r)
-		}
-	}
-	items, err := s.store.BatchGet(want)
-	if err != nil {
-		return nil, err
-	}
-	blobs, err := indexReply(want, items)
-	if err != nil {
-		return nil, err
-	}
-	if len(sibs) > 0 {
-		s.cacheSiblings(at.dir, sibs, blobs)
-	}
-	return blobs, nil
+// appendStatKeys adds the blobs getattr wants for one object. The manifest
+// key is asked for blind — the kind is only known once the metadata is
+// open — and a directory simply has none.
+func appendStatKeys(dst []wire.KV, r ref) []wire.KV {
+	return append(dst,
+		wire.KV{NS: wire.NSMeta, Key: meta.MetaKey(r.ino, r.variant)},
+		wire.KV{NS: wire.NSData, Key: meta.ManifestKey(r.ino)})
 }
 
 // sibling is one prefetch candidate: a row of the listed parent.

@@ -14,21 +14,25 @@ import (
 	"github.com/sharoes/sharoes/internal/wire"
 )
 
-// countingStore counts every call a session makes on its store, and the
-// number of keys in each BatchGet.
+// countingStore counts every call a session makes on its store, the
+// number of keys in each BatchGet, and which keys each read call named.
 type countingStore struct {
 	ssp.BlobStore
 	mu        sync.Mutex
 	calls     int
 	batchKeys []int
+	reads     [][]string // per read call (Get, BatchGet, List): "<ns>/<key>" of everything it asked for
 }
 
-func (c *countingStore) count(batchKeys int) {
+func (c *countingStore) count(batchKeys int, read ...string) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	c.calls++
 	if batchKeys > 0 {
 		c.batchKeys = append(c.batchKeys, batchKeys)
+	}
+	if len(read) > 0 {
+		c.reads = append(c.reads, read)
 	}
 }
 
@@ -37,12 +41,22 @@ func (c *countingStore) take() (calls int, batchKeys []int) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	calls, batchKeys = c.calls, c.batchKeys
-	c.calls, c.batchKeys = 0, nil
+	c.calls, c.batchKeys, c.reads = 0, nil, nil
 	return calls, batchKeys
 }
 
+// takeReads returns the keys of every read call since the last take, and
+// resets the counters.
+func (c *countingStore) takeReads() [][]string {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	reads := c.reads
+	c.calls, c.batchKeys, c.reads = 0, nil, nil
+	return reads
+}
+
 func (c *countingStore) Get(ns wire.NS, key string) ([]byte, error) {
-	c.count(0)
+	c.count(0, ns.String()+"/"+key)
 	return c.BlobStore.Get(ns, key)
 }
 func (c *countingStore) Put(ns wire.NS, key string, val []byte) error {
@@ -54,11 +68,15 @@ func (c *countingStore) Delete(ns wire.NS, key string) error {
 	return c.BlobStore.Delete(ns, key)
 }
 func (c *countingStore) List(ns wire.NS, prefix string) ([]wire.KV, error) {
-	c.count(0)
+	c.count(0, ns.String()+"/"+prefix+"*")
 	return c.BlobStore.List(ns, prefix)
 }
 func (c *countingStore) BatchGet(items []wire.KV) ([]wire.KV, error) {
-	c.count(len(items))
+	keys := make([]string, len(items))
+	for i, it := range items {
+		keys[i] = it.NS.String() + "/" + it.Key
+	}
+	c.count(len(items), keys...)
 	return c.BlobStore.BatchGet(items)
 }
 func (c *countingStore) BatchPut(items []wire.KV) error {
@@ -148,8 +166,8 @@ func TestListThenStatIsOneBatch(t *testing.T) {
 		if err != nil || len(names) != 21 {
 			t.Fatalf("readdir: %v, %v", names, err)
 		}
-		if calls, batches := cs.take(); calls != 1 || len(batches) != 0 {
-			t.Errorf("ReadDir cost %d calls (%d batched), want exactly the view fetch", calls, len(batches))
+		if calls, batches := cs.take(); calls != 1 || len(batches) != 1 || batches[0] != 1 {
+			t.Errorf("ReadDir cost %d calls, batches %v; want exactly the view fetch", calls, batches)
 		}
 		for _, p := range append(paths, "/d/sub") {
 			if _, err := s.Stat(p); err != nil {
@@ -182,9 +200,12 @@ func TestNamesOnlyListingFetchesNothing(t *testing.T) {
 		if _, err := s.ReadDir("/d"); err != nil {
 			t.Fatal(err)
 		}
-		_, batches := cs.take()
-		if len(batches) != 1 || batches[0] != 2 {
-			t.Errorf("batches = %v, want only the unlisted stat's own two keys", batches)
+		// The unlisted stat walks two cold directories (metadata + table
+		// view each) and fetches its own metadata + manifest; neither
+		// listing adds a fetch, let alone a sibling batch.
+		calls, batches := cs.take()
+		if calls != 3 || len(batches) != 3 || batches[0] != 2 || batches[1] != 2 || batches[2] != 2 {
+			t.Errorf("%d calls, batches %v; want the unlisted stat's three two-key fetches only", calls, batches)
 		}
 	})
 }
@@ -421,8 +442,9 @@ func TestTamperedSiblingNeverFailsNeighbours(t *testing.T) {
 			t.Errorf("read %s = %q, %v", p, got, err)
 		}
 	}
-	if _, batches := cs.take(); len(batches) != 1+7 { // the sibling batch, then one block fetch per honest file
-		t.Errorf("honest entries cost batches %v, want the sibling batch plus 7 block fetches", batches)
+	// The sibling batch, then one block fetch per honest file.
+	if calls, batches := cs.take(); calls != 1+7 || len(batches) != 1+7 || batches[0] != 2*10 {
+		t.Errorf("honest entries cost %d calls, batches %v; want the 20-key sibling batch plus 7 block fetches", calls, batches)
 	}
 	if _, err := s.Stat(badMeta); !errors.Is(err, types.ErrTampered) {
 		t.Errorf("stat of tampered-metadata sibling: %v", err)

@@ -68,7 +68,7 @@ func (s *Session) rekeyData(r ref, m *meta.Metadata) ([]wire.KV, error) {
 	var content []byte
 	var tables map[string]*meta.DirTable
 	if m.Attr.Kind == types.KindFile {
-		man, err := s.fetchManifest(r, m)
+		man, err := s.fetchManifest(r, m, nil)
 		if err != nil {
 			return nil, err
 		}
@@ -81,7 +81,7 @@ func (s *Session) rekeyData(r ref, m *meta.Metadata) ([]wire.KV, error) {
 		}
 	} else {
 		var err error
-		if tables, err = s.loadParentTables(r, m); err != nil {
+		if tables, err = s.loadParentTables(r, m, nil); err != nil {
 			return nil, err
 		}
 	}
@@ -104,7 +104,7 @@ func (s *Session) rekeyData(r ref, m *meta.Metadata) ([]wire.KV, error) {
 		}
 		kvs = append(kvs, dkvs...)
 		// Drop the old generation's blobs.
-		old, err := s.store.List(wire.NSData, meta.BlockPrefix(r.ino, oldGen))
+		old, err := s.list(wire.NSData, meta.BlockPrefix(r.ino, oldGen))
 		if err != nil {
 			return nil, err
 		}
@@ -168,7 +168,7 @@ func (s *Session) chmod(path string, perm types.Perm) error {
 		// class's shape (e.g. r-x → r--), so re-seal the views even when
 		// nothing is revoked... but only if shapes actually changed.
 		if viewShapesDiffer(m.Attr.Perm, perm) {
-			tables, err := s.loadParentTables(r, m)
+			tables, err := s.loadParentTables(r, m, nil)
 			if err != nil {
 				return err
 			}
@@ -265,7 +265,7 @@ func (s *Session) chown(path string, owner types.UserID, group types.GroupID) er
 		if err := s.requireDirWriter(pm); err != nil {
 			return fmt.Errorf("chown needs write permission on the parent directory: %w", err)
 		}
-		tables, err := s.loadParentTables(pr, pm)
+		tables, err := s.loadParentTables(pr, pm, nil)
 		if err != nil {
 			return err
 		}

@@ -12,21 +12,21 @@ import (
 	"github.com/sharoes/sharoes/internal/wire"
 )
 
-// fetchManifest retrieves and opens a file's manifest, via the cache.
-func (s *Session) fetchManifest(r ref, m *meta.Metadata) (*meta.Manifest, error) {
+// fetchManifest retrieves and opens a file's manifest: from the cache,
+// from pre (the reply that carried the metadata) or by a fetch of its own.
+func (s *Session) fetchManifest(r ref, m *meta.Metadata, pre replyIndex) (*meta.Manifest, error) {
 	if m.Keys.DEK.IsZero() || m.Keys.DVK.IsZero() {
 		return nil, types.ErrPermission
 	}
-	key := ckManifest + meta.ManifestKey(r.ino)
-	if v, ok := s.cache.Get(key); ok {
+	if v, ok := s.cache.Get(ckManifest + meta.ManifestKey(r.ino)); ok {
 		return v.(*meta.Manifest), nil
 	}
-	blob, err := s.store.Get(wire.NSData, meta.ManifestKey(r.ino))
-	if errors.Is(err, wire.ErrNotFound) {
-		return nil, fmt.Errorf("%w: manifest missing", types.ErrTampered)
-	}
+	blob, ok, err := s.blobOf(pre, wire.NSData, meta.ManifestKey(r.ino))
 	if err != nil {
 		return nil, err
+	}
+	if !ok {
+		return nil, fmt.Errorf("%w: manifest missing", types.ErrTampered)
 	}
 	return s.openManifest(r, m, blob)
 }
@@ -99,7 +99,7 @@ func (s *Session) sealBlocks(m *meta.Metadata, man *meta.Manifest, first uint32,
 func (s *Session) readBlocks(r ref, m *meta.Metadata, man *meta.Manifest, from, to uint32) ([][]byte, error) {
 	out := make([][]byte, to-from)
 	var missing []wire.KV
-	missIdx := make(map[string]int)
+	var slots []int // missing[i] is block from+slots[i]
 	for i := from; i < to; i++ {
 		key := meta.BlockKey(r.ino, m.Attr.DataGen, i)
 		if v, ok := s.cache.Get(ckBlock + key); ok {
@@ -107,42 +107,39 @@ func (s *Session) readBlocks(r ref, m *meta.Metadata, man *meta.Manifest, from, 
 			continue
 		}
 		missing = append(missing, wire.KV{NS: wire.NSData, Key: key})
-		missIdx[key] = int(i - from)
+		slots = append(slots, int(i-from))
 	}
 	if len(missing) == 0 {
 		return out, nil
 	}
-	items, err := s.store.BatchGet(missing)
+	blobs, err := s.fetch(missing)
 	if err != nil {
 		return nil, err
 	}
-	if len(items) != len(missing) {
-		return nil, fmt.Errorf("%w: %d of %d blocks missing", types.ErrTampered, len(missing)-len(items), len(missing))
-	}
-	// Match every reply to the one slot that asked for it; a key we did
-	// not request, or the same key twice, is the SSP misbehaving.
-	slots := make([]int, len(items))
-	for i, it := range items {
-		idx, ok := missIdx[it.Key]
-		if !ok {
-			return nil, fmt.Errorf("%w: unexpected block %q", types.ErrTampered, it.Key)
+	sealed := make([][]byte, len(missing))
+	absent := 0
+	for i, kv := range missing {
+		var ok bool
+		if sealed[i], ok = blobs.get(kv.NS, kv.Key); !ok {
+			absent++
 		}
-		delete(missIdx, it.Key)
-		slots[i] = idx
 	}
-	errs := make([]error, len(items))
+	if absent > 0 {
+		return nil, fmt.Errorf("%w: %d of %d blocks missing", types.ErrTampered, absent, len(missing))
+	}
+	errs := make([]error, len(missing))
 	stop := s.crypto("open-block")
-	layout.RunParallel(len(items), func(i int) {
+	layout.RunParallel(len(missing), func(i int) {
 		aad := meta.BlockAAD(r.ino, m.Attr.DataGen, from+uint32(slots[i]))
-		out[slots[i]], errs[i] = meta.OpenVerified(m.Keys.DEK, m.Keys.DVK, aad, items[i].Val)
+		out[slots[i]], errs[i] = meta.OpenVerified(m.Keys.DEK, m.Keys.DVK, aad, sealed[i])
 	})
 	stop()
-	for i, it := range items {
+	for i, kv := range missing {
 		if errs[i] != nil {
 			return nil, errs[i]
 		}
 		pt := out[slots[i]]
-		s.cache.Put(ckBlock+it.Key, pt, int64(len(pt)))
+		s.cache.Put(ckBlock+kv.Key, pt, int64(len(pt)))
 	}
 	return out, nil
 }
@@ -154,9 +151,41 @@ func (s *Session) ReadFile(path string) ([]byte, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	defer s.beginOp("read")()
-	out, err := s.readFileLocked(path)
+	r, _, m, pre, err := s.resolveObject(path)
 	if err != nil {
 		return nil, pathErr("read", path, err)
+	}
+	out, err := s.readContent(r, m, pre)
+	if err != nil {
+		return nil, pathErr("read", path, err)
+	}
+	return out, nil
+}
+
+// readContent is the shared read path (ReadFile and OpenFile) once the
+// file is resolved: the manifest out of the reply that carried the
+// metadata, then the blocks.
+func (s *Session) readContent(r ref, m *meta.Metadata, pre replyIndex) ([]byte, error) {
+	if m.Attr.Kind != types.KindFile {
+		return nil, types.ErrIsDir
+	}
+	if !s.triplet(m.Attr).CanRead() || m.Keys.DEK.IsZero() {
+		return nil, types.ErrPermission
+	}
+	man, err := s.fetchManifest(r, m, pre)
+	if err != nil {
+		return nil, err
+	}
+	blocks, err := s.readBlocks(r, m, man, 0, man.NBlocks)
+	if err != nil {
+		return nil, err
+	}
+	out := make([]byte, 0, man.Size)
+	for _, b := range blocks {
+		out = append(out, b...)
+	}
+	if uint64(len(out)) != man.Size {
+		return nil, fmt.Errorf("%w: size mismatch (%d != %d)", types.ErrTampered, len(out), man.Size)
 	}
 	return out, nil
 }
@@ -172,27 +201,28 @@ func (s *Session) WriteFile(path string, data []byte, perm types.Perm) error {
 }
 
 func (s *Session) writeFile(path string, data []byte, perm types.Perm) error {
-	r, m, err := s.resolve(path)
+	r, at, m, pre, err := s.resolveObject(path)
 	if errors.Is(err, types.ErrNotExist) {
-		_, err := s.createObject(path, perm, types.KindFile, data)
+		_, err := s.createObject(path, at, perm, types.KindFile, data)
 		return err
 	}
 	if err != nil {
 		return err
 	}
-	return s.overwrite(r, m, data)
+	return s.overwrite(r, m, pre, data)
 }
 
-// overwrite replaces an existing file's content in place.
-func (s *Session) overwrite(r ref, m *meta.Metadata, data []byte) error {
+// overwrite replaces an existing file's content in place. pre is the
+// reply that carried m, which answers for the manifest too.
+func (s *Session) overwrite(r ref, m *meta.Metadata, pre replyIndex, data []byte) error {
 	if m.Attr.Kind != types.KindFile {
 		return types.ErrIsDir
 	}
 	if !s.triplet(m.Attr).CanWrite() || m.Keys.DSK.IsZero() {
 		return types.ErrPermission
 	}
-	// Fetch the old manifest to drop now-stale trailing blocks.
-	oldMan, err := s.fetchManifest(r, m)
+	// The old manifest tells which trailing blocks are now stale.
+	oldMan, err := s.fetchManifest(r, m, pre)
 	if err != nil {
 		return err
 	}
@@ -245,7 +275,7 @@ func (s *Session) Append(path string, data []byte) error {
 }
 
 func (s *Session) appendFile(path string, data []byte) error {
-	r, m, err := s.resolve(path)
+	r, _, m, pre, err := s.resolveObject(path)
 	if err != nil {
 		return err
 	}
@@ -256,7 +286,7 @@ func (s *Session) appendFile(path string, data []byte) error {
 	if !t.CanWrite() || m.Keys.DSK.IsZero() {
 		return types.ErrPermission
 	}
-	man, err := s.fetchManifest(r, m)
+	man, err := s.fetchManifest(r, m, pre)
 	if err != nil {
 		return err
 	}

@@ -46,7 +46,7 @@ func (s *Session) OpenFile(path string, flags int, perm types.Perm) (*File, erro
 	defer s.beginOp("open")()
 
 	f := &File{s: s, path: path, write: flags&OWrite != 0}
-	_, m, err := s.resolve(path)
+	r, at, m, pre, err := s.resolveObject(path)
 	switch {
 	case err == nil:
 		if m.Attr.Kind != types.KindFile {
@@ -66,14 +66,14 @@ func (s *Session) OpenFile(path string, flags int, perm types.Perm) (*File, erro
 			f.buf = nil
 			f.dirty = true
 		} else {
-			content, rerr := s.readFileLocked(path)
+			content, rerr := s.readContent(r, m, pre)
 			if rerr != nil {
 				return nil, pathErr("open", path, rerr)
 			}
 			f.buf = content
 		}
 	case errors.Is(err, types.ErrNotExist) && flags&OCreate != 0 && f.write:
-		if _, cerr := s.createObject(path, perm, types.KindFile, []byte{}); cerr != nil {
+		if _, cerr := s.createObject(path, at, perm, types.KindFile, []byte{}); cerr != nil {
 			return nil, pathErr("open", path, cerr)
 		}
 		f.buf = nil
@@ -82,43 +82,6 @@ func (s *Session) OpenFile(path string, flags int, perm types.Perm) (*File, erro
 		return nil, pathErr("open", path, err)
 	}
 	return f, nil
-}
-
-// readFileLocked is the shared read path (ReadFile and OpenFile): resolve,
-// fetch metadata+manifest in one round trip, then the blocks.
-func (s *Session) readFileLocked(path string) ([]byte, error) {
-	r, at, err := s.resolveRef(path)
-	if err != nil {
-		return nil, err
-	}
-	m, man, err := s.statFetch(r, at)
-	if err != nil {
-		return nil, err
-	}
-	if m.Attr.Kind != types.KindFile {
-		return nil, types.ErrIsDir
-	}
-	if !s.triplet(m.Attr).CanRead() || m.Keys.DEK.IsZero() {
-		return nil, types.ErrPermission
-	}
-	if man == nil {
-		// statFetch is lenient about manifest problems; reads are not.
-		if man, err = s.fetchManifest(r, m); err != nil {
-			return nil, err
-		}
-	}
-	blocks, err := s.readBlocks(r, m, man, 0, man.NBlocks)
-	if err != nil {
-		return nil, err
-	}
-	out := make([]byte, 0, man.Size)
-	for _, b := range blocks {
-		out = append(out, b...)
-	}
-	if uint64(len(out)) != man.Size {
-		return nil, fmt.Errorf("%w: size mismatch (%d != %d)", types.ErrTampered, len(out), man.Size)
-	}
-	return out, nil
 }
 
 // Read implements io.Reader.

@@ -33,90 +33,56 @@ func (s *Session) Stat(path string) (vfs.Info, error) {
 	if err != nil {
 		return vfs.Info{}, pathErr("stat", path, err)
 	}
-	r, at, err := s.resolveRef(path)
-	if err != nil {
-		return vfs.Info{}, pathErr("stat", path, err)
-	}
-	m, man, err := s.statFetch(r, at)
+	r, _, m, pre, err := s.resolveObject(path)
 	if err != nil {
 		return vfs.Info{}, pathErr("stat", path, err)
 	}
 	info := infoFromAttr(base, m.Attr)
 	// For files the caller can read, size and mtime come from the
 	// writer-signed manifest (metadata is owner-signed and may lag
-	// non-owner writes).
-	if man != nil {
-		info.Size = man.Size
-		info.MTime = time.Unix(0, man.MTime)
+	// non-owner writes). getattr is lenient about it: a manifest that is
+	// missing or fails to verify leaves the metadata attributes in place,
+	// and the integrity problem surfaces on ReadFile.
+	if hasManifest(m) {
+		if man, err := s.fetchManifest(r, m, pre); err == nil {
+			info.Size = man.Size
+			info.MTime = time.Unix(0, man.MTime)
+		}
 	}
 	return info, nil
 }
 
-// statFetch retrieves the object's metadata and — for files the caller
-// can read — its manifest, batching both cache misses into one round trip
-// so that getattr keeps the paper's single-receive cost profile. When the
-// miss falls inside a directory ReadDir has listed (at names its row), the
-// same round trip also carries the not-yet-cached siblings that follow it
-// (see listedSiblings): "ls -l" pays one receive per directory, not one
-// per entry.
-func (s *Session) statFetch(r ref, at dirent) (*meta.Metadata, *meta.Manifest, error) {
-	metaCK := ckMeta + meta.MetaKey(r.ino, r.variant)
-	manCK := ckManifest + meta.ManifestKey(r.ino)
+// fetchObject retrieves the metadata of the object an operation was asked
+// about, batching it with the manifest — and, when the miss falls inside a
+// directory ReadDir has listed (at names its row), with the not-yet-cached
+// siblings that follow it (see listedSiblings) — so that getattr keeps the
+// paper's single-receive cost profile, a file operation pays one receive
+// before its data, and "ls -l" one per directory, not one per entry. The
+// manifest is opened by the caller, with fetchManifest, out of the
+// returned reply.
+func (s *Session) fetchObject(r ref, at dirent) (*meta.Metadata, replyIndex, error) {
+	if v, ok := s.cache.Get(ckMeta + meta.MetaKey(r.ino, r.variant)); ok {
+		return v.(*meta.Metadata), nil, nil
+	}
+	return s.fetchMetaMiss(r, withManifest, at)
+}
 
-	if mv, ok := s.cache.Get(metaCK); ok {
-		m := mv.(*meta.Metadata)
-		if !hasManifest(m) {
-			return m, nil, nil
-		}
-		if man, ok := s.cache.Get(manCK); ok {
-			return m, man.(*meta.Manifest), nil
-		}
-		man, err := s.fetchManifest(r, m)
-		if err != nil {
-			return m, nil, nil // fall back to metadata attributes
-		}
-		return m, man, nil
-	}
-
-	blobs, err := s.fetchStat(r, at)
+// resolveObject walks to path and fetches the object found there
+// (fetchObject): how every operation on a file begins. The dirent comes
+// back as resolveRef returns it, on errors too.
+func (s *Session) resolveObject(path string) (ref, dirent, *meta.Metadata, replyIndex, error) {
+	r, at, err := s.resolveRef(path)
 	if err != nil {
-		return nil, nil, err
+		return ref{}, at, nil, nil, err
 	}
-	metaBlob, ok := blobs.get(wire.NSMeta, meta.MetaKey(r.ino, r.variant))
-	if !ok {
-		return nil, nil, types.ErrNotExist
-	}
-	stop := s.crypto("open-meta")
-	m, err := meta.OpenMetadata(r.mek, r.mvk, meta.MetaAAD(r.ino, r.variant), metaBlob)
-	stop()
-	if err != nil {
-		return nil, nil, err
-	}
-	s.cache.Put(metaCK, m, int64(len(metaBlob)))
-	manBlob, ok := blobs.get(wire.NSData, meta.ManifestKey(r.ino))
-	if !hasManifest(m) || !ok {
-		return m, nil, nil
-	}
-	man, err := s.openManifest(r, m, manBlob)
-	if err != nil {
-		return m, nil, nil // integrity problems surface on ReadFile
-	}
-	return m, man, nil
+	m, pre, err := s.fetchObject(r, at)
+	return r, at, m, pre, err
 }
 
 // hasManifest reports whether getattr reads size and mtime from the
 // object's manifest: files whose data the caller's variant can decrypt.
 func hasManifest(m *meta.Metadata) bool {
 	return m.Attr.Kind == types.KindFile && !m.Keys.DEK.IsZero()
-}
-
-// appendStatKeys adds the blobs getattr wants for one object. The manifest
-// key is asked for blind — the kind is only known once the metadata is
-// open — and a directory simply has none.
-func appendStatKeys(dst []wire.KV, r ref) []wire.KV {
-	return append(dst,
-		wire.KV{NS: wire.NSMeta, Key: meta.MetaKey(r.ino, r.variant)},
-		wire.KV{NS: wire.NSData, Key: meta.ManifestKey(r.ino)})
 }
 
 func infoFromAttr(name string, a meta.Attr) vfs.Info {
@@ -138,7 +104,11 @@ func (s *Session) ReadDir(path string) ([]string, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	defer s.beginOp("readdir")()
-	r, m, err := s.resolve(path)
+	r, _, err := s.resolveRef(path)
+	if err != nil {
+		return nil, pathErr("readdir", path, err)
+	}
+	m, pre, err := s.fetchMeta(r, withView)
 	if err != nil {
 		return nil, pathErr("readdir", path, err)
 	}
@@ -148,7 +118,7 @@ func (s *Session) ReadDir(path string) ([]string, error) {
 	if !s.triplet(m.Attr).CanRead() {
 		return nil, pathErr("readdir", path, types.ErrPermission)
 	}
-	view, err := s.openViewOf(r, m)
+	view, err := s.openViewOf(r, m, pre)
 	if err != nil {
 		return nil, pathErr("readdir", path, err)
 	}
@@ -178,7 +148,7 @@ func (s *Session) Mkdir(path string, perm types.Perm) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	defer s.beginOp("mkdir")()
-	_, err := s.createObject(path, perm, types.KindDir, nil)
+	_, err := s.createObject(path, dirent{}, perm, types.KindDir, nil)
 	return pathErrNil("mkdir", path, err)
 }
 
@@ -187,7 +157,7 @@ func (s *Session) Create(path string, perm types.Perm) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	defer s.beginOp("create")()
-	_, err := s.createObject(path, perm, types.KindFile, []byte{})
+	_, err := s.createObject(path, dirent{}, perm, types.KindFile, []byte{})
 	return pathErrNil("create", path, err)
 }
 
@@ -199,19 +169,26 @@ func pathErrNil(op, path string, err error) error {
 }
 
 // createObject creates a file or directory with optional initial data.
-// It returns the new object's full metadata (creator knowledge).
-func (s *Session) createObject(path string, perm types.Perm, kind types.ObjKind, data []byte) (*meta.Metadata, error) {
+// It returns the new object's full metadata (creator knowledge). at is the
+// final hop of the caller's own walk to path when that walk read the
+// parent's table and found no such entry — the parent is then not
+// resolved (nor its own table fetched) a second time — and zero otherwise.
+func (s *Session) createObject(path string, at dirent, perm types.Perm, kind types.ObjKind, data []byte) (*meta.Metadata, error) {
 	if err := cap.ValidatePerm(kind, perm); err != nil {
 		return nil, err
 	}
-	pr, pm, base, err := s.resolveParent(path)
-	if err != nil {
-		return nil, err
+	if at.view == nil {
+		pr, pm, base, err := s.resolveParent(path)
+		if err != nil {
+			return nil, err
+		}
+		at = dirent{dir: pr, meta: pm, name: base}
 	}
+	pr, pm, base := at.dir, at.meta, at.name
 	if err := s.requireDirWriter(pm); err != nil {
 		return nil, err
 	}
-	tables, err := s.loadParentTables(pr, pm)
+	tables, err := s.loadParentTables(pr, pm, at.view)
 	if err != nil {
 		return nil, err
 	}
@@ -286,14 +263,23 @@ func (s *Session) Remove(path string) error {
 }
 
 func (s *Session) remove(path string) error {
-	pr, pm, base, err := s.resolveParent(path)
+	cr, at, err := s.resolveRef(path)
+	if at.meta == nil {
+		if err == nil { // the walk had no hop to make
+			err = errOnRoot
+		}
+		return err
+	}
+	// The right to modify the parent is judged before anything about the
+	// child, its existence included.
+	pr, pm, base := at.dir, at.meta, at.name
+	if werr := s.requireDirWriter(pm); werr != nil {
+		return werr
+	}
 	if err != nil {
 		return err
 	}
-	if err := s.requireDirWriter(pm); err != nil {
-		return err
-	}
-	cr, cm, err := s.resolve(path)
+	cm, pre, err := s.fetchObject(cr, at)
 	if err != nil {
 		return err
 	}
@@ -301,7 +287,7 @@ func (s *Session) remove(path string) error {
 		// Emptiness check requires reading the child's table; a caller
 		// whose CAP on the child withholds the table key cannot prove
 		// emptiness and is refused (fail closed).
-		view, err := s.openViewOf(cr, cm)
+		view, err := s.openViewOf(cr, cm, pre)
 		if err != nil {
 			return err
 		}
@@ -310,7 +296,7 @@ func (s *Session) remove(path string) error {
 		}
 	}
 
-	tables, err := s.loadParentTables(pr, pm)
+	tables, err := s.loadParentTables(pr, pm, at.view)
 	if err != nil {
 		return err
 	}
@@ -324,7 +310,7 @@ func (s *Session) remove(path string) error {
 		return err
 	}
 	kvs = append(kvs, layout.DeleteMetaKVs(s.eng, cm.Attr)...)
-	dkvs, err := s.deleteDataKVs(cr, cm)
+	dkvs, err := s.deleteDataKVs(cr, cm, pre)
 	if err != nil {
 		return err
 	}
@@ -344,13 +330,13 @@ func (s *Session) remove(path string) error {
 // caller cannot read the manifest does it fall back to a server-side
 // listing — unlinking never requires decrypting the file, matching *nix
 // (write on the parent suffices).
-func (s *Session) deleteDataKVs(r ref, m *meta.Metadata) ([]wire.KV, error) {
+func (s *Session) deleteDataKVs(r ref, m *meta.Metadata, pre replyIndex) ([]wire.KV, error) {
 	var kvs []wire.KV
 	switch {
 	case m.Attr.Kind == types.KindDir:
 		kvs = append(kvs, layout.DeleteTableKVs(s.eng, m.Attr)...)
 	case !m.Keys.DEK.IsZero():
-		man, err := s.fetchManifest(r, m)
+		man, err := s.fetchManifest(r, m, pre)
 		if err != nil {
 			return nil, err
 		}
@@ -359,7 +345,7 @@ func (s *Session) deleteDataKVs(r ref, m *meta.Metadata) ([]wire.KV, error) {
 		}
 		kvs = append(kvs, wire.KV{NS: wire.NSData, Key: meta.ManifestKey(r.ino), Delete: true})
 	default:
-		items, err := s.store.List(wire.NSData, fmt.Sprintf("f/%d/", uint64(r.ino)))
+		items, err := s.list(wire.NSData, meta.FilePrefix(r.ino))
 		if err != nil {
 			return nil, err
 		}
@@ -404,7 +390,7 @@ func (s *Session) rename(oldPath, newPath string) error {
 		}
 	}
 
-	srcTables, err := s.loadParentTables(opr, opm)
+	srcTables, err := s.loadParentTables(opr, opm, nil)
 	if err != nil {
 		return err
 	}
@@ -416,7 +402,7 @@ func (s *Session) rename(oldPath, newPath string) error {
 	}
 	dstTables := srcTables
 	if !samePar {
-		if dstTables, err = s.loadParentTables(npr, npm); err != nil {
+		if dstTables, err = s.loadParentTables(npr, npm, nil); err != nil {
 			return err
 		}
 	}

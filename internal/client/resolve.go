@@ -19,8 +19,14 @@ import (
 // at a split point, from the user's sealed split pointer) — the in-band
 // key distribution that is the heart of Sharoes. It returns the final
 // object's reference without fetching its metadata, so callers can batch
-// that fetch with related blobs (Stat combines it with the manifest, and
-// with the siblings named by the returned directory row).
+// that fetch with related blobs (fetchObject combines it with the
+// manifest, and with the siblings named by the returned directory row).
+//
+// The dirent describes the hop to the final component — its parent's ref,
+// opened metadata and (when the hop read it) table view — and is returned
+// as far as that hop got even when it fails, so a mutation can check its
+// right to write the parent, or create the missing entry, without walking
+// the path again.
 func (s *Session) resolveRef(path string) (ref, dirent, error) {
 	defer s.tracer.Start("resolve", obs.ClassNone).End()
 	comps, err := types.PathComponents(path)
@@ -28,76 +34,101 @@ func (s *Session) resolveRef(path string) (ref, dirent, error) {
 		return ref{}, dirent{}, err
 	}
 	cur, at := s.root, dirent{}
-	for _, comp := range comps {
-		m, err := s.fetchMeta(cur)
+	for i, comp := range comps {
+		next, hop, err := s.walkHop(cur, comp)
+		if i == len(comps)-1 {
+			at = hop
+		}
 		if err != nil {
-			return ref{}, dirent{}, err
+			return ref{}, at, err
 		}
-		if m.Attr.Kind != types.KindDir {
-			return ref{}, dirent{}, types.ErrNotDir
-		}
-		at = dirent{dir: cur, name: comp}
-		// Traversal requires exec on the directory — enforced
-		// cryptographically for non-owners (no DEK ⇒ no table), and as
-		// policy for owners, like a local filesystem. The check runs on
-		// every hop, cached ref or not, so a chmod on an ancestor (which
-		// invalidates only its ckMeta entry) takes effect immediately.
-		if !s.triplet(m.Attr).CanExec() {
-			return ref{}, dirent{}, types.ErrPermission
-		}
-		// A previously resolved hop skips the table lookup entirely.
-		// Entries are keyed by parent (inode, variant) and name, and are
-		// dropped whenever the parent's table changes (writeParentTables,
-		// invalidateObject) — the same machinery that invalidates
-		// ckView/ckWTable — so they can never outlive the row they came
-		// from.
-		rkey := refCacheKey(cur, comp)
-		if v, ok := s.cache.Get(rkey); ok {
-			cur = v.(ref)
-			continue
-		}
-		view, err := s.openViewOf(cur, m)
-		if err != nil {
-			return ref{}, dirent{}, err
-		}
-		entry, err := view.Lookup(comp)
-		if err != nil {
-			switch {
-			case errors.Is(err, meta.ErrNoEntry):
-				return ref{}, dirent{}, types.ErrNotExist
-			default:
-				return ref{}, dirent{}, err
-			}
-		}
-		if entry.Split {
-			// Split pointers are re-sealed out of band on revocation with
-			// no parent-table write to hook invalidation on, so split
-			// hops are deliberately not cached.
-			cur, err = s.resolveSplit(entry.Inode)
-			if err != nil {
-				return ref{}, dirent{}, err
-			}
-		} else {
-			cur = ref{ino: entry.Inode, variant: entry.Variant, mek: entry.MEK, mvk: entry.MVK}
-			s.cache.Put(rkey, cur, int64(len(comp))+96)
-		}
+		cur = next
 	}
 	return cur, at, nil
 }
 
+// walkHop resolves one component: comp's row in directory dir. A cold
+// directory costs one round trip — its metadata and its table view are
+// fetched together — and a previously resolved row costs none.
+func (s *Session) walkHop(dir ref, comp string) (ref, dirent, error) {
+	// A previously resolved hop skips the table lookup entirely. Entries
+	// are keyed by parent (inode, variant) and name, and are dropped
+	// whenever the parent's table changes (writeParentTables,
+	// invalidateObject) — the same machinery that invalidates
+	// ckView/ckWTable — so they can never outlive the row they came from.
+	rkey := refCacheKey(dir, comp)
+	known, resolved := s.cache.Get(rkey)
+	with := withView
+	if resolved {
+		with = alone
+	}
+	m, pre, err := s.fetchMeta(dir, with)
+	if err != nil {
+		return ref{}, dirent{}, err
+	}
+	if m.Attr.Kind != types.KindDir {
+		return ref{}, dirent{}, types.ErrNotDir
+	}
+	at := dirent{dir: dir, meta: m, name: comp}
+	// Traversal requires exec on the directory — enforced
+	// cryptographically for non-owners (no DEK ⇒ no table), and as
+	// policy for owners, like a local filesystem. The check runs on
+	// every hop, cached ref or not, so a chmod on an ancestor (which
+	// invalidates only its ckMeta entry) takes effect immediately.
+	if !s.triplet(m.Attr).CanExec() {
+		return ref{}, at, types.ErrPermission
+	}
+	if resolved {
+		return known.(ref), at, nil
+	}
+	view, err := s.openViewOf(dir, m, pre)
+	if err != nil {
+		return ref{}, at, err
+	}
+	at.view = view
+	entry, err := view.Lookup(comp)
+	if err != nil {
+		if errors.Is(err, meta.ErrNoEntry) {
+			err = types.ErrNotExist
+		}
+		return ref{}, at, err
+	}
+	if entry.Split {
+		// Split pointers are re-sealed out of band on revocation with
+		// no parent-table write to hook invalidation on, so split
+		// hops are deliberately not cached.
+		next, err := s.resolveSplit(entry.Inode)
+		return next, at, err
+	}
+	next := ref{ino: entry.Inode, variant: entry.Variant, mek: entry.MEK, mvk: entry.MVK}
+	s.cache.Put(rkey, next, int64(len(comp))+96)
+	return next, at, nil
+}
+
 // dirent names the directory row a resolved object was reached through:
-// the parent's (inode, variant) view and the entry name. The namespace
-// root has no row and gets the zero dirent.
+// the parent's (inode, variant), its opened metadata, its table view when
+// the walk had to read it, and the entry name. The namespace root has no
+// row and gets the zero dirent.
 type dirent struct {
 	dir  ref
+	meta *meta.Metadata
+	view *cap.View
 	name string
 }
 
 // refCacheKey names a resolved directory entry in the session cache:
 // parent inode and variant (the view the entry row lives in) plus the
-// component name.
+// component name. It runs on every hop of every operation, so it is one
+// sized append rather than a format call.
 func refCacheKey(parent ref, comp string) string {
-	return ckRef + "d/" + fmt.Sprintf("%d/%s|%s", uint64(parent.ino), parent.variant, comp)
+	var buf [96]byte
+	b := append(buf[:0], ckRef+"d/"...)
+	b = strconv.AppendUint(b, uint64(parent.ino), 10)
+	b = append(b, '/')
+	b = append(b, parent.variant...)
+	b = append(b, '|')
+	b = append(b, comp...)
+	return string(b)
 }
 
 // resolve walks to path and fetches the object's metadata.
@@ -106,7 +137,7 @@ func (s *Session) resolve(path string) (ref, *meta.Metadata, error) {
 	if err != nil {
 		return ref{}, nil, err
 	}
-	m, err := s.fetchMeta(r)
+	m, _, err := s.fetchMeta(r, alone)
 	if err != nil {
 		return ref{}, nil, err
 	}
@@ -118,13 +149,13 @@ func (s *Session) resolve(path string) (ref, *meta.Metadata, error) {
 // needs a private-key operation.
 func (s *Session) resolveSplit(ino types.Inode) (ref, error) {
 	key := meta.SplitKey(ino, keys.UserPrincipal(s.user.ID).String())
-	blob, err := s.store.Get(wire.NSSplit, key)
-	if errors.Is(err, wire.ErrNotFound) {
-		// No pointer for this user: the object is not shared with them.
-		return ref{}, types.ErrPermission
-	}
+	blob, ok, err := s.blobOf(nil, wire.NSSplit, key)
 	if err != nil {
 		return ref{}, err
+	}
+	if !ok {
+		// No pointer for this user: the object is not shared with them.
+		return ref{}, types.ErrPermission
 	}
 	stop := s.crypto("open-split")
 	ptr, err := meta.OpenSplitPointer(s.user.Priv, blob)
@@ -146,7 +177,7 @@ func (s *Session) resolveParent(path string) (ref, *meta.Metadata, string, error
 		return ref{}, nil, "", err
 	}
 	if base == "" {
-		return ref{}, nil, "", fmt.Errorf("%w: operation on root", types.ErrInvalidPath)
+		return ref{}, nil, "", errOnRoot
 	}
 	r, m, err := s.resolve(dir)
 	if err != nil {
@@ -157,6 +188,9 @@ func (s *Session) resolveParent(path string) (ref, *meta.Metadata, string, error
 	}
 	return r, m, base, nil
 }
+
+// errOnRoot refuses an operation that needs a parent directory.
+var errOnRoot = fmt.Errorf("%w: operation on root", types.ErrInvalidPath)
 
 // requireDirWriter checks that the session user may modify the directory:
 // write+exec policy bits plus the cryptographic write capability
@@ -178,7 +212,10 @@ func (s *Session) requireDirWriter(m *meta.Metadata) error {
 // writer's own full view. Misses are fetched in one batched round trip,
 // and decoded tables are cached (prefix ckWTable) so a burst of creates in
 // the same directory — the Create-and-List workload — pays the fetch once.
-func (s *Session) loadParentTables(r ref, m *meta.Metadata) (map[string]*meta.DirTable, error) {
+// own is the caller's view of the directory when the walk that led here
+// already fetched and opened it (nil otherwise): the writer's own table is
+// that same blob, so it is not asked for again.
+func (s *Session) loadParentTables(r ref, m *meta.Metadata, own *cap.View) (map[string]*meta.DirTable, error) {
 	if m.Keys.DataSeed.IsZero() || m.Keys.DSK.IsZero() {
 		return nil, types.ErrPermission
 	}
@@ -191,17 +228,21 @@ func (s *Session) loadParentTables(r ref, m *meta.Metadata) (map[string]*meta.Di
 			tables[pv.ID] = v.(*meta.DirTable).Clone()
 			continue
 		}
+		if pv.ID == r.variant && own != nil {
+			full, err := own.Full()
+			if err != nil {
+				return nil, types.ErrPermission
+			}
+			tables[r.variant] = full.Clone()
+			s.cache.Put(ckWTable+meta.TableKey(r.ino, r.variant), full.Clone(), tableSize(full))
+			continue
+		}
 		missing = append(missing, wire.KV{NS: wire.NSData, Key: meta.TableKey(r.ino, pv.ID)})
 	}
 	if len(missing) == 0 {
 		return tables, nil
 	}
-
-	items, err := s.store.BatchGet(missing)
-	if err != nil {
-		return nil, err
-	}
-	blobs, err := indexReply(missing, items)
+	blobs, err := s.fetch(missing)
 	if err != nil {
 		return nil, err
 	}

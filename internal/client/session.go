@@ -59,7 +59,8 @@ type Config struct {
 	// ssp.Client the tracer is attached to it too, so RPC spans nest
 	// inside the op and the SSP joins the trace over the wire.
 	Tracer *obs.Tracer
-	// Metrics receives per-operation counters (client.op.<op>) and
+	// Metrics receives per-operation counters (client.op.<op>, and
+	// client.op.<op>.fetches for the store reads made under it) and
 	// latency histograms (client.op.<op>.ns). May be nil.
 	Metrics *obs.Registry
 	// CacheBytes is the local cache budget: <0 unlimited, 0 disabled.
@@ -98,7 +99,8 @@ type Session struct {
 	cache     *cache.Cache
 	blockSize uint32
 	lazy      bool
-	sibChunk  int // most siblings one getattr miss may prefetch (see siblingChunk)
+	sibChunk  int   // most siblings one getattr miss may prefetch (see siblingChunk)
+	fetches   int64 // store read calls made so far (see fetch); beginOp reports the op's share
 	groupKeys map[types.GroupID]sharocrypto.PrivateKey
 	root      ref
 	closed    bool
@@ -230,11 +232,12 @@ func (s *Session) crypto(name string) func() {
 // counts the op on the recorder. Usage: defer s.beginOp("stat")().
 func (s *Session) beginOp(op string) func() {
 	sp := s.tracer.Start("client."+op, obs.ClassNone)
-	start := time.Now()
+	start, fetched := time.Now(), s.fetches
 	return func() {
 		sp.End()
 		if s.metrics != nil {
 			s.metrics.Counter("client.op." + op).Inc()
+			s.metrics.Counter("client.op." + op + ".fetches").Add(s.fetches - fetched)
 			s.metrics.Histogram("client.op." + op + ".ns").Observe(time.Since(start))
 		}
 		s.rec.AddOp()
@@ -289,52 +292,108 @@ const (
 	ckListed   = "L|" // directories ReadDir has listed, keyed like ckView
 )
 
-// fetchMeta retrieves and opens one metadata variant, via the cache.
-func (s *Session) fetchMeta(r ref) (*meta.Metadata, error) {
-	key := ckMeta + meta.MetaKey(r.ino, r.variant)
-	if v, ok := s.cache.Get(key); ok {
-		return v.(*meta.Metadata), nil
+// companion names the second blob a metadata miss asks for in the same
+// round trip: its key derives from the ref alone, so it can be named
+// before the metadata is open and is asked for blind (a directory has no
+// manifest, a file no table; the SSP simply omits it).
+type companion uint8
+
+const (
+	alone        companion = iota
+	withView               // the directory's table view, for a lookup or a listing
+	withManifest           // the file's manifest, for getattr, reads and writes
+)
+
+// fetchMeta retrieves and opens one metadata variant, via the cache. On a
+// miss the reply that carried it is returned too: it also answers for the
+// companion, which the caller opens out of it (openViewOf, fetchManifest)
+// instead of paying a round trip of its own.
+func (s *Session) fetchMeta(r ref, with companion) (*meta.Metadata, replyIndex, error) {
+	if v, ok := s.cache.Get(ckMeta + meta.MetaKey(r.ino, r.variant)); ok {
+		return v.(*meta.Metadata), nil, nil
 	}
-	blob, err := s.store.Get(wire.NSMeta, meta.MetaKey(r.ino, r.variant))
-	if errors.Is(err, wire.ErrNotFound) {
-		return nil, types.ErrNotExist
+	return s.fetchMetaMiss(r, with, dirent{})
+}
+
+// fetchMetaMiss is the one round trip of a metadata miss: the metadata,
+// its companion unless that is already cached and, for a getattr miss
+// inside a directory ReadDir has listed (at names the row), the siblings
+// that follow it — verified and cached before the target, so the object
+// actually asked for ends up the most recently used entry when a finite
+// cache has to evict.
+func (s *Session) fetchMetaMiss(r ref, with companion, at dirent) (*meta.Metadata, replyIndex, error) {
+	metaKey := meta.MetaKey(r.ino, r.variant)
+	want := append(make([]wire.KV, 0, 2), wire.KV{NS: wire.NSMeta, Key: metaKey})
+	switch with {
+	case withView:
+		if key := meta.TableKey(r.ino, r.variant); !s.cached(ckView + key) {
+			want = append(want, wire.KV{NS: wire.NSData, Key: key})
+		}
+	case withManifest:
+		if key := meta.ManifestKey(r.ino); !s.cached(ckManifest + key) {
+			want = append(want, wire.KV{NS: wire.NSData, Key: key})
+		}
 	}
+	sibs := s.listedSiblings(at)
+	var batch *obs.Span
+	if len(sibs) > 0 {
+		batch = s.tracer.Start("client.stat.batch", obs.ClassNone)
+		for _, sib := range sibs {
+			want = appendStatKeys(want, sib.r)
+		}
+	}
+	pre, err := s.fetch(want)
+	if err == nil && len(sibs) > 0 {
+		s.cacheSiblings(at.dir, sibs, pre)
+	}
+	batch.End()
 	if err != nil {
-		return nil, err
+		return nil, nil, err
+	}
+	blob, ok := pre.get(wire.NSMeta, metaKey)
+	if !ok {
+		return nil, nil, types.ErrNotExist
 	}
 	stop := s.crypto("open-meta")
 	m, err := meta.OpenMetadata(r.mek, r.mvk, meta.MetaAAD(r.ino, r.variant), blob)
 	stop()
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
-	s.cache.Put(key, m, int64(len(blob)))
-	return m, nil
+	s.cache.Put(ckMeta+metaKey, m, int64(len(blob)))
+	return m, pre, nil
+}
+
+// cached reports whether key is in the session cache.
+func (s *Session) cached(key string) bool {
+	_, ok := s.cache.Get(key)
+	return ok
 }
 
 // openViewOf retrieves and opens the directory-table view belonging to
-// the metadata variant the caller holds. A missing view is treated as an
-// empty directory (fresh directories store views eagerly, so in an
-// untampered store this only happens for variants that legitimately have
-// no view).
-func (s *Session) openViewOf(r ref, m *meta.Metadata) (*cap.View, error) {
+// the metadata variant the caller holds, from the cache, from pre (the
+// reply that carried the metadata) or by a fetch of its own. A missing
+// view is treated as an empty directory (fresh directories store views
+// eagerly, so in an untampered store this only happens for variants that
+// legitimately have no view).
+func (s *Session) openViewOf(r ref, m *meta.Metadata, pre replyIndex) (*cap.View, error) {
 	if m.Keys.DEK.IsZero() {
 		return nil, types.ErrPermission
 	}
-	key := ckView + meta.TableKey(r.ino, r.variant)
-	if v, ok := s.cache.Get(key); ok {
+	key := meta.TableKey(r.ino, r.variant)
+	if v, ok := s.cache.Get(ckView + key); ok {
 		return v.(*cap.View), nil
 	}
-	blob, err := s.store.Get(wire.NSData, meta.TableKey(r.ino, r.variant))
-	if errors.Is(err, wire.ErrNotFound) {
+	blob, ok, err := s.blobOf(pre, wire.NSData, key)
+	if err != nil {
+		return nil, err
+	}
+	if !ok {
 		shape, serr := s.variantCap(m.Attr, r.variant)
 		if serr != nil {
 			return nil, serr
 		}
 		return cap.EmptyView(shape), nil
-	}
-	if err != nil {
-		return nil, err
 	}
 	stop := s.crypto("open-view")
 	v, err := cap.OpenView(r.variant, m.Keys.DEK, m.Keys.DVK, r.ino, blob)
@@ -342,7 +401,7 @@ func (s *Session) openViewOf(r ref, m *meta.Metadata) (*cap.View, error) {
 	if err != nil {
 		return nil, err
 	}
-	s.cache.Put(key, v, int64(len(blob)))
+	s.cache.Put(ckView+key, v, int64(len(blob)))
 	return v, nil
 }
 

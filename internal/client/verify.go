@@ -65,7 +65,7 @@ func (s *Session) Verify(path string) (*VerifyReport, error) {
 }
 
 func (s *Session) verifyWalk(path string, r ref, report *VerifyReport) {
-	m, err := s.fetchMeta(r)
+	m, _, err := s.fetchMeta(r, alone)
 	if err != nil {
 		report.Problems = append(report.Problems, VerifyProblem{Path: path, Err: err})
 		return
@@ -78,7 +78,7 @@ func (s *Session) verifyWalk(path string, r ref, report *VerifyReport) {
 			report.Skipped++
 			return
 		}
-		man, err := s.fetchManifest(r, m)
+		man, err := s.fetchManifest(r, m, nil)
 		if err != nil {
 			report.Problems = append(report.Problems, VerifyProblem{Path: path, Err: err})
 			return
@@ -104,7 +104,7 @@ func (s *Session) verifyWalk(path string, r ref, report *VerifyReport) {
 			report.Skipped++
 			return
 		}
-		view, err := s.openViewOf(r, m)
+		view, err := s.openViewOf(r, m, nil)
 		if err != nil {
 			report.Problems = append(report.Problems, VerifyProblem{Path: path, Err: err})
 			return

@@ -3,6 +3,7 @@ package shard
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"sort"
 	"sync"
 	"time"
@@ -108,6 +109,9 @@ var ErrQuorum = errors.New("shard: write quorum not reached")
 //     remembered and surfaced, sticky, on a later write or Barrier);
 //   - Get tries the primary, hedges to the next replica after
 //     HedgeDelay, and falls over immediately on error or not-found;
+//   - BatchGet sends one batch per primary in parallel and walks the keys
+//     a replica did not return down their replica lists pass by pass, one
+//     parallel batch per backend each pass (batches are not hedged);
 //   - a read served by a secondary (or one observing a missing replica)
 //     pushes the winning value back to the replicas that missed it
 //     (read-repair), asynchronously;
@@ -210,8 +214,8 @@ func (s *Store) RouteID(ns wire.NS, key string) int {
 // replicaSet resolves (ns, key) to its replica backends under the
 // current ring, plus any old-ring fallback replicas during a rebalance.
 type replicaSet struct {
-	ids    []string         // new-ring replicas, primary first
-	olds   []string         // old-ring replicas not already in ids (rebalance only)
+	ids    []string // new-ring replicas, primary first
+	olds   []string // old-ring replicas not already in ids (rebalance only)
 	stores map[string]ssp.BlobStore
 }
 
@@ -586,6 +590,8 @@ func (s *Store) hedgedGet(ns wire.NS, key string, ids []string, stores map[strin
 	var deferred []string
 	lastResort := false
 	launched := 0
+	first := ""     // the replica launched first: the one a hedge races
+	hedged := false // the hedge timer fired at least once
 	// launch starts the next routable replica, reporting false once every
 	// replica (deferred pool included) has been launched.
 	launch := func() bool {
@@ -604,6 +610,9 @@ func (s *Store) hedgedGet(ns wire.NS, key string, ids []string, stores map[strin
 				continue
 			}
 			st := stores[id]
+			if launched == 0 {
+				first = id
+			}
 			launched++
 			s.spawn(func() {
 				v, err := st.Get(ns, key)
@@ -652,7 +661,7 @@ func (s *Store) hedgedGet(ns wire.NS, key string, ids []string, stores map[strin
 				} else {
 					s.drainGets(results, outstanding)
 				}
-				if launched > 1 {
+				if hedged && r.id != first {
 					s.count("shard.get.hedge_won")
 				}
 				return r.val, nil
@@ -668,6 +677,7 @@ func (s *Store) hedgedGet(ns wire.NS, key string, ids []string, stores map[strin
 				armHedge()
 			}
 		case <-hedgeC:
+			hedged = true
 			s.count("shard.get.hedged")
 			if launch() {
 				outstanding++
@@ -804,69 +814,165 @@ func (s *Store) List(ns wire.NS, prefix string) ([]wire.KV, error) {
 }
 
 // BatchGet implements ssp.BlobStore: items group into one BatchGet per
-// primary shard, issued in parallel; keys a primary missed (or whose
-// whole batch failed) retry through the replica-walking Get, which also
-// read-repairs. Results preserve input order, missing keys omitted.
+// primary shard, issued in parallel. Keys a primary did not return — it
+// lacks them, or its whole batch failed — are regrouped by their next
+// replica and asked again, one parallel BatchGet per backend, pass by
+// pass down each key's replica list (old-ring owners last, mid-rebalance),
+// so any number of absent keys costs at most R-1 further round trips, not
+// two each. Replicas whose breaker is open are asked last (fail open), as
+// in Get; a replica that answered without a value another one returned is
+// repaired in the background. A key no replica returned is omitted when
+// every replica answered, and fails the call when one of them could not
+// be asked. Results preserve input order.
 func (s *Store) BatchGet(items []wire.KV) ([]wire.KV, error) {
 	if len(items) == 0 {
 		return nil, nil
 	}
+	// The same fence as Get: repairs spawn background work.
+	s.streamMu.RLock()
+	defer s.streamMu.RUnlock()
+
 	s.mu.Lock()
-	groups := make(map[string][]int) // backend id -> indices into items
-	stores := s.backends
+	walks := make([]batchWalk, len(items))
 	for i, it := range items {
-		id := s.ring.Shards[s.ring.Owner(it.NS, it.Key)]
-		groups[id] = append(groups[id], i)
+		rs := s.replicasLocked(it.NS, it.Key) // fresh slices: the walk may append to them
+		w := &walks[i]
+		w.order = append(rs.ids, rs.olds...)
+		w.current, w.guarded = len(rs.ids), len(w.order)
 	}
+	stores := s.backends
 	s.mu.Unlock()
 
-	found := make([][]byte, len(items))
-	ok := make([]bool, len(items))
-	var wg sync.WaitGroup
-	var mu sync.Mutex
-	for id, idxs := range groups {
-		st := stores[id]
-		batch := make([]wire.KV, len(idxs))
-		for j, i := range idxs {
-			batch[j] = wire.KV{NS: items[i].NS, Key: items[i].Key}
+	// One breaker decision per backend per call: allowBackend may hand out
+	// a half-open probe, which must then really be sent.
+	allowed := make(map[string]bool)
+	allow := func(id string) bool {
+		ok, seen := allowed[id]
+		if !seen {
+			if ok = s.allowBackend(id); !ok {
+				s.count("shard.breaker.skip")
+			}
+			allowed[id] = ok
 		}
-		wg.Add(1)
-		go func(idxs []int, batch []wire.KV) {
-			defer wg.Done()
-			res, err := st.BatchGet(batch)
-			if err != nil {
-				return // every key of this batch falls back below
+		return ok
+	}
+
+	pending := make([]int, len(items))
+	for i := range pending {
+		pending[i] = i
+	}
+	for len(pending) > 0 {
+		groups := make(map[string][]int) // backend id -> indices into items
+		for _, i := range pending {
+			if id, ok := walks[i].next(allow); ok {
+				groups[id] = append(groups[id], i)
 			}
-			byKey := make(map[string][]byte, len(res))
-			for _, kv := range res {
-				byKey[string(rune(kv.NS))+"|"+kv.Key] = kv.Val
-			}
-			mu.Lock()
+		}
+		var wg sync.WaitGroup
+		for id, idxs := range groups {
+			wg.Add(1)
+			// Each goroutine touches only its own group's walks.
+			go func(id string, idxs []int) {
+				defer wg.Done()
+				batch := make([]wire.KV, len(idxs))
+				for j, i := range idxs {
+					batch[j] = wire.KV{NS: items[i].NS, Key: items[i].Key}
+				}
+				res, err := stores[id].BatchGet(batch)
+				s.observe(id, err)
+				got := make(map[nsKey]int, len(res))
+				for j, kv := range res {
+					got[nsKey{kv.NS, kv.Key}] = j
+				}
+				for _, i := range idxs {
+					w := &walks[i]
+					switch j, hit := got[nsKey{items[i].NS, items[i].Key}]; {
+					case err != nil:
+						if w.err == nil {
+							w.err = err
+						}
+					case hit:
+						w.val, w.from, w.found = res[j].Val, id, true
+					default:
+						w.missed = append(w.missed, id)
+					}
+				}
+			}(id, idxs)
+		}
+		wg.Wait()
+		// Still pending: asked this pass, and not answered with a value.
+		rest := pending[:0]
+		for _, idxs := range groups {
 			for _, i := range idxs {
-				if v, hit := byKey[string(rune(items[i].NS))+"|"+items[i].Key]; hit {
-					found[i], ok[i] = v, true
+				if !walks[i].found {
+					rest = append(rest, i)
 				}
 			}
-			mu.Unlock()
-		}(idxs, batch)
+		}
+		pending = rest
 	}
-	wg.Wait()
 
 	out := make([]wire.KV, 0, len(items))
 	for i, it := range items {
-		if !ok[i] {
-			v, err := s.Get(it.NS, it.Key)
-			if errors.Is(err, wire.ErrNotFound) {
-				continue
+		w := &walks[i]
+		switch {
+		case w.found:
+			ring := w.order[:w.current]
+			if !slices.Contains(ring, w.from) {
+				s.count("shard.get.fallback")
 			}
-			if err != nil {
-				return nil, err
+			// Old-ring owners are on their way out: only current-ring
+			// replicas are repaired.
+			var stale []string
+			for _, id := range w.missed {
+				if slices.Contains(ring, id) {
+					stale = append(stale, id)
+				}
 			}
-			found[i] = v
+			s.repair(it.NS, it.Key, w.val, stale, stores)
+			out = append(out, wire.KV{NS: it.NS, Key: it.Key, Val: w.val})
+		case w.err != nil:
+			return nil, w.err
 		}
-		out = append(out, wire.KV{NS: it.NS, Key: it.Key, Val: found[i]})
 	}
 	return out, nil
+}
+
+// nsKey names a blob in a backend's reply.
+type nsKey struct {
+	ns  wire.NS
+	key string
+}
+
+// batchWalk is one BatchGet item's progress down its replica list.
+type batchWalk struct {
+	// order lists the replicas to ask: the current ring's (the first
+	// current entries, primary first), then any old-ring owners, then —
+	// appended as the walk skips them — the ones whose breaker was open.
+	order   []string
+	current int
+	guarded int      // order[:guarded] are asked only if their breaker allows
+	pos     int      // next entry of order
+	missed  []string // replicas that answered without the key
+	err     error    // first failure of a replica's batch
+	val     []byte
+	from    string
+	found   bool
+}
+
+// next returns the replica to ask in the coming pass, or false when the
+// walk is exhausted. A replica whose breaker is open is put back at the
+// end of the walk, where it is asked unconditionally (fail open).
+func (w *batchWalk) next(allow func(string) bool) (string, bool) {
+	for w.pos < len(w.order) {
+		id := w.order[w.pos]
+		w.pos++
+		if w.pos > w.guarded || allow(id) {
+			return id, true
+		}
+		w.order = append(w.order, id)
+	}
+	return "", false
 }
 
 // BatchPut implements ssp.BlobStore: items expand to their replica sets,

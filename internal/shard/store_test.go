@@ -194,8 +194,28 @@ func TestHedgedReadBeatsSlowPrimary(t *testing.T) {
 	if h.reg.Counter("shard.get.hedged").Value() == 0 {
 		t.Error("no hedge was recorded")
 	}
-	if h.reg.Counter("shard.get.hedge_won").Value() == 0 {
-		t.Error("hedge did not win")
+	if got := h.reg.Counter("shard.get.hedge_won").Value(); got != 1 {
+		t.Errorf("shard.get.hedge_won = %d, want 1", got)
+	}
+	// A hedge that is launched and loses is not a hedge that won: the
+	// primary answers after the hedge threshold but long before the (even
+	// slower) replica the hedge went to.
+	h.faults[primary].ClearRules()
+	h.faults[primary].AddRule(ssp.FaultRule{Mode: ssp.FaultSlow, Delay: 20 * time.Millisecond})
+	for i, f := range h.faults {
+		if i != primary {
+			f.AddRule(ssp.FaultRule{Mode: ssp.FaultSlow, Delay: 300 * time.Millisecond})
+		}
+	}
+	hedged := h.reg.Counter("shard.get.hedged").Value()
+	if v, err := h.store.Get(wire.NSData, key); err != nil || string(v) != "fresh" {
+		t.Fatalf("Get = %q, %v", v, err)
+	}
+	if h.reg.Counter("shard.get.hedged").Value() == hedged {
+		t.Error("no hedge was launched past a 20 ms primary")
+	}
+	if got := h.reg.Counter("shard.get.hedge_won").Value(); got != 1 {
+		t.Errorf("shard.get.hedge_won = %d after a read the primary won, want still 1", got)
 	}
 	// Hedging disabled: the same read waits out the slow primary.
 	h2 := newHarness(t, 3, Options{Replicas: 2, WriteQuorum: 2, HedgeDelay: -1})

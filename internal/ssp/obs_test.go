@@ -80,16 +80,17 @@ func TestServerMetricsAndJoinedSpans(t *testing.T) {
 		}
 	}
 
+	// The handler drops the gauge first and flushes its byte counters
+	// right after, so wait for both.
 	c.Close()
 	deadline := time.Now().Add(2 * time.Second)
-	for reg.Gauge("ssp.conns").Value() != 0 {
+	for reg.Gauge("ssp.conns").Value() != 0 ||
+		reg.Counter("ssp.bytes_in").Value() <= 0 || reg.Counter("ssp.bytes_out").Value() <= 0 {
 		if time.Now().After(deadline) {
-			t.Fatal("ssp.conns gauge did not return to zero")
+			t.Fatalf("after disconnect: ssp.conns = %d, ssp.bytes_in = %d, ssp.bytes_out = %d; want 0 and both flushed",
+				reg.Gauge("ssp.conns").Value(), reg.Counter("ssp.bytes_in").Value(), reg.Counter("ssp.bytes_out").Value())
 		}
 		time.Sleep(time.Millisecond)
-	}
-	if reg.Counter("ssp.bytes_in").Value() <= 0 || reg.Counter("ssp.bytes_out").Value() <= 0 {
-		t.Error("ssp byte counters not flushed on disconnect")
 	}
 }
 
