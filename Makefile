@@ -114,18 +114,20 @@ bench-alloc:
 	$(GO) test ./internal/ssp -run TestWriteAllocReport -alloc-report -alloc-out $(CURDIR)/current-alloc.json
 	$(GO) run ./cmd/checkreport -alloc-old BENCH_alloc.json -alloc-new current-alloc.json
 
-# bench-smoke runs three short workloads of the repository benchmark
-# (BENCHMARK.json, bench/README.md) exactly as the driver does — built
-# from source into .bench_build/ — and fails unless each result line says
-# every output matched the reference model: createlist_wan for the
+# bench-smoke runs all four workloads of the repository benchmark
+# (BENCHMARK.json, bench/README.md), short, exactly as the driver does —
+# built from source into .bench_build/ — and fails unless each result line
+# says every output matched the reference model: createlist_wan for the
 # metadata path, bulk_tcp for the multi-block path (1 MiB files sealed
 # and opened across the crypto worker pool, re-read by the cold
 # verifier), shard_wan for the batched fetches through write-behind and
-# the 3-SSP router (the replica-walking BatchGet). It checks that the
+# the 3-SSP router (the replica-walking BatchGet), postmark_tcp for
+# appends through a quarter-size cache from two sessions over real
+# sockets (tails evicted, refetched and replaced). It checks that the
 # benchmark still builds and verifies against the current tree, not its
 # numbers.
 bench-smoke:
-	@for w in createlist_wan bulk_tcp shard_wan; do \
+	@for w in createlist_wan bulk_tcp shard_wan postmark_tcp; do \
 		out=$$(bash bench/run.sh --workload $$w --seed 1 --seconds 6 --trace 0 | tail -n 1); \
 		echo "$$out"; \
 		case "$$out" in *'"correct":true'*) ;; *) echo "bench-smoke: $$w result line lacks \"correct\":true" >&2; exit 1;; esac; \

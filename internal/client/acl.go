@@ -101,7 +101,7 @@ func (s *Session) setACL(path string, user types.UserID, rights *types.Triplet) 
 	// rights on *this* directory; on its children the grantee keeps
 	// whatever their own status there gives them (POSIX semantics).
 	if updated.Attr.Kind == types.KindDir {
-		tables, err := s.loadParentTables(r, m, nil)
+		tables, err := s.loadParentTables(r, m, nil, nil)
 		if err != nil {
 			return err
 		}
@@ -156,7 +156,7 @@ func (s *Session) setACL(path string, user types.UserID, rights *types.Triplet) 
 		if err := s.requireDirWriter(pm); err != nil {
 			return fmt.Errorf("ACL changes need write permission on the parent directory: %w", err)
 		}
-		ptables, err := s.loadParentTables(pr, pm, nil)
+		ptables, err := s.loadParentTables(pr, pm, nil, nil)
 		if err != nil {
 			return err
 		}

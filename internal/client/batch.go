@@ -97,6 +97,31 @@ func (x replyIndex) get(ns wire.NS, key string) ([]byte, bool) {
 	return b.val, b.returned
 }
 
+// asked reports whether the fetch behind x asked for (ns, key), whether or
+// not the SSP returned it.
+func (x replyIndex) asked(ns wire.NS, key string) bool {
+	_, ok := x[blobKey{ns, key}]
+	return ok
+}
+
+// plus returns an index answering for everything x or y asked.
+func (x replyIndex) plus(y replyIndex) replyIndex {
+	if len(x) == 0 {
+		return y
+	}
+	if len(y) == 0 {
+		return x
+	}
+	sum := make(replyIndex, len(x)+len(y))
+	for k, b := range x {
+		sum[k] = b
+	}
+	for k, b := range y {
+		sum[k] = b
+	}
+	return sum
+}
+
 // --- sibling-batched getattr ----------------------------------------------
 
 // maxSiblingBatch caps how many siblings ride one getattr fetch: enough

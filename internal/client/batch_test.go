@@ -263,7 +263,7 @@ func TestSiblingBatchRespectsCacheBudget(t *testing.T) {
 		sameLines(t, "cache disabled", lsl(off, "/d"), want)
 		_, batches := cs.take()
 		for _, k := range batches {
-			if k > 2 { // getattr asks for 2 keys, a one-block read for 1
+			if k > 3 { // getattr asks for 2 keys, a read for 3: metadata, manifest, tail
 				t.Fatalf("disabled cache issued a %d-key batch: %v", k, batches)
 			}
 		}

@@ -109,7 +109,45 @@ func TestMultiBlockRoundTripsMatchModel(t *testing.T) {
 	})
 }
 
-// blockKeys lists the stored block keys of a file in index order.
+// TestRereadFetchesOnlyWhatIsMissing: a cold read of a 17-block file is the
+// metadata, manifest and tail in one fetch and the sixteen full blocks in
+// another. With metadata and manifest cached nothing is asked ahead: the
+// blocks the cache lost, the tail among them, are named in one fetch. With
+// the manifest lost too it comes back with the tail, not one fetch each.
+func TestRereadFetchesOnlyWhatIsMissing(t *testing.T) {
+	fixture(t)
+	cs := &countingStore{BlobStore: ssp.NewMemStore()}
+	w := newWorld(t, layout.NewScheme2(fixReg), cs)
+	data := pattern(16*testBlockSize+5, 3)
+	if err := w.as("alice").WriteFile("/big", data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	bob := w.mountFresh("bob", -1)
+	defer bob.Close()
+	for _, tc := range []struct {
+		what    string
+		lose    []string
+		batches []int
+	}{
+		{"cold", nil, []int{2, 3, 16}},
+		{"blocks lost", []string{ckBlock}, []int{17}},
+		{"blocks and manifest lost", []string{ckBlock, ckManifest}, []int{2, 16}},
+		{"nothing lost", nil, nil},
+	} {
+		if tc.lose != nil {
+			bob.cache.DeletePrefix(tc.lose...)
+		}
+		cs.take()
+		if got, err := bob.ReadFile("/big"); err != nil || !bytes.Equal(got, data) {
+			t.Fatalf("%s: read %d bytes, %v", tc.what, len(got), err)
+		}
+		if calls, batches := cs.take(); calls != len(tc.batches) || fmt.Sprint(batches) != fmt.Sprint(tc.batches) {
+			t.Errorf("%s: %d store calls, batches %v; want %v", tc.what, calls, batches, tc.batches)
+		}
+	}
+}
+
+// blockKeys lists the stored keys of a file's full blocks in index order.
 func blockKeys(t *testing.T, store ssp.BlobStore, ino types.Inode, n int) []string {
 	t.Helper()
 	kvs, err := store.List(wire.NSData, meta.FilePrefix(ino))
@@ -118,7 +156,7 @@ func blockKeys(t *testing.T, store ssp.BlobStore, ino types.Inode, n int) []stri
 	}
 	byIdx := make(map[string]string)
 	for _, kv := range kvs {
-		if i := strings.LastIndexByte(kv.Key, '/'); !strings.HasSuffix(kv.Key, "/manifest") {
+		if i := strings.LastIndexByte(kv.Key, '/'); kv.Key != meta.ManifestKey(ino) && kv.Key != meta.TailKey(ino) {
 			byIdx[kv.Key[i+1:]] = kv.Key
 		}
 	}

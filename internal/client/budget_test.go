@@ -19,7 +19,8 @@ import (
 
 // budgetRow is one way of reaching a file: who asks, and through what kind
 // of directory rows. Every row has its own subtree /<tree>/<name>/d holding the
-// files f and g, so rows do not disturb one another.
+// files f (two blocks, the second partial), s (one partial block) and g,
+// so rows do not disturb one another.
 type budgetRow struct {
 	name      string
 	user      types.UserID
@@ -56,6 +57,36 @@ type budgetOp struct {
 
 func result(data []byte, err error) string { return fmt.Sprintf("%s %q", errClass(err), data) }
 
+// readOp, openOp and appendOp are the content operations on one file of
+// the row's directory.
+func readOp(file string) func(*Session, *refmodel.Model, types.UserID, string, int) (string, string) {
+	return func(s *Session, m *refmodel.Model, u types.UserID, dir string, _ int) (string, string) {
+		got, ge := s.ReadFile(dir + file)
+		want, we := m.ReadFile(u, dir+file)
+		return result(got, ge), result(want, we)
+	}
+}
+
+func openOp(file string) func(*Session, *refmodel.Model, types.UserID, string, int) (string, string) {
+	return func(s *Session, m *refmodel.Model, u types.UserID, dir string, _ int) (string, string) {
+		var got []byte
+		f, ge := s.OpenFile(dir+file, ORead, 0)
+		if ge == nil {
+			got = f.buf
+			f.Close()
+		}
+		want, we := m.ReadFile(u, dir+file)
+		return result(got, ge), result(want, we)
+	}
+}
+
+func appendOp(file string) func(*Session, *refmodel.Model, types.UserID, string, int) (string, string) {
+	return func(s *Session, m *refmodel.Model, u types.UserID, dir string, i int) (string, string) {
+		data := []byte(fmt.Sprintf("+%d", i))
+		return errClass(s.Append(dir+file, data)), errClass(m.Append(u, dir+file, data))
+	}
+}
+
 var budgetOps = []budgetOp{
 	{name: "stat", cold: hops + 1, warm: 0, split: true,
 		run: func(s *Session, m *refmodel.Model, u types.UserID, dir string, _ int) (string, string) {
@@ -66,28 +97,15 @@ var budgetOps = []budgetOp{
 			}
 			return show(gi.Size, gi.Kind, gi.Owner, gi.Group, gi.Perm, ge), show(wi.Size, wi.Kind, wi.Owner, wi.Group, wi.Perm, we)
 		}},
-	{name: "read", cold: hops + 2, warm: 0, split: true,
-		run: func(s *Session, m *refmodel.Model, u types.UserID, dir string, _ int) (string, string) {
-			got, ge := s.ReadFile(dir + "/f")
-			want, we := m.ReadFile(u, dir+"/f")
-			return result(got, ge), result(want, we)
-		}},
-	{name: "open", cold: hops + 2, warm: 0, split: true,
-		run: func(s *Session, m *refmodel.Model, u types.UserID, dir string, _ int) (string, string) {
-			var got []byte
-			f, ge := s.OpenFile(dir+"/f", ORead, 0)
-			if ge == nil {
-				got = f.buf
-				f.Close()
-			}
-			want, we := m.ReadFile(u, dir+"/f")
-			return result(got, ge), result(want, we)
-		}},
-	{name: "append", cold: hops + 2, warm: 0, split: true,
-		run: func(s *Session, m *refmodel.Model, u types.UserID, dir string, i int) (string, string) {
-			data := []byte(fmt.Sprintf("+%d", i))
-			return errClass(s.Append(dir+"/f", data)), errClass(m.Append(u, dir+"/f", data))
-		}},
+	// Reading: metadata, manifest and tail ride one fetch, which is all of
+	// the one-block file; the two-block file's full block is a second.
+	{name: "read", cold: hops + 2, warm: 0, split: true, run: readOp("/f")},
+	{name: "read1", cold: hops + 1, warm: 0, split: true, run: readOp("/s")},
+	{name: "open", cold: hops + 2, warm: 0, split: true, run: openOp("/f")},
+	{name: "open1", cold: hops + 1, warm: 0, split: true, run: openOp("/s")},
+	// Appending touches the tail alone, however many blocks precede it.
+	{name: "append", cold: hops + 1, warm: 0, split: true, run: appendOp("/f")},
+	{name: "append1", cold: hops + 1, warm: 0, split: true, run: appendOp("/s")},
 	// An owner's write also re-seals the metadata (size, mtime), so the
 	// copy it had cached is gone by the next one: warm, that is one fetch.
 	{name: "overwrite", cold: hops + 1, warm: 1, split: true,
@@ -95,17 +113,22 @@ var budgetOps = []budgetOp{
 			data := bytes.Repeat([]byte{byte('a' + i)}, 70+i)
 			return errClass(s.WriteFile(dir+"/f", data, 0o644)), errClass(m.WriteFile(u, dir+"/f", data, 0o644))
 		}},
-	// Creating: the hops, then the writer tables the walk did not already
-	// read (warm they are cached, and the parent's view was refreshed in
+	// Creating: the hops — the last one brings the parent's writer tables
+	// with it (warm they are cached, and the parent's view was refreshed in
 	// place by the previous write).
-	{name: "create", cold: hops + 1, warm: 0,
+	{name: "create", cold: hops, warm: 0,
 		run: func(s *Session, m *refmodel.Model, u types.UserID, dir string, i int) (string, string) {
 			p := fmt.Sprintf("%s/n%d", dir, i)
 			return errClass(s.WriteFile(p, []byte(p), 0o644)), errClass(m.WriteFile(u, p, []byte(p), 0o644))
 		}},
-	// Removing: the hops, the child's metadata + manifest, and (cold) the
-	// parent's writer tables. g<i> is a distinct file every time.
-	{name: "remove", cold: hops + 2, warm: 1, split: true,
+	{name: "mkdir", cold: hops, warm: 0,
+		run: func(s *Session, m *refmodel.Model, u types.UserID, dir string, i int) (string, string) {
+			p := fmt.Sprintf("%s/sub%d", dir, i)
+			return errClass(s.Mkdir(p, 0o755)), errClass(m.Mkdir(u, p, 0o755))
+		}},
+	// Removing: the hops (writer tables on the last) and the child's
+	// metadata + manifest. g<i> is a distinct file every time.
+	{name: "remove", cold: hops + 1, warm: 1, split: true,
 		run: func(s *Session, m *refmodel.Model, u types.UserID, dir string, i int) (string, string) {
 			p := fmt.Sprintf("%s/g%d", dir, i)
 			return errClass(s.Remove(p)), errClass(m.Remove(u, p))
@@ -143,13 +166,16 @@ func TestRoundTripBudget(t *testing.T) {
 				dir := top + "/d"
 				both("mkdir", alice.Mkdir(top, 0o755), model.Mkdir("alice", top, 0o755))
 				both("mkdir", alice.Mkdir(dir, 0o755), model.Mkdir("alice", dir, 0o755))
-				files := []string{"f"}
+				files := []string{"f", "s"}
 				for i := 0; i < gFiles; i++ {
 					files = append(files, fmt.Sprintf("g%d", i))
 				}
 				for _, name := range files {
 					p := dir + "/" + name
 					data := bytes.Repeat([]byte(name[:1]), 100) // two 64-byte blocks, the second partial
+					if name == "s" {
+						data = data[:40] // one partial block, appends included
+					}
 					fp := perm(t, row.filePerm)
 					both("write", alice.WriteFile(p, data, fp), model.WriteFile("alice", p, data, fp))
 					if row.fileGroup != "" {
@@ -222,7 +248,10 @@ func TestRoundTripBudget(t *testing.T) {
 // same point, as when it was fetched on its own — a tampered one fails
 // the hop with the same error and leaves nothing of itself behind, a
 // missing one reads as an empty directory, and once the SSP behaves the
-// same session resolves the path.
+// same session resolves the path. The same holds for the other blobs that
+// ride: a file's tail block on the fetch of its metadata, and a
+// directory's writer tables on a writer's final hop or on the fetch of the
+// object being removed.
 func TestPrefetchedTableIsVerifiedLikeAFetchedOne(t *testing.T) {
 	fixture(t)
 	for _, cacheBytes := range []int64{-1, 0} {
@@ -273,6 +302,86 @@ func TestPrefetchedTableIsVerifiedLikeAFetchedOne(t *testing.T) {
 			if got, err := s.ReadFile(paths[1]); err != nil || string(got) != paths[1] {
 				t.Errorf("after the SSP heals, read = %q, %v", got, err)
 			}
+
+			// A ridden tail: tampered or withheld, the read fails where
+			// the block fetch used to fail, without a fetch more, and
+			// nothing of it is cached.
+			for _, mode := range []ssp.FaultMode{ssp.FaultTamper, ssp.FaultDrop} {
+				s.Refresh()
+				fs.AddRule(ssp.FaultRule{Mode: mode, NS: wire.NSData, KeyPart: "/tail"})
+				cs.take()
+				if got, err := s.ReadFile(paths[2]); !errors.Is(err, types.ErrTampered) {
+					t.Errorf("read over a tail with fault %v: %q, %v", mode, got, err)
+				}
+				if calls, batches := cs.take(); calls != 3 || len(batches) != 3 || batches[2] != 3 {
+					t.Errorf("fault %v: %d calls, batches %v; want two hops and one three-key fetch", mode, calls, batches)
+				}
+				if n := cachedUnder(s, ckBlock); n != 0 {
+					t.Errorf("fault %v: %d blocks cached", mode, n)
+				}
+				fs.ClearRules()
+			}
+			s.Refresh()
+			if got, err := s.ReadFile(paths[2]); err != nil || string(got) != paths[2] {
+				t.Errorf("after the SSP heals, read = %q, %v", got, err)
+			}
+
+			// Ridden writer tables: the group view of /d rides alice's
+			// final hop (a cold create) or the fetch of the file being
+			// removed (the hop warm), and is opened where it always was,
+			// in loadParentTables: a tampered one fails the mutation, is
+			// not cached, and nothing is written.
+			a := w.mountFresh("alice", cacheBytes)
+			defer a.Close()
+			groupTable := table + "g"
+			stored := func() int {
+				kvs, err := fs.Inner.List(wire.NSMeta, "m/")
+				if err != nil {
+					t.Fatal(err)
+				}
+				return len(kvs)
+			}
+			before := stored()
+			fs.AddRule(ssp.FaultRule{Mode: ssp.FaultTamper, NS: wire.NSData, KeyPart: groupTable})
+			cs.take()
+			if err := a.WriteFile("/d/new", []byte("new"), 0o644); !errors.Is(err, types.ErrTampered) {
+				t.Errorf("create over a tampered writer table: %v", err)
+			}
+			if calls, batches := cs.take(); calls != 2 || len(batches) != 2 || batches[1] != 4 {
+				t.Errorf("cold create: %d calls, batches %v; want the root hop and one four-key final hop", calls, batches)
+			}
+			if _, err := a.Stat(paths[0]); err != nil { // warms /d: its metadata, alice's view, the row
+				t.Fatal(err)
+			}
+			cs.take()
+			if err := a.Remove(paths[1]); !errors.Is(err, types.ErrTampered) {
+				t.Errorf("remove over a tampered writer table: %v", err)
+			}
+			if cacheBytes != 0 {
+				if calls, batches := cs.take(); calls != 1 || len(batches) != 1 || batches[0] != 4 {
+					t.Errorf("warm-hop remove: %d calls, batches %v; want the child's metadata + manifest and two writer tables in one fetch", calls, batches)
+				}
+			}
+			if n := cachedUnder(a, ckWTable+groupTable); n != 0 {
+				t.Errorf("%d cache entries for a tampered writer table", n)
+			}
+			if after := stored(); after != before {
+				t.Errorf("%d metadata blobs stored, %d before the refused mutations", after, before)
+			}
+			fs.ClearRules()
+			if err := a.Remove(paths[1]); err != nil {
+				t.Errorf("remove after the SSP heals: %v", err)
+			}
+			if err := a.WriteFile("/d/new", []byte("new"), 0o644); err != nil {
+				t.Errorf("create after the SSP heals: %v", err)
+			}
+			s.Refresh()
+			if got, err := s.ReadFile("/d/new"); err != nil || string(got) != "new" {
+				t.Errorf("bob reads what alice created: %q, %v", got, err)
+			}
+			if _, err := s.Stat(paths[1]); !errors.Is(err, types.ErrNotExist) {
+				t.Errorf("bob stats what alice removed: %v", err)
+			}
 		})
 	}
 }
@@ -310,9 +419,9 @@ func TestFetchCountsAndSpans(t *testing.T) {
 	if got := reg.Counter("client.op.append").Value(); got != 1 {
 		t.Errorf("client.op.append = %d", got)
 	}
-	// Two cold hops, metadata + manifest, the tail block.
-	if got := reg.Counter("client.op.append.fetches").Value(); got != 4 {
-		t.Errorf("client.op.append.fetches = %d, want 4", got)
+	// Two cold hops, then metadata + manifest + tail block.
+	if got := reg.Counter("client.op.append.fetches").Value(); got != 3 {
+		t.Errorf("client.op.append.fetches = %d, want 3", got)
 	}
 	if got := reg.Counter("client.op.stat.fetches").Value(); got != 0 {
 		t.Errorf("client.op.stat.fetches = %d for a warm stat, want 0", got)
@@ -337,8 +446,8 @@ func TestFetchCountsAndSpans(t *testing.T) {
 			}
 		}
 	}
-	if got := strings.Join(keys, ","); got != "2,2,2,1" {
-		t.Errorf("client.fetch key counts = %s, want 2,2,2,1", got)
+	if got := strings.Join(keys, ","); got != "2,2,3" {
+		t.Errorf("client.fetch key counts = %s, want 2,2,3", got)
 	}
 }
 

@@ -66,13 +66,15 @@ func (s *Session) rekeyData(r ref, m *meta.Metadata) ([]wire.KV, error) {
 	oldGen := m.Attr.DataGen
 
 	var content []byte
+	var man *meta.Manifest
 	var tables map[string]*meta.DirTable
 	if m.Attr.Kind == types.KindFile {
-		man, err := s.fetchManifest(r, m, nil)
-		if err != nil {
+		var pre replyIndex
+		var err error
+		if man, pre, err = s.fetchManifest(r, m, nil, withContent); err != nil {
 			return nil, err
 		}
-		blocks, err := s.readBlocks(r, m, man, 0, man.NBlocks)
+		blocks, err := s.readBlocks(r, m, man, 0, man.NBlocks, pre)
 		if err != nil {
 			return nil, err
 		}
@@ -81,7 +83,7 @@ func (s *Session) rekeyData(r ref, m *meta.Metadata) ([]wire.KV, error) {
 		}
 	} else {
 		var err error
-		if tables, err = s.loadParentTables(r, m, nil); err != nil {
+		if tables, err = s.loadParentTables(r, m, nil, nil); err != nil {
 			return nil, err
 		}
 	}
@@ -98,7 +100,9 @@ func (s *Session) rekeyData(r ref, m *meta.Metadata) ([]wire.KV, error) {
 
 	var kvs []wire.KV
 	if m.Attr.Kind == types.KindFile {
-		dkvs, err := s.sealFileData(m, content, time.Now().UnixNano())
+		// Same content in blocks of the same size: the tail, if there is
+		// one, is overwritten in place under its generation-free key.
+		dkvs, err := s.sealFileData(m, content, man.BlockSize, time.Now().UnixNano())
 		if err != nil {
 			return nil, err
 		}
@@ -168,7 +172,7 @@ func (s *Session) chmod(path string, perm types.Perm) error {
 		// class's shape (e.g. r-x → r--), so re-seal the views even when
 		// nothing is revoked... but only if shapes actually changed.
 		if viewShapesDiffer(m.Attr.Perm, perm) {
-			tables, err := s.loadParentTables(r, m, nil)
+			tables, err := s.loadParentTables(r, m, nil, nil)
 			if err != nil {
 				return err
 			}
@@ -265,7 +269,7 @@ func (s *Session) chown(path string, owner types.UserID, group types.GroupID) er
 		if err := s.requireDirWriter(pm); err != nil {
 			return fmt.Errorf("chown needs write permission on the parent directory: %w", err)
 		}
-		tables, err := s.loadParentTables(pr, pm, nil)
+		tables, err := s.loadParentTables(pr, pm, nil, nil)
 		if err != nil {
 			return err
 		}

@@ -14,21 +14,33 @@ import (
 
 // fetchManifest retrieves and opens a file's manifest: from the cache,
 // from pre (the reply that carried the metadata) or by a fetch of its own.
-func (s *Session) fetchManifest(r ref, m *meta.Metadata, pre replyIndex) (*meta.Manifest, error) {
+// A caller that goes on to read content says withContent, and a manifest
+// that has to be fetched then brings the tail block with it. The reply
+// that answered is returned for readBlocks to find that tail in.
+func (s *Session) fetchManifest(r ref, m *meta.Metadata, pre replyIndex, with companion) (*meta.Manifest, replyIndex, error) {
 	if m.Keys.DEK.IsZero() || m.Keys.DVK.IsZero() {
-		return nil, types.ErrPermission
+		return nil, nil, types.ErrPermission
 	}
 	if v, ok := s.cache.Get(ckManifest + meta.ManifestKey(r.ino)); ok {
-		return v.(*meta.Manifest), nil
+		return v.(*meta.Manifest), pre, nil
 	}
-	blob, ok, err := s.blobOf(pre, wire.NSData, meta.ManifestKey(r.ino))
-	if err != nil {
-		return nil, err
+	key := meta.ManifestKey(r.ino)
+	if !pre.asked(wire.NSData, key) {
+		want := append(make([]wire.KV, 0, 2), wire.KV{NS: wire.NSData, Key: key})
+		if tail := meta.TailKey(r.ino); with == withContent && !s.cached(ckBlock+tail) {
+			want = append(want, wire.KV{NS: wire.NSData, Key: tail})
+		}
+		var err error
+		if pre, err = s.fetch(want); err != nil {
+			return nil, nil, err
+		}
 	}
+	blob, ok := pre.get(wire.NSData, key)
 	if !ok {
-		return nil, fmt.Errorf("%w: manifest missing", types.ErrTampered)
+		return nil, nil, fmt.Errorf("%w: manifest missing", types.ErrTampered)
 	}
-	return s.openManifest(r, m, blob)
+	man, err := s.openManifest(r, m, blob)
+	return man, pre, err
 }
 
 // openManifest verifies, decodes and caches a fetched manifest blob.
@@ -53,17 +65,16 @@ func verifyManifest(r ref, m *meta.Metadata, blob []byte) (*meta.Manifest, error
 	return meta.DecodeManifest(pt)
 }
 
-// sealFileData seals a file's full content as blocks plus manifest,
-// returning the KVs to store and priming the cache with the plaintext.
-// Larger files are divided into blocks, each encrypted separately, so
-// later updates need not re-encrypt the whole file (paper §II-B).
-func (s *Session) sealFileData(m *meta.Metadata, data []byte, mtime int64) ([]wire.KV, error) {
+// sealFileData seals a file's full content as blocks of blockSize plus
+// manifest, returning the KVs to store and priming the cache with the
+// plaintext. Larger files are divided into blocks, each encrypted
+// separately, so later updates need not re-encrypt the whole file (paper
+// §II-B).
+func (s *Session) sealFileData(m *meta.Metadata, data []byte, blockSize uint32, mtime int64) ([]wire.KV, error) {
 	if m.Keys.DEK.IsZero() || m.Keys.DSK.IsZero() {
 		return nil, types.ErrPermission
 	}
-	bs := int(s.blockSize)
-	man := &meta.Manifest{Size: uint64(len(data)), BlockSize: s.blockSize, NBlocks: uint32((len(data) + bs - 1) / bs), MTime: mtime}
-	return s.sealBlocks(m, man, 0, data), nil
+	return s.sealBlocks(m, meta.NewManifest(uint64(len(data)), blockSize, mtime), 0, data), nil
 }
 
 // sealBlocks seals data as the file's blocks from block first on, plus
@@ -75,13 +86,15 @@ func (s *Session) sealBlocks(m *meta.Metadata, man *meta.Manifest, first uint32,
 	kvs := layout.SealFileKVs(m, man, first, data)
 	stop()
 
-	bs := int(s.blockSize)
+	bs := int(man.BlockSize)
 	blocks, sealedMan := kvs[:len(kvs)-1], kvs[len(kvs)-1]
 	for i, kv := range blocks {
 		plain := data[i*bs : min((i+1)*bs, len(data))]
 		// The cache keeps its own copy (data belongs to the caller), so
-		// ask before making one it would drop.
+		// ask before making one it would drop — and drop what it holds
+		// under the key, which this block has just replaced.
 		if !s.cache.Holds(int64(len(plain))) {
+			s.cache.Delete(ckBlock + kv.Key)
 			continue
 		}
 		s.cache.Put(ckBlock+kv.Key, append([]byte(nil), plain...), int64(len(plain)))
@@ -90,35 +103,65 @@ func (s *Session) sealBlocks(m *meta.Metadata, man *meta.Manifest, first uint32,
 	return kvs
 }
 
+// dropTail returns the delete for a stored tail block that a write leaves
+// behind — the file had one (old) and, at its new size (now), has none —
+// and forgets the cached copy. A tail that is replaced is simply
+// overwritten: its key does not change.
+func (s *Session) dropTail(ino types.Inode, old, now *meta.Manifest) []wire.KV {
+	if old.TailLen() == 0 || now.TailLen() != 0 {
+		return nil
+	}
+	key := meta.TailKey(ino)
+	s.cache.Delete(ckBlock + key)
+	return []wire.KV{{NS: wire.NSData, Key: key, Delete: true}}
+}
+
 // readBlocks fetches, verifies and decrypts the blocks [from, to) of a
-// file, using the cache and batching all misses into one round trip.
-// Blocks are independent — each carries its own nonce, AAD and signature
-// — so the fetched ones are verified and opened across the worker pool;
-// the closure writes only its own slot, and the cache is touched only
-// after the join, by this goroutine, with blocks that verified.
-func (s *Session) readBlocks(r ref, m *meta.Metadata, man *meta.Manifest, from, to uint32) ([][]byte, error) {
+// file: each from the cache, else out of pre (the reply that carried the
+// metadata or the manifest, which answers for the tail), else by one fetch
+// naming every block still missing. A blob in pre that man does not call
+// for is never looked at. Blocks are independent — each carries its own
+// nonce, AAD and signature — so the sealed ones are verified and opened
+// across the worker pool; the closure writes only its own slot, and the
+// cache is touched only after the join, by this goroutine, with blocks
+// that verified. A block must also be as long as man says it is: a tail
+// kept from when the file was shorter verifies under the same (inode,
+// generation, index) and is refused here.
+func (s *Session) readBlocks(r ref, m *meta.Metadata, man *meta.Manifest, from, to uint32, pre replyIndex) ([][]byte, error) {
+	gen := m.Attr.DataGen
 	out := make([][]byte, to-from)
-	var missing []wire.KV
+	var missing, want []wire.KV
 	var slots []int // missing[i] is block from+slots[i]
 	for i := from; i < to; i++ {
-		key := meta.BlockKey(r.ino, m.Attr.DataGen, i)
+		key := man.DataKey(r.ino, gen, i)
 		if v, ok := s.cache.Get(ckBlock + key); ok {
 			out[i-from] = v.([]byte)
 			continue
 		}
-		missing = append(missing, wire.KV{NS: wire.NSData, Key: key})
+		kv := wire.KV{NS: wire.NSData, Key: key}
+		missing = append(missing, kv)
 		slots = append(slots, int(i-from))
+		if !pre.asked(kv.NS, kv.Key) {
+			want = append(want, kv)
+		}
 	}
 	if len(missing) == 0 {
 		return out, nil
 	}
-	blobs, err := s.fetch(missing)
-	if err != nil {
-		return nil, err
+	var fetched replyIndex
+	if len(want) > 0 {
+		var err error
+		if fetched, err = s.fetch(want); err != nil {
+			return nil, err
+		}
 	}
 	sealed := make([][]byte, len(missing))
 	absent := 0
 	for i, kv := range missing {
+		blobs := fetched
+		if pre.asked(kv.NS, kv.Key) {
+			blobs = pre
+		}
 		var ok bool
 		if sealed[i], ok = blobs.get(kv.NS, kv.Key); !ok {
 			absent++
@@ -130,8 +173,12 @@ func (s *Session) readBlocks(r ref, m *meta.Metadata, man *meta.Manifest, from, 
 	errs := make([]error, len(missing))
 	stop := s.crypto("open-block")
 	layout.RunParallel(len(missing), func(i int) {
-		aad := meta.BlockAAD(r.ino, m.Attr.DataGen, from+uint32(slots[i]))
-		out[slots[i]], errs[i] = meta.OpenVerified(m.Keys.DEK, m.Keys.DVK, aad, sealed[i])
+		idx := from + uint32(slots[i])
+		pt, err := meta.OpenVerified(m.Keys.DEK, m.Keys.DVK, man.DataAAD(r.ino, gen, idx), sealed[i])
+		if err == nil && len(pt) != man.DataLen(idx) {
+			err = fmt.Errorf("%w: block %d is %d bytes, the manifest says %d", types.ErrTampered, idx, len(pt), man.DataLen(idx))
+		}
+		out[slots[i]], errs[i] = pt, err
 	})
 	stop()
 	for i, kv := range missing {
@@ -145,13 +192,14 @@ func (s *Session) readBlocks(r ref, m *meta.Metadata, man *meta.Manifest, from, 
 }
 
 // ReadFile implements vfs.FS: obtain the encrypted data blocks, verify the
-// writer's signatures and decrypt (paper Figure 8, read row). Metadata and
-// manifest are fetched in one batched round trip.
+// writer's signatures and decrypt (paper Figure 8, read row). Metadata,
+// manifest and the tail block — the whole of a file up to one block — are
+// fetched in one batched round trip.
 func (s *Session) ReadFile(path string) ([]byte, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	defer s.beginOp("read")()
-	r, _, m, pre, err := s.resolveObject(path)
+	r, _, m, pre, err := s.resolveObject(path, withContent, false)
 	if err != nil {
 		return nil, pathErr("read", path, err)
 	}
@@ -163,8 +211,8 @@ func (s *Session) ReadFile(path string) ([]byte, error) {
 }
 
 // readContent is the shared read path (ReadFile and OpenFile) once the
-// file is resolved: the manifest out of the reply that carried the
-// metadata, then the blocks.
+// file is resolved: the manifest and the tail out of the reply that
+// carried the metadata, then the blocks.
 func (s *Session) readContent(r ref, m *meta.Metadata, pre replyIndex) ([]byte, error) {
 	if m.Attr.Kind != types.KindFile {
 		return nil, types.ErrIsDir
@@ -172,11 +220,11 @@ func (s *Session) readContent(r ref, m *meta.Metadata, pre replyIndex) ([]byte, 
 	if !s.triplet(m.Attr).CanRead() || m.Keys.DEK.IsZero() {
 		return nil, types.ErrPermission
 	}
-	man, err := s.fetchManifest(r, m, pre)
+	man, pre, err := s.fetchManifest(r, m, pre, withContent)
 	if err != nil {
 		return nil, err
 	}
-	blocks, err := s.readBlocks(r, m, man, 0, man.NBlocks)
+	blocks, err := s.readBlocks(r, m, man, 0, man.NBlocks, pre)
 	if err != nil {
 		return nil, err
 	}
@@ -201,9 +249,9 @@ func (s *Session) WriteFile(path string, data []byte, perm types.Perm) error {
 }
 
 func (s *Session) writeFile(path string, data []byte, perm types.Perm) error {
-	r, at, m, pre, err := s.resolveObject(path)
+	r, at, m, pre, err := s.resolveObject(path, withManifest, true)
 	if errors.Is(err, types.ErrNotExist) {
-		_, err := s.createObject(path, at, perm, types.KindFile, data)
+		_, err := s.createObject(path, at, pre, perm, types.KindFile, data)
 		return err
 	}
 	if err != nil {
@@ -221,44 +269,40 @@ func (s *Session) overwrite(r ref, m *meta.Metadata, pre replyIndex, data []byte
 	if !s.triplet(m.Attr).CanWrite() || m.Keys.DSK.IsZero() {
 		return types.ErrPermission
 	}
-	// The old manifest tells which trailing blocks are now stale.
-	oldMan, err := s.fetchManifest(r, m, pre)
+	// The old manifest tells which of the old blocks the new content does
+	// not overwrite: the full blocks past its own, and a tail it has none
+	// to replace with.
+	oldMan, _, err := s.fetchManifest(r, m, pre, withManifest)
 	if err != nil {
 		return err
 	}
+	now := time.Now().UnixNano()
+	newMan := meta.NewManifest(uint64(len(data)), s.blockSize, now)
 	updated := *m
 	isOwner := !m.Keys.MetaSeed.IsZero() && !m.Keys.MSK.IsZero()
-	var kvs []wire.KV
+	oldGen, staleFrom := m.Attr.DataGen, newMan.FullBlocks()
 
 	if m.Attr.Flags&meta.FlagRekeyPending != 0 && isOwner {
 		// Lazy revocation (paper §IV-A1): the deferred re-keying happens
 		// now, on the owner's first write after the chmod. The old
 		// content is being replaced, so rotation is nearly free: fresh
-		// keys, next generation, drop the old blobs.
-		rkvs, err := s.rotateForWrite(r, &updated, oldMan)
-		if err != nil {
-			return err
-		}
-		kvs = append(kvs, rkvs...)
-		oldMan = &meta.Manifest{} // old generation fully dropped
+		// keys, next generation, and every block of the old one is stale.
+		s.rotateForWrite(r, &updated)
+		staleFrom = 0
 	}
 
-	dkvs, err := s.sealFileData(&updated, data, time.Now().UnixNano())
-	if err != nil {
-		return err
-	}
-	kvs = append(kvs, dkvs...)
-	newBlocks := uint32((len(data) + int(s.blockSize) - 1) / int(s.blockSize))
-	for i := newBlocks; i < oldMan.NBlocks; i++ {
-		key := meta.BlockKey(r.ino, updated.Attr.DataGen, i)
+	kvs := s.sealBlocks(&updated, newMan, 0, data)
+	for i := staleFrom; i < oldMan.FullBlocks(); i++ {
+		key := meta.BlockKey(r.ino, oldGen, i)
 		kvs = append(kvs, wire.KV{NS: wire.NSData, Key: key, Delete: true})
 		s.cache.Delete(ckBlock + key)
 	}
+	kvs = append(kvs, s.dropTail(r.ino, oldMan, newMan)...)
 	// Owners also refresh the metadata copies so stat stays fresh for
 	// users without read access.
 	if isOwner {
 		updated.Attr.Size = uint64(len(data))
-		updated.Attr.MTime = time.Now().UnixNano()
+		updated.Attr.MTime = now
 		kvs = append(kvs, s.sealMetaVariants(&updated)...)
 	}
 	return s.store.BatchPut(kvs)
@@ -275,7 +319,7 @@ func (s *Session) Append(path string, data []byte) error {
 }
 
 func (s *Session) appendFile(path string, data []byte) error {
-	r, _, m, pre, err := s.resolveObject(path)
+	r, _, m, pre, err := s.resolveObject(path, withContent, false)
 	if err != nil {
 		return err
 	}
@@ -286,19 +330,18 @@ func (s *Session) appendFile(path string, data []byte) error {
 	if !t.CanWrite() || m.Keys.DSK.IsZero() {
 		return types.ErrPermission
 	}
-	man, err := s.fetchManifest(r, m, pre)
+	man, pre, err := s.fetchManifest(r, m, pre, withContent)
 	if err != nil {
 		return err
 	}
-	bs := uint64(s.blockSize)
 
 	// Reassemble the tail: the final partial block, if any, plus the new
-	// data. Full blocks before it are untouched.
-	firstDirty := uint32(man.Size / bs)
-	tailOff := uint64(firstDirty) * bs
+	// data. Full blocks before it are untouched, so the file keeps the
+	// block size it was written with, whatever this session's is.
+	firstDirty := man.FullBlocks()
 	var tail []byte
-	if man.Size > tailOff {
-		blocks, err := s.readBlocks(r, m, man, firstDirty, firstDirty+1)
+	if man.TailLen() > 0 {
+		blocks, err := s.readBlocks(r, m, man, firstDirty, firstDirty+1, pre)
 		if err != nil {
 			return err
 		}
@@ -306,21 +349,16 @@ func (s *Session) appendFile(path string, data []byte) error {
 	}
 	tail = append(tail, data...)
 
-	newSize := man.Size + uint64(len(data))
-	newMan := &meta.Manifest{
-		Size:      newSize,
-		BlockSize: s.blockSize,
-		NBlocks:   uint32((newSize + bs - 1) / bs),
-		MTime:     time.Now().UnixNano(),
-	}
+	newMan := meta.NewManifest(man.Size+uint64(len(data)), man.BlockSize, time.Now().UnixNano())
 	kvs := s.sealBlocks(m, newMan, firstDirty, tail)
+	kvs = append(kvs, s.dropTail(r.ino, man, newMan)...)
 	return s.store.BatchPut(kvs)
 }
 
 // rotateForWrite rotates a file's data keys in place on m without
-// re-encrypting the outgoing content (the caller is about to replace it),
-// and returns deletes for the old generation's blobs.
-func (s *Session) rotateForWrite(r ref, m *meta.Metadata, oldMan *meta.Manifest) ([]wire.KV, error) {
+// re-encrypting the outgoing content (the caller is about to replace it,
+// and deletes the old generation's blobs).
+func (s *Session) rotateForWrite(r ref, m *meta.Metadata) {
 	oldGen := m.Attr.DataGen
 	stop := s.crypto("rotate-data-keys")
 	dsk, dvk := sharocrypto.NewSigningPair()
@@ -330,11 +368,6 @@ func (s *Session) rotateForWrite(r ref, m *meta.Metadata, oldMan *meta.Manifest)
 	m.Attr.Flags &^= meta.FlagRekeyPending
 	stop()
 
-	kvs := make([]wire.KV, 0, oldMan.NBlocks)
-	for i := uint32(0); i < oldMan.NBlocks; i++ {
-		kvs = append(kvs, wire.KV{NS: wire.NSData, Key: meta.BlockKey(r.ino, oldGen, i), Delete: true})
-	}
 	s.cache.DeletePrefix(ckBlock + meta.BlockPrefix(r.ino, oldGen))
 	s.cache.Delete(ckManifest + meta.ManifestKey(r.ino))
-	return kvs, nil
 }

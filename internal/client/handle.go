@@ -46,7 +46,13 @@ func (s *Session) OpenFile(path string, flags int, perm types.Perm) (*File, erro
 	defer s.beginOp("open")()
 
 	f := &File{s: s, path: path, write: flags&OWrite != 0}
-	r, at, m, pre, err := s.resolveObject(path)
+	// A truncating open reads no content; one that may create writes the
+	// parent directory.
+	with := withContent
+	if flags&OTrunc != 0 && f.write {
+		with = withManifest
+	}
+	r, at, m, pre, err := s.resolveObject(path, with, flags&OCreate != 0 && f.write)
 	switch {
 	case err == nil:
 		if m.Attr.Kind != types.KindFile {
@@ -73,7 +79,7 @@ func (s *Session) OpenFile(path string, flags int, perm types.Perm) (*File, erro
 			f.buf = content
 		}
 	case errors.Is(err, types.ErrNotExist) && flags&OCreate != 0 && f.write:
-		if _, cerr := s.createObject(path, at, perm, types.KindFile, []byte{}); cerr != nil {
+		if _, cerr := s.createObject(path, at, pre, perm, types.KindFile, []byte{}); cerr != nil {
 			return nil, pathErr("open", path, cerr)
 		}
 		f.buf = nil

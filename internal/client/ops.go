@@ -33,7 +33,7 @@ func (s *Session) Stat(path string) (vfs.Info, error) {
 	if err != nil {
 		return vfs.Info{}, pathErr("stat", path, err)
 	}
-	r, _, m, pre, err := s.resolveObject(path)
+	r, _, m, pre, err := s.resolveObject(path, withManifest, false)
 	if err != nil {
 		return vfs.Info{}, pathErr("stat", path, err)
 	}
@@ -44,7 +44,7 @@ func (s *Session) Stat(path string) (vfs.Info, error) {
 	// missing or fails to verify leaves the metadata attributes in place,
 	// and the integrity problem surfaces on ReadFile.
 	if hasManifest(m) {
-		if man, err := s.fetchManifest(r, m, pre); err == nil {
+		if man, _, err := s.fetchManifest(r, m, pre, withManifest); err == nil {
 			info.Size = man.Size
 			info.MTime = time.Unix(0, man.MTime)
 		}
@@ -53,30 +53,35 @@ func (s *Session) Stat(path string) (vfs.Info, error) {
 }
 
 // fetchObject retrieves the metadata of the object an operation was asked
-// about, batching it with the manifest — and, when the miss falls inside a
+// about, batching it with what the operation reads next — the manifest
+// (withManifest), or the manifest and the tail block (withContent) — with
+// whatever else the caller names (ride) and, when the miss falls inside a
 // directory ReadDir has listed (at names its row), with the not-yet-cached
 // siblings that follow it (see listedSiblings) — so that getattr keeps the
-// paper's single-receive cost profile, a file operation pays one receive
-// before its data, and "ls -l" one per directory, not one per entry. The
-// manifest is opened by the caller, with fetchManifest, out of the
-// returned reply.
-func (s *Session) fetchObject(r ref, at dirent) (*meta.Metadata, replyIndex, error) {
+// paper's single-receive cost profile, a read of a file up to one block
+// and an append to any file pay one receive, and "ls -l" one per
+// directory, not one per entry. The companions are opened by the caller
+// (fetchManifest, readBlocks) out of the returned reply.
+func (s *Session) fetchObject(r ref, at dirent, with companion, ride []wire.KV) (*meta.Metadata, replyIndex, error) {
 	if v, ok := s.cache.Get(ckMeta + meta.MetaKey(r.ino, r.variant)); ok {
 		return v.(*meta.Metadata), nil, nil
 	}
-	return s.fetchMetaMiss(r, withManifest, at)
+	return s.fetchMetaMiss(r, with, at, ride)
 }
 
 // resolveObject walks to path and fetches the object found there
-// (fetchObject): how every operation on a file begins. The dirent comes
-// back as resolveRef returns it, on errors too.
-func (s *Session) resolveObject(path string) (ref, dirent, *meta.Metadata, replyIndex, error) {
-	r, at, err := s.resolveRef(path)
+// (fetchObject): how every operation on a file begins. parentWriter says
+// the operation may go on to write the parent directory (see resolveRef).
+// The dirent comes back as resolveRef returns it, on errors too, and so
+// does the reply: what the object's own fetch answers for and, for a
+// parent writer, what the walk's final hop does.
+func (s *Session) resolveObject(path string, with companion, parentWriter bool) (ref, dirent, *meta.Metadata, replyIndex, error) {
+	r, at, tables, err := s.resolveRef(path, parentWriter)
 	if err != nil {
-		return ref{}, at, nil, nil, err
+		return ref{}, at, nil, tables, err
 	}
-	m, pre, err := s.fetchObject(r, at)
-	return r, at, m, pre, err
+	m, pre, err := s.fetchObject(r, at, with, nil)
+	return r, at, m, tables.plus(pre), err
 }
 
 // hasManifest reports whether getattr reads size and mtime from the
@@ -104,7 +109,7 @@ func (s *Session) ReadDir(path string) ([]string, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	defer s.beginOp("readdir")()
-	r, _, err := s.resolveRef(path)
+	r, _, _, err := s.resolveRef(path, false)
 	if err != nil {
 		return nil, pathErr("readdir", path, err)
 	}
@@ -148,7 +153,7 @@ func (s *Session) Mkdir(path string, perm types.Perm) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	defer s.beginOp("mkdir")()
-	_, err := s.createObject(path, dirent{}, perm, types.KindDir, nil)
+	_, err := s.createObject(path, dirent{}, nil, perm, types.KindDir, nil)
 	return pathErrNil("mkdir", path, err)
 }
 
@@ -157,7 +162,7 @@ func (s *Session) Create(path string, perm types.Perm) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	defer s.beginOp("create")()
-	_, err := s.createObject(path, dirent{}, perm, types.KindFile, []byte{})
+	_, err := s.createObject(path, dirent{}, nil, perm, types.KindFile, []byte{})
 	return pathErrNil("create", path, err)
 }
 
@@ -169,26 +174,40 @@ func pathErrNil(op, path string, err error) error {
 }
 
 // createObject creates a file or directory with optional initial data.
-// It returns the new object's full metadata (creator knowledge). at is the
-// final hop of the caller's own walk to path when that walk read the
-// parent's table and found no such entry — the parent is then not
-// resolved (nor its own table fetched) a second time — and zero otherwise.
-func (s *Session) createObject(path string, at dirent, perm types.Perm, kind types.ObjKind, data []byte) (*meta.Metadata, error) {
+// It returns the new object's full metadata (creator knowledge). at and
+// pre are the final hop of the caller's own walk to path, and that hop's
+// reply, when that walk read the parent's table and found no such entry;
+// at is zero otherwise — Mkdir and Create, which have not walked — and the
+// writer's walk is then made here. One way or the other the parent is
+// resolved once, and the reply of its hop answers for the writer tables.
+func (s *Session) createObject(path string, at dirent, pre replyIndex, perm types.Perm, kind types.ObjKind, data []byte) (*meta.Metadata, error) {
 	if err := cap.ValidatePerm(kind, perm); err != nil {
 		return nil, err
 	}
 	if at.view == nil {
-		pr, pm, base, err := s.resolveParent(path)
-		if err != nil {
+		var err error
+		_, at, pre, err = s.resolveRef(path, true)
+		switch {
+		case at.view != nil:
+			// Whatever the lookup said: whether the entry exists is
+			// decided below, in the writer's own table, after the right
+			// to write the directory.
+		case err != nil:
 			return nil, err
+		case at.meta == nil:
+			return nil, errOnRoot
+		default: // a row resolved before: the entry exists
+			if err := s.requireDirWriter(at.meta); err != nil {
+				return nil, err
+			}
+			return nil, types.ErrExist
 		}
-		at = dirent{dir: pr, meta: pm, name: base}
 	}
 	pr, pm, base := at.dir, at.meta, at.name
 	if err := s.requireDirWriter(pm); err != nil {
 		return nil, err
 	}
-	tables, err := s.loadParentTables(pr, pm, at.view)
+	tables, err := s.loadParentTables(pr, pm, at.view, pre)
 	if err != nil {
 		return nil, err
 	}
@@ -229,7 +248,7 @@ func (s *Session) createObject(path string, at dirent, perm types.Perm, kind typ
 		}
 		kvs = append(kvs, tkvs...)
 	case types.KindFile:
-		dkvs, err := s.sealFileData(child, data, now)
+		dkvs, err := s.sealFileData(child, data, s.blockSize, now)
 		if err != nil {
 			return nil, err
 		}
@@ -263,7 +282,7 @@ func (s *Session) Remove(path string) error {
 }
 
 func (s *Session) remove(path string) error {
-	cr, at, err := s.resolveRef(path)
+	cr, at, ridden, err := s.resolveRef(path, true)
 	if at.meta == nil {
 		if err == nil { // the walk had no hop to make
 			err = errOnRoot
@@ -279,7 +298,9 @@ func (s *Session) remove(path string) error {
 	if err != nil {
 		return err
 	}
-	cm, pre, err := s.fetchObject(cr, at)
+	// The parent's metadata is open, so every writer table still to be
+	// fetched can be named: they ride the child's fetch.
+	cm, pre, err := s.fetchObject(cr, at, withManifest, s.missingTables(pr, pm, at.view, ridden))
 	if err != nil {
 		return err
 	}
@@ -296,7 +317,7 @@ func (s *Session) remove(path string) error {
 		}
 	}
 
-	tables, err := s.loadParentTables(pr, pm, at.view)
+	tables, err := s.loadParentTables(pr, pm, at.view, ridden.plus(pre))
 	if err != nil {
 		return err
 	}
@@ -336,12 +357,12 @@ func (s *Session) deleteDataKVs(r ref, m *meta.Metadata, pre replyIndex) ([]wire
 	case m.Attr.Kind == types.KindDir:
 		kvs = append(kvs, layout.DeleteTableKVs(s.eng, m.Attr)...)
 	case !m.Keys.DEK.IsZero():
-		man, err := s.fetchManifest(r, m, pre)
+		man, _, err := s.fetchManifest(r, m, pre, withManifest)
 		if err != nil {
 			return nil, err
 		}
 		for i := uint32(0); i < man.NBlocks; i++ {
-			kvs = append(kvs, wire.KV{NS: wire.NSData, Key: meta.BlockKey(r.ino, m.Attr.DataGen, i), Delete: true})
+			kvs = append(kvs, wire.KV{NS: wire.NSData, Key: man.DataKey(r.ino, m.Attr.DataGen, i), Delete: true})
 		}
 		kvs = append(kvs, wire.KV{NS: wire.NSData, Key: meta.ManifestKey(r.ino), Delete: true})
 	default:
@@ -390,7 +411,7 @@ func (s *Session) rename(oldPath, newPath string) error {
 		}
 	}
 
-	srcTables, err := s.loadParentTables(opr, opm, nil)
+	srcTables, err := s.loadParentTables(opr, opm, nil, nil)
 	if err != nil {
 		return err
 	}
@@ -402,7 +423,7 @@ func (s *Session) rename(oldPath, newPath string) error {
 	}
 	dstTables := srcTables
 	if !samePar {
-		if dstTables, err = s.loadParentTables(npr, npm, nil); err != nil {
+		if dstTables, err = s.loadParentTables(npr, npm, nil, nil); err != nil {
 			return err
 		}
 	}

@@ -26,31 +26,43 @@ import (
 // opened metadata and (when the hop read it) table view — and is returned
 // as far as that hop got even when it fails, so a mutation can check its
 // right to write the parent, or create the missing entry, without walking
-// the path again.
-func (s *Session) resolveRef(path string) (ref, dirent, error) {
+// the path again. parentWriter says the caller may go on to write that
+// parent (Create, Mkdir, Remove, a WriteFile or OpenFile that may create):
+// the final hop then asks for the directory's writer tables as well, and
+// the reply that carried them is returned for loadParentTables to open
+// them out of (nil for any other walk, and when the hop fetched nothing).
+func (s *Session) resolveRef(path string, parentWriter bool) (ref, dirent, replyIndex, error) {
 	defer s.tracer.Start("resolve", obs.ClassNone).End()
 	comps, err := types.PathComponents(path)
 	if err != nil {
-		return ref{}, dirent{}, err
+		return ref{}, dirent{}, nil, err
 	}
 	cur, at := s.root, dirent{}
+	var tables replyIndex
 	for i, comp := range comps {
-		next, hop, err := s.walkHop(cur, comp)
+		writer := parentWriter && i == len(comps)-1
+		next, hop, pre, err := s.walkHop(cur, comp, writer)
 		if i == len(comps)-1 {
 			at = hop
 		}
+		if writer {
+			tables = pre
+		}
 		if err != nil {
-			return ref{}, at, err
+			return ref{}, at, tables, err
 		}
 		cur = next
 	}
-	return cur, at, nil
+	return cur, at, tables, nil
 }
 
 // walkHop resolves one component: comp's row in directory dir. A cold
 // directory costs one round trip — its metadata and its table view are
-// fetched together — and a previously resolved row costs none.
-func (s *Session) walkHop(dir ref, comp string) (ref, dirent, error) {
+// fetched together, and for a writer of the directory so are the tables of
+// its other fixed variants, asked for blind (the ACL variants' can only be
+// named once the metadata is open; loadParentTables fetches those) — and a
+// previously resolved row costs none.
+func (s *Session) walkHop(dir ref, comp string, writer bool) (ref, dirent, replyIndex, error) {
 	// A previously resolved hop skips the table lookup entirely. Entries
 	// are keyed by parent (inode, variant) and name, and are dropped
 	// whenever the parent's table changes (writeParentTables,
@@ -59,15 +71,18 @@ func (s *Session) walkHop(dir ref, comp string) (ref, dirent, error) {
 	rkey := refCacheKey(dir, comp)
 	known, resolved := s.cache.Get(rkey)
 	with := withView
-	if resolved {
+	switch {
+	case writer:
+		with = withTables
+	case resolved:
 		with = alone
 	}
 	m, pre, err := s.fetchMeta(dir, with)
 	if err != nil {
-		return ref{}, dirent{}, err
+		return ref{}, dirent{}, nil, err
 	}
 	if m.Attr.Kind != types.KindDir {
-		return ref{}, dirent{}, types.ErrNotDir
+		return ref{}, dirent{}, nil, types.ErrNotDir
 	}
 	at := dirent{dir: dir, meta: m, name: comp}
 	// Traversal requires exec on the directory — enforced
@@ -76,14 +91,14 @@ func (s *Session) walkHop(dir ref, comp string) (ref, dirent, error) {
 	// every hop, cached ref or not, so a chmod on an ancestor (which
 	// invalidates only its ckMeta entry) takes effect immediately.
 	if !s.triplet(m.Attr).CanExec() {
-		return ref{}, at, types.ErrPermission
+		return ref{}, at, pre, types.ErrPermission
 	}
 	if resolved {
-		return known.(ref), at, nil
+		return known.(ref), at, pre, nil
 	}
 	view, err := s.openViewOf(dir, m, pre)
 	if err != nil {
-		return ref{}, at, err
+		return ref{}, at, pre, err
 	}
 	at.view = view
 	entry, err := view.Lookup(comp)
@@ -91,18 +106,18 @@ func (s *Session) walkHop(dir ref, comp string) (ref, dirent, error) {
 		if errors.Is(err, meta.ErrNoEntry) {
 			err = types.ErrNotExist
 		}
-		return ref{}, at, err
+		return ref{}, at, pre, err
 	}
 	if entry.Split {
 		// Split pointers are re-sealed out of band on revocation with
 		// no parent-table write to hook invalidation on, so split
 		// hops are deliberately not cached.
 		next, err := s.resolveSplit(entry.Inode)
-		return next, at, err
+		return next, at, pre, err
 	}
 	next := ref{ino: entry.Inode, variant: entry.Variant, mek: entry.MEK, mvk: entry.MVK}
 	s.cache.Put(rkey, next, int64(len(comp))+96)
-	return next, at, nil
+	return next, at, pre, nil
 }
 
 // dirent names the directory row a resolved object was reached through:
@@ -133,7 +148,7 @@ func refCacheKey(parent ref, comp string) string {
 
 // resolve walks to path and fetches the object's metadata.
 func (s *Session) resolve(path string) (ref, *meta.Metadata, error) {
-	r, _, err := s.resolveRef(path)
+	r, _, _, err := s.resolveRef(path, false)
 	if err != nil {
 		return ref{}, nil, err
 	}
@@ -206,23 +221,41 @@ func (s *Session) requireDirWriter(m *meta.Metadata) error {
 	return nil
 }
 
+// missingTables lists the writer tables of directory r that
+// loadParentTables would have to fetch: every variant's that is neither
+// cached, nor the caller's own view as its walk opened it (own), nor
+// already answered by pre.
+func (s *Session) missingTables(r ref, m *meta.Metadata, own *cap.View, pre replyIndex) []wire.KV {
+	var missing []wire.KV
+	for _, pv := range s.eng.Variants(m.Attr) {
+		key := meta.TableKey(r.ino, pv.ID)
+		if (pv.ID == r.variant && own != nil) || pre.asked(wire.NSData, key) || s.cached(ckWTable+key) {
+			continue
+		}
+		missing = append(missing, wire.KV{NS: wire.NSData, Key: key})
+	}
+	return missing
+}
+
 // loadParentTables decrypts every CAP view of a directory's table. Only a
 // directory writer can do this: the per-variant table keys derive from the
 // DataSeed, and exec-only rows are reassembled using the names from the
-// writer's own full view. Misses are fetched in one batched round trip,
-// and decoded tables are cached (prefix ckWTable) so a burst of creates in
-// the same directory — the Create-and-List workload — pays the fetch once.
-// own is the caller's view of the directory when the walk that led here
-// already fetched and opened it (nil otherwise): the writer's own table is
-// that same blob, so it is not asked for again.
-func (s *Session) loadParentTables(r ref, m *meta.Metadata, own *cap.View) (map[string]*meta.DirTable, error) {
+// writer's own full view. Decoded tables are cached (prefix ckWTable) so a
+// burst of creates in the same directory — the Create-and-List workload —
+// pays the fetch once. own is the caller's view of the directory when the
+// walk that led here already fetched and opened it (nil otherwise): the
+// writer's own table is that same blob, so it is not asked for again. pre
+// is whatever earlier replies of the operation answer for — the tables
+// that rode the walk's final hop or the fetch of the object being removed;
+// what neither the cache nor own nor pre has is fetched here, in one round
+// trip, and every table is opened here whichever way it came.
+func (s *Session) loadParentTables(r ref, m *meta.Metadata, own *cap.View, pre replyIndex) (map[string]*meta.DirTable, error) {
 	if m.Keys.DataSeed.IsZero() || m.Keys.DSK.IsZero() {
 		return nil, types.ErrPermission
 	}
 	tables := make(map[string]*meta.DirTable)
 	variants := s.eng.Variants(m.Attr)
 
-	var missing []wire.KV
 	for _, pv := range variants {
 		if v, ok := s.cache.Get(ckWTable + meta.TableKey(r.ino, pv.ID)); ok {
 			tables[pv.ID] = v.(*meta.DirTable).Clone()
@@ -235,16 +268,18 @@ func (s *Session) loadParentTables(r ref, m *meta.Metadata, own *cap.View) (map[
 			}
 			tables[r.variant] = full.Clone()
 			s.cache.Put(ckWTable+meta.TableKey(r.ino, r.variant), full.Clone(), tableSize(full))
-			continue
 		}
-		missing = append(missing, wire.KV{NS: wire.NSData, Key: meta.TableKey(r.ino, pv.ID)})
 	}
-	if len(missing) == 0 {
+	if len(tables) == len(variants) {
 		return tables, nil
 	}
-	blobs, err := s.fetch(missing)
-	if err != nil {
-		return nil, err
+	blobs := pre
+	if missing := s.missingTables(r, m, own, pre); len(missing) > 0 {
+		fetched, err := s.fetch(missing)
+		if err != nil {
+			return nil, err
+		}
+		blobs = pre.plus(fetched)
 	}
 
 	// Decode the writer's own (full) view first: exec-only views are

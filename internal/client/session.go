@@ -292,48 +292,64 @@ const (
 	ckListed   = "L|" // directories ReadDir has listed, keyed like ckView
 )
 
-// companion names the second blob a metadata miss asks for in the same
-// round trip: its key derives from the ref alone, so it can be named
-// before the metadata is open and is asked for blind (a directory has no
-// manifest, a file no table; the SSP simply omits it).
+// companion names what a metadata miss asks for in the same round trip:
+// blobs whose keys derive from the ref alone, so that they can be named
+// before the metadata is open and are asked for blind (a directory has no
+// manifest, a file no table, a file of whole blocks no tail; the SSP
+// simply omits what it does not have).
 type companion uint8
 
 const (
 	alone        companion = iota
 	withView               // the directory's table view, for a lookup or a listing
-	withManifest           // the file's manifest, for getattr, reads and writes
+	withTables             // the view and the directory's other fixed variants' tables, for a writer of the directory
+	withManifest           // the file's manifest, for getattr, overwrite and unlink
+	withContent            // the manifest and the tail block, for reads and appends
 )
 
 // fetchMeta retrieves and opens one metadata variant, via the cache. On a
 // miss the reply that carried it is returned too: it also answers for the
-// companion, which the caller opens out of it (openViewOf, fetchManifest)
-// instead of paying a round trip of its own.
+// companions, which the caller opens out of it (openViewOf, fetchManifest,
+// readBlocks, loadParentTables) instead of paying a round trip of its own.
 func (s *Session) fetchMeta(r ref, with companion) (*meta.Metadata, replyIndex, error) {
 	if v, ok := s.cache.Get(ckMeta + meta.MetaKey(r.ino, r.variant)); ok {
 		return v.(*meta.Metadata), nil, nil
 	}
-	return s.fetchMetaMiss(r, with, dirent{})
+	return s.fetchMetaMiss(r, with, dirent{}, nil)
 }
 
 // fetchMetaMiss is the one round trip of a metadata miss: the metadata,
-// its companion unless that is already cached and, for a getattr miss
+// its companions unless already cached, whatever else the caller can name
+// and will open out of the reply itself (ride) and, for a getattr miss
 // inside a directory ReadDir has listed (at names the row), the siblings
 // that follow it — verified and cached before the target, so the object
 // actually asked for ends up the most recently used entry when a finite
 // cache has to evict.
-func (s *Session) fetchMetaMiss(r ref, with companion, at dirent) (*meta.Metadata, replyIndex, error) {
+func (s *Session) fetchMetaMiss(r ref, with companion, at dirent, ride []wire.KV) (*meta.Metadata, replyIndex, error) {
 	metaKey := meta.MetaKey(r.ino, r.variant)
-	want := append(make([]wire.KV, 0, 2), wire.KV{NS: wire.NSMeta, Key: metaKey})
-	switch with {
-	case withView:
-		if key := meta.TableKey(r.ino, r.variant); !s.cached(ckView + key) {
-			want = append(want, wire.KV{NS: wire.NSData, Key: key})
-		}
-	case withManifest:
-		if key := meta.ManifestKey(r.ino); !s.cached(ckManifest + key) {
+	want := append(make([]wire.KV, 0, 3+len(ride)), wire.KV{NS: wire.NSMeta, Key: metaKey})
+	unlessCached := func(prefix, key string) {
+		if !s.cached(prefix + key) {
 			want = append(want, wire.KV{NS: wire.NSData, Key: key})
 		}
 	}
+	switch with {
+	case withView:
+		unlessCached(ckView, meta.TableKey(r.ino, r.variant))
+	case withTables:
+		unlessCached(ckView, meta.TableKey(r.ino, r.variant))
+		for _, id := range s.eng.FixedVariants() {
+			if id != r.variant {
+				unlessCached(ckWTable, meta.TableKey(r.ino, id))
+			}
+		}
+	case withManifest:
+		unlessCached(ckManifest, meta.ManifestKey(r.ino))
+	case withContent:
+		unlessCached(ckManifest, meta.ManifestKey(r.ino))
+		unlessCached(ckBlock, meta.TailKey(r.ino))
+	}
+	want = append(want, ride...)
 	sibs := s.listedSiblings(at)
 	var batch *obs.Span
 	if len(sibs) > 0 {

@@ -1,10 +1,13 @@
 package client
 
 import (
+	"bytes"
 	"errors"
+	"reflect"
 	"testing"
 
 	"github.com/sharoes/sharoes/internal/layout"
+	"github.com/sharoes/sharoes/internal/meta"
 	"github.com/sharoes/sharoes/internal/migrate"
 	"github.com/sharoes/sharoes/internal/ssp"
 	"github.com/sharoes/sharoes/internal/types"
@@ -80,21 +83,9 @@ func TestSwappedObjectDetected(t *testing.T) {
 	if err := alice.WriteFile("/b", []byte("content b"), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	// Find the two files' first blocks and swap them.
-	items, err := fs.Inner.List(wire.NSData, "f/")
-	if err != nil {
-		t.Fatal(err)
-	}
-	var blockKeys []string
-	for _, it := range items {
-		if it.Key[len(it.Key)-1] == '0' { // block index 0
-			blockKeys = append(blockKeys, it.Key)
-		}
-	}
-	if len(blockKeys) != 2 {
-		t.Fatalf("expected 2 block-0 keys, got %v", blockKeys)
-	}
-	fs.AddRule(ssp.FaultRule{Mode: ssp.FaultSwap, NS: wire.NSData, KeyPart: blockKeys[0], SwapKey: blockKeys[1]})
+	// Swap the two files' tail blocks — all the content either has.
+	tailA, tailB := meta.TailKey(inodeOf(t, alice, "/a")), meta.TailKey(inodeOf(t, alice, "/b"))
+	fs.AddRule(ssp.FaultRule{Mode: ssp.FaultSwap, NS: wire.NSData, KeyPart: tailA, SwapKey: tailB})
 	// One of the two reads must hit the swap and fail; neither may
 	// silently return the other file's content.
 	gotA, errA := alice.ReadFile("/a")
@@ -108,6 +99,116 @@ func TestSwappedObjectDetected(t *testing.T) {
 	if errB == nil && string(gotB) != "content b" {
 		t.Errorf("/b returned foreign content %q", gotB)
 	}
+}
+
+func inodeOf(t *testing.T, s *Session, path string) types.Inode {
+	t.Helper()
+	info, err := s.Stat(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return info.Inode
+}
+
+// TestSubstitutedTailDetected: the tail block lives under a key that says
+// neither which generation nor which index nor which length it has, so the
+// SSP can answer for it with blobs the file's own writer once signed. Each
+// is refused — by the AAD (label, generation, index) or, for a tail kept
+// from when the file was shorter, which verifies under the very same AAD,
+// by its length against the manifest — on ReadFile and on Append alike. A
+// refused Append writes nothing: appending to the replayed tail would have
+// a legitimate writer re-sign it, and the file would then fail every read.
+// Nothing of the substitute reaches a cache, and the same sessions work
+// once the SSP serves the honest tail again.
+func TestSubstitutedTailDetected(t *testing.T) {
+	for name, prepare := range map[string]func(t *testing.T, store ssp.BlobStore, alice *Session) (substitute []byte){
+		"stale shorter tail": func(t *testing.T, store ssp.BlobStore, alice *Session) []byte {
+			mustDo(t, alice.WriteFile("/f", pattern(10, 1), 0o644))
+			old := mustGet(t, store, meta.TailKey(inodeOf(t, alice, "/f")))
+			mustDo(t, alice.Append("/f", pattern(6, 2))) // same block, same index, longer
+			return old
+		},
+		"full block under the tail key": func(t *testing.T, store ssp.BlobStore, alice *Session) []byte {
+			mustDo(t, alice.WriteFile("/f", pattern(testBlockSize+6, 3), 0o644))
+			return mustGet(t, store, meta.BlockKey(inodeOf(t, alice, "/f"), 0, 0))
+		},
+		"tail of index k after the file grew to k+1": func(t *testing.T, store ssp.BlobStore, alice *Session) []byte {
+			mustDo(t, alice.WriteFile("/f", pattern(testBlockSize+6, 4), 0o644))
+			old := mustGet(t, store, meta.TailKey(inodeOf(t, alice, "/f")))
+			mustDo(t, alice.Append("/f", pattern(testBlockSize-4, 5))) // block 1 fills up; the tail is block 2 now
+			return old
+		},
+	} {
+		t.Run(name, func(t *testing.T) {
+			fs, alice := tamperWorld(t)
+			store := fs.Inner
+			substitute := prepare(t, store, alice)
+			want, err := alice.ReadFile("/f")
+			if err != nil {
+				t.Fatal(err)
+			}
+			tailKey := meta.TailKey(inodeOf(t, alice, "/f"))
+			honest := mustGet(t, store, tailKey)
+			mustDo(t, store.Put(wire.NSData, tailKey, substitute))
+			before, err := store.List(wire.NSData, "f/")
+			if err != nil {
+				t.Fatal(err)
+			}
+
+			cached, err := Mount(Config{Store: fs, User: fixUser["alice"], Registry: fixReg, Layout: layout.NewScheme2(fixReg),
+				FSID: "testfs", CacheBytes: -1, BlockSize: testBlockSize})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer cached.Close()
+			for who, s := range map[string]*Session{"uncached": alice, "cached": cached} {
+				if got, err := s.ReadFile("/f"); !errors.Is(err, types.ErrTampered) {
+					t.Errorf("%s read: %q, %v", who, got, err)
+				}
+				if err := s.Append("/f", []byte("more")); !errors.Is(err, types.ErrTampered) {
+					t.Errorf("%s append: %v", who, err)
+				}
+			}
+			if _, ok := cached.cache.Get(ckBlock + tailKey); ok {
+				t.Error("the substituted tail is in the cache")
+			}
+			after, err := store.List(wire.NSData, "f/")
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !reflect.DeepEqual(before, after) {
+				t.Error("a refused append wrote to the store")
+			}
+
+			mustDo(t, store.Put(wire.NSData, tailKey, honest))
+			for who, s := range map[string]*Session{"uncached": alice, "cached": cached} {
+				if got, err := s.ReadFile("/f"); err != nil || !bytes.Equal(got, want) {
+					t.Errorf("%s read after the SSP heals: %d bytes, %v", who, len(got), err)
+				}
+			}
+			mustDo(t, cached.Append("/f", []byte("more")))
+			alice.Refresh()
+			if got, err := alice.ReadFile("/f"); err != nil || !bytes.Equal(got, append(want, "more"...)) {
+				t.Errorf("read after an honest append: %d bytes, %v", len(got), err)
+			}
+		})
+	}
+}
+
+func mustDo(t *testing.T, err error) {
+	t.Helper()
+	if err != nil {
+		t.Fatal(err)
+	}
+}
+
+func mustGet(t *testing.T, store ssp.BlobStore, key string) []byte {
+	t.Helper()
+	blob, err := store.Get(wire.NSData, key)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return append([]byte(nil), blob...)
 }
 
 // TestUnauthorizedWriteDetected: a reader (or the SSP) re-encrypts a block
@@ -149,7 +250,7 @@ func TestUnauthorizedWriteDetected(t *testing.T) {
 	}
 	tmp := *cm
 	tmp.Keys.DSK = newObjectKeys().DSK // a signing key of her own, not the file's DSK
-	forged, err := carol.sealFileData(&tmp, []byte("forged!!"), 1)
+	forged, err := carol.sealFileData(&tmp, []byte("forged!!"), 64, 1)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -55,7 +55,7 @@ func (s *Session) Verify(path string) (*VerifyReport, error) {
 	s.cache.Clear()
 
 	report := &VerifyReport{}
-	r, _, err := s.resolveRef(path)
+	r, _, _, err := s.resolveRef(path, false)
 	if err != nil {
 		return nil, pathErr("verify", path, err)
 	}
@@ -78,12 +78,12 @@ func (s *Session) verifyWalk(path string, r ref, report *VerifyReport) {
 			report.Skipped++
 			return
 		}
-		man, err := s.fetchManifest(r, m, nil)
+		man, pre, err := s.fetchManifest(r, m, nil, withContent)
 		if err != nil {
 			report.Problems = append(report.Problems, VerifyProblem{Path: path, Err: err})
 			return
 		}
-		blocks, err := s.readBlocks(r, m, man, 0, man.NBlocks)
+		blocks, err := s.readBlocks(r, m, man, 0, man.NBlocks, pre)
 		if err != nil {
 			report.Problems = append(report.Problems, VerifyProblem{Path: path, Err: err})
 			return

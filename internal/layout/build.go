@@ -143,9 +143,7 @@ func NewTables(eng Engine, attr meta.Attr) map[string]*meta.DirTable {
 // BuildFileKVs seals a file's whole content — blocks plus manifest —
 // under the file's data keys.
 func BuildFileKVs(m *meta.Metadata, data []byte, blockSize uint32, mtime int64) []wire.KV {
-	nBlocks := (len(data) + int(blockSize) - 1) / int(blockSize)
-	man := &meta.Manifest{Size: uint64(len(data)), BlockSize: blockSize, NBlocks: uint32(nBlocks), MTime: mtime}
-	return SealFileKVs(m, man, 0, data)
+	return SealFileKVs(m, meta.NewManifest(uint64(len(data)), blockSize, mtime), 0, data)
 }
 
 // SealFileKVs seals data as the blocks of a file from block first on —
@@ -155,9 +153,11 @@ func BuildFileKVs(m *meta.Metadata, data []byte, blockSize uint32, mtime int64) 
 // whole-file writes and migration pass first = 0 and the whole content,
 // an append passes its first dirty block and the reassembled tail.
 //
-// Every block has its own nonce, AAD (inode, generation, index) and
-// signature, so blocks are sealed across the worker pool; a single block
-// is sealed inline.
+// Where each block goes is man's rule (meta.Manifest.DataKey): full
+// blocks under their generation's block keys, a short last block under
+// the file's tail key. Every block has its own nonce, AAD (inode,
+// generation, index) and signature, so blocks are sealed across the
+// worker pool; a single block is sealed inline.
 func SealFileKVs(m *meta.Metadata, man *meta.Manifest, first uint32, data []byte) []wire.KV {
 	ino, gen := m.Attr.Inode, m.Attr.DataGen
 	bs := int(man.BlockSize)
@@ -169,8 +169,8 @@ func SealFileKVs(m *meta.Metadata, man *meta.Manifest, first uint32, data []byte
 			hi = len(data)
 		}
 		idx := first + uint32(i)
-		sealed := meta.SealSigned(m.Keys.DEK, m.Keys.DSK, meta.BlockAAD(ino, gen, idx), data[lo:hi])
-		kvs[i] = wire.KV{NS: wire.NSData, Key: meta.BlockKey(ino, gen, idx), Val: sealed}
+		sealed := meta.SealSigned(m.Keys.DEK, m.Keys.DSK, man.DataAAD(ino, gen, idx), data[lo:hi])
+		kvs[i] = wire.KV{NS: wire.NSData, Key: man.DataKey(ino, gen, idx), Val: sealed}
 	})
 	sealedMan := meta.SealSigned(m.Keys.DEK, m.Keys.DSK, meta.ManifestAAD(ino, gen), man.Encode())
 	kvs[n] = wire.KV{NS: wire.NSData, Key: meta.ManifestKey(ino), Val: sealedMan}

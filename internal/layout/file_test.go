@@ -14,8 +14,10 @@ import (
 // TestSealFileKVs: for every block count around the worker pool's edges
 // (none, one — sealed inline — two, sixteen, seventeen) and for a run
 // that starts mid-file, the KVs come back in index order under the right
-// keys, every block opens under its own (inode, generation, index) AAD
-// and no other, and the manifest is last.
+// keys — full blocks under their generation's block keys, a short last
+// block under the file's tail key and no other — every block opens under
+// its own (inode, generation, index) AAD and no other, a tail not under a
+// block's AAD nor a block under a tail's, and the manifest is last.
 func TestSealFileKVs(t *testing.T) {
 	const bs = 64
 	m := newFullMeta(77, types.KindFile, "alice", "eng", "640")
@@ -24,13 +26,13 @@ func TestSealFileKVs(t *testing.T) {
 	for _, tc := range []struct {
 		first uint32
 		size  int
-	}{{0, 0}, {0, 1}, {0, bs}, {0, bs + 1}, {0, 16 * bs}, {0, 16*bs + 3}, {9, 8*bs - 1}, {3, 1}} {
+	}{{0, 0}, {0, 1}, {0, bs}, {0, bs + 1}, {0, 16 * bs}, {0, 16*bs + 3}, {9, 8*bs - 1}, {3, 1}, {3, 2 * bs}} {
 		data := make([]byte, tc.size)
 		for i := range data {
 			data[i] = byte(i*7 + int(tc.first))
 		}
 		n := (tc.size + bs - 1) / bs
-		man := &meta.Manifest{Size: uint64(int(tc.first)*bs + tc.size), BlockSize: bs, NBlocks: tc.first + uint32(n), MTime: 42}
+		man := meta.NewManifest(uint64(int(tc.first)*bs+tc.size), bs, 42)
 		kvs := SealFileKVs(m, man, tc.first, data)
 		if len(kvs) != n+1 {
 			t.Fatalf("first=%d size=%d: %d KVs, want %d blocks + manifest", tc.first, tc.size, len(kvs), n)
@@ -38,16 +40,23 @@ func TestSealFileKVs(t *testing.T) {
 		var got []byte
 		for i, kv := range kvs[:n] {
 			idx := tc.first + uint32(i)
-			if kv.NS != wire.NSData || kv.Key != meta.BlockKey(77, 5, idx) || kv.Delete {
-				t.Errorf("first=%d size=%d: KV %d is %v %q", tc.first, tc.size, i, kv.NS, kv.Key)
+			key, aad, wrong := meta.BlockKey(77, 5, idx), meta.BlockAAD(77, 5, idx), meta.TailAAD(77, 5, idx)
+			if tail := i == n-1 && tc.size%bs != 0; tail {
+				key, aad, wrong = meta.TailKey(77), wrong, aad
 			}
-			pt, err := meta.OpenVerified(m.Keys.DEK, dvk, meta.BlockAAD(77, 5, idx), kv.Val)
+			if kv.NS != wire.NSData || kv.Key != key || kv.Delete {
+				t.Errorf("first=%d size=%d: KV %d is %v %q, want %q", tc.first, tc.size, i, kv.NS, kv.Key, key)
+			}
+			pt, err := meta.OpenVerified(m.Keys.DEK, dvk, aad, kv.Val)
 			if err != nil {
 				t.Fatalf("first=%d size=%d: block %d: %v", tc.first, tc.size, idx, err)
 			}
 			got = append(got, pt...)
-			if _, err := meta.OpenVerified(m.Keys.DEK, dvk, meta.BlockAAD(77, 5, idx+1), kv.Val); !errors.Is(err, types.ErrTampered) {
+			if _, err := meta.OpenVerified(m.Keys.DEK, dvk, man.DataAAD(77, 5, idx+1), kv.Val); !errors.Is(err, types.ErrTampered) {
 				t.Errorf("block %d opened at index %d: %v", idx, idx+1, err)
+			}
+			if _, err := meta.OpenVerified(m.Keys.DEK, dvk, wrong, kv.Val); !errors.Is(err, types.ErrTampered) {
+				t.Errorf("block %d opened under the other kind's AAD: %v", idx, err)
 			}
 		}
 		if !bytes.Equal(got, data) {

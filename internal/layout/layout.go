@@ -51,6 +51,10 @@ type Engine interface {
 	// Variants returns every sealed copy an object with the given
 	// attributes requires.
 	Variants(attr meta.Attr) []Variant
+	// FixedVariants returns the IDs of the copies every object has
+	// whatever its attributes, so that their storage keys can be named
+	// from the inode alone, before the object's metadata is open.
+	FixedVariants() []string
 	// UserVariant returns the copy the given user reads for the object.
 	UserVariant(user types.UserID, attr meta.Attr) Variant
 	// Row builds the directory-table row for a child as it should appear
@@ -59,6 +63,9 @@ type Engine interface {
 	// the sealed per-principal pointers to store (Scheme-2 only).
 	Row(parentAttr meta.Attr, pv Variant, child *meta.Metadata) (meta.DirEntry, []wire.KV, error)
 }
+
+// classes are the accessor classes, in Scheme-2 variant order.
+var classes = []types.Class{types.ClassOwner, types.ClassGroup, types.ClassOther}
 
 // classVariantID maps an accessor class to its Scheme-2 variant ID.
 func classVariantID(c types.Class) string {
@@ -111,8 +118,8 @@ func (s *Scheme2) Name() string { return "scheme2" }
 // Variants implements Engine: one copy per accessor class, plus one per
 // ACL grantee.
 func (s *Scheme2) Variants(attr meta.Attr) []Variant {
-	out := make([]Variant, 0, 3+len(attr.ACL))
-	for _, c := range []types.Class{types.ClassOwner, types.ClassGroup, types.ClassOther} {
+	out := make([]Variant, 0, len(classes)+len(attr.ACL))
+	for _, c := range classes {
 		out = append(out, Variant{
 			ID:  classVariantID(c),
 			Cap: cap.IDFor(attr.Kind, attr.Perm, c),
@@ -123,6 +130,16 @@ func (s *Scheme2) Variants(attr meta.Attr) []Variant {
 			continue // the owner's rights are the owner triplet
 		}
 		out = append(out, Variant{ID: aclVariantID(e.User), Cap: capForTriplet(attr.Kind, e.Rights, false)})
+	}
+	return out
+}
+
+// FixedVariants implements Engine: the three class copies. ACL copies
+// exist only for the grantees the object's ACL names.
+func (s *Scheme2) FixedVariants() []string {
+	out := make([]string, len(classes))
+	for i, c := range classes {
+		out[i] = classVariantID(c)
 	}
 	return out
 }
@@ -248,6 +265,17 @@ func (s *Scheme1) Variants(attr meta.Attr) []Variant {
 	out := make([]Variant, 0, len(users))
 	for _, u := range users {
 		out = append(out, s.UserVariant(u, attr))
+	}
+	return out
+}
+
+// FixedVariants implements Engine: one copy per registered user, which is
+// every copy there is.
+func (s *Scheme1) FixedVariants() []string {
+	users := s.reg.Users()
+	out := make([]string, len(users))
+	for i, u := range users {
+		out[i] = userVariantID(u)
 	}
 	return out
 }

@@ -552,6 +552,42 @@ func TestScheme2ACLVariants(t *testing.T) {
 	}
 }
 
+// TestFixedVariantsAreInEveryVariantSet: the IDs an engine says every
+// object has are in Variants of any attributes — files and directories,
+// any owner, with or without ACL grants — so a key built from one before
+// the metadata is open names a blob that exists; what Variants adds beyond
+// them is exactly the attribute-dependent part (Scheme-2's ACL copies;
+// nothing under Scheme-1).
+func TestFixedVariantsAreInEveryVariantSet(t *testing.T) {
+	u := testUniverse(t)
+	plain := newFullMeta(30, types.KindDir, "alice", "eng", "751")
+	acl := newFullMeta(31, types.KindFile, "bob", "eng", "640")
+	acl.Attr.SetACL("carol", types.TripletRead)
+	acl.Attr.SetACL("dave", types.TripletRead|types.TripletWrite)
+	for _, eng := range []Engine{NewScheme2(u.reg), NewScheme1(u.reg)} {
+		fixed := eng.FixedVariants()
+		for _, m := range []*meta.Metadata{plain, acl} {
+			all := map[string]bool{}
+			for _, v := range eng.Variants(m.Attr) {
+				all[v.ID] = true
+			}
+			for _, id := range fixed {
+				if !all[id] {
+					t.Errorf("%s: fixed variant %q is not a variant of inode %d", eng.Name(), id, m.Attr.Inode)
+				}
+				delete(all, id)
+			}
+			extra := 0
+			if eng.Name() == "scheme2" {
+				extra = len(m.Attr.ACL)
+			}
+			if len(all) != extra {
+				t.Errorf("%s: inode %d has %d variants beyond the fixed ones (%v), want %d", eng.Name(), m.Attr.Inode, len(all), all, extra)
+			}
+		}
+	}
+}
+
 func TestScheme2ACLCausesSplit(t *testing.T) {
 	// carol has an ACL grant on the child: among the "t" travellers of
 	// the parent (carol, dave) she now diverges — precisely the paper's

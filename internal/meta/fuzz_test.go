@@ -134,8 +134,8 @@ func FuzzOpenVerified(f *testing.F) {
 	sym, sk, vk := fuzzKeys(f)
 	tab := &DirTable{Entries: []DirEntry{{Name: "a.txt", Inode: 4, Variant: "u/alice", MEK: sym, MVK: vk}}}
 	man := &Manifest{Size: 70000, BlockSize: 65536, NBlocks: 2, MTime: 77}
-	aads := [][]byte{MetaAAD(9, "c/3"), TableAAD(9, "c/3"), BlockAAD(9, 3, 1), ManifestAAD(9, 3)}
-	plains := [][]byte{seedMetadata(f).Encode(), tab.Encode(), bytes.Repeat([]byte{0xab}, 300), man.Encode()}
+	aads := [][]byte{MetaAAD(9, "c/3"), TableAAD(9, "c/3"), BlockAAD(9, 3, 1), ManifestAAD(9, 3), TailAAD(9, 3, 1)}
+	plains := [][]byte{seedMetadata(f).Encode(), tab.Encode(), bytes.Repeat([]byte{0xab}, 300), man.Encode(), bytes.Repeat([]byte{0xcd}, 30)}
 	for i, plain := range plains {
 		blob := SealSigned(sym, sk, aads[i], plain)
 		f.Add(blob, uint8(i))

@@ -517,6 +517,20 @@ type Manifest struct {
 	MTime     int64
 }
 
+// NewManifest describes size bytes laid out in blocks of blockSize > 0.
+func NewManifest(size uint64, blockSize uint32, mtime int64) *Manifest {
+	return &Manifest{Size: size, BlockSize: blockSize, NBlocks: uint32(blocksFor(size, blockSize)), MTime: mtime}
+}
+
+// blocksFor is ceil(size / blockSize).
+func blocksFor(size uint64, blockSize uint32) uint64 {
+	n := size / uint64(blockSize)
+	if size%uint64(blockSize) != 0 {
+		n++
+	}
+	return n
+}
+
 // Encode serializes the manifest.
 func (m *Manifest) Encode() []byte {
 	var w binenc.Writer
@@ -550,6 +564,12 @@ func DecodeManifest(b []byte) (*Manifest, error) {
 		return nil, badEnc(err)
 	}
 	m.MTime = int64(mt)
+	// Readers divide by the block size and index by the block count, and
+	// any writer of the file can sign a manifest: the geometry must hold
+	// before anyone computes with it.
+	if bs == 0 || bs != uint64(m.BlockSize) || nb != uint64(m.NBlocks) || nb != blocksFor(m.Size, m.BlockSize) {
+		return nil, badEnc(fmt.Errorf("manifest geometry: size %d, block size %d, %d blocks", m.Size, bs, nb))
+	}
 	return &m, nil
 }
 

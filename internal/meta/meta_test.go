@@ -3,6 +3,7 @@ package meta
 import (
 	"errors"
 	"reflect"
+	"strings"
 	"testing"
 	"testing/quick"
 
@@ -217,6 +218,48 @@ func TestManifestRoundTrip(t *testing.T) {
 	}
 }
 
+// TestManifestGeometry: NewManifest counts blocks as the layout rule does,
+// the rule's methods agree with it at every boundary, and a manifest whose
+// numbers do not hold together — readers divide by the block size — does
+// not decode.
+func TestManifestGeometry(t *testing.T) {
+	for _, tc := range []struct {
+		size             uint64
+		nBlocks, full    uint32
+		tailLen, lastLen int
+	}{{0, 0, 0, 0, 0}, {1, 1, 0, 1, 1}, {63, 1, 0, 63, 63}, {64, 1, 1, 0, 64}, {65, 2, 1, 1, 1}, {128, 2, 2, 0, 64}, {129, 3, 2, 1, 1}} {
+		m := NewManifest(tc.size, 64, 7)
+		if m.NBlocks != tc.nBlocks || m.FullBlocks() != tc.full || m.TailLen() != tc.tailLen {
+			t.Errorf("size %d: %d blocks, %d full, tail %d", tc.size, m.NBlocks, m.FullBlocks(), m.TailLen())
+		}
+		for i := uint32(0); i < m.NBlocks; i++ {
+			key, aad, n := BlockKey(9, 3, i), BlockAAD(9, 3, i), 64
+			if i == m.NBlocks-1 && tc.tailLen > 0 {
+				key, aad = TailKey(9), TailAAD(9, 3, i)
+			}
+			if i == m.NBlocks-1 {
+				n = tc.lastLen
+			}
+			if m.DataKey(9, 3, i) != key || string(m.DataAAD(9, 3, i)) != string(aad) || m.DataLen(i) != n {
+				t.Errorf("size %d block %d: %q %q %d", tc.size, i, m.DataKey(9, 3, i), m.DataAAD(9, 3, i), m.DataLen(i))
+			}
+		}
+		if got, err := DecodeManifest(m.Encode()); err != nil || *got != *m {
+			t.Errorf("size %d: round trip %+v, %v", tc.size, got, err)
+		}
+	}
+	for name, bad := range map[string]*Manifest{
+		"zero block size":  {Size: 0, BlockSize: 0, NBlocks: 0},
+		"a block too few":  {Size: 129, BlockSize: 64, NBlocks: 2},
+		"a block too many": {Size: 128, BlockSize: 64, NBlocks: 3},
+		"count overflows":  {Size: 1 << 40, BlockSize: 1, NBlocks: 0},
+	} {
+		if _, err := DecodeManifest(bad.Encode()); !errors.Is(err, ErrBadEncoding) {
+			t.Errorf("%s: %v", name, err)
+		}
+	}
+}
+
 func TestSuperblockRoundTrip(t *testing.T) {
 	_, mvk := sharocrypto.NewSigningPair()
 	s := &Superblock{FSID: "corp-fs", RootInode: 1, RootVariant: "c/7", RootMEK: sharocrypto.NewSymKey(), RootMVK: mvk}
@@ -353,7 +396,7 @@ func TestStorageKeysDistinct(t *testing.T) {
 		MetaKey(1, "c/1"), MetaKey(1, "c/2"), MetaKey(2, "c/1"),
 		TableKey(1, "c/1"),
 		BlockKey(1, 0, 0), BlockKey(1, 0, 1), BlockKey(1, 1, 0),
-		ManifestKey(1),
+		ManifestKey(1), TailKey(1), TailKey(2),
 		SuperKey("fs", "u:alice"), SuperKey("fs", "u:bob"),
 		SplitKey(1, "u:alice"),
 	}
@@ -375,6 +418,7 @@ func TestAADsDistinct(t *testing.T) {
 		TableAAD(1, "c/1"),
 		BlockAAD(1, 0, 0), BlockAAD(1, 0, 1), BlockAAD(1, 1, 0),
 		ManifestAAD(1, 0), ManifestAAD(1, 1),
+		TailAAD(1, 0, 0), TailAAD(1, 0, 1), TailAAD(1, 1, 0), TailAAD(2, 0, 0),
 	}
 	seen := make(map[string]bool)
 	for _, a := range aads {
@@ -401,5 +445,8 @@ func TestBlockPrefixMatchesKeys(t *testing.T) {
 	}
 	if k := ManifestKey(7); k[:len(fp)] != fp {
 		t.Error("manifest not under file prefix")
+	}
+	if k := TailKey(7); k[:len(fp)] != fp || strings.HasPrefix(k, pfx) {
+		t.Errorf("tail key %q: want it under the file prefix and under no generation's", k)
 	}
 }

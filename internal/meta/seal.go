@@ -179,6 +179,14 @@ func ManifestKey(ino types.Inode) string {
 	return "f/" + strconv.FormatUint(uint64(ino), 10) + "/manifest"
 }
 
+// TailKey is the storage key of a file's final partial block. Like the
+// manifest's it depends on the inode alone, so a reader can ask for it in
+// the round trip that fetches the metadata, before the generation is known;
+// generation and block index are bound into the AAD (TailAAD) instead.
+func TailKey(ino types.Inode) string {
+	return "f/" + strconv.FormatUint(uint64(ino), 10) + "/tail"
+}
+
 // SuperKey is the storage key of a principal's sealed superblock.
 func SuperKey(fsid, principal string) string { return "sb/" + fsid + "/" + principal }
 
@@ -206,4 +214,51 @@ func BlockAAD(ino types.Inode, gen uint64, idx uint32) []byte {
 // ManifestAAD binds a sealed manifest to (inode, generation).
 func ManifestAAD(ino types.Inode, gen uint64) []byte {
 	return []byte("manifest|" + strconv.FormatUint(uint64(ino), 10) + "|" + strconv.FormatUint(gen, 10))
+}
+
+// TailAAD binds a sealed tail block to (inode, generation, index). Its
+// label differs from BlockAAD's, so a full block never verifies under the
+// tail key nor a tail under a block key, and a tail kept from before the
+// file grew past its index, or from an earlier generation, fails too.
+func TailAAD(ino types.Inode, gen uint64, idx uint32) []byte {
+	return []byte("tail|" + strconv.FormatUint(uint64(ino), 10) + "|" +
+		strconv.FormatUint(gen, 10) + "|" + strconv.FormatUint(uint64(idx), 10))
+}
+
+// --- file data layout ---------------------------------------------------------
+//
+// One rule: a file of Size S and block size B is the full blocks [0, S/B)
+// under BlockKey(ino, gen, i) plus, iff S mod B != 0, the tail under
+// TailKey(ino) with TailAAD(ino, gen, S/B). The methods below are that
+// rule; writers, readers and deleters all go through them.
+
+// FullBlocks is the number of whole blocks, stored under BlockKey.
+func (m *Manifest) FullBlocks() uint32 { return uint32(m.Size / uint64(m.BlockSize)) }
+
+// TailLen is the length of the final partial block, stored under TailKey;
+// 0 when the size is a multiple of the block size and there is none.
+func (m *Manifest) TailLen() int { return int(m.Size % uint64(m.BlockSize)) }
+
+// DataKey is the storage key of block idx < NBlocks.
+func (m *Manifest) DataKey(ino types.Inode, gen uint64, idx uint32) string {
+	if idx < m.FullBlocks() {
+		return BlockKey(ino, gen, idx)
+	}
+	return TailKey(ino)
+}
+
+// DataAAD is the AAD block idx < NBlocks is sealed under.
+func (m *Manifest) DataAAD(ino types.Inode, gen uint64, idx uint32) []byte {
+	if idx < m.FullBlocks() {
+		return BlockAAD(ino, gen, idx)
+	}
+	return TailAAD(ino, gen, idx)
+}
+
+// DataLen is the plaintext length of block idx < NBlocks.
+func (m *Manifest) DataLen(idx uint32) int {
+	if idx < m.FullBlocks() {
+		return int(m.BlockSize)
+	}
+	return m.TailLen()
 }

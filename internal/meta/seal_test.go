@@ -173,6 +173,18 @@ func TestBlockPresentedElsewhere(t *testing.T) {
 	if _, err := OpenVerified(key, vk, BlockAAD(ino, gen, 0), block); err != nil {
 		t.Errorf("control: %v", err)
 	}
+
+	// The tail shares its storage key across generations and indices, so
+	// everything that tells one tail from another is in its AAD.
+	tail := SealSigned(key, sk, TailAAD(ino, gen, 1), man)
+	mustTamper(t, "block 0 served as the tail", key, vk, TailAAD(ino, gen, 0), block)
+	mustTamper(t, "tail served as the block of its index", key, vk, BlockAAD(ino, gen, 1), tail)
+	mustTamper(t, "tail replayed after the file grew a block", key, vk, TailAAD(ino, gen, 2), tail)
+	mustTamper(t, "tail replayed into the next generation", key, vk, TailAAD(ino, gen+1, 1), tail)
+	mustTamper(t, "another file's tail", key, vk, TailAAD(ino+1, gen, 1), tail)
+	if _, err := OpenVerified(key, vk, TailAAD(ino, gen, 1), tail); err != nil {
+		t.Errorf("control: %v", err)
+	}
 }
 
 // TestEnvelopeDigestIsInjective: moving bytes between the sealed field
