@@ -10,7 +10,6 @@ FUZZ_TARGETS := \
 	./internal/wire:FuzzDecodeResponse \
 	./internal/wire:FuzzReadFrame \
 	./internal/wire:FuzzDecodeV2Frame \
-	./internal/wire:FuzzV1V2Differential \
 	./internal/binenc:FuzzReader \
 	./internal/binenc:FuzzRoundTrip \
 	./internal/meta:FuzzDecodeMetadata \

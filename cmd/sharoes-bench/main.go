@@ -47,12 +47,7 @@ func main() {
 	shardFault := flag.String("shard-fault", "", "inject a whole-shard fault after bootstrap: loss (shard refuses writes, drops reads), slow (shard delays every read), drop (shard's connections severed once mid-run) or flap (shard's link severed periodically; drop/flap imply -self-heal)")
 	selfHeal := flag.Bool("self-heal", false, "build the self-healing transport stack: reconnecting per-shard clients with per-call deadlines and classified read retries")
 	chaos := flag.String("chaos", "", "instead of a figure, run a chaos campaign: seed[,duration[,profile]] — e.g. 42,10s,mixed (profiles: mixed, drops, slow, writes)")
-	wireVer := flag.String("wire", "v2", "frame codec the clients offer: v2 (self-describing, negotiated, pack-batched) or v1 (legacy trailing-uvarint codec, for comparison runs)")
 	flag.Parse()
-
-	if *wireVer != "v1" && *wireVer != "v2" {
-		log.Fatalf("unknown -wire %q (want v1 or v2)", *wireVer)
-	}
 
 	if *parallel > 1 && *tracePath != "" {
 		log.Fatalf("-trace and -parallel are mutually exclusive (a tracer follows one operation tree at a time)")
@@ -104,8 +99,7 @@ func main() {
 		Options: workload.Options{Profile: prof, CacheBytes: -1, Scheme: *scheme,
 			Parallel: *parallel, WriteBehind: *wb,
 			Shards: *shards, Replicas: effReplicas, WriteQuorum: *writeQuorum,
-			HedgeDelay: *hedge, ShardFault: *shardFault, SelfHeal: *selfHeal,
-			WireV1: *wireVer == "v1"},
+			HedgeDelay: *hedge, ShardFault: *shardFault, SelfHeal: *selfHeal},
 		Scale: *scale,
 		Reps:  *reps,
 	}
@@ -126,10 +120,6 @@ func main() {
 		}
 		rep.WriteBehind = *wb
 		rep.SelfHeal = *selfHeal || *shardFault == "drop" || *shardFault == "flap"
-		rep.WireVersion = 2
-		if *wireVer == "v1" {
-			rep.WireVersion = 1
-		}
 		if *shards > 1 {
 			rep.Shards = *shards
 			rep.Replicas = effReplicas
@@ -161,9 +151,6 @@ func main() {
 	}
 	if *selfHeal || *shardFault == "drop" || *shardFault == "flap" {
 		mode += " self-heal"
-	}
-	if *wireVer == "v1" {
-		mode += " wire=v1"
 	}
 	fmt.Printf("sharoes-bench: profile=%s scale=1/%d scheme=%s%s\n\n", *profile, *scale, *scheme, mode)
 

@@ -40,12 +40,11 @@ var keyEgressSanitizers = map[string]map[string]bool{
 // keyEgressSinkCalls are the egress points: data leaving the client's
 // trust domain.
 var keyEgressSinkCalls = map[string]map[string][]int{
-	"internal/ssp":    {"Put": nil, "BatchPut": nil},
-	"internal/wire": {"Encode": {-1}, "SendRequest": nil, "SendResponse": nil, "WriteFrame": nil, "Call": nil,
-		// The v2 codec surface: EncodeV2 serializes its receiver like
-		// Encode; the Append*/pack-builder forms take the message (and a
-		// scratch buffer) as arguments.
-		"EncodeV2": {-1}, "AppendRequest": nil, "AppendResponse": nil,
+	"internal/ssp": {"Put": nil, "BatchPut": nil},
+	// The codec surface: EncodeV2 serializes its receiver; the Append*
+	// and pack-builder forms take the message (and a scratch buffer) as
+	// arguments.
+	"internal/wire": {"WriteFrame": nil, "EncodeV2": {-1},
 		"AppendRequestV2": nil, "AppendResponseV2": nil, "AddRequest": nil, "AddResponse": nil},
 	"internal/netsim": {"Write": nil},
 }

@@ -21,7 +21,7 @@ func BadKV(k sharocrypto.SymKey) wire.KV {
 func BadEncode(k sharocrypto.SymKey) []byte {
 	kb := k[:]
 	q := &wire.Request{Op: wire.OpPut, NS: wire.NSData, Key: "k", Val: kb} // finding: wire.Request literal
-	return q.Encode()                                                      // finding: wire encoder
+	return q.EncodeV2()                                                    // finding: wire encoder
 }
 
 // BadStore writes raw key bytes to the SSP.

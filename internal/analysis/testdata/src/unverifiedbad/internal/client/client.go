@@ -39,11 +39,11 @@ func (c *Client) FetchVia(key string) ([]byte, error) {
 // CacheResponse inserts decoded-but-unverified wire payloads into the
 // cache, poisoning later reads.
 func (c *Client) CacheResponse(payload []byte) error {
-	resp, err := wire.DecodeResponse(payload)
+	m, err := wire.DecodeV2(payload)
 	if err != nil {
 		return err
 	}
-	for _, it := range resp.Items {
+	for _, it := range m.Resp.Items {
 		c.cache.Put(it.Key, it.Val, int64(len(it.Val))) // finding: cache insert
 	}
 	return nil

@@ -14,8 +14,8 @@ import (
 // key-selection decision in layout/cap.
 //
 // Sources taint the results of SSP reads (ssp.Get/List/BatchGet), wire
-// decoding (DecodeRequest/DecodeResponse/ReadFrame, codec reads and
-// Call), and netsim connection reads. Taint propagates through
+// frame reads and decodes (ReadFrame/ReadFrameBuf, DecodeV2/DecodeV2Into),
+// and netsim connection reads. Taint propagates through
 // assignments, fields, composite literals and function calls (via
 // per-function summaries inside a package); sanitizer results are
 // trusted and Verify-style sanitizers bless their arguments in place.
@@ -32,11 +32,10 @@ func (Unverified) Doc() string {
 // unverifiedSources maps package-path suffix to the function names whose
 // results carry untrusted bytes.
 var unverifiedSources = map[string]map[string]bool{
-	"internal/ssp":    {"Get": true, "List": true, "BatchGet": true},
-	"internal/wire": {"DecodeRequest": true, "DecodeResponse": true, "ReadFrame": true, "ReadRequest": true, "ReadResponse": true, "Call": true,
-		// The v2 codec surface: self-describing frames, borrowed decodes
-		// that alias the (untrusted) input buffer, and pooled frame reads.
-		"DecodeV2": true, "DecodeV2Into": true, "DecodeRequestBorrowed": true, "DecodeResponseBorrowed": true, "ReadFrameBuf": true},
+	"internal/ssp": {"Get": true, "List": true, "BatchGet": true},
+	// Frame reads (plain and pooled) and the decodes whose results alias
+	// the untrusted input buffer.
+	"internal/wire":   {"ReadFrame": true, "ReadFrameBuf": true, "DecodeV2": true, "DecodeV2Into": true},
 	"internal/netsim": {"Read": true},
 }
 

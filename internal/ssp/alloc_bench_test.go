@@ -65,8 +65,8 @@ func BenchmarkDecodeResponse(b *testing.B) {
 	}
 }
 
-// BenchmarkRoundTripPipelined measures whole-stack cost per call — v2
-// negotiation, pack batching both directions, pooled frame reads — with
+// BenchmarkRoundTripPipelined measures whole-stack cost per call — pack
+// batching both directions, pooled frame reads — with
 // a 32-deep pipeline over an unlimited netsim link. No hard budget:
 // per-call goroutine and channel machinery allocates by design; this row
 // exists so bytes/op regressions (lost pooling, reintroduced copies)
@@ -85,7 +85,7 @@ func BenchmarkRoundTripPipelined(b *testing.B) {
 		b.Fatal(err)
 	}
 	defer c.Close()
-	if err := c.Ping(); err != nil { // settle negotiation before timing
+	if err := c.Ping(); err != nil { // take the hello ack before timing
 		b.Fatal(err)
 	}
 

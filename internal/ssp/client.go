@@ -49,8 +49,8 @@ type Call struct {
 	// the client mutex before the call is visible in pending.
 	timer *time.Timer
 	// expired marks a call failed by its deadline but left in pending as
-	// a tombstone: its frame is (or may be) on the wire, so it must keep
-	// its FIFO slot and absorb the eventual reply instead of letting the
+	// a tombstone: its frame is (or may be) on the wire, so its ReqID must
+	// stay pending to absorb the eventual reply instead of letting the
 	// reader treat that reply as unsolicited. Guarded by the client mutex.
 	expired bool
 }
@@ -88,21 +88,11 @@ type Client struct {
 	mu      sync.Mutex
 	seq     uint64
 	pending map[uint64]*Call // by ReqID
-	fifo    []uint64         // send order, for old servers that omit ReqID
 	closing bool             // Close started; new calls fail fast
 	stopErr error            // terminal transport error, sticky
 
 	readerDone chan struct{}
 	writerDone chan struct{}
-
-	// helloSent records that Dial opened with the v2 hello probe; the
-	// reader then expects the server's first frame to settle negotiation.
-	// Written before the loops start, read only by the read loop.
-	helloSent bool
-	// v2 flips true when the server acks the hello; the writer then
-	// switches to v2 encoding with frame packing. Until the ack, requests
-	// go out in v1 format, which every server version accepts.
-	v2 atomic.Bool
 
 	// tracer and inflight are read on call paths without c.mu.
 	tracer   atomic.Pointer[obs.Tracer]
@@ -123,24 +113,10 @@ const sendQueueDepth = 64
 // passed so even the first RPCs are traced (equivalent to calling Observe
 // before any call); the old Dial-then-Observe path keeps working.
 //
-// The first frame out is the wire-v2 hello probe; a v2 server acks it
-// and the connection upgrades to the self-describing codec with frame
-// packing, while a v1 server answers it as an unknown op (by design —
-// see wire.HelloFrame) and the connection stays on v1. Negotiation never
-// blocks: requests issued before the verdict go out in v1 format, which
-// both server generations accept.
+// The first frame out is the wire hello. Dial does not wait for the
+// server's ack: requests pipeline behind the hello at once, and the read
+// loop fails the connection if the ack names a version other than 2.
 func Dial(dial Dialer, rec *stats.Recorder, tracer ...*obs.Tracer) (*Client, error) {
-	return dialVersion(dial, rec, false, tracer...)
-}
-
-// DialLegacy connects speaking only the v1 codec: no hello probe is
-// sent and the client never upgrades. For cross-version interop tests
-// and benchmarking the old wire format.
-func DialLegacy(dial Dialer, rec *stats.Recorder, tracer ...*obs.Tracer) (*Client, error) {
-	return dialVersion(dial, rec, true, tracer...)
-}
-
-func dialVersion(dial Dialer, rec *stats.Recorder, legacy bool, tracer ...*obs.Tracer) (*Client, error) {
 	conn, err := dial()
 	if err != nil {
 		return nil, fmt.Errorf("ssp: dial: %w", err)
@@ -158,27 +134,19 @@ func dialVersion(dial Dialer, rec *stats.Recorder, legacy bool, tracer ...*obs.T
 	if len(tracer) > 0 {
 		c.tracer.Store(tracer[0])
 	}
-	if !legacy {
-		// The loops have not started, so the writer side is still ours.
-		c.helloSent = true
-		_, err := wire.WriteFrame(c.bw, wire.HelloFrame())
-		if err == nil {
-			err = c.bw.Flush()
-		}
-		if err != nil {
-			conn.Close()
-			return nil, fmt.Errorf("ssp: dial: %w", err)
-		}
+	// The loops have not started, so the writer side is still ours.
+	_, err = wire.WriteFrame(c.bw, wire.AppendHello(nil, wire.Version2, 0))
+	if err == nil {
+		err = c.bw.Flush()
+	}
+	if err != nil {
+		conn.Close()
+		return nil, fmt.Errorf("ssp: dial: %w", err)
 	}
 	go c.writeLoop()
 	go c.readLoop()
 	return c, nil
 }
-
-// Negotiated reports whether the connection has upgraded to wire v2.
-// False means v1: the server declined (or was never offered) the hello,
-// or its verdict has not arrived yet.
-func (c *Client) Negotiated() bool { return c.v2.Load() }
 
 // Observe attaches a tracer (nil disables tracing). Each round trip then
 // emits an "rpc.<op>" span classed NETWORK, and the request frame carries
@@ -276,9 +244,9 @@ func (c *Client) Go(req *wire.Request, done chan *Call) *Call {
 // write happen here, off the callers' goroutines, so a caller's latency is
 // its own round trip, not the serialization of everyone else's. Whatever
 // has queued up while the previous write was in flight is taken as one
-// batch and flushed once — on a v2 connection as a single pack frame, so
-// a pipelined burst (or a write-behind lane flush) costs one syscall and
-// one netsim transmit event instead of one per request.
+// batch and flushed once as a single pack frame, so a pipelined burst (or
+// a write-behind lane flush) costs one syscall and one netsim transmit
+// event instead of one per request.
 func (c *Client) writeLoop() {
 	defer close(c.writerDone)
 	var pk wire.Pack
@@ -318,16 +286,14 @@ func reqApproxSize(q *wire.Request) int {
 	return n
 }
 
-// writeBatch registers wire order for the batch, serializes it, and
-// flushes once. A write failure is terminal for the connection: it fails
-// everything pending so blocked senders unstick.
+// writeBatch serializes the batch and flushes once. A write failure is
+// terminal for the connection: it fails everything pending so blocked
+// senders unstick.
 func (c *Client) writeBatch(pk *wire.Pack, scratch *[]byte, batch []*Call) {
-	// Record wire order for ReqID-less reply matching. Skip calls a
-	// concurrent terminate already failed: their frames are never
-	// answered, so they must not occupy a FIFO slot. A call whose
-	// deadline expired before its frame was written is dropped the same
-	// way — nothing went out, so no reply will come and its tombstone can
-	// go now.
+	// Skip calls a concurrent terminate already failed: their frames
+	// would never be answered. A call whose deadline expired before its
+	// frame was written is dropped the same way — nothing went out, so no
+	// reply will come and its tombstone can go now.
 	live := batch[:0]
 	c.mu.Lock()
 	for _, call := range batch {
@@ -337,28 +303,13 @@ func (c *Client) writeBatch(pk *wire.Pack, scratch *[]byte, batch []*Call) {
 			delete(c.pending, call.Req.ReqID)
 			continue
 		}
-		c.fifo = append(c.fifo, call.Req.ReqID)
 		live = append(live, call)
 	}
 	c.mu.Unlock()
 	if len(live) == 0 {
 		return
 	}
-	var err error
-	if c.v2.Load() {
-		err = c.writeBatchV2(pk, scratch, live)
-	} else {
-		for _, call := range live {
-			*scratch = wire.AppendRequest((*scratch)[:0], call.Req)
-			// Charged before the write: a frame larger than c.bw goes
-			// straight to the socket, and the reply can complete the
-			// call before WriteFrame returns here.
-			atomic.StoreInt64(&call.bytesOut, int64(len(*scratch))+4)
-			if _, err = wire.WriteFrame(c.bw, *scratch); err != nil {
-				break
-			}
-		}
-	}
+	err := c.writePacks(pk, scratch, live)
 	if err == nil {
 		err = c.bw.Flush()
 	}
@@ -367,10 +318,10 @@ func (c *Client) writeBatch(pk *wire.Pack, scratch *[]byte, batch []*Call) {
 	}
 }
 
-// writeBatchV2 coalesces the batch into pack frames bounded by
+// writePacks coalesces the batch into pack frames bounded by
 // maxPackBytes; oversized requests (big Put blobs, bulk BatchPut) go out
 // as standalone frames so a pack can never approach wire.MaxMessageSize.
-func (c *Client) writeBatchV2(pk *wire.Pack, scratch *[]byte, live []*Call) error {
+func (c *Client) writePacks(pk *wire.Pack, scratch *[]byte, live []*Call) error {
 	flushPack := func() error {
 		if pk.Len() == 0 {
 			return nil
@@ -386,7 +337,10 @@ func (c *Client) writeBatchV2(pk *wire.Pack, scratch *[]byte, live []*Call) erro
 				return err
 			}
 			*scratch = wire.AppendRequestV2((*scratch)[:0], call.Req)
-			atomic.StoreInt64(&call.bytesOut, int64(len(*scratch))+4) // before the write, as above
+			// Charged before the write: a frame larger than c.bw goes
+			// straight to the socket, and the reply can complete the call
+			// before WriteFrame returns here.
+			atomic.StoreInt64(&call.bytesOut, int64(len(*scratch))+4)
 			if _, err := wire.WriteFrame(c.bw, *scratch); err != nil {
 				return err
 			}
@@ -415,10 +369,8 @@ func (c *Client) drainQueue() {
 	}
 }
 
-// readLoop matches reply frames to pending calls. Replies carry the
-// request's ReqID; a zero ReqID (an old, pre-multiplexing server) is
-// matched to the oldest in-flight call, which is correct because such a
-// server processes requests strictly in order.
+// readLoop matches reply frames to pending calls by the ReqID each reply
+// echoes.
 //
 // Frames land in pooled buffers (wire.ReadFrameBuf) and are decoded
 // borrowed; responses are detached — Val/item bytes copied out — just
@@ -426,128 +378,86 @@ func (c *Client) drainQueue() {
 // the frame buffer itself is recycled, never reallocated per frame.
 func (c *Client) readLoop() {
 	defer close(c.readerDone)
-	// While negotiating, the server's first frame settles the codec: a
-	// v2 helloAck upgrades the connection; anything v1 means an old
-	// server just answered the hello probe as an unknown op — that reply
-	// is negotiation plumbing, not a call response, and is discarded.
-	negotiating := c.helloSent
 	for {
 		buf, n, err := wire.ReadFrameBuf(c.br)
 		if err != nil {
 			c.terminate(fmt.Errorf("ssp: read: %w", err))
 			return
 		}
-		payload := buf.Bytes()
-		if wire.IsV2(payload) {
-			ok := c.readV2(payload, int64(n), &negotiating)
-			buf.Release()
-			if !ok {
-				return
-			}
-			continue
-		}
-		resp, err := wire.DecodeResponseBorrowed(payload)
-		if err != nil {
-			buf.Release()
-			c.terminate(fmt.Errorf("ssp: read: %w", err))
-			return
-		}
-		if negotiating {
-			negotiating = false
-			buf.Release()
-			continue
-		}
-		ok := c.handleResp(resp, int64(n))
+		err = c.readFrame(buf.Bytes(), int64(n))
 		buf.Release()
-		if !ok {
+		if err != nil {
+			c.terminate(fmt.Errorf("ssp: read: %w", err))
 			return
 		}
 	}
 }
 
-// readV2 processes one v2 frame. The payload is borrowed from the pooled
-// buffer the caller releases; everything delivered is detached first.
-// Returns false on a terminal protocol error.
-func (c *Client) readV2(payload []byte, n int64, negotiating *bool) bool {
+// readFrame processes one frame. The payload is borrowed from the pooled
+// buffer the caller releases; everything delivered is detached first. Any
+// error is terminal for the connection.
+func (c *Client) readFrame(payload []byte, n int64) error {
 	m, err := wire.DecodeV2(payload)
 	if err != nil {
-		c.terminate(fmt.Errorf("ssp: read: %w", err))
-		return false
+		return err
 	}
 	switch m.Kind {
 	case wire.KindHelloAck:
-		// Upgrade: the writer encodes v2 (and packs) from its next batch.
-		c.v2.Store(true)
-		*negotiating = false
-		return true
+		if m.HelloVer != wire.Version2 {
+			return fmt.Errorf("%w: server acked wire version %d, want %d", wire.ErrBadMessage, m.HelloVer, wire.Version2)
+		}
+		return nil
 	case wire.KindResponse:
 		return c.handleResp(&m.Resp, n)
 	case wire.KindPack:
 		for _, raw := range m.Pack {
 			sub, err := wire.DecodeV2(raw)
 			if err != nil {
-				c.terminate(fmt.Errorf("ssp: read: %w", err))
-				return false
+				return err
 			}
 			if sub.Kind != wire.KindResponse {
-				c.terminate(fmt.Errorf("ssp: read: %w: pack element kind %d", wire.ErrBadMessage, sub.Kind))
-				return false
+				return fmt.Errorf("%w: pack element kind %d", wire.ErrBadMessage, sub.Kind)
 			}
-			if !c.handleResp(&sub.Resp, int64(len(raw)+4)) {
-				return false
+			if err := c.handleResp(&sub.Resp, int64(len(raw)+4)); err != nil {
+				return err
 			}
 		}
-		return true
+		return nil
 	default:
-		c.terminate(fmt.Errorf("ssp: read: %w: unexpected frame kind %d", wire.ErrBadMessage, m.Kind))
-		return false
+		return fmt.Errorf("%w: unexpected frame kind %d", wire.ErrBadMessage, m.Kind)
 	}
 }
 
 // handleResp matches one borrowed response to its pending call and
-// delivers an owned (detached) copy. Returns false on an unsolicited
-// reply, which is terminal.
-func (c *Client) handleResp(resp *wire.Response, bytesIn int64) bool {
+// delivers an owned (detached) copy. A reply whose ReqID is not pending
+// is unsolicited, and the error it returns is terminal.
+func (c *Client) handleResp(resp *wire.Response, bytesIn int64) error {
 	call, expired := c.take(resp.ReqID)
 	if call == nil {
-		// Unsolicited reply: nothing sane to pair it with.
-		c.terminate(fmt.Errorf("ssp: read: %w: unsolicited reply (req %d)", wire.ErrBadMessage, resp.ReqID))
-		return false
+		return fmt.Errorf("%w: unsolicited reply (req %d)", wire.ErrBadMessage, resp.ReqID)
 	}
 	if expired {
 		// The reply to a deadline-expired call finally arrived. The
 		// caller was already failed with ErrDeadline; discard the
 		// payload and keep reading — the connection itself is fine.
-		return true
+		return nil
 	}
 	owned := *resp
 	owned.Detach()
 	c.deliver(call, &owned, bytesIn, nil)
-	return true
+	return nil
 }
 
-// take removes and returns the pending call for id (oldest if id is 0),
-// reporting whether it was a deadline-expired tombstone.
+// take removes and returns the pending call for id, reporting whether it
+// was a deadline-expired tombstone.
 func (c *Client) take(id uint64) (*Call, bool) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if id == 0 {
-		if len(c.fifo) == 0 {
-			return nil, false
-		}
-		id = c.fifo[0]
-	}
 	call, ok := c.pending[id]
 	if !ok {
 		return nil, false
 	}
 	delete(c.pending, id)
-	for i, v := range c.fifo {
-		if v == id {
-			c.fifo = append(c.fifo[:i], c.fifo[i+1:]...)
-			break
-		}
-	}
 	return call, call.expired
 }
 
@@ -603,7 +513,6 @@ func (c *Client) terminate(err error) {
 		delete(c.pending, id)
 		calls = append(calls, call)
 	}
-	c.fifo = c.fifo[:0]
 	c.mu.Unlock()
 	for _, call := range calls {
 		// Expired tombstones were already delivered; the CAS in deliver

@@ -45,10 +45,6 @@ type ReconnectOptions struct {
 	Recorder *stats.Recorder
 	Tracer   *obs.Tracer
 	Registry *obs.Registry
-	// Legacy dials every connection with DialLegacy: no hello probe, v1
-	// frames for the connection's lifetime. For benchmarking the old
-	// codec against the negotiated default.
-	Legacy bool
 }
 
 func (o *ReconnectOptions) defaults() {
@@ -170,7 +166,7 @@ func (r *ReconnectClient) client() (*Client, error) {
 			r.opt.Sleep(r.backoff(attempt))
 		}
 		r.count("ssp.reconnect.attempts")
-		c, err := dialVersion(r.dial, r.opt.Recorder, r.opt.Legacy, r.opt.Tracer)
+		c, err := Dial(r.dial, r.opt.Recorder, r.opt.Tracer)
 
 		r.mu.Lock()
 		r.dialing = false

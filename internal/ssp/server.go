@@ -18,10 +18,9 @@ import (
 
 // Server serves a BlobStore over the wire protocol. One reader and one
 // response-writer goroutine per connection; the store provides its own
-// synchronization. The server speaks both wire versions, detecting each
-// incoming frame by magic: a connection that sends a v2 hello is
-// answered in v2 (with response packing) from the ack onward, anything
-// else is answered in v1.
+// synchronization. Requests dispatch concurrently and their responses go
+// back in pack frames, matched by ReqID; a hello is answered with an ack
+// of version 2, ahead of every response to the requests behind it.
 type Server struct {
 	store BlobStore
 	views ViewStore // non-nil when store supports borrowed reads
@@ -47,8 +46,7 @@ type connEntry struct {
 	inflight atomic.Int64
 }
 
-// maxConnConcurrency bounds concurrent dispatch per connection for
-// multiplexed (nonzero-ReqID) requests.
+// maxConnConcurrency bounds concurrent dispatch per connection.
 const maxConnConcurrency = 32
 
 // NewServer creates a server over store. logger may be nil to disable
@@ -221,7 +219,7 @@ func (s *Server) isDraining() bool {
 }
 
 // outMsg is one unit of work for a connection's response writer: either
-// a response to serialize or the negotiation ack.
+// a response to serialize or the hello ack.
 type outMsg struct {
 	resp     *wire.Response
 	helloAck bool
@@ -231,8 +229,7 @@ type outMsg struct {
 // loop, the dispatch workers, and the response writer.
 type connState struct {
 	out      chan outMsg
-	v2       atomic.Bool // peer sent a v2 hello; reply in v2 from the ack on
-	bytesOut int64       // owned by the response writer until it exits
+	bytesOut int64 // owned by the response writer until it exits
 }
 
 // maxPackBytes caps how large a coalesced response pack grows; responses
@@ -283,26 +280,14 @@ func (s *Server) handle(conn net.Conn, entry *connEntry) {
 	}
 }
 
-// readFrame classifies one frame — v2 hello/request/pack or v1 request —
-// and routes it to dispatch. It consumes the caller's buffer reference
-// (transferring it to dispatch workers, with one extra Retain per
-// additional pack sub-message). Returns false when the connection should
-// be torn down.
+// readFrame decodes one frame — hello, request or pack — and routes it
+// to dispatch. It consumes the caller's buffer reference (transferring it
+// to dispatch workers, with one extra Retain per additional pack
+// sub-message). Returns false when the connection should be torn down:
+// on a frame that does not decode, and on a hello offering a version
+// below 2.
 func (s *Server) readFrame(st *connState, entry *connEntry, workers *sync.WaitGroup, sem chan struct{}, buf *wire.Buf) bool {
-	payload := buf.Bytes()
-	if !wire.IsV2(payload) {
-		req, err := wire.DecodeRequestBorrowed(payload)
-		if err != nil {
-			buf.Release()
-			if !s.isDraining() {
-				s.log.Printf("ssp: read request: %v", err)
-			}
-			return false
-		}
-		s.process(st, entry, workers, sem, req, buf)
-		return true
-	}
-	m, err := wire.DecodeV2(payload)
+	m, err := wire.DecodeV2(buf.Bytes())
 	if err != nil {
 		buf.Release()
 		if !s.isDraining() {
@@ -312,10 +297,16 @@ func (s *Server) readFrame(st *connState, entry *connEntry, workers *sync.WaitGr
 	}
 	switch m.Kind {
 	case wire.KindHello:
-		// Negotiation: from here on this conn speaks v2. The ack is
-		// ordered through the response channel like any reply.
-		st.v2.Store(true)
+		// The ack is ordered through the response channel like any reply,
+		// so it precedes the responses to every request behind the hello.
+		ver := m.HelloVer
 		buf.Release()
+		if ver < wire.Version2 {
+			if !s.isDraining() {
+				s.log.Printf("ssp: read request: hello offers wire version %d, want %d", ver, wire.Version2)
+			}
+			return false
+		}
 		st.out <- outMsg{helloAck: true}
 		return true
 	case wire.KindRequest:
@@ -364,26 +355,16 @@ func (s *Server) readFrame(st *connState, entry *connEntry, workers *sync.WaitGr
 	}
 }
 
-// process routes one decoded request into the dispatch policy: serial
-// for unmultiplexed (ReqID 0) requests, concurrent under the semaphore
-// otherwise. Consumes one reference on buf.
+// process dispatches one decoded request on its own goroutine, bounded by
+// the semaphore. Consumes one reference on buf.
 func (s *Server) process(st *connState, entry *connEntry, workers *sync.WaitGroup, sem chan struct{}, req *wire.Request, buf *wire.Buf) {
 	entry.inflight.Add(1)
-	if req.ReqID == 0 {
-		// Unmultiplexed (pre-ReqID) client: requests are processed
-		// strictly in order, one at a time, exactly as before. Wait
-		// out any multiplexed stragglers so replies stay ordered even
-		// for a peer that mixes both styles.
-		workers.Wait()
+	sem <- struct{}{}
+	workers.Add(1)
+	go func() {
+		defer func() { workers.Done(); <-sem }()
 		s.dispatch(st, entry, req, buf)
-	} else {
-		sem <- struct{}{}
-		workers.Add(1)
-		go func() {
-			defer func() { workers.Done(); <-sem }()
-			s.dispatch(st, entry, req, buf)
-		}()
-	}
+	}()
 }
 
 // dispatch executes one request and enqueues its response, echoing the
@@ -408,9 +389,9 @@ func (s *Server) dispatch(st *connState, entry *connEntry, req *wire.Request, bu
 
 // respWriter is the per-connection response serializer: it drains the
 // response channel, greedily coalescing whatever is already queued, and
-// writes each batch with a single flush — in v2 mode as one pack frame —
-// so a burst of pipelined responses costs one syscall (and one netsim
-// transmit event) instead of one per response.
+// writes each batch with a single flush as one pack frame, so a burst of
+// pipelined responses costs one syscall (and one netsim transmit event)
+// instead of one per response.
 func (s *Server) respWriter(conn net.Conn, st *connState, done chan<- struct{}) {
 	defer close(done)
 	bw := bufio.NewWriterSize(conn, 64<<10)
@@ -456,12 +437,10 @@ func respApproxSize(p *wire.Response) int {
 	return n
 }
 
-// writeBatch serializes a batch of queued responses and flushes once. In
-// v2 mode consecutive small responses coalesce into pack frames bounded
-// by maxPackBytes; oversized responses and all v1 traffic go out as
-// individual frames.
+// writeBatch serializes a batch of queued responses and flushes once.
+// Consecutive small responses coalesce into pack frames bounded by
+// maxPackBytes; oversized responses go out as individual frames.
 func (s *Server) writeBatch(bw *bufio.Writer, st *connState, pk *wire.Pack, scratch *[]byte, batch []outMsg) error {
-	v2 := st.v2.Load()
 	emit := func(payload []byte) error {
 		n, err := wire.WriteFrame(bw, payload)
 		st.bytesOut += int64(n)
@@ -482,27 +461,22 @@ func (s *Server) writeBatch(bw *bufio.Writer, st *connState, pk *wire.Pack, scra
 			if err := flushPack(); err != nil {
 				return err
 			}
-			*scratch = wire.AppendHelloAck((*scratch)[:0], 2, 0)
+			*scratch = wire.AppendHelloAck((*scratch)[:0], wire.Version2, 0)
 			if err := emit(*scratch); err != nil {
 				return err
 			}
-		case v2 && respApproxSize(m.resp) <= maxPackBytes:
+		case respApproxSize(m.resp) <= maxPackBytes:
 			pk.AddResponse(m.resp)
 			if pk.Size() >= maxPackBytes {
 				if err := flushPack(); err != nil {
 					return err
 				}
 			}
-		case v2:
+		default:
 			if err := flushPack(); err != nil {
 				return err
 			}
 			*scratch = wire.AppendResponseV2((*scratch)[:0], m.resp)
-			if err := emit(*scratch); err != nil {
-				return err
-			}
-		default:
-			*scratch = wire.AppendResponse((*scratch)[:0], m.resp)
 			if err := emit(*scratch); err != nil {
 				return err
 			}

@@ -4,7 +4,11 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
+	"io"
+	"net"
+	"strings"
 	"testing"
+	"time"
 
 	"github.com/sharoes/sharoes/internal/netsim"
 	"github.com/sharoes/sharoes/internal/stats"
@@ -275,14 +279,196 @@ func TestServerRejectsUnknownOp(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	codec := wire.NewCodec(conn)
-	defer codec.Close()
-	resp, err := codec.Call(&wire.Request{Op: wire.Op(200)})
+	defer conn.Close()
+	if _, err := wire.WriteFrame(conn, (&wire.Request{Op: wire.Op(200), ReqID: 1}).EncodeV2()); err != nil {
+		t.Fatal(err)
+	}
+	buf, _, err := wire.ReadFrameBuf(conn)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if resp.Status != wire.StatusBadRequest {
-		t.Errorf("status = %v", resp.Status)
+	defer buf.Release()
+	m, err := wire.DecodeV2(buf.Bytes())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if m.Kind != wire.KindResponse || m.Resp.Status != wire.StatusBadRequest || m.Resp.ReqID != 1 {
+		t.Errorf("reply = kind %d %+v", m.Kind, m.Resp)
+	}
+}
+
+// TestClientServerEndToEnd is the happy path over one connection: the
+// hello, then every operation — big blobs, batches, and a pipelined burst
+// that packs in both directions.
+func TestClientServerEndToEnd(t *testing.T) {
+	l := netsim.Listen(netsim.Unlimited)
+	defer l.Close()
+	srv := NewServer(NewMemStore(), nil)
+	go srv.Serve(l)
+	defer srv.Close()
+	c, err := Dial(l.Dial, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	if err := c.Ping(); err != nil {
+		t.Fatalf("ping: %v", err)
+	}
+	big := bytes.Repeat([]byte("B"), 256<<10)
+	if err := c.Put(wire.NSData, "big", big); err != nil {
+		t.Fatalf("put big: %v", err)
+	}
+	got, err := c.Get(wire.NSData, "big")
+	if err != nil || !bytes.Equal(got, big) {
+		t.Fatalf("get big: %d bytes, %v", len(got), err)
+	}
+	for i := 0; i < 8; i++ {
+		if err := c.Put(wire.NSMeta, fmt.Sprintf("m/%d", i), []byte{byte(i)}); err != nil {
+			t.Fatalf("put %d: %v", i, err)
+		}
+	}
+	items, err := c.List(wire.NSMeta, "m/")
+	if err != nil || len(items) != 8 {
+		t.Fatalf("list: %d items, %v", len(items), err)
+	}
+	if err := c.BatchPut([]wire.KV{
+		{NS: wire.NSMeta, Key: "m/0", Delete: true},
+		{NS: wire.NSMeta, Key: "m/9", Val: []byte("nine")},
+	}); err != nil {
+		t.Fatalf("batchput: %v", err)
+	}
+	res, err := c.BatchGet([]wire.KV{{NS: wire.NSMeta, Key: "m/9"}, {NS: wire.NSMeta, Key: "m/0"}})
+	if err != nil || len(res) != 1 || string(res[0].Val) != "nine" {
+		t.Fatalf("batchget: %+v, %v", res, err)
+	}
+	calls := make([]*Call, 32)
+	for i := range calls {
+		calls[i] = c.Go(&wire.Request{Op: wire.OpGet, NS: wire.NSData, Key: "big", TraceID: 7, SpanID: 9}, nil)
+	}
+	for i, call := range calls {
+		<-call.Done
+		resp, err := call.Response()
+		if err != nil || !bytes.Equal(resp.Val, big) {
+			t.Fatalf("pipelined get %d: %v", i, err)
+		}
+	}
+}
+
+// rawConn dials l and returns the bare connection, closed at cleanup.
+func rawConn(t *testing.T, l *netsim.Listener) net.Conn {
+	t.Helper()
+	conn, err := l.Dial()
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { conn.Close() })
+	return conn
+}
+
+// readFrameWithin reads one frame from conn, failing the test if nothing
+// (neither a frame nor an error) arrives within five seconds.
+func readFrameWithin(t *testing.T, conn net.Conn) ([]byte, error) {
+	t.Helper()
+	type result struct {
+		payload []byte
+		err     error
+	}
+	ch := make(chan result, 1)
+	go func() {
+		payload, _, err := wire.ReadFrame(conn)
+		ch <- result{payload, err}
+	}()
+	select {
+	case r := <-ch:
+		return r.payload, r.err
+	case <-time.After(5 * time.Second):
+		t.Fatal("server neither replied nor closed the connection")
+		return nil, nil
+	}
+}
+
+// TestServerAcksHelloFirst writes the hello and a request in one burst,
+// as Dial does, and checks the ack (version 2) precedes the reply.
+func TestServerAcksHelloFirst(t *testing.T) {
+	l := netsim.Listen(netsim.Unlimited)
+	defer l.Close()
+	srv := NewServer(NewMemStore(), nil)
+	go srv.Serve(l)
+	defer srv.Close()
+	conn := rawConn(t, l)
+
+	var burst bytes.Buffer
+	wire.WriteFrame(&burst, wire.AppendHello(nil, 3, 0))
+	wire.WriteFrame(&burst, (&wire.Request{Op: wire.OpPing, ReqID: 1}).EncodeV2())
+	if _, err := conn.Write(burst.Bytes()); err != nil {
+		t.Fatal(err)
+	}
+	payload, err := readFrameWithin(t, conn)
+	if err != nil {
+		t.Fatal(err)
+	}
+	m, err := wire.DecodeV2(payload)
+	if err != nil || m.Kind != wire.KindHelloAck || m.HelloVer != wire.Version2 {
+		t.Fatalf("first frame = %+v, %v; want a hello ack of version 2", m, err)
+	}
+	if payload, err = readFrameWithin(t, conn); err != nil {
+		t.Fatal(err)
+	}
+	if m, err = wire.DecodeV2(payload); err != nil || m.Kind != wire.KindResponse || m.Resp.ReqID != 1 {
+		t.Fatalf("second frame = %+v, %v; want the ping's reply", m, err)
+	}
+}
+
+// TestServerClosesOnNonV2 checks the server drops a connection, without
+// replying, on a frame that is not v2 — a v1-encoded request here — and
+// on a hello offering a version below 2.
+func TestServerClosesOnNonV2(t *testing.T) {
+	l := netsim.Listen(netsim.Unlimited)
+	defer l.Close()
+	srv := NewServer(NewMemStore(), nil)
+	go srv.Serve(l)
+	defer srv.Close()
+
+	for name, payload := range map[string][]byte{
+		// op, ns, key "k", empty val, empty prefix, no items: the v1 codec.
+		"v1 request": {byte(wire.OpGet), byte(wire.NSMeta), 1, 'k', 0, 0, 0},
+		"hello v1":   wire.AppendHello(nil, 1, 0),
+	} {
+		conn := rawConn(t, l)
+		if _, err := wire.WriteFrame(conn, payload); err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		if reply, err := readFrameWithin(t, conn); err == nil {
+			t.Fatalf("%s: server answered %x instead of closing", name, reply)
+		}
+	}
+}
+
+// TestClientRejectsAckVersion runs the client against a raw server that
+// acks version 3: the connection must fail, naming the version.
+func TestClientRejectsAckVersion(t *testing.T) {
+	cli, srvConn := net.Pipe()
+	defer srvConn.Close()
+	go func() {
+		buf, _, err := wire.ReadFrameBuf(srvConn)
+		if err != nil {
+			return
+		}
+		buf.Release()
+		if _, err := wire.WriteFrame(srvConn, wire.AppendHelloAck(nil, 3, 0)); err != nil {
+			return
+		}
+		io.Copy(io.Discard, srvConn) // swallow requests; never answer them
+	}()
+	c, err := Dial(func() (net.Conn, error) { return cli, nil }, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	c.SetCallTimeout(5 * time.Second) // a client that ignores the version hangs here
+	err = c.Ping()
+	if err == nil || !strings.Contains(err.Error(), "wire version 3") {
+		t.Fatalf("ping = %v, want an error naming wire version 3", err)
 	}
 }
 

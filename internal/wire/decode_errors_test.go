@@ -5,10 +5,21 @@ import (
 	"testing"
 )
 
-// corruptFrames is the table of malformed payloads shared by the decode
-// error-path tests and the fuzz seed corpus: truncated frames, oversized
-// length prefixes, and plain garbage. Decoders must return ErrBadMessage
-// (never panic, never over-allocate) for all of them.
+// requestFrame and responseFrame put a body behind a bare v2 header, so
+// the tables below can reach the body decoders with hand-built bytes.
+func requestFrame(body []byte) []byte {
+	return append([]byte{Magic, Version2, KindRequest}, body...)
+}
+
+func responseFrame(body []byte) []byte {
+	return append([]byte{Magic, Version2, KindResponse}, body...)
+}
+
+// corruptFrames is the table of malformed request bodies shared by the
+// decode error-path tests and the fuzz seed corpus: truncated fields,
+// oversized length prefixes, and plain garbage. Behind a v2 request
+// header, DecodeV2 must return ErrBadMessage (never panic, never
+// over-allocate) for all of them.
 var corruptFrames = []struct {
 	name string
 	b    []byte
@@ -32,65 +43,64 @@ var corruptFrames = []struct {
 func TestDecodeRequestErrorPaths(t *testing.T) {
 	for _, tc := range corruptFrames {
 		t.Run(tc.name, func(t *testing.T) {
-			q, err := DecodeRequest(tc.b)
+			m, err := DecodeV2(requestFrame(tc.b))
 			if err == nil {
-				// A frame that happens to parse must at least be
-				// re-encodable; nothing in this table should be.
-				t.Fatalf("DecodeRequest accepted %q: %+v", tc.name, q)
+				t.Fatalf("DecodeV2 accepted %q: %+v", tc.name, m.Req)
 			}
 			if !errors.Is(err, ErrBadMessage) {
 				t.Fatalf("error not ErrBadMessage: %v", err)
 			}
-			if q != nil {
-				t.Fatalf("non-nil request alongside error")
+			if m != nil {
+				t.Fatalf("non-nil message alongside error")
 			}
 		})
 	}
+}
+
+// corruptResponses is the response-side twin of corruptFrames: malformed
+// response bodies, also seeded into the fuzz corpus.
+var corruptResponses = []struct {
+	name string
+	b    []byte
+}{
+	{"empty", nil},
+	{"status only", []byte{byte(StatusOK)}},
+	{"truncated err string", []byte{byte(StatusError), 5, 'o'}},
+	{"val length past end", []byte{byte(StatusOK), 0, 200}},
+	{"truncated item count", []byte{byte(StatusOK), 0, 0, 0x80}},
+	{"absurd item count", []byte{byte(StatusOK), 0, 0, 0xff, 0xff, 0xff, 0x0f}},
+	{"item truncated", []byte{byte(StatusOK), 0, 0, 1, byte(NSData), 1}},
+	{"all 0xff", []byte{0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff}},
 }
 
 func TestDecodeResponseErrorPaths(t *testing.T) {
-	// Responses have a different field layout; reuse the shapes that are
-	// malformed for both plus response-specific ones.
-	cases := []struct {
-		name string
-		b    []byte
-	}{
-		{"empty", nil},
-		{"status only", []byte{byte(StatusOK)}},
-		{"truncated err string", []byte{byte(StatusError), 5, 'o'}},
-		{"val length past end", []byte{byte(StatusOK), 0, 200}},
-		{"truncated item count", []byte{byte(StatusOK), 0, 0, 0x80}},
-		{"absurd item count", []byte{byte(StatusOK), 0, 0, 0xff, 0xff, 0xff, 0x0f}},
-		{"item truncated", []byte{byte(StatusOK), 0, 0, 1, byte(NSData), 1}},
-		{"all 0xff", []byte{0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff}},
-	}
-	for _, tc := range cases {
+	for _, tc := range corruptResponses {
 		t.Run(tc.name, func(t *testing.T) {
-			p, err := DecodeResponse(tc.b)
+			m, err := DecodeV2(responseFrame(tc.b))
 			if err == nil {
-				t.Fatalf("DecodeResponse accepted %q: %+v", tc.name, p)
+				t.Fatalf("DecodeV2 accepted %q: %+v", tc.name, m.Resp)
 			}
 			if !errors.Is(err, ErrBadMessage) {
 				t.Fatalf("error not ErrBadMessage: %v", err)
 			}
-			if p != nil {
-				t.Fatalf("non-nil response alongside error")
+			if m != nil {
+				t.Fatalf("non-nil message alongside error")
 			}
 		})
 	}
 }
 
-// TestDecodeRequestTrailingBytesTolerated documents the contract for
-// well-formed prefixes: decoding consumes the fields it knows about and
-// ignores trailing bytes (forward compatibility for appended fields).
+// TestDecodeRequestTrailingBytes documents the contract for well-formed
+// prefixes: decoding consumes the fields it knows about and ignores bytes
+// after the body.
 func TestDecodeRequestTrailingBytes(t *testing.T) {
-	q := &Request{Op: OpGet, NS: NSMeta, Key: "k"}
-	b := append(q.Encode(), 0xde, 0xad)
-	got, err := DecodeRequest(b)
+	q := &Request{Op: OpGet, NS: NSMeta, Key: "k", ReqID: 3}
+	b := append(q.EncodeV2(), 0xde, 0xad)
+	m, err := DecodeV2(b)
 	if err != nil {
 		t.Fatalf("trailing bytes rejected: %v", err)
 	}
-	if got.Op != OpGet || got.Key != "k" {
-		t.Fatalf("fields corrupted by trailing bytes: %+v", got)
+	if m.Req.Op != OpGet || m.Req.Key != "k" || m.Req.ReqID != 3 {
+		t.Fatalf("fields corrupted by trailing bytes: %+v", m.Req)
 	}
 }

@@ -2,6 +2,7 @@ package wire
 
 import (
 	"bytes"
+	"errors"
 	"reflect"
 	"testing"
 )
@@ -22,11 +23,9 @@ func seedRequests() []*Request {
 			{NS: NSData, Key: "b", Delete: true},
 		}},
 		{Op: OpStats},
-		// Trace-extension frame: nonzero TraceID appends the optional
-		// trailing TraceID/SpanID uvarints (see Request.TraceID).
+		// Extension-block frames: traced, traced and multiplexed, and
+		// multiplexed alone (see Request.TraceID and Request.ReqID).
 		{Op: OpGet, NS: NSMeta, Key: "m/1/u/alice", TraceID: 7, SpanID: 9},
-		// Multiplexing-extension frames (see Request.ReqID): traced and
-		// untraced, the latter carrying the explicit zero TraceID.
 		{Op: OpGet, NS: NSMeta, Key: "m/1/u/alice", TraceID: 7, SpanID: 9, ReqID: 3},
 		{Op: OpPut, NS: NSData, Key: "f/9/0/3", Val: []byte("sealed-bytes"), ReqID: 1<<64 - 1},
 	}
@@ -40,39 +39,31 @@ func seedResponses() []*Response {
 		{Status: StatusBadRequest, Err: "unknown op"},
 		{Status: StatusError, Err: "disk full"},
 		{Status: StatusOK, Items: []KV{{NS: NSData, Key: "k", Val: []byte("v")}}},
-		// Multiplexing-extension frames (see Response.ReqID).
+		// Frames carrying a ReqID extension (see Response.ReqID).
 		{Status: StatusOK, Val: []byte("blob"), ReqID: 3},
 		{Status: StatusNotFound, ReqID: 1<<64 - 1},
 	}
 }
 
-// FuzzDecodeRequest checks that DecodeRequest never panics on arbitrary
-// input and that accepted inputs survive an encode/decode round trip.
+// FuzzDecodeRequest checks that DecodeV2 never panics on request frames,
+// that every rejection is an ErrBadMessage with a nil message, and that
+// accepted requests survive a canonical re-encode round trip. Seeds are
+// the valid requests plus the corrupt request bodies behind a v2 header.
 func FuzzDecodeRequest(f *testing.F) {
 	for _, q := range seedRequests() {
-		f.Add(q.Encode())
+		f.Add(q.EncodeV2())
 	}
 	for _, tc := range corruptFrames {
-		f.Add(tc.b)
+		f.Add(requestFrame(tc.b))
 	}
 	f.Fuzz(func(t *testing.T, b []byte) {
-		q, err := DecodeRequest(b)
+		m, err := DecodeV2(b)
 		if err != nil {
-			if q != nil {
-				t.Fatal("non-nil request alongside error")
-			}
+			checkRejection(t, m, err)
 			return
 		}
-		// Accepted input: the decoded value must be stable under
-		// re-encoding (Encode is canonical, so one more decode must
-		// reproduce it exactly).
-		re := q.Encode()
-		q2, err := DecodeRequest(re)
-		if err != nil {
-			t.Fatalf("re-decode of canonical encoding failed: %v", err)
-		}
-		if !reflect.DeepEqual(normalizeReq(q), normalizeReq(q2)) {
-			t.Fatalf("round trip diverged:\n  %+v\n  %+v", q, q2)
+		if m.Kind == KindRequest {
+			checkRequestRoundTrip(t, &m.Req)
 		}
 	})
 }
@@ -80,26 +71,56 @@ func FuzzDecodeRequest(f *testing.F) {
 // FuzzDecodeResponse is the response-side twin of FuzzDecodeRequest.
 func FuzzDecodeResponse(f *testing.F) {
 	for _, p := range seedResponses() {
-		f.Add(p.Encode())
+		f.Add(p.EncodeV2())
 	}
-	f.Add([]byte{0xff, 0xff, 0xff})
+	f.Add(responseFrame([]byte{0xff, 0xff, 0xff}))
+	for _, tc := range corruptResponses {
+		f.Add(responseFrame(tc.b))
+	}
 	f.Fuzz(func(t *testing.T, b []byte) {
-		p, err := DecodeResponse(b)
+		m, err := DecodeV2(b)
 		if err != nil {
-			if p != nil {
-				t.Fatal("non-nil response alongside error")
-			}
+			checkRejection(t, m, err)
 			return
 		}
-		re := p.Encode()
-		p2, err := DecodeResponse(re)
-		if err != nil {
-			t.Fatalf("re-decode of canonical encoding failed: %v", err)
-		}
-		if !reflect.DeepEqual(normalizeResp(p), normalizeResp(p2)) {
-			t.Fatalf("round trip diverged:\n  %+v\n  %+v", p, p2)
+		if m.Kind == KindResponse {
+			checkResponseRoundTrip(t, &m.Resp)
 		}
 	})
+}
+
+func checkRejection(t *testing.T, m *Msg, err error) {
+	t.Helper()
+	if !errors.Is(err, ErrBadMessage) {
+		t.Fatalf("non-ErrBadMessage failure: %v", err)
+	}
+	if m != nil {
+		t.Fatal("non-nil message alongside error")
+	}
+}
+
+// checkRequestRoundTrip re-encodes an accepted request (EncodeV2 is
+// canonical) and requires one more decode to reproduce it exactly.
+func checkRequestRoundTrip(t *testing.T, q *Request) {
+	t.Helper()
+	m2, err := DecodeV2(q.EncodeV2())
+	if err != nil {
+		t.Fatalf("re-decode of canonical v2 encoding failed: %v", err)
+	}
+	if !reflect.DeepEqual(normalizeReq(q), normalizeReq(&m2.Req)) {
+		t.Fatalf("v2 request round trip diverged:\n  %+v\n  %+v", q, &m2.Req)
+	}
+}
+
+func checkResponseRoundTrip(t *testing.T, p *Response) {
+	t.Helper()
+	m2, err := DecodeV2(p.EncodeV2())
+	if err != nil {
+		t.Fatalf("re-decode of canonical v2 encoding failed: %v", err)
+	}
+	if !reflect.DeepEqual(normalizeResp(p), normalizeResp(&m2.Resp)) {
+		t.Fatalf("v2 response round trip diverged:\n  %+v\n  %+v", p, &m2.Resp)
+	}
 }
 
 // FuzzReadFrame checks the framing layer: hostile length prefixes must be

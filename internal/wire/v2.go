@@ -5,17 +5,12 @@ import (
 	"fmt"
 )
 
-// Wire v2: self-describing frames.
+// Wire v2: self-describing frames, the only codec the client and the
+// SSP speak. In the style of Celestia's ADR-009 universal share encoding,
+// every message names its own version and kind, and optional metadata
+// lives in a typed extension block up front.
 //
-// The v1 codec identified messages purely by context (requests flow one
-// way, responses the other) and accreted three trailing-uvarint
-// extensions (TraceID, SpanID, ReqID) that depended on lenient-tail
-// parsing. v2 supersedes that pattern with a self-describing header in
-// the style of Celestia's ADR-009 universal share encoding: every
-// message names its own version and kind, and optional metadata lives in
-// a typed extension block up front instead of an untyped tail.
-//
-// A v2 message (inside the unchanged outer 4-byte length framing) is:
+// A message (inside the 4-byte length framing of WriteFrame) is:
 //
 //	msg  := magic version info [ext] body
 //	magic   = 0x53 ('S')
@@ -23,23 +18,19 @@ import (
 //	info    = bits 0-3: kind; bit 4: hasExt; bits 5-7 reserved (must be 0)
 //	ext     = uvarint n, then n × (uvarint id, uvarint val); unknown ids
 //	          are skipped, so new extensions never break old v2 peers
-//	body    = kind-specific, sharing the v1 body codecs byte-for-byte
+//	body    = kind-specific
 //
 // Kinds:
 //
-//	KindRequest  — body is the v1 request body (no trailing hacks);
-//	               TraceID/SpanID/ReqID ride in the ext block
-//	KindResponse — body is the v1 response body; ReqID in the ext block
-//	KindHello    — version negotiation opener; body is uvarint maxver,
-//	               uvarint caps (see HelloFrame for the dual encoding)
+//	KindRequest  — body is the request body (wire.go); TraceID/SpanID/
+//	               ReqID ride in the ext block
+//	KindResponse — body is the response body; ReqID in the ext block
+//	KindHello    — the client's opener; body is uvarint maxver, uvarint caps
 //	KindHelloAck — server's acceptance; body is uvarint version, uvarint caps
 //	KindPack     — batch container: uvarint n, then n × (u32 len, msg);
 //	               sub-messages must not themselves be packs
 //
-// Magic disambiguation: 0x53 can never start a valid v1 request (v1 ops
-// are 1..8) and a v1 response starting with 0x53 would have an absurd
-// status, so IsV2 cleanly splits the two codecs per frame and peers can
-// negotiate without an extra round trip.
+// Any frame that does not parse this way is ErrBadMessage.
 const (
 	Magic    = 0x53 // 'S' for Sharoes
 	Version2 = 0x02
@@ -73,17 +64,6 @@ const maxExtCount = 64
 // MaxPackFrames bounds the sub-messages in one pack; it is both the
 // encoder's coalescing limit and the decoder's sanity bound.
 const MaxPackFrames = 256
-
-// IsV2 reports whether payload b is a v2 message. False means the frame
-// should be handed to the v1 codec (or is garbage the v1 codec will
-// reject).
-func IsV2(b []byte) bool {
-	if len(b) < 3 || b[0] != Magic || b[1] != Version2 {
-		return false
-	}
-	kind := b[2] & infoKindMask
-	return kind >= KindRequest && kind <= KindPack
-}
 
 // Msg is a decoded v2 message. Exactly one of the kind-specific fields
 // is meaningful, selected by Kind.
@@ -120,11 +100,9 @@ func appendV2Header(dst []byte, kind int, exts ...[2]uint64) []byte {
 }
 
 // AppendRequestV2 appends the v2 encoding of q to dst. TraceID, SpanID,
-// and ReqID travel in the extension block; the body is the shared v1
-// request body with no trailing extensions. Each extension is emitted
-// independently when nonzero — unlike the v1 tail, whose positional
-// grammar could not represent a span without a trace — so every
-// decodable combination re-encodes to the same message.
+// and ReqID travel in the extension block, each emitted independently
+// when nonzero, so every decodable combination re-encodes to the same
+// message.
 func AppendRequestV2(dst []byte, q *Request) []byte {
 	var exts [3][2]uint64
 	n := 0
@@ -161,26 +139,16 @@ func AppendResponseV2(dst []byte, p *Response) []byte {
 // EncodeV2 serializes the response as a v2 message.
 func (p *Response) EncodeV2() []byte { return AppendResponseV2(nil, p) }
 
-// HelloFrame returns the client's version-negotiation opener. The nine
-// bytes are crafted to parse BOTH ways:
-//
-//   - As v2: magic 0x53, version 0x02, info 0x03 (KindHello, no ext),
-//     body maxver=2 caps=0, then padding a v2 decoder ignores.
-//   - As v1: op 0x53 (unknown), ns 0x02, key of length 3, empty val,
-//     empty prefix, zero items — a well-formed request for an op the
-//     server doesn't know.
-//
-// So a v1 server answers it with a normal StatusBadRequest response
-// (its first response on the conn, since hello carries no ReqID and
-// ReqID-0 requests dispatch serially) instead of killing the
-// connection, and the client takes that as "speak v1". A v2 server
-// recognizes the magic and replies KindHelloAck.
-func HelloFrame() []byte {
-	return []byte{Magic, Version2, KindHello, 0x02, 0x00, 0x00, 0x00, 0x00, 0x00}
+// AppendHello appends the client's opener: the highest wire version it
+// speaks and its capability bits (none defined yet).
+func AppendHello(dst []byte, maxVer, caps uint64) []byte {
+	dst = appendV2Header(dst, KindHello)
+	dst = appendUvarint(dst, maxVer)
+	return appendUvarint(dst, caps)
 }
 
-// AppendHelloAck appends the server's negotiation acceptance: the
-// version both sides will speak and the server's capability bits.
+// AppendHelloAck appends the server's answer to a hello: the version
+// both sides will speak and the server's capability bits.
 func AppendHelloAck(dst []byte, version, caps uint64) []byte {
 	dst = appendV2Header(dst, KindHelloAck)
 	dst = appendUvarint(dst, version)
@@ -255,12 +223,12 @@ func DecodeV2Into(b []byte, m *Msg) error {
 
 	switch kind {
 	case KindRequest:
-		if err := decodeRequestBody(r, &m.Req, false); err != nil {
+		if err := decodeRequestBody(r, &m.Req); err != nil {
 			return err
 		}
 		m.Req.TraceID, m.Req.SpanID, m.Req.ReqID = traceID, spanID, reqID
 	case KindResponse:
-		if err := decodeResponseBody(r, &m.Resp, false); err != nil {
+		if err := decodeResponseBody(r, &m.Resp); err != nil {
 			return err
 		}
 		m.Resp.ReqID = reqID
@@ -274,8 +242,6 @@ func DecodeV2Into(b []byte, m *Msg) error {
 			return fmt.Errorf("%w: hello caps: %w", ErrBadMessage, err)
 		}
 		m.HelloVer, m.HelloCaps = ver, caps
-		// Trailing bytes are padding (HelloFrame carries some so the
-		// opener also parses as a v1 request) — ignored by design.
 	case KindPack:
 		n, err := r.uvarint()
 		if err != nil {
@@ -297,7 +263,7 @@ func DecodeV2Into(b []byte, m *Msg) error {
 			r.b = r.b[sz:]
 			// Nested packs are rejected: they would let a small frame
 			// claim quadratic decode work and complicate refcounting.
-			if IsV2(sub) && sub[2]&infoKindMask == KindPack {
+			if len(sub) >= 3 && sub[0] == Magic && sub[1] == Version2 && sub[2]&infoKindMask == KindPack {
 				return fmt.Errorf("%w: pack %d: nested pack", ErrBadMessage, i)
 			}
 			m.Pack = append(m.Pack, sub)

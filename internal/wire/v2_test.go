@@ -8,11 +8,7 @@ import (
 
 func TestV2RequestRoundTrip(t *testing.T) {
 	for _, q := range seedRequests() {
-		b := q.EncodeV2()
-		if !IsV2(b) {
-			t.Fatalf("IsV2 false for v2 encoding of %+v", q)
-		}
-		m, err := DecodeV2(b)
+		m, err := DecodeV2(q.EncodeV2())
 		if err != nil {
 			t.Fatalf("DecodeV2(%+v): %v", q, err)
 		}
@@ -27,11 +23,7 @@ func TestV2RequestRoundTrip(t *testing.T) {
 
 func TestV2ResponseRoundTrip(t *testing.T) {
 	for _, p := range seedResponses() {
-		b := p.EncodeV2()
-		if !IsV2(b) {
-			t.Fatalf("IsV2 false for v2 encoding of %+v", p)
-		}
-		m, err := DecodeV2(b)
+		m, err := DecodeV2(p.EncodeV2())
 		if err != nil {
 			t.Fatalf("DecodeV2(%+v): %v", p, err)
 		}
@@ -44,61 +36,78 @@ func TestV2ResponseRoundTrip(t *testing.T) {
 	}
 }
 
-// TestV2NotConfusedWithV1 checks the magic split: no v1 seed encoding may
-// pass IsV2 (v1 ops and statuses never collide with the 0x53 magic).
-func TestV2NotConfusedWithV1(t *testing.T) {
-	for _, q := range seedRequests() {
-		if IsV2(q.Encode()) {
-			t.Fatalf("v1 request encoding classified as v2: %+v", q)
-		}
+// TestReqIDRoundTrip checks that every combination of the three request
+// extensions, and the response's ReqID, survives encode and decode.
+func TestReqIDRoundTrip(t *testing.T) {
+	cases := []struct {
+		name          string
+		tid, sid, rid uint64
+	}{
+		{"mux only", 0, 0, 5},
+		{"traced mux", 7, 9, 5},
+		{"neither", 0, 0, 0},
+		{"traced only", 7, 9, 0},
+		{"span only", 0, 9, 5},
+		{"varint boundary", 1<<64 - 1, 1 << 63, 1<<64 - 1},
 	}
-	for _, p := range seedResponses() {
-		if IsV2(p.Encode()) {
-			t.Fatalf("v1 response encoding classified as v2: %+v", p)
-		}
-	}
-}
-
-// TestHelloDualParse pins the negotiation opener's double life: a v2 peer
-// must see KindHello with maxver 2, while a v1 peer — both the current
-// lenient decoder and the frozen pre-extension replica — must accept the
-// same bytes as a well-formed request for an unknown op, so old servers
-// answer StatusBadRequest instead of dropping the connection.
-func TestHelloDualParse(t *testing.T) {
-	hello := HelloFrame()
-	if !IsV2(hello) {
-		t.Fatal("hello frame not recognized as v2")
-	}
-	m, err := DecodeV2(hello)
-	if err != nil {
-		t.Fatalf("DecodeV2(hello): %v", err)
-	}
-	if m.Kind != KindHello || m.HelloVer != 2 || m.HelloCaps != 0 {
-		t.Fatalf("hello decoded as kind=%d ver=%d caps=%d, want kind=%d ver=2 caps=0",
-			m.Kind, m.HelloVer, m.HelloCaps, KindHello)
-	}
-	for name, dec := range map[string]func([]byte) (*Request, error){
-		"current": DecodeRequest,
-		"old":     oldDecodeRequest,
-	} {
-		q, err := dec(hello)
+	for _, tc := range cases {
+		q := &Request{Op: OpGet, NS: NSMeta, Key: "m/1/o", TraceID: tc.tid, SpanID: tc.sid, ReqID: tc.rid}
+		m, err := DecodeV2(q.EncodeV2())
 		if err != nil {
-			t.Fatalf("%s v1 decoder rejected hello frame: %v", name, err)
+			t.Fatalf("%s: %v", tc.name, err)
 		}
-		if q.Op == OpPing || (q.Op >= OpGet && q.Op <= OpStats) {
-			t.Fatalf("%s v1 decoder parsed hello as known op %d", name, q.Op)
+		if got := m.Req; got.TraceID != tc.tid || got.SpanID != tc.sid || got.ReqID != tc.rid {
+			t.Fatalf("%s: decoded %d/%d/%d, want %d/%d/%d", tc.name,
+				got.TraceID, got.SpanID, got.ReqID, tc.tid, tc.sid, tc.rid)
+		}
+	}
+	for _, rid := range []uint64{0, 5, 1<<64 - 1} {
+		p := &Response{Status: StatusOK, Val: []byte("v"), ReqID: rid}
+		m, err := DecodeV2(p.EncodeV2())
+		if err != nil {
+			t.Fatalf("resp rid=%d: %v", rid, err)
+		}
+		if m.Resp.ReqID != rid {
+			t.Fatalf("resp decoded rid %d, want %d", m.Resp.ReqID, rid)
 		}
 	}
 }
 
-func TestHelloAckRoundTrip(t *testing.T) {
-	b := AppendHelloAck(nil, 2, 0)
-	m, err := DecodeV2(b)
-	if err != nil {
-		t.Fatalf("DecodeV2(helloack): %v", err)
+// TestTraceExtensionRoundTrip: traced requests keep their IDs, varint
+// boundary values included.
+func TestTraceExtensionRoundTrip(t *testing.T) {
+	for _, q := range []*Request{
+		{Op: OpGet, NS: NSMeta, Key: "m/1/o", TraceID: 7, SpanID: 9},
+		{Op: OpPing, TraceID: 1<<64 - 1, SpanID: 1 << 63},
+	} {
+		m, err := DecodeV2(q.EncodeV2())
+		if err != nil {
+			t.Fatal(err)
+		}
+		if m.Req.TraceID != q.TraceID || m.Req.SpanID != q.SpanID {
+			t.Fatalf("trace ids = %d/%d, want %d/%d", m.Req.TraceID, m.Req.SpanID, q.TraceID, q.SpanID)
+		}
 	}
-	if m.Kind != KindHelloAck || m.HelloVer != 2 || m.HelloCaps != 0 {
-		t.Fatalf("helloack decoded as kind=%d ver=%d caps=%d", m.Kind, m.HelloVer, m.HelloCaps)
+}
+
+// TestHelloAckRoundTrip checks both halves of the connection opener.
+func TestHelloAckRoundTrip(t *testing.T) {
+	for _, tc := range []struct {
+		b    []byte
+		kind int
+		ver  uint64
+	}{
+		{AppendHello(nil, 3, 0), KindHello, 3},
+		{AppendHelloAck(nil, Version2, 0), KindHelloAck, Version2},
+	} {
+		m, err := DecodeV2(tc.b)
+		if err != nil {
+			t.Fatalf("DecodeV2(kind %d): %v", tc.kind, err)
+		}
+		if m.Kind != tc.kind || m.HelloVer != tc.ver || m.HelloCaps != 0 {
+			t.Fatalf("decoded as kind=%d ver=%d caps=%d, want kind=%d ver=%d caps=0",
+				m.Kind, m.HelloVer, m.HelloCaps, tc.kind, tc.ver)
+		}
 	}
 }
 
@@ -112,6 +121,7 @@ func TestV2Corrupt(t *testing.T) {
 		{"empty", nil},
 		{"short header", []byte{Magic, Version2}},
 		{"bad magic", []byte{0x54, Version2, KindRequest, byte(OpPing), 0, 0, 0, 0, 0}},
+		{"v1 request", []byte{byte(OpGet), byte(NSMeta), 1, 'k', 0, 0, 0}},
 		{"future version", []byte{Magic, 0x03, KindRequest, byte(OpPing), 0, 0, 0, 0, 0}},
 		{"zero version", []byte{Magic, 0x00, KindRequest, byte(OpPing), 0, 0, 0, 0, 0}},
 		{"kind zero", []byte{Magic, Version2, 0x00, 0, 0}},
@@ -129,8 +139,6 @@ func TestV2Corrupt(t *testing.T) {
 	}
 	for _, tc := range cases {
 		if _, err := DecodeV2(tc.b); !errors.Is(err, ErrBadMessage) {
-			// IsV2-rejected inputs still go through DecodeV2 here on
-			// purpose: the parser must classify them itself.
 			t.Errorf("%s: err = %v, want ErrBadMessage", tc.name, err)
 		}
 	}
@@ -283,7 +291,7 @@ func FuzzDecodeV2Frame(f *testing.F) {
 	for _, p := range seedResponses() {
 		f.Add(p.EncodeV2())
 	}
-	f.Add(HelloFrame())
+	f.Add(AppendHello(nil, Version2, 0))
 	f.Add(AppendHelloAck(nil, 2, 0))
 	var pk Pack
 	pk.Reset()
@@ -301,95 +309,15 @@ func FuzzDecodeV2Frame(f *testing.F) {
 		}
 		switch m.Kind {
 		case KindRequest:
-			re := m.Req.EncodeV2()
-			m2, err := DecodeV2(re)
-			if err != nil {
-				t.Fatalf("re-decode of canonical v2 encoding failed: %v", err)
-			}
-			if !reflect.DeepEqual(normalizeReq(&m.Req), normalizeReq(&m2.Req)) {
-				t.Fatalf("v2 request round trip diverged:\n  %+v\n  %+v", &m.Req, &m2.Req)
-			}
+			checkRequestRoundTrip(t, &m.Req)
 		case KindResponse:
-			re := m.Resp.EncodeV2()
-			m2, err := DecodeV2(re)
-			if err != nil {
-				t.Fatalf("re-decode of canonical v2 encoding failed: %v", err)
-			}
-			if !reflect.DeepEqual(normalizeResp(&m.Resp), normalizeResp(&m2.Resp)) {
-				t.Fatalf("v2 response round trip diverged:\n  %+v\n  %+v", &m.Resp, &m2.Resp)
-			}
+			checkResponseRoundTrip(t, &m.Resp)
 		case KindPack:
 			var sub Msg
 			for i, raw := range m.Pack {
 				if err := DecodeV2Into(raw, &sub); err != nil && !errors.Is(err, ErrBadMessage) {
 					t.Fatalf("pack[%d]: non-ErrBadMessage failure: %v", i, err)
 				}
-			}
-		}
-	})
-}
-
-// FuzzV1V2Differential cross-checks the codecs: anything the v1 decoder
-// accepts must survive translation through v2 unchanged, and any v2
-// request/response whose metadata is v1-representable must survive
-// translation back through v1.
-func FuzzV1V2Differential(f *testing.F) {
-	for _, q := range seedRequests() {
-		f.Add(q.Encode())
-		f.Add(q.EncodeV2())
-	}
-	for _, p := range seedResponses() {
-		f.Add(p.Encode())
-		f.Add(p.EncodeV2())
-	}
-	f.Fuzz(func(t *testing.T, b []byte) {
-		if IsV2(b) {
-			m, err := DecodeV2(b)
-			if err != nil {
-				return
-			}
-			switch m.Kind {
-			case KindRequest:
-				// v1 cannot carry SpanID without TraceID — skip the
-				// v2-only combination.
-				if m.Req.TraceID == 0 && m.Req.SpanID != 0 {
-					return
-				}
-				q2, err := DecodeRequest(m.Req.Encode())
-				if err != nil {
-					t.Fatalf("v1 rejected v2-accepted request: %v", err)
-				}
-				if !reflect.DeepEqual(normalizeReq(&m.Req), normalizeReq(q2)) {
-					t.Fatalf("v2→v1 diverged:\n  %+v\n  %+v", &m.Req, q2)
-				}
-			case KindResponse:
-				p2, err := DecodeResponse(m.Resp.Encode())
-				if err != nil {
-					t.Fatalf("v1 rejected v2-accepted response: %v", err)
-				}
-				if !reflect.DeepEqual(normalizeResp(&m.Resp), normalizeResp(p2)) {
-					t.Fatalf("v2→v1 diverged:\n  %+v\n  %+v", &m.Resp, p2)
-				}
-			}
-			return
-		}
-		// v1 requests: everything v1 accepts is v2-representable.
-		if q, err := DecodeRequest(b); err == nil {
-			m, err := DecodeV2(q.EncodeV2())
-			if err != nil {
-				t.Fatalf("v2 rejected v1-accepted request: %v", err)
-			}
-			if !reflect.DeepEqual(normalizeReq(q), normalizeReq(&m.Req)) {
-				t.Fatalf("v1→v2 diverged:\n  %+v\n  %+v", q, &m.Req)
-			}
-		}
-		if p, err := DecodeResponse(b); err == nil {
-			m, err := DecodeV2(p.EncodeV2())
-			if err != nil {
-				t.Fatalf("v2 rejected v1-accepted response: %v", err)
-			}
-			if !reflect.DeepEqual(normalizeResp(p), normalizeResp(&m.Resp)) {
-				t.Fatalf("v1→v2 diverged:\n  %+v\n  %+v", p, &m.Resp)
 			}
 		}
 	})

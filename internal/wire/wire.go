@@ -10,13 +10,10 @@
 package wire
 
 import (
-	"bufio"
-	"bytes"
 	"encoding/binary"
 	"errors"
 	"fmt"
 	"io"
-	"net"
 )
 
 // Op identifies a request operation.
@@ -112,25 +109,15 @@ type Request struct {
 	Items  []KV   // OpBatchGet (keys only) / OpBatchPut
 
 	// TraceID and SpanID propagate the client's observability trace so
-	// SSP-side spans can join it (internal/obs). They are encoded as an
-	// optional trailing extension: a zero TraceID is omitted entirely
-	// (the frame is byte-identical to the pre-extension format), and
-	// decoders treat a missing or malformed tail as "untraced", so old
-	// and new peers interoperate in both directions. SpanID is
-	// meaningful only alongside a nonzero TraceID.
+	// SSP-side spans can join it (internal/obs). They travel in the v2
+	// extension block, each omitted when zero.
 	TraceID uint64
 	SpanID  uint64
 
-	// ReqID multiplexes concurrent requests over one connection: a
-	// pipelined client tags each request with a nonzero ReqID and the
-	// server echoes it in the matching Response, so replies can complete
-	// out of order. Zero means unmultiplexed (the pre-extension serial
-	// protocol, where replies are matched by arrival order). Encoded as
-	// a further trailing uvarint after the trace extension; when the
-	// request is untraced but multiplexed, an explicit zero TraceID is
-	// written first so the tail stays self-describing. Old decoders
-	// ignore the extra bytes; frames with TraceID == 0 and ReqID == 0
-	// remain byte-identical to the original format.
+	// ReqID multiplexes concurrent requests over one connection: the
+	// client tags each request with a nonzero ReqID and the server echoes
+	// it in the matching Response, so replies can complete out of order.
+	// It travels in the v2 extension block.
 	ReqID uint64
 }
 
@@ -153,10 +140,7 @@ type Response struct {
 	Items  []KV // list / batch-get results; absent batch-get keys are omitted
 
 	// ReqID echoes the request's ReqID so a pipelined client can match
-	// out-of-order replies (see Request.ReqID). Encoded as an optional
-	// trailing uvarint: zero is omitted, keeping unmultiplexed frames
-	// byte-identical to the pre-extension format, and decoders treat a
-	// missing or malformed tail as zero.
+	// out-of-order replies (see Request.ReqID).
 	ReqID uint64
 }
 
@@ -176,26 +160,8 @@ const MaxMessageSize = 64 << 20
 
 // --- low-level encoding ----------------------------------------------------
 
-func putUvarint(buf *bytes.Buffer, v uint64) {
-	var tmp [binary.MaxVarintLen64]byte
-	n := binary.PutUvarint(tmp[:], v)
-	buf.Write(tmp[:n])
-}
-
-func putBytes(buf *bytes.Buffer, b []byte) {
-	putUvarint(buf, uint64(len(b)))
-	buf.Write(b)
-}
-
-func putString(buf *bytes.Buffer, s string) {
-	putUvarint(buf, uint64(len(s)))
-	buf.WriteString(s)
-}
-
-// Append-style twins of the helpers above: the v2 codec and the batched
-// frame packers build messages into reusable byte slices instead of
-// throwaway bytes.Buffers, so the steady-state encode path allocates
-// nothing.
+// The codec and the batched frame packers build messages into reusable
+// byte slices, so the steady-state encode path allocates nothing.
 
 func appendUvarint(dst []byte, v uint64) []byte {
 	return binary.AppendUvarint(dst, v)
@@ -261,18 +227,8 @@ func (r *reader) byteVal() (byte, error) {
 	return v, nil
 }
 
-func encodeKV(buf *bytes.Buffer, kv KV) {
-	buf.WriteByte(byte(kv.NS))
-	putString(buf, kv.Key)
-	putBytes(buf, kv.Val)
-	if kv.Delete {
-		buf.WriteByte(1)
-	} else {
-		buf.WriteByte(0)
-	}
-}
-
-func decodeKV(r *reader, copyVals bool) (KV, error) {
+// decodeKV parses one item; its Val aliases the reader's buffer.
+func decodeKV(r *reader) (KV, error) {
 	var kv KV
 	ns, err := r.byteVal()
 	if err != nil {
@@ -287,11 +243,7 @@ func decodeKV(r *reader, copyVals bool) (KV, error) {
 		return kv, err
 	}
 	if len(val) > 0 {
-		if copyVals {
-			kv.Val = append([]byte(nil), val...)
-		} else {
-			kv.Val = val
-		}
+		kv.Val = val
 	}
 	del, err := r.byteVal()
 	if err != nil {
@@ -301,10 +253,8 @@ func decodeKV(r *reader, copyVals bool) (KV, error) {
 	return kv, nil
 }
 
-// appendRequestBody appends the request's common body — op, ns, key, val,
-// prefix, items — shared byte-for-byte by the v1 codec (which follows it
-// with trailing-uvarint extensions) and the v2 codec (which precedes it
-// with the self-describing header).
+// appendRequestBody appends the request body — op, ns, key, val, prefix,
+// items — that follows the v2 header (v2.go).
 func appendRequestBody(dst []byte, q *Request) []byte {
 	dst = append(dst, byte(q.Op), byte(q.NS))
 	dst = appendString(dst, q.Key)
@@ -317,33 +267,9 @@ func appendRequestBody(dst []byte, q *Request) []byte {
 	return dst
 }
 
-// AppendRequest appends the v1 encoding of q to dst and returns the
-// extended slice. Encode is AppendRequest(nil, q).
-func AppendRequest(dst []byte, q *Request) []byte {
-	dst = appendRequestBody(dst, q)
-	// Optional trailing extensions (see Request.TraceID and
-	// Request.ReqID). Untraced, unmultiplexed requests stay
-	// byte-identical to the pre-extension encoding.
-	if q.TraceID != 0 {
-		dst = appendUvarint(dst, q.TraceID)
-		dst = appendUvarint(dst, q.SpanID)
-		if q.ReqID != 0 {
-			dst = appendUvarint(dst, q.ReqID)
-		}
-	} else if q.ReqID != 0 {
-		dst = appendUvarint(dst, 0) // explicit "untraced" so the tail stays ordered
-		dst = appendUvarint(dst, q.ReqID)
-	}
-	return dst
-}
-
-// Encode serializes the request (v1 codec).
-func (q *Request) Encode() []byte { return AppendRequest(nil, q) }
-
-// decodeRequestBody parses the shared request body into q. With copyVals
-// false the request's Val and item Vals alias b — the borrowed decode
-// used by the pooled-buffer hot path.
-func decodeRequestBody(r *reader, q *Request, copyVals bool) error {
+// decodeRequestBody parses the request body into q. The request's Val and
+// item Vals alias the reader's buffer (see DecodeV2).
+func decodeRequestBody(r *reader, q *Request) error {
 	op, err := r.byteVal()
 	if err != nil {
 		return fmt.Errorf("%w: %w", ErrBadMessage, err)
@@ -362,11 +288,7 @@ func decodeRequestBody(r *reader, q *Request, copyVals bool) error {
 		return fmt.Errorf("%w: %w", ErrBadMessage, err)
 	}
 	if len(val) > 0 {
-		if copyVals {
-			q.Val = append([]byte(nil), val...)
-		} else {
-			q.Val = val
-		}
+		q.Val = val
 	}
 	if q.Prefix, err = r.str(); err != nil {
 		return fmt.Errorf("%w: %w", ErrBadMessage, err)
@@ -379,66 +301,13 @@ func decodeRequestBody(r *reader, q *Request, copyVals bool) error {
 		return fmt.Errorf("%w: absurd item count %d", ErrBadMessage, n)
 	}
 	for i := uint64(0); i < n; i++ {
-		kv, err := decodeKV(r, copyVals)
+		kv, err := decodeKV(r)
 		if err != nil {
 			return fmt.Errorf("%w: item %d: %w", ErrBadMessage, i, err)
 		}
 		q.Items = append(q.Items, kv)
 	}
 	return nil
-}
-
-// decodeRequestTail parses the v1 trailing extensions: pre-extension
-// frames end after the body; a well-formed tail carries TraceID (then
-// SpanID when traced) then optionally ReqID. Anything else — including
-// trailing garbage old decoders also ignored — degrades to the zero
-// values rather than being rejected, keeping acceptance identical across
-// codec versions.
-func decodeRequestTail(r *reader, q *Request) {
-	if len(r.b) == 0 {
-		return
-	}
-	tid, err := r.uvarint()
-	if err != nil {
-		return
-	}
-	if tid != 0 {
-		sid, err := r.uvarint()
-		if err != nil {
-			return // trace truncated: untraced, no ReqID
-		}
-		q.TraceID = tid
-		q.SpanID = sid
-	}
-	if rid, err := r.uvarint(); err == nil {
-		q.ReqID = rid
-	}
-}
-
-// DecodeRequest parses a v1 request payload. Val and item Vals are owned
-// copies; use DecodeRequestBorrowed on the pooled hot path.
-func DecodeRequest(b []byte) (*Request, error) {
-	r := &reader{b: b}
-	var q Request
-	if err := decodeRequestBody(r, &q, true); err != nil {
-		return nil, err
-	}
-	decodeRequestTail(r, &q)
-	return &q, nil
-}
-
-// DecodeRequestBorrowed parses a v1 request payload without copying: the
-// request's Val and item Vals alias b, so the request is only valid while
-// b is. Pair with Buf's Release discipline; call Detach to take
-// ownership.
-func DecodeRequestBorrowed(b []byte) (*Request, error) {
-	r := &reader{b: b}
-	var q Request
-	if err := decodeRequestBody(r, &q, false); err != nil {
-		return nil, err
-	}
-	decodeRequestTail(r, &q)
-	return &q, nil
 }
 
 // Detach copies every borrowed byte slice in q into owned memory, making
@@ -454,8 +323,8 @@ func (q *Request) Detach() {
 	}
 }
 
-// appendResponseBody appends the response's common body — status, err,
-// val, items — shared by the v1 and v2 codecs.
+// appendResponseBody appends the response body — status, err, val,
+// items — that follows the v2 header.
 func appendResponseBody(dst []byte, p *Response) []byte {
 	dst = append(dst, byte(p.Status))
 	dst = appendString(dst, p.Err)
@@ -467,24 +336,9 @@ func appendResponseBody(dst []byte, p *Response) []byte {
 	return dst
 }
 
-// AppendResponse appends the v1 encoding of p to dst and returns the
-// extended slice. Encode is AppendResponse(nil, p).
-func AppendResponse(dst []byte, p *Response) []byte {
-	dst = appendResponseBody(dst, p)
-	// Optional multiplexing extension (see Response.ReqID). Unmultiplexed
-	// responses stay byte-identical to the pre-extension encoding.
-	if p.ReqID != 0 {
-		dst = appendUvarint(dst, p.ReqID)
-	}
-	return dst
-}
-
-// Encode serializes the response (v1 codec).
-func (p *Response) Encode() []byte { return AppendResponse(nil, p) }
-
-// decodeResponseBody parses the shared response body into p, borrowing
-// Val and item Vals from b when copyVals is false.
-func decodeResponseBody(r *reader, p *Response, copyVals bool) error {
+// decodeResponseBody parses the response body into p, borrowing Val and
+// item Vals from the reader's buffer.
+func decodeResponseBody(r *reader, p *Response) error {
 	st, err := r.byteVal()
 	if err != nil {
 		return fmt.Errorf("%w: %w", ErrBadMessage, err)
@@ -498,11 +352,7 @@ func decodeResponseBody(r *reader, p *Response, copyVals bool) error {
 		return fmt.Errorf("%w: %w", ErrBadMessage, err)
 	}
 	if len(val) > 0 {
-		if copyVals {
-			p.Val = append([]byte(nil), val...)
-		} else {
-			p.Val = val
-		}
+		p.Val = val
 	}
 	n, err := r.uvarint()
 	if err != nil {
@@ -512,49 +362,13 @@ func decodeResponseBody(r *reader, p *Response, copyVals bool) error {
 		return fmt.Errorf("%w: absurd item count %d", ErrBadMessage, n)
 	}
 	for i := uint64(0); i < n; i++ {
-		kv, err := decodeKV(r, copyVals)
+		kv, err := decodeKV(r)
 		if err != nil {
 			return fmt.Errorf("%w: item %d: %w", ErrBadMessage, i, err)
 		}
 		p.Items = append(p.Items, kv)
 	}
 	return nil
-}
-
-// DecodeResponse parses a v1 response payload. Val and item Vals are
-// owned copies; use DecodeResponseBorrowed on the pooled hot path.
-func DecodeResponse(b []byte) (*Response, error) {
-	r := &reader{b: b}
-	var p Response
-	if err := decodeResponseBody(r, &p, true); err != nil {
-		return nil, err
-	}
-	// Multiplexing extension: pre-extension frames end here; a
-	// well-formed tail is a single ReqID uvarint. A malformed tail
-	// degrades to zero (unmultiplexed) rather than being rejected.
-	if len(r.b) > 0 {
-		if rid, err := r.uvarint(); err == nil {
-			p.ReqID = rid
-		}
-	}
-	return &p, nil
-}
-
-// DecodeResponseBorrowed parses a v1 response payload without copying:
-// Val and item Vals alias b. Pair with Buf's Release discipline; call
-// Detach to take ownership.
-func DecodeResponseBorrowed(b []byte) (*Response, error) {
-	r := &reader{b: b}
-	var p Response
-	if err := decodeResponseBody(r, &p, false); err != nil {
-		return nil, err
-	}
-	if len(r.b) > 0 {
-		if rid, err := r.uvarint(); err == nil {
-			p.ReqID = rid
-		}
-	}
-	return &p, nil
 }
 
 // Detach copies every borrowed byte slice in p into owned memory, making
@@ -605,77 +419,6 @@ func ReadFrame(r io.Reader) ([]byte, int, error) {
 		return nil, 4, fmt.Errorf("%w: %w", ErrBadMessage, err)
 	}
 	return payload, 4 + int(n), nil
-}
-
-// Codec frames requests and responses over a connection, buffering writes
-// and counting wire bytes in each direction.
-type Codec struct {
-	conn net.Conn
-	br   *bufio.Reader
-	bw   *bufio.Writer
-
-	// BytesOut and BytesIn count wire traffic through this codec.
-	BytesOut int64
-	BytesIn  int64
-}
-
-// NewCodec wraps conn.
-func NewCodec(conn net.Conn) *Codec {
-	return &Codec{
-		conn: conn,
-		br:   bufio.NewReaderSize(conn, 32*1024),
-		bw:   bufio.NewWriterSize(conn, 32*1024),
-	}
-}
-
-// Close closes the underlying connection.
-func (c *Codec) Close() error { return c.conn.Close() }
-
-func (c *Codec) send(payload []byte) error {
-	n, err := WriteFrame(c.bw, payload)
-	c.BytesOut += int64(n)
-	if err != nil {
-		return err
-	}
-	return c.bw.Flush()
-}
-
-func (c *Codec) recv() ([]byte, error) {
-	payload, n, err := ReadFrame(c.br)
-	c.BytesIn += int64(n)
-	return payload, err
-}
-
-// SendRequest writes a request frame.
-func (c *Codec) SendRequest(q *Request) error { return c.send(q.Encode()) }
-
-// ReadRequest reads the next request frame.
-func (c *Codec) ReadRequest() (*Request, error) {
-	payload, err := c.recv()
-	if err != nil {
-		return nil, err
-	}
-	return DecodeRequest(payload)
-}
-
-// SendResponse writes a response frame.
-func (c *Codec) SendResponse(p *Response) error { return c.send(p.Encode()) }
-
-// ReadResponse reads the next response frame.
-func (c *Codec) ReadResponse() (*Response, error) {
-	payload, err := c.recv()
-	if err != nil {
-		return nil, err
-	}
-	return DecodeResponse(payload)
-}
-
-// Call performs one request/response round trip.
-func (c *Codec) Call(q *Request) (*Response, error) {
-	if err := c.SendRequest(q); err != nil {
-		return nil, err
-	}
-	return c.ReadResponse()
 }
 
 // AsError converts a non-OK response into an error.

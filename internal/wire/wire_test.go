@@ -24,12 +24,12 @@ func TestRequestRoundTrip(t *testing.T) {
 		}},
 	}
 	for _, q := range cases {
-		got, err := DecodeRequest(q.Encode())
+		m, err := DecodeV2(q.EncodeV2())
 		if err != nil {
 			t.Fatalf("%v: %v", q.Op, err)
 		}
-		if !reflect.DeepEqual(got, q) {
-			t.Errorf("%v: round trip mismatch:\n got %+v\nwant %+v", q.Op, got, q)
+		if !reflect.DeepEqual(&m.Req, q) {
+			t.Errorf("%v: round trip mismatch:\n got %+v\nwant %+v", q.Op, &m.Req, q)
 		}
 	}
 }
@@ -46,12 +46,12 @@ func TestResponseRoundTrip(t *testing.T) {
 		}},
 	}
 	for _, p := range cases {
-		got, err := DecodeResponse(p.Encode())
+		m, err := DecodeV2(p.EncodeV2())
 		if err != nil {
 			t.Fatalf("%v: %v", p.Status, err)
 		}
-		if !reflect.DeepEqual(got, p) {
-			t.Errorf("round trip mismatch:\n got %+v\nwant %+v", got, p)
+		if !reflect.DeepEqual(&m.Resp, p) {
+			t.Errorf("round trip mismatch:\n got %+v\nwant %+v", &m.Resp, p)
 		}
 	}
 }
@@ -66,8 +66,8 @@ func TestRequestPropertyRoundTrip(t *testing.T) {
 		if len(itemVal) > 0 {
 			q.Items[0].Val = itemVal
 		}
-		got, err := DecodeRequest(q.Encode())
-		return err == nil && reflect.DeepEqual(got, q)
+		m, err := DecodeV2(q.EncodeV2())
+		return err == nil && reflect.DeepEqual(&m.Req, q)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
 		t.Error(err)
@@ -76,18 +76,17 @@ func TestRequestPropertyRoundTrip(t *testing.T) {
 
 func TestDecodeRejectsGarbage(t *testing.T) {
 	for _, b := range [][]byte{nil, {1}, {1, 2, 200}, bytes.Repeat([]byte{0xFF}, 10)} {
-		if _, err := DecodeRequest(b); err == nil {
-			t.Errorf("DecodeRequest(%v) accepted garbage", b)
+		if _, err := DecodeV2(requestFrame(b)); err == nil {
+			t.Errorf("request body %v accepted", b)
 		}
 	}
-	if _, err := DecodeResponse([]byte{1, 0xFF}); err == nil {
-		t.Error("DecodeResponse accepted garbage")
+	if _, err := DecodeV2(responseFrame([]byte{1, 0xFF})); err == nil {
+		t.Error("garbage response body accepted")
 	}
 	// Absurd item counts must be rejected rather than looping.
-	var buf bytes.Buffer
-	buf.Write([]byte{byte(OpBatchPut), 0, 0, 0, 0}) // op, ns, key="", val="", prefix=""
-	buf.Write([]byte{0xFF, 0xFF, 0xFF, 0xFF, 0x7F}) // huge varint count
-	if _, err := DecodeRequest(buf.Bytes()); !errors.Is(err, ErrBadMessage) {
+	body := []byte{byte(OpBatchPut), 0, 0, 0, 0}      // op, ns, key="", val="", prefix=""
+	body = append(body, 0xFF, 0xFF, 0xFF, 0xFF, 0x7F) // huge varint count
+	if _, err := DecodeV2(requestFrame(body)); !errors.Is(err, ErrBadMessage) {
 		t.Errorf("huge item count: %v", err)
 	}
 }
@@ -131,33 +130,48 @@ func TestFrameTruncated(t *testing.T) {
 	}
 }
 
+// TestCodecRoundTrip drives one request and its reply through framed v2
+// messages over a connection, the way the SSP client and server do.
 func TestCodecRoundTrip(t *testing.T) {
 	a, b := net.Pipe()
-	ca, cb := NewCodec(a), NewCodec(b)
-	defer ca.Close()
-	defer cb.Close()
+	defer a.Close()
+	defer b.Close()
 
 	go func() {
-		q, err := cb.ReadRequest()
+		buf, _, err := ReadFrameBuf(b)
 		if err != nil {
 			t.Error(err)
 			return
 		}
-		if q.Op != OpGet || q.Key != "m/1" {
-			t.Errorf("server got %+v", q)
+		defer buf.Release()
+		m, err := DecodeV2(buf.Bytes())
+		if err != nil {
+			t.Error(err)
+			return
 		}
-		cb.SendResponse(&Response{Status: StatusOK, Val: []byte("metadata")})
+		if m.Kind != KindRequest || m.Req.Op != OpGet || m.Req.Key != "m/1" || m.Req.ReqID != 4 {
+			t.Errorf("server got kind %d %+v", m.Kind, m.Req)
+		}
+		WriteFrame(b, AppendResponseV2(nil, &Response{Status: StatusOK, Val: []byte("metadata"), ReqID: m.Req.ReqID}))
 	}()
 
-	resp, err := ca.Call(&Request{Op: OpGet, NS: NSMeta, Key: "m/1"})
+	out, err := WriteFrame(a, (&Request{Op: OpGet, NS: NSMeta, Key: "m/1", ReqID: 4}).EncodeV2())
 	if err != nil {
 		t.Fatal(err)
 	}
-	if resp.Status != StatusOK || string(resp.Val) != "metadata" {
-		t.Errorf("resp = %+v", resp)
+	payload, in, err := ReadFrame(a)
+	if err != nil {
+		t.Fatal(err)
 	}
-	if ca.BytesOut == 0 || ca.BytesIn == 0 {
-		t.Error("codec byte counters not updated")
+	m, err := DecodeV2(payload)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if m.Kind != KindResponse || m.Resp.Status != StatusOK || string(m.Resp.Val) != "metadata" || m.Resp.ReqID != 4 {
+		t.Errorf("resp = kind %d %+v", m.Kind, m.Resp)
+	}
+	if out == 0 || in == 0 {
+		t.Error("frame byte counts not reported")
 	}
 }
 
@@ -196,17 +210,19 @@ func TestOpAndNSStrings(t *testing.T) {
 func BenchmarkRequestEncode(b *testing.B) {
 	q := &Request{Op: OpPut, NS: NSData, Key: "b/123456/c/2", Val: make([]byte, 4096)}
 	b.ReportAllocs()
+	var dst []byte
 	for i := 0; i < b.N; i++ {
-		q.Encode()
+		dst = AppendRequestV2(dst[:0], q)
 	}
 }
 
 func BenchmarkRequestDecode(b *testing.B) {
 	q := &Request{Op: OpPut, NS: NSData, Key: "b/123456/c/2", Val: make([]byte, 4096)}
-	payload := q.Encode()
+	payload := q.EncodeV2()
+	var m Msg
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		if _, err := DecodeRequest(payload); err != nil {
+		if err := DecodeV2Into(payload, &m); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -74,12 +74,6 @@ type BenchReport struct {
 	// SelfHeal records whether the self-healing transport stack
 	// (reconnecting clients + classified retries + breakers) was built.
 	SelfHeal bool `json:"self_heal,omitempty"`
-	// WireVersion records which frame codec the run's clients offered: 2
-	// (the self-describing negotiated default) or 1 (`-wire v1`, the
-	// legacy trailing-uvarint codec, kept benchmarkable for comparison).
-	// Absent means 2 — reports predating the field were measured on v1,
-	// but are compared against same-flag reruns, never across codecs.
-	WireVersion int `json:"wire_version,omitempty"`
 	// Chaos carries the chaos-campaign verdict for figure "chaos" runs.
 	Chaos *ChaosSummary `json:"chaos,omitempty"`
 	Rows  []BenchRow    `json:"rows"`

@@ -172,11 +172,6 @@ type Options struct {
 	// content-addressed — so write fault-tolerance stays with the shard
 	// quorum and the write-behind sticky-error path.
 	SelfHeal bool
-	// WireV1 dials every SSP connection with ssp.DialLegacy: no hello
-	// probe, v1 frames only, no pack coalescing. The benchmark escape
-	// hatch for measuring the v2 codec against its predecessor
-	// (`sharoes-bench -wire v1`).
-	WireV1 bool
 }
 
 // ShardFaultDelay is the injected per-read latency of the "slow"
@@ -322,7 +317,6 @@ func Build(kind SystemKind, opts Options) (*System, error) {
 				Recorder:    rec,
 				Tracer:      sys.Tracer,
 				Registry:    sys.Metrics,
-				Legacy:      opts.WireV1,
 			})
 			sys.teardown = append(sys.teardown, rc.Close)
 			// Reads retry on transient classes; writes surface to the shard
@@ -331,11 +325,7 @@ func Build(kind SystemKind, opts Options) (*System, error) {
 		}
 		// The tracer rides along on Dial so even the mount-path RPCs are
 		// traced (nil when Options.Trace is off — tracing disabled).
-		dial := ssp.Dial
-		if opts.WireV1 {
-			dial = ssp.DialLegacy
-		}
-		remote, err := dial(lis.Dial, rec, sys.Tracer)
+		remote, err := ssp.Dial(lis.Dial, rec, sys.Tracer)
 		if err != nil {
 			return nil, err
 		}
