@@ -1,24 +1,12 @@
 package ssp_test
 
 import (
-	"flag"
-	"os"
 	"testing"
 
 	"github.com/sharoes/sharoes/internal/netsim"
 	"github.com/sharoes/sharoes/internal/ssp"
 	"github.com/sharoes/sharoes/internal/wire"
-	"github.com/sharoes/sharoes/internal/workload"
 )
-
-// allocReport regenerates the committed allocation baseline:
-//
-//	go test ./internal/ssp -run TestWriteAllocReport -alloc-report
-var allocReport = flag.Bool("alloc-report", false, "rewrite BENCH_alloc.json from fresh benchmark runs")
-
-// allocOut redirects the regenerated report, e.g. for `make bench-alloc`
-// to diff a fresh run against the committed baseline without touching it.
-var allocOut = flag.String("alloc-out", "../../BENCH_alloc.json", "path the -alloc-report run writes")
 
 // benchVal is the payload size for the codec benchmarks: big enough that
 // a stray copy shows up unmistakably in B/op, small enough to stay in
@@ -26,9 +14,9 @@ var allocOut = flag.String("alloc-out", "../../BENCH_alloc.json", "path the -all
 const benchVal = 4096
 
 // BenchmarkEncodeRequest measures the v2 encode hot path as the client
-// writer uses it: appending into a reused buffer. The budget is ≤ 2
-// allocs/op; steady state is zero because the scratch buffer stops
-// growing after the first iteration.
+// writer uses it: appending into a reused buffer. Steady state is zero
+// allocs/op because the scratch buffer stops growing after the first
+// iteration; TestAllocBudget holds it there.
 func BenchmarkEncodeRequest(b *testing.B) {
 	q := &wire.Request{
 		Op: wire.OpPut, NS: wire.NSData, Key: "bench/key",
@@ -47,7 +35,7 @@ func BenchmarkEncodeRequest(b *testing.B) {
 
 // BenchmarkDecodeResponse measures the v2 decode hot path as the client
 // read loop uses it: DecodeV2Into with a reused Msg, values borrowed
-// from the frame. Budget ≤ 2 allocs/op; steady state is zero.
+// from the frame. Steady state is zero allocs/op (TestAllocBudget).
 func BenchmarkDecodeResponse(b *testing.B) {
 	frame := wire.AppendResponseV2(nil, &wire.Response{
 		Status: wire.StatusOK, ReqID: 9, Val: make([]byte, benchVal),
@@ -67,10 +55,9 @@ func BenchmarkDecodeResponse(b *testing.B) {
 
 // BenchmarkRoundTripPipelined measures whole-stack cost per call — pack
 // batching both directions, pooled frame reads — with
-// a 32-deep pipeline over an unlimited netsim link. No hard budget:
-// per-call goroutine and channel machinery allocates by design; this row
-// exists so bytes/op regressions (lost pooling, reintroduced copies)
-// fail the compare gate.
+// a 32-deep pipeline over an unlimited netsim link. Per-call goroutine
+// and channel machinery allocates by design; TestAllocBudget caps it so
+// lost pooling or a reintroduced copy fails.
 func BenchmarkRoundTripPipelined(b *testing.B) {
 	store := ssp.NewMemStore()
 	if err := store.Put(wire.NSData, "k", make([]byte, benchVal)); err != nil {
@@ -113,39 +100,29 @@ func BenchmarkRoundTripPipelined(b *testing.B) {
 	}
 }
 
-// TestWriteAllocReport regenerates BENCH_alloc.json when run with
-// -alloc-report. The codec rows carry the hard ≤ 2 allocs/op budget;
-// WriteAllocReport enforces it at generation time, so a regression can't
-// even produce a baseline file.
-func TestWriteAllocReport(t *testing.T) {
-	if !*allocReport {
-		t.Skip("pass -alloc-report to regenerate BENCH_alloc.json")
-	}
-	row := func(name string, fn func(*testing.B), budget int64) workload.AllocRow {
-		r := testing.Benchmark(fn)
-		t.Logf("%s: %v, %d allocs/op, %d B/op", name, r, r.AllocsPerOp(), r.AllocedBytesPerOp())
-		return workload.AllocRow{
-			Name:        name,
-			NsPerOp:     float64(r.NsPerOp()),
-			AllocsPerOp: r.AllocsPerOp(),
-			BytesPerOp:  r.AllocedBytesPerOp(),
-			MaxAllocs:   budget,
+// TestAllocBudget is the allocation gate on the codec hot paths and the
+// pipelined round trip. The ceilings are the last committed measurements:
+// encode and decode allocate nothing, and a round trip takes at most 13
+// allocations and 10% over 9421 bytes. A lost pool release or a
+// reintroduced copy fails it. The race detector makes sync.Pool drop
+// items, so race runs skip this test.
+func TestAllocBudget(t *testing.T) {
+	for _, c := range []struct {
+		name      string
+		fn        func(*testing.B)
+		maxAllocs int64
+		maxBytes  int64
+	}{
+		{"EncodeRequest", BenchmarkEncodeRequest, 0, 0},
+		{"DecodeResponse", BenchmarkDecodeResponse, 0, 0},
+		{"RoundTripPipelined", BenchmarkRoundTripPipelined, 13, 9421 * 110 / 100},
+	} {
+		r := testing.Benchmark(c.fn)
+		allocs, bytes := r.AllocsPerOp(), r.AllocedBytesPerOp()
+		t.Logf("%s: %d allocs/op, %d B/op", c.name, allocs, bytes)
+		if allocs > c.maxAllocs || bytes > c.maxBytes {
+			t.Errorf("%s: %d allocs/op and %d B/op, budget %d allocs/op and %d B/op",
+				c.name, allocs, bytes, c.maxAllocs, c.maxBytes)
 		}
-	}
-	rep := workload.AllocReport{
-		Schema: workload.AllocReportSchema,
-		Rows: []workload.AllocRow{
-			row("BenchmarkEncodeRequest", BenchmarkEncodeRequest, 2),
-			row("BenchmarkDecodeResponse", BenchmarkDecodeResponse, 2),
-			row("BenchmarkRoundTripPipelined", BenchmarkRoundTripPipelined, 0),
-		},
-	}
-	f, err := os.Create(*allocOut)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer f.Close()
-	if err := workload.WriteAllocReport(f, rep); err != nil {
-		t.Fatal(err)
 	}
 }

@@ -29,9 +29,9 @@ import (
 
 // Chaos profiles select the injection mix.
 const (
-	ChaosMixed = "mixed" // everything below, uniformly
-	ChaosDrops = "drops" // severs and flap windows only
-	ChaosSlow  = "slow"  // straggler windows only
+	ChaosMixed = "mixed"  // everything below, uniformly
+	ChaosDrops = "drops"  // severs and flap windows only
+	ChaosSlow  = "slow"   // straggler windows only
 	ChaosWrite = "writes" // write-refusal windows, sometimes quorum-wide
 )
 
@@ -45,15 +45,33 @@ type ChaosOptions struct {
 	Shards   int           // backend SSPs (default 3, min 2)
 }
 
-// ChaosResult is a finished campaign: the verdict summary, the metric
-// registry of the whole stack, and the client-side latency histograms.
+// ChaosResult is a finished campaign: the verdict summary and the metric
+// registry of the whole stack, client-side latency histograms included.
 type ChaosResult struct {
-	Summary    ChaosSummary
-	Registry   *obs.Registry
-	Shards     int
-	PutLat     obs.HistSnapshot
-	GetLat     obs.HistSnapshot
-	BarrierLat obs.HistSnapshot
+	Summary  ChaosSummary
+	Registry *obs.Registry
+}
+
+// ChaosSummary is the machine-readable verdict of one chaos campaign
+// (`sharoes-bench -chaos`): what was injected, what converged, and the
+// self-healing counters that prove the transport actually exercised its
+// recovery paths.
+type ChaosSummary struct {
+	Seed     int64  `json:"seed"`
+	Profile  string `json:"profile"`
+	Workers  int    `json:"workers"`
+	Ops      int64  `json:"ops"`      // client operations issued
+	Severs   int64  `json:"severs"`   // connection severs injected
+	Faults   int64  `json:"faults"`   // fault-window arms (slow/writeerr)
+	Redials  int64  `json:"redials"`  // successful reconnects
+	Retries  int64  `json:"retries"`  // resilience-layer retries issued
+	Breaker  int64  `json:"breaker"`  // breaker open transitions
+	Degraded int64  `json:"degraded"` // barriers surfacing classified errors
+	// Keys is how many durable keys the convergence check verified;
+	// Diverged how many came back wrong or missing (must be 0 to pass).
+	Keys     int  `json:"keys"`
+	Diverged int  `json:"diverged"`
+	Pass     bool `json:"pass"`
 }
 
 func (o *ChaosOptions) defaults() {
@@ -474,11 +492,7 @@ func RunChaos(opts ChaosOptions) (*ChaosResult, error) {
 
 	snap := reg.Snapshot()
 	out := &ChaosResult{
-		Registry:   reg,
-		Shards:     opts.Shards,
-		PutLat:     putLat.Snapshot(),
-		GetLat:     getLat.Snapshot(),
-		BarrierLat: barLat.Snapshot(),
+		Registry: reg,
 		Summary: ChaosSummary{
 			Seed:     opts.Seed,
 			Profile:  opts.Profile,
@@ -496,41 +510,4 @@ func RunChaos(opts ChaosOptions) (*ChaosResult, error) {
 		},
 	}
 	return out, nil
-}
-
-// ChaosReport renders a finished campaign in the machine-readable bench
-// schema: one latency row per op class plus the campaign summary.
-func ChaosReport(r *ChaosResult) BenchReport {
-	rep := BenchReport{
-		Schema:      ReportSchema,
-		Figure:      "chaos",
-		Profile:     "chaos",
-		Scale:       1,
-		Scheme:      "none",
-		Shards:      r.Shards,
-		Replicas:    2,
-		WriteQuorum: 1,
-		SelfHeal:    true,
-		Chaos:       &r.Summary,
-	}
-	row := func(op string, lat obs.HistSnapshot) {
-		if lat.Count == 0 {
-			return
-		}
-		rep.Rows = append(rep.Rows, BenchRow{
-			Figure:  "chaos",
-			Op:      op,
-			System:  "SELF-HEAL",
-			Count:   lat.Count,
-			TotalNs: int64(lat.Mean()) * lat.Count,
-			MeanNs:  int64(lat.Mean()),
-			P50Ns:   int64(lat.Quantile(0.50)),
-			P95Ns:   int64(lat.Quantile(0.95)),
-			P99Ns:   int64(lat.Quantile(0.99)),
-		})
-	}
-	row("put", r.PutLat)
-	row("get", r.GetLat)
-	row("barrier", r.BarrierLat)
-	return rep
 }

@@ -9,11 +9,6 @@ import (
 	"github.com/sharoes/sharoes/internal/stats"
 )
 
-// metadataSpineBytes is the per-session cache allowance for the shared
-// metadata hot set (superblock, root and directory tables) every session
-// re-caches privately; see the parallel split in RunFig10.
-const metadataSpineBytes = 16 << 10
-
 // FigureOptions configures one figure regeneration.
 type FigureOptions struct {
 	Options
@@ -32,6 +27,25 @@ func (o FigureOptions) reps() int {
 	return o.Reps
 }
 
+// build is Build, held in a variable so tests can count the systems a
+// figure runner builds.
+var build = Build
+
+// eachRep builds a fresh system of kind once per repetition, runs fn on it
+// and tears it down again.
+func eachRep(reps int, kind SystemKind, o Options, fn func(*System) error) error {
+	for rep := 0; rep < reps; rep++ {
+		sys, err := build(kind, o)
+		if err != nil {
+			return err
+		}
+		if err := errors.Join(fn(sys), sys.Close()); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
 // Fig9Row is one implementation's Create-and-List result.
 type Fig9Row struct {
 	System SystemKind
@@ -42,17 +56,14 @@ type Fig9Row struct {
 // implementations, averaged over opts.Reps runs.
 func RunFig9(opts FigureOptions) ([]Fig9Row, error) {
 	cfg := PaperCreateList.Scaled(opts.Scale)
+	n := opts.reps()
 	rows := make([]Fig9Row, 0, len(AllSystems))
 	for _, kind := range AllSystems {
 		var acc CreateListResult
-		for rep := 0; rep < opts.reps(); rep++ {
-			sys, err := Build(kind, opts.Options)
+		err := eachRep(n, kind, opts.Options, func(sys *System) error {
+			res, err := CreateList(sys.FS, sys.Rec, cfg)
 			if err != nil {
-				return nil, fmt.Errorf("fig9 %v: %w", kind, err)
-			}
-			res, err := CreateListN(sys, cfg, opts.Parallel)
-			if err = errors.Join(err, sys.Close()); err != nil {
-				return nil, fmt.Errorf("fig9 %v: %w", kind, err)
+				return err
 			}
 			acc.Create += res.Create
 			acc.List += res.List
@@ -62,12 +73,15 @@ func RunFig9(opts FigureOptions) ([]Fig9Row, error) {
 			// over the pooled samples of all reps.
 			acc.CreateLat.Merge(res.CreateLat)
 			acc.ListLat.Merge(res.ListLat)
+			return nil
+		})
+		if err != nil {
+			return nil, fmt.Errorf("fig9 %v: %w", kind, err)
 		}
-		n := int64(opts.reps())
 		acc.Create /= time.Duration(n)
 		acc.List /= time.Duration(n)
-		acc.CreateStats = divSnap(acc.CreateStats, n)
-		acc.ListStats = divSnap(acc.ListStats, n)
+		acc.CreateStats = divSnap(acc.CreateStats, int64(n))
+		acc.ListStats = divSnap(acc.ListStats, int64(n))
 		rows = append(rows, Fig9Row{System: kind, Result: acc})
 	}
 	return rows, nil
@@ -94,13 +108,14 @@ type Fig10Row struct {
 }
 
 // RunFig10 regenerates Figure 10: Postmark time vs cache size (percent of
-// data-set size) for the four macro systems.
+// data-set size) for the four macro systems, averaged over opts.Reps runs.
 func RunFig10(opts FigureOptions, cachePcts []int) ([]Fig10Row, error) {
 	if len(cachePcts) == 0 {
 		cachePcts = []int{0, 20, 40, 60, 80, 100}
 	}
 	cfg := PaperPostmark.Scaled(opts.Scale)
 	dataSet := cfg.DataSetBytes()
+	n := opts.reps()
 	var rows []Fig10Row
 	for _, kind := range MacroSystems {
 		for _, pct := range cachePcts {
@@ -108,26 +123,25 @@ func RunFig10(opts FigureOptions, cachePcts []int) ([]Fig10Row, error) {
 			// The budget covers data plus decrypted-metadata overhead;
 			// 100% means the working set fits entirely.
 			o.CacheBytes = int64(float64(dataSet) * float64(pct) / 100.0 * 1.5)
-			if o.Parallel > 1 && o.CacheBytes > 0 {
-				// Each parallel session gets an equal slice of the data
-				// budget, plus a fixed allowance for the metadata spine
-				// (superblock, root and directory tables) that every
-				// session must hold privately. Dividing that fixed hot
-				// set N ways would leave small budgets entirely
-				// spine-bound and measure cache starvation rather than
-				// transport behavior.
-				o.CacheBytes = o.CacheBytes/int64(o.Parallel) + metadataSpineBytes
-			}
-			sys, err := Build(kind, o)
+			row := Fig10Row{System: kind, CachePct: pct}
+			err := eachRep(n, kind, o, func(sys *System) error {
+				res, err := Postmark(sys.FS, cfg)
+				if err != nil {
+					return err
+				}
+				row.Result.Total += res.Total
+				row.Result.Transactions += res.Transactions
+				row.Result.TxLat.Merge(res.TxLat)
+				row.Stats = addSnap(row.Stats, sys.Rec.Snapshot())
+				return nil
+			})
 			if err != nil {
 				return nil, fmt.Errorf("fig10 %v/%d%%: %w", kind, pct, err)
 			}
-			res, err := PostmarkN(sys, cfg, o.Parallel)
-			snap := sys.Rec.Snapshot()
-			if err = errors.Join(err, sys.Close()); err != nil {
-				return nil, fmt.Errorf("fig10 %v/%d%%: %w", kind, pct, err)
-			}
-			rows = append(rows, Fig10Row{System: kind, CachePct: pct, Result: res, Stats: snap})
+			row.Result.Total /= time.Duration(n)
+			row.Result.Transactions /= n
+			row.Stats = divSnap(row.Stats, int64(n))
+			rows = append(rows, row)
 		}
 	}
 	return rows, nil
@@ -152,24 +166,25 @@ type Fig11Row struct {
 // and cumulative, averaged over opts.Reps runs.
 func RunFig11(opts FigureOptions) ([]Fig11Row, error) {
 	cfg := PaperAndrew.Scaled(opts.Scale)
+	n := opts.reps()
 	rows := make([]Fig11Row, 0, len(MacroSystems))
 	for _, kind := range MacroSystems {
 		var acc AndrewResult
-		for rep := 0; rep < opts.reps(); rep++ {
-			sys, err := Build(kind, opts.Options)
-			if err != nil {
-				return nil, fmt.Errorf("fig11 %v: %w", kind, err)
-			}
+		err := eachRep(n, kind, opts.Options, func(sys *System) error {
 			res, err := Andrew(sys.FS, cfg)
-			if err = errors.Join(err, sys.Close()); err != nil {
-				return nil, fmt.Errorf("fig11 %v: %w", kind, err)
+			if err != nil {
+				return err
 			}
 			for i := range acc.Phase {
 				acc.Phase[i] += res.Phase[i]
 			}
+			return nil
+		})
+		if err != nil {
+			return nil, fmt.Errorf("fig11 %v: %w", kind, err)
 		}
 		for i := range acc.Phase {
-			acc.Phase[i] /= time.Duration(opts.reps())
+			acc.Phase[i] /= time.Duration(n)
 		}
 		rows = append(rows, Fig11Row{System: kind, Result: acc})
 	}
@@ -210,14 +225,35 @@ func PrintFig12(w io.Writer, rows []Fig11Row) {
 }
 
 // RunFig13 regenerates Figure 13: Sharoes filesystem operation costs
-// decomposed into NETWORK / CRYPTO / OTHER.
-func RunFig13(opts FigureOptions) (res OpCostsResult, err error) {
-	sys, err := Build(SysSharoes, opts.Options)
+// decomposed into NETWORK / CRYPTO / OTHER, averaged over opts.Reps runs.
+func RunFig13(opts FigureOptions) (OpCostsResult, error) {
+	var acc OpCostsResult
+	n := opts.reps()
+	err := eachRep(n, SysSharoes, opts.Options, func(sys *System) error {
+		res, err := OpCosts(sys.FS, sys.Rec, PaperOpCosts.Scaled(opts.Scale))
+		if err != nil {
+			return err
+		}
+		if acc.Ops == nil {
+			acc = res
+			return nil
+		}
+		for i, op := range res.Ops {
+			acc.Ops[i].Network += op.Network
+			acc.Ops[i].Crypto += op.Crypto
+			acc.Ops[i].Other += op.Other
+		}
+		return nil
+	})
 	if err != nil {
 		return OpCostsResult{}, fmt.Errorf("fig13: %w", err)
 	}
-	defer func() { err = errors.Join(err, sys.Close()) }()
-	return OpCosts(sys.FS, sys.Rec, PaperOpCosts.Scaled(opts.Scale))
+	for i := range acc.Ops {
+		acc.Ops[i].Network /= time.Duration(n)
+		acc.Ops[i].Crypto /= time.Duration(n)
+		acc.Ops[i].Other /= time.Duration(n)
+	}
+	return acc, nil
 }
 
 // PrintFig13 renders the breakdown.

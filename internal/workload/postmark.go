@@ -90,24 +90,6 @@ func Postmark(fs vfs.FS, cfg PostmarkConfig) (PostmarkResult, error) {
 	if err := fs.Mkdir("/postmark", 0o755); err != nil {
 		return res, fmt.Errorf("postmark: %w", err)
 	}
-	txHist := new(obs.Histogram)
-	n, err := postmarkRun(fs, cfg, "/postmark", txHist)
-	if err != nil {
-		return res, err
-	}
-	res.Transactions = n
-	res.Total = time.Since(start)
-	res.TxLat = txHist.Snapshot()
-	return res, nil
-}
-
-// postmarkRun builds the subdirectory shards and file pool under root and
-// drives the transaction stream against them, recording per-transaction
-// latency into txHist (which may be shared: Observe is concurrency-safe).
-// root must already exist. It returns the number of transactions performed.
-// The parallel harness gives each worker its own root and scaled-down
-// config, so workers never write the same directory table.
-func postmarkRun(fs vfs.FS, cfg PostmarkConfig, root string, txHist *obs.Histogram) (int, error) {
 	rng := cfg.rng()
 	size := func() int { return cfg.MinSize + rng.Intn(cfg.MaxSize-cfg.MinSize+1) }
 	payload := func(n int) []byte {
@@ -120,43 +102,43 @@ func postmarkRun(fs vfs.FS, cfg PostmarkConfig, root string, txHist *obs.Histogr
 		cfg.Subdirs = 1
 	}
 	for d := 0; d < cfg.Subdirs; d++ {
-		if err := fs.Mkdir(fmt.Sprintf("%s/s%02d", root, d), 0o755); err != nil {
-			return 0, fmt.Errorf("postmark: %w", err)
+		if err := fs.Mkdir(fmt.Sprintf("/postmark/s%02d", d), 0o755); err != nil {
+			return res, fmt.Errorf("postmark: %w", err)
 		}
 	}
 	live := make([]string, 0, cfg.Files*2)
 	nextID := 0
 	newPath := func() string {
-		p := fmt.Sprintf("%s/s%02d/pm%05d", root, nextID%cfg.Subdirs, nextID)
+		p := fmt.Sprintf("/postmark/s%02d/pm%05d", nextID%cfg.Subdirs, nextID)
 		nextID++
 		return p
 	}
 	for i := 0; i < cfg.Files; i++ {
 		p := newPath()
 		if err := fs.WriteFile(p, payload(size()), 0o644); err != nil {
-			return 0, fmt.Errorf("postmark create pool: %w", err)
+			return res, fmt.Errorf("postmark create pool: %w", err)
 		}
 		live = append(live, p)
 	}
 
-	done := 0
+	txHist := new(obs.Histogram)
 	for tx := 0; tx < cfg.Transactions; tx++ {
 		txStart := time.Now()
 		switch rng.Intn(4) {
 		case 0: // read
 			p := live[rng.Intn(len(live))]
 			if _, err := fs.ReadFile(p); err != nil {
-				return done, fmt.Errorf("postmark tx %d read %s: %w", tx, p, err)
+				return res, fmt.Errorf("postmark tx %d read %s: %w", tx, p, err)
 			}
 		case 1: // append (Postmark's "write" transaction)
 			p := live[rng.Intn(len(live))]
 			if err := fs.Append(p, payload(cfg.MinSize)); err != nil {
-				return done, fmt.Errorf("postmark tx %d append %s: %w", tx, p, err)
+				return res, fmt.Errorf("postmark tx %d append %s: %w", tx, p, err)
 			}
 		case 2: // create
 			p := newPath()
 			if err := fs.WriteFile(p, payload(size()), 0o644); err != nil {
-				return done, fmt.Errorf("postmark tx %d create: %w", tx, err)
+				return res, fmt.Errorf("postmark tx %d create: %w", tx, err)
 			}
 			live = append(live, p)
 		default: // delete
@@ -166,13 +148,15 @@ func postmarkRun(fs vfs.FS, cfg PostmarkConfig, root string, txHist *obs.Histogr
 			i := rng.Intn(len(live))
 			p := live[i]
 			if err := fs.Remove(p); err != nil {
-				return done, fmt.Errorf("postmark tx %d delete %s: %w", tx, p, err)
+				return res, fmt.Errorf("postmark tx %d delete %s: %w", tx, p, err)
 			}
 			live[i] = live[len(live)-1]
 			live = live[:len(live)-1]
 		}
 		txHist.Observe(time.Since(txStart))
-		done++
+		res.Transactions++
 	}
-	return done, nil
+	res.Total = time.Since(start)
+	res.TxLat = txHist.Snapshot()
+	return res, nil
 }

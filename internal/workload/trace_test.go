@@ -137,8 +137,7 @@ func TestTracedCreateListRoundTrip(t *testing.T) {
 // TestUntracedBuildHasNoObservability pins the default: without
 // Options.Trace the system carries no tracers, so benchmark runs pay no
 // tracing cost. The metrics registry is always attached — counters are
-// sharded atomics well below the simulated link's noise floor, and the
-// parallel workloads read them.
+// sharded atomics well below the simulated link's noise floor.
 func TestUntracedBuildHasNoObservability(t *testing.T) {
 	sys, err := Build(SysSharoes, Options{Profile: netsim.Unlimited})
 	if err != nil {

@@ -323,3 +323,46 @@ func TestFigureRunnersSmoke(t *testing.T) {
 		t.Errorf("scheme rows = %d", len(scheme))
 	}
 }
+
+// TestRepsRepeatFig10AndFig13 checks that -reps reaches the figures that
+// once built and ran a single time: Figure 10 pools the transaction
+// latencies of every repetition, and Figure 13 builds a fresh system per
+// repetition.
+func TestRepsRepeatFig10AndFig13(t *testing.T) {
+	builds := 0
+	build = func(kind SystemKind, o Options) (*System, error) {
+		builds++
+		return Build(kind, o)
+	}
+	t.Cleanup(func() { build = Build })
+
+	txCounts := func(reps int) []int64 {
+		opts := fastOpts()
+		opts.Reps = reps
+		rows, err := RunFig10(opts, []int{100})
+		if err != nil {
+			t.Fatal(err)
+		}
+		counts := make([]int64, len(rows))
+		for i, r := range rows {
+			counts[i] = r.Result.TxLat.Count
+		}
+		return counts
+	}
+	one, two := txCounts(1), txCounts(2)
+	for i := range one {
+		if one[i] == 0 || two[i] != 2*one[i] {
+			t.Errorf("fig10 row %d: TxLat.Count %d at Reps 2, want twice %d", i, two[i], one[i])
+		}
+	}
+
+	opts := fastOpts()
+	opts.Reps = 2
+	builds = 0
+	if _, err := RunFig13(opts); err != nil {
+		t.Fatal(err)
+	}
+	if builds != 2 {
+		t.Errorf("fig13 built %d systems at Reps 2, want 2", builds)
+	}
+}
