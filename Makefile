@@ -1,5 +1,5 @@
-# Developer entry points. CI (.github/workflows/ci.yml) runs the same
-# targets; keep the two in sync.
+# Developer entry points. CI (.github/workflows/ci.yml) calls these
+# targets rather than repeating their package lists and specs.
 
 GO ?= go
 
@@ -82,9 +82,9 @@ race:
 
 # chaos-smoke runs a short fixed-seed chaos campaign — connection drops,
 # slow replicas and injected write errors against the 3-shard R=2 W=1
-# self-healing stack — under the race detector. The run prints its verdict
-# and exits non-zero on a diverged campaign. The seed is fixed so a
-# failure replays; see docs/RESILIENCE.md.
+# self-healing stack, in the benchmark's shard_wan shape — under the race
+# detector. The run prints its verdict and exits non-zero on a diverged
+# campaign. The seed is fixed so a failure replays; see docs/RESILIENCE.md.
 CHAOS_SPEC ?= 42,10s,mixed
 chaos-smoke:
 	$(GO) run -race ./cmd/sharoes-bench -chaos $(CHAOS_SPEC)

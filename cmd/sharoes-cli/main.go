@@ -118,8 +118,8 @@ func main() {
 			if err != nil {
 				log.Fatal(err)
 			}
-			// A shard store acks writes at quorum; Close drains the
-			// background replica writes before the process exits.
+			// Writes are synchronous; Close waits for the background
+			// read repairs before the process exits.
 			defer func() {
 				if err := sh.Close(); err != nil {
 					log.Printf("shard close: %v", err)

@@ -115,11 +115,9 @@ func (p *Policy) defaults() {
 // handles it).
 type ContentKeyFunc func(ns wire.NS, key string) bool
 
-// Store wraps an ssp.BlobStore with the classified retry policy. It
-// forwards the Flusher and Router interfaces of its inner store so
-// write-behind lane-splitting and barriers see through it; Barrier itself
-// is never retried (a sticky deferred error must surface exactly once,
-// not be swallowed by a retry loop).
+// Store wraps an ssp.BlobStore with the classified retry policy. It is a
+// plain BlobStore decorator: it sits on one backend's connection, below
+// any router or write-behind layer, and exposes no optional interface.
 type Store struct {
 	inner      ssp.BlobStore
 	pol        Policy
@@ -131,8 +129,6 @@ type Store struct {
 }
 
 var _ ssp.BlobStore = (*Store)(nil)
-var _ ssp.Flusher = (*Store)(nil)
-var _ ssp.Router = (*Store)(nil)
 
 // NewStore wraps inner with pol. contentKey may be nil (no Put retries).
 func NewStore(inner ssp.BlobStore, pol Policy, contentKey ContentKeyFunc) *Store {
@@ -289,32 +285,6 @@ func (s *Store) Stats() (ssp.Stats, error) {
 		return err
 	})
 	return st, err
-}
-
-// Barrier implements ssp.Flusher by passing straight through — retrying
-// a barrier would swallow the exactly-once surfacing of sticky deferred
-// errors from the layers below.
-func (s *Store) Barrier() error {
-	if f, ok := s.inner.(ssp.Flusher); ok {
-		return f.Barrier()
-	}
-	return nil
-}
-
-// Routes implements ssp.Router by delegating to the inner store.
-func (s *Store) Routes() int {
-	if rt, ok := s.inner.(ssp.Router); ok {
-		return rt.Routes()
-	}
-	return 1
-}
-
-// RouteID implements ssp.Router by delegating to the inner store.
-func (s *Store) RouteID(ns wire.NS, key string) int {
-	if rt, ok := s.inner.(ssp.Router); ok {
-		return rt.RouteID(ns, key)
-	}
-	return 0
 }
 
 // splitmixRand returns a locked splitmix64 uniform [0,1) stream seeded

@@ -61,8 +61,6 @@ type countStore struct {
 	failPuts int
 	gets     int
 	puts     int
-	barriers int
-	barErr   error
 }
 
 func (c *countStore) Get(ns wire.NS, key string) ([]byte, error) {
@@ -107,17 +105,10 @@ func (c *countStore) BatchPut(items []wire.KV) error {
 	return c.MemStore.BatchPut(items)
 }
 
-func (c *countStore) Barrier() error {
+func (c *countStore) counts() (gets, puts int) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	c.barriers++
-	return c.barErr
-}
-
-func (c *countStore) counts() (gets, puts, barriers int) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.gets, c.puts, c.barriers
+	return c.gets, c.puts
 }
 
 // fastPolicy removes real sleeps and attaches a registry.
@@ -135,7 +126,7 @@ func TestGetRetriedToSuccess(t *testing.T) {
 	if err != nil || string(v) != "v" {
 		t.Fatalf("Get = %q, %v, want rescue on attempt 3", v, err)
 	}
-	gets, _, _ := inner.counts()
+	gets, _ := inner.counts()
 	if gets != 3 {
 		t.Fatalf("inner gets = %d, want 3", gets)
 	}
@@ -155,7 +146,7 @@ func TestGetExhaustsAttempts(t *testing.T) {
 	if _, err := s.Get(wire.NSData, "k"); !errors.Is(err, ssp.ErrDeadline) {
 		t.Fatalf("Get = %v, want the classified transient error surfaced", err)
 	}
-	gets, _, _ := inner.counts()
+	gets, _ := inner.counts()
 	if gets != 3 {
 		t.Fatalf("inner gets = %d, want MaxAttempts=3", gets)
 	}
@@ -170,7 +161,7 @@ func TestPermanentErrorNotRetried(t *testing.T) {
 	if _, err := s.Get(wire.NSData, "k"); err == nil {
 		t.Fatal("Get = nil, want the permanent error")
 	}
-	if gets, _, _ := inner.counts(); gets != 1 {
+	if gets, _ := inner.counts(); gets != 1 {
 		t.Fatalf("inner gets = %d; permanent errors must not retry", gets)
 	}
 }
@@ -181,7 +172,7 @@ func TestNotFoundNotRetried(t *testing.T) {
 	if _, err := s.Get(wire.NSData, "missing"); !errors.Is(err, wire.ErrNotFound) {
 		t.Fatalf("Get(missing) = %v", err)
 	}
-	if gets, _, _ := inner.counts(); gets != 1 {
+	if gets, _ := inner.counts(); gets != 1 {
 		t.Fatalf("inner gets = %d; NotFound must not retry", gets)
 	}
 }
@@ -192,7 +183,7 @@ func TestPutNotRetriedWithoutContentKey(t *testing.T) {
 	if err := s.Put(wire.NSData, "k", []byte("v")); !errors.Is(err, ssp.ErrInjectedWrite) {
 		t.Fatalf("Put = %v, want first transient error surfaced unretried", err)
 	}
-	if _, puts, _ := inner.counts(); puts != 1 {
+	if _, puts := inner.counts(); puts != 1 {
 		t.Fatalf("inner puts = %d; non-idempotent Put must not retry", puts)
 	}
 }
@@ -204,7 +195,7 @@ func TestPutRetriedForContentKeys(t *testing.T) {
 	if err := s.Put(wire.NSData, "cas/abc", []byte("v")); err != nil {
 		t.Fatalf("content-addressed Put = %v, want rescue", err)
 	}
-	if _, puts, _ := inner.counts(); puts != 2 {
+	if _, puts := inner.counts(); puts != 2 {
 		t.Fatalf("inner puts = %d, want 2", puts)
 	}
 }
@@ -222,7 +213,7 @@ func TestBatchPutMixedBatchNotRetried(t *testing.T) {
 	if err := s.BatchPut(mixed); !errors.Is(err, ssp.ErrInjectedWrite) {
 		t.Fatalf("mixed BatchPut = %v, want unretried error", err)
 	}
-	if _, puts, _ := inner.counts(); puts != 1 {
+	if _, puts := inner.counts(); puts != 1 {
 		t.Fatalf("inner puts = %d; mixed batch must not retry", puts)
 	}
 
@@ -252,42 +243,11 @@ func TestRetryBudgetDenies(t *testing.T) {
 	if _, err := s.Get(wire.NSData, "k"); !errors.Is(err, ssp.ErrDeadline) {
 		t.Fatalf("Get = %v", err)
 	}
-	gets, _, _ := inner.counts()
+	gets, _ := inner.counts()
 	if gets != 3 { // 2 + 1
 		t.Fatalf("inner gets = %d, want 3 (budget must bound retries)", gets)
 	}
 	if n := reg.Counter("resilience.retry.budget_denied").Value(); n != 2 {
 		t.Errorf("retry.budget_denied = %d, want 2", n)
-	}
-}
-
-func TestBarrierNeverRetried(t *testing.T) {
-	inner := &countStore{MemStore: ssp.NewMemStore(), barErr: ssp.ErrDeadline}
-	s := NewStore(inner, fastPolicy(nil), nil)
-	if err := s.Barrier(); !errors.Is(err, ssp.ErrDeadline) {
-		t.Fatalf("Barrier = %v, want the sticky error surfaced", err)
-	}
-	if _, _, barriers := inner.counts(); barriers != 1 {
-		t.Fatalf("inner barriers = %d; Barrier must pass through exactly once", barriers)
-	}
-}
-
-// TestRouterPassthrough: lane-splitting layers above must see the inner
-// store's routing through the retry wrapper.
-type routedStore struct {
-	*ssp.MemStore
-}
-
-func (routedStore) Routes() int                  { return 3 }
-func (routedStore) RouteID(_ wire.NS, _ string) int { return 2 }
-
-func TestRouterPassthrough(t *testing.T) {
-	s := NewStore(routedStore{ssp.NewMemStore()}, fastPolicy(nil), nil)
-	if s.Routes() != 3 || s.RouteID(wire.NSData, "k") != 2 {
-		t.Fatalf("Routes/RouteID not delegated: %d, %d", s.Routes(), s.RouteID(wire.NSData, "k"))
-	}
-	plain := NewStore(ssp.NewMemStore(), fastPolicy(nil), nil)
-	if plain.Routes() != 1 || plain.RouteID(wire.NSData, "k") != 0 {
-		t.Fatal("non-router inner must report a single route")
 	}
 }

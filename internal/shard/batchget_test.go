@@ -97,9 +97,6 @@ func statBatch(t *testing.T, s *Store, n int) []wire.KV {
 		}
 		req = append(req, wire.KV{NS: wire.NSMeta, Key: mk}, wire.KV{NS: wire.NSData, Key: fmt.Sprintf("f/%d/manifest", i)})
 	}
-	if err := s.Barrier(); err != nil {
-		t.Fatal(err)
-	}
 	return req
 }
 
@@ -163,9 +160,6 @@ func TestBatchGetServesAndRepairsFromSecondary(t *testing.T) {
 	if err := h.store.Put(wire.NSMeta, key, []byte("v")); err != nil {
 		t.Fatalf("W=1 put with the primary down: %v", err)
 	}
-	if err := h.store.Barrier(); err != nil {
-		t.Fatal(err)
-	}
 	if c := h.copies(wire.NSMeta, key); c != 1 {
 		t.Fatalf("key on %d backends before the read, want only the secondary", c)
 	}
@@ -175,9 +169,7 @@ func TestBatchGetServesAndRepairsFromSecondary(t *testing.T) {
 	if err != nil || len(got) != 1 || got[0].Key != key || string(got[0].Val) != "v" {
 		t.Fatalf("BatchGet = %+v, %v", got, err)
 	}
-	if err := h.store.Barrier(); err != nil {
-		t.Fatal(err)
-	}
+	h.store.waitIdle()
 	if v, err := h.mems[primary].Get(wire.NSMeta, key); err != nil || string(v) != "v" {
 		t.Errorf("primary copy after the read = %q, %v; want it repaired", v, err)
 	}
@@ -198,9 +190,6 @@ func TestBatchGetFailedPrimaryFallsOverInOnePass(t *testing.T) {
 			t.Fatal(err)
 		}
 		req = append(req, wire.KV{NS: wire.NSData, Key: key})
-	}
-	if err := m.store.Barrier(); err != nil {
-		t.Fatal(err)
 	}
 	m.bks[0].down.Store(true)
 	m.reads()
@@ -247,9 +236,6 @@ func TestBatchGetSkipsOpenBreakerButFailsOpen(t *testing.T) {
 			t.Fatal(err)
 		}
 		req = append(req, wire.KV{NS: wire.NSData, Key: key})
-	}
-	if err := m.store.Barrier(); err != nil {
-		t.Fatal(err)
 	}
 	m.bks[0].down.Store(true)
 	if _, err := m.store.BatchGet(req); err != nil { // trips s0's breaker
@@ -302,9 +288,6 @@ func TestBatchGetFallsBackToOldRing(t *testing.T) {
 		}
 		req = append(req, wire.KV{NS: wire.NSData, Key: key})
 	}
-	if err := m.store.Barrier(); err != nil {
-		t.Fatal(err)
-	}
 	newRing, err := NewRing(2, []string{"s0", "s1", "s2"}, 0)
 	if err != nil {
 		t.Fatal(err)
@@ -328,9 +311,7 @@ func TestBatchGetFallsBackToOldRing(t *testing.T) {
 	if gets, passes := m.reads(); gets != 0 || passes > 2 {
 		t.Errorf("%d Gets, %d passes; want 0 and at most 2", gets, passes)
 	}
-	if err := m.store.Barrier(); err != nil {
-		t.Fatal(err)
-	}
+	m.store.waitIdle()
 	m.store.mu.Lock()
 	m.store.ring, m.store.old, m.store.dirty = oldRing, nil, nil
 	m.store.mu.Unlock()

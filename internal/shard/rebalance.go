@@ -24,8 +24,7 @@ const streamBatch = 64
 //  1. The ring swap waits for in-flight writes (the streamMu fence) and
 //     background tasks to drain, then installs the new ring (epoch+1)
 //     with the old ring retained. From here writes route to the union of
-//     old and new replica sets (quorum counted against the new ring, and
-//     writes turn fully synchronous so they stay inside the fence) and
+//     old and new replica sets (quorum counted against the new ring) and
 //     reads that miss every new-ring replica fall back to the old
 //     owners, repairing the new ones.
 //  2. Every key whose replica set changed is streamed to the shards that
@@ -54,8 +53,10 @@ func (s *Store) Rebalance(backends []Backend, gc bool) error {
 
 	// Swap under the exclusive fence: every in-flight write completes
 	// first, so the values it wrote are on old-ring replicas and will be
-	// seen by the streamer's listing.
+	// seen by the streamer's listing. Then drain the background repairs,
+	// so no task routed under the old ring is still writing at the swap.
 	s.streamMu.Lock()
+	s.waitIdle()
 	s.mu.Lock()
 	if s.old != nil {
 		s.mu.Unlock()
@@ -67,11 +68,6 @@ func (s *Store) Rebalance(backends []Backend, gc bool) error {
 		s.mu.Unlock()
 		s.streamMu.Unlock()
 		return err
-	}
-	// Drain background remainders and repairs: once idle, every
-	// previously acked write is fully applied or failed, never pending.
-	for s.inflight > 0 {
-		s.idle.Wait()
 	}
 	oldRing := s.ring
 	// Copy-on-write: concurrent reads hold unlocked snapshots of the

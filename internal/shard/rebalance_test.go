@@ -21,9 +21,6 @@ func (h *harness) seed(t *testing.T, n int) map[string]string {
 			t.Fatal(err)
 		}
 	}
-	if err := h.store.Barrier(); err != nil {
-		t.Fatal(err)
-	}
 	return want
 }
 
@@ -43,9 +40,6 @@ func TestAddShardRebalances(t *testing.T) {
 
 	added := ssp.NewMemStore()
 	if err := h.store.AddShard(Backend{ID: "s3", Store: added}, true); err != nil {
-		t.Fatal(err)
-	}
-	if err := h.store.Barrier(); err != nil {
 		t.Fatal(err)
 	}
 	if got := h.store.Ring().Epoch; got != 2 {
@@ -94,9 +88,6 @@ func TestRemoveShardRebalances(t *testing.T) {
 	h := newHarness(t, 3, Options{Replicas: 2, WriteQuorum: 2})
 	want := h.seed(t, 100)
 	if err := h.store.RemoveShard("s1", true); err != nil {
-		t.Fatal(err)
-	}
-	if err := h.store.Barrier(); err != nil {
 		t.Fatal(err)
 	}
 	h.checkAll(t, want)
@@ -211,9 +202,6 @@ func TestRebalanceConcurrentOps(t *testing.T) {
 	}
 	close(stop)
 	wg.Wait()
-	if err := h.store.Barrier(); err != nil {
-		t.Fatal(err)
-	}
 
 	// Converged state: stable keys intact, every written key present.
 	h.checkAll(t, stable)
@@ -268,9 +256,7 @@ func TestReadFallbackDuringRebalance(t *testing.T) {
 	h.store.mu.Unlock()
 
 	h.checkAll(t, want) // fallback path must serve every key
-	if err := h.store.Barrier(); err != nil {
-		t.Fatal(err)
-	}
+	h.store.waitIdle()
 
 	h.store.mu.Lock()
 	h.store.ring = oldRing
@@ -305,9 +291,6 @@ func TestRebalanceToleratesDeadOldShard(t *testing.T) {
 	h.store.backends["s1"] = failingLister{h.store.backends["s1"]}
 	h.store.mu.Unlock()
 	if err := h.store.AddShard(Backend{ID: "s3", Store: ssp.NewMemStore()}, false); err != nil {
-		t.Fatal(err)
-	}
-	if err := h.store.Barrier(); err != nil {
 		t.Fatal(err)
 	}
 	h.checkAll(t, want)

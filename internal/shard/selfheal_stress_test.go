@@ -85,9 +85,6 @@ func TestSelfHealStress(t *testing.T) {
 			t.Fatalf("warm-up put: %v", err)
 		}
 	}
-	if err := s.Barrier(); err != nil {
-		t.Fatalf("warm-up barrier: %v", err)
-	}
 	for _, lis := range listeners {
 		lis.SeverConns()
 	}
@@ -144,23 +141,6 @@ func TestSelfHealStress(t *testing.T) {
 	case err := <-errc:
 		t.Fatal(err)
 	default:
-	}
-
-	// Quiesce: drain background remainders. The sticky quorum error, if
-	// any, must be transient-classified (a severed remainder), never an
-	// unexplained loss.
-	for attempt := 0; ; attempt++ {
-		err := s.Barrier()
-		if err == nil {
-			break
-		}
-		if !transient(err) {
-			t.Fatalf("unclassified barrier error: %v", err)
-		}
-		if attempt > 100 {
-			t.Fatalf("barrier never drained clean: %v", err)
-		}
-		time.Sleep(2 * time.Millisecond)
 	}
 
 	// Model equivalence: every acked key reads back its exact value once

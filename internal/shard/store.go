@@ -26,8 +26,8 @@ type Options struct {
 	// Replicas is R: every blob lives on this many distinct shards
 	// (default 2, clamped to the shard count).
 	Replicas int
-	// WriteQuorum is W: a write acks after W of its R replica writes
-	// succeed; the rest complete in the background (default majority,
+	// WriteQuorum is W: a write waits for all R replica replies and
+	// succeeds when at least W of them succeeded (default majority,
 	// (R/2)+1). Must be 1 <= W <= R.
 	WriteQuorum int
 	// HedgeDelay is how long a read waits on one replica before hedging
@@ -47,10 +47,9 @@ type Options struct {
 	BreakerThreshold int
 	BreakerCooldown  time.Duration
 	// BgLimit bounds the concurrent best-effort background goroutines
-	// (quorum-remainder drains, read repairs, old-ring writes; default
-	// 64, <0 unbounded). Tasks beyond the limit are shed and counted in
-	// shard.put.bg_shed; the quorum-carrying replica writes themselves
-	// are never shed.
+	// (read repairs and hedge stragglers; default 64, <0 unbounded).
+	// Tasks beyond the limit are shed and counted in shard.put.bg_shed;
+	// writes never run in the background, so none is ever shed.
 	BgLimit int
 	// Registry, when non-nil, receives shard metrics: shard.put.quorum /
 	// shard.put.bg_fail / shard.put.bg_shed / shard.get.hedged /
@@ -95,8 +94,8 @@ func (o *Options) defaults(n int) error {
 	return nil
 }
 
-// ErrQuorum is wrapped by writes that could not reach their write
-// quorum, synchronously or (sticky, surfaced later) in the background.
+// ErrQuorum is wrapped by the error of a write that fewer than W
+// replicas acknowledged. Only that call reports it; nothing is deferred.
 var ErrQuorum = errors.New("shard: write quorum not reached")
 
 // Store implements ssp.BlobStore over N backend SSPs. See the package
@@ -104,9 +103,10 @@ var ErrQuorum = errors.New("shard: write quorum not reached")
 //
 //   - every (ns, key) maps to R successor shards on a consistent-hash
 //     ring of virtual nodes;
-//   - Put/Delete/BatchPut ack after W of R replica writes succeed, the
-//     remainder finishing in the background (a background quorum loss is
-//     remembered and surfaced, sticky, on a later write or Barrier);
+//   - BatchPut is the only write path (Put and Delete are one-item
+//     batches): it waits for every replica's reply and succeeds when each
+//     item has W of its R replica writes; a quorum loss is returned by the
+//     call that lost it;
 //   - Get tries the primary, hedges to the next replica after
 //     HedgeDelay, and falls over immediately on error or not-found;
 //   - BatchGet sends one batch per primary in parallel and walks the keys
@@ -120,7 +120,7 @@ var ErrQuorum = errors.New("shard: write quorum not reached")
 //     and writes double-route, then the old ring is dropped.
 //
 // A Store is safe for concurrent use. Close waits for background
-// replica writes and repairs; it does not close the backends.
+// repairs; it does not close the backends.
 type Store struct {
 	opt Options
 
@@ -133,8 +133,7 @@ type Store struct {
 	// newer value on every new-ring replica, so streaming the listed
 	// (older) copy would be a lost update. Nil outside a rebalance.
 	dirty    map[string]bool
-	sticky   error // deferred background quorum-loss error
-	inflight int   // background writes + repairs not yet done
+	inflight int // background reads and repairs not yet done
 	idle     *sync.Cond
 	closed   bool
 
@@ -157,7 +156,6 @@ type Store struct {
 }
 
 var _ ssp.BlobStore = (*Store)(nil)
-var _ ssp.Flusher = (*Store)(nil)
 var _ ssp.Router = (*Store)(nil)
 
 // New builds a Store over backends. IDs must be unique and non-empty.
@@ -225,19 +223,6 @@ func (s *Store) replicas(ns wire.NS, key string) replicaSet {
 	return s.replicasLocked(ns, key)
 }
 
-// routeWrite resolves a write's replica set and, mid-rebalance, marks
-// its key dirty (before any backend I/O) so the streamer will not
-// overwrite the newer value. Reports whether a rebalance is streaming.
-func (s *Store) routeWrite(ns wire.NS, key string) (replicaSet, bool) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	rebalancing := s.old != nil
-	if rebalancing {
-		s.dirty[dirtyKey(ns, key)] = true
-	}
-	return s.replicasLocked(ns, key), rebalancing
-}
-
 func dirtyKey(ns wire.NS, key string) string { return string(rune(ns)) + "|" + key }
 
 func (s *Store) replicasLocked(ns wire.NS, key string) replicaSet {
@@ -266,13 +251,13 @@ func (s *Store) count(name string) {
 	}
 }
 
-// spawn runs f on a tracked background goroutine; Close and Barrier wait
-// for every spawned task to finish before returning.
+// spawn runs f on a tracked goroutine; waitIdle waits for every spawned
+// task to finish.
 func (s *Store) spawn(f func()) {
 	s.mu.Lock()
 	if s.closed {
 		// Tear-down raced a new background task: run it synchronously so
-		// the work still lands (it is always a best-effort write).
+		// the work still lands.
 		s.mu.Unlock()
 		f()
 		return
@@ -296,9 +281,9 @@ func (s *Store) taskDone() {
 
 // bg runs f like spawn when a background slot is free; otherwise the task
 // is shed (dropped) and counted in shard.put.bg_shed. Only best-effort
-// work may come through here — remainder drains, straggler listeners,
-// read repairs, old-ring writes — whose loss costs a repairable replica
-// copy or a metric, never an acked write.
+// work may come through here — straggler listeners and read repairs —
+// whose loss costs a repairable replica copy or a metric, never an acked
+// write.
 func (s *Store) bg(f func()) {
 	if s.bgSem == nil {
 		s.spawn(f)
@@ -374,163 +359,36 @@ func (s *Store) gaugeAdd(name string, d int64) {
 	}
 }
 
-// setSticky records a background quorum loss for later surfacing.
-func (s *Store) setSticky(err error) {
-	s.mu.Lock()
-	if s.sticky == nil {
-		s.sticky = err
-	}
-	s.mu.Unlock()
-}
-
-// takeSticky returns (and clears) the deferred error, if any.
-func (s *Store) takeSticky() error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	err := s.sticky
-	s.sticky = nil
-	return err
-}
-
-// Barrier implements ssp.Flusher: it waits for all background replica
-// writes and repairs to land, then returns (and clears) any deferred
-// quorum-loss error — the shard-layer analogue of a write-behind flush.
-func (s *Store) Barrier() error {
+// waitIdle blocks until every background task — read repairs and the
+// replies of hedged-read stragglers — has finished.
+func (s *Store) waitIdle() {
 	s.mu.Lock()
 	for s.inflight > 0 {
 		s.idle.Wait()
 	}
-	err := s.sticky
-	s.sticky = nil
 	s.mu.Unlock()
-	return err
 }
 
 // Close waits for background work. It does not close the backends (the
 // caller owns their connections).
 func (s *Store) Close() error {
 	s.mu.Lock()
-	if s.closed {
-		s.mu.Unlock()
-		return nil
-	}
 	s.closed = true
-	for s.inflight > 0 {
-		s.idle.Wait()
-	}
-	err := s.sticky
-	s.sticky = nil
 	s.mu.Unlock()
-	return err
-}
-
-// writeOne applies a single-key write (put or delete) to the key's
-// replica set quorum-style: it returns once W replicas acked, leaving
-// the rest to finish in the background. During a rebalance the old-ring
-// replicas are written too (best-effort, not counted toward quorum, so a
-// pre-swap reader's fallback path stays fresh).
-func (s *Store) writeOne(ns wire.NS, key string, apply func(ssp.BlobStore) error) error {
-	if err := s.takeSticky(); err != nil {
-		return err
-	}
-	s.streamMu.RLock()
-	defer s.streamMu.RUnlock()
-	rs, rebalancing := s.routeWrite(ns, key)
-	results := make(chan error, len(rs.ids))
-	for _, id := range rs.ids {
-		id, st := id, rs.stores[id]
-		s.spawn(func() {
-			err := apply(st)
-			s.observe(id, err)
-			results <- err
-		})
-	}
-	for _, id := range rs.olds {
-		id, st := id, rs.stores[id]
-		s.bg(func() {
-			err := apply(st)
-			s.observe(id, err)
-			if err != nil {
-				s.count("shard.put.bg_fail")
-			}
-		})
-	}
-
-	need := s.opt.WriteQuorum
-	acks, fails := 0, 0
-	var firstErr error
-	var quorumErr error
-	// Wait synchronously until quorum is reached or unreachable; then
-	// hand the remaining acks to a background drainer. Mid-rebalance the
-	// wait covers every replica, so the whole write stays inside the
-	// streamMu fence and cannot interleave with a streamed chunk.
-	remaining := len(rs.ids)
-	for remaining > 0 {
-		if quorumErr == nil && acks >= need && !rebalancing {
-			break
-		}
-		err := <-results
-		remaining--
-		if err == nil {
-			acks++
-		} else {
-			fails++
-			if firstErr == nil {
-				firstErr = err
-			}
-			if quorumErr == nil && fails > len(rs.ids)-need {
-				// Quorum can no longer be reached.
-				quorumErr = fmt.Errorf("%w: %d/%d acks (last error: %w)", ErrQuorum, acks, need, firstErr)
-				s.setSticky(quorumErr)
-				if !rebalancing {
-					s.drainAsync(results, remaining)
-					return quorumErr
-				}
-			}
-		}
-	}
-	if quorumErr != nil {
-		return quorumErr
-	}
-	if fails > 0 && s.opt.Registry != nil {
-		// Replica failures tolerated by the quorum are accounted like
-		// background failures: the write succeeded, read-repair will
-		// restore the missing copies.
-		s.opt.Registry.Counter("shard.put.bg_fail").Add(int64(fails))
-	}
-	s.count("shard.put.quorum")
-	s.drainAsync(results, remaining)
+	s.waitIdle()
 	return nil
 }
 
-// drainAsync consumes the stragglers of a quorum write off the caller's
-// path, recording background failures. It must not miss a quorum loss:
-// the synchronous phase already returned (or stuck) the error, so here
-// failures only feed the bg_fail counter — read-repair restores the
-// missing replicas on the next read.
-func (s *Store) drainAsync(results chan error, remaining int) {
-	if remaining == 0 {
-		return
-	}
-	s.bg(func() {
-		for i := 0; i < remaining; i++ {
-			if err := <-results; err != nil {
-				s.count("shard.put.bg_fail")
-			}
-		}
-	})
-}
-
-// Put implements ssp.BlobStore.
+// Put implements ssp.BlobStore as a one-item BatchPut.
 func (s *Store) Put(ns wire.NS, key string, val []byte) error {
-	return s.writeOne(ns, key, func(st ssp.BlobStore) error { return st.Put(ns, key, val) })
+	return s.BatchPut([]wire.KV{{NS: ns, Key: key, Val: val}})
 }
 
-// Delete implements ssp.BlobStore. Replica deletes are quorum-counted
-// like puts; a missing key is success, matching the single-store
-// contract.
+// Delete implements ssp.BlobStore as a one-item BatchPut. Replica
+// deletes are quorum-counted like puts; a missing key is success,
+// matching the single-store contract.
 func (s *Store) Delete(ns wire.NS, key string) error {
-	return s.writeOne(ns, key, func(st ssp.BlobStore) error { return st.Delete(ns, key) })
+	return s.BatchPut([]wire.KV{{NS: ns, Key: key, Delete: true}})
 }
 
 // getResult is one replica's answer to a hedged read.
@@ -748,9 +606,6 @@ func (s *Store) repair(ns wire.NS, key string, val []byte, ids []string, stores 
 // Up to R-1 backend failures are tolerated — replication guarantees
 // every key still appears on a surviving shard.
 func (s *Store) List(ns wire.NS, prefix string) ([]wire.KV, error) {
-	if err := s.takeSticky(); err != nil {
-		return nil, err
-	}
 	s.mu.Lock()
 	ids := append([]string(nil), s.ring.Shards...)
 	if s.old != nil {
@@ -975,15 +830,16 @@ func (w *batchWalk) next(allow func(string) bool) (string, bool) {
 	return "", false
 }
 
-// BatchPut implements ssp.BlobStore: items expand to their replica sets,
-// group into one BatchPut per backend, and every backend batch runs in
-// parallel — this is what makes a write-behind flush over a sharded
-// store a per-backend fan-out. Each item individually needs W of its R
+// BatchPut implements ssp.BlobStore and is the Store's only write path:
+// items expand to their replica sets (plus, mid-rebalance, their old-ring
+// owners, written but not counted toward quorum), group into one
+// BatchPut per backend, and every backend batch runs in parallel — this
+// is what makes a write-behind flush over a sharded store a per-backend
+// fan-out. The call waits for every reply. Each item needs W of its R
 // replica writes to succeed; the first under-quorum item fails the call.
+// Replica failures a quorum tolerated count in shard.put.bg_fail and are
+// left to read repair.
 func (s *Store) BatchPut(items []wire.KV) error {
-	if err := s.takeSticky(); err != nil {
-		return err
-	}
 	if len(items) == 0 {
 		return nil
 	}
@@ -992,23 +848,18 @@ func (s *Store) BatchPut(items []wire.KV) error {
 	s.mu.Lock()
 	groups := make(map[string][]wire.KV) // backend id -> its batch
 	stores := s.backends
-	counted := make([][]string, len(items)) // quorum-counted backends per item
-	add := func(id string, i int, quorum bool) {
-		groups[id] = append(groups[id], items[i])
-		if quorum {
-			counted[i] = append(counted[i], id)
-		}
-	}
+	// targets[i] lists item i's replicas, then its old-ring owners; only
+	// the first counted[i] count toward quorum.
+	targets := make([][]string, len(items))
+	counted := make([]int, len(items))
 	for i, it := range items {
 		if s.old != nil {
 			s.dirty[dirtyKey(it.NS, it.Key)] = true
 		}
 		rs := s.replicasLocked(it.NS, it.Key)
-		for _, id := range rs.ids {
-			add(id, i, true)
-		}
-		for _, id := range rs.olds {
-			add(id, i, false)
+		targets[i], counted[i] = append(rs.ids, rs.olds...), len(rs.ids)
+		for _, id := range targets[i] {
+			groups[id] = append(groups[id], it)
 		}
 	}
 	s.mu.Unlock()
@@ -1030,22 +881,34 @@ func (s *Store) BatchPut(items []wire.KV) error {
 	}
 	wg.Wait()
 
-	for i := range items {
-		acks := 0
+	var quorumErr error
+	tolerated := 0
+	for i, ids := range targets {
+		acks, fails := 0, 0
 		var firstErr error
-		for _, id := range counted[i] {
-			if err := errs[id]; err == nil {
+		for j, id := range ids {
+			switch err := errs[id]; {
+			case err != nil:
+				fails++
+				if firstErr == nil {
+					firstErr = err
+				}
+			case j < counted[i]:
 				acks++
-			} else if firstErr == nil {
-				firstErr = err
 			}
 		}
-		if acks < s.opt.WriteQuorum {
-			err := fmt.Errorf("%w: item %d (%s/%s): %d/%d acks (last error: %w)",
+		if acks >= s.opt.WriteQuorum {
+			tolerated += fails
+		} else if quorumErr == nil {
+			quorumErr = fmt.Errorf("%w: item %d (%s/%s): %d/%d acks (last error: %w)",
 				ErrQuorum, i, items[i].NS, items[i].Key, acks, s.opt.WriteQuorum, firstErr)
-			s.setSticky(err)
-			return err
 		}
+	}
+	if tolerated > 0 && s.opt.Registry != nil {
+		s.opt.Registry.Counter("shard.put.bg_fail").Add(int64(tolerated))
+	}
+	if quorumErr != nil {
+		return quorumErr
 	}
 	s.count("shard.put.quorum")
 	return nil
@@ -1056,9 +919,6 @@ func (s *Store) BatchPut(items []wire.KV) error {
 // actually store (R copies of every blob), which is what the storage
 // overhead experiments measure.
 func (s *Store) Stats() (ssp.Stats, error) {
-	if err := s.takeSticky(); err != nil {
-		return ssp.Stats{}, err
-	}
 	s.mu.Lock()
 	ids := append([]string(nil), s.ring.Shards...)
 	stores := s.backends

@@ -3,6 +3,7 @@ package shard
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"testing"
 	"time"
 
@@ -67,9 +68,6 @@ func TestStoreReplicatesToR(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if err := h.store.Barrier(); err != nil {
-		t.Fatal(err)
-	}
 	for i := 0; i < 50; i++ {
 		key := fmt.Sprintf("obj/%d", i)
 		if c := h.copies(wire.NSData, key); c != 2 {
@@ -112,11 +110,6 @@ func TestQuorumWriteWithShardDown(t *testing.T) {
 			t.Fatalf("Put(%q) with one shard down: %v", key, err)
 		}
 	}
-	// Background remainders may have failed against s0; that is bg_fail
-	// accounting, not a sticky error, because quorum was reached.
-	if err := h.store.Barrier(); err != nil {
-		t.Fatalf("Barrier after quorum writes: %v", err)
-	}
 	for i := 0; i < 40; i++ {
 		key := fmt.Sprintf("obj/%d", i)
 		v, err := h.store.Get(wire.NSData, key)
@@ -127,8 +120,7 @@ func TestQuorumWriteWithShardDown(t *testing.T) {
 }
 
 // With every replica of a key failing writes, quorum is unreachable: the
-// write must fail with ErrQuorum, and a background quorum loss surfaces
-// as a sticky error on the next operation.
+// write must fail with ErrQuorum, wrapping the replica's error.
 func TestQuorumLoss(t *testing.T) {
 	h := newHarness(t, 3, Options{Replicas: 2, WriteQuorum: 2})
 	for _, f := range h.faults {
@@ -141,29 +133,121 @@ func TestQuorumLoss(t *testing.T) {
 	if !errors.Is(err, ssp.ErrInjectedWrite) {
 		t.Fatalf("quorum error does not wrap the replica error: %v", err)
 	}
-	// The failure was synchronous, but it also stuck: clear it.
-	if err := h.store.Barrier(); err == nil {
-		t.Fatal("sticky quorum error did not surface on Barrier")
-	}
-	if err := h.store.Barrier(); err != nil {
-		t.Fatalf("sticky error not cleared after surfacing: %v", err)
-	}
 
-	// W=1 with only SOME replicas failing still acks; no sticky error.
-	for _, f := range h.faults {
-		f.ClearRules()
-	}
+	// W=1 with only SOME replicas failing still acks.
 	h2 := newHarness(t, 3, Options{Replicas: 3, WriteQuorum: 1})
 	h2.faults[0].AddRule(ssp.FaultRule{Mode: ssp.FaultWriteErr})
 	h2.faults[1].AddRule(ssp.FaultRule{Mode: ssp.FaultWriteErr})
 	if err := h2.store.Put(wire.NSData, "k", []byte("v")); err != nil {
 		t.Fatalf("W=1 write with 2/3 replicas down: %v", err)
 	}
-	if err := h2.store.Barrier(); err != nil {
-		t.Fatalf("W=1 reached: background failures must not stick: %v", err)
+	if got := h2.reg.Counter("shard.put.bg_fail").Value(); got != 2 {
+		t.Errorf("shard.put.bg_fail = %d, want the 2 tolerated replica failures", got)
 	}
-	if got := h2.reg.Counter("shard.put.bg_fail").Value(); got == 0 {
-		t.Error("failed background replica writes not counted")
+}
+
+// A quorum loss is reported once, by the call that lost it: after the
+// fault clears, the next write, List and Stats run normally.
+func TestQuorumLossReportedOnce(t *testing.T) {
+	h := newHarness(t, 3, Options{Replicas: 2, WriteQuorum: 2})
+	h.faults[2].AddRule(ssp.FaultRule{Mode: ssp.FaultWriteErr})
+	var batch []wire.KV
+	for i := 0; i < 10; i++ {
+		batch = append(batch, wire.KV{NS: wire.NSData, Key: fmt.Sprintf("b/%d", i), Val: []byte("x")})
+	}
+	if err := h.store.BatchPut(batch); !errors.Is(err, ErrQuorum) {
+		t.Fatalf("BatchPut W=2 with s2 refusing writes = %v, want ErrQuorum", err)
+	}
+	h.faults[2].ClearRules()
+
+	if err := h.store.BatchPut([]wire.KV{{NS: wire.NSData, Key: "fresh", Val: []byte("y")}}); err != nil {
+		t.Fatalf("BatchPut of an unrelated key after the fault cleared = %v", err)
+	}
+	if c := h.copies(wire.NSData, "fresh"); c != 2 {
+		t.Fatalf("fresh on %d backends, want 2", c)
+	}
+	if _, err := h.store.List(wire.NSData, ""); err != nil {
+		t.Fatalf("List after the fault cleared = %v", err)
+	}
+	if _, err := h.store.Stats(); err != nil {
+		t.Fatalf("Stats after the fault cleared = %v", err)
+	}
+}
+
+// slowWrites delays every write to its backend.
+type slowWrites struct {
+	ssp.BlobStore
+	delay time.Duration
+}
+
+func (s slowWrites) Put(ns wire.NS, key string, val []byte) error {
+	time.Sleep(s.delay)
+	return s.BlobStore.Put(ns, key, val)
+}
+
+func (s slowWrites) BatchPut(items []wire.KV) error {
+	time.Sleep(s.delay)
+	return s.BlobStore.BatchPut(items)
+}
+
+// A write returns only once every replica answered, even when W is
+// already met: with W=1 and one replica 50 ms slow, both copies exist the
+// moment Put returns.
+func TestPutWaitsForEveryReplica(t *testing.T) {
+	mems := []*ssp.MemStore{ssp.NewMemStore(), ssp.NewMemStore(), ssp.NewMemStore()}
+	backends := make([]Backend, len(mems))
+	for i, m := range mems {
+		backends[i] = Backend{ID: fmt.Sprintf("s%d", i), Store: m}
+	}
+	const key = "slow/replica"
+	ring, err := NewRing(1, []string{"s0", "s1", "s2"}, DefaultVnodes)
+	if err != nil {
+		t.Fatal(err)
+	}
+	slow := ring.Lookup(wire.NSData, key, 2)[1]
+	backends[slow].Store = slowWrites{BlobStore: mems[slow], delay: 50 * time.Millisecond}
+	s, err := New(backends, Options{Replicas: 2, WriteQuorum: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { s.Close() })
+
+	if err := s.Put(wire.NSData, key, []byte("v")); err != nil {
+		t.Fatal(err)
+	}
+	copies := 0
+	for _, m := range mems {
+		if _, err := m.Get(wire.NSData, key); err == nil {
+			copies++
+		}
+	}
+	if copies != 2 {
+		t.Fatalf("%q on %d backends when Put returned, want both replicas", key, copies)
+	}
+}
+
+// Replica failures a BatchPut's quorum tolerated are counted, one per
+// failed replica write.
+func TestBatchPutCountsToleratedFailures(t *testing.T) {
+	h := newHarness(t, 3, Options{Replicas: 2, WriteQuorum: 1})
+	h.faults[2].AddRule(ssp.FaultRule{Mode: ssp.FaultWriteErr})
+	var batch []wire.KV
+	want := int64(0)
+	for i := 0; i < 30; i++ {
+		kv := wire.KV{NS: wire.NSData, Key: fmt.Sprintf("q/%d", i), Val: []byte("x")}
+		batch = append(batch, kv)
+		if slices.Contains(h.store.replicas(kv.NS, kv.Key).ids, "s2") {
+			want++
+		}
+	}
+	if err := h.store.BatchPut(batch); err != nil {
+		t.Fatalf("BatchPut W=1 with s2 refusing writes: %v", err)
+	}
+	if want == 0 {
+		t.Fatal("no key has s2 among its replicas")
+	}
+	if got := h.reg.Counter("shard.put.bg_fail").Value(); got != want {
+		t.Errorf("shard.put.bg_fail = %d, want %d (one per item replicated to s2)", got, want)
 	}
 }
 
@@ -173,9 +257,6 @@ func TestHedgedReadBeatsSlowPrimary(t *testing.T) {
 	h := newHarness(t, 3, Options{Replicas: 2, WriteQuorum: 2, HedgeDelay: 2 * time.Millisecond})
 	const key = "hedge/victim"
 	if err := h.store.Put(wire.NSData, key, []byte("fresh")); err != nil {
-		t.Fatal(err)
-	}
-	if err := h.store.Barrier(); err != nil {
 		t.Fatal(err)
 	}
 	// Find the primary and make it slow on every read.
@@ -222,9 +303,6 @@ func TestHedgedReadBeatsSlowPrimary(t *testing.T) {
 	if err := h2.store.Put(wire.NSData, key, []byte("fresh")); err != nil {
 		t.Fatal(err)
 	}
-	if err := h2.store.Barrier(); err != nil {
-		t.Fatal(err)
-	}
 	p2 := h2.store.Ring().Owner(wire.NSData, key)
 	h2.faults[p2].AddRule(ssp.FaultRule{Mode: ssp.FaultSlow, Delay: 50 * time.Millisecond})
 	start = time.Now()
@@ -244,9 +322,6 @@ func TestReadRepairAfterDrop(t *testing.T) {
 	if err := h.store.Put(wire.NSData, key, []byte("v1")); err != nil {
 		t.Fatal(err)
 	}
-	if err := h.store.Barrier(); err != nil {
-		t.Fatal(err)
-	}
 	// Physically remove the copy from the primary, then also have it
 	// claim not-found, so the read must be served by the secondary.
 	primary := h.store.Ring().Owner(wire.NSData, key)
@@ -259,9 +334,7 @@ func TestReadRepairAfterDrop(t *testing.T) {
 	if err != nil || string(v) != "v1" {
 		t.Fatalf("Get past dropped primary = %q, %v", v, err)
 	}
-	if err := h.store.Barrier(); err != nil {
-		t.Fatal(err)
-	}
+	h.store.waitIdle()
 	if h.reg.Counter("shard.repair").Value() == 0 {
 		t.Fatal("read-repair did not run")
 	}
@@ -281,9 +354,6 @@ func TestStoreListMergesAndSurvivesShardLoss(t *testing.T) {
 		if err := h.store.Put(wire.NSData, key, []byte(key)); err != nil {
 			t.Fatal(err)
 		}
-	}
-	if err := h.store.Barrier(); err != nil {
-		t.Fatal(err)
 	}
 	check := func() {
 		t.Helper()
@@ -315,9 +385,6 @@ func TestStoreBatchOps(t *testing.T) {
 	if err := h.store.BatchPut(batch); err != nil {
 		t.Fatal(err)
 	}
-	if err := h.store.Barrier(); err != nil {
-		t.Fatal(err)
-	}
 	for _, kv := range batch {
 		if c := h.copies(kv.NS, kv.Key); c != 2 {
 			t.Fatalf("%q on %d backends after BatchPut, want 2", kv.Key, c)
@@ -336,9 +403,6 @@ func TestStoreBatchOps(t *testing.T) {
 	}
 	// Deletes replicate too.
 	if err := h.store.BatchPut([]wire.KV{{NS: wire.NSData, Key: "b/3", Delete: true}}); err != nil {
-		t.Fatal(err)
-	}
-	if err := h.store.Barrier(); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := h.store.Get(wire.NSData, "b/3"); !errors.Is(err, wire.ErrNotFound) {
@@ -374,10 +438,6 @@ func TestBatchPutWithShardDown(t *testing.T) {
 	if !errors.Is(err, ErrQuorum) {
 		t.Fatalf("BatchPut W=2 with a dead shard = %v, want ErrQuorum", err)
 	}
-	// The same failure also stuck; it surfaces once, then clears.
-	if err := h2.store.Barrier(); !errors.Is(err, ErrQuorum) {
-		t.Fatalf("sticky after failed BatchPut = %v, want ErrQuorum", err)
-	}
 }
 
 func TestStoreStatsSumsReplicas(t *testing.T) {
@@ -386,9 +446,6 @@ func TestStoreStatsSumsReplicas(t *testing.T) {
 		if err := h.store.Put(wire.NSData, fmt.Sprintf("s/%d", i), []byte("xy")); err != nil {
 			t.Fatal(err)
 		}
-	}
-	if err := h.store.Barrier(); err != nil {
-		t.Fatal(err)
 	}
 	st, err := h.store.Stats()
 	if err != nil {

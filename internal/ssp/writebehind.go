@@ -1,7 +1,6 @@
 package ssp
 
 import (
-	"errors"
 	"sync"
 	"time"
 
@@ -80,9 +79,10 @@ type WriteBehind struct {
 
 var _ BlobStore = (*WriteBehind)(nil)
 
-// Flusher is the barrier interface exposed by write-behind stores;
-// callers that need read-after-write visibility across clients (or a
-// durability point) type-assert against it.
+// Flusher is the barrier interface exposed by write-behind stores, the
+// only layer that buffers writes; callers that need read-after-write
+// visibility across clients (or a durability point) type-assert against
+// it.
 type Flusher interface {
 	Barrier() error
 }
@@ -243,25 +243,7 @@ func (w *WriteBehind) barrierLocked() error {
 		w.kick()
 		w.cond.Wait()
 	}
-	err := w.err
-	w.err = nil
-	if f, ok := w.inner.(Flusher); ok {
-		// Fan the barrier out: a sharded inner store drains its async
-		// replica writes (and surfaces its own sticky quorum error)
-		// here, so a Barrier means coherence through the whole stack,
-		// not just this buffer. Both layers' sticky errors must surface
-		// exactly once — joining keeps the inner one errors.Is-matchable
-		// even when this buffer carries its own flush error (previously
-		// the inner error was silently lost in that case).
-		if ierr := f.Barrier(); ierr != nil {
-			if err == nil {
-				err = ierr
-			} else {
-				err = errors.Join(err, ierr)
-			}
-		}
-	}
-	return err
+	return w.takeErr()
 }
 
 // takeErr returns (and clears) the deferred flush error, if any. Called

@@ -11,15 +11,14 @@ import (
 )
 
 // laneStore fakes a sharded inner store: a MemStore that implements
-// Router (keys route by a prefix digit) and Flusher, recording every
-// BatchPut's lane composition and every Barrier call.
+// Router (keys route by a prefix digit), recording every BatchPut's lane
+// composition.
 type laneStore struct {
 	*MemStore
 	routes int
 
-	mu       sync.Mutex
-	batches  [][]wire.KV
-	barriers int
+	mu      sync.Mutex
+	batches [][]wire.KV
 }
 
 func newLaneStore(routes int) *laneStore {
@@ -41,13 +40,6 @@ func (l *laneStore) BatchPut(items []wire.KV) error {
 	l.batches = append(l.batches, append([]wire.KV(nil), items...))
 	l.mu.Unlock()
 	return l.MemStore.BatchPut(items)
-}
-
-func (l *laneStore) Barrier() error {
-	l.mu.Lock()
-	l.barriers++
-	l.mu.Unlock()
-	return nil
 }
 
 // A write-behind flush over a routing store must split into one BatchPut
@@ -72,7 +64,6 @@ func TestWriteBehindShardsFlushesPerLane(t *testing.T) {
 
 	inner.mu.Lock()
 	batches := inner.batches
-	barriers := inner.barriers
 	inner.mu.Unlock()
 	if len(batches) != 3 {
 		t.Fatalf("flush produced %d BatchPuts, want one per lane (3)", len(batches))
@@ -89,9 +80,6 @@ func TestWriteBehindShardsFlushesPerLane(t *testing.T) {
 	}
 	if seen != len(want) {
 		t.Fatalf("%d items flushed, want %d", seen, len(want))
-	}
-	if barriers == 0 {
-		t.Fatal("Barrier did not fan out to the inner Flusher")
 	}
 	for _, kv := range want {
 		v, err := wb.Get(kv.NS, kv.Key)

@@ -17,9 +17,10 @@ import (
 	"github.com/sharoes/sharoes/internal/wire"
 )
 
-// The chaos campaign drives the full self-healing transport stack —
-// write-behind over classified retries over a replicated shard.Store over
-// reconnecting clients over fault-injecting SSPs — while a seeded
+// The chaos campaign drives the full self-healing transport stack in the
+// shape the repository benchmark's shard_wan workload measures —
+// write-behind over a replicated shard.Store over one classified-retry
+// layer and one reconnecting client per fault-injecting SSP — while a seeded
 // scheduler cuts connections, arms slow and write-refusing windows, and
 // flaps links. It then proves three properties: every key whose barrier
 // acked is readable with its exact value once faults clear (model
@@ -171,7 +172,11 @@ func RunChaos(opts ChaosOptions) (*ChaosResult, error) {
 			Registry:    reg,
 		})
 		backends[i] = b
-		shardBks[i] = shard.Backend{ID: fmt.Sprintf("s%d", i), Store: b.rc}
+		// Campaign keys are content-addressed by construction (chaosVal), so
+		// the retry layer may vouch every Put idempotent.
+		res := resilience.NewStore(b.rc, resilience.Policy{Registry: reg},
+			func(wire.NS, string) bool { return true })
+		shardBks[i] = shard.Backend{ID: fmt.Sprintf("s%d", i), Store: res}
 	}
 	sh, err := shard.New(shardBks, shard.Options{
 		Replicas:         2,
@@ -184,19 +189,15 @@ func RunChaos(opts ChaosOptions) (*ChaosResult, error) {
 	if err != nil {
 		return nil, fmt.Errorf("chaos: build shard store: %w", err)
 	}
-	// Campaign keys are content-addressed by construction (chaosVal), so
-	// the retry layer may vouch every Put idempotent.
-	res := resilience.NewStore(sh, resilience.Policy{Registry: reg},
-		func(wire.NS, string) bool { return true })
 	// One write-behind lane per worker: a WriteBehind surfaces a flush
 	// failure exactly once, to whichever caller barriers first, so a
 	// shared instance would let worker A's barrier consume the error that
 	// voided worker B's window — and B would then wrongly ack it. Private
 	// instances give each worker exact attribution; they still share the
-	// retry/shard/reconnect stack below.
+	// shard/retry/reconnect stack below, which defers no error of its own.
 	wbs := make([]*ssp.WriteBehind, opts.Workers)
 	for i := range wbs {
-		wbs[i] = ssp.NewWriteBehind(res, ssp.WriteBehindOptions{Registry: reg})
+		wbs[i] = ssp.NewWriteBehind(sh, ssp.WriteBehindOptions{Registry: reg})
 	}
 
 	putLat := reg.Histogram("chaos.put.ns")
@@ -283,7 +284,7 @@ func RunChaos(opts ChaosOptions) (*ChaosResult, error) {
 						// Durable keys are flushed by definition; read the
 						// shared stack directly below the write-behind lanes.
 						start := time.Now()
-						v, err := res.Get(chaosNS, key)
+						v, err := sh.Get(chaosNS, key)
 						getLat.Observe(time.Since(start))
 						localOps++
 						switch {
@@ -411,7 +412,7 @@ func RunChaos(opts ChaosOptions) (*ChaosResult, error) {
 				var items []wire.KV
 				var err error
 				for attempt := 0; attempt < 3; attempt++ {
-					items, err = res.BatchGet(req)
+					items, err = sh.BatchGet(req)
 					if err == nil || !chaosClassified(err) {
 						break
 					}
