@@ -19,17 +19,23 @@ FUZZ_TARGETS := \
 	./internal/meta:FuzzDecodeSplitPointer \
 	./internal/meta:FuzzOpenVerified \
 	./internal/cap:FuzzOpenView \
-	./internal/analysis:FuzzParseAllowDirective \
-	./internal/shard:FuzzDecodeRing
+	./internal/analysis:FuzzParseAllowDirective
 
 FUZZTIME ?= 10s
 
-.PHONY: all build test vet vet-self vet-json vet-baseline vet-diff race chaos-smoke fuzz-smoke bench-smoke check
+.PHONY: all build fmt-check test vet vet-self vet-json vet-baseline vet-diff race chaos-smoke fuzz-smoke bench-smoke check
 
 all: build
 
 build:
 	$(GO) build ./...
+
+# fmt-check fails when gofmt would reformat any tracked .go file, or
+# cannot parse one. testdata is skipped: it holds a fixture that is
+# unparseable on purpose (brokenload).
+fmt-check:
+	@out=$$(gofmt -l $$(git ls-files '*.go' | grep -Ev '(^|/)testdata/') 2>&1); \
+	if [ -n "$$out" ]; then echo "fmt-check: not gofmt-clean:" >&2; echo "$$out" >&2; exit 1; fi
 
 test:
 	$(GO) test ./...
@@ -73,9 +79,9 @@ vet-json:
 # race runs the packages with dedicated concurrency stress tests under
 # the race detector (internal/analysis for its parallel package loader,
 # internal/layout for the crypto worker pool that seals file blocks,
-# internal/shard for concurrent quorum ops during live rebalancing and
-# the self-heal stress test, internal/resilience and internal/netsim for
-# the retry and sever paths). TestAllocBudget is skipped: sync.Pool drops
+# internal/shard for the self-heal stress test and concurrent quorum
+# I/O, internal/resilience and internal/netsim for the retry and sever
+# paths). TestAllocBudget is skipped: sync.Pool drops
 # items under the race detector, so allocation counts mean nothing there.
 race:
 	$(GO) test -race -skip '^TestAllocBudget$$' ./internal/client ./internal/layout ./internal/ssp ./internal/cache ./internal/obs ./internal/analysis ./internal/shard ./internal/netsim ./internal/resilience
@@ -117,4 +123,4 @@ fuzz-smoke:
 		$(GO) test $$pkg -run "^$$target$$" -fuzz "^$$target$$" -fuzztime $(FUZZTIME) || exit 1; \
 	done
 
-check: build vet test race fuzz-smoke
+check: build fmt-check vet test race fuzz-smoke

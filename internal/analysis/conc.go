@@ -148,9 +148,9 @@ type concEngine struct {
 	edges     map[[2]string]token.Pos // held-before-acquired pairs of base keys
 	spawns    []spawnSite
 	accesses  []fieldAccess
-	atomicOps map[string][]token.Pos // field class key -> atomic.* call sites
-	closes    map[string]bool        // classes of channels passed to close()
-	guards    map[string]bool        // classes that are mutex-typed fields
+	atomicOps map[string][]token.Pos        // field class key -> atomic.* call sites
+	closes    map[string]bool               // classes of channels passed to close()
+	guards    map[string]bool               // classes that are mutex-typed fields
 	recvs     map[*funcUnit]map[string]bool // channel classes a unit receives from
 }
 

@@ -45,12 +45,12 @@ func TestLockBalance(t *testing.T) {
 		t.Fatalf("lockbalancebad: got %d findings, want 6:\n%s", len(bad), findingsText(bad))
 	}
 	wantSubstr := []string{
-		"locked but not unlocked",       // Leak: early return
-		"possible double unlock",        // Double
-		"some but not all paths",        // Uneven: branch join mismatch
+		"locked but not unlocked",        // Leak: early return
+		"possible double unlock",         // Double
+		"some but not all paths",         // Uneven: branch join mismatch
 		"changes across loop iterations", // Drift
-		"value receiver copies lock",    // Snapshot
-		"assignment copies lock",        // Clone
+		"value receiver copies lock",     // Snapshot
+		"assignment copies lock",         // Clone
 	}
 	for i, f := range bad {
 		if f.Analyzer != "lockbalance" {

@@ -18,8 +18,8 @@ import (
 
 // lockState is the mutable per-path analysis state.
 type lockState struct {
-	held    map[string]int  // mode key -> count (may go negative in helpers)
-	touched map[string]bool // base keys locked/unlocked on this path
+	held    map[string]int             // mode key -> count (may go negative in helpers)
+	touched map[string]bool            // base keys locked/unlocked on this path
 	exprs   map[string]map[string]bool // base key -> receiver expr strings held
 	defers  []map[string]int           // net deltas applied at exit, in order
 	dead    bool                       // path ended in panic/os.Exit

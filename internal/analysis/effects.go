@@ -61,7 +61,7 @@ func (u *funcUnit) pos() ast.Node {
 // one analysis run shares.
 type effectEngine struct {
 	p     *Package
-	units []*funcUnit            // declared units then literals, file order
+	units []*funcUnit // declared units then literals, file order
 	byObj map[*types.Func]*funcUnit
 	byLit map[*ast.FuncLit]*funcUnit
 }

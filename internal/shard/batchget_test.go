@@ -40,6 +40,8 @@ func (m *meteredStore) BatchGet(items []wire.KV) ([]wire.KV, error) {
 	return m.BlobStore.BatchGet(items)
 }
 
+var errBoom = errors.New("boom")
+
 // metered is a Store over n metered in-memory backends s0..s(n-1).
 type metered struct {
 	store *Store
@@ -155,7 +157,7 @@ func TestBatchGetAbsentKeysCostAtMostRPasses(t *testing.T) {
 func TestBatchGetServesAndRepairsFromSecondary(t *testing.T) {
 	h := newHarness(t, 3, Options{Replicas: 2, WriteQuorum: 1})
 	const key = "m/7/c/o"
-	primary := h.store.Ring().Owner(wire.NSMeta, key)
+	primary := h.store.ring.Owner(wire.NSMeta, key)
 	h.faults[primary].AddRule(ssp.FaultRule{Mode: ssp.FaultWriteErr})
 	if err := h.store.Put(wire.NSMeta, key, []byte("v")); err != nil {
 		t.Fatalf("W=1 put with the primary down: %v", err)
@@ -216,7 +218,7 @@ func TestBatchGetFailedPrimaryFallsOverInOnePass(t *testing.T) {
 	absent := wire.KV{NS: wire.NSData, Key: "nobody-has-this"}
 	_, err = m.store.BatchGet([]wire.KV{absent})
 	holdsDead := false
-	for _, id := range m.store.replicas(absent.NS, absent.Key).ids {
+	for _, id := range m.store.replicas(absent.NS, absent.Key) {
 		holdsDead = holdsDead || id == "s0"
 	}
 	if holdsDead != errors.Is(err, errBoom) {
@@ -262,7 +264,7 @@ func TestBatchGetSkipsOpenBreakerButFailsOpen(t *testing.T) {
 	var absent wire.KV
 	for i := 0; ; i++ {
 		absent = wire.KV{NS: wire.NSData, Key: fmt.Sprintf("absent/%d", i)}
-		if m.store.Ring().Owner(absent.NS, absent.Key) == 0 {
+		if m.store.ring.Owner(absent.NS, absent.Key) == 0 {
 			break
 		}
 	}
@@ -271,56 +273,5 @@ func TestBatchGetSkipsOpenBreakerButFailsOpen(t *testing.T) {
 	}
 	if n := m.bks[0].batchGets.Load(); n != 1 {
 		t.Errorf("fail-open: sick primary asked %d times, want 1 (last)", n)
-	}
-}
-
-// Mid-rebalance, before anything was streamed, a batch still finds keys
-// that only their old-ring owners hold — in passes, not per-key Gets —
-// and repairs the new owners.
-func TestBatchGetFallsBackToOldRing(t *testing.T) {
-	// R=1: every key s3 owns has no copy on any new-ring member.
-	m := newMetered(t, 4, 0, Options{Replicas: 1, WriteQuorum: 1})
-	var req []wire.KV
-	for i := 0; i < 50; i++ {
-		key := fmt.Sprintf("obj/%d", i)
-		if err := m.store.Put(wire.NSData, key, []byte(key)); err != nil {
-			t.Fatal(err)
-		}
-		req = append(req, wire.KV{NS: wire.NSData, Key: key})
-	}
-	newRing, err := NewRing(2, []string{"s0", "s1", "s2"}, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	m.store.mu.Lock()
-	oldRing := m.store.ring
-	m.store.ring, m.store.old, m.store.dirty = newRing, oldRing, map[string]bool{}
-	m.store.mu.Unlock()
-	m.reads()
-
-	got, err := m.store.BatchGet(append(req, wire.KV{NS: wire.NSData, Key: "absent"}))
-	if err != nil || len(got) != len(req) {
-		t.Fatalf("mid-rebalance BatchGet: %d of %d items, %v", len(got), len(req), err)
-	}
-	for i, kv := range got {
-		if kv.Key != req[i].Key || string(kv.Val) != kv.Key {
-			t.Fatalf("item %d = %q=%q", i, kv.Key, kv.Val)
-		}
-	}
-	// The new-ring owner, then the old-ring one.
-	if gets, passes := m.reads(); gets != 0 || passes > 2 {
-		t.Errorf("%d Gets, %d passes; want 0 and at most 2", gets, passes)
-	}
-	m.store.waitIdle()
-	m.store.mu.Lock()
-	m.store.ring, m.store.old, m.store.dirty = oldRing, nil, nil
-	m.store.mu.Unlock()
-
-	fell := m.reg.Counter("shard.get.fallback").Value()
-	if fell == 0 {
-		t.Fatal("no key was served by the old-ring fallback")
-	}
-	if got := m.reg.Counter("shard.repair").Value(); got != fell {
-		t.Errorf("%d fallback reads repaired %d new owners", fell, got)
 	}
 }

@@ -6,10 +6,9 @@
 //
 // Nothing in this layer is trusted with integrity or confidentiality:
 // the SSPs behind it are the paper's untrusted stores, and the client
-// above it verifies every blob cryptographically. That is exactly why
-// horizontal scale is architecturally free — a stale or missing replica
-// is *detected* by the caller, never trusted, so the shard layer only
-// has to be eventually convergent (read-repair), not consistent.
+// above it verifies every blob cryptographically. So the router only
+// places and copies blobs; it agrees on nothing. Its ring is built from
+// the shard set at New and never changes while the Store is in use.
 package shard
 
 import (
@@ -18,37 +17,22 @@ import (
 	"hash/fnv"
 	"sort"
 
-	"github.com/sharoes/sharoes/internal/binenc"
 	"github.com/sharoes/sharoes/internal/wire"
 )
 
-// RingVersionByte is the codec version prefix of an encoded ring
-// descriptor. Decoding rejects any other leading byte, which is how a
-// future incompatible layout coexists with this one.
-const RingVersionByte = 1
+// vnodes is the virtual-node count per shard. 64 points per shard keeps
+// the max/mean keyspace imbalance under ~20% for small clusters without
+// making lookups expensive.
+const vnodes = 64
 
-// DefaultVnodes is the virtual-node count per shard when a Ring is built
-// with vnodes <= 0. 64 points per shard keeps the max/mean keyspace
-// imbalance under ~20% for small clusters without making descriptors or
-// lookups expensive.
-const DefaultVnodes = 64
+// ErrBadRing is wrapped by every rejected shard ID list.
+var ErrBadRing = errors.New("shard: bad ring")
 
-// ErrBadRing is wrapped by every ring-descriptor decode failure.
-var ErrBadRing = errors.New("shard: bad ring descriptor")
-
-// maxRingShards bounds decoded descriptors so a malformed or hostile
-// length prefix cannot balloon allocation.
-const maxRingShards = 1 << 12
-
-// Ring is an immutable consistent-hash ring: an epoch, a shard ID list,
-// and vnode hash points placed for every (shard, vnode) pair. Build one
-// with NewRing or DecodeRing; never mutate a Ring in place — Store swaps
-// whole rings under its lock.
+// Ring is an immutable consistent-hash ring: a shard ID list and vnode
+// hash points placed for every (shard, vnode) pair. Placement depends on
+// the set of IDs, not on their order, so every client naming the same
+// shards builds the same ring.
 type Ring struct {
-	// Epoch orders ring generations; every rebalance bumps it.
-	Epoch uint64
-	// Vnodes is the virtual-node count per shard.
-	Vnodes int
 	// Shards are the member shard IDs, in the order they were declared.
 	Shards []string
 
@@ -60,17 +44,10 @@ type ringPoint struct {
 	shard int // index into Shards
 }
 
-// NewRing builds a ring. Shard IDs must be non-empty and unique; vnodes
-// <= 0 takes DefaultVnodes.
-func NewRing(epoch uint64, shards []string, vnodes int) (*Ring, error) {
+// NewRing builds a ring. Shard IDs must be non-empty and unique.
+func NewRing(shards []string) (*Ring, error) {
 	if len(shards) == 0 {
 		return nil, fmt.Errorf("%w: no shards", ErrBadRing)
-	}
-	if len(shards) > maxRingShards {
-		return nil, fmt.Errorf("%w: %d shards (max %d)", ErrBadRing, len(shards), maxRingShards)
-	}
-	if vnodes <= 0 {
-		vnodes = DefaultVnodes
 	}
 	seen := make(map[string]bool, len(shards))
 	for _, id := range shards {
@@ -82,7 +59,7 @@ func NewRing(epoch uint64, shards []string, vnodes int) (*Ring, error) {
 		}
 		seen[id] = true
 	}
-	r := &Ring{Epoch: epoch, Vnodes: vnodes, Shards: append([]string(nil), shards...)}
+	r := &Ring{Shards: append([]string(nil), shards...)}
 	r.points = make([]ringPoint, 0, len(shards)*vnodes)
 	for si, id := range r.Shards {
 		for v := 0; v < vnodes; v++ {
@@ -93,9 +70,9 @@ func NewRing(epoch uint64, shards []string, vnodes int) (*Ring, error) {
 		if r.points[i].hash != r.points[j].hash {
 			return r.points[i].hash < r.points[j].hash
 		}
-		// Hash ties break by shard index so placement is deterministic
-		// regardless of declaration order of the colliding pair.
-		return r.points[i].shard < r.points[j].shard
+		// Hash ties break by shard ID so placement does not depend on
+		// the declaration order of the colliding pair.
+		return r.Shards[r.points[i].shard] < r.Shards[r.points[j].shard]
 	})
 	return r, nil
 }
@@ -162,68 +139,4 @@ func (r *Ring) successors(h uint64, n int) []int {
 // Owner returns the primary shard index for (ns, key).
 func (r *Ring) Owner(ns wire.NS, key string) int {
 	return r.successors(keyHash(ns, key), 1)[0]
-}
-
-// Encode serializes the descriptor: version byte, epoch, vnodes, shard
-// count, then each shard ID — all uvarint/length-prefixed via binenc, so
-// old decoders fail loudly on a bumped version byte instead of
-// misparsing.
-func (r *Ring) Encode() []byte {
-	var w binenc.Writer
-	w.Byte(RingVersionByte)
-	w.Uvarint(r.Epoch)
-	w.Uvarint(uint64(r.Vnodes))
-	w.Uvarint(uint64(len(r.Shards)))
-	for _, id := range r.Shards {
-		w.String(id)
-	}
-	return w.Bytes()
-}
-
-// DecodeRing parses an encoded descriptor and rebuilds the ring. Any
-// malformed input returns an error wrapping ErrBadRing; decoding never
-// panics (fuzzed).
-func DecodeRing(b []byte) (*Ring, error) {
-	rd := binenc.NewReader(b)
-	ver, err := rd.Byte()
-	if err != nil {
-		return nil, fmt.Errorf("%w: %w", ErrBadRing, err)
-	}
-	if ver != RingVersionByte {
-		return nil, fmt.Errorf("%w: unknown version %d", ErrBadRing, ver)
-	}
-	epoch, err := rd.Uvarint()
-	if err != nil {
-		return nil, fmt.Errorf("%w: epoch: %w", ErrBadRing, err)
-	}
-	vn, err := rd.Uvarint()
-	if err != nil {
-		return nil, fmt.Errorf("%w: vnodes: %w", ErrBadRing, err)
-	}
-	if vn == 0 || vn > 1<<16 {
-		return nil, fmt.Errorf("%w: vnodes %d out of range", ErrBadRing, vn)
-	}
-	n, err := rd.Uvarint()
-	if err != nil {
-		return nil, fmt.Errorf("%w: shard count: %w", ErrBadRing, err)
-	}
-	if n == 0 || n > maxRingShards {
-		return nil, fmt.Errorf("%w: shard count %d out of range", ErrBadRing, n)
-	}
-	shards := make([]string, 0, n)
-	for i := uint64(0); i < n; i++ {
-		id, err := rd.String()
-		if err != nil {
-			return nil, fmt.Errorf("%w: shard %d: %w", ErrBadRing, i, err)
-		}
-		shards = append(shards, id)
-	}
-	if rd.Remaining() != 0 {
-		return nil, fmt.Errorf("%w: %d trailing bytes", ErrBadRing, rd.Remaining())
-	}
-	ring, err := NewRing(epoch, shards, int(vn))
-	if err != nil {
-		return nil, err
-	}
-	return ring, nil
 }

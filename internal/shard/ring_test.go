@@ -1,9 +1,9 @@
 package shard
 
 import (
-	"bytes"
 	"errors"
 	"fmt"
+	"slices"
 	"testing"
 
 	"github.com/sharoes/sharoes/internal/wire"
@@ -11,12 +11,9 @@ import (
 
 func TestRingLookupProperties(t *testing.T) {
 	ids := []string{"s0", "s1", "s2", "s3", "s4"}
-	r, err := NewRing(1, ids, 0)
+	r, err := NewRing(ids)
 	if err != nil {
 		t.Fatal(err)
-	}
-	if r.Vnodes != DefaultVnodes {
-		t.Fatalf("vnodes defaulted to %d, want %d", r.Vnodes, DefaultVnodes)
 	}
 	for i := 0; i < 500; i++ {
 		key := fmt.Sprintf("key-%d", i)
@@ -38,7 +35,7 @@ func TestRingLookupProperties(t *testing.T) {
 			t.Fatalf("Lookup(%q)[0] = %d, Owner = %d", key, got[0], r.Owner(wire.NSData, key))
 		}
 		// Deterministic across an identical rebuild.
-		again, _ := NewRing(1, ids, 0)
+		again, _ := NewRing(ids)
 		got2 := again.Lookup(wire.NSData, key, 3)
 		for j := range got {
 			if got[j] != got2[j] {
@@ -55,9 +52,40 @@ func TestRingLookupProperties(t *testing.T) {
 	}
 }
 
+// Clients that name the same SSP set in a different order must place
+// every key on the same replicas, in the same order: with the ring fixed
+// at mount and never exchanged, nothing else keeps two clients in
+// agreement.
+func TestRingIgnoresDeclarationOrder(t *testing.T) {
+	ids := []string{"host-a:7070", "host-b:7070", "host-c:7070", "host-d:7070"}
+	a, err := NewRing(ids)
+	if err != nil {
+		t.Fatal(err)
+	}
+	b, err := NewRing([]string{ids[2], ids[0], ids[3], ids[1]})
+	if err != nil {
+		t.Fatal(err)
+	}
+	replicaIDs := func(r *Ring, ns wire.NS, key string) []string {
+		var out []string
+		for _, si := range r.Lookup(ns, key, len(ids)) {
+			out = append(out, r.Shards[si])
+		}
+		return out
+	}
+	for _, ns := range []wire.NS{wire.NSMeta, wire.NSData} {
+		for i := 0; i < 500; i++ {
+			key := fmt.Sprintf("k/%d", i)
+			if got, want := replicaIDs(b, ns, key), replicaIDs(a, ns, key); !slices.Equal(got, want) {
+				t.Fatalf("%s/%q: permuted ring places on %v, declared order on %v", ns, key, got, want)
+			}
+		}
+	}
+}
+
 func TestRingBalanceAndStability(t *testing.T) {
 	ids := []string{"a", "b", "c", "d"}
-	r, err := NewRing(1, ids, 0)
+	r, err := NewRing(ids)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -78,7 +106,7 @@ func TestRingBalanceAndStability(t *testing.T) {
 	}
 	// Adding one shard must not move keys between surviving shards: a key
 	// either keeps its owner or moves to the new shard.
-	grown, err := NewRing(2, append(append([]string(nil), ids...), "e"), 0)
+	grown, err := NewRing(append(append([]string(nil), ids...), "e"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -99,7 +127,7 @@ func TestRingBalanceAndStability(t *testing.T) {
 }
 
 func TestRingNamespaceSpread(t *testing.T) {
-	r, err := NewRing(1, []string{"a", "b", "c"}, 0)
+	r, err := NewRing([]string{"a", "b", "c"})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -125,64 +153,8 @@ func TestRingValidation(t *testing.T) {
 		{"duplicate", []string{"a", "b", "a"}},
 	}
 	for _, tc := range cases {
-		if _, err := NewRing(1, tc.shards, 0); !errors.Is(err, ErrBadRing) {
+		if _, err := NewRing(tc.shards); !errors.Is(err, ErrBadRing) {
 			t.Errorf("%s: err = %v, want ErrBadRing", tc.name, err)
-		}
-	}
-}
-
-func TestRingCodecRoundTrip(t *testing.T) {
-	r, err := NewRing(7, []string{"ssp-a", "ssp-b", "ssp-c"}, 32)
-	if err != nil {
-		t.Fatal(err)
-	}
-	enc := r.Encode()
-	if enc[0] != RingVersionByte {
-		t.Fatalf("descriptor leads with %d, want version byte %d", enc[0], RingVersionByte)
-	}
-	got, err := DecodeRing(enc)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got.Epoch != 7 || got.Vnodes != 32 || len(got.Shards) != 3 {
-		t.Fatalf("decoded %+v", got)
-	}
-	for i, id := range got.Shards {
-		if id != r.Shards[i] {
-			t.Fatalf("shards %v != %v", got.Shards, r.Shards)
-		}
-	}
-	if !bytes.Equal(got.Encode(), enc) {
-		t.Error("re-encode differs from original descriptor")
-	}
-	// Placement survives the round trip.
-	for i := 0; i < 100; i++ {
-		key := fmt.Sprintf("k%d", i)
-		if got.Owner(wire.NSData, key) != r.Owner(wire.NSData, key) {
-			t.Fatalf("decoded ring places %q differently", key)
-		}
-	}
-}
-
-func TestRingDecodeMalformed(t *testing.T) {
-	good := func() []byte {
-		r, _ := NewRing(1, []string{"a", "b"}, 8)
-		return r.Encode()
-	}()
-	cases := map[string][]byte{
-		"empty":          {},
-		"bad version":    append([]byte{RingVersionByte + 1}, good[1:]...),
-		"truncated":      good[:len(good)-2],
-		"trailing bytes": append(append([]byte(nil), good...), 0xFF),
-		"zero shards": func() []byte {
-			// version, epoch=1, vnodes=8, count=0
-			return []byte{RingVersionByte, 1, 8, 0}
-		}(),
-		"huge count": {RingVersionByte, 1, 8, 0xFF, 0xFF, 0xFF, 0x7F},
-	}
-	for name, b := range cases {
-		if _, err := DecodeRing(b); !errors.Is(err, ErrBadRing) {
-			t.Errorf("%s: err = %v, want ErrBadRing", name, err)
 		}
 	}
 }

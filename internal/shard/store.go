@@ -3,7 +3,6 @@ package shard
 import (
 	"errors"
 	"fmt"
-	"slices"
 	"sort"
 	"sync"
 	"time"
@@ -34,8 +33,6 @@ type Options struct {
 	// the request to the next (default 2ms; <0 disables hedging so a
 	// read walks replicas strictly on failure).
 	HedgeDelay time.Duration
-	// Vnodes per shard on the ring (default DefaultVnodes).
-	Vnodes int
 	// BreakerThreshold opens a backend's circuit breaker after this many
 	// consecutive failures (default 5; <0 disables breakers). An open
 	// breaker is skipped in read replica walks — the hedge to the next
@@ -53,10 +50,8 @@ type Options struct {
 	BgLimit int
 	// Registry, when non-nil, receives shard metrics: shard.put.quorum /
 	// shard.put.bg_fail / shard.put.bg_shed / shard.get.hedged /
-	// shard.get.hedge_won / shard.get.fallback / shard.repair /
-	// shard.repair_fail / shard.breaker.* counters, the
-	// shard.breaker.open_now gauge, and the shard.rebalance.moved
-	// counter.
+	// shard.get.hedge_won / shard.repair / shard.repair_fail /
+	// shard.breaker.* counters and the shard.breaker.open_now gauge.
 	Registry *obs.Registry
 }
 
@@ -78,9 +73,6 @@ func (o *Options) defaults(n int) error {
 	}
 	if o.HedgeDelay == 0 {
 		o.HedgeDelay = 2 * time.Millisecond
-	}
-	if o.Vnodes <= 0 {
-		o.Vnodes = DefaultVnodes
 	}
 	if o.BreakerThreshold == 0 {
 		o.BreakerThreshold = 5
@@ -114,41 +106,23 @@ var ErrQuorum = errors.New("shard: write quorum not reached")
 //     parallel batch per backend each pass (batches are not hedged);
 //   - a read served by a secondary (or one observing a missing replica)
 //     pushes the winning value back to the replicas that missed it
-//     (read-repair), asynchronously;
-//   - Rebalance installs a new ring live: ownership-changed keys are
-//     streamed to their new shards while reads fall back to the old ring
-//     and writes double-route, then the old ring is dropped.
+//     (read-repair), asynchronously.
 //
+// The ring, the backend map and the breakers are built in New and never
+// change, so every read and write looks up its replicas without a lock.
 // A Store is safe for concurrent use. Close waits for background
 // repairs; it does not close the backends.
 type Store struct {
-	opt Options
+	opt      Options
+	ring     *Ring
+	backends map[string]ssp.BlobStore
+	// breakers holds one circuit per backend ID; nil when disabled.
+	breakers map[string]*breaker
 
 	mu       sync.Mutex
-	ring     *Ring
-	old      *Ring // non-nil while a rebalance streams; reads fall back to it
-	backends map[string]ssp.BlobStore
-	// dirty marks keys written since the current rebalance swapped rings
-	// (ns|key). The streamer skips them: the writer already placed the
-	// newer value on every new-ring replica, so streaming the listed
-	// (older) copy would be a lost update. Nil outside a rebalance.
-	dirty    map[string]bool
 	inflight int // background reads and repairs not yet done
 	idle     *sync.Cond
 	closed   bool
-
-	// streamMu fences writes against the rebalance streamer: writers
-	// hold it shared for the full duration of their backend I/O; the
-	// ring swap and each streamed chunk take it exclusively. A write
-	// therefore lands either entirely before a chunk (its key is dirty
-	// or already listed) or entirely after (the newer value overwrites
-	// the streamed copy) — never interleaved with it.
-	streamMu sync.RWMutex
-
-	// breakers holds one circuit per backend ID, created lazily (shards
-	// added by a rebalance get theirs on first use); nil when disabled.
-	brmu     sync.Mutex
-	breakers map[string]*breaker
 
 	// bgSem bounds best-effort background goroutines (see Options.BgLimit);
 	// nil means unbounded.
@@ -172,14 +146,17 @@ func New(backends []Backend, opt Options) (*Store, error) {
 		ids[i] = b.ID
 		m[b.ID] = b.Store
 	}
-	ring, err := NewRing(1, ids, opt.Vnodes)
+	ring, err := NewRing(ids)
 	if err != nil {
 		return nil, err
 	}
 	s := &Store{opt: opt, ring: ring, backends: m}
 	s.idle = sync.NewCond(&s.mu)
 	if opt.BreakerThreshold > 0 {
-		s.breakers = make(map[string]*breaker, len(backends))
+		s.breakers = make(map[string]*breaker, len(ids))
+		for _, id := range ids {
+			s.breakers[id] = &breaker{}
+		}
 	}
 	if opt.BgLimit > 0 {
 		s.bgSem = make(chan struct{}, opt.BgLimit)
@@ -187,61 +164,22 @@ func New(backends []Backend, opt Options) (*Store, error) {
 	return s, nil
 }
 
-// Ring returns the current ring descriptor.
-func (s *Store) Ring() *Ring {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.ring
-}
-
 // Routes implements ssp.Router: the number of coalescing lanes a
 // write-behind layer should key its buffers by.
-func (s *Store) Routes() int {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return len(s.ring.Shards)
-}
+func (s *Store) Routes() int { return len(s.ring.Shards) }
 
 // RouteID implements ssp.Router: the primary shard index for (ns, key).
-func (s *Store) RouteID(ns wire.NS, key string) int {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.ring.Owner(ns, key)
-}
+func (s *Store) RouteID(ns wire.NS, key string) int { return s.ring.Owner(ns, key) }
 
-// replicaSet resolves (ns, key) to its replica backends under the
-// current ring, plus any old-ring fallback replicas during a rebalance.
-type replicaSet struct {
-	ids    []string // new-ring replicas, primary first
-	olds   []string // old-ring replicas not already in ids (rebalance only)
-	stores map[string]ssp.BlobStore
-}
-
-func (s *Store) replicas(ns wire.NS, key string) replicaSet {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.replicasLocked(ns, key)
-}
-
-func dirtyKey(ns wire.NS, key string) string { return string(rune(ns)) + "|" + key }
-
-func (s *Store) replicasLocked(ns wire.NS, key string) replicaSet {
-	rs := replicaSet{stores: s.backends}
-	for _, si := range s.ring.Lookup(ns, key, s.opt.Replicas) {
-		rs.ids = append(rs.ids, s.ring.Shards[si])
+// replicas returns the IDs of (ns, key)'s replica backends, primary
+// first, in a fresh slice.
+func (s *Store) replicas(ns wire.NS, key string) []string {
+	idx := s.ring.Lookup(ns, key, s.opt.Replicas)
+	ids := make([]string, len(idx))
+	for i, si := range idx {
+		ids[i] = s.ring.Shards[si]
 	}
-	if s.old != nil {
-		in := make(map[string]bool, len(rs.ids))
-		for _, id := range rs.ids {
-			in[id] = true
-		}
-		for _, si := range s.old.Lookup(ns, key, s.opt.Replicas) {
-			if id := s.old.Shards[si]; !in[id] && s.backends[id] != nil {
-				rs.olds = append(rs.olds, id)
-			}
-		}
-	}
-	return rs
+	return ids
 }
 
 // counter is a nil-safe metric increment.
@@ -300,26 +238,9 @@ func (s *Store) bg(f func()) {
 	}
 }
 
-// breakerFor returns (lazily creating) id's breaker; nil when disabled.
-// The enabled check reads immutable Options, not the map, so it needs no
-// lock.
-func (s *Store) breakerFor(id string) *breaker {
-	if s.opt.BreakerThreshold <= 0 {
-		return nil
-	}
-	s.brmu.Lock()
-	defer s.brmu.Unlock()
-	b := s.breakers[id]
-	if b == nil {
-		b = &breaker{}
-		s.breakers[id] = b
-	}
-	return b
-}
-
 // allowBackend asks id's breaker whether a read should be routed there.
 func (s *Store) allowBackend(id string) bool {
-	b := s.breakerFor(id)
+	b := s.breakers[id]
 	if b == nil {
 		return true
 	}
@@ -334,7 +255,7 @@ func (s *Store) allowBackend(id string) bool {
 // state transitions. wire.ErrNotFound is a healthy answer: the backend
 // responded, it just lacks the key.
 func (s *Store) observe(id string, err error) {
-	b := s.breakerFor(id)
+	b := s.breakers[id]
 	if b == nil {
 		return
 	}
@@ -402,47 +323,23 @@ type getResult struct {
 // replica after HedgeDelay (or immediately on error/not-found). The
 // first successful value wins; replicas observed missing the value are
 // repaired in the background. wire.ErrNotFound is returned only when
-// every replica (and, mid-rebalance, every old-ring replica) misses.
+// every replica misses.
 func (s *Store) Get(ns wire.NS, key string) ([]byte, error) {
-	// Reads share the rebalance fence too — not for atomicity (reads
-	// don't mutate), but so the swap's wait-for-idle converges: every
-	// spawn chain is rooted in a streamMu reader, so once the swap holds
-	// the lock exclusively no new background task can appear.
-	s.streamMu.RLock()
-	defer s.streamMu.RUnlock()
-	rs := s.replicas(ns, key)
-	val, err := s.hedgedGet(ns, key, rs.ids, rs.stores, true)
-	if err == nil {
-		return val, nil
-	}
-	if len(rs.olds) > 0 && errors.Is(err, wire.ErrNotFound) {
-		// Mid-rebalance: the key may not have been streamed to its new
-		// shards yet. Serve from the old owners and repair the new ones.
-		val, oldErr := s.hedgedGet(ns, key, rs.olds, rs.stores, false)
-		if oldErr == nil {
-			s.count("shard.get.fallback")
-			s.repair(ns, key, val, rs.ids, rs.stores)
-			return val, nil
-		}
-	}
-	return nil, err
+	return s.hedgedGet(ns, key, s.replicas(ns, key))
 }
 
 // hedgedGet races the ordered replica list: each entry is launched when
 // its predecessor errors, reports not-found, or exceeds HedgeDelay. The
-// winner's value is returned; with repairMissing set, replicas that
-// answered not-found (and any not-yet-answered earlier replicas, once
-// they resolve to not-found) are repaired with the winning value.
+// winner's value is returned; replicas that answered not-found (and any
+// not-yet-answered earlier replicas, once they resolve to not-found) are
+// repaired with the winning value.
 //
 // Replicas whose breaker is open are skipped on the first pass — the
 // hedge fires immediately to the next healthy replica — but deferred,
 // not dropped: if every healthy replica fails or misses, the walk
 // restarts over the skipped ones (fail-open), so a durable key can never
 // read as not-found just because its only live holder tripped a breaker.
-func (s *Store) hedgedGet(ns wire.NS, key string, ids []string, stores map[string]ssp.BlobStore, repairMissing bool) ([]byte, error) {
-	if len(ids) == 0 {
-		return nil, wire.ErrNotFound
-	}
+func (s *Store) hedgedGet(ns wire.NS, key string, ids []string) ([]byte, error) {
 	results := make(chan getResult, len(ids))
 	pool, idx := ids, 0
 	var deferred []string
@@ -467,7 +364,7 @@ func (s *Store) hedgedGet(ns wire.NS, key string, ids []string, stores map[strin
 				deferred = append(deferred, id)
 				continue
 			}
-			st := stores[id]
+			st := s.backends[id]
 			if launched == 0 {
 				first = id
 			}
@@ -514,11 +411,7 @@ func (s *Store) hedgedGet(ns wire.NS, key string, ids []string, stores map[strin
 			outstanding--
 			switch {
 			case r.err == nil:
-				if repairMissing {
-					s.finishRepairs(ns, key, r.val, missing, results, outstanding, stores)
-				} else {
-					s.drainGets(results, outstanding)
-				}
+				s.finishRepairs(ns, key, r.val, missing, results, outstanding)
 				if hedged && r.id != first {
 					s.count("shard.get.hedge_won")
 				}
@@ -552,8 +445,8 @@ func (s *Store) hedgedGet(ns wire.NS, key string, ids []string, stores map[strin
 // finishRepairs repairs the replicas known to miss the winning value and
 // keeps listening (in the background) for outstanding replicas, so a
 // slow replica that eventually answers not-found is repaired too.
-func (s *Store) finishRepairs(ns wire.NS, key string, val []byte, missing []string, results chan getResult, outstanding int, stores map[string]ssp.BlobStore) {
-	s.repair(ns, key, val, missing, stores)
+func (s *Store) finishRepairs(ns wire.NS, key string, val []byte, missing []string, results chan getResult, outstanding int) {
+	s.repair(ns, key, val, missing)
 	if outstanding == 0 {
 		return
 	}
@@ -561,20 +454,8 @@ func (s *Store) finishRepairs(ns wire.NS, key string, val []byte, missing []stri
 		for i := 0; i < outstanding; i++ {
 			r := <-results
 			if errors.Is(r.err, wire.ErrNotFound) {
-				s.repair(ns, key, val, []string{r.id}, stores)
+				s.repair(ns, key, val, []string{r.id})
 			}
-		}
-	})
-}
-
-// drainGets consumes straggler replica answers nobody will read.
-func (s *Store) drainGets(results chan getResult, outstanding int) {
-	if outstanding == 0 {
-		return
-	}
-	s.bg(func() {
-		for i := 0; i < outstanding; i++ {
-			<-results
 		}
 	})
 }
@@ -583,12 +464,9 @@ func (s *Store) drainGets(results chan getResult, outstanding int) {
 // it, in the background. Failures are counted, not surfaced: the repair
 // is purely an availability optimization, and the value remains readable
 // from its other replicas either way.
-func (s *Store) repair(ns wire.NS, key string, val []byte, ids []string, stores map[string]ssp.BlobStore) {
+func (s *Store) repair(ns wire.NS, key string, val []byte, ids []string) {
 	for _, id := range ids {
-		id, st := id, stores[id]
-		if st == nil {
-			continue
-		}
+		id, st := id, s.backends[id]
 		s.bg(func() {
 			err := st.Put(ns, key, val)
 			s.observe(id, err)
@@ -606,22 +484,7 @@ func (s *Store) repair(ns wire.NS, key string, val []byte, ids []string, stores 
 // Up to R-1 backend failures are tolerated — replication guarantees
 // every key still appears on a surviving shard.
 func (s *Store) List(ns wire.NS, prefix string) ([]wire.KV, error) {
-	s.mu.Lock()
-	ids := append([]string(nil), s.ring.Shards...)
-	if s.old != nil {
-		in := make(map[string]bool, len(ids))
-		for _, id := range ids {
-			in[id] = true
-		}
-		for _, id := range s.old.Shards {
-			if !in[id] && s.backends[id] != nil {
-				ids = append(ids, id)
-			}
-		}
-	}
-	stores := s.backends
-	s.mu.Unlock()
-
+	ids := s.ring.Shards
 	type listRes struct {
 		items []wire.KV
 		err   error
@@ -630,7 +493,7 @@ func (s *Store) List(ns wire.NS, prefix string) ([]wire.KV, error) {
 	var wg sync.WaitGroup
 	for i, id := range ids {
 		wg.Add(1)
-		st := stores[id]
+		st := s.backends[id]
 		go func(i int, id string) {
 			defer wg.Done()
 			items, err := st.List(ns, prefix)
@@ -672,31 +535,23 @@ func (s *Store) List(ns wire.NS, prefix string) ([]wire.KV, error) {
 // primary shard, issued in parallel. Keys a primary did not return — it
 // lacks them, or its whole batch failed — are regrouped by their next
 // replica and asked again, one parallel BatchGet per backend, pass by
-// pass down each key's replica list (old-ring owners last, mid-rebalance),
-// so any number of absent keys costs at most R-1 further round trips, not
-// two each. Replicas whose breaker is open are asked last (fail open), as
-// in Get; a replica that answered without a value another one returned is
-// repaired in the background. A key no replica returned is omitted when
-// every replica answered, and fails the call when one of them could not
-// be asked. Results preserve input order.
+// pass down each key's replica list, so any number of absent keys costs
+// at most R-1 further round trips, not two each. Replicas whose breaker
+// is open are asked last (fail open), as in Get; a replica that answered
+// without a value another one returned is repaired in the background. A
+// key no replica returned is omitted when every replica answered, and
+// fails the call when one of them could not be asked. Results preserve
+// input order.
 func (s *Store) BatchGet(items []wire.KV) ([]wire.KV, error) {
 	if len(items) == 0 {
 		return nil, nil
 	}
-	// The same fence as Get: repairs spawn background work.
-	s.streamMu.RLock()
-	defer s.streamMu.RUnlock()
-
-	s.mu.Lock()
 	walks := make([]batchWalk, len(items))
 	for i, it := range items {
-		rs := s.replicasLocked(it.NS, it.Key) // fresh slices: the walk may append to them
 		w := &walks[i]
-		w.order = append(rs.ids, rs.olds...)
-		w.current, w.guarded = len(rs.ids), len(w.order)
+		w.order = s.replicas(it.NS, it.Key) // a fresh slice: the walk may append to it
+		w.guarded = len(w.order)
 	}
-	stores := s.backends
-	s.mu.Unlock()
 
 	// One breaker decision per backend per call: allowBackend may hand out
 	// a half-open probe, which must then really be sent.
@@ -733,7 +588,7 @@ func (s *Store) BatchGet(items []wire.KV) ([]wire.KV, error) {
 				for j, i := range idxs {
 					batch[j] = wire.KV{NS: items[i].NS, Key: items[i].Key}
 				}
-				res, err := stores[id].BatchGet(batch)
+				res, err := s.backends[id].BatchGet(batch)
 				s.observe(id, err)
 				got := make(map[nsKey]int, len(res))
 				for j, kv := range res {
@@ -747,7 +602,7 @@ func (s *Store) BatchGet(items []wire.KV) ([]wire.KV, error) {
 							w.err = err
 						}
 					case hit:
-						w.val, w.from, w.found = res[j].Val, id, true
+						w.val, w.found = res[j].Val, true
 					default:
 						w.missed = append(w.missed, id)
 					}
@@ -772,19 +627,7 @@ func (s *Store) BatchGet(items []wire.KV) ([]wire.KV, error) {
 		w := &walks[i]
 		switch {
 		case w.found:
-			ring := w.order[:w.current]
-			if !slices.Contains(ring, w.from) {
-				s.count("shard.get.fallback")
-			}
-			// Old-ring owners are on their way out: only current-ring
-			// replicas are repaired.
-			var stale []string
-			for _, id := range w.missed {
-				if slices.Contains(ring, id) {
-					stale = append(stale, id)
-				}
-			}
-			s.repair(it.NS, it.Key, w.val, stale, stores)
+			s.repair(it.NS, it.Key, w.val, w.missed)
 			out = append(out, wire.KV{NS: it.NS, Key: it.Key, Val: w.val})
 		case w.err != nil:
 			return nil, w.err
@@ -801,17 +644,14 @@ type nsKey struct {
 
 // batchWalk is one BatchGet item's progress down its replica list.
 type batchWalk struct {
-	// order lists the replicas to ask: the current ring's (the first
-	// current entries, primary first), then any old-ring owners, then —
-	// appended as the walk skips them — the ones whose breaker was open.
+	// order lists the replicas to ask, primary first, then — appended as
+	// the walk skips them — the ones whose breaker was open.
 	order   []string
-	current int
 	guarded int      // order[:guarded] are asked only if their breaker allows
 	pos     int      // next entry of order
 	missed  []string // replicas that answered without the key
 	err     error    // first failure of a replica's batch
 	val     []byte
-	from    string
 	found   bool
 }
 
@@ -831,44 +671,31 @@ func (w *batchWalk) next(allow func(string) bool) (string, bool) {
 }
 
 // BatchPut implements ssp.BlobStore and is the Store's only write path:
-// items expand to their replica sets (plus, mid-rebalance, their old-ring
-// owners, written but not counted toward quorum), group into one
-// BatchPut per backend, and every backend batch runs in parallel — this
-// is what makes a write-behind flush over a sharded store a per-backend
-// fan-out. The call waits for every reply. Each item needs W of its R
-// replica writes to succeed; the first under-quorum item fails the call.
-// Replica failures a quorum tolerated count in shard.put.bg_fail and are
-// left to read repair.
+// items expand to their replica sets, group into one BatchPut per
+// backend, and every backend batch runs in parallel — this is what makes
+// a write-behind flush over a sharded store a per-backend fan-out. The
+// call waits for every reply. Each item needs W of its R replica writes
+// to succeed; the first under-quorum item fails the call. Replica
+// failures a quorum tolerated count in shard.put.bg_fail and are left to
+// read repair.
 func (s *Store) BatchPut(items []wire.KV) error {
 	if len(items) == 0 {
 		return nil
 	}
-	s.streamMu.RLock()
-	defer s.streamMu.RUnlock()
-	s.mu.Lock()
-	groups := make(map[string][]wire.KV) // backend id -> its batch
-	stores := s.backends
-	// targets[i] lists item i's replicas, then its old-ring owners; only
-	// the first counted[i] count toward quorum.
-	targets := make([][]string, len(items))
-	counted := make([]int, len(items))
+	groups := make(map[string][]wire.KV)    // backend id -> its batch
+	targets := make([][]string, len(items)) // item i's replicas
 	for i, it := range items {
-		if s.old != nil {
-			s.dirty[dirtyKey(it.NS, it.Key)] = true
-		}
-		rs := s.replicasLocked(it.NS, it.Key)
-		targets[i], counted[i] = append(rs.ids, rs.olds...), len(rs.ids)
+		targets[i] = s.replicas(it.NS, it.Key)
 		for _, id := range targets[i] {
 			groups[id] = append(groups[id], it)
 		}
 	}
-	s.mu.Unlock()
 
 	errs := make(map[string]error, len(groups))
 	var wg sync.WaitGroup
 	var mu sync.Mutex
 	for id, batch := range groups {
-		st := stores[id]
+		st := s.backends[id]
 		wg.Add(1)
 		go func(id string, batch []wire.KV) {
 			defer wg.Done()
@@ -884,20 +711,17 @@ func (s *Store) BatchPut(items []wire.KV) error {
 	var quorumErr error
 	tolerated := 0
 	for i, ids := range targets {
-		acks, fails := 0, 0
+		fails := 0
 		var firstErr error
-		for j, id := range ids {
-			switch err := errs[id]; {
-			case err != nil:
+		for _, id := range ids {
+			if err := errs[id]; err != nil {
 				fails++
 				if firstErr == nil {
 					firstErr = err
 				}
-			case j < counted[i]:
-				acks++
 			}
 		}
-		if acks >= s.opt.WriteQuorum {
+		if acks := len(ids) - fails; acks >= s.opt.WriteQuorum {
 			tolerated += fails
 		} else if quorumErr == nil {
 			quorumErr = fmt.Errorf("%w: item %d (%s/%s): %d/%d acks (last error: %w)",
@@ -919,14 +743,9 @@ func (s *Store) BatchPut(items []wire.KV) error {
 // actually store (R copies of every blob), which is what the storage
 // overhead experiments measure.
 func (s *Store) Stats() (ssp.Stats, error) {
-	s.mu.Lock()
-	ids := append([]string(nil), s.ring.Shards...)
-	stores := s.backends
-	s.mu.Unlock()
-
 	total := ssp.Stats{PerNS: make(map[wire.NS]int64)}
-	for _, id := range ids {
-		st, err := stores[id].Stats()
+	for _, id := range s.ring.Shards {
+		st, err := s.backends[id].Stats()
 		if err != nil {
 			return ssp.Stats{}, fmt.Errorf("shard %s: %w", id, err)
 		}

@@ -200,7 +200,7 @@ func TestPutWaitsForEveryReplica(t *testing.T) {
 		backends[i] = Backend{ID: fmt.Sprintf("s%d", i), Store: m}
 	}
 	const key = "slow/replica"
-	ring, err := NewRing(1, []string{"s0", "s1", "s2"}, DefaultVnodes)
+	ring, err := NewRing([]string{"s0", "s1", "s2"})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -236,7 +236,7 @@ func TestBatchPutCountsToleratedFailures(t *testing.T) {
 	for i := 0; i < 30; i++ {
 		kv := wire.KV{NS: wire.NSData, Key: fmt.Sprintf("q/%d", i), Val: []byte("x")}
 		batch = append(batch, kv)
-		if slices.Contains(h.store.replicas(kv.NS, kv.Key).ids, "s2") {
+		if slices.Contains(h.store.replicas(kv.NS, kv.Key), "s2") {
 			want++
 		}
 	}
@@ -260,7 +260,7 @@ func TestHedgedReadBeatsSlowPrimary(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Find the primary and make it slow on every read.
-	primary := h.store.Ring().Owner(wire.NSData, key)
+	primary := h.store.ring.Owner(wire.NSData, key)
 	h.faults[primary].AddRule(ssp.FaultRule{Mode: ssp.FaultSlow, Delay: 300 * time.Millisecond})
 
 	start := time.Now()
@@ -303,7 +303,7 @@ func TestHedgedReadBeatsSlowPrimary(t *testing.T) {
 	if err := h2.store.Put(wire.NSData, key, []byte("fresh")); err != nil {
 		t.Fatal(err)
 	}
-	p2 := h2.store.Ring().Owner(wire.NSData, key)
+	p2 := h2.store.ring.Owner(wire.NSData, key)
 	h2.faults[p2].AddRule(ssp.FaultRule{Mode: ssp.FaultSlow, Delay: 50 * time.Millisecond})
 	start = time.Now()
 	if _, err := h2.store.Get(wire.NSData, key); err != nil {
@@ -324,7 +324,7 @@ func TestReadRepairAfterDrop(t *testing.T) {
 	}
 	// Physically remove the copy from the primary, then also have it
 	// claim not-found, so the read must be served by the secondary.
-	primary := h.store.Ring().Owner(wire.NSData, key)
+	primary := h.store.ring.Owner(wire.NSData, key)
 	if err := h.mems[primary].Delete(wire.NSData, key); err != nil {
 		t.Fatal(err)
 	}

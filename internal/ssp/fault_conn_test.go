@@ -80,7 +80,7 @@ func TestFaultConnKeyScoped(t *testing.T) {
 	fs.OnSever(func() { severs++ })
 	fs.AddRule(FaultRule{Mode: FaultConnDrop, NS: wire.NSMeta, KeyPart: "hot"})
 
-	fs.Put(wire.NSData, "hot/1", []byte("v")) // wrong NS
+	fs.Put(wire.NSData, "hot/1", []byte("v"))  // wrong NS
 	fs.Put(wire.NSMeta, "cold/1", []byte("v")) // wrong key
 	if severs != 0 {
 		t.Fatalf("scoped rule fired on non-matching ops (%d severs)", severs)

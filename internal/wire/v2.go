@@ -51,14 +51,13 @@ const (
 // Extension IDs. All values are uvarints; unknown IDs are skipped by
 // decoders so the set can grow without version bumps.
 const (
-	ExtTraceID    = 1
-	ExtSpanID     = 2
-	ExtReqID      = 3
-	ExtShardRoute = 4 // reserved: shard-routing hint for proxy tiers
+	ExtTraceID = 1
+	ExtSpanID  = 2
+	ExtReqID   = 3
 )
 
 // maxExtCount bounds the extension block so a corrupt count can't stall
-// the parser. Far above any real use (we define four IDs).
+// the parser. Far above any real use (we define three IDs).
 const maxExtCount = 64
 
 // MaxPackFrames bounds the sub-messages in one pack; it is both the
@@ -215,8 +214,7 @@ func DecodeV2Into(b []byte, m *Msg) error {
 				spanID = val
 			case ExtReqID:
 				reqID = val
-				// Unknown IDs (including ExtShardRoute, which no layer
-				// emits yet) are skipped for forward compatibility.
+				// Unknown IDs are skipped for forward compatibility.
 			}
 		}
 	}

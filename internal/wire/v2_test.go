@@ -244,11 +244,10 @@ func TestPackReuse(t *testing.T) {
 }
 
 // TestV2UnknownExtSkipped checks forward compatibility: extensions this
-// build doesn't know (including the reserved ExtShardRoute) must be
-// skipped, not rejected.
+// build doesn't know must be skipped, not rejected.
 func TestV2UnknownExtSkipped(t *testing.T) {
 	b := appendV2Header(nil, KindRequest,
-		[2]uint64{ExtShardRoute, 42}, [2]uint64{99, 1}, [2]uint64{ExtReqID, 5})
+		[2]uint64{4, 42}, [2]uint64{99, 1}, [2]uint64{ExtReqID, 5})
 	b = appendRequestBody(b, &Request{Op: OpPing})
 	m, err := DecodeV2(b)
 	if err != nil {
