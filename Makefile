@@ -18,6 +18,7 @@ FUZZ_TARGETS := \
 	./internal/meta:FuzzDecodeSuperblock \
 	./internal/meta:FuzzDecodeSplitPointer \
 	./internal/meta:FuzzOpenVerified \
+	./internal/meta:FuzzOpenBlock \
 	./internal/cap:FuzzOpenView \
 	./internal/analysis:FuzzParseAllowDirective
 

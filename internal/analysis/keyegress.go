@@ -33,7 +33,7 @@ func (KeyEgress) Doc() string {
 // transmit or persist.
 var keyEgressSanitizers = map[string]map[string]bool{
 	sharocryptoPkgSuffix: {"Seal": true, "AppendSeal": true, "SealChunked": true},
-	"internal/meta":      {"Seal": true, "SealSigned": true, "SealSuperblock": true, "SealSplitPointer": true},
+	"internal/meta":      {"Seal": true, "SealSigned": true, "SealBlock": true, "SealSuperblock": true, "SealSplitPointer": true},
 	"internal/cap":       {"SealTableView": true},
 }
 

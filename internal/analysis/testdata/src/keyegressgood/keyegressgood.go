@@ -62,3 +62,10 @@ func GoodReplicatedStore(replicas []ssp.BlobStore, dek sharocrypto.SymKey, plain
 		}(st)
 	}
 }
+
+// GoodBlock stores raw key bytes only as a sealed file block: SealBlock's
+// blob is ciphertext, and its digest is a hash of that ciphertext.
+func GoodBlock(st ssp.BlobStore, dek, k sharocrypto.SymKey) error {
+	blob, _ := meta.SealBlock(dek, []byte("ctx"), k[:])
+	return st.Put(wire.NSData, "b", blob)
+}

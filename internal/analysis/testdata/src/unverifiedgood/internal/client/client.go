@@ -55,6 +55,35 @@ func (c *Client) CacheOpened(key string, aad []byte) error {
 	return nil
 }
 
+// FetchBlock opens a file block through the manifest that names it: the
+// manifest's signature first (OpenVerified), then the block against the
+// digest the manifest names for it (OpenBlock); only then is the block
+// cached and returned.
+func (c *Client) FetchBlock(manKey, blockKey string, manAAD, blockAAD []byte, idx int) ([]byte, error) {
+	blob, err := c.store.Get(wire.NSData, manKey)
+	if err != nil {
+		return nil, err
+	}
+	pt, err := meta.OpenVerified(c.mek, c.mvk, manAAD, blob)
+	if err != nil {
+		return nil, err
+	}
+	man, err := meta.DecodeManifest(pt)
+	if err != nil {
+		return nil, err
+	}
+	sealed, err := c.store.Get(wire.NSData, blockKey)
+	if err != nil {
+		return nil, err
+	}
+	block, err := meta.OpenBlock(c.mek, blockAAD, sealed, man.Digests[idx])
+	if err != nil {
+		return nil, err
+	}
+	c.cache.Put(blockKey, block, int64(len(block)))
+	return block, nil
+}
+
 // Raw returns unverified bytes behind an explicit, justified allow —
 // the fixture that proves the directive (not the analyzer) silences it.
 func (c *Client) Raw(key string) []byte {

@@ -43,7 +43,7 @@ var unverifiedSources = map[string]map[string]bool{
 // authenticate their input: their results are trusted plaintext.
 var unverifiedSanitizers = map[string]map[string]bool{
 	sharocryptoPkgSuffix: {"Open": true, "OpenChunked": true, "Verify": true},
-	"internal/meta":      {"OpenVerified": true, "OpenMetadata": true, "OpenSuperblock": true, "OpenSplitPointer": true},
+	"internal/meta":      {"OpenVerified": true, "OpenBlock": true, "OpenMetadata": true, "OpenSuperblock": true, "OpenSplitPointer": true},
 	"internal/cap":       {"OpenView": true},
 }
 

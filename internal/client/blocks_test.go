@@ -172,8 +172,10 @@ func blockKeys(t *testing.T, store ssp.BlobStore, ino types.Inode, n int) []stri
 }
 
 // TestCorruptBlockFailsReadAndIsNeverCached: damage block k of a 16-block
-// file at the store — a flipped ciphertext bit, a flipped signature bit,
-// or a sibling block of the same file served in its place — and a reader
+// file at the store — a flipped ciphertext bit, a flipped tag bit, a
+// sibling block of the same file served in its place, or the block
+// re-sealed with other content by someone who holds the DEK (every
+// reader does) but cannot sign a manifest naming it — and a reader
 // gets ErrTampered for the whole read, the damaged block is not in its
 // cache, whatever else is cached is the true plaintext, and the same
 // session reads correctly once the store is repaired.
@@ -191,6 +193,10 @@ func TestCorruptBlockFailsReadAndIsNeverCached(t *testing.T) {
 		t.Fatal(err)
 	}
 	keys := blockKeys(t, store, info.Inode, nBlocks)
+	_, m, err := w.as("alice").resolve("/big")
+	if err != nil {
+		t.Fatal(err)
+	}
 
 	damage := map[string]func(k int, honest []byte) []byte{
 		"ciphertext bit": func(_ int, honest []byte) []byte {
@@ -198,10 +204,14 @@ func TestCorruptBlockFailsReadAndIsNeverCached(t *testing.T) {
 			mut[len(mut)/3] ^= 0x10
 			return mut
 		},
-		"signature bit": func(_ int, honest []byte) []byte {
+		"tag bit": func(_ int, honest []byte) []byte {
 			mut := append([]byte(nil), honest...)
 			mut[len(mut)-1] ^= 0x01
 			return mut
+		},
+		"re-sealed by a DEK holder": func(k int, _ []byte) []byte {
+			forged, _ := meta.SealBlock(m.Keys.DEK, meta.BlockAAD(info.Inode, m.Attr.DataGen, uint32(k)), pattern(testBlockSize, 9))
+			return forged
 		},
 		"sibling block": func(k int, _ []byte) []byte {
 			other, err := store.Get(wire.NSData, keys[(k+1)%nBlocks])

@@ -120,13 +120,14 @@ func (s *Session) dropTail(ino types.Inode, old, now *meta.Manifest) []wire.KV {
 // file: each from the cache, else out of pre (the reply that carried the
 // metadata or the manifest, which answers for the tail), else by one fetch
 // naming every block still missing. A blob in pre that man does not call
-// for is never looked at. Blocks are independent — each carries its own
-// nonce, AAD and signature — so the sealed ones are verified and opened
-// across the worker pool; the closure writes only its own slot, and the
+// for is never looked at. man is verified, and names each block by its
+// digest; a block carries no signature of its own, only its own nonce and
+// AAD, so the sealed ones are checked against man's digests and opened
+// across the worker pool. The closure writes only its own slot, and the
 // cache is touched only after the join, by this goroutine, with blocks
-// that verified. A block must also be as long as man says it is: a tail
-// kept from when the file was shorter verifies under the same (inode,
-// generation, index) and is refused here.
+// that verified. A block of another version of the file — a tail kept
+// from when the file was shorter, a block the last write replaced — fails
+// its digest; the length check against man is a second line behind it.
 func (s *Session) readBlocks(r ref, m *meta.Metadata, man *meta.Manifest, from, to uint32, pre replyIndex) ([][]byte, error) {
 	gen := m.Attr.DataGen
 	out := make([][]byte, to-from)
@@ -174,7 +175,7 @@ func (s *Session) readBlocks(r ref, m *meta.Metadata, man *meta.Manifest, from, 
 	stop := s.crypto("open-block")
 	layout.RunParallel(len(missing), func(i int) {
 		idx := from + uint32(slots[i])
-		pt, err := meta.OpenVerified(m.Keys.DEK, m.Keys.DVK, man.DataAAD(r.ino, gen, idx), sealed[i])
+		pt, err := meta.OpenBlock(m.Keys.DEK, man.DataAAD(r.ino, gen, idx), sealed[i], man.Digests[idx])
 		if err == nil && len(pt) != man.DataLen(idx) {
 			err = fmt.Errorf("%w: block %d is %d bytes, the manifest says %d", types.ErrTampered, idx, len(pt), man.DataLen(idx))
 		}
@@ -192,9 +193,10 @@ func (s *Session) readBlocks(r ref, m *meta.Metadata, man *meta.Manifest, from, 
 }
 
 // ReadFile implements vfs.FS: obtain the encrypted data blocks, verify the
-// writer's signatures and decrypt (paper Figure 8, read row). Metadata,
-// manifest and the tail block — the whole of a file up to one block — are
-// fetched in one batched round trip.
+// writer's signature on the manifest and each block against it, and
+// decrypt (paper Figure 8, read row). Metadata, manifest and the tail
+// block — the whole of a file up to one block — are fetched in one
+// batched round trip.
 func (s *Session) ReadFile(path string) ([]byte, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -350,6 +352,7 @@ func (s *Session) appendFile(path string, data []byte) error {
 	tail = append(tail, data...)
 
 	newMan := meta.NewManifest(man.Size+uint64(len(data)), man.BlockSize, time.Now().UnixNano())
+	copy(newMan.Digests, man.Digests[:firstDirty])
 	kvs := s.sealBlocks(m, newMan, firstDirty, tail)
 	kvs = append(kvs, s.dropTail(r.ino, man, newMan)...)
 	return s.store.BatchPut(kvs)

@@ -3,6 +3,7 @@ package client
 import (
 	"bytes"
 	"errors"
+	"fmt"
 	"reflect"
 	"testing"
 
@@ -263,26 +264,112 @@ func TestUnauthorizedWriteDetected(t *testing.T) {
 }
 
 // TestRollbackVisibility documents what a pure rollback (replay of stale
-// but once-valid state) does: it is NOT detected — the paper explicitly
-// defers fork-consistency to a SUNDR integration (§VI) — but it can only
-// yield stale authentic content, never forged content.
+// but once-valid state) does. A whole-file rollback — the manifest and
+// every block of an older version — is NOT detected: nothing orders two
+// manifests of one generation, and the paper defers fork-consistency to a
+// SUNDR integration (§VI; ROADMAP items 7 and 12). But the content read is
+// always exactly one whole version the writer once wrote: the manifest
+// names every block by its digest, so blocks of two versions never
+// combine (TestStaleVersionUnderNewerManifest).
 func TestRollbackVisibility(t *testing.T) {
+	for _, size := range []int{9, 2 * testBlockSize, 3*testBlockSize + 10} {
+		t.Run(fmt.Sprintf("%d bytes", size), func(t *testing.T) {
+			fs, alice := tamperWorld(t)
+			v1, v2 := pattern(size, 1), pattern(size, 2)
+			mustDo(t, alice.WriteFile("/f", v1, 0o644))
+			mustDo(t, alice.WriteFile("/f", v2, 0))
+			fs.AddRule(ssp.FaultRule{Mode: ssp.FaultRollback, NS: wire.NSData, KeyPart: meta.FilePrefix(inodeOf(t, alice, "/f"))})
+			got, err := alice.ReadFile("/f")
+			if err != nil && !errors.Is(err, types.ErrTampered) {
+				t.Fatalf("rollback read: %v", err)
+			}
+			if err == nil && !bytes.Equal(got, v1) && !bytes.Equal(got, v2) {
+				t.Errorf("rollback yielded %d bytes that are neither version", len(got))
+			}
+		})
+	}
+}
+
+// TestMixedVersionBlockDetected: 128 bytes in two 64-byte blocks,
+// overwritten all-A → all-B in place (one generation, so the same keys
+// and AADs), and the SSP rolls back block 1 alone. Each blob is one the
+// writer sealed for exactly that (inode, generation, index) and length;
+// only the manifest's digests tell the versions apart. The read must fail
+// rather than return 64 × B + 64 × A, a file that never existed.
+func TestMixedVersionBlockDetected(t *testing.T) {
 	fs, alice := tamperWorld(t)
-	if err := alice.WriteFile("/f", []byte("version-1"), 0o644); err != nil {
-		t.Fatal(err)
+	mustDo(t, alice.WriteFile("/f", bytes.Repeat([]byte("A"), 128), 0o644))
+	mustDo(t, alice.WriteFile("/f", bytes.Repeat([]byte("B"), 128), 0))
+	_, m, err := alice.resolve("/f")
+	mustDo(t, err)
+	fs.AddRule(ssp.FaultRule{Mode: ssp.FaultRollback, NS: wire.NSData, KeyPart: meta.BlockKey(m.Attr.Inode, m.Attr.DataGen, 1)})
+	if got, err := alice.ReadFile("/f"); !errors.Is(err, types.ErrTampered) {
+		t.Fatalf("read a mix of versions: %q, %v", got, err)
 	}
-	if err := alice.WriteFile("/f", []byte("version-2"), 0); err != nil {
-		t.Fatal(err)
-	}
-	fs.AddRule(ssp.FaultRule{Mode: ssp.FaultRollback, NS: wire.NSData})
-	got, err := alice.ReadFile("/f")
-	if err != nil {
-		// Acceptable too: some rollbacks break cross-blob consistency
-		// and are detected.
-		return
-	}
-	if string(got) != "version-1" && string(got) != "version-2" {
-		t.Errorf("rollback yielded forged content %q", got)
+}
+
+// TestStaleVersionUnderNewerManifest: for files of 2 blocks (with and
+// without a tail), 16 and 17 blocks, the SSP serves the block or tail of
+// version v at one index — every index in turn — under the manifest of
+// version v+1. Both versions have the same size, so the stale blob has
+// the key, AAD and length of the one it replaces and verified on its own
+// before. ReadFile refuses it. Append refuses it where it reads it (the
+// tail) and then writes nothing. Where it does not read it (a full
+// block), Append succeeds, and the next read still fails: the new
+// manifest carries v+1's digest forward, so the stale block is not
+// laundered into the file. On read, v's manifest over v+1's blocks is
+// refused too.
+func TestStaleVersionUnderNewerManifest(t *testing.T) {
+	for _, size := range []int{2 * testBlockSize, testBlockSize + 10, 16 * testBlockSize, 16*testBlockSize + 10} {
+		geometry := meta.NewManifest(uint64(size), testBlockSize, 0)
+		for idx := -1; idx < int(geometry.NBlocks); idx++ { // -1: the manifest
+			for _, op := range []string{"read", "append"} {
+				if idx < 0 && op == "append" {
+					continue // a stale manifest alone is a whole-file rollback
+				}
+				t.Run(fmt.Sprintf("%d bytes/index %d/%s", size, idx, op), func(t *testing.T) {
+					fs, alice := tamperWorld(t)
+					store := fs.Inner
+					mustDo(t, alice.WriteFile("/f", pattern(size, 1), 0o644))
+					_, m, err := alice.resolve("/f")
+					mustDo(t, err)
+					key := meta.ManifestKey(m.Attr.Inode)
+					if idx >= 0 {
+						key = geometry.DataKey(m.Attr.Inode, m.Attr.DataGen, uint32(idx))
+					}
+					stale := mustGet(t, store, key)
+					mustDo(t, alice.WriteFile("/f", pattern(size, 2), 0))
+					mustDo(t, store.Put(wire.NSData, key, stale))
+
+					if op == "read" {
+						if got, err := alice.ReadFile("/f"); !errors.Is(err, types.ErrTampered) {
+							t.Fatalf("read under the newer manifest: %d bytes, %v", len(got), err)
+						}
+						return
+					}
+					before, err := store.List(wire.NSData, "f/")
+					mustDo(t, err)
+					err = alice.Append("/f", []byte("more"))
+					if key == meta.TailKey(m.Attr.Inode) {
+						if !errors.Is(err, types.ErrTampered) {
+							t.Fatalf("append to a stale tail: %v", err)
+						}
+						after, err := store.List(wire.NSData, "f/")
+						mustDo(t, err)
+						if !reflect.DeepEqual(before, after) {
+							t.Error("a refused append wrote to the store")
+						}
+						return
+					}
+					if err != nil {
+						t.Fatalf("append past a stale block it does not read: %v", err)
+					}
+					if got, err := alice.ReadFile("/f"); !errors.Is(err, types.ErrTampered) {
+						t.Fatalf("the append laundered a stale block: read %d bytes, %v", len(got), err)
+					}
+				})
+			}
+		}
 	}
 }
 

@@ -151,13 +151,17 @@ func BuildFileKVs(m *meta.Metadata, data []byte, blockSize uint32, mtime int64) 
 // itself, under the file's data keys. It returns the block KVs in index
 // order followed by the manifest KV. This is the one block-sealing loop:
 // whole-file writes and migration pass first = 0 and the whole content,
-// an append passes its first dirty block and the reassembled tail.
+// an append passes its first dirty block and the reassembled tail, with
+// the digests of the blocks before it already copied into man.
 //
 // Where each block goes is man's rule (meta.Manifest.DataKey): full
 // blocks under their generation's block keys, a short last block under
-// the file's tail key. Every block has its own nonce, AAD (inode,
-// generation, index) and signature, so blocks are sealed across the
-// worker pool; a single block is sealed inline.
+// the file's tail key. Every block has its own nonce and AAD (inode,
+// generation, index) and is sealed without a signature, so blocks are
+// sealed across the worker pool, each writing only its own digest into
+// man.Digests; a single block is sealed inline. The manifest is sealed
+// and signed last, once every digest is in: it is the one signature of
+// the write.
 func SealFileKVs(m *meta.Metadata, man *meta.Manifest, first uint32, data []byte) []wire.KV {
 	ino, gen := m.Attr.Inode, m.Attr.DataGen
 	bs := int(man.BlockSize)
@@ -169,7 +173,8 @@ func SealFileKVs(m *meta.Metadata, man *meta.Manifest, first uint32, data []byte
 			hi = len(data)
 		}
 		idx := first + uint32(i)
-		sealed := meta.SealSigned(m.Keys.DEK, m.Keys.DSK, man.DataAAD(ino, gen, idx), data[lo:hi])
+		sealed, digest := meta.SealBlock(m.Keys.DEK, man.DataAAD(ino, gen, idx), data[lo:hi])
+		man.Digests[idx] = digest
 		kvs[i] = wire.KV{NS: wire.NSData, Key: man.DataKey(ino, gen, idx), Val: sealed}
 	})
 	sealedMan := meta.SealSigned(m.Keys.DEK, m.Keys.DSK, meta.ManifestAAD(ino, gen), man.Encode())

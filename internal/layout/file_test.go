@@ -3,6 +3,7 @@ package layout
 import (
 	"bytes"
 	"errors"
+	"slices"
 	"sync/atomic"
 	"testing"
 
@@ -15,9 +16,11 @@ import (
 // (none, one — sealed inline — two, sixteen, seventeen) and for a run
 // that starts mid-file, the KVs come back in index order under the right
 // keys — full blocks under their generation's block keys, a short last
-// block under the file's tail key and no other — every block opens under
-// its own (inode, generation, index) AAD and no other, a tail not under a
-// block's AAD nor a block under a tail's, and the manifest is last.
+// block under the file's tail key and no other — the manifest is last and
+// signed, every block opens through OpenBlock under the digest the sealed
+// manifest names for its index, under its own (inode, generation, index)
+// AAD and no other, a tail not under a block's AAD nor a block under a
+// tail's, and the digests before a mid-file run are left as they were.
 func TestSealFileKVs(t *testing.T) {
 	const bs = 64
 	m := newFullMeta(77, types.KindFile, "alice", "eng", "640")
@@ -33,9 +36,29 @@ func TestSealFileKVs(t *testing.T) {
 		}
 		n := (tc.size + bs - 1) / bs
 		man := meta.NewManifest(uint64(int(tc.first)*bs+tc.size), bs, 42)
+		for i := uint32(0); i < tc.first; i++ {
+			man.Digests[i][0] = byte(i + 1) // an earlier write's digests
+		}
 		kvs := SealFileKVs(m, man, tc.first, data)
 		if len(kvs) != n+1 {
 			t.Fatalf("first=%d size=%d: %d KVs, want %d blocks + manifest", tc.first, tc.size, len(kvs), n)
+		}
+		last := kvs[n]
+		if last.Key != meta.ManifestKey(77) {
+			t.Errorf("last KV is %q, want the manifest", last.Key)
+		}
+		pt, err := meta.OpenVerified(m.Keys.DEK, dvk, meta.ManifestAAD(77, 5), last.Val)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sealedMan, err := meta.DecodeManifest(pt)
+		if err != nil || !manifestEqual(sealedMan, man) {
+			t.Fatalf("manifest round trip: %+v, %v", sealedMan, err)
+		}
+		for i := uint32(0); i < tc.first; i++ {
+			if d := sealedMan.Digests[i]; d[0] != byte(i+1) || d[1] != 0 {
+				t.Errorf("first=%d: digest %d before the run was overwritten", tc.first, i)
+			}
 		}
 		var got []byte
 		for i, kv := range kvs[:n] {
@@ -47,33 +70,35 @@ func TestSealFileKVs(t *testing.T) {
 			if kv.NS != wire.NSData || kv.Key != key || kv.Delete {
 				t.Errorf("first=%d size=%d: KV %d is %v %q, want %q", tc.first, tc.size, i, kv.NS, kv.Key, key)
 			}
-			pt, err := meta.OpenVerified(m.Keys.DEK, dvk, aad, kv.Val)
+			want := sealedMan.Digests[idx]
+			pt, err := meta.OpenBlock(m.Keys.DEK, aad, kv.Val, want)
 			if err != nil {
 				t.Fatalf("first=%d size=%d: block %d: %v", tc.first, tc.size, idx, err)
 			}
 			got = append(got, pt...)
-			if _, err := meta.OpenVerified(m.Keys.DEK, dvk, man.DataAAD(77, 5, idx+1), kv.Val); !errors.Is(err, types.ErrTampered) {
+			if _, err := meta.OpenBlock(m.Keys.DEK, man.DataAAD(77, 5, idx+1), kv.Val, want); !errors.Is(err, types.ErrTampered) {
 				t.Errorf("block %d opened at index %d: %v", idx, idx+1, err)
 			}
-			if _, err := meta.OpenVerified(m.Keys.DEK, dvk, wrong, kv.Val); !errors.Is(err, types.ErrTampered) {
+			if _, err := meta.OpenBlock(m.Keys.DEK, wrong, kv.Val, want); !errors.Is(err, types.ErrTampered) {
 				t.Errorf("block %d opened under the other kind's AAD: %v", idx, err)
+			}
+			if i > 0 {
+				if _, err := meta.OpenBlock(m.Keys.DEK, aad, kv.Val, sealedMan.Digests[idx-1]); !errors.Is(err, types.ErrTampered) {
+					t.Errorf("block %d opened under block %d's digest: %v", idx, idx-1, err)
+				}
 			}
 		}
 		if !bytes.Equal(got, data) {
 			t.Errorf("first=%d size=%d: blocks do not reassemble to the input", tc.first, tc.size)
 		}
-		last := kvs[n]
-		if last.Key != meta.ManifestKey(77) {
-			t.Errorf("last KV is %q, want the manifest", last.Key)
-		}
-		pt, err := meta.OpenVerified(m.Keys.DEK, dvk, meta.ManifestAAD(77, 5), last.Val)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if dec, err := meta.DecodeManifest(pt); err != nil || *dec != *man {
-			t.Errorf("manifest round trip: %+v, %v", dec, err)
-		}
 	}
+}
+
+// manifestEqual compares two manifests field by field (Manifest holds a
+// slice and is not ==-comparable).
+func manifestEqual(a, b *meta.Manifest) bool {
+	return a.Size == b.Size && a.BlockSize == b.BlockSize && a.NBlocks == b.NBlocks &&
+		a.MTime == b.MTime && slices.Equal(a.Digests, b.Digests)
 }
 
 // TestBuildFileKVsIsWholeFileSeal: the migration entry point is the same
@@ -89,9 +114,14 @@ func TestBuildFileKVsIsWholeFileSeal(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want := meta.Manifest{Size: 200, BlockSize: 64, NBlocks: 4, MTime: 99}
-	if man, err := meta.DecodeManifest(pt); err != nil || *man != want {
-		t.Errorf("manifest %+v, %v; want %+v", man, err, want)
+	man, err := meta.DecodeManifest(pt)
+	if err != nil || man.Size != 200 || man.BlockSize != 64 || man.NBlocks != 4 || man.MTime != 99 || len(man.Digests) != 4 {
+		t.Fatalf("manifest %+v, %v; want 200 bytes in 4 blocks of 64 at mtime 99", man, err)
+	}
+	for i, kv := range kvs[:4] {
+		if _, err := meta.OpenBlock(m.Keys.DEK, man.DataAAD(78, m.Attr.DataGen, uint32(i)), kv.Val, man.Digests[i]); err != nil {
+			t.Errorf("block %d: %v", i, err)
+		}
 	}
 }
 

@@ -2,6 +2,7 @@ package meta
 
 import (
 	"bytes"
+	"crypto/sha256"
 	"errors"
 	"reflect"
 	"testing"
@@ -86,6 +87,16 @@ func FuzzDecodeTable(f *testing.F) {
 }
 
 func FuzzDecodeManifest(f *testing.F) {
+	// Honest manifests of 0, 1 and 17 digests, one of them short a
+	// digest, and a header with no digests behind it.
+	for _, size := range []uint64{0, 100, 16*4096 + 1} {
+		m := NewManifest(size, 4096, 77)
+		for i := range m.Digests {
+			m.Digests[i] = sha256.Sum256([]byte{byte(i)})
+		}
+		f.Add(m.Encode())
+	}
+	f.Add(NewManifest(2*4096, 4096, 77).Encode()[:4])
 	f.Add((&Manifest{Size: 1 << 30, BlockSize: 4096, NBlocks: 1 << 18, MTime: 77}).Encode())
 	f.Add([]byte{0x80})
 	f.Fuzz(func(t *testing.T, b []byte) {
@@ -125,22 +136,29 @@ func FuzzDecodeSplitPointer(f *testing.F) {
 }
 
 // FuzzOpenVerified feeds arbitrary bytes — seeded with honest envelopes
-// of every signed structure — to the one verify-then-open path. Nothing
-// may panic; every failure must be types.ErrTampered; and whatever does
-// open must carry the plaintext the key holder sealed for that AAD (the
-// keys are fixed, so an envelope from another fuzz worker is honest too;
-// anything else that opens would be a forgery).
+// of every signed structure, their truncations and extensions, and
+// unsigned envelopes a reader holding only the symmetric key could seal —
+// to the one verify-then-open path. Nothing may panic; every failure must
+// be types.ErrTampered; and whatever does open must carry the plaintext
+// the key holder sealed for that AAD (the keys are fixed, so an envelope
+// from another fuzz worker is honest too; anything else that opens would
+// be a forgery).
 func FuzzOpenVerified(f *testing.F) {
 	sym, sk, vk := fuzzKeys(f)
 	tab := &DirTable{Entries: []DirEntry{{Name: "a.txt", Inode: 4, Variant: "u/alice", MEK: sym, MVK: vk}}}
-	man := &Manifest{Size: 70000, BlockSize: 65536, NBlocks: 2, MTime: 77}
-	aads := [][]byte{MetaAAD(9, "c/3"), TableAAD(9, "c/3"), BlockAAD(9, 3, 1), ManifestAAD(9, 3), TailAAD(9, 3, 1)}
-	plains := [][]byte{seedMetadata(f).Encode(), tab.Encode(), bytes.Repeat([]byte{0xab}, 300), man.Encode(), bytes.Repeat([]byte{0xcd}, 30)}
+	man := NewManifest(70000, 65536, 77)
+	aads := [][]byte{MetaAAD(9, "c/3"), TableAAD(9, "c/3"), ManifestAAD(9, 3)}
+	plains := [][]byte{seedMetadata(f).Encode(), tab.Encode(), man.Encode()}
 	for i, plain := range plains {
 		blob := SealSigned(sym, sk, aads[i], plain)
 		f.Add(blob, uint8(i))
 		f.Add(blob[:len(blob)-1], uint8(i))
+		f.Add(append(append([]byte(nil), blob...), 0), uint8(i))
 		f.Add(blob, uint8(i+1)) // right blob, wrong AAD
+		// A reader's forgery: the right AAD, no signature, and a
+		// plaintext the writer never sealed.
+		forged, _ := SealBlock(sym, aads[i], append([]byte{0xee}, plain...))
+		f.Add(forged, uint8(i))
 	}
 	f.Add([]byte{}, uint8(0))
 	f.Add([]byte{0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0x01}, uint8(2))
@@ -155,6 +173,47 @@ func FuzzOpenVerified(f *testing.F) {
 		}
 		if !bytes.Equal(pt, plains[i]) {
 			t.Fatalf("a plaintext the writer never sealed opened under AAD %q (%d bytes)", aads[i], len(pt))
+		}
+	})
+}
+
+// FuzzOpenBlock feeds arbitrary bytes — seeded with honest blocks and
+// tails, their truncations, the right blob under the wrong AAD and under
+// the wrong digest — to the digest-then-open path. Nothing may panic;
+// every failure must be types.ErrTampered; and whatever opens must be the
+// plaintext sealed for that AAD under the digest the manifest named.
+// Each seed's own digest is fixed below, so a blob that opens under one
+// was sealed by the key holder for that slot (an honest blob from
+// another fuzz worker carries a fresh nonce and cannot match it).
+func FuzzOpenBlock(f *testing.F) {
+	sym, _, _ := fuzzKeys(f)
+	aads := [][]byte{BlockAAD(9, 3, 0), BlockAAD(9, 3, 1), TailAAD(9, 3, 2)}
+	plains := [][]byte{bytes.Repeat([]byte{0xab}, 300), bytes.Repeat([]byte{0xba}, 300), bytes.Repeat([]byte{0xcd}, 30)}
+	blobs := make([][]byte, len(aads))
+	digests := make([][sha256.Size]byte, len(aads))
+	for i, plain := range plains {
+		blobs[i], digests[i] = SealBlock(sym, aads[i], plain)
+	}
+	for i, blob := range blobs {
+		f.Add(blob, uint8(i), uint8(i))
+		f.Add(blob[:len(blob)-1], uint8(i), uint8(i))
+		f.Add(append(append([]byte(nil), blob...), 0), uint8(i), uint8(i))
+		f.Add(blob, uint8(i+1), uint8(i)) // right blob, wrong AAD
+		f.Add(blob, uint8(i), uint8(i+1)) // right blob, wrong digest
+	}
+	f.Add([]byte{}, uint8(0), uint8(0))
+	f.Add([]byte{0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0x01}, uint8(2), uint8(2))
+	f.Fuzz(func(t *testing.T, blob []byte, which, digest uint8) {
+		i, j := int(which)%len(aads), int(digest)%len(digests)
+		pt, err := OpenBlock(sym, aads[i], blob, digests[j])
+		if err != nil {
+			if !errors.Is(err, types.ErrTampered) {
+				t.Fatalf("failure is not ErrTampered: %v", err)
+			}
+			return
+		}
+		if i != j || !bytes.Equal(blob, blobs[i]) || !bytes.Equal(pt, plains[i]) {
+			t.Fatalf("a block the writer never named opened under AAD %q and digest %d (%d bytes)", aads[i], j, len(pt))
 		}
 	})
 }

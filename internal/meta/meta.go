@@ -13,6 +13,7 @@
 package meta
 
 import (
+	"crypto/sha256"
 	"errors"
 	"fmt"
 	"sort"
@@ -505,21 +506,29 @@ func DecodeTable(b []byte) (*DirTable, error) {
 	return t, nil
 }
 
-// Manifest describes a file's data layout: size, block geometry and mtime.
-// It is sealed with the DEK and signed with the DSK, so ordinary writers —
-// who hold no MSK — can update it, while readers can verify it. (The
-// paper's metadata carries size/mtime too; splitting the writer-mutable
-// part out lets metadata remain owner-signed.)
+// Manifest describes a file's data layout and names its content: size,
+// block geometry, mtime and one digest per block (SealBlock). It is sealed
+// with the DEK and signed with the DSK, so ordinary writers — who hold no
+// MSK — can update it, while readers can verify it, and through its
+// digests every block: the manifest's signature is the only one a file
+// carries. (The paper's metadata carries size/mtime too; splitting the
+// writer-mutable part out lets metadata remain owner-signed.)
 type Manifest struct {
 	Size      uint64
 	BlockSize uint32
 	NBlocks   uint32
 	MTime     int64
+	// Digests[i] is the SealBlock digest of block i: exactly NBlocks of
+	// them, encoded raw after MTime.
+	Digests [][sha256.Size]byte
 }
 
-// NewManifest describes size bytes laid out in blocks of blockSize > 0.
+// NewManifest describes size bytes laid out in blocks of blockSize > 0,
+// with a zero digest per block for the writer to fill in.
 func NewManifest(size uint64, blockSize uint32, mtime int64) *Manifest {
-	return &Manifest{Size: size, BlockSize: blockSize, NBlocks: uint32(blocksFor(size, blockSize)), MTime: mtime}
+	n := blocksFor(size, blockSize)
+	return &Manifest{Size: size, BlockSize: blockSize, NBlocks: uint32(n), MTime: mtime,
+		Digests: make([][sha256.Size]byte, n)}
 }
 
 // blocksFor is ceil(size / blockSize).
@@ -538,10 +547,14 @@ func (m *Manifest) Encode() []byte {
 	w.Uvarint(uint64(m.BlockSize))
 	w.Uvarint(uint64(m.NBlocks))
 	w.Uvarint(uint64(m.MTime))
+	for i := range m.Digests {
+		w.Raw(m.Digests[i][:])
+	}
 	return w.Bytes()
 }
 
-// DecodeManifest parses a manifest.
+// DecodeManifest parses a manifest. Anything but exactly NBlocks digests
+// after the header — fewer, more, or stray trailing bytes — is rejected.
 func DecodeManifest(b []byte) (*Manifest, error) {
 	r := binenc.NewReader(b)
 	var m Manifest
@@ -569,6 +582,17 @@ func DecodeManifest(b []byte) (*Manifest, error) {
 	// before anyone computes with it.
 	if bs == 0 || bs != uint64(m.BlockSize) || nb != uint64(m.NBlocks) || nb != blocksFor(m.Size, m.BlockSize) {
 		return nil, badEnc(fmt.Errorf("manifest geometry: size %d, block size %d, %d blocks", m.Size, bs, nb))
+	}
+	if uint64(r.Remaining()) != nb*sha256.Size {
+		return nil, badEnc(fmt.Errorf("manifest of %d blocks has %d bytes of digests", nb, r.Remaining()))
+	}
+	raw, err := r.Raw(r.Remaining())
+	if err != nil {
+		return nil, badEnc(err)
+	}
+	m.Digests = make([][sha256.Size]byte, nb)
+	for i := range m.Digests {
+		copy(m.Digests[i][:], raw[i*sha256.Size:])
 	}
 	return &m, nil
 }

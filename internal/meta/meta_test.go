@@ -1,8 +1,10 @@
 package meta
 
 import (
+	"crypto/sha256"
 	"errors"
 	"reflect"
+	"slices"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -204,17 +206,49 @@ func TestDirTableEncodeDecode(t *testing.T) {
 	}
 }
 
+// manifestEqual compares two manifests field by field (Manifest holds a
+// slice and is not ==-comparable).
+func manifestEqual(a, b *Manifest) bool {
+	return a.Size == b.Size && a.BlockSize == b.BlockSize && a.NBlocks == b.NBlocks &&
+		a.MTime == b.MTime && slices.Equal(a.Digests, b.Digests)
+}
+
+// digestedManifest is NewManifest with every digest set to a distinct
+// non-zero value.
+func digestedManifest(size uint64, blockSize uint32, mtime int64) *Manifest {
+	m := NewManifest(size, blockSize, mtime)
+	for i := range m.Digests {
+		m.Digests[i] = sha256.Sum256([]byte{byte(i), byte(i >> 8)})
+	}
+	return m
+}
+
 func TestManifestRoundTrip(t *testing.T) {
-	m := &Manifest{Size: 1 << 20, BlockSize: 65536, NBlocks: 16, MTime: 999}
-	got, err := DecodeManifest(m.Encode())
+	m := digestedManifest(1<<20, 65536, 999)
+	enc := m.Encode()
+	got, err := DecodeManifest(enc)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if *got != *m {
+	if !manifestEqual(got, m) || len(got.Digests) != 16 {
 		t.Errorf("round trip: %+v", got)
 	}
 	if _, err := DecodeManifest(nil); !errors.Is(err, ErrBadEncoding) {
 		t.Errorf("nil manifest: %v", err)
+	}
+	// The digests are the last 16 × 32 bytes, raw, and nothing else may
+	// follow or be missing.
+	for name, bad := range map[string][]byte{
+		"a digest too few":    enc[:len(enc)-sha256.Size],
+		"a digest too many":   append(append([]byte(nil), enc...), make([]byte, sha256.Size)...),
+		"one trailing byte":   append(append([]byte(nil), enc...), 0),
+		"one byte short":      enc[:len(enc)-1],
+		"no digests at all":   (&Manifest{Size: 1 << 20, BlockSize: 65536, NBlocks: 16, MTime: 999}).Encode(),
+		"digests of no block": append(NewManifest(0, 64, 1).Encode(), make([]byte, sha256.Size)...),
+	} {
+		if _, err := DecodeManifest(bad); !errors.Is(err, ErrBadEncoding) {
+			t.Errorf("%s: %v", name, err)
+		}
 	}
 }
 
@@ -244,7 +278,7 @@ func TestManifestGeometry(t *testing.T) {
 				t.Errorf("size %d block %d: %q %q %d", tc.size, i, m.DataKey(9, 3, i), m.DataAAD(9, 3, i), m.DataLen(i))
 			}
 		}
-		if got, err := DecodeManifest(m.Encode()); err != nil || *got != *m {
+		if got, err := DecodeManifest(m.Encode()); err != nil || !manifestEqual(got, m) || len(got.Digests) != int(tc.nBlocks) {
 			t.Errorf("size %d: round trip %+v, %v", tc.size, got, err)
 		}
 	}

@@ -2,6 +2,7 @@ package meta
 
 import (
 	"crypto/sha256"
+	"crypto/subtle"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -12,25 +13,34 @@ import (
 	"github.com/sharoes/sharoes/internal/types"
 )
 
-// ErrVerify reports a signature or decryption failure on a sealed blob —
-// evidence of an unauthorized write or SSP tampering.
+// ErrVerify reports a signature, digest or decryption failure on a sealed
+// blob — evidence of an unauthorized write or SSP tampering.
 var ErrVerify = errors.New("meta: sealed object failed verification")
 
-var errEnvelopeShape = errors.New("meta: blob is not one framed field plus one signature")
+var (
+	errEnvelopeShape = errors.New("meta: blob is not one framed field plus one signature")
+	errBlockShape    = errors.New("meta: block is not exactly one framed field")
+	errBlockDigest   = errors.New("meta: block does not match the manifest's digest")
+)
 
-// envelopeDomain separates the envelope digest from every other use of
-// SHA-256 in the system (content hashes, HMAC row keys, fingerprints).
-const envelopeDomain = "sharoes/signed-envelope\x00"
+// The domain tags separate the two framed digests from each other and
+// from every other use of SHA-256 in the system (content hashes, HMAC row
+// keys, fingerprints). Each is a fixed string ending in NUL, and neither
+// is a prefix of the other, so no block digest is ever a signed
+// envelope's message.
+const (
+	envelopeDomain = "sharoes/signed-envelope\x00"
+	blockDomain    = "sharoes/block-digest\x00"
+)
 
-// envelopeDigest is the 32-byte message the envelope's signature covers:
-// SHA-256(domain ‖ framed ‖ aad), where framed is the blob's own leading
-// bytes — uvarint(len) ‖ nonce‖ciphertext‖tag — exactly as stored. The
-// length prefix makes the split between sealed bytes and AAD
+// framedDigest is SHA-256(domain ‖ framed ‖ aad), where framed is a blob's
+// own leading bytes — uvarint(len) ‖ nonce‖ciphertext‖tag — exactly as
+// stored. The length prefix makes the split between sealed bytes and AAD
 // unambiguous, so distinct (sealed, aad) pairs never share a digest
 // input. Streamed: nothing is concatenated.
-func envelopeDigest(framed, aad []byte) [sha256.Size]byte {
+func framedDigest(domain string, framed, aad []byte) [sha256.Size]byte {
 	h := sha256.New()
-	h.Write([]byte(envelopeDomain))
+	h.Write([]byte(domain))
 	h.Write(framed)
 	h.Write(aad)
 	var d [sha256.Size]byte
@@ -38,27 +48,36 @@ func envelopeDigest(framed, aad []byte) [sha256.Size]byte {
 	return d
 }
 
+// sealFramed encrypts plaintext under key, binding aad, into one
+// exact-capacity buffer laid out uvarint(len(sealed)) ‖ sealed, with
+// room for extra trailing bytes.
+func sealFramed(key sharocrypto.SymKey, aad, plaintext []byte, extra int) []byte {
+	sealedLen := len(plaintext) + sharocrypto.SealOverhead
+	var prefix [binary.MaxVarintLen64]byte
+	p := binary.PutUvarint(prefix[:], uint64(sealedLen))
+	out := make([]byte, 0, p+sealedLen+extra)
+	out = append(out, prefix[:p]...)
+	return key.AppendSeal(out, plaintext, aad)
+}
+
 // SealSigned encrypts plaintext under key, binding aad, then signs a
-// digest of the whole sealed form and the aad with sk (envelopeDigest).
+// digest of the whole sealed form and the aad with sk (framedDigest under
+// envelopeDomain).
 // This is the envelope for every signed structure at the SSP: metadata
-// objects (MEK+MSK), directory tables, file blocks and manifests
-// (DEK+DSK). The signature is what lets readers — who necessarily hold
-// the symmetric key — detect writes by non-writers, without trusting the
-// SSP; that is why the digest is a collision-resistant hash of all of
-// nonce‖ciphertext‖tag and never the GCM tag alone, which anyone holding
-// the key can forge. The paper's writers likewise "sign the hash of the
-// content" (§II-B).
+// objects (MEK+MSK), directory tables and manifests (DEK+DSK). File
+// blocks are not signed on their own: the manifest names each by its
+// digest (SealBlock). The signature is what lets readers — who
+// necessarily hold the symmetric key — detect writes by non-writers,
+// without trusting the SSP; that is why the digest is a
+// collision-resistant hash of all of nonce‖ciphertext‖tag and never the
+// GCM tag alone, which anyone holding the key can forge. The paper's
+// writers likewise "sign the hash of the content" (§II-B).
 //
 // Layout: uvarint(len(sealed)) ‖ sealed ‖ sig, built in one
 // exact-capacity buffer.
 func SealSigned(key sharocrypto.SymKey, sk sharocrypto.SignKey, aad, plaintext []byte) []byte {
-	sealedLen := len(plaintext) + sharocrypto.SealOverhead
-	var prefix [binary.MaxVarintLen64]byte
-	p := binary.PutUvarint(prefix[:], uint64(sealedLen))
-	out := make([]byte, 0, p+sealedLen+sharocrypto.SigSize)
-	out = append(out, prefix[:p]...)
-	out = key.AppendSeal(out, plaintext, aad)
-	d := envelopeDigest(out, aad)
+	out := sealFramed(key, aad, plaintext, sharocrypto.SigSize)
+	d := framedDigest(envelopeDomain, out, aad)
 	return append(out, sk.Sign(d[:])...)
 }
 
@@ -76,9 +95,47 @@ func OpenVerified(key sharocrypto.SymKey, vk sharocrypto.VerifyKey, aad, blob []
 		return nil, tampered(errEnvelopeShape)
 	}
 	framed, sig := blob[:len(blob)-sharocrypto.SigSize], blob[len(blob)-sharocrypto.SigSize:]
-	d := envelopeDigest(framed, aad)
+	d := framedDigest(envelopeDomain, framed, aad)
 	if err := vk.Verify(d[:], sig); err != nil {
 		return nil, tampered(err)
+	}
+	pt, err := key.Open(sealed, aad)
+	if err != nil {
+		return nil, tampered(err)
+	}
+	return pt, nil
+}
+
+// SealBlock encrypts one file block under key, binding aad, and returns
+// the blob, uvarint(len(sealed)) ‖ nonce‖ciphertext‖tag in one
+// exact-capacity buffer, with its digest, SHA-256(blockDomain ‖ blob ‖
+// aad). The blob carries no signature: the digest goes into the file's
+// manifest (Manifest.Digests), and the manifest's one signature covers
+// every block through it.
+func SealBlock(key sharocrypto.SymKey, aad, plaintext []byte) ([]byte, [sha256.Size]byte) {
+	out := sealFramed(key, aad, plaintext, 0)
+	return out, framedDigest(blockDomain, out, aad)
+}
+
+// OpenBlock reverses SealBlock against want, the digest a verified
+// manifest names for this block. It checks the shape (exactly one framed
+// field, nothing after it), then the digest in constant time, then opens
+// the AES-GCM seal; any failure is ErrVerify wrapped with
+// types.ErrTampered. The digest, not the GCM tag, is what authenticates
+// the block: anyone holding the DEK can seal a block that opens, but only
+// a writer's signed manifest can name it.
+func OpenBlock(key sharocrypto.SymKey, aad, blob []byte, want [sha256.Size]byte) ([]byte, error) {
+	r := binenc.NewReader(blob)
+	sealed, err := r.BytesField()
+	if err != nil {
+		return nil, tampered(err)
+	}
+	if r.Remaining() != 0 {
+		return nil, tampered(errBlockShape)
+	}
+	d := framedDigest(blockDomain, blob, aad)
+	if subtle.ConstantTimeCompare(d[:], want[:]) != 1 {
+		return nil, tampered(errBlockDigest)
 	}
 	pt, err := key.Open(sealed, aad)
 	if err != nil {

@@ -2,10 +2,12 @@ package meta
 
 import (
 	"bytes"
+	"crypto/sha256"
 	"encoding/binary"
 	"errors"
 	"fmt"
 	"runtime"
+	"strings"
 	"testing"
 
 	"github.com/sharoes/sharoes/internal/sharocrypto"
@@ -13,16 +15,17 @@ import (
 )
 
 // envelope names the byte ranges of a sealed blob, so the tamper matrix
-// can aim at each field: prefix | nonce | ciphertext | tag | sig.
+// can aim at each field: prefix | nonce | ciphertext | tag | sig. A block
+// (SealBlock) has an empty sig.
 type envelope struct {
 	prefix, nonce, ct, tag, sig [2]int // [lo, hi)
 }
 
-func fieldsOf(t *testing.T, blob []byte) envelope {
+func fieldsOf(t *testing.T, blob []byte, sigSize int) envelope {
 	t.Helper()
 	n, p := binary.Uvarint(blob)
-	if p <= 0 || int(n) != len(blob)-p-sharocrypto.SigSize {
-		t.Fatalf("blob is not uvarint(len) ‖ sealed ‖ sig: prefix %d says %d of %d", p, n, len(blob))
+	if p <= 0 || int(n) != len(blob)-p-sigSize {
+		t.Fatalf("blob is not uvarint(len) ‖ sealed ‖ %d-byte sig: prefix %d says %d of %d", sigSize, p, n, len(blob))
 	}
 	sealedEnd := p + int(n)
 	return envelope{
@@ -37,6 +40,17 @@ func fieldsOf(t *testing.T, blob []byte) envelope {
 func mustTamper(t *testing.T, what string, key sharocrypto.SymKey, vk sharocrypto.VerifyKey, aad, blob []byte) {
 	t.Helper()
 	pt, err := OpenVerified(key, vk, aad, blob)
+	if !errors.Is(err, types.ErrTampered) {
+		t.Errorf("%s: accepted (pt %d bytes, err %v)", what, len(pt), err)
+	}
+	if !errors.Is(err, ErrVerify) {
+		t.Errorf("%s: error %v does not wrap ErrVerify", what, err)
+	}
+}
+
+func mustRefuseBlock(t *testing.T, what string, key sharocrypto.SymKey, aad, blob []byte, want [sha256.Size]byte) {
+	t.Helper()
+	pt, err := OpenBlock(key, aad, blob, want)
 	if !errors.Is(err, types.ErrTampered) {
 		t.Errorf("%s: accepted (pt %d bytes, err %v)", what, len(pt), err)
 	}
@@ -61,7 +75,18 @@ func TestEnvelopeLayout(t *testing.T) {
 		if cap(blob) != len(blob) {
 			t.Errorf("plaintext %d: cap %d != len %d (not exact-capacity)", n, cap(blob), len(blob))
 		}
-		fieldsOf(t, blob)
+		fieldsOf(t, blob, sharocrypto.SigSize)
+
+		// A block is the same framed field with no signature, and its
+		// digest is the block-domain hash of exactly those bytes.
+		block, d := SealBlock(key, []byte("aad"), make([]byte, n))
+		if len(block) != want-sharocrypto.SigSize || cap(block) != len(block) {
+			t.Errorf("plaintext %d: block len %d cap %d, want both %d", n, len(block), cap(block), want-sharocrypto.SigSize)
+		}
+		fieldsOf(t, block, 0)
+		if d != framedDigest(blockDomain, block, []byte("aad")) {
+			t.Errorf("plaintext %d: block digest is not SHA-256(domain ‖ blob ‖ aad)", n)
+		}
 	}
 }
 
@@ -76,7 +101,7 @@ func TestOpenVerifiedTamperMatrix(t *testing.T) {
 	// of the prefix" covers both its bytes.
 	plain := bytes.Repeat([]byte("sharoes!"), 25)
 	blob := SealSigned(key, sk, aad, plain)
-	f := fieldsOf(t, blob)
+	f := fieldsOf(t, blob, sharocrypto.SigSize)
 	if f.prefix[1] != 2 {
 		t.Fatalf("want a 2-byte length prefix, got %d", f.prefix[1])
 	}
@@ -155,34 +180,114 @@ func TestOpenVerifiedTamperMatrix(t *testing.T) {
 	mustTamper(t, "zero verify key", key, sharocrypto.VerifyKey{}, aad, blob)
 }
 
+// TestOpenBlockTamperMatrix: nothing but the exact blob, under the exact
+// AAD, key and digest, opens — and nothing panics.
+func TestOpenBlockTamperMatrix(t *testing.T) {
+	key := sharocrypto.NewSymKey()
+	const ino, gen = 7, 3
+	aad := BlockAAD(ino, gen, 4)
+	plain := bytes.Repeat([]byte("sharoes!"), 25) // a two-byte length prefix
+	blob, want := SealBlock(key, aad, plain)
+	f := fieldsOf(t, blob, 0)
+	if f.prefix[1] != 2 {
+		t.Fatalf("want a 2-byte length prefix, got %d", f.prefix[1])
+	}
+	if pt, err := OpenBlock(key, aad, blob, want); err != nil || !bytes.Equal(pt, plain) {
+		t.Fatalf("control: honest block rejected: %v", err)
+	}
+
+	// One flipped bit in every byte of every field.
+	for name, rng := range map[string][2]int{"prefix": f.prefix, "nonce": f.nonce, "ciphertext": f.ct, "tag": f.tag} {
+		for i := rng[0]; i < rng[1]; i++ {
+			mut := append([]byte(nil), blob...)
+			mut[i] ^= 0x01
+			mustRefuseBlock(t, fmt.Sprintf("%s byte %d flipped", name, i), key, aad, mut, want)
+			mut[i] = blob[i] ^ 0x80
+			mustRefuseBlock(t, fmt.Sprintf("%s byte %d high bit flipped", name, i), key, aad, mut, want)
+		}
+	}
+
+	// Wrong AAD, each with the digest a manifest would name for the blob
+	// actually served: the AAD is under the digest.
+	for name, other := range map[string][]byte{
+		"next block":    BlockAAD(ino, gen, 5),
+		"next gen":      BlockAAD(ino, gen+1, 4),
+		"other inode":   BlockAAD(ino+1, gen, 4),
+		"as the tail":   TailAAD(ino, gen, 4),
+		"as manifest":   ManifestAAD(ino, gen),
+		"empty":         nil,
+		"aad truncated": aad[:len(aad)-1],
+		"aad extended":  append(append([]byte(nil), aad...), 0),
+	} {
+		mustRefuseBlock(t, "aad: "+name, key, other, blob, want)
+	}
+
+	// Truncation at every length and extension by trailing bytes: a
+	// signature left on the end (a SealSigned envelope of the same
+	// plaintext) is not a block either.
+	for n := 0; n < len(blob); n++ {
+		mustRefuseBlock(t, fmt.Sprintf("truncated to %d", n), key, aad, blob[:n], want)
+	}
+	mustRefuseBlock(t, "one trailing byte", key, aad, append(append([]byte(nil), blob...), 0), want)
+	sk, _ := sharocrypto.NewSigningPair()
+	signed := SealSigned(key, sk, aad, plain)
+	mustRefuseBlock(t, "a signed envelope", key, aad, signed, framedDigest(blockDomain, signed, aad))
+	reframed := append([]byte{blob[0] | 0x80, blob[1] | 0x80, 0x00}, blob[2:]...)
+	mustRefuseBlock(t, "non-minimal length prefix", key, aad, reframed, want)
+
+	// Wrong digest: zero, one bit off, the envelope-domain hash of the
+	// same bytes, and the digest of a sibling block.
+	offByOne := want
+	offByOne[31] ^= 1
+	sibling, siblingDigest := SealBlock(key, aad, bytes.Repeat([]byte("SHAROES?"), 25))
+	for name, d := range map[string][sha256.Size]byte{
+		"zero digest":          {},
+		"digest one bit off":   offByOne,
+		"envelope-domain hash": framedDigest(envelopeDomain, blob, aad),
+		"a sibling's digest":   siblingDigest,
+	} {
+		mustRefuseBlock(t, name, key, aad, blob, d)
+	}
+	mustRefuseBlock(t, "sibling under this block's digest", key, aad, sibling, want)
+
+	// Wrong keys: a DEK holder re-seals (the forgery the manifest's
+	// signature over the digest exists to catch), and the right blob
+	// under another DEK.
+	forged, _ := SealBlock(key, aad, plain)
+	mustRefuseBlock(t, "re-sealed by a DEK holder", key, aad, forged, want)
+	mustRefuseBlock(t, "opened under another DEK", sharocrypto.NewSymKey(), aad, blob, want)
+}
+
 // TestBlockPresentedElsewhere: a block sealed for index i is rejected at
-// i+1 and as the manifest, and the manifest is rejected as a block —
-// the AAD is under the signature, not just under the GCM tag.
+// i+1, as the tail and as the manifest, and the manifest is rejected as a
+// block — the AAD is under the digest and the signature, not just under
+// the GCM tag. Each block check is handed the digest of the very blob
+// served, the most an SSP could hope a manifest names.
 func TestBlockPresentedElsewhere(t *testing.T) {
 	key := sharocrypto.NewSymKey()
 	sk, vk := sharocrypto.NewSigningPair()
 	const ino, gen = 11, 2
-	man := (&Manifest{Size: 100, BlockSize: 64, NBlocks: 2, MTime: 5}).Encode()
-	block := SealSigned(key, sk, BlockAAD(ino, gen, 0), man) // same bytes, different role
-	manifest := SealSigned(key, sk, ManifestAAD(ino, gen), man)
+	payload := NewManifest(100, 64, 5).Encode()
+	block, bd := SealBlock(key, BlockAAD(ino, gen, 0), payload) // same bytes, different role
+	manifest := SealSigned(key, sk, ManifestAAD(ino, gen), payload)
 
-	mustTamper(t, "block 0 served as block 1", key, vk, BlockAAD(ino, gen, 1), block)
+	mustRefuseBlock(t, "block 0 served as block 1", key, BlockAAD(ino, gen, 1), block, bd)
 	mustTamper(t, "block 0 served as the manifest", key, vk, ManifestAAD(ino, gen), block)
-	mustTamper(t, "manifest served as block 0", key, vk, BlockAAD(ino, gen, 0), manifest)
+	mustRefuseBlock(t, "manifest served as block 0", key, BlockAAD(ino, gen, 0), manifest, framedDigest(blockDomain, manifest, BlockAAD(ino, gen, 0)))
 	mustTamper(t, "manifest replayed into the next generation", key, vk, ManifestAAD(ino, gen+1), manifest)
-	if _, err := OpenVerified(key, vk, BlockAAD(ino, gen, 0), block); err != nil {
+	if _, err := OpenBlock(key, BlockAAD(ino, gen, 0), block, bd); err != nil {
 		t.Errorf("control: %v", err)
 	}
 
 	// The tail shares its storage key across generations and indices, so
 	// everything that tells one tail from another is in its AAD.
-	tail := SealSigned(key, sk, TailAAD(ino, gen, 1), man)
-	mustTamper(t, "block 0 served as the tail", key, vk, TailAAD(ino, gen, 0), block)
-	mustTamper(t, "tail served as the block of its index", key, vk, BlockAAD(ino, gen, 1), tail)
-	mustTamper(t, "tail replayed after the file grew a block", key, vk, TailAAD(ino, gen, 2), tail)
-	mustTamper(t, "tail replayed into the next generation", key, vk, TailAAD(ino, gen+1, 1), tail)
-	mustTamper(t, "another file's tail", key, vk, TailAAD(ino+1, gen, 1), tail)
-	if _, err := OpenVerified(key, vk, TailAAD(ino, gen, 1), tail); err != nil {
+	tail, td := SealBlock(key, TailAAD(ino, gen, 1), payload)
+	mustRefuseBlock(t, "block 0 served as the tail", key, TailAAD(ino, gen, 0), block, bd)
+	mustRefuseBlock(t, "tail served as the block of its index", key, BlockAAD(ino, gen, 1), tail, td)
+	mustRefuseBlock(t, "tail replayed after the file grew a block", key, TailAAD(ino, gen, 2), tail, td)
+	mustRefuseBlock(t, "tail replayed into the next generation", key, TailAAD(ino, gen+1, 1), tail, td)
+	mustRefuseBlock(t, "another file's tail", key, TailAAD(ino+1, gen, 1), tail, td)
+	if _, err := OpenBlock(key, TailAAD(ino, gen, 1), tail, td); err != nil {
 		t.Errorf("control: %v", err)
 	}
 }
@@ -193,7 +298,7 @@ func TestBlockPresentedElsewhere(t *testing.T) {
 func TestEnvelopeDigestIsInjective(t *testing.T) {
 	seen := map[[32]byte]string{}
 	add := func(name string, framed, aad []byte) {
-		d := envelopeDigest(framed, aad)
+		d := framedDigest(envelopeDomain, framed, aad)
 		if prev, dup := seen[d]; dup {
 			t.Errorf("%s and %s share a digest", prev, name)
 		}
@@ -208,8 +313,17 @@ func TestEnvelopeDigestIsInjective(t *testing.T) {
 	add("|abc", frame(nil), []byte("abc"))
 	add("|", frame(nil), nil)
 	// Without the length prefix the first four would be one message.
-	if envelopeDigest([]byte("ab"), []byte("c")) != envelopeDigest([]byte("a"), []byte("bc")) {
+	if framedDigest(envelopeDomain, []byte("ab"), []byte("c")) != framedDigest(envelopeDomain, []byte("a"), []byte("bc")) {
 		t.Error("test assumption: unframed inputs concatenate")
+	}
+	// The block domain is a second, disjoint message space: the same
+	// framed bytes and AAD never give a block digest equal to an
+	// envelope's, and neither tag is a prefix of the other.
+	if framedDigest(blockDomain, frame([]byte("ab")), []byte("c")) == framedDigest(envelopeDomain, frame([]byte("ab")), []byte("c")) {
+		t.Error("block and envelope digests coincide")
+	}
+	if strings.HasPrefix(envelopeDomain, blockDomain) || strings.HasPrefix(blockDomain, envelopeDomain) {
+		t.Error("one domain tag is a prefix of the other")
 	}
 }
 
@@ -224,6 +338,7 @@ func TestSealOpenAllocs(t *testing.T) {
 	aad := BlockAAD(9, 1, 0)
 	plain := make([]byte, 64<<10)
 	blob := SealSigned(key, sk, aad, plain)
+	block, digest := SealBlock(key, aad, plain)
 
 	const maxAllocs = 8
 	if n := testing.AllocsPerRun(50, func() { sink = SealSigned(key, sk, aad, plain) }); n > maxAllocs {
@@ -238,11 +353,28 @@ func TestSealOpenAllocs(t *testing.T) {
 	}); n > maxAllocs {
 		t.Errorf("OpenVerified(64 KiB): %.0f allocs/op, want <= %d", n, maxAllocs)
 	}
+	// A block is the envelope without the signature: fewer allocations,
+	// never more.
+	const maxBlockAllocs = 4
+	if n := testing.AllocsPerRun(50, func() { sink, _ = SealBlock(key, aad, plain) }); n > maxBlockAllocs {
+		t.Errorf("SealBlock(64 KiB): %.0f allocs/op, want <= %d", n, maxBlockAllocs)
+	}
+	if n := testing.AllocsPerRun(50, func() {
+		pt, err := OpenBlock(key, aad, block, digest)
+		if err != nil {
+			panic(err)
+		}
+		sink = pt
+	}); n > maxBlockAllocs {
+		t.Errorf("OpenBlock(64 KiB): %.0f allocs/op, want <= %d", n, maxBlockAllocs)
+	}
 
 	// Bytes: one payload-sized buffer each way, never two.
 	for name, fn := range map[string]func(){
 		"SealSigned":   func() { sink = SealSigned(key, sk, aad, plain) },
 		"OpenVerified": func() { sink, _ = OpenVerified(key, vk, aad, blob) },
+		"SealBlock":    func() { sink, _ = SealBlock(key, aad, plain) },
+		"OpenBlock":    func() { sink, _ = OpenBlock(key, aad, block, digest) },
 	} {
 		const runs = 50
 		var before, after runtime.MemStats
@@ -283,6 +415,30 @@ func BenchmarkOpenVerified64K(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		pt, err := OpenVerified(key, vk, aad, blob)
+		if err != nil {
+			b.Fatal(err)
+		}
+		sink = pt
+	}
+}
+
+// BenchmarkSealBlock64K is one file block as it is stored now: AES-GCM and
+// the SHA-256 pass for its digest, no signature.
+func BenchmarkSealBlock64K(b *testing.B) {
+	key, _, _, aad, plain := benchBlock(b)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		sink, _ = SealBlock(key, aad, plain)
+	}
+}
+
+// BenchmarkOpenBlock64K is the read side: digest, compare, then open.
+func BenchmarkOpenBlock64K(b *testing.B) {
+	key, _, _, aad, plain := benchBlock(b)
+	blob, d := SealBlock(key, aad, plain)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		pt, err := OpenBlock(key, aad, blob, d)
 		if err != nil {
 			b.Fatal(err)
 		}
