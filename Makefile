@@ -24,7 +24,7 @@ FUZZ_TARGETS := \
 
 FUZZTIME ?= 10s
 
-.PHONY: all build fmt-check test vet vet-self vet-json vet-baseline vet-diff race chaos-smoke fuzz-smoke bench-smoke check
+.PHONY: all build fmt-check test vet race chaos-smoke fuzz-smoke bench-smoke check
 
 all: build
 
@@ -46,46 +46,23 @@ test:
 # error hygiene, untrusted-input verification, key egress), four
 # concurrency analyzers (lock ordering, lock balance, goroutine leaks,
 # atomic/plain mixed access), and three error-propagation/lifecycle
-# analyzers (errdrop, errwrap, resleak). Runs in baseline-diff mode:
-# only findings absent from the committed vet-baseline.json fail the
-# build, so legacy debt never blocks unrelated work. Warm runs replay
-# unchanged packages from .vet-cache.
-vet: vet-diff
+# analyzers (errdrop, errwrap, resleak). sharoes-vet runs all thirteen
+# over the whole module, cold, and fails on ANY unsuppressed finding
+# (exit 1) or load error (exit 2). Bare //sharoes-vet:allow directives
+# (no justification) are findings. See docs/ANALYZERS.md for the
+# analyzer tables and allow conventions.
+vet:
 	$(GO) vet ./...
-
-# vet-self runs all thirteen sharoes-vet analyzers over the whole module
-# and fails on ANY unsuppressed finding (exit 1) or load error (exit 2),
-# ignoring the baseline. Bare //sharoes-vet:allow directives (no
-# justification) are findings. See docs/ANALYZERS.md for the analyzer
-# tables and allow conventions.
-vet-self:
 	$(GO) run ./cmd/sharoes-vet ./...
 
-# vet-baseline regenerates the committed baseline. Run it after fixing
-# or deliberately accepting findings, and commit the result.
-vet-baseline:
-	$(GO) run ./cmd/sharoes-vet -write-baseline vet-baseline.json ./...
-
-# vet-diff gates on NEW findings only: exit 1 iff the current tree has
-# findings not present in vet-baseline.json (line drift is ignored; the
-# diff matches on analyzer+file+message).
-vet-diff:
-	$(GO) run ./cmd/sharoes-vet -baseline vet-baseline.json ./...
-
-# vet-json emits the machine-readable report CI archives as an artifact:
-# {"findings": [...], "allows": {analyzer: count}}.
-vet-json:
-	$(GO) run ./cmd/sharoes-vet -json ./... > vet-findings.json
-
 # race runs the packages with dedicated concurrency stress tests under
-# the race detector (internal/analysis for its parallel package loader,
-# internal/layout for the crypto worker pool that seals file blocks,
-# internal/shard for the self-heal stress test and concurrent quorum
-# I/O, internal/resilience and internal/netsim for the retry and sever
-# paths). TestAllocBudget is skipped: sync.Pool drops
+# the race detector (internal/layout for the crypto worker pool that
+# seals file blocks, internal/shard for the self-heal stress test and
+# concurrent quorum I/O, internal/resilience and internal/netsim for the
+# retry and sever paths). TestAllocBudget is skipped: sync.Pool drops
 # items under the race detector, so allocation counts mean nothing there.
 race:
-	$(GO) test -race -skip '^TestAllocBudget$$' ./internal/client ./internal/layout ./internal/ssp ./internal/cache ./internal/obs ./internal/analysis ./internal/shard ./internal/netsim ./internal/resilience
+	$(GO) test -race -skip '^TestAllocBudget$$' ./internal/client ./internal/layout ./internal/ssp ./internal/cache ./internal/obs ./internal/shard ./internal/netsim ./internal/resilience
 
 # chaos-smoke runs a short fixed-seed chaos campaign — connection drops,
 # slow replicas and injected write errors against the 3-shard R=2 W=1

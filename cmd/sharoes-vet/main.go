@@ -1,49 +1,33 @@
-// Command sharoes-vet runs the Sharoes security-invariant analyzers
-// (package internal/analysis) over the repository:
+// Command sharoes-vet runs the Sharoes invariant analyzers (package
+// internal/analysis) over the repository:
 //
-//	sharoes-vet ./...                 # whole module
-//	sharoes-vet ./internal/ssp        # one package
-//	sharoes-vet -list                 # describe the analyzers + allow counts
-//	sharoes-vet -json ./...           # machine-readable findings
-//	sharoes-vet -baseline vet-baseline.json ./...   # gate on NEW findings
-//	sharoes-vet -write-baseline vet-baseline.json ./...
+//	sharoes-vet ./...                      # whole module, all analyzers
+//	sharoes-vet ./internal/ssp             # one package
+//	sharoes-vet -run keyleak,aadbind ./... # a subset of the analyzers
+//	sharoes-vet -list                      # describe the analyzers + allow counts
 //
-// Runs are incremental: each package's findings are cached on disk
-// (default <module>/.vet-cache, override with -cache-dir, disable with
-// -no-cache) keyed by a content hash of the package files, its
-// module-internal dependency closure, and the analyzer-suite version. A
-// warm run over an unchanged tree hashes files and replays summaries —
-// no parsing, no type-checking. Only cache-miss packages are loaded and
-// analyzed (concurrently, on a bounded worker pool in dependency
-// order); analyzer runs stay sequential and deterministic.
-//
-// It prints findings in file:line:col form (module-root-relative). With
-// -json it prints one object: {"findings": [{analyzer, file, line, col,
-// message}, ...], "allows": {analyzer: count, ...}}. With -baseline the
-// report is compared against a committed baseline and only findings
-// absent from the baseline fail the run, so legacy debt is tracked
-// without blocking CI; -diff-out writes the {"new": [...], "fixed":
-// [...]} comparison for the CI artifact. -metrics dumps the tool's own
-// obs registry (load/keys/analyzer timings, cache hits/misses) as JSON.
+// Every run is cold and sequential: each package is parsed and
+// type-checked from source, then every selected analyzer runs over it.
+// Nothing is cached or compared against a stored result, so a run
+// always reflects the analyzers and the tree as they are now. Findings
+// print as module-root-relative file:line:col: [analyzer] message lines.
 // Exits:
 //
-//	0  clean tree (or -baseline run with no new findings)
-//	1  at least one unsuppressed finding (new finding under -baseline)
+//	0  no unsuppressed finding
+//	1  at least one unsuppressed finding
 //	2  usage or load/type-check error
 package main
 
 import (
-	"encoding/json"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
 	"sort"
 	"strings"
-	"time"
 
 	"github.com/sharoes/sharoes/internal/analysis"
-	"github.com/sharoes/sharoes/internal/obs"
 )
 
 // Exit codes, part of the tool's contract with CI and editors.
@@ -54,262 +38,97 @@ const (
 )
 
 func main() {
-	list := flag.Bool("list", false, "list the analyzers (with allow counts) and exit")
-	only := flag.String("run", "", "comma-separated analyzer names to run (default all)")
-	asJSON := flag.Bool("json", false, "print a JSON report on stdout")
-	cacheDir := flag.String("cache-dir", "", "summary cache directory (default <module>/.vet-cache)")
-	noCache := flag.Bool("no-cache", false, "disable the summary cache (always cold)")
-	baseline := flag.String("baseline", "", "compare against this committed baseline; exit 1 only on NEW findings")
-	writeBaseline := flag.String("write-baseline", "", "write the current report to this file and exit 0")
-	diffOut := flag.String("diff-out", "", "with -baseline: write the {new, fixed} diff JSON to this file")
-	metricsOut := flag.String("metrics", "", "write the tool's own obs metrics JSON to this file")
-	flag.Parse()
-
-	analyzers := analysis.Analyzers()
-	if *list {
-		allows := analysis.ScanAllowCounts(expandOrDie(flag.Args()))
-		for _, a := range analyzers {
-			fmt.Printf("%-12s allows=%-3d %s\n", a.Name(), allows[a.Name()], a.Doc())
-		}
-		return
-	}
-	if *only != "" {
-		byName := make(map[string]analysis.Analyzer)
-		for _, a := range analyzers {
-			byName[a.Name()] = a
-		}
-		var sel []analysis.Analyzer
-		for _, n := range strings.Split(*only, ",") {
-			n = strings.TrimSpace(n)
-			a, ok := byName[n]
-			if !ok {
-				// A typo'd name silently checking nothing would defeat the
-				// tool; fail loudly and say what exists.
-				fmt.Fprintf(os.Stderr, "sharoes-vet: unknown analyzer %q in -run (have: %s)\n",
-					n, strings.Join(analyzerNames(analyzers), ", "))
-				os.Exit(exitError)
-			}
-			sel = append(sel, a)
-		}
-		analyzers = sel
-	}
-
-	reg := obs.NewRegistry()
-	dirs := expandOrDie(flag.Args())
-	cwd, err := os.Getwd()
-	if err != nil {
-		fatal(err)
-	}
-	loader, err := analysis.NewLoader(cwd)
-	if err != nil {
-		fatal(err)
-	}
-
-	// The cache key is salted with the selected analyzer names, so a
-	// -run subset never replays (or pollutes) full-suite summaries.
-	salt := strings.Join(analyzerNames(analyzers), ",")
-	var cache *analysis.SummaryCache
-	keys := make(map[string]string)
-	if !*noCache {
-		dir := *cacheDir
-		if dir == "" {
-			dir = filepath.Join(loader.ModRoot, ".vet-cache")
-		}
-		cache, err = analysis.OpenSummaryCache(dir)
-		if err != nil {
-			fatal(err)
-		}
-		start := time.Now()
-		keys, err = loader.PackageKeys(dirs, salt)
-		if err != nil {
-			fatal(err)
-		}
-		reg.Histogram("vet.keys.ns").Observe(time.Since(start))
-	}
-
-	// Replay cache hits; collect misses for the real load.
-	report := analysis.Report{Allows: make(map[string]int)}
-	var missDirs []string
-	for _, dir := range dirs {
-		if cache != nil {
-			if e, ok := cache.Get(keys[dir]); ok {
-				reg.Counter("vet.cache.hits").Inc()
-				report.Findings = append(report.Findings, e.Findings...)
-				for k, v := range e.Allows {
-					report.Allows[k] += v
-				}
-				continue
-			}
-			reg.Counter("vet.cache.misses").Inc()
-		}
-		missDirs = append(missDirs, dir)
-	}
-
-	if len(missDirs) > 0 {
-		start := time.Now()
-		pkgs, err := loader.LoadAll(missDirs)
-		if err != nil {
-			fatal(err)
-		}
-		reg.Histogram("vet.load.ns").Observe(time.Since(start))
-		for i, pkg := range pkgs {
-			findings := analysis.RunInstrumented(pkg, analyzers, reg)
-			allows := analysis.AllowCounts(pkg)
-			pkgReport := analysis.NewReport(findings, allows, loader.ModRoot)
-			report.Findings = append(report.Findings, pkgReport.Findings...)
-			for k, v := range allows {
-				report.Allows[k] += v
-			}
-			if cache != nil {
-				entry := &analysis.CacheEntry{
-					Key:      keys[missDirs[i]],
-					Path:     pkg.Path,
-					Findings: pkgReport.Findings,
-					Allows:   allows,
-				}
-				if err := cache.Put(entry); err != nil {
-					// A failed store degrades to a cold next run; say so
-					// but do not fail the analysis.
-					fmt.Fprintln(os.Stderr, "sharoes-vet: cache store:", err)
-				}
-			}
-		}
-	}
-	report.Sort()
-	reg.Gauge("vet.packages").Set(int64(len(dirs)))
-
-	if *metricsOut != "" {
-		if err := writeMetrics(*metricsOut, reg); err != nil {
-			fatal(err)
-		}
-	}
-	if *writeBaseline != "" {
-		b, err := report.Marshal()
-		if err != nil {
-			fatal(err)
-		}
-		if err := os.WriteFile(*writeBaseline, b, 0o644); err != nil {
-			fatal(err)
-		}
-		fmt.Fprintf(os.Stderr, "sharoes-vet: baseline written to %s (%d findings)\n",
-			*writeBaseline, len(report.Findings))
-		os.Exit(exitClean)
-	}
-
-	if *baseline != "" {
-		os.Exit(runDiff(report, *baseline, *diffOut, *asJSON))
-	}
-
-	if *asJSON {
-		printJSON(report)
-	} else {
-		for _, f := range report.Findings {
-			fmt.Println(f)
-		}
-	}
-	if len(report.Findings) > 0 {
-		os.Exit(exitFindings)
-	}
-	os.Exit(exitClean)
+	os.Exit(run(os.Args[1:], os.Stdout, os.Stderr))
 }
 
-// runDiff compares the report against the committed baseline and
-// returns the exit code: findings already in the baseline are legacy
-// debt (reported, not fatal); new findings gate.
-func runDiff(report analysis.Report, baselinePath, diffOut string, asJSON bool) int {
-	b, err := os.ReadFile(baselinePath)
-	if err != nil {
-		fatal(err)
+// run is the whole command: it parses args, analyzes the packages they
+// name (default ./..., relative to the working directory) and returns
+// the exit code.
+func run(args []string, stdout, stderr io.Writer) int {
+	flags := flag.NewFlagSet("sharoes-vet", flag.ContinueOnError)
+	flags.SetOutput(stderr)
+	list := flags.Bool("list", false, "list the analyzers (with allow counts) and exit")
+	only := flags.String("run", "", "comma-separated analyzer names to run (default all)")
+	if err := flags.Parse(args); err != nil {
+		return exitError
 	}
-	base, err := analysis.ParseReport(b)
-	if err != nil {
-		fatal(err)
+	fail := func(err error) int {
+		fmt.Fprintln(stderr, "sharoes-vet:", err)
+		return exitError
 	}
-	newFindings, fixed := analysis.DiffReports(base, report)
-	if diffOut != "" {
-		doc := struct {
-			New   []analysis.ReportFinding `json:"new"`
-			Fixed []analysis.ReportFinding `json:"fixed"`
-		}{New: orEmpty(newFindings), Fixed: orEmpty(fixed)}
-		out, err := json.MarshalIndent(doc, "", "  ")
+
+	analyzers, err := selectAnalyzers(*only)
+	if err != nil {
+		return fail(err)
+	}
+	cwd, err := os.Getwd()
+	if err != nil {
+		return fail(err)
+	}
+	patterns := flags.Args()
+	if len(patterns) == 0 {
+		patterns = []string{"./..."}
+	}
+	dirs, err := analysis.ExpandPatterns(cwd, patterns)
+	if err != nil {
+		return fail(err)
+	}
+	sort.Strings(dirs)
+
+	if *list {
+		allows := analysis.ScanAllowCounts(dirs)
+		for _, a := range analyzers {
+			fmt.Fprintf(stdout, "%-12s allows=%-3d %s\n", a.Name(), allows[a.Name()], a.Doc())
+		}
+		return exitClean
+	}
+
+	loader, err := analysis.NewLoader(cwd)
+	if err != nil {
+		return fail(err)
+	}
+	var findings []analysis.Finding
+	for _, dir := range dirs {
+		p, err := loader.LoadDir(dir)
 		if err != nil {
-			fatal(err)
+			return fail(err)
 		}
-		if err := os.WriteFile(diffOut, append(out, '\n'), 0o644); err != nil {
-			fatal(err)
-		}
+		findings = append(findings, analysis.Run(p, analyzers)...)
 	}
-	if asJSON {
-		printJSON(report)
-	} else {
-		for _, f := range newFindings {
-			fmt.Println(f)
+	for _, f := range findings {
+		if rel, err := filepath.Rel(loader.ModRoot, f.Pos.Filename); err == nil {
+			f.Pos.Filename = filepath.ToSlash(rel)
 		}
+		fmt.Fprintln(stdout, f)
 	}
-	fmt.Fprintf(os.Stderr, "sharoes-vet: baseline %s: %d new, %d fixed, %d legacy\n",
-		baselinePath, len(newFindings), len(fixed), len(report.Findings)-len(newFindings))
-	if len(newFindings) > 0 {
+	if len(findings) > 0 {
 		return exitFindings
 	}
 	return exitClean
 }
 
-func printJSON(report analysis.Report) {
-	report.Findings = orEmpty(report.Findings)
-	enc := json.NewEncoder(os.Stdout)
-	enc.SetIndent("", "  ")
-	if err := enc.Encode(report); err != nil {
-		fatal(err)
+// selectAnalyzers resolves a -run list to analyzers; empty means all.
+func selectAnalyzers(only string) ([]analysis.Analyzer, error) {
+	all := analysis.Analyzers()
+	if only == "" {
+		return all, nil
 	}
-}
-
-// orEmpty keeps JSON arrays as [] instead of null.
-func orEmpty(fs []analysis.ReportFinding) []analysis.ReportFinding {
-	if fs == nil {
-		return []analysis.ReportFinding{}
+	byName := make(map[string]analysis.Analyzer, len(all))
+	names := make([]string, len(all))
+	for i, a := range all {
+		byName[a.Name()] = a
+		names[i] = a.Name()
 	}
-	return fs
-}
-
-// writeMetrics dumps the registry snapshot as JSON.
-func writeMetrics(path string, reg *obs.Registry) error {
-	f, err := os.Create(path)
-	if err != nil {
-		return err
+	var sel []analysis.Analyzer
+	for _, n := range strings.Split(only, ",") {
+		n = strings.TrimSpace(n)
+		a, ok := byName[n]
+		if !ok {
+			// A typo'd name silently checking nothing would defeat the
+			// tool; fail loudly and say what exists.
+			return nil, fmt.Errorf("unknown analyzer %q in -run (have: %s)", n, strings.Join(names, ", "))
+		}
+		sel = append(sel, a)
 	}
-	if err := reg.WriteJSON(f); err != nil {
-		_ = f.Close() //sharoes-vet:allow errdrop the write error is already being returned; close is cleanup on a failed dump
-		return err
-	}
-	return f.Close()
-}
-
-// expandOrDie resolves package patterns (default ./...) to directories.
-func expandOrDie(patterns []string) []string {
-	if len(patterns) == 0 {
-		patterns = []string{"./..."}
-	}
-	cwd, err := os.Getwd()
-	if err != nil {
-		fatal(err)
-	}
-	dirs, err := analysis.ExpandPatterns(cwd, patterns)
-	if err != nil {
-		fatal(err)
-	}
-	sort.Strings(dirs)
-	return dirs
-}
-
-func analyzerNames(as []analysis.Analyzer) []string {
-	out := make([]string, len(as))
-	for i, a := range as {
-		out[i] = a.Name()
-	}
-	return out
-}
-
-func fatal(err error) {
-	fmt.Fprintln(os.Stderr, "sharoes-vet:", err)
-	os.Exit(exitError)
+	return sel, nil
 }

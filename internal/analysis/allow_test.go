@@ -28,16 +28,3 @@ func TestBareAllowIsAFinding(t *testing.T) {
 		t.Fatalf("missing finding (bare=%v rawrand=%v):\n%s", sawBare, sawRaw, findingsText(got))
 	}
 }
-
-// TestAllowCounts checks the per-package tally used by -json.
-func TestAllowCounts(t *testing.T) {
-	p := fixturePkg(t, "aadbindgood")
-	if got := AllowCounts(p); got["aadbind"] != 1 {
-		t.Errorf("AllowCounts(aadbindgood) = %v, want aadbind:1", got)
-	}
-	// The bare directive in allowbare must not count as a usable allow.
-	p = fixturePkg(t, "allowbare")
-	if got := AllowCounts(p); got["rawrand"] != 0 {
-		t.Errorf("AllowCounts(allowbare) = %v, want rawrand:0", got)
-	}
-}

@@ -38,15 +38,13 @@
 package analysis
 
 import (
+	"cmp"
 	"fmt"
 	"go/ast"
 	"go/token"
 	"go/types"
-	"sort"
+	"slices"
 	"strings"
-	"time"
-
-	"github.com/sharoes/sharoes/internal/obs"
 )
 
 // Finding is one invariant violation.
@@ -92,39 +90,29 @@ func Analyzers() []Analyzer {
 }
 
 // Run executes the analyzers over p, drops suppressed findings, and
-// returns the remainder sorted by position. Allow directives missing a
-// justification suppress nothing and are themselves reported as
-// findings: an unexplained suppression is a finding someone buried.
+// returns the remainder sorted by position, then analyzer and message.
+// Allow directives missing a justification suppress nothing and are
+// themselves reported as findings: an unexplained suppression is a
+// finding someone buried.
 func Run(p *Package, analyzers []Analyzer) []Finding {
-	return RunInstrumented(p, analyzers, nil)
-}
-
-// RunInstrumented is Run with per-analyzer wall-time recorded into reg
-// as vet.analyzer.<name>.ns histograms (reg may be nil — the obs
-// handles are nil-safe, so the uninstrumented path pays nothing).
-func RunInstrumented(p *Package, analyzers []Analyzer, reg *obs.Registry) []Finding {
 	allow, bare := collectAllowances(p)
 	out := bare
 	for _, a := range analyzers {
-		start := time.Now()
-		findings := a.Check(p)
-		reg.Histogram("vet.analyzer." + a.Name() + ".ns").Observe(time.Since(start))
-		for _, f := range findings {
+		for _, f := range a.Check(p) {
 			if allow.covers(f.Pos.Filename, f.Pos.Line, a.Name()) {
 				continue
 			}
 			out = append(out, f)
 		}
 	}
-	sort.Slice(out, func(i, j int) bool {
-		a, b := out[i].Pos, out[j].Pos
-		if a.Filename != b.Filename {
-			return a.Filename < b.Filename
-		}
-		if a.Line != b.Line {
-			return a.Line < b.Line
-		}
-		return a.Column < b.Column
+	slices.SortFunc(out, func(a, b Finding) int {
+		return cmp.Or(
+			cmp.Compare(a.Pos.Filename, b.Pos.Filename),
+			cmp.Compare(a.Pos.Line, b.Pos.Line),
+			cmp.Compare(a.Pos.Column, b.Pos.Column),
+			cmp.Compare(a.Analyzer, b.Analyzer),
+			cmp.Compare(a.Message, b.Message),
+		)
 	})
 	return out
 }
@@ -208,27 +196,6 @@ func collectAllowances(p *Package) (allowances, []Finding) {
 		}
 	}
 	return out, bare
-}
-
-// AllowCounts tallies the package's justified allow directives per
-// analyzer name, so tools can surface how much of the tree is running
-// on exemptions.
-func AllowCounts(p *Package) map[string]int {
-	out := make(map[string]int)
-	for _, f := range p.Files {
-		for _, cg := range f.Comments {
-			for _, c := range cg.List {
-				names, reason, ok := parseAllowDirective(c.Text)
-				if !ok || reason == "" {
-					continue
-				}
-				for _, n := range names {
-					out[n]++
-				}
-			}
-		}
-	}
-	return out
 }
 
 // --- shared type helpers ----------------------------------------------------

@@ -2,6 +2,7 @@ package analysis
 
 import (
 	"path/filepath"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -261,33 +262,66 @@ func TestExpandPatternsSkipsTestdata(t *testing.T) {
 	}
 }
 
-// TestVetCleanTree is the acceptance check in miniature: the analyzers
-// must be silent on the real packages they were written to guard.
+// The clean-tree tests are sharoes-vet's gate as tests: every analyzer
+// over every package of the module, through the shared loader, must
+// report nothing. The analyzers are split three ways so a failure names
+// its family; TestVetCleanTree runs every analyzer the other two do not,
+// so together they run Analyzers() exactly once. A new finding needs a
+// fix or a justified allow (which TestAllowBudget then counts).
+var (
+	concAnalyzers    = []Analyzer{LockOrder{}, LockBalance{}, GoLeak{}, AtomicMix{}}
+	errPropAnalyzers = []Analyzer{ErrDrop{}, ErrWrap{}, ResLeak{}}
+)
+
+// TestVetCleanTree covers the security and hygiene analyzers.
 func TestVetCleanTree(t *testing.T) {
-	for _, rel := range []string{
-		filepath.Join("..", "sharocrypto"),
-		filepath.Join("..", "wire"),
-		filepath.Join("..", "ssp"),
-		filepath.Join("..", "baseline"),
-		filepath.Join("..", "client"),
-		filepath.Join("..", "workload"),
-		filepath.Join("..", "cache"),
-		filepath.Join("..", "cap"),
-		filepath.Join("..", "keys"),
-		filepath.Join("..", "layout"),
-		filepath.Join("..", "meta"),
-		filepath.Join("..", "netsim"),
-	} {
-		loaderOnce.Do(func() { loader, loaderErr = NewLoader(".") })
-		if loaderErr != nil {
-			t.Fatalf("NewLoader: %v", loaderErr)
+	owned := make(map[string]bool)
+	for _, a := range append(slices.Clone(concAnalyzers), errPropAnalyzers...) {
+		owned[a.Name()] = true
+	}
+	var rest []Analyzer
+	for _, a := range Analyzers() {
+		if !owned[a.Name()] {
+			rest = append(rest, a)
 		}
-		p, err := loader.LoadDir(rel)
+		delete(owned, a.Name())
+	}
+	if len(owned) != 0 {
+		t.Fatalf("clean-tree analyzers missing from Analyzers(): %v", owned)
+	}
+	cleanTree(t, rest)
+}
+
+// TestConcCleanTree covers the four concurrency analyzers.
+func TestConcCleanTree(t *testing.T) {
+	cleanTree(t, concAnalyzers)
+}
+
+// TestErrPropCleanTree covers the error-propagation analyzers.
+func TestErrPropCleanTree(t *testing.T) {
+	cleanTree(t, errPropAnalyzers)
+}
+
+func cleanTree(t *testing.T, analyzers []Analyzer) {
+	t.Helper()
+	if testing.Short() {
+		t.Skip("loads the whole module")
+	}
+	loaderOnce.Do(func() { loader, loaderErr = NewLoader(".") })
+	if loaderErr != nil {
+		t.Fatalf("NewLoader: %v", loaderErr)
+	}
+	dirs, err := ExpandPatterns(loader.ModRoot, []string{"./..."})
+	if err != nil {
+		t.Fatalf("ExpandPatterns: %v", err)
+	}
+	for _, dir := range dirs {
+		p, err := loader.LoadDir(dir)
 		if err != nil {
-			t.Fatalf("LoadDir(%s): %v", rel, err)
+			t.Fatalf("LoadDir(%s): %v", dir, err)
 		}
-		if got := Run(p, Analyzers()); len(got) != 0 {
-			t.Errorf("%s: unexpected findings:\n%s", rel, findingsText(got))
+		if got := Run(p, analyzers); len(got) != 0 {
+			t.Errorf("%s: unexpected findings:\n%s", p.Path, findingsText(got))
 		}
 	}
 }

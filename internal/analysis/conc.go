@@ -155,8 +155,8 @@ type concEngine struct {
 }
 
 // concCache memoizes one engine run per package so the four analyzers
-// share it; sharoes-vet analyzes packages concurrently after parallel
-// loading, hence the lock.
+// share it. It is package state behind the exported Check methods,
+// which callers may run from concurrent goroutines, hence the lock.
 var (
 	concCacheMu sync.Mutex
 	concCache   = map[*Package]*concEngine{}

@@ -115,33 +115,3 @@ func TestAtomicMix(t *testing.T) {
 		t.Fatalf("atomicmixgood: unexpected findings:\n%s", findingsText(good))
 	}
 }
-
-// TestConcCleanTree extends the acceptance check to the packages the
-// concurrency analyzers were written to guard — the pipelined client,
-// the write-behind layer, observability, and the analysis engine
-// itself.
-func TestConcCleanTree(t *testing.T) {
-	for _, rel := range []string{
-		"../ssp",
-		"../client",
-		"../obs",
-		"../cache",
-		"../netsim",
-		"../stats",
-		"../workload",
-		".",
-	} {
-		loaderOnce.Do(func() { loader, loaderErr = NewLoader(".") })
-		if loaderErr != nil {
-			t.Fatalf("NewLoader: %v", loaderErr)
-		}
-		p, err := loader.LoadDir(rel)
-		if err != nil {
-			t.Fatalf("LoadDir(%s): %v", rel, err)
-		}
-		got := Run(p, []Analyzer{LockOrder{}, LockBalance{}, GoLeak{}, AtomicMix{}})
-		if len(got) != 0 {
-			t.Errorf("%s: unexpected findings:\n%s", rel, findingsText(got))
-		}
-	}
-}

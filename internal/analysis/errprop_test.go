@@ -49,9 +49,6 @@ func TestErrDropAllowSuppression(t *testing.T) {
 	if got := Run(p, []Analyzer{ErrDrop{}}); len(got) != 0 {
 		t.Fatalf("Run should suppress the justified allow:\n%s", findingsText(got))
 	}
-	if counts := AllowCounts(p); counts["errdrop"] != 1 {
-		t.Fatalf("AllowCounts[errdrop] = %d, want 1 (map: %v)", counts["errdrop"], counts)
-	}
 }
 
 // TestErrWrap pins the five identity-flattening shapes and the clean
@@ -133,32 +130,5 @@ func TestBufRelease(t *testing.T) {
 	}
 	if good := runOne(t, ResLeak{}, "bufreleasegood/internal/server"); len(good) != 0 {
 		t.Fatalf("bufreleasegood: unexpected findings:\n%s", findingsText(good))
-	}
-}
-
-// TestErrPropCleanTree runs the three new analyzers over every real
-// package in the module; any finding here means a regression slipped
-// into the tree (or a new finding needs a fix or a justified allow).
-func TestErrPropCleanTree(t *testing.T) {
-	if testing.Short() {
-		t.Skip("loads the whole module")
-	}
-	loaderOnce.Do(func() { loader, loaderErr = NewLoader(".") })
-	if loaderErr != nil {
-		t.Fatalf("NewLoader: %v", loaderErr)
-	}
-	dirs, err := ExpandPatterns("../..", []string{"./..."})
-	if err != nil {
-		t.Fatalf("ExpandPatterns: %v", err)
-	}
-	pkgs, err := loader.LoadAll(dirs)
-	if err != nil {
-		t.Fatalf("LoadAll: %v", err)
-	}
-	for _, p := range pkgs {
-		got := Run(p, []Analyzer{ErrDrop{}, ErrWrap{}, ResLeak{}})
-		if len(got) != 0 {
-			t.Errorf("%s: unexpected findings:\n%s", p.Path, findingsText(got))
-		}
 	}
 }

@@ -10,16 +10,15 @@ import (
 	"go/types"
 	"os"
 	"path/filepath"
-	"runtime"
 	"sort"
 	"strings"
-	"sync"
 )
 
 // Loader parses and type-checks packages of the enclosing module without
 // golang.org/x/tools: module-internal import paths are resolved against
 // the module root and type-checked recursively; everything else (the
-// standard library) is handled by the stdlib source importer.
+// standard library) is handled by the stdlib source importer. A Loader
+// is not safe for concurrent use.
 type Loader struct {
 	Fset    *token.FileSet
 	ModPath string // module path from go.mod
@@ -28,13 +27,6 @@ type Loader struct {
 	std  types.ImporterFrom
 	pkgs map[string]*Package // memoized by import path
 	busy map[string]bool     // import-cycle guard
-
-	// mu guards pkgs and busy; stdMu serializes the stdlib source
-	// importer, which keeps its own cache and is not safe for
-	// concurrent use. Both exist for LoadAll's worker pool; the
-	// sequential entry points take the same locks and never contend.
-	mu    sync.Mutex
-	stdMu sync.Mutex
 }
 
 // NewLoader locates the module containing dir (by walking up to go.mod)
@@ -115,27 +107,15 @@ func (l *Loader) dirToPath(dir string) (path, abs string, err error) {
 // load parses and type-checks one package directory, memoized by import
 // path. Test files are excluded: the invariants guard production code,
 // and tests legitimately print values.
-//
-// Concurrent calls for DIFFERENT paths are safe (LoadAll's workers rely
-// on it); concurrent calls for the same path are a scheduling bug and
-// surface as a spurious cycle error rather than a corrupted cache.
 func (l *Loader) load(path, dir string) (*Package, error) {
-	l.mu.Lock()
 	if p, ok := l.pkgs[path]; ok {
-		l.mu.Unlock()
 		return p, nil
 	}
 	if l.busy[path] {
-		l.mu.Unlock()
 		return nil, fmt.Errorf("analysis: import cycle through %s", path)
 	}
 	l.busy[path] = true
-	l.mu.Unlock()
-	defer func() {
-		l.mu.Lock()
-		delete(l.busy, path)
-		l.mu.Unlock()
-	}()
+	defer delete(l.busy, path)
 
 	names, err := goFileNames(dir)
 	if err != nil {
@@ -163,9 +143,7 @@ func (l *Loader) load(path, dir string) (*Package, error) {
 		return nil, fmt.Errorf("analysis: typecheck %s: %w", path, err)
 	}
 	p := &Package{Path: path, Dir: dir, Fset: l.Fset, Files: files, Types: tpkg, Info: info}
-	l.mu.Lock()
 	l.pkgs[path] = p
-	l.mu.Unlock()
 	return p, nil
 }
 
@@ -207,8 +185,6 @@ func (li *loaderImporter) ImportFrom(path, srcDir string, mode types.ImportMode)
 		}
 		return p.Types, nil
 	}
-	l.stdMu.Lock()
-	defer l.stdMu.Unlock()
 	return l.std.ImportFrom(path, srcDir, mode)
 }
 
@@ -270,175 +246,11 @@ func hasGoFiles(dir string) bool {
 	return err == nil && len(names) > 0
 }
 
-// --- parallel loading -------------------------------------------------------
-
-// loadNode is one package in LoadAll's dependency graph.
-type loadNode struct {
-	path string
-	dir  string
-	deps []string // module-internal import paths
-}
-
-// LoadAll loads the packages in dirs, type-checking independent
-// subtrees concurrently on a bounded worker pool. Dependencies are
-// discovered with a parse-only pass (imports, no bodies typed) and
-// packages are scheduled in topological order, so a worker never
-// type-checks a package before its module-internal imports are
-// memoized — which is what makes the concurrent load() calls disjoint.
-// Results are returned in the order of dirs; the first error aborts the
-// remaining schedule.
-func (l *Loader) LoadAll(dirs []string) ([]*Package, error) {
-	nodes, err := l.discover(dirs)
-	if err != nil {
-		return nil, err
-	}
-
-	// Kahn's algorithm over the internal-dependency graph.
-	indeg := make(map[string]int, len(nodes))
-	dependents := make(map[string][]string)
-	for path, n := range nodes {
-		for _, d := range n.deps {
-			if _, known := nodes[d]; !known {
-				continue
-			}
-			indeg[path]++
-			dependents[d] = append(dependents[d], path)
-		}
-	}
-
-	workers := runtime.NumCPU()
-	if workers > 8 {
-		workers = 8
-	}
-	if workers < 1 {
-		workers = 1
-	}
-
-	var (
-		mu        sync.Mutex
-		cond      = sync.NewCond(&mu)
-		ready     []string
-		remaining = len(nodes)
-		firstErr  error
-	)
-	for path := range nodes {
-		if indeg[path] == 0 {
-			ready = append(ready, path)
-		}
-	}
-	sort.Strings(ready) // deterministic start order
-
-	var wg sync.WaitGroup
-	for i := 0; i < workers; i++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for {
-				mu.Lock()
-				for len(ready) == 0 && remaining > 0 && firstErr == nil {
-					cond.Wait()
-				}
-				if remaining == 0 || firstErr != nil {
-					mu.Unlock()
-					cond.Broadcast()
-					return
-				}
-				path := ready[0]
-				ready = ready[1:]
-				mu.Unlock()
-
-				_, err := l.load(path, nodes[path].dir)
-
-				mu.Lock()
-				remaining--
-				if err != nil && firstErr == nil {
-					firstErr = err
-				}
-				for _, dep := range dependents[path] {
-					indeg[dep]--
-					if indeg[dep] == 0 {
-						ready = append(ready, dep)
-					}
-				}
-				mu.Unlock()
-				cond.Broadcast()
-			}
-		}()
-	}
-	wg.Wait()
-	if firstErr != nil {
-		return nil, firstErr
-	}
-
-	out := make([]*Package, 0, len(dirs))
-	for _, dir := range dirs {
-		p, err := l.LoadDir(dir) // memoized: resolves path and returns the cache entry
-		if err != nil {
-			return nil, err
-		}
-		out = append(out, p)
-	}
-	return out, nil
-}
-
-// discover maps dirs to import paths and walks module-internal imports
-// (parse-only) until the dependency graph is closed.
-func (l *Loader) discover(dirs []string) (map[string]*loadNode, error) {
-	nodes := make(map[string]*loadNode)
-	var queue []*loadNode
-	enqueue := func(path, dir string) {
-		if _, ok := nodes[path]; ok {
-			return
-		}
-		n := &loadNode{path: path, dir: dir}
-		nodes[path] = n
-		queue = append(queue, n)
-	}
-	for _, dir := range dirs {
-		path, abs, err := l.dirToPath(dir)
-		if err != nil {
-			return nil, err
-		}
-		enqueue(path, abs)
-	}
-	// The parse-only pass uses a throwaway FileSet: these ASTs are
-	// dropped, and the real load must re-parse into l.Fset anyway.
-	fset := token.NewFileSet()
-	for len(queue) > 0 {
-		n := queue[0]
-		queue = queue[1:]
-		names, err := goFileNames(n.dir)
-		if err != nil {
-			return nil, fmt.Errorf("analysis: %s: %w", n.path, err)
-		}
-		seen := make(map[string]bool)
-		for _, name := range names {
-			f, err := parser.ParseFile(fset, filepath.Join(n.dir, name), nil, parser.ImportsOnly)
-			if err != nil {
-				return nil, fmt.Errorf("analysis: parse %s: %w", n.path, err)
-			}
-			for _, imp := range f.Imports {
-				path := strings.Trim(imp.Path.Value, `"`)
-				if path != l.ModPath && !strings.HasPrefix(path, l.ModPath+"/") {
-					continue
-				}
-				if !seen[path] {
-					seen[path] = true
-					n.deps = append(n.deps, path)
-				}
-				rel := strings.TrimPrefix(strings.TrimPrefix(path, l.ModPath), "/")
-				enqueue(path, filepath.Join(l.ModRoot, filepath.FromSlash(rel)))
-			}
-		}
-		sort.Strings(n.deps)
-	}
-	return nodes, nil
-}
-
 // ScanAllowCounts parses the Go files under dirs (syntax only, no type
-// checking) and sums justified allow directives per analyzer name.
-// Unparseable files are skipped: the counts feed informational output,
-// and load errors are the loader's to report.
+// checking) and sums justified allow directives per analyzer name. It
+// feeds sharoes-vet -list and the committed allow budget
+// (TestAllowBudget). Unparseable files are skipped: load errors are the
+// loader's to report.
 func ScanAllowCounts(dirs []string) map[string]int {
 	fset := token.NewFileSet()
 	out := make(map[string]int)

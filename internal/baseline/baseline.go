@@ -11,10 +11,21 @@
 //	              public-key-wrapped per user; one private-key operation
 //	              per metadata read.
 //
-// All four share one remote-filesystem implementation — the same wire
-// protocol, SSP, caching and block layout as the Sharoes client — so that
-// measured differences are purely the metadata cryptography, exactly the
-// comparison the paper constructs.
+// The four modes share one implementation with each other, but only
+// their building blocks with the Sharoes client: the same SSP and wire
+// protocol (ssp.BlobStore), the same cache, key registry and crypto
+// primitives. Their path walk, object fetch, readdir, metadata and table
+// codecs and block layout are their own (ops.go, codec.go): one
+// unbatched round trip per hop and per object, with none of the client's
+// batched fetches, sibling-batched getattr or tail-block key. So a
+// measured difference against the client mixes the metadata cryptography
+// with the client's round-trip savings; it is not the cryptography
+// alone, as in the paper's comparison. ROADMAP.md item 4 tracks putting
+// the four modes back on the one client.
+//
+// The NO-ENC modes authenticate nothing by design; the unverified allow
+// directives in this package mark the places that cache or write through
+// such unauthenticated objects.
 package baseline
 
 import (
