@@ -5,6 +5,8 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
+
+	"github.com/sharoes/sharoes/internal/analysis"
 )
 
 // fixture names a package under internal/analysis/testdata/src.
@@ -52,7 +54,7 @@ func TestRunList(t *testing.T) {
 		t.Fatalf("run(-list) = %d, want %d\nstderr:\n%s", got, exitClean, stderr.String())
 	}
 	lines := strings.Split(strings.TrimSpace(stdout.String()), "\n")
-	if len(lines) != 13 {
-		t.Fatalf("-list printed %d lines, want 13:\n%s", len(lines), stdout.String())
+	if want := len(analysis.Analyzers()); len(lines) != want {
+		t.Fatalf("-list printed %d lines, want one per analyzer (%d):\n%s", len(lines), want, stdout.String())
 	}
 }

@@ -5,7 +5,9 @@
 // predictable key source is a full compromise, so these properties are
 // checked mechanically on every build rather than by review.
 //
-// Six analyzers are provided:
+// Eleven analyzers are provided: two concurrency analyzers (lockorder,
+// goleak) and three error-propagation ones (errdrop, errwrap, resleak),
+// described in docs/ANALYZERS.md, and six security analyzers:
 //
 //   - keyleak:   no fmt.* / log.* argument whose static type is or contains
 //     sharocrypto.SymKey, SignKey or PrivateKey, nor raw key bytes obtained
@@ -84,7 +86,7 @@ type Analyzer interface {
 func Analyzers() []Analyzer {
 	return []Analyzer{
 		KeyLeak{}, AADBind{}, RawRand{}, ErrString{}, Unverified{}, KeyEgress{},
-		LockOrder{}, LockBalance{}, GoLeak{}, AtomicMix{},
+		LockOrder{}, GoLeak{},
 		ErrDrop{}, ErrWrap{}, ResLeak{},
 	}
 }
@@ -112,6 +114,19 @@ func Run(p *Package, analyzers []Analyzer) []Finding {
 			cmp.Compare(a.Pos.Column, b.Pos.Column),
 			cmp.Compare(a.Analyzer, b.Analyzer),
 			cmp.Compare(a.Message, b.Message),
+		)
+	})
+	return out
+}
+
+// sortFindings orders one analyzer's findings by position for stable
+// output.
+func sortFindings(out []Finding) []Finding {
+	slices.SortStableFunc(out, func(a, b Finding) int {
+		return cmp.Or(
+			cmp.Compare(a.Pos.Filename, b.Pos.Filename),
+			cmp.Compare(a.Pos.Line, b.Pos.Line),
+			cmp.Compare(a.Pos.Column, b.Pos.Column),
 		)
 	})
 	return out

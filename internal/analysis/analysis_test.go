@@ -269,7 +269,7 @@ func TestExpandPatternsSkipsTestdata(t *testing.T) {
 // so together they run Analyzers() exactly once. A new finding needs a
 // fix or a justified allow (which TestAllowBudget then counts).
 var (
-	concAnalyzers    = []Analyzer{LockOrder{}, LockBalance{}, GoLeak{}, AtomicMix{}}
+	concAnalyzers    = []Analyzer{LockOrder{}, GoLeak{}}
 	errPropAnalyzers = []Analyzer{ErrDrop{}, ErrWrap{}, ResLeak{}}
 )
 
@@ -292,7 +292,7 @@ func TestVetCleanTree(t *testing.T) {
 	cleanTree(t, rest)
 }
 
-// TestConcCleanTree covers the four concurrency analyzers.
+// TestConcCleanTree covers the two concurrency analyzers.
 func TestConcCleanTree(t *testing.T) {
 	cleanTree(t, concAnalyzers)
 }

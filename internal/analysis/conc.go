@@ -10,47 +10,40 @@ import (
 )
 
 // This file implements the concurrency effect engine shared by the
-// lockorder, lockbalance, goleak and atomicmix analyzers. It is a second
-// effect domain over the effectEngine framework (effects.go), alongside
-// taint: where taint summaries describe data flowing through a function,
-// lock summaries describe the function's net effect on the lock state —
-// which locks it acquires, releases, or requires held at entry.
+// lockorder and goleak analyzers. It is a second effect domain over the
+// effectEngine framework (effects.go), alongside taint: where taint
+// summaries describe data flowing through a function, lock summaries
+// describe the function's net effect on the lock state — which locks it
+// acquires or releases for its caller — plus the facts goleak needs
+// about the loops and shutdown edges it reaches.
 //
-// The engine runs four phases per package:
+// The engine runs two phases per package, both through the shared path
+// walk (walk.go) with the lock rules below:
 //
 //  1. Summary fixpoint: every function unit is walked path-sensitively,
 //     computing its net lock effect (Lock minus Unlock per class, as
 //     seen by a caller) and the set of lock classes it transitively
 //     acquires. Summaries only grow/stabilize, so recursion terminates.
-//  2. Call-context inference: an unexported function called only while a
-//     lock is held inherits that lock as an entry assumption — this is
-//     how "caller must hold w.mu" helpers (barrierLocked, kick) are
-//     analyzed without annotations. ctx(f) is the intersection over all
-//     plain local call sites of (locks held at the site ∪ ctx(caller));
-//     go-statement spawn sites, exported functions and function values
-//     contribute the empty set. The fixpoint is decreasing from ⊤.
-//  3. Report walk: every unit is re-walked with its inferred context as
-//     the entry lock state, collecting lockbalance findings (unbalanced
-//     paths, double lock/unlock, loop inconsistencies), lock-acquisition
-//     edges (lockorder), goroutine spawn sites (goleak) and classified
-//     field accesses (atomicmix).
-//  4. The four analyzers render their views of the shared result.
+//  2. Record walk: every unit is walked again against the converged
+//     summaries, recording lock-acquisition edges (lockorder), goroutine
+//     spawn sites, plain local call sites, closed and received channel
+//     classes (goleak).
 //
 // Precision choices, deliberately traded for signal on the real tree:
 //
 //   - Lock classes for struct fields are keyed by the *static type* of
 //     the owner ("pkg.Type.mu"), so two instances of one type alias to
-//     one class. Same-class nesting across distinct instances is
-//     therefore not reported as a self-deadlock (only identical
-//     receiver expressions, or context-implied holds, are).
+//     one class.
 //   - sync.Cond.Wait is treated as a no-op on the lock state: it
 //     releases and re-acquires its locker, which nets to zero.
 //   - TryLock/TryRLock acquire conditionally and are ignored.
-//   - goto terminates the analyzed path (none in the tree).
+//   - A loop's exit sees the lock state it was entered with: the end of
+//     an iteration and a continue add nothing to it.
 
 // --- lock classes -----------------------------------------------------------
 
-// concClass describes one lock or field "class" — the unit of aliasing.
+// concClass describes one lock or channel "class" — the unit of
+// aliasing.
 type concClass struct {
 	key   string // unique key ("field:pkg.Type.f", "var:pkg.v", "local:off")
 	owner string // "pkg.Type" for fields, "" otherwise
@@ -84,9 +77,8 @@ func baseKey(modeKey string) string {
 type lockSummary struct {
 	// net maps a mode key to the lock-count delta a caller observes
 	// across a call (0 for balanced functions, +1 for lock-transfer
-	// helpers, -1 for unlock helpers). Set from the first-converged
-	// exit; exit disagreements are lockbalance findings, not summary
-	// state.
+	// helpers, -1 for unlock helpers), from the last return (or the
+	// fall-through end) with defers applied.
 	net map[string]int
 	// acquired is the set of base class keys this unit locks itself or
 	// via plain local calls (spawned goroutines excluded: their
@@ -109,11 +101,11 @@ func newLockSummary() *lockSummary {
 	return &lockSummary{net: make(map[string]int), acquired: make(map[string]bool)}
 }
 
-// callSite records one plain local call for context inference.
+// callSite records one plain local call, for goleak's transitive
+// receive sets.
 type callSite struct {
 	caller *funcUnit
 	callee *funcUnit
-	held   map[string]bool // base class keys held at the site
 }
 
 // spawnSite records one go statement for goleak.
@@ -123,38 +115,22 @@ type spawnSite struct {
 	pos    token.Pos
 }
 
-// fieldAccess is one syntactic access of a struct field of a type
-// declared in this package, classified for atomicmix.
-type fieldAccess struct {
-	class   concClass
-	pos     token.Pos
-	write   bool
-	held    map[string]bool // base class keys held at the access
-	inCtor  bool            // inside a function returning the owner type
-	viaAddr bool            // &x.f escaping to a non-atomic callee
-}
-
 // concEngine is the per-package concurrency analysis state.
 type concEngine struct {
 	p       *Package
 	eng     *effectEngine
 	sums    map[*funcUnit]*lockSummary
-	ctxs    map[*funcUnit]map[string]bool // inferred entry-held base classes
-	sites   []callSite
 	classes map[string]concClass // key -> class metadata
 
-	// report-walk outputs
-	balance   []Finding
-	edges     map[[2]string]token.Pos // held-before-acquired pairs of base keys
-	spawns    []spawnSite
-	accesses  []fieldAccess
-	atomicOps map[string][]token.Pos        // field class key -> atomic.* call sites
-	closes    map[string]bool               // classes of channels passed to close()
-	guards    map[string]bool               // classes that are mutex-typed fields
-	recvs     map[*funcUnit]map[string]bool // channel classes a unit receives from
+	// record-walk outputs
+	edges  map[[2]string]token.Pos // held-before-acquired pairs of base keys
+	sites  []callSite
+	spawns []spawnSite
+	closes map[string]bool               // classes of channels passed to close()
+	recvs  map[*funcUnit]map[string]bool // channel classes a unit receives from
 }
 
-// concCache memoizes one engine run per package so the four analyzers
+// concCache memoizes one engine run per package so the two analyzers
 // share it. It is package state behind the exported Check methods,
 // which callers may run from concurrent goroutines, hence the lock.
 var (
@@ -169,52 +145,35 @@ func concFor(p *Package) *concEngine {
 		return e
 	}
 	e := &concEngine{
-		p:         p,
-		eng:       newEffectEngine(p),
-		sums:      make(map[*funcUnit]*lockSummary),
-		ctxs:      make(map[*funcUnit]map[string]bool),
-		classes:   make(map[string]concClass),
-		edges:     make(map[[2]string]token.Pos),
-		atomicOps: make(map[string][]token.Pos),
-		closes:    make(map[string]bool),
-		guards:    make(map[string]bool),
-		recvs:     make(map[*funcUnit]map[string]bool),
+		p:       p,
+		eng:     newEffectEngine(p),
+		sums:    make(map[*funcUnit]*lockSummary),
+		classes: make(map[string]concClass),
+		edges:   make(map[[2]string]token.Pos),
+		closes:  make(map[string]bool),
+		recvs:   make(map[*funcUnit]map[string]bool),
 	}
-	e.run()
-	concCache[p] = e
-	return e
-}
-
-func (e *concEngine) run() {
 	for _, u := range e.eng.units {
 		e.sums[u] = newLockSummary()
 	}
-	// Phase 1: summary fixpoint (entry state empty, no reporting).
 	e.eng.fixpoint(func(u *funcUnit) bool {
 		w := &concWalker{e: e, u: u}
-		w.walkUnit(nil)
+		w.walkUnit()
 		return e.mergeSummary(u, w)
 	})
-	// Phase 2: record call sites with local holds, then infer contexts.
 	for _, u := range e.eng.units {
 		w := &concWalker{e: e, u: u, record: true}
-		w.walkUnit(nil)
+		w.walkUnit()
 	}
-	e.inferContexts()
-	// Phase 3: report walk with inferred contexts as entry state.
-	for _, u := range e.eng.units {
-		w := &concWalker{e: e, u: u, report: true}
-		w.walkUnit(e.ctxs[u])
-		e.balance = append(e.balance, w.findings...)
-	}
+	concCache[p] = e
+	return e
 }
 
 // mergeSummary folds one walk into u's summary; reports growth.
 func (e *concEngine) mergeSummary(u *funcUnit, w *concWalker) bool {
 	sum := e.sums[u]
 	changed := false
-	net := w.exitNet()
-	for k, d := range net {
+	for k, d := range w.exitNet() {
 		if sum.net[k] != d {
 			sum.net[k] = d
 			changed = true
@@ -241,151 +200,9 @@ func (e *concEngine) mergeSummary(u *funcUnit, w *concWalker) bool {
 	return changed
 }
 
-// inferContexts runs the decreasing context fixpoint over the recorded
-// call sites. ⊤ is represented by absence from e.ctxs with eligible[u]
-// still true.
-func (e *concEngine) inferContexts() {
-	eligible := make(map[*funcUnit]bool)
-	sitesOf := make(map[*funcUnit][]callSite)
-	for _, s := range e.sites {
-		sitesOf[s.callee] = append(sitesOf[s.callee], s)
-	}
-	valueRef := e.valueReferenced()
-	for _, u := range e.eng.units {
-		switch {
-		case u.decl != nil && u.obj != nil && u.obj.Exported():
-			// Callable from outside the package: no entry assumption.
-		case valueRef[u]:
-			// Used as a function value (stored, passed to AfterFunc,
-			// spawned): runs with no caller-held locks assumed.
-		case len(sitesOf[u]) == 0:
-			// Never locally called: nothing to infer from.
-		default:
-			eligible[u] = true
-		}
-	}
-	for u := range e.ctxs {
-		delete(e.ctxs, u)
-	}
-	for round := 0; round < maxEffectRounds; round++ {
-		changed := false
-		for u := range eligible {
-			var inter map[string]bool
-			top := true
-			for _, s := range sitesOf[u] {
-				contrib := make(map[string]bool)
-				for k := range s.held {
-					contrib[k] = true
-				}
-				if eligible[s.caller] {
-					if cctx, ok := e.ctxs[s.caller]; ok {
-						for k := range cctx {
-							contrib[k] = true
-						}
-					} else {
-						// Caller still at ⊤: this site constrains
-						// nothing yet.
-						continue
-					}
-				}
-				if top {
-					inter, top = contrib, false
-					continue
-				}
-				for k := range inter {
-					if !contrib[k] {
-						delete(inter, k)
-					}
-				}
-			}
-			if top {
-				continue // all sites unresolved this round
-			}
-			old, had := e.ctxs[u]
-			if !had || len(old) != len(inter) {
-				e.ctxs[u] = inter
-				changed = true
-				continue
-			}
-			for k := range inter {
-				if !old[k] {
-					e.ctxs[u] = inter
-					changed = true
-					break
-				}
-			}
-		}
-		if !changed {
-			break
-		}
-	}
-	// Anything still at ⊤ after bounded rounds (mutual recursion among
-	// helpers with no resolved entry) gets no assumption.
-	for u := range eligible {
-		if _, ok := e.ctxs[u]; !ok {
-			e.ctxs[u] = nil
-		}
-	}
-}
-
-// valueReferenced finds declared functions and literals used as values
-// rather than called: stored, returned, passed as arguments (other than
-// being the operand of a call, go or defer statement).
-func (e *concEngine) valueReferenced() map[*funcUnit]bool {
-	out := make(map[*funcUnit]bool)
-	calledFuns := make(map[ast.Expr]bool)
-	for _, file := range e.p.Files {
-		ast.Inspect(file, func(n ast.Node) bool {
-			if call, ok := n.(*ast.CallExpr); ok {
-				calledFuns[ast.Unparen(call.Fun)] = true
-			}
-			return true
-		})
-	}
-	for _, file := range e.p.Files {
-		ast.Inspect(file, func(n ast.Node) bool {
-			switch x := n.(type) {
-			case *ast.Ident:
-				if calledFuns[x] {
-					return true
-				}
-				if fn, ok := e.p.Info.Uses[x].(*types.Func); ok {
-					if u := e.eng.byObj[fn]; u != nil {
-						out[u] = true
-					}
-				}
-			case *ast.SelectorExpr:
-				if calledFuns[x] {
-					return false // method call; receiver still walked via x.X
-				}
-				if fn, ok := e.p.Info.Uses[x.Sel].(*types.Func); ok {
-					if u := e.eng.byObj[fn]; u != nil {
-						out[u] = true // method value
-					}
-				}
-			case *ast.FuncLit:
-				if calledFuns[x] {
-					return true
-				}
-				// Spawned or deferred directly? Those are direct
-				// invocations, found via the enclosing statement.
-				if u := e.eng.byLit[x]; u != nil {
-					out[u] = true
-				}
-			}
-			return true
-		})
-	}
-	// Un-mark literals whose only non-call use is `go lit()` / `defer
-	// lit()`: the CallExpr check above already covers them (the literal
-	// IS the call operand), so nothing to do — go/defer operands were in
-	// calledFuns.
-	return out
-}
-
 // --- class resolution -------------------------------------------------------
 
-// classOf resolves an expression to its lock/field class. Returns the
+// classOf resolves an expression to its lock/channel class. Returns the
 // zero class (key "") when no stable class exists.
 func (e *concEngine) classOf(expr ast.Expr) concClass {
 	for {
@@ -464,8 +281,6 @@ func (e *concEngine) intern(c concClass) concClass {
 	return c
 }
 
-// --- type predicates --------------------------------------------------------
-
 // syncNamed reports whether t (after pointer deref) is the named sync
 // type name (e.g. "Mutex").
 func syncNamed(t types.Type, names ...string) bool {
@@ -488,64 +303,459 @@ func syncNamed(t types.Type, names ...string) bool {
 	return false
 }
 
-// pkgOfType returns the defining package path of t's core named type.
-func pkgOfType(t types.Type) string {
-	if ptr, ok := t.Underlying().(*types.Pointer); ok {
-		t = ptr.Elem()
+// lockOp classifies a call as a mutex operation, resolving the lock
+// class of its receiver. Returns ("", zero) for non-lock calls.
+func (e *concEngine) lockOp(call *ast.CallExpr) (op string, cls concClass) {
+	sel, ok := ast.Unparen(call.Fun).(*ast.SelectorExpr)
+	if !ok {
+		return "", concClass{}
 	}
-	if n, ok := t.(*types.Named); ok && n.Obj().Pkg() != nil {
-		return n.Obj().Pkg().Path()
+	fn, ok := e.p.Info.Uses[sel.Sel].(*types.Func)
+	if !ok || fn.Pkg() == nil || fn.Pkg().Path() != "sync" {
+		return "", concClass{}
 	}
-	return ""
+	switch fn.Name() {
+	case "Lock", "Unlock", "RLock", "RUnlock", "TryLock", "TryRLock":
+	default:
+		return "", concClass{}
+	}
+	sig, ok := fn.Type().(*types.Signature)
+	if !ok || sig.Recv() == nil {
+		return "", concClass{}
+	}
+	if !syncNamed(sig.Recv().Type(), "Mutex", "RWMutex") {
+		return "", concClass{}
+	}
+	return fn.Name(), e.classOf(sel.X)
 }
 
-// containsSyncPrimitive reports whether t directly (not behind a
-// pointer) contains a sync.Mutex, RWMutex, WaitGroup, Cond or Once —
-// the types whose values must never be copied once used.
-func containsSyncPrimitive(t types.Type) bool {
-	return containsSyncPrim(t, make(map[types.Type]bool))
-}
-
-func containsSyncPrim(t types.Type, seen map[types.Type]bool) bool {
-	if t == nil || seen[t] {
+// isSyncMethod reports a method named name on sync.<typeName>.
+func isSyncMethod(fn *types.Func, typeName, name string) bool {
+	if fn.Name() != name || fn.Pkg() == nil || fn.Pkg().Path() != "sync" {
 		return false
 	}
-	seen[t] = true
-	if _, ok := t.Underlying().(*types.Pointer); ok {
-		return false // a pointer to a lock is how locks should travel
+	sig, ok := fn.Type().(*types.Signature)
+	if !ok || sig.Recv() == nil {
+		return false
 	}
-	if syncNamed(t, "Mutex", "RWMutex", "WaitGroup", "Cond", "Once") {
-		return true
-	}
-	switch u := t.(type) {
-	case *types.Named:
-		return containsSyncPrim(u.Underlying(), seen)
-	case *types.Alias:
-		return containsSyncPrim(types.Unalias(u), seen)
-	case *types.Struct:
-		for i := 0; i < u.NumFields(); i++ {
-			if containsSyncPrim(u.Field(i).Type(), seen) {
-				return true
-			}
-		}
-	case *types.Array:
-		return containsSyncPrim(u.Elem(), seen)
-	}
-	return false
+	return syncNamed(sig.Recv().Type(), typeName)
 }
 
-// concExemptFieldType reports field types atomicmix never tracks:
-// sync/atomic typed values are atomic by construction, sync primitives
-// synchronize themselves, channels synchronize their users.
-func concExemptFieldType(t types.Type) bool {
-	if pkgOfType(t) == "sync/atomic" || pkgOfType(t) == "sync" {
-		return true
+// addEdge records a lock-order edge: from held while acquiring to.
+func (e *concEngine) addEdge(from, to string, pos token.Pos) {
+	k := [2]string{from, to}
+	if _, ok := e.edges[k]; !ok {
+		e.edges[k] = pos
 	}
-	if _, ok := t.Underlying().(*types.Chan); ok {
-		return true
+}
+
+// --- lock rules for the path walk -------------------------------------------
+
+// lockState is the mutable per-path lock state.
+type lockState struct {
+	held   map[string]int   // mode key -> count (may go negative in helpers)
+	defers []map[string]int // net deltas applied at exit, in order
+}
+
+func (st *lockState) clone() *lockState {
+	c := &lockState{
+		held:   make(map[string]int, len(st.held)),
+		defers: append([]map[string]int(nil), st.defers...),
 	}
-	if _, ok := t.Underlying().(*types.Signature); ok {
-		return true
+	for k, v := range st.held {
+		c.held[k] = v
 	}
-	return false
+	return c
+}
+
+// heldBases returns the base class keys with a positive count in any
+// mode.
+func (st *lockState) heldBases() map[string]bool {
+	out := make(map[string]bool)
+	for k, n := range st.held {
+		if n > 0 {
+			out[baseKey(k)] = true
+		}
+	}
+	return out
+}
+
+// concWalker applies the lock rules to one unit. The summary walk
+// (record unset) only computes the unit's effects; the record walk also
+// logs edges, spawns, call sites and channel classes, and clamps an
+// unlock of a lock it does not see held at zero rather than letting the
+// count go negative.
+type concWalker struct {
+	e      *concEngine
+	u      *funcUnit
+	record bool
+
+	exits    []*lockState // states at each return (defers NOT yet applied)
+	fallExit *lockState   // state at body end, nil if unreachable
+
+	acquired map[string]bool
+	loopRisk bool
+	waits    bool
+	usesDone bool
+}
+
+func (w *concWalker) walkUnit() {
+	w.acquired = make(map[string]bool)
+	w.fallExit = walkBody(w, &lockState{held: make(map[string]int)}, w.u.body)
+}
+
+// exitNet computes the unit's net lock effect for the summary: the last
+// return state (else the fall-through state) with defers applied.
+func (w *concWalker) exitNet() map[string]int {
+	st := w.fallExit
+	if len(w.exits) > 0 {
+		st = w.exits[len(w.exits)-1]
+	}
+	if st == nil {
+		return nil
+	}
+	net := make(map[string]int)
+	for k, v := range st.held {
+		net[k] += v
+	}
+	for _, d := range st.defers {
+		for k, v := range d {
+			net[k] += v
+		}
+	}
+	for k, v := range net {
+		if v == 0 {
+			delete(net, k)
+		}
+	}
+	return net
+}
+
+func (w *concWalker) clone(st *lockState) *lockState { return st.clone() }
+
+// join keeps, per lock, the larger held count of the two paths.
+func (w *concWalker) join(a, b *lockState) *lockState {
+	out := a.clone()
+	for _, m := range []map[string]int{a.held, b.held} {
+		for k := range m {
+			if b.held[k] > out.held[k] {
+				out.held[k] = b.held[k]
+			}
+		}
+	}
+	// Defers: keep the longer chain (conditional defers are rare).
+	if len(b.defers) > len(out.defers) {
+		out.defers = append([]map[string]int(nil), b.defers...)
+	}
+	return out
+}
+
+func (w *concWalker) leaf(st *lockState, s ast.Stmt) *lockState {
+	switch x := s.(type) {
+	case *ast.ExprStmt:
+		w.walkExpr(st, x.X)
+		if call, ok := ast.Unparen(x.X).(*ast.CallExpr); ok {
+			if fn := resolvedCallee(w.e.p.Info, call); fn != nil && isTerminatorFunc(fn) {
+				return nil
+			}
+		}
+	case *ast.AssignStmt:
+		for _, r := range x.Rhs {
+			w.walkExpr(st, r)
+		}
+		for _, l := range x.Lhs {
+			w.walkExpr(st, l)
+		}
+	case *ast.IncDecStmt:
+		w.walkExpr(st, x.X)
+	case *ast.DeclStmt:
+		if gd, ok := x.Decl.(*ast.GenDecl); ok {
+			for _, sp := range gd.Specs {
+				if vs, ok := sp.(*ast.ValueSpec); ok {
+					for _, v := range vs.Values {
+						w.walkExpr(st, v)
+					}
+				}
+			}
+		}
+	case *ast.SendStmt:
+		w.walkExpr(st, x.Chan)
+		w.walkExpr(st, x.Value)
+	case *ast.GoStmt:
+		w.walkGo(st, x)
+	case *ast.DeferStmt:
+		w.walkDefer(st, x)
+	}
+	return st
+}
+
+func (w *concWalker) expr(st *lockState, e ast.Expr) { w.walkExpr(st, e) }
+
+func (w *concWalker) refine(*lockState, ast.Expr, bool) {}
+
+// loop marks loops that can run forever: no condition, or a range over a
+// channel (which exits when the channel closes).
+func (w *concWalker) loop(st *lockState, s ast.Stmt) {
+	switch x := s.(type) {
+	case *ast.ForStmt:
+		if x.Cond == nil {
+			w.loopRisk = true
+		}
+	case *ast.RangeStmt:
+		if t := w.e.p.Info.TypeOf(x.X); t != nil {
+			if _, isChan := t.Underlying().(*types.Chan); isChan {
+				w.loopRisk = true
+				w.recordRecv(x.X)
+			}
+		}
+	}
+}
+
+func (w *concWalker) backEdge(*lockState) *lockState { return nil }
+
+func (w *concWalker) ret(st *lockState, x *ast.ReturnStmt) {
+	for _, r := range x.Results {
+		w.walkExpr(st, r)
+	}
+	w.exits = append(w.exits, st)
+}
+
+func (w *concWalker) walkGo(st *lockState, x *ast.GoStmt) {
+	// Argument expressions evaluate on this goroutine; the called body
+	// does not.
+	for _, a := range x.Call.Args {
+		w.walkExpr(st, a)
+	}
+	if sel, ok := ast.Unparen(x.Call.Fun).(*ast.SelectorExpr); ok {
+		w.walkExpr(st, sel.X)
+	}
+	if w.record {
+		target := w.e.eng.unitForCall(x.Call)
+		w.e.spawns = append(w.e.spawns, spawnSite{unit: w.u, target: target, pos: x.Pos()})
+	}
+}
+
+func (w *concWalker) walkDefer(st *lockState, x *ast.DeferStmt) {
+	for _, a := range x.Call.Args {
+		w.walkExpr(st, a)
+	}
+	if op, cls := w.e.lockOp(x.Call); op != "" && cls.key != "" {
+		delta := map[string]int{}
+		switch op {
+		case "Unlock":
+			delta[cls.key] = -1
+		case "RUnlock":
+			delta[cls.key+rlockSuffix] = -1
+		case "Lock":
+			delta[cls.key] = 1
+		case "RLock":
+			delta[cls.key+rlockSuffix] = 1
+		}
+		st.defers = append(st.defers, delta)
+		return
+	}
+	if id, ok := ast.Unparen(x.Call.Fun).(*ast.Ident); ok && len(x.Call.Args) == 1 {
+		if b, isB := w.e.p.Info.Uses[id].(*types.Builtin); isB && b.Name() == "close" {
+			// defer close(ch) still closes the channel at exit.
+			if w.record {
+				if c := w.e.classOf(x.Call.Args[0]); c.key != "" {
+					w.e.closes[c.key] = true
+				}
+			}
+			return
+		}
+	}
+	if sel, ok := ast.Unparen(x.Call.Fun).(*ast.SelectorExpr); ok {
+		w.walkExpr(st, sel.X)
+	}
+	if callee := w.e.eng.unitForCall(x.Call); callee != nil {
+		if sum := w.e.sums[callee]; sum != nil && len(sum.net) > 0 {
+			delta := make(map[string]int, len(sum.net))
+			for k, v := range sum.net {
+				delta[k] = v
+			}
+			st.defers = append(st.defers, delta)
+		}
+	}
+}
+
+// walkExpr walks an expression in evaluation order, applying call
+// effects.
+func (w *concWalker) walkExpr(st *lockState, expr ast.Expr) {
+	if expr == nil {
+		return
+	}
+	switch x := expr.(type) {
+	case *ast.ParenExpr:
+		w.walkExpr(st, x.X)
+	case *ast.SelectorExpr:
+		w.walkExpr(st, x.X)
+	case *ast.IndexExpr:
+		w.walkExpr(st, x.X)
+		w.walkExpr(st, x.Index)
+	case *ast.SliceExpr:
+		w.walkExpr(st, x.X)
+		w.walkExpr(st, x.Low)
+		w.walkExpr(st, x.High)
+		w.walkExpr(st, x.Max)
+	case *ast.StarExpr:
+		w.walkExpr(st, x.X)
+	case *ast.UnaryExpr:
+		if x.Op == token.ARROW {
+			w.recordRecv(x.X)
+		}
+		w.walkExpr(st, x.X)
+	case *ast.BinaryExpr:
+		w.walkExpr(st, x.X)
+		w.walkExpr(st, x.Y)
+	case *ast.KeyValueExpr:
+		w.walkExpr(st, x.Value)
+	case *ast.CompositeLit:
+		for _, elt := range x.Elts {
+			w.walkExpr(st, elt)
+		}
+	case *ast.TypeAssertExpr:
+		w.walkExpr(st, x.X)
+	case *ast.CallExpr:
+		w.walkCall(st, x)
+	}
+	// Identifiers and literals are leaves; a function literal's body
+	// runs when called, not where it appears.
+}
+
+// recordRecv logs a channel-receive class for goleak's shutdown-edge
+// matching (a goroutine receiving from a channel that something closes
+// has a way out).
+func (w *concWalker) recordRecv(ch ast.Expr) {
+	if !w.record {
+		return
+	}
+	c := w.e.classOf(ch)
+	if c.key == "" {
+		return
+	}
+	if w.e.recvs[w.u] == nil {
+		w.e.recvs[w.u] = make(map[string]bool)
+	}
+	w.e.recvs[w.u][c.key] = true
+}
+
+// walkCall evaluates a call's operands and applies its lock effect.
+func (w *concWalker) walkCall(st *lockState, call *ast.CallExpr) {
+	// Immediately-invoked literal: its body runs here.
+	if lit, ok := ast.Unparen(call.Fun).(*ast.FuncLit); ok {
+		for _, a := range call.Args {
+			w.walkExpr(st, a)
+		}
+		if u := w.e.eng.byLit[lit]; u != nil {
+			w.applyCallee(st, u, call.Pos())
+		}
+		return
+	}
+
+	// close(ch): register the channel as closeable for goleak.
+	if id, ok := ast.Unparen(call.Fun).(*ast.Ident); ok {
+		if b, isB := w.e.p.Info.Uses[id].(*types.Builtin); isB && b.Name() == "close" && len(call.Args) == 1 {
+			w.walkExpr(st, call.Args[0])
+			if w.record {
+				if c := w.e.classOf(call.Args[0]); c.key != "" {
+					w.e.closes[c.key] = true
+				}
+			}
+			return
+		}
+	}
+
+	// Operands first (receiver, then arguments).
+	if sel, ok := ast.Unparen(call.Fun).(*ast.SelectorExpr); ok {
+		w.walkExpr(st, sel.X)
+	}
+	for _, a := range call.Args {
+		w.walkExpr(st, a)
+	}
+
+	if op, cls := w.e.lockOp(call); op != "" && cls.key != "" {
+		w.applyLockOp(st, call.Pos(), op, cls)
+		return
+	}
+
+	if fn := resolvedCallee(w.e.p.Info, call); fn != nil {
+		switch {
+		case isSyncMethod(fn, "WaitGroup", "Wait"):
+			w.waits = true
+			return
+		case fn.Name() == "Done" && fn.Pkg() != nil && fn.Pkg().Path() == "context":
+			w.usesDone = true
+			return
+		case isSyncMethod(fn, "Cond", "Wait"):
+			return // releases and re-acquires its Locker: net zero
+		}
+	}
+
+	// Plain local call: apply the callee's net effect and record the
+	// site for goleak's receive sets and lockorder's edges.
+	if callee := w.e.eng.unitForCall(call); callee != nil {
+		if w.record {
+			w.e.sites = append(w.e.sites, callSite{caller: w.u, callee: callee})
+		}
+		w.applyCallee(st, callee, call.Pos())
+	}
+}
+
+// applyCallee folds a callee's summary into the path state: its net
+// lock deltas, transitive acquisitions (for edges) and goleak flags.
+func (w *concWalker) applyCallee(st *lockState, callee *funcUnit, pos token.Pos) {
+	sum := w.e.sums[callee]
+	if sum == nil {
+		return
+	}
+	if sum.loopRisk {
+		w.loopRisk = true
+	}
+	if sum.waits {
+		w.waits = true
+	}
+	if sum.usesDone {
+		w.usesDone = true
+	}
+	for k := range sum.acquired {
+		w.acquired[k] = true
+		if w.record {
+			for h := range st.heldBases() {
+				if h != k {
+					w.e.addEdge(h, k, pos)
+				}
+			}
+		}
+	}
+	for k, d := range sum.net {
+		st.held[k] += d
+	}
+}
+
+// applyLockOp mutates the path state for one Lock/Unlock-family call.
+func (w *concWalker) applyLockOp(st *lockState, pos token.Pos, op string, cls concClass) {
+	key := cls.key
+	if op == "RLock" || op == "RUnlock" {
+		key += rlockSuffix
+	}
+	switch op {
+	case "Lock", "RLock":
+		if w.record {
+			for h := range st.heldBases() {
+				if h != cls.key {
+					w.e.addEdge(h, cls.key, pos)
+				}
+			}
+		}
+		st.held[key]++
+		w.acquired[cls.key] = true
+	case "Unlock", "RUnlock":
+		if st.held[key] <= 0 && w.record {
+			return
+		}
+		st.held[key]--
+	}
+	// TryLock/TryRLock acquire conditionally: the success branch is
+	// invisible to this walker, so they are ignored.
 }

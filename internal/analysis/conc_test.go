@@ -7,8 +7,7 @@ import (
 
 // The concurrency-analyzer tests drive the shared effect engine through
 // each analyzer's spec over dedicated fixtures: lock-order cycles split
-// across call boundaries, per-path lock balancing, goroutine lifecycle
-// edges, and atomic/guarded field discipline.
+// across call boundaries, and goroutine lifecycle edges.
 
 func TestLockOrder(t *testing.T) {
 	bad := runOne(t, LockOrder{}, "lockorderbad")
@@ -39,32 +38,6 @@ func TestLockOrder(t *testing.T) {
 	}
 }
 
-func TestLockBalance(t *testing.T) {
-	bad := runOne(t, LockBalance{}, "lockbalancebad")
-	if len(bad) != 6 {
-		t.Fatalf("lockbalancebad: got %d findings, want 6:\n%s", len(bad), findingsText(bad))
-	}
-	wantSubstr := []string{
-		"locked but not unlocked",        // Leak: early return
-		"possible double unlock",         // Double
-		"some but not all paths",         // Uneven: branch join mismatch
-		"changes across loop iterations", // Drift
-		"value receiver copies lock",     // Snapshot
-		"assignment copies lock",         // Clone
-	}
-	for i, f := range bad {
-		if f.Analyzer != "lockbalance" {
-			t.Errorf("finding %d: analyzer %q", i, f.Analyzer)
-		}
-		if !strings.Contains(f.Message, wantSubstr[i]) {
-			t.Errorf("finding %d: message %q does not mention %q", i, f.Message, wantSubstr[i])
-		}
-	}
-	if good := runOne(t, LockBalance{}, "lockbalancegood"); len(good) != 0 {
-		t.Fatalf("lockbalancegood: unexpected findings:\n%s", findingsText(good))
-	}
-}
-
 func TestGoLeak(t *testing.T) {
 	bad := runOne(t, GoLeak{}, "goleakbad")
 	if len(bad) != 3 {
@@ -91,27 +64,5 @@ func TestGoLeak(t *testing.T) {
 	// the healed redial-loop shape (Close closing the stop channel).
 	if good := runOne(t, GoLeak{}, "goleakgood"); len(good) != 0 {
 		t.Fatalf("goleakgood: unexpected findings:\n%s", findingsText(good))
-	}
-}
-
-func TestAtomicMix(t *testing.T) {
-	bad := runOne(t, AtomicMix{}, "atomicmixbad")
-	if len(bad) != 2 {
-		t.Fatalf("atomicmixbad: got %d findings, want 2:\n%s", len(bad), findingsText(bad))
-	}
-	wantSubstr := []string{
-		"accessed with sync/atomic elsewhere but read directly", // Peek
-		"usually accessed holding Counter.mu",                   // Fast
-	}
-	for i, f := range bad {
-		if f.Analyzer != "atomicmix" {
-			t.Errorf("finding %d: analyzer %q", i, f.Analyzer)
-		}
-		if !strings.Contains(f.Message, wantSubstr[i]) {
-			t.Errorf("finding %d: message %q does not mention %q", i, f.Message, wantSubstr[i])
-		}
-	}
-	if good := runOne(t, AtomicMix{}, "atomicmixgood"); len(good) != 0 {
-		t.Fatalf("atomicmixgood: unexpected findings:\n%s", findingsText(good))
 	}
 }

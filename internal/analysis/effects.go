@@ -49,14 +49,6 @@ type funcUnit struct {
 	enclosing *funcUnit
 }
 
-// pos returns the unit's position anchor.
-func (u *funcUnit) pos() ast.Node {
-	if u.decl != nil {
-		return u.decl
-	}
-	return u.lit
-}
-
 // effectEngine holds the package-wide unit set and call-resolution state
 // one analysis run shares.
 type effectEngine struct {

@@ -70,36 +70,12 @@ func (st *rlState) clone() *rlState {
 	return c
 }
 
-// rlMerge joins two path states: an obligation outstanding on either
-// path is outstanding after the join.
-func rlMerge(a, b *rlState) *rlState {
-	if a == nil {
-		return b
-	}
-	if b == nil {
-		return a
-	}
-	for k, v := range b.live {
-		a.live[k] = v
-	}
-	return a
-}
-
-// rlFrame is one enclosing breakable construct.
-type rlFrame struct {
-	label  string
-	isLoop bool // continue targets loops only
-	outs   []*rlState
-}
-
-// rlWalker walks one function unit.
+// rlWalker holds resleak's rules for the shared path walk (walk.go)
+// over one function unit.
 type rlWalker struct {
 	p        *Package
-	eng      *effectEngine
 	modRoot  string
-	unit     *funcUnit
 	results  map[types.Object]bool // named result vars (bare return transfers them)
-	frames   []*rlFrame
 	reported map[*rlObl]bool
 	out      *[]Finding
 }
@@ -108,18 +84,16 @@ func (ResLeak) Check(p *Package) []Finding {
 	if p.Info == nil || p.Types == nil {
 		return nil
 	}
-	eng := newEffectEngine(p)
 	modRoot := moduleRootOf(p.Path)
 	var out []Finding
-	for _, u := range eng.units {
+	for _, u := range newEffectEngine(p).units {
 		w := &rlWalker{
-			p: p, eng: eng, modRoot: modRoot, unit: u,
+			p: p, modRoot: modRoot,
 			results:  namedResults(p, u),
 			reported: make(map[*rlObl]bool),
 			out:      &out,
 		}
-		st := w.walkStmts(newRlState(), u.body.List)
-		if st != nil {
+		if st := walkBody(w, newRlState(), u.body); st != nil {
 			w.exit(st, u.body.Rbrace)
 		}
 	}
@@ -406,259 +380,64 @@ func isNilIdent(info *types.Info, e ast.Expr) bool {
 	return isNil
 }
 
-// --- statement walk ---------------------------------------------------------
+// --- path rules -------------------------------------------------------------
 
-// walkStmts walks a statement list; nil means no fall-through (every
-// path returned, branched away, or terminated).
-func (w *rlWalker) walkStmts(st *rlState, list []ast.Stmt) *rlState {
-	for _, s := range list {
-		st = w.walkStmt(st, s)
-		if st == nil {
-			return nil
-		}
+func (w *rlWalker) clone(st *rlState) *rlState { return st.clone() }
+
+// join: an obligation outstanding on either path is outstanding after
+// the join.
+func (w *rlWalker) join(a, b *rlState) *rlState {
+	for k, v := range b.live {
+		a.live[k] = v
 	}
-	return st
+	return a
 }
 
-func (w *rlWalker) walkStmt(st *rlState, s ast.Stmt) *rlState {
+func (w *rlWalker) leaf(st *rlState, s ast.Stmt) *rlState {
 	switch x := s.(type) {
 	case *ast.AssignStmt:
 		w.handleAssign(st, x)
-		return st
 	case *ast.DeclStmt:
 		w.handleDecl(st, x)
-		return st
 	case *ast.ExprStmt:
 		if call, ok := ast.Unparen(x.X).(*ast.CallExpr); ok && w.isTerminatorCall(call) {
 			return nil
 		}
 		w.procExpr(st, x.X)
-		return st
 	case *ast.SendStmt:
 		w.procExpr(st, x.Chan)
 		w.transferIn(st, x.Value)
-		return st
-	case *ast.IncDecStmt:
-		return st
-	case *ast.ReturnStmt:
-		for _, r := range x.Results {
-			w.transferIn(st, r)
-		}
-		if len(x.Results) == 0 {
-			// Bare return hands named results to the caller.
-			for v := range st.live {
-				if w.results[v] {
-					delete(st.live, v)
-				}
-			}
-		}
-		w.exit(st, x.Pos())
-		return nil
 	case *ast.DeferStmt:
 		w.procCall(st, x.Call, true)
-		return st
 	case *ast.GoStmt:
 		w.procCall(st, x.Call, true)
-		return st
-	case *ast.BranchStmt:
-		return w.handleBranch(st, x)
-	case *ast.BlockStmt:
-		return w.walkStmts(st, x.List)
-	case *ast.IfStmt:
-		return w.walkIf(st, x)
-	case *ast.ForStmt:
-		return w.walkFor(st, x)
-	case *ast.RangeStmt:
-		return w.walkRange(st, x)
-	case *ast.SwitchStmt:
-		if x.Init != nil {
-			if st = w.walkStmt(st, x.Init); st == nil {
-				return nil
+	}
+	return st
+}
+
+func (w *rlWalker) expr(st *rlState, e ast.Expr) { w.procExpr(st, e) }
+
+func (w *rlWalker) refine(st *rlState, cond ast.Expr, taken bool) { w.applyCond(st, cond, taken) }
+
+func (w *rlWalker) loop(*rlState, ast.Stmt) {}
+
+// backEdge: an obligation still open at the end of an iteration (or at
+// a continue) reaches the loop's exit.
+func (w *rlWalker) backEdge(st *rlState) *rlState { return st }
+
+func (w *rlWalker) ret(st *rlState, x *ast.ReturnStmt) {
+	for _, r := range x.Results {
+		w.transferIn(st, r)
+	}
+	if len(x.Results) == 0 {
+		// Bare return hands named results to the caller.
+		for v := range st.live {
+			if w.results[v] {
+				delete(st.live, v)
 			}
 		}
-		w.procExpr(st, x.Tag)
-		return w.walkCases(st, x.Body, "", hasDefaultClause(x.Body))
-	case *ast.TypeSwitchStmt:
-		if x.Init != nil {
-			if st = w.walkStmt(st, x.Init); st == nil {
-				return nil
-			}
-		}
-		return w.walkCases(st, x.Body, "", hasDefaultClause(x.Body))
-	case *ast.SelectStmt:
-		if len(x.Body.List) == 0 {
-			return nil // select{} blocks forever
-		}
-		return w.walkCases(st, x.Body, "", true)
-	case *ast.LabeledStmt:
-		return w.walkLabeled(st, x)
-	case *ast.EmptyStmt:
-		return st
-	default:
-		return st
 	}
-}
-
-func (w *rlWalker) walkLabeled(st *rlState, x *ast.LabeledStmt) *rlState {
-	switch inner := x.Stmt.(type) {
-	case *ast.ForStmt:
-		return w.walkForLabeled(st, inner, x.Label.Name)
-	case *ast.RangeStmt:
-		return w.walkRangeLabeled(st, inner, x.Label.Name)
-	default:
-		return w.walkStmt(st, x.Stmt)
-	}
-}
-
-func (w *rlWalker) walkIf(st *rlState, x *ast.IfStmt) *rlState {
-	if x.Init != nil {
-		if st = w.walkStmt(st, x.Init); st == nil {
-			return nil
-		}
-	}
-	w.procExpr(st, x.Cond)
-	thenSt := st.clone()
-	elseSt := st
-	w.applyCond(thenSt, x.Cond, true)
-	w.applyCond(elseSt, x.Cond, false)
-	thenOut := w.walkStmts(thenSt, x.Body.List)
-	var elseOut *rlState
-	if x.Else != nil {
-		elseOut = w.walkStmt(elseSt, x.Else)
-	} else {
-		elseOut = elseSt
-	}
-	return rlMerge(thenOut, elseOut)
-}
-
-func (w *rlWalker) walkFor(st *rlState, x *ast.ForStmt) *rlState {
-	return w.walkForLabeled(st, x, "")
-}
-
-func (w *rlWalker) walkForLabeled(st *rlState, x *ast.ForStmt, label string) *rlState {
-	if x.Init != nil {
-		if st = w.walkStmt(st, x.Init); st == nil {
-			return nil
-		}
-	}
-	if x.Cond != nil {
-		w.procExpr(st, x.Cond)
-	}
-	frame := &rlFrame{label: label, isLoop: true}
-	w.frames = append(w.frames, frame)
-	bodyOut := w.walkStmts(st.clone(), x.Body.List)
-	w.frames = w.frames[:len(w.frames)-1]
-	if bodyOut != nil && x.Post != nil {
-		bodyOut = w.walkStmt(bodyOut, x.Post)
-	}
-	var out *rlState
-	if x.Cond != nil {
-		out = st // zero-iteration path
-	}
-	out = rlMerge(out, bodyOut)
-	for _, b := range frame.outs {
-		out = rlMerge(out, b)
-	}
-	return out
-}
-
-func (w *rlWalker) walkRange(st *rlState, x *ast.RangeStmt) *rlState {
-	return w.walkRangeLabeled(st, x, "")
-}
-
-func (w *rlWalker) walkRangeLabeled(st *rlState, x *ast.RangeStmt, label string) *rlState {
-	w.procExpr(st, x.X)
-	frame := &rlFrame{label: label, isLoop: true}
-	w.frames = append(w.frames, frame)
-	bodyOut := w.walkStmts(st.clone(), x.Body.List)
-	w.frames = w.frames[:len(w.frames)-1]
-	out := rlMerge(st, bodyOut) // ranges may iterate zero times
-	for _, b := range frame.outs {
-		out = rlMerge(out, b)
-	}
-	return out
-}
-
-// walkCases walks switch/select clause bodies from clones of the entry
-// state and merges the exits. withDefault controls whether the entry
-// state itself is a possible exit (no matching case).
-func (w *rlWalker) walkCases(st *rlState, body *ast.BlockStmt, label string, withDefault bool) *rlState {
-	frame := &rlFrame{label: label}
-	w.frames = append(w.frames, frame)
-	var out *rlState
-	for _, c := range body.List {
-		var stmts []ast.Stmt
-		switch cc := c.(type) {
-		case *ast.CaseClause:
-			for _, e := range cc.List {
-				w.procExpr(st, e)
-			}
-			stmts = cc.Body
-		case *ast.CommClause:
-			cst := st.clone()
-			if cc.Comm != nil {
-				if cst = w.walkStmt(cst, cc.Comm); cst == nil {
-					continue
-				}
-			}
-			out = rlMerge(out, w.walkStmts(cst, cc.Body))
-			continue
-		default:
-			continue
-		}
-		out = rlMerge(out, w.walkStmts(st.clone(), stmts))
-	}
-	w.frames = w.frames[:len(w.frames)-1]
-	if !withDefault {
-		out = rlMerge(out, st)
-	}
-	for _, b := range frame.outs {
-		out = rlMerge(out, b)
-	}
-	return out
-}
-
-func hasDefaultClause(body *ast.BlockStmt) bool {
-	for _, c := range body.List {
-		if cc, ok := c.(*ast.CaseClause); ok && len(cc.List) == 0 {
-			return true
-		}
-	}
-	return false
-}
-
-// handleBranch records break/continue states into the frame they target.
-func (w *rlWalker) handleBranch(st *rlState, x *ast.BranchStmt) *rlState {
-	label := ""
-	if x.Label != nil {
-		label = x.Label.Name
-	}
-	switch x.Tok {
-	case token.BREAK:
-		for i := len(w.frames) - 1; i >= 0; i-- {
-			f := w.frames[i]
-			if label == "" || f.label == label {
-				f.outs = append(f.outs, st)
-				return nil
-			}
-		}
-		return nil
-	case token.CONTINUE:
-		// Continue feeds the next iteration; its obligations reach the
-		// loop exit, so record it like a break for the merge.
-		for i := len(w.frames) - 1; i >= 0; i-- {
-			f := w.frames[i]
-			if f.isLoop && (label == "" || f.label == label) {
-				f.outs = append(f.outs, st)
-				return nil
-			}
-		}
-		return nil
-	case token.FALLTHROUGH:
-		return st // next case body is walked from the shared entry anyway
-	default: // goto: give up on the path, conservatively silent
-		return nil
-	}
+	w.exit(st, x.Pos())
 }
 
 // handleAssign processes escapes, releases and acquisitions in one

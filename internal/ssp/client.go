@@ -38,7 +38,7 @@ type Call struct {
 	Err  error          // transport error, if any (not remote status errors)
 	Done chan *Call     // receives the completed call; must be buffered
 
-	bytesOut int64
+	bytesOut atomic.Int64
 	bytesIn  int64
 
 	// completed makes delivery exactly-once: a deadline expiry, a late
@@ -340,14 +340,14 @@ func (c *Client) writePacks(pk *wire.Pack, scratch *[]byte, live []*Call) error 
 			// Charged before the write: a frame larger than c.bw goes
 			// straight to the socket, and the reply can complete the call
 			// before WriteFrame returns here.
-			atomic.StoreInt64(&call.bytesOut, int64(len(*scratch))+4)
+			call.bytesOut.Store(int64(len(*scratch)) + 4)
 			if _, err := wire.WriteFrame(c.bw, *scratch); err != nil {
 				return err
 			}
 			continue
 		}
 		sublen := pk.AddRequest(call.Req)
-		atomic.StoreInt64(&call.bytesOut, int64(sublen)+4)
+		call.bytesOut.Store(int64(sublen) + 4)
 		if pk.Size() >= maxPackBytes {
 			if err := flushPack(); err != nil {
 				return err
@@ -551,7 +551,7 @@ func (c *Client) call(req *wire.Request) (*wire.Response, error) {
 	call := c.Go(req, make(chan *Call, 1))
 	<-call.Done
 	stop()
-	out, in := atomic.LoadInt64(&call.bytesOut), call.bytesIn
+	out, in := call.bytesOut.Load(), call.bytesIn
 	c.rec.AddBytes(int(out), int(in))
 	if sp != nil { // skip the strconv work when untraced
 		sp.Annotate("bytes_out", strconv.FormatInt(out, 10))
