@@ -57,20 +57,22 @@ vet:
 
 # race runs every tested package that uses sync primitives under the race
 # detector (internal/layout for the crypto worker pool that seals file
-# blocks, internal/shard for the self-heal stress test and concurrent
-# quorum I/O, internal/resilience and internal/netsim for the retry and
-# sever paths, internal/workload for the chaos campaign's goroutine-leak
-# verdict). It is the dynamic gate for the lock-balance and mixed
-# atomic/plain shapes sharoes-vet does not check (docs/ANALYZERS.md,
-# "Seeded-bug campaign"). Two tests that measure rather than check are
-# skipped: TestAllocBudget (sync.Pool drops items under the race detector,
-# so allocation counts mean nothing there) and TestFig9ShapeHolds (its
-# crypto share of wall time is a timing ratio the detector's
-# instrumentation distorts).
+# blocks, internal/meta and internal/cap for the process-wide verified-
+# envelope memo every seal and open shares, internal/shard for the
+# self-heal stress test and concurrent quorum I/O, internal/resilience and
+# internal/netsim for the retry and sever paths, internal/workload for the
+# chaos campaign's goroutine-leak verdict). It is the dynamic gate for the
+# lock-balance and mixed atomic/plain shapes sharoes-vet does not check
+# (docs/ANALYZERS.md, "Seeded-bug campaign"). Two tests that measure
+# rather than check are skipped: TestAllocBudget (sync.Pool drops items
+# under the race detector, so allocation counts mean nothing there) and
+# TestFig9ShapeHolds (its crypto share of wall time is a timing ratio the
+# detector's instrumentation distorts).
 race:
 	$(GO) test -race -skip '^(TestAllocBudget|TestFig9ShapeHolds)$$' \
-		./internal/client ./internal/layout ./internal/ssp ./internal/cache \
-		./internal/obs ./internal/shard ./internal/netsim ./internal/resilience \
+		./internal/client ./internal/layout ./internal/meta ./internal/cap \
+		./internal/ssp ./internal/cache ./internal/obs ./internal/shard \
+		./internal/netsim ./internal/resilience \
 		./internal/keys ./internal/sharocrypto ./internal/stats ./internal/wire \
 		./internal/baseline ./internal/workload
 

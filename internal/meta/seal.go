@@ -7,6 +7,8 @@ import (
 	"errors"
 	"fmt"
 	"strconv"
+	"sync"
+	"sync/atomic"
 
 	"github.com/sharoes/sharoes/internal/binenc"
 	"github.com/sharoes/sharoes/internal/sharocrypto"
@@ -48,6 +50,89 @@ func framedDigest(domain string, framed, aad []byte) [sha256.Size]byte {
 	return d
 }
 
+// --- verified-envelope memo ---------------------------------------------------
+//
+// The client caches opened objects, so an eviction, a Refresh, a second
+// session or a re-read of what the process itself just wrote hands
+// OpenVerified bytes it has already accepted. The memo remembers accepted
+// envelopes by memoKey, so those repeats skip Ed25519 (DESIGN.md §7.18).
+// A hit means these exact framed bytes, under this exact AAD and verify
+// key, carried this exact signature when they last passed vk.Verify or
+// were signed by the matching SignKey: accepting them again is the same
+// decision. The memo is process-wide: every session in one process shares
+// one trust domain (DESIGN.md §5).
+//
+// It is 2^12 sets of four 32-byte keys, 512 KiB, each set newest first; a
+// key's first bytes pick its set, and an insert into a full set evicts the
+// set's oldest key. Four ways, not one: in a direct-mapped table every key
+// that lands on a live entry's slot evicts it, and a test tree of a dozen
+// objects lost one that way in about one run of fifty.
+const (
+	memoSets = 1 << 12
+	memoWays = 4
+)
+
+var (
+	memoMu sync.Mutex
+	memo   [memoSets][memoWays][sha256.Size]byte
+
+	// memoHit and memoMiss count lookups, as meta.verify.memo_hit and
+	// meta.verify.memo_miss (VerifyMemoCounts).
+	memoHit, memoMiss atomic.Int64
+)
+
+// memoKey is SHA-256(vk ‖ d ‖ sig), all 32 bytes of it: d is the
+// envelope's framedDigest, so the key binds the verify key, every framed
+// byte, the AAD and the signature.
+func memoKey(vk sharocrypto.VerifyKey, d *[sha256.Size]byte, sig []byte) [sha256.Size]byte {
+	var in [sharocrypto.VerifyKeySize + sha256.Size + sharocrypto.SigSize]byte
+	b := vk.AppendMarshal(in[:0])
+	b = append(b, d[:]...)
+	return sha256.Sum256(append(b, sig...))
+}
+
+// memoSetOf is the index of k's set.
+func memoSetOf(k *[sha256.Size]byte) uint32 { return binary.LittleEndian.Uint32(k[:]) % memoSets }
+
+// memoFind returns k's set and whether k is in it. memoMu held.
+func memoFind(k *[sha256.Size]byte) (*[memoWays][sha256.Size]byte, bool) {
+	set := &memo[memoSetOf(k)]
+	for w := range set {
+		if set[w] == *k {
+			return set, true
+		}
+	}
+	return set, false
+}
+
+// memoHas reports whether k is in the memo, counting the hit or miss.
+func memoHas(k *[sha256.Size]byte) bool {
+	memoMu.Lock()
+	_, hit := memoFind(k)
+	memoMu.Unlock()
+	if hit {
+		memoHit.Add(1)
+	} else {
+		memoMiss.Add(1)
+	}
+	return hit
+}
+
+// memoAdd records k as the newest key of its set.
+func memoAdd(k *[sha256.Size]byte) {
+	memoMu.Lock()
+	if set, ok := memoFind(k); !ok {
+		copy(set[1:], set[:memoWays-1])
+		set[0] = *k
+	}
+	memoMu.Unlock()
+}
+
+// VerifyMemoCounts returns the process-wide memo counters
+// meta.verify.memo_hit (envelopes accepted without a signature check)
+// and meta.verify.memo_miss (envelopes that took one).
+func VerifyMemoCounts() (hit, miss int64) { return memoHit.Load(), memoMiss.Load() }
+
 // sealFramed encrypts plaintext under key, binding aad, into one
 // exact-capacity buffer laid out uvarint(len(sealed)) ‖ sealed, with
 // room for extra trailing bytes.
@@ -74,17 +159,23 @@ func sealFramed(key sharocrypto.SymKey, aad, plaintext []byte, extra int) []byte
 // writers likewise "sign the hash of the content" (§II-B).
 //
 // Layout: uvarint(len(sealed)) ‖ sealed ‖ sig, built in one
-// exact-capacity buffer.
+// exact-capacity buffer. The new envelope goes into the verified memo
+// under sk's verify key, so the writer reading it back checks nothing.
 func SealSigned(key sharocrypto.SymKey, sk sharocrypto.SignKey, aad, plaintext []byte) []byte {
 	out := sealFramed(key, aad, plaintext, sharocrypto.SigSize)
 	d := framedDigest(envelopeDomain, out, aad)
-	return append(out, sk.Sign(d[:])...)
+	out = append(out, sk.Sign(d[:])...)
+	k := memoKey(sk.VerifyKey(), &d, out[len(out)-sharocrypto.SigSize:])
+	memoAdd(&k)
+	return out
 }
 
 // OpenVerified reverses SealSigned: verifies the signature with vk, then
 // decrypts with key. Either failure — or a blob that is not exactly one
 // framed field plus one signature — is reported as ErrVerify wrapped with
-// types.ErrTampered so clients surface a uniform integrity error.
+// types.ErrTampered so clients surface a uniform integrity error. An
+// envelope in the verified memo skips vk.Verify, never the shape check or
+// the decryption; one that passes vk.Verify joins the memo.
 func OpenVerified(key sharocrypto.SymKey, vk sharocrypto.VerifyKey, aad, blob []byte) ([]byte, error) {
 	r := binenc.NewReader(blob)
 	sealed, err := r.BytesField()
@@ -96,8 +187,11 @@ func OpenVerified(key sharocrypto.SymKey, vk sharocrypto.VerifyKey, aad, blob []
 	}
 	framed, sig := blob[:len(blob)-sharocrypto.SigSize], blob[len(blob)-sharocrypto.SigSize:]
 	d := framedDigest(envelopeDomain, framed, aad)
-	if err := vk.Verify(d[:], sig); err != nil {
-		return nil, tampered(err)
+	if k := memoKey(vk, &d, sig); !memoHas(&k) {
+		if err := vk.Verify(d[:], sig); err != nil {
+			return nil, tampered(err)
+		}
+		memoAdd(&k)
 	}
 	pt, err := key.Open(sealed, aad)
 	if err != nil {

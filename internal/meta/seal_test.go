@@ -8,6 +8,7 @@ import (
 	"fmt"
 	"runtime"
 	"strings"
+	"sync"
 	"testing"
 
 	"github.com/sharoes/sharoes/internal/sharocrypto"
@@ -327,6 +328,224 @@ func TestEnvelopeDigestIsInjective(t *testing.T) {
 	}
 }
 
+// --- the verified-envelope memo ----------------------------------------------
+//
+// These helpers reach the memo from inside the package; nothing outside
+// meta can read, seed or clear it.
+
+// envelopeMemoKey is the memo key OpenVerified computes for blob under vk
+// and aad.
+func envelopeMemoKey(vk sharocrypto.VerifyKey, aad, blob []byte) [sha256.Size]byte {
+	framed, sig := blob[:len(blob)-sharocrypto.SigSize], blob[len(blob)-sharocrypto.SigSize:]
+	d := framedDigest(envelopeDomain, framed, aad)
+	return memoKey(vk, &d, sig)
+}
+
+// memoHolds reports, without counting a lookup, whether k is memoized.
+func memoHolds(k [sha256.Size]byte) bool {
+	memoMu.Lock()
+	defer memoMu.Unlock()
+	_, ok := memoFind(&k)
+	return ok
+}
+
+// memoForget drops k from the memo.
+func memoForget(k [sha256.Size]byte) {
+	memoMu.Lock()
+	defer memoMu.Unlock()
+	set, _ := memoFind(&k)
+	for w := range set {
+		if set[w] == k {
+			set[w] = [sha256.Size]byte{}
+		}
+	}
+}
+
+// memoEvict pushes k out of its set with memoWays other keys of that set,
+// as later inserts that land there do.
+func memoEvict(k [sha256.Size]byte) {
+	for i := 0; i < memoWays; i++ {
+		other := k
+		other[sha256.Size-1] ^= byte(i + 1)
+		memoAdd(&other)
+	}
+}
+
+// memoDelta runs fn and returns how many memo hits and misses it made.
+func memoDelta(fn func()) (hits, misses int64) {
+	h0, m0 := VerifyMemoCounts()
+	fn()
+	h1, m1 := VerifyMemoCounts()
+	return h1 - h0, m1 - m0
+}
+
+// TestOpenVerifiedTamperWarm: with the honest envelope in the memo —
+// put there by SealSigned, or by a checked open and then hit — every
+// mutation of the blob, the AAD, the verify key or the signature is still
+// ErrTampered, joins nothing, and leaves the honest entry in place.
+func TestOpenVerifiedTamperWarm(t *testing.T) {
+	key := sharocrypto.NewSymKey()
+	sk, vk := sharocrypto.NewSigningPair()
+	otherSK, otherVK := sharocrypto.NewSigningPair()
+	aad := MetaAAD(7, "c/3")
+	plain := bytes.Repeat([]byte("sharoes!"), 25)
+	openHonest := func(t *testing.T, blob []byte) {
+		t.Helper()
+		if pt, err := OpenVerified(key, vk, aad, blob); err != nil || !bytes.Equal(pt, plain) {
+			t.Fatalf("honest blob rejected: %v", err)
+		}
+	}
+	for _, warm := range []string{"seeded", "hit"} {
+		t.Run(warm, func(t *testing.T) {
+			blob := SealSigned(key, sk, aad, plain)
+			k := envelopeMemoKey(vk, aad, blob)
+			if !memoHolds(k) {
+				t.Fatal("SealSigned did not seed the memo")
+			}
+			if warm == "hit" {
+				memoForget(k)
+				if h, m := memoDelta(func() { openHonest(t, blob) }); h != 0 || m != 1 {
+					t.Fatalf("first open: %d hits, %d misses, want a checked miss", h, m)
+				}
+			}
+			if h, m := memoDelta(func() { openHonest(t, blob) }); h != 1 || m != 0 {
+				t.Fatalf("warm open: %d hits, %d misses, want one hit", h, m)
+			}
+
+			// Other warm envelopes the attacks borrow from: a sibling of
+			// equal length under the same key and AAD, and another
+			// object's envelope under its own key.
+			sibling := SealSigned(key, sk, aad, bytes.Repeat([]byte("SHAROES?"), 25))
+			SealSigned(key, otherSK, aad, plain)
+			sigAt := len(blob) - sharocrypto.SigSize
+			for i := range blob {
+				mut := append([]byte(nil), blob...)
+				mut[i] ^= 0x01
+				mustTamper(t, fmt.Sprintf("blob byte %d flipped", i), key, vk, aad, mut)
+			}
+			for i := range aad {
+				mut := append([]byte(nil), aad...)
+				mut[i] ^= 0x01
+				mustTamper(t, fmt.Sprintf("aad byte %d flipped", i), key, vk, mut, blob)
+			}
+			mustTamper(t, "another object's verify key", key, otherVK, aad, blob)
+			swapped := append(append([]byte(nil), blob[:sigAt]...), sibling[sigAt:]...)
+			mustTamper(t, "another envelope's signature", key, vk, aad, swapped)
+
+			for name, k := range map[string][sha256.Size]byte{
+				"other verify key": envelopeMemoKey(otherVK, aad, blob),
+				"swapped sig":      envelopeMemoKey(vk, aad, swapped),
+			} {
+				if memoHolds(k) {
+					t.Errorf("%s: a rejected envelope joined the memo", name)
+				}
+			}
+			if h, m := memoDelta(func() { openHonest(t, blob) }); h != 1 || m != 0 {
+				t.Errorf("after the attacks: %d hits, %d misses, want the honest entry still there", h, m)
+			}
+		})
+	}
+}
+
+// TestVerifyMemoSetCollision: forged envelopes whose keys land in the set
+// of a verified one — as many as the set has ways — each take the full
+// check and fail; none hits, none joins, and the verified entry survives.
+func TestVerifyMemoSetCollision(t *testing.T) {
+	key := sharocrypto.NewSymKey()
+	sk, vk := sharocrypto.NewSigningPair()
+	aad := TableAAD(11, "c/1")
+	plain := []byte("a directory table")
+	blob := SealSigned(key, sk, aad, plain)
+	good := envelopeMemoKey(vk, aad, blob)
+	memoForget(good)
+	if _, err := OpenVerified(key, vk, aad, blob); err != nil || !memoHolds(good) {
+		t.Fatalf("verified envelope not memoized: %v", err)
+	}
+
+	// Flip ciphertext bytes, counting up, until the forgery's key lands
+	// in good's set (one try in memoSets does).
+	f := fieldsOf(t, blob, sharocrypto.SigSize)
+	forged := append([]byte(nil), blob...)
+	var ctr uint32
+	for found := 0; found <= memoWays; {
+		ctr++
+		binary.LittleEndian.PutUint32(forged[f.ct[0]:], binary.LittleEndian.Uint32(blob[f.ct[0]:])^ctr)
+		fk := envelopeMemoKey(vk, aad, forged)
+		if memoSetOf(&fk) != memoSetOf(&good) {
+			continue
+		}
+		found++
+		h, m := memoDelta(func() { mustTamper(t, fmt.Sprintf("forgery %d in the verified set", found), key, vk, aad, forged) })
+		if h != 0 || m != 1 {
+			t.Errorf("forgery %d: %d hits, %d misses, want one checked miss", found, h, m)
+		}
+		if memoHolds(fk) {
+			t.Errorf("forgery %d joined the memo", found)
+		}
+	}
+	if !memoHolds(good) {
+		t.Fatal("forgeries in its set evicted the verified entry")
+	}
+	if h, m := memoDelta(func() { _, _ = OpenVerified(key, vk, aad, blob) }); h != 1 || m != 0 {
+		t.Errorf("verified envelope after the forgeries: %d hits, %d misses, want one hit", h, m)
+	}
+}
+
+// TestVerifyMemoConcurrent: eight goroutines open, tamper with, evict and
+// re-seal overlapping envelopes, so hits, checked misses, rejections and
+// evictions interleave on the shared memo; every honest open returns its
+// plaintext and every tampered one fails. Run it under -race (make race).
+func TestVerifyMemoConcurrent(t *testing.T) {
+	key := sharocrypto.NewSymKey()
+	var sks [2]sharocrypto.SignKey
+	var vks [2]sharocrypto.VerifyKey
+	for i := range sks {
+		sks[i], vks[i] = sharocrypto.NewSigningPair()
+	}
+	const objects, workers, rounds = 12, 8, 60
+	aads, plains, blobs := make([][]byte, objects), make([][]byte, objects), make([][]byte, objects)
+	for i := range blobs {
+		aads[i] = MetaAAD(types.Inode(i), "c/1")
+		plains[i] = []byte(fmt.Sprintf("object %d", i))
+		blobs[i] = SealSigned(key, sks[i%2], aads[i], plains[i])
+	}
+	hits, misses := memoDelta(func() {
+		var wg sync.WaitGroup
+		for g := 0; g < workers; g++ {
+			wg.Add(1)
+			go func(g int) {
+				defer wg.Done()
+				for r := 0; r < rounds; r++ {
+					i := (g + r*5) % objects
+					blob, vk := blobs[i], vks[i%2]
+					switch r % 4 {
+					case 0, 2:
+						if pt, err := OpenVerified(key, vk, aads[i], blob); err != nil || !bytes.Equal(pt, plains[i]) {
+							t.Errorf("worker %d: honest object %d rejected: %v", g, i, err)
+						}
+					case 1:
+						mut := append([]byte(nil), blob...)
+						mut[(g*7+r)%len(mut)] ^= 0x40
+						if _, err := OpenVerified(key, vk, aads[i], mut); !errors.Is(err, types.ErrTampered) {
+							t.Errorf("worker %d: tampered object %d accepted", g, i)
+						}
+					case 3:
+						memoEvict(envelopeMemoKey(vk, aads[i], blob))
+						fresh := SealSigned(key, sks[i%2], aads[i], plains[i])
+						if pt, err := OpenVerified(key, vk, aads[i], fresh); err != nil || !bytes.Equal(pt, plains[i]) {
+							t.Errorf("worker %d: re-sealed object %d rejected: %v", g, i, err)
+						}
+					}
+				}
+			}(g)
+		}
+		wg.Wait()
+	})
+	if hits == 0 || misses == 0 {
+		t.Errorf("%d hits, %d misses: want both interleaved", hits, misses)
+	}
+}
+
 // TestSealOpenAllocs pins the per-envelope allocation count on a 64 KiB
 // block to a small constant: one output buffer per seal, one plaintext
 // per open, plus the fixed-size cipher, hash and signature state. What it
@@ -408,7 +627,8 @@ func BenchmarkSealSigned64K(b *testing.B) {
 	}
 }
 
-// BenchmarkOpenVerified64K is the read side: digest, verify, then open.
+// BenchmarkOpenVerified64K is the warm read side: digest, a memo hit
+// (SealSigned put the envelope there), then open.
 func BenchmarkOpenVerified64K(b *testing.B) {
 	key, sk, vk, aad, plain := benchBlock(b)
 	blob := SealSigned(key, sk, aad, plain)
@@ -419,6 +639,29 @@ func BenchmarkOpenVerified64K(b *testing.B) {
 			b.Fatal(err)
 		}
 		sink = pt
+	}
+}
+
+// BenchmarkOpenVerifiedCold is the first read of an envelope: the memo
+// forgets it before every open, so each one is a miss that pays the
+// Ed25519 check — BenchmarkOpenVerified64K's blob, cold.
+func BenchmarkOpenVerifiedCold(b *testing.B) {
+	key, sk, vk, aad, plain := benchBlock(b)
+	blob := SealSigned(key, sk, aad, plain)
+	k := envelopeMemoKey(vk, aad, blob)
+	b.ResetTimer()
+	hits, misses := memoDelta(func() {
+		for i := 0; i < b.N; i++ {
+			memoForget(k)
+			pt, err := OpenVerified(key, vk, aad, blob)
+			if err != nil {
+				b.Fatal(err)
+			}
+			sink = pt
+		}
+	})
+	if hits != 0 || misses != int64(b.N) {
+		b.Fatalf("%d hits, %d misses in %d cold opens", hits, misses, b.N)
 	}
 }
 

@@ -262,6 +262,10 @@ func (v VerifyKey) Marshal() []byte {
 	return out
 }
 
+// AppendMarshal appends Marshal's encoding to b (nothing for the zero
+// key), without allocating when b has room.
+func (v VerifyKey) AppendMarshal(b []byte) []byte { return append(b, v.pub...) }
+
 // VerifyKeyFromBytes rebuilds a verification key.
 func VerifyKeyFromBytes(b []byte) (VerifyKey, error) {
 	if len(b) != VerifyKeySize {
