@@ -118,8 +118,8 @@ func main() {
 			if err != nil {
 				log.Fatal(err)
 			}
-			// Writes are synchronous; Close waits for the background
-			// read repairs before the process exits.
+			// Writes are synchronous; Close waits for the replies of
+			// hedged-read stragglers before the process exits.
 			defer func() {
 				if err := sh.Close(); err != nil {
 					log.Printf("shard close: %v", err)

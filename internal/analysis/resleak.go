@@ -21,10 +21,12 @@ import (
 // discharged when the value is released on the path (directly or via
 // defer), or when ownership demonstrably transfers: the value is
 // returned, stored into a field, map, slice or global, passed to another
-// call, captured by a function literal, sent on a channel, or handed to
-// a goroutine — the goleak ownership rule: whoever can reach the value
-// can stop it. Paths on which the paired error is non-nil (or the value
-// itself is nil) carry no obligation.
+// call (the value itself, not a result read from it such as
+// buf.Bytes()), captured by a function literal, sent on a channel, or
+// handed to a goroutine — the goleak ownership rule: whoever can reach
+// the value can stop it. Paths on which the paired error is non-nil (or
+// the value itself is nil) carry no obligation, until that error variable
+// is assigned again.
 type ResLeak struct{}
 
 func (ResLeak) Name() string { return "resleak" }
@@ -76,7 +78,7 @@ type rlWalker struct {
 	p        *Package
 	modRoot  string
 	results  map[types.Object]bool // named result vars (bare return transfers them)
-	reported map[*rlObl]bool
+	reported map[token.Pos]bool    // acquisition sites already reported
 	out      *[]Finding
 }
 
@@ -90,7 +92,7 @@ func (ResLeak) Check(p *Package) []Finding {
 		w := &rlWalker{
 			p: p, modRoot: modRoot,
 			results:  namedResults(p, u),
-			reported: make(map[*rlObl]bool),
+			reported: make(map[token.Pos]bool),
 			out:      &out,
 		}
 		if st := walkBody(w, newRlState(), u.body); st != nil {
@@ -284,8 +286,21 @@ func (w *rlWalker) procCall(st *rlState, call *ast.CallExpr, spawn bool) {
 		w.transferIn(st, lit.Body)
 	}
 	for _, arg := range call.Args {
-		w.transferIn(st, arg)
+		w.procArg(st, arg)
 	}
+}
+
+// procArg handles one call argument. The handle itself, or anything
+// that can hold it (&buf, a composite literal, a closure), transfers
+// ownership to the callee; a call result only does if that call hands
+// the handle on, so passing buf.Bytes() to a call is a read of buf, not
+// a hand-off.
+func (w *rlWalker) procArg(st *rlState, arg ast.Expr) {
+	if call, ok := ast.Unparen(arg).(*ast.CallExpr); ok {
+		w.procCall(st, call, false)
+		return
+	}
+	w.transferIn(st, arg)
 }
 
 // isTerminatorCall reports calls that end the path (panic, os.Exit,
@@ -304,14 +319,14 @@ func (w *rlWalker) isTerminatorCall(call *ast.CallExpr) bool {
 
 // exit reports every obligation still outstanding when a path leaves the
 // function. Findings anchor at the acquisition and are deduplicated per
-// obligation, so one leaky value yields one finding however many exits
-// miss it.
+// acquisition site, so one leaky value yields one finding however many
+// exits miss it.
 func (w *rlWalker) exit(st *rlState, at token.Pos) {
 	for _, obl := range st.live {
-		if w.reported[obl] {
+		if w.reported[obl.pos] {
 			continue
 		}
-		w.reported[obl] = true
+		w.reported[obl.pos] = true
 		*w.out = append(*w.out, Finding{
 			Analyzer: "resleak",
 			Pos:      w.p.Fset.Position(obl.pos),
@@ -459,6 +474,7 @@ func (w *rlWalker) handleAssign(st *rlState, as *ast.AssignStmt) {
 		if id, ok := ast.Unparen(lhs).(*ast.Ident); ok {
 			if v, isVar := w.p.Info.ObjectOf(id).(*types.Var); isVar {
 				delete(st.live, v)
+				w.unpair(st, v)
 			}
 			continue
 		}
@@ -507,6 +523,20 @@ func (w *rlWalker) handleAssign(st *rlState, as *ast.AssignStmt) {
 			}
 		}
 		st.live[v] = obl
+	}
+}
+
+// unpair drops the error pairing of every obligation whose paired error
+// variable is being overwritten: after `err = f(buf.Bytes())` a non-nil
+// err no longer means the acquisition failed. The obligation is copied,
+// not edited, because other paths share it.
+func (w *rlWalker) unpair(st *rlState, errVar *types.Var) {
+	for v, obl := range st.live {
+		if obl.errObj == types.Object(errVar) {
+			c := *obl
+			c.errObj = nil
+			st.live[v] = &c
+		}
 	}
 }
 

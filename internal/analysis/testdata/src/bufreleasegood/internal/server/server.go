@@ -1,6 +1,6 @@
 // Package server discharges every wire-buffer obligation — by Release
 // on all paths, by deferred Release, or by ownership transfer to the
-// dispatcher that releases later. Zero findings.
+// dispatcher or a callee that releases later. Zero findings.
 package server
 
 import (
@@ -49,4 +49,33 @@ func Dispatched(r io.Reader, frames chan<- *wire.Buf) error {
 func Returned(n int) *wire.Buf {
 	buf := wire.AcquireBuf(n)
 	return buf
+}
+
+// HandedOff passes the buffer itself to a callee, which owns its
+// Release from then on.
+func HandedOff(r io.Reader) error {
+	buf, _, err := wire.ReadFrameBuf(r)
+	if err != nil {
+		return err
+	}
+	if err := wire.Decode(buf.Bytes()); err != nil {
+		buf.Release()
+		return err
+	}
+	consume(buf)
+	return nil
+}
+
+// consume releases the frame it was handed.
+func consume(buf *wire.Buf) { buf.Release() }
+
+// Reused reuses err for the decode and releases before checking it.
+func Reused(r io.Reader) error {
+	buf, _, err := wire.ReadFrameBuf(r)
+	if err != nil {
+		return err
+	}
+	err = wire.Decode(buf.Bytes())
+	buf.Release()
+	return err
 }

@@ -2,7 +2,7 @@
 // multi-SSP backend: a Store that presents the ordinary ssp.BlobStore
 // interface while routing every (namespace, key) through a hash ring of
 // virtual nodes, replicating each blob to R successor shards, writing
-// quorum-style and reading with hedges and read-repair.
+// quorum-style and reading with hedges.
 //
 // Nothing in this layer is trusted with integrity or confidentiality:
 // the SSPs behind it are the paper's untrusted stores, and the client

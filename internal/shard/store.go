@@ -29,31 +29,28 @@ type Options struct {
 	// succeeds when at least W of them succeeded (default majority,
 	// (R/2)+1). Must be 1 <= W <= R.
 	WriteQuorum int
-	// HedgeDelay is how long a read waits on one replica before hedging
-	// the request to the next (default 2ms; <0 disables hedging so a
-	// read walks replicas strictly on failure).
+	// HedgeDelay is how long a single-key Get waits on one replica before
+	// hedging the request to the next (default 2ms; <0 disables hedging
+	// so a Get walks replicas strictly on failure).
 	HedgeDelay time.Duration
-	// BreakerThreshold opens a backend's circuit breaker after this many
-	// consecutive failures (default 5; <0 disables breakers). An open
-	// breaker is skipped in read replica walks — the hedge to the next
-	// replica fires immediately — until BreakerCooldown (default 25ms)
-	// elapses and a half-open probe either closes or re-opens it. Writes
-	// are never skipped, and a read whose healthy replicas all miss falls
-	// back to the skipped ones, so breakers reorder work but never lose
-	// it.
-	BreakerThreshold int
-	BreakerCooldown  time.Duration
-	// BgLimit bounds the concurrent best-effort background goroutines
-	// (read repairs and hedge stragglers; default 64, <0 unbounded).
-	// Tasks beyond the limit are shed and counted in shard.put.bg_shed;
-	// writes never run in the background, so none is ever shed.
-	BgLimit int
 	// Registry, when non-nil, receives shard metrics: shard.put.quorum /
-	// shard.put.bg_fail / shard.put.bg_shed / shard.get.hedged /
-	// shard.get.hedge_won / shard.repair / shard.repair_fail /
+	// shard.put.bg_fail / shard.get.hedged / shard.get.hedge_won /
 	// shard.breaker.* counters and the shard.breaker.open_now gauge.
 	Registry *obs.Registry
 }
+
+// Every backend has a circuit breaker. breakerThreshold consecutive
+// failures open it; an open breaker is skipped in read replica walks —
+// the hedge to the next replica fires immediately — until
+// breakerCooldown elapses and a half-open probe either closes or
+// re-opens it. Writes are never skipped, and a read whose healthy
+// replicas all miss falls back to the skipped ones, so breakers reorder
+// work but never lose it. The values are the ones the chaos-campaign
+// ablation measured (docs/RESILIENCE.md).
+const (
+	breakerThreshold = 3
+	breakerCooldown  = 30 * time.Millisecond
+)
 
 func (o *Options) defaults(n int) error {
 	if o.Replicas == 0 {
@@ -73,15 +70,6 @@ func (o *Options) defaults(n int) error {
 	}
 	if o.HedgeDelay == 0 {
 		o.HedgeDelay = 2 * time.Millisecond
-	}
-	if o.BreakerThreshold == 0 {
-		o.BreakerThreshold = 5
-	}
-	if o.BreakerCooldown == 0 {
-		o.BreakerCooldown = 25 * time.Millisecond
-	}
-	if o.BgLimit == 0 {
-		o.BgLimit = 64
 	}
 	return nil
 }
@@ -104,29 +92,25 @@ var ErrQuorum = errors.New("shard: write quorum not reached")
 //   - BatchGet sends one batch per primary in parallel and walks the keys
 //     a replica did not return down their replica lists pass by pass, one
 //     parallel batch per backend each pass (batches are not hedged);
-//   - a read served by a secondary (or one observing a missing replica)
-//     pushes the winning value back to the replicas that missed it
-//     (read-repair), asynchronously.
+//   - reads skip a backend whose circuit breaker is open, and ask it last.
+//
+// Reads never write: a replica that missed a write (W < R) keeps missing
+// it until the key is written again (docs/SHARDING.md §1).
 //
 // The ring, the backend map and the breakers are built in New and never
 // change, so every read and write looks up its replicas without a lock.
-// A Store is safe for concurrent use. Close waits for background
-// repairs; it does not close the backends.
+// A Store is safe for concurrent use. Close waits for the replies of
+// hedged-read stragglers; it does not close the backends.
 type Store struct {
 	opt      Options
 	ring     *Ring
 	backends map[string]ssp.BlobStore
-	// breakers holds one circuit per backend ID; nil when disabled.
-	breakers map[string]*breaker
+	breakers map[string]*breaker // one circuit per backend ID
 
 	mu       sync.Mutex
-	inflight int // background reads and repairs not yet done
+	inflight int // straggler reads not yet answered
 	idle     *sync.Cond
 	closed   bool
-
-	// bgSem bounds best-effort background goroutines (see Options.BgLimit);
-	// nil means unbounded.
-	bgSem chan struct{}
 }
 
 var _ ssp.BlobStore = (*Store)(nil)
@@ -150,16 +134,10 @@ func New(backends []Backend, opt Options) (*Store, error) {
 	if err != nil {
 		return nil, err
 	}
-	s := &Store{opt: opt, ring: ring, backends: m}
+	s := &Store{opt: opt, ring: ring, backends: m, breakers: make(map[string]*breaker, len(ids))}
 	s.idle = sync.NewCond(&s.mu)
-	if opt.BreakerThreshold > 0 {
-		s.breakers = make(map[string]*breaker, len(ids))
-		for _, id := range ids {
-			s.breakers[id] = &breaker{}
-		}
-	}
-	if opt.BgLimit > 0 {
-		s.bgSem = make(chan struct{}, opt.BgLimit)
+	for _, id := range ids {
+		s.breakers[id] = &breaker{}
 	}
 	return s, nil
 }
@@ -194,8 +172,8 @@ func (s *Store) count(name string) {
 func (s *Store) spawn(f func()) {
 	s.mu.Lock()
 	if s.closed {
-		// Tear-down raced a new background task: run it synchronously so
-		// the work still lands.
+		// Tear-down raced a new read: run it synchronously, so Close
+		// never returns with one still out.
 		s.mu.Unlock()
 		f()
 		return
@@ -217,34 +195,9 @@ func (s *Store) taskDone() {
 	s.mu.Unlock()
 }
 
-// bg runs f like spawn when a background slot is free; otherwise the task
-// is shed (dropped) and counted in shard.put.bg_shed. Only best-effort
-// work may come through here — straggler listeners and read repairs —
-// whose loss costs a repairable replica copy or a metric, never an acked
-// write.
-func (s *Store) bg(f func()) {
-	if s.bgSem == nil {
-		s.spawn(f)
-		return
-	}
-	select {
-	case s.bgSem <- struct{}{}:
-		s.spawn(func() {
-			defer func() { <-s.bgSem }()
-			f()
-		})
-	default:
-		s.count("shard.put.bg_shed")
-	}
-}
-
 // allowBackend asks id's breaker whether a read should be routed there.
 func (s *Store) allowBackend(id string) bool {
-	b := s.breakers[id]
-	if b == nil {
-		return true
-	}
-	ok, tr := b.allow(time.Now(), s.opt.BreakerCooldown)
+	ok, tr := s.breakers[id].allow(time.Now(), breakerCooldown)
 	if tr == bkProbing {
 		s.count("shard.breaker.halfopen")
 	}
@@ -255,12 +208,8 @@ func (s *Store) allowBackend(id string) bool {
 // state transitions. wire.ErrNotFound is a healthy answer: the backend
 // responded, it just lacks the key.
 func (s *Store) observe(id string, err error) {
-	b := s.breakers[id]
-	if b == nil {
-		return
-	}
 	ok := err == nil || errors.Is(err, wire.ErrNotFound)
-	switch b.record(ok, s.opt.BreakerThreshold, time.Now()) {
+	switch s.breakers[id].record(ok, breakerThreshold, time.Now()) {
 	case bkOpened:
 		s.count("shard.breaker.open")
 		s.gaugeAdd("shard.breaker.open_now", 1)
@@ -280,8 +229,8 @@ func (s *Store) gaugeAdd(name string, d int64) {
 	}
 }
 
-// waitIdle blocks until every background task — read repairs and the
-// replies of hedged-read stragglers — has finished.
+// waitIdle blocks until every spawned read — the replies of hedged-read
+// stragglers — has finished.
 func (s *Store) waitIdle() {
 	s.mu.Lock()
 	for s.inflight > 0 {
@@ -290,7 +239,7 @@ func (s *Store) waitIdle() {
 	s.mu.Unlock()
 }
 
-// Close waits for background work. It does not close the backends (the
+// Close waits for straggler reads. It does not close the backends (the
 // caller owns their connections).
 func (s *Store) Close() error {
 	s.mu.Lock()
@@ -321,8 +270,7 @@ type getResult struct {
 
 // Get implements ssp.BlobStore: primary first, hedging to the next
 // replica after HedgeDelay (or immediately on error/not-found). The
-// first successful value wins; replicas observed missing the value are
-// repaired in the background. wire.ErrNotFound is returned only when
+// first successful value wins. wire.ErrNotFound is returned only when
 // every replica misses.
 func (s *Store) Get(ns wire.NS, key string) ([]byte, error) {
 	return s.hedgedGet(ns, key, s.replicas(ns, key))
@@ -330,9 +278,8 @@ func (s *Store) Get(ns wire.NS, key string) ([]byte, error) {
 
 // hedgedGet races the ordered replica list: each entry is launched when
 // its predecessor errors, reports not-found, or exceeds HedgeDelay. The
-// winner's value is returned; replicas that answered not-found (and any
-// not-yet-answered earlier replicas, once they resolve to not-found) are
-// repaired with the winning value.
+// winner's value is returned; replicas still out answer into the
+// buffered channel and are not waited for.
 //
 // Replicas whose breaker is open are skipped on the first pass — the
 // hedge fires immediately to the next healthy replica — but deferred,
@@ -402,7 +349,6 @@ func (s *Store) hedgedGet(ns wire.NS, key string, ids []string) ([]byte, error) 
 		}
 	}()
 
-	missing := make([]string, 0, len(ids))
 	var firstErr error
 	outstanding := launched
 	for outstanding > 0 {
@@ -411,17 +357,13 @@ func (s *Store) hedgedGet(ns wire.NS, key string, ids []string) ([]byte, error) 
 			outstanding--
 			switch {
 			case r.err == nil:
-				s.finishRepairs(ns, key, r.val, missing, results, outstanding)
 				if hedged && r.id != first {
 					s.count("shard.get.hedge_won")
 				}
 				return r.val, nil
 			case errors.Is(r.err, wire.ErrNotFound):
-				missing = append(missing, r.id)
-			default:
-				if firstErr == nil {
-					firstErr = r.err
-				}
+			case firstErr == nil:
+				firstErr = r.err
 			}
 			if launch() {
 				outstanding++
@@ -436,47 +378,12 @@ func (s *Store) hedgedGet(ns wire.NS, key string, ids []string) ([]byte, error) 
 			armHedge()
 		}
 	}
-	if firstErr != nil && len(missing) < len(ids) {
+	// A replica that failed may hold the key: that is an error, not an
+	// absence.
+	if firstErr != nil {
 		return nil, firstErr
 	}
 	return nil, wire.ErrNotFound
-}
-
-// finishRepairs repairs the replicas known to miss the winning value and
-// keeps listening (in the background) for outstanding replicas, so a
-// slow replica that eventually answers not-found is repaired too.
-func (s *Store) finishRepairs(ns wire.NS, key string, val []byte, missing []string, results chan getResult, outstanding int) {
-	s.repair(ns, key, val, missing)
-	if outstanding == 0 {
-		return
-	}
-	s.bg(func() {
-		for i := 0; i < outstanding; i++ {
-			r := <-results
-			if errors.Is(r.err, wire.ErrNotFound) {
-				s.repair(ns, key, val, []string{r.id})
-			}
-		}
-	})
-}
-
-// repair pushes the winning value of a read back to replicas that missed
-// it, in the background. Failures are counted, not surfaced: the repair
-// is purely an availability optimization, and the value remains readable
-// from its other replicas either way.
-func (s *Store) repair(ns wire.NS, key string, val []byte, ids []string) {
-	for _, id := range ids {
-		id, st := id, s.backends[id]
-		s.bg(func() {
-			err := st.Put(ns, key, val)
-			s.observe(id, err)
-			if err != nil {
-				s.count("shard.repair_fail")
-			} else {
-				s.count("shard.repair")
-			}
-		})
-	}
 }
 
 // List implements ssp.BlobStore: the listing fans out to every backend
@@ -537,11 +444,9 @@ func (s *Store) List(ns wire.NS, prefix string) ([]wire.KV, error) {
 // replica and asked again, one parallel BatchGet per backend, pass by
 // pass down each key's replica list, so any number of absent keys costs
 // at most R-1 further round trips, not two each. Replicas whose breaker
-// is open are asked last (fail open), as in Get; a replica that answered
-// without a value another one returned is repaired in the background. A
-// key no replica returned is omitted when every replica answered, and
-// fails the call when one of them could not be asked. Results preserve
-// input order.
+// is open are asked last (fail open), as in Get. A key no replica
+// returned is omitted when every replica answered, and fails the call
+// when one of them could not be asked. Results preserve input order.
 func (s *Store) BatchGet(items []wire.KV) ([]wire.KV, error) {
 	if len(items) == 0 {
 		return nil, nil
@@ -603,8 +508,6 @@ func (s *Store) BatchGet(items []wire.KV) ([]wire.KV, error) {
 						}
 					case hit:
 						w.val, w.found = res[j].Val, true
-					default:
-						w.missed = append(w.missed, id)
 					}
 				}
 			}(id, idxs)
@@ -627,7 +530,6 @@ func (s *Store) BatchGet(items []wire.KV) ([]wire.KV, error) {
 		w := &walks[i]
 		switch {
 		case w.found:
-			s.repair(it.NS, it.Key, w.val, w.missed)
 			out = append(out, wire.KV{NS: it.NS, Key: it.Key, Val: w.val})
 		case w.err != nil:
 			return nil, w.err
@@ -647,10 +549,9 @@ type batchWalk struct {
 	// order lists the replicas to ask, primary first, then — appended as
 	// the walk skips them — the ones whose breaker was open.
 	order   []string
-	guarded int      // order[:guarded] are asked only if their breaker allows
-	pos     int      // next entry of order
-	missed  []string // replicas that answered without the key
-	err     error    // first failure of a replica's batch
+	guarded int   // order[:guarded] are asked only if their breaker allows
+	pos     int   // next entry of order
+	err     error // first failure of a replica's batch
 	val     []byte
 	found   bool
 }
@@ -676,8 +577,8 @@ func (w *batchWalk) next(allow func(string) bool) (string, bool) {
 // a write-behind flush over a sharded store a per-backend fan-out. The
 // call waits for every reply. Each item needs W of its R replica writes
 // to succeed; the first under-quorum item fails the call. Replica
-// failures a quorum tolerated count in shard.put.bg_fail and are left to
-// read repair.
+// failures a quorum tolerated count in shard.put.bg_fail; those copies
+// stay missing (or stale) until the key is written again.
 func (s *Store) BatchPut(items []wire.KV) error {
 	if len(items) == 0 {
 		return nil

@@ -22,11 +22,14 @@ import (
 // write-behind over a replicated shard.Store over one classified-retry
 // layer and one reconnecting client per fault-injecting SSP — while a seeded
 // scheduler cuts connections, arms slow and write-refusing windows, and
-// flaps links. It then proves three properties: every key whose barrier
-// acked is readable with its exact value once faults clear (model
-// equivalence / no acked-write loss), every surfaced error belongs to a
-// classified errors.Is-matchable family (no anonymous failures), and the
-// stack winds down to its pre-campaign goroutine count (no leaks).
+// flaps links. Workers read durable keys mid-campaign the way the client
+// reads: mostly small BatchGets, a share of single-key Gets. It then
+// proves three properties: every key whose barrier acked is readable with
+// its exact value — mid-campaign whenever a read succeeds, and always
+// once faults clear (model equivalence / no acked-write loss) — every
+// surfaced error belongs to a classified errors.Is-matchable family (no
+// anonymous failures), and the stack winds down to its pre-campaign
+// goroutine count (no leaks).
 
 // Chaos profiles select the injection mix.
 const (
@@ -179,12 +182,10 @@ func RunChaos(opts ChaosOptions) (*ChaosResult, error) {
 		shardBks[i] = shard.Backend{ID: fmt.Sprintf("s%d", i), Store: res}
 	}
 	sh, err := shard.New(shardBks, shard.Options{
-		Replicas:         2,
-		WriteQuorum:      1,
-		HedgeDelay:       2 * time.Millisecond,
-		BreakerThreshold: 3,
-		BreakerCooldown:  30 * time.Millisecond,
-		Registry:         reg,
+		Replicas:    2,
+		WriteQuorum: 1,
+		HedgeDelay:  2 * time.Millisecond,
+		Registry:    reg,
 	})
 	if err != nil {
 		return nil, fmt.Errorf("chaos: build shard store: %w", err)
@@ -202,6 +203,7 @@ func RunChaos(opts ChaosOptions) (*ChaosResult, error) {
 
 	putLat := reg.Histogram("chaos.put.ns")
 	getLat := reg.Histogram("chaos.get.ns")
+	batchLat := reg.Histogram("chaos.batchget.ns")
 	barLat := reg.Histogram("chaos.barrier.ns")
 
 	var (
@@ -222,6 +224,63 @@ func RunChaos(opts ChaosOptions) (*ChaosResult, error) {
 
 	deadline := time.Now().Add(opts.Duration)
 	var wg sync.WaitGroup
+
+	// readDurable reads a few already-durable keys the way the client
+	// does: three times in four a BatchGet of 2–8 neighbouring durable
+	// keys (a fetch's want-list), otherwise a single-key Get (the mount's
+	// hedged path). Durable keys are flushed by definition, so it reads
+	// the shared stack directly below the write-behind lanes. A key that
+	// reads back wrong, or that every replica answers without, is an
+	// acked write lost. It returns the operations issued.
+	readDurable := func(w int, rng *rand.Rand) int64 {
+		n := 1
+		if rng.Intn(4) != 0 {
+			n = 2 + rng.Intn(7)
+		}
+		mu.Lock()
+		var keys []string
+		if len(durable) >= n {
+			i := rng.Intn(len(durable) - n + 1)
+			keys = append(keys, durable[i:i+n]...)
+		}
+		mu.Unlock()
+		if len(keys) == 0 {
+			return 0
+		}
+		var err error
+		if n == 1 {
+			start := time.Now()
+			var v []byte
+			v, err = sh.Get(chaosNS, keys[0])
+			getLat.Observe(time.Since(start))
+			if err == nil && string(v) != string(chaosVal(keys[0])) {
+				violate("worker %d: mid-campaign corrupt read of %s", w, keys[0])
+			}
+		} else {
+			req := make([]wire.KV, n)
+			for i, k := range keys {
+				req[i] = wire.KV{NS: chaosNS, Key: k}
+			}
+			start := time.Now()
+			var got []wire.KV
+			got, err = sh.BatchGet(req)
+			batchLat.Observe(time.Since(start))
+			if err == nil && len(got) != n {
+				violate("worker %d: mid-campaign BatchGet returned %d of %d durable keys", w, len(got), n)
+			}
+			for _, kv := range got {
+				if string(kv.Val) != string(chaosVal(kv.Key)) {
+					violate("worker %d: mid-campaign corrupt read of %s", w, kv.Key)
+				}
+			}
+		}
+		// Transient unavailability is fine mid-campaign; convergence is
+		// checked after faults clear.
+		if err != nil && !chaosClassified(err) {
+			violate("worker %d: unclassified read error: %v", w, err)
+		}
+		return 1
+	}
 
 	// Writers: content-addressed puts in barriered windows, with reads of
 	// already-durable keys mixed in.
@@ -274,31 +333,7 @@ func RunChaos(opts ChaosOptions) (*ChaosResult, error) {
 					flushWindow()
 				}
 				if seq%8 == 3 {
-					mu.Lock()
-					var key string
-					if len(durable) > 0 {
-						key = durable[rng.Intn(len(durable))]
-					}
-					mu.Unlock()
-					if key != "" {
-						// Durable keys are flushed by definition; read the
-						// shared stack directly below the write-behind lanes.
-						start := time.Now()
-						v, err := sh.Get(chaosNS, key)
-						getLat.Observe(time.Since(start))
-						localOps++
-						switch {
-						case err == nil:
-							if string(v) != string(chaosVal(key)) {
-								violate("worker %d: mid-campaign corrupt read of %s", w, key)
-							}
-						case chaosClassified(err):
-							// Transient unavailability is fine mid-campaign;
-							// convergence is checked after faults clear.
-						default:
-							violate("worker %d: unclassified get error: %v", w, err)
-						}
-					}
+					localOps += readDurable(w, rng)
 				}
 			}
 			flushWindow()
