@@ -33,8 +33,8 @@ func (KeyEgress) Doc() string {
 // transmit or persist.
 var keyEgressSanitizers = map[string]map[string]bool{
 	sharocryptoPkgSuffix: {"Seal": true, "AppendSeal": true, "SealChunked": true},
-	"internal/meta":      {"Seal": true, "SealSigned": true, "SealBlock": true, "SealSuperblock": true, "SealSplitPointer": true},
-	"internal/cap":       {"SealTableView": true},
+	"internal/meta":      {"Seal": true, "SealSigned": true, "SealGroup": true, "SealBlock": true, "SealSuperblock": true, "SealSplitPointer": true},
+	"internal/cap":       {"SealTableView": true, "SealTableViews": true},
 }
 
 // keyEgressSinkCalls are the egress points: data leaving the client's

@@ -5,6 +5,7 @@
 package keyegressgood
 
 import (
+	"github.com/sharoes/sharoes/internal/cap"
 	"github.com/sharoes/sharoes/internal/meta"
 	"github.com/sharoes/sharoes/internal/sharocrypto"
 	"github.com/sharoes/sharoes/internal/ssp"
@@ -68,4 +69,27 @@ func GoodReplicatedStore(replicas []ssp.BlobStore, dek sharocrypto.SymKey, plain
 func GoodBlock(st ssp.BlobStore, dek, k sharocrypto.SymKey) error {
 	blob, _ := meta.SealBlock(dek, []byte("ctx"), k[:])
 	return st.Put(wire.NSData, "b", blob)
+}
+
+// GoodViewGroup stores a view key's raw bytes only inside a signed group
+// of table views: SealGroup's blobs are ciphertext, sibling digests and
+// one signature.
+func GoodViewGroup(st ssp.BlobStore, dsk sharocrypto.SignKey, tkey, viewKey sharocrypto.SymKey) error {
+	blobs := meta.SealGroup(dsk, []meta.GroupMember{
+		{Key: tkey, AAD: []byte("table|7|o"), Plain: viewKey[:]},
+		{Key: tkey, AAD: []byte("table|7|g"), Plain: []byte("names")},
+	})
+	return st.Put(wire.NSData, "t/7/o", blobs[0])
+}
+
+// GoodTableViews stores a table holding a view key's raw bytes (here as
+// a row name) only as sealed views: cap.SealTableViews seals every view
+// under one signature.
+func GoodTableViews(st ssp.BlobStore, dir *meta.Metadata, viewKey sharocrypto.SymKey) error {
+	tbl := &meta.DirTable{Entries: []meta.DirEntry{{Name: string(viewKey[:]), Inode: 8, Variant: "o"}}}
+	blobs, err := cap.SealTableViews(dir, []cap.ViewSpec{{Table: tbl, ID: cap.ID{Class: cap.DirReadWriteExec, Owner: true}, Variant: "o"}})
+	if err != nil {
+		return err
+	}
+	return st.Put(wire.NSData, "t/7/o", blobs[0])
 }

@@ -30,8 +30,9 @@ func fuzzDir(tb testing.TB) *meta.Metadata {
 	}
 }
 
-// FuzzOpenView exercises the sealed directory-view codec. Random blobs
-// must be rejected by authentication; to reach the parser behind it, the
+// FuzzOpenView exercises the sealed directory-view codec, seeded with
+// lone views and members of signed view groups. Random blobs must be
+// rejected by authentication; to reach the parser behind it, the
 // fuzz input is also sealed under the real table key and fed through —
 // so arbitrary bytes flow through every view-kind branch. Accepted views
 // must then survive Names/Lookup without panicking.
@@ -52,6 +53,39 @@ func FuzzOpenView(f *testing.F) {
 			f.Fatal(err)
 		}
 		f.Add(blob)
+	}
+	// The same views as members of one signed group of one, three and
+	// five (SealTableViews), and the variant's member with its sibling
+	// digests cut short, extended or out of order.
+	others := []string{"u/bob", "u/carol", "u/dave", "u/erin"}
+	for _, n := range []int{1, 3, 5} {
+		specs := []ViewSpec{{Table: tab, ID: ID{Class: DirReadExec}, Variant: variant}}
+		for _, o := range others[:n-1] {
+			specs = append(specs, ViewSpec{Table: tab, ID: ID{Class: DirRead}, Variant: o})
+		}
+		blobs, err := SealTableViews(dir, specs)
+		if err != nil {
+			f.Fatal(err)
+		}
+		for _, b := range blobs {
+			f.Add(b)
+		}
+		own := blobs[0]
+		sigAt := len(own) - sharocrypto.SigSize
+		framedEnd := sigAt - 32*(n-1)
+		withSibs := func(sibs ...[]byte) []byte {
+			out := append([]byte(nil), own[:framedEnd]...)
+			for _, s := range sibs {
+				out = append(out, s...)
+			}
+			return append(out, own[sigAt:]...)
+		}
+		f.Add(withSibs(own[framedEnd:sigAt], bytes.Repeat([]byte{0xff}, 32)))
+		if n > 1 {
+			f.Add(withSibs(own[framedEnd : sigAt-1]))
+			f.Add(withSibs(own[framedEnd+32 : sigAt]))
+			f.Add(withSibs(own[framedEnd+32:framedEnd+64], own[framedEnd:framedEnd+32], own[framedEnd+64:sigAt]))
+		}
 	}
 	f.Add([]byte("not a sealed view at all"))
 

@@ -18,7 +18,25 @@ const (
 )
 
 // SealTableView produces the sealed view of a directory table for one CAP
-// variant. dirFull must be the directory's full metadata (creator/writer
+// variant: SealTableViews with one view, a group of one.
+func SealTableView(table *meta.DirTable, dirFull *meta.Metadata, id ID, variant string) ([]byte, error) {
+	blobs, err := SealTableViews(dirFull, []ViewSpec{{Table: table, ID: id, Variant: variant}})
+	if err != nil {
+		return nil, err
+	}
+	return blobs[0], nil
+}
+
+// ViewSpec is one view a directory update writes: the table it shows and
+// the CAP and variant it is sealed for.
+type ViewSpec struct {
+	Table   *meta.DirTable
+	ID      ID
+	Variant string
+}
+
+// SealTableViews seals the views one directory update writes, in views'
+// order. dirFull must be the directory's full metadata (creator/writer
 // knowledge: DataSeed and DSK present).
 //
 //   - read CAPs see only the name column;
@@ -30,31 +48,39 @@ const (
 //     the moment the owner relaxes the permission (chmod does not need
 //     to reconstruct other owners' child keys).
 //
-// The view plaintext is sealed with the variant's derived table key and
-// signed with the directory's DSK.
-func SealTableView(table *meta.DirTable, dirFull *meta.Metadata, id ID, variant string) ([]byte, error) {
+// Each view plaintext is sealed with its variant's derived table key, and
+// all of them are signed with the directory's DSK once, as one group
+// (meta.SealGroup, DESIGN.md §7.19): each view carries its siblings'
+// digests and still opens on its own (OpenView).
+func SealTableViews(dirFull *meta.Metadata, views []ViewSpec) ([][]byte, error) {
 	if dirFull.Keys.DataSeed.IsZero() || dirFull.Keys.DSK.IsZero() {
 		return nil, fmt.Errorf("cap: seal table view: %w", ErrNoKeys)
 	}
-	tkey := TableKey(dirFull, variant)
-	var plain []byte
+	members := make([]meta.GroupMember, len(views))
+	for i, v := range views {
+		tkey := TableKey(dirFull, v.Variant)
+		members[i] = meta.GroupMember{Key: tkey, AAD: meta.TableAAD(dirFull.Attr.Inode, v.Variant), Plain: viewPlain(v.Table, v.ID, tkey)}
+	}
+	return meta.SealGroup(dirFull.Keys.DSK, members), nil
+}
+
+// viewPlain encodes the shape of table that CAP id sees.
+func viewPlain(table *meta.DirTable, id ID, tkey sharocrypto.SymKey) []byte {
 	switch {
 	case id.Class == DirExecOnly && !id.Owner:
-		plain = encodeExecView(table, tkey)
+		return encodeExecView(table, tkey)
 	case id.Class.CanList() && id.Class.CanTraverse(), id.Owner:
 		// Owners keep the full view regardless of their own triplet so
 		// that re-permissioning can rebuild every view.
-		plain = encodeFullView(table)
+		return encodeFullView(table)
 	case id.Class.CanList():
-		plain = encodeNamesView(table)
+		return encodeNamesView(table)
 	case id.Class == DirExecOnly:
-		plain = encodeExecView(table, tkey)
+		return encodeExecView(table, tkey)
 	default:
 		// Zero CAP: full rows, sealed under a key its holders lack.
-		plain = encodeFullView(table)
+		return encodeFullView(table)
 	}
-	aad := meta.TableAAD(dirFull.Attr.Inode, variant)
-	return meta.SealSigned(tkey, dirFull.Keys.DSK, aad, plain), nil
 }
 
 func encodeFullView(t *meta.DirTable) []byte {

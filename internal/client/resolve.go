@@ -305,11 +305,10 @@ func (s *Session) loadParentTables(r ref, m *meta.Metadata, own *cap.View, pre r
 	}
 	names := tables[r.variant].Names()
 
-	// The remaining variants are independent of one another (each is the
-	// same directory sealed under a different CAP key), so they decrypt
-	// across a worker pool. One wall-clock stopwatch spans the whole
-	// parallel region: CRYPTO charges what the caller actually waited,
-	// not the sum of overlapping worker time.
+	// The remaining views were sealed as one group with the writer's own
+	// (meta.SealGroup), so after the first open each is a verified-memo
+	// hit: they open in turn, under one stopwatch, and are cached only
+	// once every one has opened.
 	type openJob struct {
 		id   string
 		blob []byte
@@ -326,29 +325,23 @@ func (s *Session) loadParentTables(r ref, m *meta.Metadata, own *cap.View, pre r
 		}
 		jobs = append(jobs, openJob{id: pv.ID, blob: blob})
 	}
-	if len(jobs) > 0 {
-		opened := make([]*meta.DirTable, len(jobs))
-		errs := make([]error, len(jobs))
-		stop := s.crypto("open-table")
-		layout.RunParallel(len(jobs), func(i int) {
-			j := jobs[i]
-			view, err := cap.OpenView(j.id, cap.TableKey(m, j.id), m.Keys.DVK, r.ino, j.blob)
-			if err != nil {
-				errs[i] = err
-				return
-			}
-			opened[i], errs[i] = view.Reconstruct(names)
-		})
-		stop()
-		for _, err := range errs {
-			if err != nil {
-				return nil, err
-			}
+	if len(jobs) == 0 {
+		return tables, nil
+	}
+	stop := s.crypto("open-table")
+	for _, j := range jobs {
+		view, err := cap.OpenView(j.id, cap.TableKey(m, j.id), m.Keys.DVK, r.ino, j.blob)
+		if err == nil {
+			tables[j.id], err = view.Reconstruct(names)
 		}
-		for i, j := range jobs {
-			tables[j.id] = opened[i]
-			s.cache.Put(ckWTable+meta.TableKey(r.ino, j.id), opened[i].Clone(), tableSize(opened[i]))
+		if err != nil {
+			stop()
+			return nil, err
 		}
+	}
+	stop()
+	for _, j := range jobs {
+		s.cache.Put(ckWTable+meta.TableKey(r.ino, j.id), tables[j.id].Clone(), tableSize(tables[j.id]))
 	}
 	return tables, nil
 }
@@ -359,40 +352,17 @@ func tableSize(t *meta.DirTable) int64 {
 }
 
 // writeParentTables seals every view of the directory from the per-variant
-// tables and returns the KVs to store. Reader-view cache entries for the
-// directory are invalidated and the writer-table cache is refreshed with
-// the new contents (write-through: within a session the client is the
-// only writer it is coherent with).
+// tables, under one signature (layout.SealTables), and returns the KVs to
+// store. Reader-view cache entries for the directory are invalidated and
+// the writer-table cache is refreshed with the new contents
+// (write-through: within a session the client is the only writer it is
+// coherent with).
 func (s *Session) writeParentTables(r ref, m *meta.Metadata, tables map[string]*meta.DirTable) ([]wire.KV, error) {
-	// Seal the per-variant views across the worker pool (the CRYPTO-side
-	// twin of loadParentTables' parallel open); kvs keep deterministic
-	// variant order. A single wall-clock stopwatch covers the region.
-	type sealJob struct {
-		id  string
-		cid cap.ID
-		tbl *meta.DirTable
-	}
-	var jobs []sealJob
-	for _, pv := range s.eng.Variants(m.Attr) {
-		tbl, ok := tables[pv.ID]
-		if !ok {
-			continue
-		}
-		jobs = append(jobs, sealJob{id: pv.ID, cid: pv.Cap, tbl: tbl})
-	}
-	sealed := make([][]byte, len(jobs))
-	errs := make([]error, len(jobs))
 	stop := s.crypto("seal-table")
-	layout.RunParallel(len(jobs), func(i int) {
-		sealed[i], errs[i] = cap.SealTableView(jobs[i].tbl, m, jobs[i].cid, jobs[i].id)
-	})
+	kvs, err := layout.SealTables(s.eng, m, tables)
 	stop()
-	kvs := make([]wire.KV, 0, len(jobs))
-	for i, j := range jobs {
-		if errs[i] != nil {
-			return nil, errs[i]
-		}
-		kvs = append(kvs, wire.KV{NS: wire.NSData, Key: meta.TableKey(r.ino, j.id), Val: sealed[i]})
+	if err != nil {
+		return nil, err
 	}
 	id := strconv.FormatUint(uint64(r.ino), 10) + "/"
 	s.cache.DeletePrefix(ckView+"t/"+id, ckRef+"d/"+id, ckListed+"t/"+id)

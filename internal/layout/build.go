@@ -33,22 +33,19 @@ func DeleteMetaKVs(eng Engine, attr meta.Attr) []wire.KV {
 	return out
 }
 
-// BuildTableKVs seals every CAP view of a directory table and returns the
-// key-value pairs to store. Every variant stores a view — variants whose
-// CAP grants no table access get the full shape sealed under a derived
-// key their holders never receive, so relaxing permissions later never
-// requires reconstructing other owners' child keys.
+// BuildTableKVs seals every CAP view of a directory table, under one
+// signature, and returns the key-value pairs to store. Every variant
+// stores a view — variants whose CAP grants no table access get the full
+// shape sealed under a derived key their holders never receive, so
+// relaxing permissions later never requires reconstructing other owners'
+// child keys.
 func BuildTableKVs(eng Engine, dirFull *meta.Metadata, table *meta.DirTable) ([]wire.KV, error) {
 	variants := eng.Variants(dirFull.Attr)
-	out := make([]wire.KV, 0, len(variants))
+	tables := make(map[string]*meta.DirTable, len(variants))
 	for _, v := range variants {
-		blob, err := cap.SealTableView(table, dirFull, v.Cap, v.ID)
-		if err != nil {
-			return nil, fmt.Errorf("layout: table view %s: %w", v.ID, err)
-		}
-		out = append(out, wire.KV{NS: wire.NSData, Key: meta.TableKey(dirFull.Attr.Inode, v.ID), Val: blob})
+		tables[v.ID] = table
 	}
-	return out, nil
+	return SealTables(eng, dirFull, tables)
 }
 
 // DeleteTableKVs returns delete markers for every table view of a
@@ -114,19 +111,23 @@ func dedupeKVs(kvs []wire.KV) []wire.KV {
 
 // SealTables seals per-variant directory tables (unlike BuildTableKVs,
 // which replicates one table into every view — only correct for tables
-// whose rows are variant-independent, such as empty ones).
+// whose rows are variant-independent, such as empty ones) as one signed
+// group (cap.SealTableViews), in variant order. Variants tables lacks are
+// left alone.
 func SealTables(eng Engine, dirFull *meta.Metadata, tables map[string]*meta.DirTable) ([]wire.KV, error) {
-	var out []wire.KV
+	var specs []cap.ViewSpec
 	for _, v := range eng.Variants(dirFull.Attr) {
-		tbl, ok := tables[v.ID]
-		if !ok {
-			continue
+		if tbl, ok := tables[v.ID]; ok {
+			specs = append(specs, cap.ViewSpec{Table: tbl, ID: v.Cap, Variant: v.ID})
 		}
-		blob, err := cap.SealTableView(tbl, dirFull, v.Cap, v.ID)
-		if err != nil {
-			return nil, fmt.Errorf("layout: seal table %s: %w", v.ID, err)
-		}
-		out = append(out, wire.KV{NS: wire.NSData, Key: meta.TableKey(dirFull.Attr.Inode, v.ID), Val: blob})
+	}
+	blobs, err := cap.SealTableViews(dirFull, specs)
+	if err != nil {
+		return nil, fmt.Errorf("layout: seal tables of %d: %w", dirFull.Attr.Inode, err)
+	}
+	out := make([]wire.KV, len(specs))
+	for i, v := range specs {
+		out[i] = wire.KV{NS: wire.NSData, Key: meta.TableKey(dirFull.Attr.Inode, v.Variant), Val: blobs[i]}
 	}
 	return out, nil
 }

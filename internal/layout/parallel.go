@@ -6,17 +6,15 @@ import (
 	"sync/atomic"
 )
 
-// maxCryptoWorkers bounds the worker pool for per-variant table crypto
-// and per-block file crypto. Variant counts are small (a handful under
-// Scheme-2, users+groups under Scheme-1) and block crypto is CPU-bound,
-// so a low cap avoids goroutine churn without limiting speedup.
+// maxCryptoWorkers bounds the worker pool for per-block file crypto and
+// the client's per-sibling metadata opens. Block crypto is CPU-bound, so
+// a low cap avoids goroutine churn without limiting speedup.
 const maxCryptoWorkers = 8
 
 // RunParallel executes fn(0..n-1) across a bounded worker pool and
-// returns when every call has. Variants of a directory table, and blocks
-// of a file, are sealed under their own nonce and AAD and share no
-// state, so opening/sealing them is embarrassingly parallel; fn must
-// only touch index-i state. With n == 1 (or one CPU) fn runs inline on
+// returns when every call has. Blocks of a file are sealed under their
+// own nonce and AAD and share no state, so opening/sealing them is
+// embarrassingly parallel; fn must only touch index-i state. With n == 1 (or one CPU) fn runs inline on
 // the caller's goroutine.
 func RunParallel(n int, fn func(int)) {
 	workers := runtime.GOMAXPROCS(0)

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"crypto/sha256"
 	"errors"
+	"fmt"
 	"reflect"
 	"testing"
 
@@ -136,7 +137,8 @@ func FuzzDecodeSplitPointer(f *testing.F) {
 }
 
 // FuzzOpenVerified feeds arbitrary bytes — seeded with honest envelopes
-// of every signed structure, their truncations and extensions, and
+// of every signed structure, lone and as members of signed groups, their
+// truncations and extensions, members with a damaged sibling list, and
 // unsigned envelopes a reader holding only the symmetric key could seal —
 // to the one verify-then-open path. Nothing may panic; every failure must
 // be types.ErrTampered; and whatever does open must carry the plaintext
@@ -168,6 +170,35 @@ func FuzzOpenVerified(f *testing.F) {
 		// plaintext the writer never sealed.
 		forged, _ := SealBlock(sym, aads[i], append([]byte{0xee}, plain...))
 		seed(forged, uint8(i))
+	}
+	// Groups of one, three and five (SealGroup): the three structures
+	// plus two more table views, each member carrying its siblings'
+	// digests; and members whose sibling list is cut short, extended,
+	// out of order or gone.
+	for _, n := range []int{1, 3, 5} {
+		members := make([]GroupMember, n)
+		for j := range members {
+			// AADs no seed opens under: a member the fuzzer moves to
+			// aads[i] fails its digest.
+			members[j] = GroupMember{Key: sym, AAD: TableAAD(9, fmt.Sprintf("x/%d", j)), Plain: []byte("another view")}
+			if j < len(aads) {
+				members[j].AAD, members[j].Plain = aads[j], plains[j]
+			}
+		}
+		for j, blob := range SealGroup(sk, members) {
+			which := uint8(j % len(aads))
+			seed(blob, which)
+			framed, sibs, sig := siblingsOf(f, blob)
+			seed(join(framed, sig), which)
+			seed(join(framed, sibs, bytes.Repeat([]byte{0xff}, sha256.Size), sig), which)
+			if len(sibs) > 0 {
+				seed(join(framed, sibs[:len(sibs)-1], sig), which)
+				seed(join(framed, sibs[sha256.Size:], sig), which)
+			}
+			if len(sibs) >= 2*sha256.Size {
+				seed(join(framed, sibs[sha256.Size:2*sha256.Size], sibs[:sha256.Size], sibs[2*sha256.Size:], sig), which)
+			}
+		}
 	}
 	seed([]byte{}, uint8(0))
 	seed([]byte{0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0x01}, uint8(2))

@@ -1,11 +1,13 @@
 package meta
 
 import (
+	"bytes"
 	"crypto/sha256"
 	"crypto/subtle"
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"slices"
 	"strconv"
 	"sync"
 	"sync/atomic"
@@ -20,18 +22,20 @@ import (
 var ErrVerify = errors.New("meta: sealed object failed verification")
 
 var (
-	errEnvelopeShape = errors.New("meta: blob is not one framed field plus one signature")
+	errEnvelopeShape = errors.New("meta: blob is not one framed field, 32-byte sibling digests and one signature")
+	errGroupOrder    = errors.New("meta: sibling digests are not strictly ascending or repeat the member's own")
 	errBlockShape    = errors.New("meta: block is not exactly one framed field")
 	errBlockDigest   = errors.New("meta: block does not match the manifest's digest")
 )
 
-// The domain tags separate the two framed digests from each other and
-// from every other use of SHA-256 in the system (content hashes, HMAC row
-// keys, fingerprints). Each is a fixed string ending in NUL, and neither
-// is a prefix of the other, so no block digest is ever a signed
-// envelope's message.
+// The domain tags separate the framed digests from each other, from the
+// signed group message and from every other use of SHA-256 in the system
+// (content hashes, HMAC row keys, fingerprints). Each is a fixed string
+// ending in NUL, and none is a prefix of another, so no block digest is a
+// group member's digest and neither is ever a signed message.
 const (
-	envelopeDomain = "sharoes/signed-envelope\x00"
+	envelopeDomain = "sharoes/signed-envelope\x00" // a group member's digest
+	groupDomain    = "sharoes/signed-group\x00"    // the signed message
 	blockDomain    = "sharoes/block-digest\x00"
 )
 
@@ -50,17 +54,72 @@ func framedDigest(domain string, framed, aad []byte) [sha256.Size]byte {
 	return d
 }
 
+// groupMessage is the message a group's one signature covers:
+// SHA-256(groupDomain ‖ every member digest in ascending byte order).
+// own is one member's digest and sibs the others', 32 bytes each, as the
+// member stores them; own is streamed into its place, nothing is
+// concatenated. ok is false unless sibs is strictly ascending and does
+// not hold own: a group is a set, and each member names it one way only.
+func groupMessage(own *[sha256.Size]byte, sibs []byte) (m [sha256.Size]byte, ok bool) {
+	h := sha256.New()
+	h.Write([]byte(groupDomain))
+	placed := false
+	var prev []byte
+	for ; len(sibs) > 0; sibs = sibs[sha256.Size:] {
+		s := sibs[:sha256.Size]
+		if prev != nil && bytes.Compare(prev, s) >= 0 {
+			return m, false
+		}
+		if !placed {
+			switch c := bytes.Compare(own[:], s); {
+			case c == 0:
+				return m, false
+			case c < 0:
+				h.Write(own[:])
+				placed = true
+			}
+		}
+		h.Write(s)
+		prev = s
+	}
+	if !placed {
+		h.Write(own[:])
+	}
+	h.Sum(m[:0])
+	return m, true
+}
+
+// signs counts Ed25519 signatures made, as meta.sign.count (SignCount).
+var signs atomic.Int64
+
+// SignCount returns the process-wide number of signatures sealing has
+// made (meta.sign.count): one per SealSigned and one per SealGroup.
+func SignCount() int64 { return signs.Load() }
+
+// sign signs the group message m with sk, counts the signature, and
+// records the group in the verified memo under sk's verify key, so the
+// writer reading any member back checks nothing.
+func sign(sk sharocrypto.SignKey, m *[sha256.Size]byte) []byte {
+	sig := sk.Sign(m[:])
+	signs.Add(1)
+	k := memoKey(sk.VerifyKey(), m, sig)
+	memoAdd(&k)
+	return sig
+}
+
 // --- verified-envelope memo ---------------------------------------------------
 //
 // The client caches opened objects, so an eviction, a Refresh, a second
 // session or a re-read of what the process itself just wrote hands
 // OpenVerified bytes it has already accepted. The memo remembers accepted
-// envelopes by memoKey, so those repeats skip Ed25519 (DESIGN.md §7.18).
-// A hit means these exact framed bytes, under this exact AAD and verify
-// key, carried this exact signature when they last passed vk.Verify or
-// were signed by the matching SignKey: accepting them again is the same
-// decision. The memo is process-wide: every session in one process shares
-// one trust domain (DESIGN.md §5).
+// groups by memoKey, so those repeats skip Ed25519 (DESIGN.md §7.18).
+// A hit means this exact group message — so this exact set of member
+// digests, each binding its framed bytes and AAD — carried this exact
+// signature under this verify key when it last passed vk.Verify or was
+// signed by the matching SignKey: accepting any member of it again is the
+// same decision. One entry serves every member of a group. The memo is
+// process-wide: every session in one process shares one trust domain
+// (DESIGN.md §5).
 //
 // It is 2^12 sets of four 32-byte keys, 512 KiB, each set newest first; a
 // key's first bytes pick its set, and an insert into a full set evicts the
@@ -81,13 +140,13 @@ var (
 	memoHit, memoMiss atomic.Int64
 )
 
-// memoKey is SHA-256(vk ‖ d ‖ sig), all 32 bytes of it: d is the
-// envelope's framedDigest, so the key binds the verify key, every framed
-// byte, the AAD and the signature.
-func memoKey(vk sharocrypto.VerifyKey, d *[sha256.Size]byte, sig []byte) [sha256.Size]byte {
+// memoKey is SHA-256(vk ‖ m ‖ sig), all 32 bytes of it: m is the group
+// message, so the key binds the verify key, every member's framed bytes
+// and AAD, and the signature.
+func memoKey(vk sharocrypto.VerifyKey, m *[sha256.Size]byte, sig []byte) [sha256.Size]byte {
 	var in [sharocrypto.VerifyKeySize + sha256.Size + sharocrypto.SigSize]byte
 	b := vk.AppendMarshal(in[:0])
-	b = append(b, d[:]...)
+	b = append(b, m[:]...)
 	return sha256.Sum256(append(b, sig...))
 }
 
@@ -145,50 +204,106 @@ func sealFramed(key sharocrypto.SymKey, aad, plaintext []byte, extra int) []byte
 	return key.AppendSeal(out, plaintext, aad)
 }
 
-// SealSigned encrypts plaintext under key, binding aad, then signs a
-// digest of the whole sealed form and the aad with sk (framedDigest under
-// envelopeDomain).
-// This is the envelope for every signed structure at the SSP: metadata
-// objects (MEK+MSK), directory tables and manifests (DEK+DSK). File
-// blocks are not signed on their own: the manifest names each by its
-// digest (SealBlock). The signature is what lets readers — who
-// necessarily hold the symmetric key — detect writes by non-writers,
-// without trusting the SSP; that is why the digest is a
-// collision-resistant hash of all of nonce‖ciphertext‖tag and never the
-// GCM tag alone, which anyone holding the key can forge. The paper's
-// writers likewise "sign the hash of the content" (§II-B).
+// SealSigned encrypts plaintext under key, binding aad, and signs it with
+// sk: the envelope for every lone signed structure at the SSP, metadata
+// variants (MEK+MSK) and manifests (DEK+DSK). It is a group of one
+// (SealGroup), so its layout is uvarint(len(sealed)) ‖ sealed ‖ sig, built
+// in one exact-capacity buffer. File blocks are not signed on their own:
+// the manifest names each by its digest (SealBlock).
 //
-// Layout: uvarint(len(sealed)) ‖ sealed ‖ sig, built in one
-// exact-capacity buffer. The new envelope goes into the verified memo
-// under sk's verify key, so the writer reading it back checks nothing.
+// The signature is what lets readers — who necessarily hold the symmetric
+// key — detect writes by non-writers, without trusting the SSP; that is
+// why what is signed is a collision-resistant hash of all of
+// nonce‖ciphertext‖tag and the aad (framedDigest under envelopeDomain,
+// then groupMessage), never the GCM tag alone, which anyone holding the
+// key can forge. The paper's writers likewise "sign the hash of the
+// content" (§II-B). The new envelope goes into the verified memo, so the
+// writer reading it back checks nothing.
 func SealSigned(key sharocrypto.SymKey, sk sharocrypto.SignKey, aad, plaintext []byte) []byte {
 	out := sealFramed(key, aad, plaintext, sharocrypto.SigSize)
 	d := framedDigest(envelopeDomain, out, aad)
-	out = append(out, sk.Sign(d[:])...)
-	k := memoKey(sk.VerifyKey(), &d, out[len(out)-sharocrypto.SigSize:])
-	memoAdd(&k)
+	m, _ := groupMessage(&d, nil)
+	return append(out, sign(sk, &m)...)
+}
+
+// GroupMember is one blob of a signed group: Plain sealed under Key,
+// bound to AAD.
+type GroupMember struct {
+	Key   sharocrypto.SymKey
+	AAD   []byte
+	Plain []byte
+}
+
+// SealGroup seals every member and signs them all with one signature
+// (DESIGN.md §7.19): the blobs one update writes together, such as the
+// CAP views of one directory table. Member i's digest is d_i =
+// framedDigest(envelopeDomain, framed_i, aad_i); the signed message is
+// groupMessage over every d_i; member i is stored as framed_i ‖ the other
+// members' digests, ascending ‖ sig, each in one exact-capacity buffer.
+// Every member still opens on its own (OpenVerified), and a group of one
+// is exactly SealSigned's envelope. The group joins the verified memo
+// once. Blobs are returned in members' order.
+func SealGroup(sk sharocrypto.SignKey, members []GroupMember) [][]byte {
+	n := len(members)
+	if n == 0 {
+		return nil
+	}
+	extra := (n-1)*sha256.Size + sharocrypto.SigSize
+	out := make([][]byte, n)
+	ds := make([][sha256.Size]byte, n)
+	for i, mb := range members {
+		out[i] = sealFramed(mb.Key, mb.AAD, mb.Plain, extra)
+		ds[i] = framedDigest(envelopeDomain, out[i], mb.AAD)
+	}
+	sorted := append([][sha256.Size]byte(nil), ds...)
+	slices.SortFunc(sorted, func(a, b [sha256.Size]byte) int { return bytes.Compare(a[:], b[:]) })
+	sibs := make([]byte, 0, (n-1)*sha256.Size)
+	for _, d := range sorted[1:] {
+		sibs = append(sibs, d[:]...)
+	}
+	// Fresh nonces make the digests distinct, so sibs is strictly
+	// ascending and groupMessage cannot refuse it.
+	m, _ := groupMessage(&sorted[0], sibs)
+	sig := sign(sk, &m)
+	for i := range out {
+		for _, d := range sorted {
+			if d != ds[i] {
+				out[i] = append(out[i], d[:]...)
+			}
+		}
+		out[i] = append(out[i], sig...)
+	}
 	return out
 }
 
-// OpenVerified reverses SealSigned: verifies the signature with vk, then
-// decrypts with key. Either failure — or a blob that is not exactly one
-// framed field plus one signature — is reported as ErrVerify wrapped with
-// types.ErrTampered so clients surface a uniform integrity error. An
-// envelope in the verified memo skips vk.Verify, never the shape check or
-// the decryption; one that passes vk.Verify joins the memo.
+// OpenVerified reverses SealSigned and SealGroup for one member: it checks
+// the shape — one framed field, then k 32-byte sibling digests strictly
+// ascending and none equal to the member's own, then one signature —
+// rebuilds the group message from the member's own digest and its
+// siblings, verifies the signature with vk, then decrypts with key. Any
+// failure is reported as ErrVerify wrapped with types.ErrTampered so
+// clients surface a uniform integrity error. A group in the verified memo
+// skips vk.Verify, never the shape check or the decryption; one that
+// passes vk.Verify joins the memo.
 func OpenVerified(key sharocrypto.SymKey, vk sharocrypto.VerifyKey, aad, blob []byte) ([]byte, error) {
 	r := binenc.NewReader(blob)
 	sealed, err := r.BytesField()
 	if err != nil {
 		return nil, tampered(err)
 	}
-	if r.Remaining() != sharocrypto.SigSize {
+	rest := r.Remaining()
+	if rest < sharocrypto.SigSize || (rest-sharocrypto.SigSize)%sha256.Size != 0 {
 		return nil, tampered(errEnvelopeShape)
 	}
-	framed, sig := blob[:len(blob)-sharocrypto.SigSize], blob[len(blob)-sharocrypto.SigSize:]
-	d := framedDigest(envelopeDomain, framed, aad)
-	if k := memoKey(vk, &d, sig); !memoHas(&k) {
-		if err := vk.Verify(d[:], sig); err != nil {
+	framedEnd, sigAt := len(blob)-rest, len(blob)-sharocrypto.SigSize
+	sig := blob[sigAt:]
+	d := framedDigest(envelopeDomain, blob[:framedEnd], aad)
+	m, ok := groupMessage(&d, blob[framedEnd:sigAt])
+	if !ok {
+		return nil, tampered(errGroupOrder)
+	}
+	if k := memoKey(vk, &m, sig); !memoHas(&k) {
+		if err := vk.Verify(m[:], sig); err != nil {
 			return nil, tampered(err)
 		}
 		memoAdd(&k)

@@ -333,12 +333,19 @@ func TestEnvelopeDigestIsInjective(t *testing.T) {
 // These helpers reach the memo from inside the package; nothing outside
 // meta can read, seed or clear it.
 
-// envelopeMemoKey is the memo key OpenVerified computes for blob under vk
-// and aad.
+// envelopeMemoKey is the memo key OpenVerified computes for blob — a
+// lone envelope or a group member — under vk and aad. The sibling order
+// and the shape are not checked: a key for a blob OpenVerified refuses on
+// its shape is one no lookup ever makes.
 func envelopeMemoKey(vk sharocrypto.VerifyKey, aad, blob []byte) [sha256.Size]byte {
-	framed, sig := blob[:len(blob)-sharocrypto.SigSize], blob[len(blob)-sharocrypto.SigSize:]
-	d := framedDigest(envelopeDomain, framed, aad)
-	return memoKey(vk, &d, sig)
+	n, p := binary.Uvarint(blob)
+	framedEnd, sigAt := p+int(n), len(blob)-sharocrypto.SigSize
+	var m [sha256.Size]byte
+	if p > 0 && framedEnd <= sigAt && (sigAt-framedEnd)%sha256.Size == 0 {
+		d := framedDigest(envelopeDomain, blob[:framedEnd], aad)
+		m, _ = groupMessage(&d, blob[framedEnd:sigAt])
+	}
+	return memoKey(vk, &m, blob[sigAt:])
 }
 
 // memoHolds reports, without counting a lookup, whether k is memoized.
