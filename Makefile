@@ -88,7 +88,8 @@ chaos-smoke:
 # bench-smoke runs all four workloads of the repository benchmark
 # (BENCHMARK.json, bench/README.md), short, exactly as the driver does —
 # built from source into .bench_build/ — and fails unless each result line
-# says every output matched the reference model: createlist_wan for the
+# says every output matched the reference model and no operation failed
+# ("correct":true, "failed":0): createlist_wan for the
 # metadata path, bulk_tcp for the multi-block path (1 MiB files sealed
 # and opened across the crypto worker pool, re-read by the cold
 # verifier), shard_wan for the batched fetches through write-behind and
@@ -102,6 +103,7 @@ bench-smoke:
 		out=$$(bash bench/run.sh --workload $$w --seed 1 --seconds 6 --trace 0 | tail -n 1); \
 		echo "$$out"; \
 		case "$$out" in *'"correct":true'*) ;; *) echo "bench-smoke: $$w result line lacks \"correct\":true" >&2; exit 1;; esac; \
+		case "$$out" in *'"failed":0,'*) ;; *) echo "bench-smoke: $$w result line has a \"failed\" count other than 0" >&2; exit 1;; esac; \
 	done
 
 # fuzz-smoke runs every fuzz target for a short burst — enough to catch

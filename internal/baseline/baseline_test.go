@@ -329,3 +329,90 @@ func TestMountErrors(t *testing.T) {
 		t.Error("mounted a missing filesystem")
 	}
 }
+
+// refusingStore refuses every BatchPut while refuse is set, taking none of
+// the batch.
+type refusingStore struct {
+	ssp.BlobStore
+	refuse bool
+}
+
+var errRefused = errors.New("batch refused")
+
+func (r *refusingStore) BatchPut(items []wire.KV) error {
+	if r.refuse {
+		return errRefused
+	}
+	return r.BlobStore.BatchPut(items)
+}
+
+// TestRefusedWriteLeavesNoTrace: in every mode, a write whose batch the
+// store refuses leaves the writer's session reading what a fresh mount
+// reads, and the same write retried succeeds.
+func TestRefusedWriteLeavesNoTrace(t *testing.T) {
+	bFixture(t)
+	ops := []struct {
+		name string
+		op   func(s *Session) error
+	}{
+		{"create", func(s *Session) error { return s.Create("/d/x", 0o644) }},
+		{"mkdir", func(s *Session) error { return s.Mkdir("/d/x", 0o755) }},
+		{"overwrite", func(s *Session) error { return s.WriteFile("/d/old", bytes.Repeat([]byte("N"), 100), 0) }},
+		{"append", func(s *Session) error { return s.Append("/d/old", []byte("+tail")) }},
+		{"remove", func(s *Session) error { return s.Remove("/d/old") }},
+		{"rename", func(s *Session) error { return s.Rename("/d/old", "/e/x") }},
+	}
+	observe := func(s *Session) string {
+		out := ""
+		for _, p := range []string{"/d", "/e"} {
+			names, err := s.ReadDir(p)
+			out += fmt.Sprintf("%s=%v %v; ", p, names, err)
+			for _, n := range names {
+				data, err := s.ReadFile(p + "/" + n)
+				out += fmt.Sprintf("%s/%s=%q %v; ", p, n, data, err)
+			}
+		}
+		return out
+	}
+	for _, mode := range allModes() {
+		for _, tc := range ops {
+			t.Run(mode.String()+"/"+tc.name, func(t *testing.T) {
+				rs := &refusingStore{BlobStore: ssp.NewMemStore()}
+				if err := Bootstrap(rs, mode, "bfs", bReg, "alice", "eng", 0o755); err != nil {
+					t.Fatal(err)
+				}
+				mount := func() *Session {
+					s, err := Mount(Config{Store: rs, Mode: mode, User: bUser["alice"], Registry: bReg,
+						FSID: "bfs", CacheBytes: -1, BlockSize: 64})
+					if err != nil {
+						t.Fatal(err)
+					}
+					t.Cleanup(func() { s.Close() })
+					return s
+				}
+				alice := mount()
+				for _, err := range []error{alice.Mkdir("/d", 0o755), alice.Mkdir("/e", 0o755),
+					alice.WriteFile("/d/old", []byte("old"), 0o644)} {
+					if err != nil {
+						t.Fatal(err)
+					}
+				}
+				observe(alice) // warm the writer's cache
+				rs.refuse = true
+				if err := tc.op(alice); !errors.Is(err, errRefused) {
+					t.Fatalf("refused %s: %v", tc.name, err)
+				}
+				rs.refuse = false
+				if got, want := observe(alice), observe(mount()); got != want {
+					t.Errorf("after the refused %s:\n writer: %s\n  fresh: %s", tc.name, got, want)
+				}
+				if err := tc.op(alice); err != nil {
+					t.Fatalf("retried %s: %v", tc.name, err)
+				}
+				if got, want := observe(alice), observe(mount()); got != want {
+					t.Errorf("after the retried %s:\n writer: %s\n  fresh: %s", tc.name, got, want)
+				}
+			})
+		}
+	}
+}

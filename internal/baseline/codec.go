@@ -239,13 +239,16 @@ func (s *Session) fetchTable(m *bMeta) (*bTable, error) {
 	return t.clone(), nil
 }
 
-// tableKV seals a table for storage and refreshes the cache with the new
-// contents (write-through, matching the Sharoes client's behaviour so the
-// two implementations pay symmetric network costs).
+// tableKV seals a table for storage.
 func (s *Session) tableKV(m *bMeta, t *bTable) wire.KV {
-	blob := s.sealData(m, tableAAD(m.Attr.Inode), t.encode())
-	s.cache.Put(ckTable+s.tableKey(m.Attr.Inode), t.clone(), int64(len(blob)))
-	return wire.KV{NS: wire.NSData, Key: s.tableKey(m.Attr.Inode), Val: blob}
+	return wire.KV{NS: wire.NSData, Key: s.tableKey(m.Attr.Inode), Val: s.sealData(m, tableAAD(m.Attr.Inode), t.encode())}
+}
+
+// cacheTable writes a table a commit stored, as kv, through to the cache,
+// matching the Sharoes client's behaviour so the two implementations pay
+// symmetric network costs.
+func (s *Session) cacheTable(t *bTable, kv wire.KV) {
+	s.cache.Put(ckTable+kv.Key, t.clone(), int64(len(kv.Val)))
 }
 
 func tableAAD(ino types.Inode) []byte { return []byte(fmt.Sprintf("bt|%d", uint64(ino))) }

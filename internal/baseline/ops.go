@@ -2,7 +2,6 @@ package baseline
 
 import (
 	"crypto/rand"
-	"encoding/binary"
 	"errors"
 	"fmt"
 	"time"
@@ -13,18 +12,6 @@ import (
 	"github.com/sharoes/sharoes/internal/vfs"
 	"github.com/sharoes/sharoes/internal/wire"
 )
-
-func randInode() types.Inode {
-	var b [8]byte
-	if _, err := rand.Read(b[:]); err != nil {
-		panic("baseline: entropy unavailable: " + err.Error())
-	}
-	ino := types.Inode(binary.BigEndian.Uint64(b[:]))
-	if ino <= types.RootInode {
-		ino = types.RootInode + 1
-	}
-	return ino
-}
 
 // Bootstrap creates an empty baseline filesystem.
 func Bootstrap(store ssp.BlobStore, mode Mode, fsid string, reg *keys.Registry,
@@ -182,7 +169,7 @@ func (s *Session) create(path string, perm types.Perm, kind types.ObjKind, data 
 	}
 
 	m := &bMeta{}
-	m.Attr.Inode = randInode()
+	m.Attr.Inode = types.NewInode()
 	m.Attr.Kind = kind
 	m.Attr.Owner = s.user.ID
 	m.Attr.Group = p.Attr.Group
@@ -196,38 +183,65 @@ func (s *Session) create(path string, perm types.Perm, kind types.ObjKind, data 
 		return nil, err
 	}
 	if kind == types.KindFile {
-		kvs = append(kvs, s.blockKVs(m, data)...)
+		kvs = append(kvs, s.blockKVs(m, 0, data)...)
 	}
 	t.entries[base] = m.Attr.Inode
-	//sharoes-vet:allow unverified NO-ENC baseline write-through of unauthenticated table by design
-	kvs = append(kvs, s.tableKV(p, t))
-	if err := s.store.BatchPut(kvs); err != nil {
+	tkv := s.tableKV(p, t)
+	kvs = append(kvs, tkv)
+	if err := s.commit(kvs); err != nil {
 		return nil, err
 	}
+	//sharoes-vet:allow unverified NO-ENC baseline write-through of unauthenticated table by design
+	s.cacheTable(t, tkv)
 	// The child inherits attributes (group) from the parent, which the
 	// NO-ENC modes read unauthenticated by design.
 	s.cache.Put(ckMeta+s.metaKey(m.Attr.Inode), m, int64(len(kvs[0].Val))) //sharoes-vet:allow unverified NO-ENC baseline caches metadata derived from unauthenticated parent
+	s.cacheBlocks(m.Attr.Inode, 0, data)
 	return m, nil
 }
 
-// blockKVs seals file content into blocks.
-func (s *Session) blockKVs(m *bMeta, data []byte) []wire.KV {
-	bs := int(s.blockSize)
-	n := (len(data) + bs - 1) / bs
-	kvs := make([]wire.KV, 0, n)
-	for i := 0; i < n; i++ {
-		lo, hi := i*bs, (i+1)*bs
-		if hi > len(data) {
-			hi = len(data)
+// commit sends one batch to the store, the one place a write does. Whether
+// the store takes it or not, the cache forgets every entry at every key
+// the batch names; the caller caches what the batch wrote only once commit
+// has returned nil — the Sharoes client's rule, so that the two pay
+// symmetric network costs and read the same after a refused write.
+func (s *Session) commit(kvs []wire.KV) error {
+	err := s.store.BatchPut(kvs)
+	for _, kv := range kvs {
+		switch kv.NS {
+		case wire.NSMeta:
+			s.cache.Delete(ckMeta + kv.Key)
+		case wire.NSData:
+			s.cache.Delete(ckTable + kv.Key)
+			s.cache.Delete(ckBlock + kv.Key)
 		}
-		blk := s.sealData(m, blockAAD(m.Attr.Inode, uint32(i)), data[lo:hi])
-		key := s.blockKey(m.Attr.Inode, uint32(i))
-		kvs = append(kvs, wire.KV{NS: wire.NSData, Key: key, Val: blk})
-		pt := make([]byte, hi-lo)
-		copy(pt, data[lo:hi])
-		s.cache.Put(ckBlock+key, pt, int64(hi-lo))
+	}
+	return err
+}
+
+// blockKVs seals data as the file's blocks from block first on; the
+// caller caches the plaintext (cacheBlocks) once the batch is stored.
+func (s *Session) blockKVs(m *bMeta, first uint32, data []byte) []wire.KV {
+	bs := int(s.blockSize)
+	kvs := make([]wire.KV, 0, (len(data)+bs-1)/bs)
+	for lo := 0; lo < len(data); lo += bs {
+		idx := first + uint32(lo/bs)
+		blk := s.sealData(m, blockAAD(m.Attr.Inode, idx), data[lo:min(lo+bs, len(data))])
+		kvs = append(kvs, wire.KV{NS: wire.NSData, Key: s.blockKey(m.Attr.Inode, idx), Val: blk})
 	}
 	return kvs
+}
+
+// cacheBlocks caches a copy of data as the file's blocks from block first
+// on, after a commit stored them.
+func (s *Session) cacheBlocks(ino types.Inode, first uint32, data []byte) {
+	bs := int(s.blockSize)
+	for lo := 0; lo < len(data); lo += bs {
+		hi := min(lo+bs, len(data))
+		pt := make([]byte, hi-lo)
+		copy(pt, data[lo:hi])
+		s.cache.Put(ckBlock+s.blockKey(ino, first+uint32(lo/bs)), pt, int64(hi-lo))
+	}
 }
 
 // ReadFile implements vfs.FS.
@@ -314,12 +328,10 @@ func (s *Session) overwrite(m *bMeta, data []byte) error {
 	}
 	bs := uint64(s.blockSize)
 	oldBlocks := uint32((m.Attr.Size + bs - 1) / bs)
-	kvs := s.blockKVs(m, data)
+	kvs := s.blockKVs(m, 0, data)
 	newBlocks := uint32((uint64(len(data)) + bs - 1) / bs)
 	for i := newBlocks; i < oldBlocks; i++ {
-		key := s.blockKey(m.Attr.Inode, i)
-		kvs = append(kvs, wire.KV{NS: wire.NSData, Key: key, Delete: true})
-		s.cache.Delete(ckBlock + key)
+		kvs = append(kvs, wire.KV{NS: wire.NSData, Key: s.blockKey(m.Attr.Inode, i), Delete: true})
 	}
 	m.Attr.Size = uint64(len(data))
 	m.Attr.MTime = time.Now().UnixNano()
@@ -327,9 +339,11 @@ func (s *Session) overwrite(m *bMeta, data []byte) error {
 	if err != nil {
 		return err
 	}
-	kvs = append(kvs, mk...)
-	s.cache.Delete(ckMeta + s.metaKey(m.Attr.Inode))
-	return s.store.BatchPut(kvs)
+	if err := s.commit(append(kvs, mk...)); err != nil {
+		return err
+	}
+	s.cacheBlocks(m.Attr.Inode, 0, data)
+	return nil
 }
 
 // Append implements vfs.FS.
@@ -369,29 +383,18 @@ func (s *Session) Append(path string, data []byte) error {
 	}
 	tail = append(tail, data...)
 
-	var kvs []wire.KV
-	for i := 0; i < len(tail); i += int(bs) {
-		hi := i + int(bs)
-		if hi > len(tail) {
-			hi = len(tail)
-		}
-		idx := firstDirty + uint32(i/int(bs))
-		key := s.blockKey(m.Attr.Inode, idx)
-		kvs = append(kvs, wire.KV{NS: wire.NSData, Key: key,
-			Val: s.sealData(m, blockAAD(m.Attr.Inode, idx), tail[i:hi])})
-		pt := make([]byte, hi-i)
-		copy(pt, tail[i:hi])
-		s.cache.Put(ckBlock+key, pt, int64(hi-i))
-	}
+	kvs := s.blockKVs(m, firstDirty, tail)
 	m.Attr.Size += uint64(len(data))
 	m.Attr.MTime = time.Now().UnixNano()
 	mk, err := s.sealMetaKVs(m)
 	if err != nil {
 		return err
 	}
-	kvs = append(kvs, mk...)
-	s.cache.Delete(ckMeta + s.metaKey(m.Attr.Inode))
-	return s.store.BatchPut(kvs)
+	if err := s.commit(append(kvs, mk...)); err != nil {
+		return err
+	}
+	s.cacheBlocks(m.Attr.Inode, firstDirty, tail)
+	return nil
 }
 
 // Chmod implements vfs.FS (owner-only, like the Sharoes client; baselines
@@ -413,8 +416,7 @@ func (s *Session) Chmod(path string, perm types.Perm) error {
 	if err != nil {
 		return err
 	}
-	s.cache.Delete(ckMeta + s.metaKey(m.Attr.Inode))
-	return s.store.BatchPut(kvs)
+	return s.commit(kvs)
 }
 
 // Chown implements vfs.FS.
@@ -439,8 +441,7 @@ func (s *Session) Chown(path string, owner types.UserID, group types.GroupID) er
 	if err != nil {
 		return err
 	}
-	s.cache.Delete(ckMeta + s.metaKey(m.Attr.Inode))
-	return s.store.BatchPut(kvs)
+	return s.commit(kvs)
 }
 
 // Remove implements vfs.FS.
@@ -474,9 +475,8 @@ func (s *Session) Remove(path string) error {
 		return err
 	}
 	delete(t.entries, base)
-	//sharoes-vet:allow unverified NO-ENC baseline write-through of unauthenticated table by design
-	kvs := []wire.KV{s.tableKV(p, t)}
-	kvs = append(kvs, s.deleteMetaKVs(m.Attr.Inode)...)
+	tkv := s.tableKV(p, t)
+	kvs := append([]wire.KV{tkv}, s.deleteMetaKVs(m.Attr.Inode)...)
 	items, err := s.store.List(wire.NSData, s.filePrefix(m.Attr.Inode))
 	if err != nil {
 		return err
@@ -485,10 +485,12 @@ func (s *Session) Remove(path string) error {
 		kvs = append(kvs, wire.KV{NS: wire.NSData, Key: it.Key, Delete: true})
 	}
 	kvs = append(kvs, wire.KV{NS: wire.NSData, Key: s.tableKey(m.Attr.Inode), Delete: true})
-	s.cache.Delete(ckMeta + s.metaKey(m.Attr.Inode))
-	s.cache.Delete(ckTable + s.tableKey(m.Attr.Inode))
-	s.cache.DeletePrefix(ckBlock + s.filePrefix(m.Attr.Inode))
-	return s.store.BatchPut(kvs)
+	if err := s.commit(kvs); err != nil {
+		return err
+	}
+	//sharoes-vet:allow unverified NO-ENC baseline write-through of unauthenticated table by design
+	s.cacheTable(t, tkv)
+	return nil
 }
 
 // Rename implements vfs.FS.
@@ -529,11 +531,18 @@ func (s *Session) Rename(oldPath, newPath string) error {
 	}
 	delete(ot.entries, oldBase)
 	nt.entries[newBase] = ino
-	//sharoes-vet:allow unverified NO-ENC baseline write-through of unauthenticated table by design
 	kvs := []wire.KV{s.tableKV(op, ot)}
 	if op.Attr.Inode != np.Attr.Inode {
-		//sharoes-vet:allow unverified NO-ENC baseline write-through of unauthenticated table by design
 		kvs = append(kvs, s.tableKV(np, nt))
 	}
-	return s.store.BatchPut(kvs)
+	if err := s.commit(kvs); err != nil {
+		return err
+	}
+	//sharoes-vet:allow unverified NO-ENC baseline write-through of unauthenticated table by design
+	s.cacheTable(ot, kvs[0])
+	if op.Attr.Inode != np.Attr.Inode {
+		//sharoes-vet:allow unverified NO-ENC baseline write-through of unauthenticated table by design
+		s.cacheTable(nt, kvs[1])
+	}
+	return nil
 }

@@ -7,7 +7,6 @@ package cache
 
 import (
 	"container/list"
-	"strings"
 	"sync"
 )
 
@@ -104,26 +103,6 @@ func (c *Cache) Delete(key string) {
 		c.ll.Remove(el)
 		delete(c.m, key)
 		c.used -= e.size
-	}
-}
-
-// DeletePrefix removes every key that starts with any of the given
-// prefixes — used to invalidate all blocks of a file, all views of a
-// directory, or everything cached for an inode — in one pass over the
-// cache however many prefixes there are.
-func (c *Cache) DeletePrefix(prefixes ...string) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	for key, el := range c.m {
-		for _, prefix := range prefixes {
-			if strings.HasPrefix(key, prefix) {
-				e := el.Value.(*entry)
-				c.ll.Remove(el)
-				delete(c.m, key)
-				c.used -= e.size
-				break
-			}
-		}
 	}
 }
 

@@ -78,52 +78,20 @@ func TestUnlimitedBudget(t *testing.T) {
 	}
 }
 
-func TestDeleteAndPrefix(t *testing.T) {
+func TestDelete(t *testing.T) {
 	c := New(-1)
 	c.Put("f/1/0/0", 1, 10)
 	c.Put("f/1/0/1", 2, 10)
-	c.Put("f/2/0/0", 3, 10)
 	c.Delete("f/1/0/0")
 	if _, ok := c.Get("f/1/0/0"); ok {
 		t.Error("deleted key hit")
 	}
+	if _, ok := c.Get("f/1/0/1"); !ok {
+		t.Error("delete over-deleted")
+	}
 	c.Delete("nonexistent") // no-op
-	c.DeletePrefix("f/1/")
-	if _, ok := c.Get("f/1/0/1"); ok {
-		t.Error("prefix delete missed")
-	}
-	if _, ok := c.Get("f/2/0/0"); !ok {
-		t.Error("prefix delete over-deleted")
-	}
-	if c.Used() != 10 {
-		t.Errorf("used = %d", c.Used())
-	}
-}
-
-// A set of prefixes is one invalidation: every key under any of them
-// goes, keys under none stay, and the byte count follows.
-func TestDeletePrefixSet(t *testing.T) {
-	c := New(-1)
-	for _, k := range []string{"M|m/7/c1", "V|t/7/c1", "B|f/7/0/0", "B|f/7/0/1", "M|m/70/c1", "B|f/8/0/0"} {
-		c.Put(k, k, 10)
-	}
-	c.DeletePrefix("M|m/7/", "V|t/7/", "B|f/7/", "W|t/7/")
-	for _, k := range []string{"M|m/7/c1", "V|t/7/c1", "B|f/7/0/0", "B|f/7/0/1"} {
-		if _, ok := c.Get(k); ok {
-			t.Errorf("%s survived", k)
-		}
-	}
-	for _, k := range []string{"M|m/70/c1", "B|f/8/0/0"} {
-		if _, ok := c.Get(k); !ok {
-			t.Errorf("%s over-deleted", k)
-		}
-	}
-	if c.Len() != 2 || c.Used() != 20 {
-		t.Errorf("len=%d used=%d, want 2 and 20", c.Len(), c.Used())
-	}
-	c.DeletePrefix() // no prefixes: nothing matches
-	if c.Len() != 2 {
-		t.Errorf("empty prefix set deleted entries: len=%d", c.Len())
+	if c.Len() != 1 || c.Used() != 10 {
+		t.Errorf("len=%d used=%d, want 1 and 10", c.Len(), c.Used())
 	}
 }
 

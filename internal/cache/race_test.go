@@ -36,11 +36,7 @@ func TestConcurrentHammer(t *testing.T) {
 				case 5:
 					c.Delete(k)
 				default:
-					if i%70 == 6 {
-						c.DeletePrefix(fmt.Sprintf("p%d/", i%4))
-					} else {
-						c.Len()
-					}
+					c.Len()
 				}
 			}
 		}(w)

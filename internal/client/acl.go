@@ -78,7 +78,7 @@ func (s *Session) setACL(path string, user types.UserID, rights *types.Triplet) 
 		newTrip = updated.Attr.EffectiveTriplet(user, s.reg.IsMember)
 	}
 
-	var kvs []wire.KV
+	var w write
 
 	// Revocation: if the user loses a capability they held, rotate the
 	// data keys (or, for files under lazy revocation, defer), as chmod
@@ -86,12 +86,8 @@ func (s *Session) setACL(path string, user types.UserID, rights *types.Triplet) 
 	if tripletRevokes(m.Attr.Kind, oldTrip, newTrip) {
 		if s.lazy && m.Attr.Kind == types.KindFile {
 			updated.Attr.Flags |= meta.FlagRekeyPending
-		} else {
-			rk, err := s.rekeyData(r, &updated)
-			if err != nil {
-				return err
-			}
-			kvs = append(kvs, rk...)
+		} else if err := s.rekeyData(&w, r, &updated); err != nil {
+			return err
 		}
 	}
 
@@ -120,25 +116,23 @@ func (s *Session) setACL(path string, user types.UserID, rights *types.Triplet) 
 			oldID := s.eng.UserVariant(user, m.Attr).ID
 			if oldID != s.eng.UserVariant(user, updated.Attr).ID {
 				delete(tables, oldID)
-				kvs = append(kvs, wire.KV{NS: wire.NSData, Key: meta.TableKey(r.ino, oldID), Delete: true})
-				s.cache.Delete(ckWTable + meta.TableKey(r.ino, oldID))
+				w.add(wire.KV{NS: wire.NSData, Key: meta.TableKey(r.ino, oldID), Delete: true})
 			}
 		}
-		tkvs, err := s.writeParentTablesFor(r, &updated, tables)
-		if err != nil {
+		// Sealed under the updated metadata: its variant set is the new one.
+		if err := s.writeParentTables(&w, r, &updated, tables); err != nil {
 			return err
 		}
-		kvs = append(kvs, tkvs...)
 	}
 
 	// Stale metadata copies for a removed variant must not linger.
 	if rights == nil {
 		oldID := s.eng.UserVariant(user, m.Attr).ID
 		if oldID != s.eng.UserVariant(user, updated.Attr).ID {
-			kvs = append(kvs, wire.KV{NS: wire.NSMeta, Key: meta.MetaKey(r.ino, oldID), Delete: true})
+			w.add(wire.KV{NS: wire.NSMeta, Key: meta.MetaKey(r.ino, oldID), Delete: true})
 		}
 	}
-	kvs = append(kvs, s.sealMetaVariants(&updated)...)
+	s.sealMetaVariants(&w, &updated)
 
 	// Re-route the parent's rows for this object: the grantee now
 	// diverges from (or rejoins) their class co-travellers.
@@ -147,7 +141,7 @@ func (s *Session) setACL(path string, user types.UserID, rights *types.Triplet) 
 		if err != nil {
 			return err
 		}
-		kvs = append(kvs, sbkvs...)
+		w.add(sbkvs...)
 	} else {
 		pr, pm, base, err := s.resolveParent(path)
 		if err != nil {
@@ -164,15 +158,12 @@ func (s *Session) setACL(path string, user types.UserID, rights *types.Triplet) 
 		if err != nil {
 			return err
 		}
-		kvs = append(kvs, grants...)
-		pkvs, err := s.writeParentTables(pr, pm, ptables)
-		if err != nil {
+		w.add(grants...)
+		if err := s.writeParentTables(&w, pr, pm, ptables); err != nil {
 			return err
 		}
-		kvs = append(kvs, pkvs...)
 	}
-
-	return s.store.BatchPut(kvs)
+	return s.commit(&w)
 }
 
 // stripACL returns attr without user's ACL entry, for computing the class
@@ -196,10 +187,4 @@ func tripletRevokes(kind types.ObjKind, oldTrip, newTrip types.Triplet) bool {
 	return (oldC.CanList() && !newC.CanList()) ||
 		(oldC.CanTraverse() && !newC.CanTraverse()) ||
 		(oldC.CanModifyDir() && !newC.CanModifyDir())
-}
-
-// writeParentTablesFor is writeParentTables but sealing with an updated
-// metadata whose variant set may differ from what was loaded.
-func (s *Session) writeParentTablesFor(r ref, m *meta.Metadata, tables map[string]*meta.DirTable) ([]wire.KV, error) {
-	return s.writeParentTables(r, m, tables)
 }

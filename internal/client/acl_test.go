@@ -134,8 +134,11 @@ func TestACLRevocationRekeys(t *testing.T) {
 			t.Fatal(err)
 		}
 		// Even with her cached keys, the blocks were rotated.
-		carol.cache.DeletePrefix(ckBlock)
-		carol.cache.DeletePrefix(ckManifest)
+		info, err := alice.Stat("/temp-share")
+		if err != nil {
+			t.Fatal(err)
+		}
+		forgetContent(t, carol, info.Inode)
 		if got, err := carol.ReadFile("/temp-share"); err == nil {
 			t.Errorf("carol read after ACL revoke: %q", got)
 		}

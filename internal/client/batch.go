@@ -5,7 +5,6 @@ import (
 	"sort"
 	"strconv"
 
-	"github.com/sharoes/sharoes/internal/cap"
 	"github.com/sharoes/sharoes/internal/layout"
 	"github.com/sharoes/sharoes/internal/meta"
 	"github.com/sharoes/sharoes/internal/obs"
@@ -160,28 +159,26 @@ type sibling struct {
 }
 
 // listedSiblings picks the children to fetch along with a getattr miss on
-// the row at. It yields nothing unless ReadDir listed the parent and both
-// the mark and the full view are still cached — so names-only and
-// exec-only views, evicted or invalidated parents and disabled caches all
-// fall through to the plain two-blob fetch. Candidates are the rows that
-// follow at.name in table order (the order ReadDir returned them), minus
-// split points (their keys live behind a public-key-sealed pointer, not in
-// the row) and children whose metadata is already cached.
-func (s *Session) listedSiblings(at dirent) []sibling {
+// the row at, and returns them with the parent's cached view they come
+// from. It yields nothing unless the full view is still cached and ReadDir
+// listed it — so names-only and exec-only views, evicted or rewritten
+// parents and disabled caches all fall through to the plain two-blob
+// fetch. Candidates are the rows that follow at.name in table order (the
+// order ReadDir returned them), minus split points (their keys live behind
+// a public-key-sealed pointer, not in the row) and children whose metadata
+// is already cached.
+func (s *Session) listedSiblings(at dirent) (*dirView, []sibling) {
 	if at.name == "" || s.sibChunk == 0 {
-		return nil
+		return nil, nil
 	}
-	tkey := meta.TableKey(at.dir.ino, at.dir.variant)
-	if _, ok := s.cache.Get(ckListed + tkey); !ok {
-		return nil
+	v, ok := s.cache.Get(ckView + meta.TableKey(at.dir.ino, at.dir.variant))
+	if !ok || !v.(*dirView).listed {
+		return nil, nil
 	}
-	v, ok := s.cache.Get(ckView + tkey)
-	if !ok {
-		return nil
-	}
-	full, err := v.(*cap.View).Full()
+	dv := v.(*dirView)
+	full, err := dv.Full()
 	if err != nil {
-		return nil
+		return nil, nil
 	}
 	rows := full.Entries
 	next := sort.Search(len(rows), func(i int) bool { return rows[i].Name > at.name })
@@ -198,11 +195,12 @@ func (s *Session) listedSiblings(at dirent) []sibling {
 		}
 		sibs = append(sibs, sibling{name: e.Name, r: ref{ino: e.Inode, variant: e.Variant, mek: e.MEK, mvk: e.MVK}})
 	}
-	return sibs
+	return dv, sibs
 }
 
 // cacheSiblings opens the prefetched children out of a batch reply and
-// caches the ones that verify. Every blob passes exactly the checks a
+// caches the ones that verify, remembering their rows in dv, the listed
+// parent's view. Every blob passes exactly the checks a
 // getattr of that child would apply — metadata under the MEK/MVK of its
 // own row and its own AAD, the manifest under its own DEK/DVK — before
 // anything is inserted. A child whose blob is missing or fails is left
@@ -210,7 +208,7 @@ func (s *Session) listedSiblings(at dirent) []sibling {
 // tampered neighbour never fails (or poisons) an honest target. Children
 // are independent, so they open across the worker pool under one
 // wall-clock CRYPTO stopwatch.
-func (s *Session) cacheSiblings(dir ref, sibs []sibling, blobs replyIndex) {
+func (s *Session) cacheSiblings(dv *dirView, sibs []sibling, blobs replyIndex) {
 	type opened struct {
 		m               *meta.Metadata
 		man             *meta.Manifest
@@ -250,7 +248,7 @@ func (s *Session) cacheSiblings(dir ref, sibs []sibling, blobs replyIndex) {
 		if o.man != nil {
 			s.cache.Put(ckManifest+meta.ManifestKey(r.ino), o.man, o.manLen)
 		}
-		s.cache.Put(refCacheKey(dir, sibs[i].name), r, int64(len(sibs[i].name))+96)
+		s.remember(dv, sibs[i].name, r)
 	}
 	s.metrics.Counter("client.stat.batch").Inc()
 	s.metrics.Counter("client.stat.batch.entries").Add(kept)

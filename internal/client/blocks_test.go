@@ -122,6 +122,15 @@ func TestRereadFetchesOnlyWhatIsMissing(t *testing.T) {
 	if err := w.as("alice").WriteFile("/big", data, 0o644); err != nil {
 		t.Fatal(err)
 	}
+	info, err := w.as("alice").Stat("/big")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var blocks []string // the cache keys of every block, the tail's last
+	for _, key := range append(blockKeys(t, cs, info.Inode, 16), meta.TailKey(info.Inode)) {
+		blocks = append(blocks, ckBlock+key)
+	}
+	manifest := ckManifest + meta.ManifestKey(info.Inode)
 	bob := w.mountFresh("bob", -1)
 	defer bob.Close()
 	for _, tc := range []struct {
@@ -130,13 +139,11 @@ func TestRereadFetchesOnlyWhatIsMissing(t *testing.T) {
 		batches []int
 	}{
 		{"cold", nil, []int{2, 3, 16}},
-		{"blocks lost", []string{ckBlock}, []int{17}},
-		{"blocks and manifest lost", []string{ckBlock, ckManifest}, []int{2, 16}},
+		{"blocks lost", blocks, []int{17}},
+		{"blocks and manifest lost", append(blocks[:len(blocks):len(blocks)], manifest), []int{2, 16}},
 		{"nothing lost", nil, nil},
 	} {
-		if tc.lose != nil {
-			bob.cache.DeletePrefix(tc.lose...)
-		}
+		forget(bob, tc.lose...)
 		cs.take()
 		if got, err := bob.ReadFile("/big"); err != nil || !bytes.Equal(got, data) {
 			t.Fatalf("%s: read %d bytes, %v", tc.what, len(got), err)

@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	"github.com/sharoes/sharoes/internal/layout"
+	"github.com/sharoes/sharoes/internal/meta"
 	"github.com/sharoes/sharoes/internal/migrate"
 	"github.com/sharoes/sharoes/internal/obs"
 	"github.com/sharoes/sharoes/internal/refmodel"
@@ -265,6 +266,10 @@ func TestPrefetchedTableIsVerifiedLikeAFetchedOne(t *testing.T) {
 				t.Fatal(err)
 			}
 			table := fmt.Sprintf("t/%d/", uint64(info.Inode))
+			var views []string // /d's reader views, one per fixed variant
+			for _, id := range w.eng.FixedVariants() {
+				views = append(views, ckView+table+id)
+			}
 
 			s := w.mountFresh("bob", cacheBytes)
 			defer s.Close()
@@ -278,10 +283,8 @@ func TestPrefetchedTableIsVerifiedLikeAFetchedOne(t *testing.T) {
 			if calls, batches := cs.take(); calls != 2 || len(batches) != 2 || batches[1] != 2 {
 				t.Errorf("%d calls, batches %v; want two two-key hops", calls, batches)
 			}
-			for _, prefix := range []string{ckView + table, ckRef + "d/" + table[2:]} {
-				if n := cachedUnder(s, prefix); n != 0 {
-					t.Errorf("%d cache entries under %q after a tampered table", n, prefix)
-				}
+			if n := cachedAt(s, views...); n != 0 {
+				t.Errorf("%d of the cache entries %q after a tampered table", n, views)
 			}
 
 			// Withheld instead of corrupted: an empty directory, as before.
@@ -290,7 +293,7 @@ func TestPrefetchedTableIsVerifiedLikeAFetchedOne(t *testing.T) {
 			if _, err := s.Stat(paths[0]); !errors.Is(err, types.ErrNotExist) {
 				t.Errorf("stat through a withheld table: %v", err)
 			}
-			if n := cachedUnder(s, ckRef+"d/"+table[2:]); n != 0 {
+			if n := rememberedRows(s, views...); n != 0 {
 				t.Errorf("%d refs cached out of a withheld table", n)
 			}
 
@@ -303,6 +306,11 @@ func TestPrefetchedTableIsVerifiedLikeAFetchedOne(t *testing.T) {
 				t.Errorf("after the SSP heals, read = %q, %v", got, err)
 			}
 
+			tailInfo, err := w.as("alice").Stat(paths[2])
+			if err != nil {
+				t.Fatal(err)
+			}
+			tailIno := tailInfo.Inode
 			// A ridden tail: tampered or withheld, the read fails where
 			// the block fetch used to fail, without a fetch more, and
 			// nothing of it is cached.
@@ -316,7 +324,7 @@ func TestPrefetchedTableIsVerifiedLikeAFetchedOne(t *testing.T) {
 				if calls, batches := cs.take(); calls != 3 || len(batches) != 3 || batches[2] != 3 {
 					t.Errorf("fault %v: %d calls, batches %v; want two hops and one three-key fetch", mode, calls, batches)
 				}
-				if n := cachedUnder(s, ckBlock); n != 0 {
+				if n := cachedAt(s, ckBlock+meta.TailKey(tailIno)); n != 0 { // the file is one partial block
 					t.Errorf("fault %v: %d blocks cached", mode, n)
 				}
 				fs.ClearRules()
@@ -362,7 +370,7 @@ func TestPrefetchedTableIsVerifiedLikeAFetchedOne(t *testing.T) {
 					t.Errorf("warm-hop remove: %d calls, batches %v; want the child's metadata + manifest and two writer tables in one fetch", calls, batches)
 				}
 			}
-			if n := cachedUnder(a, ckWTable+groupTable); n != 0 {
+			if n := cachedAt(a, ckWTable+groupTable); n != 0 {
 				t.Errorf("%d cache entries for a tampered writer table", n)
 			}
 			if after := stored(); after != before {
@@ -386,11 +394,44 @@ func TestPrefetchedTableIsVerifiedLikeAFetchedOne(t *testing.T) {
 	}
 }
 
-// cachedUnder counts the session-cache entries whose key starts with prefix.
-func cachedUnder(s *Session, prefix string) int {
-	before := s.cache.Len()
-	s.cache.DeletePrefix(prefix)
-	return before - s.cache.Len()
+// cachedAt counts the session-cache entries at the exact keys given.
+func cachedAt(s *Session, keys ...string) int {
+	n := 0
+	for _, k := range keys {
+		if _, ok := s.cache.Get(k); ok {
+			n++
+		}
+	}
+	return n
+}
+
+// rememberedRows counts the directory rows remembered in the cached views
+// at the exact keys given.
+func rememberedRows(s *Session, keys ...string) int {
+	n := 0
+	for _, k := range keys {
+		if v, ok := s.cache.Get(k); ok {
+			n += len(v.(*dirView).refs)
+		}
+	}
+	return n
+}
+
+// forget drops the session-cache entries at the exact keys given.
+func forget(s *Session, keys ...string) {
+	for _, k := range keys {
+		s.cache.Delete(k)
+	}
+}
+
+// forgetContent drops a session's cached plaintext of a file shorter than
+// one block — its manifest and its tail block — by their exact keys.
+func forgetContent(t *testing.T, s *Session, ino types.Inode) {
+	t.Helper()
+	if v, ok := s.cache.Get(ckManifest + meta.ManifestKey(ino)); ok && v.(*meta.Manifest).FullBlocks() > 0 {
+		t.Fatalf("inode %d has full blocks: not a one-block file", ino)
+	}
+	forget(s, ckManifest+meta.ManifestKey(ino), ckBlock+meta.TailKey(ino))
 }
 
 // TestFetchCountsAndSpans: client.op.<op>.fetches counts the store reads

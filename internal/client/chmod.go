@@ -12,14 +12,12 @@ import (
 	"github.com/sharoes/sharoes/internal/wire"
 )
 
-// sealMetaVariants seals every CAP copy of the metadata and invalidates
-// the local cache for the object's metadata.
-func (s *Session) sealMetaVariants(m *meta.Metadata) []wire.KV {
+// sealMetaVariants seals every CAP copy of the metadata into w; commit
+// then forgets the copies the session had cached.
+func (s *Session) sealMetaVariants(w *write, m *meta.Metadata) {
 	stop := s.crypto("seal-meta")
-	kvs := layout.BuildMetaKVs(s.eng, m)
+	w.add(layout.BuildMetaKVs(s.eng, m)...)
 	stop()
-	s.cache.DeletePrefix(ckMeta + "m/" + fmt.Sprintf("%d/", uint64(m.Attr.Inode)))
-	return kvs
 }
 
 // requireOwner checks that the session user owns the object and holds the
@@ -58,11 +56,11 @@ func revocationNeeded(kind types.ObjKind, oldPerm, newPerm types.Perm) bool {
 }
 
 // rekeyData rotates an object's data keys in place on m — fresh DEK,
-// DataSeed and signing pair, next data generation — and returns the KVs
+// DataSeed and signing pair, next data generation — and adds to w the KVs
 // that re-encrypt the data under them. This is the immediate-revocation
 // path of the paper (§IV-A1): a revoked reader may have cached the DEK,
 // so the content must move to keys they never saw.
-func (s *Session) rekeyData(r ref, m *meta.Metadata) ([]wire.KV, error) {
+func (s *Session) rekeyData(w *write, r ref, m *meta.Metadata) error {
 	oldGen := m.Attr.DataGen
 
 	var content []byte
@@ -72,11 +70,11 @@ func (s *Session) rekeyData(r ref, m *meta.Metadata) ([]wire.KV, error) {
 		var pre replyIndex
 		var err error
 		if man, pre, err = s.fetchManifest(r, m, nil, withContent); err != nil {
-			return nil, err
+			return err
 		}
 		blocks, err := s.readBlocks(r, m, man, 0, man.NBlocks, pre)
 		if err != nil {
-			return nil, err
+			return err
 		}
 		for _, b := range blocks {
 			content = append(content, b...)
@@ -84,7 +82,7 @@ func (s *Session) rekeyData(r ref, m *meta.Metadata) ([]wire.KV, error) {
 	} else {
 		var err error
 		if tables, err = s.loadParentTables(r, m, nil, nil); err != nil {
-			return nil, err
+			return err
 		}
 	}
 
@@ -98,33 +96,23 @@ func (s *Session) rekeyData(r ref, m *meta.Metadata) ([]wire.KV, error) {
 	m.Attr.Flags &^= meta.FlagRekeyPending
 	stop()
 
-	var kvs []wire.KV
-	if m.Attr.Kind == types.KindFile {
-		// Same content in blocks of the same size: the tail, if there is
-		// one, is overwritten in place under its generation-free key.
-		dkvs, err := s.sealFileData(m, content, man.BlockSize, time.Now().UnixNano())
-		if err != nil {
-			return nil, err
-		}
-		kvs = append(kvs, dkvs...)
-		// Drop the old generation's blobs.
-		old, err := s.list(wire.NSData, meta.BlockPrefix(r.ino, oldGen))
-		if err != nil {
-			return nil, err
-		}
-		for _, it := range old {
-			kvs = append(kvs, wire.KV{NS: wire.NSData, Key: it.Key, Delete: true})
-		}
-		s.cache.DeletePrefix(ckBlock + meta.BlockPrefix(r.ino, oldGen))
-		s.cache.Delete(ckManifest + meta.ManifestKey(r.ino))
-	} else {
-		tkvs, err := s.writeParentTables(r, m, tables)
-		if err != nil {
-			return nil, err
-		}
-		kvs = append(kvs, tkvs...)
+	if m.Attr.Kind != types.KindFile {
+		return s.writeParentTables(w, r, m, tables)
 	}
-	return kvs, nil
+	// Same content in blocks of the same size: the tail, if there is one,
+	// is overwritten in place under its generation-free key.
+	if err := s.sealFileData(w, m, content, man.BlockSize, time.Now().UnixNano()); err != nil {
+		return err
+	}
+	// Drop the old generation's blobs.
+	old, err := s.list(wire.NSData, meta.BlockPrefix(r.ino, oldGen))
+	if err != nil {
+		return err
+	}
+	for _, it := range old {
+		w.add(wire.KV{NS: wire.NSData, Key: it.Key, Delete: true})
+	}
+	return nil
 }
 
 // Chmod implements vfs.FS. The owner rewrites every CAP copy of the
@@ -153,19 +141,15 @@ func (s *Session) chmod(path string, perm types.Perm) error {
 	}
 
 	updated := *m
-	var kvs []wire.KV
+	var w write
 	if revocationNeeded(m.Attr.Kind, m.Attr.Perm, perm) {
 		// Lazy revocation (Plutus-style) defers *file* re-encryption to
 		// the next write; directories have no equivalent write trigger,
 		// so their revocations are always immediate.
 		if s.lazy && m.Attr.Kind == types.KindFile {
 			updated.Attr.Flags |= meta.FlagRekeyPending
-		} else {
-			rk, err := s.rekeyData(r, &updated)
-			if err != nil {
-				return err
-			}
-			kvs = append(kvs, rk...)
+		} else if err := s.rekeyData(&w, r, &updated); err != nil {
+			return err
 		}
 	} else if updated.Attr.Kind == types.KindDir {
 		// Views encode per-CAP shapes; a permission change can alter a
@@ -177,17 +161,15 @@ func (s *Session) chmod(path string, perm types.Perm) error {
 				return err
 			}
 			updated.Attr.Perm = perm
-			tkvs, err := s.writeParentTables(r, &updated, tables)
-			if err != nil {
+			if err := s.writeParentTables(&w, r, &updated, tables); err != nil {
 				return err
 			}
-			kvs = append(kvs, tkvs...)
 		}
 	}
 	updated.Attr.Perm = perm
 
-	kvs = append(kvs, s.sealMetaVariants(&updated)...)
-	return s.store.BatchPut(kvs)
+	s.sealMetaVariants(&w, &updated)
+	return s.commit(&w)
 }
 
 // viewShapesDiffer reports whether any class's directory CAP class — and
@@ -247,20 +229,21 @@ func (s *Session) chown(path string, owner types.UserID, group types.GroupID) er
 	updated.Keys.MSK = msk
 	stop()
 
-	kvs, err := s.rekeyData(r, &updated)
-	if err != nil {
+	var w write
+	if err := s.rekeyData(&w, r, &updated); err != nil {
 		return err
 	}
 
+	root := s.root
 	if r.ino == s.root.ino {
 		sbkvs, err := s.sealSuperblocks(&updated)
 		if err != nil {
 			return err
 		}
-		kvs = append(kvs, sbkvs...)
+		w.add(sbkvs...)
 		// Our own root reference changes with the rotation.
 		v := s.eng.UserVariant(s.user.ID, updated.Attr)
-		s.root = ref{ino: r.ino, variant: v.ID, mek: v.MEK(&updated), mvk: updated.Keys.MSK.VerifyKey()}
+		root = ref{ino: r.ino, variant: v.ID, mek: v.MEK(&updated), mvk: updated.Keys.MSK.VerifyKey()}
 	} else {
 		pr, pm, base, err := s.resolveParent(path)
 		if err != nil {
@@ -277,16 +260,18 @@ func (s *Session) chown(path string, owner types.UserID, group types.GroupID) er
 		if err != nil {
 			return err
 		}
-		kvs = append(kvs, grants...)
-		tkvs, err := s.writeParentTables(pr, pm, tables)
-		if err != nil {
+		w.add(grants...)
+		if err := s.writeParentTables(&w, pr, pm, tables); err != nil {
 			return err
 		}
-		kvs = append(kvs, tkvs...)
 	}
 
-	kvs = append(kvs, s.sealMetaVariants(&updated)...)
-	return s.store.BatchPut(kvs)
+	s.sealMetaVariants(&w, &updated)
+	if err := s.commit(&w); err != nil {
+		return err
+	}
+	s.root = root
+	return nil
 }
 
 // sealSuperblocks seals one superblock per registered user for the

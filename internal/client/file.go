@@ -66,54 +66,49 @@ func verifyManifest(r ref, m *meta.Metadata, blob []byte) (*meta.Manifest, error
 }
 
 // sealFileData seals a file's full content as blocks of blockSize plus
-// manifest, returning the KVs to store and priming the cache with the
-// plaintext. Larger files are divided into blocks, each encrypted
-// separately, so later updates need not re-encrypt the whole file (paper
-// §II-B).
-func (s *Session) sealFileData(m *meta.Metadata, data []byte, blockSize uint32, mtime int64) ([]wire.KV, error) {
+// manifest into w, staging the plaintext for the cache. Larger files are
+// divided into blocks, each encrypted separately, so later updates need
+// not re-encrypt the whole file (paper §II-B).
+func (s *Session) sealFileData(w *write, m *meta.Metadata, data []byte, blockSize uint32, mtime int64) error {
 	if m.Keys.DEK.IsZero() || m.Keys.DSK.IsZero() {
-		return nil, types.ErrPermission
+		return types.ErrPermission
 	}
-	return s.sealBlocks(m, meta.NewManifest(uint64(len(data)), blockSize, mtime), 0, data), nil
+	s.sealBlocks(w, m, meta.NewManifest(uint64(len(data)), blockSize, mtime), 0, data)
+	return nil
 }
 
 // sealBlocks seals data as the file's blocks from block first on, plus
-// the new manifest, under one CRYPTO stopwatch (the blocks are sealed
-// across the worker pool inside layout.SealFileKVs), then — back on the
-// session goroutine — primes the cache with the plaintext it was given.
-func (s *Session) sealBlocks(m *meta.Metadata, man *meta.Manifest, first uint32, data []byte) []wire.KV {
+// the new manifest, into w under one CRYPTO stopwatch (the blocks are
+// sealed across the worker pool inside layout.SealFileKVs), then — back on
+// the session goroutine — stages the plaintext it was given and the
+// manifest for the cache.
+func (s *Session) sealBlocks(w *write, m *meta.Metadata, man *meta.Manifest, first uint32, data []byte) {
 	stop := s.crypto("seal-data")
 	kvs := layout.SealFileKVs(m, man, first, data)
 	stop()
+	w.add(kvs...)
 
 	bs := int(man.BlockSize)
 	blocks, sealedMan := kvs[:len(kvs)-1], kvs[len(kvs)-1]
 	for i, kv := range blocks {
 		plain := data[i*bs : min((i+1)*bs, len(data))]
 		// The cache keeps its own copy (data belongs to the caller), so
-		// ask before making one it would drop — and drop what it holds
-		// under the key, which this block has just replaced.
-		if !s.cache.Holds(int64(len(plain))) {
-			s.cache.Delete(ckBlock + kv.Key)
-			continue
+		// ask before making one it would drop.
+		if s.cache.Holds(int64(len(plain))) {
+			w.stage(ckBlock+kv.Key, append([]byte(nil), plain...), int64(len(plain)))
 		}
-		s.cache.Put(ckBlock+kv.Key, append([]byte(nil), plain...), int64(len(plain)))
 	}
-	s.cache.Put(ckManifest+sealedMan.Key, man, int64(len(sealedMan.Val)))
-	return kvs
+	w.stage(ckManifest+sealedMan.Key, man, int64(len(sealedMan.Val)))
 }
 
 // dropTail returns the delete for a stored tail block that a write leaves
-// behind — the file had one (old) and, at its new size (now), has none —
-// and forgets the cached copy. A tail that is replaced is simply
-// overwritten: its key does not change.
-func (s *Session) dropTail(ino types.Inode, old, now *meta.Manifest) []wire.KV {
+// behind: the file had one (old) and, at its new size (now), has none. A
+// tail that is replaced is simply overwritten: its key does not change.
+func dropTail(ino types.Inode, old, now *meta.Manifest) []wire.KV {
 	if old.TailLen() == 0 || now.TailLen() != 0 {
 		return nil
 	}
-	key := meta.TailKey(ino)
-	s.cache.Delete(ckBlock + key)
-	return []wire.KV{{NS: wire.NSData, Key: key, Delete: true}}
+	return []wire.KV{{NS: wire.NSData, Key: meta.TailKey(ino), Delete: true}}
 }
 
 // readBlocks fetches, verifies and decrypts the blocks [from, to) of a
@@ -253,8 +248,7 @@ func (s *Session) WriteFile(path string, data []byte, perm types.Perm) error {
 func (s *Session) writeFile(path string, data []byte, perm types.Perm) error {
 	r, at, m, pre, err := s.resolveObject(path, withManifest, true)
 	if errors.Is(err, types.ErrNotExist) {
-		_, err := s.createObject(path, at, pre, perm, types.KindFile, data)
-		return err
+		return s.createObject(path, at, pre, perm, types.KindFile, data)
 	}
 	if err != nil {
 		return err
@@ -289,25 +283,24 @@ func (s *Session) overwrite(r ref, m *meta.Metadata, pre replyIndex, data []byte
 		// now, on the owner's first write after the chmod. The old
 		// content is being replaced, so rotation is nearly free: fresh
 		// keys, next generation, and every block of the old one is stale.
-		s.rotateForWrite(r, &updated)
+		s.rotateForWrite(&updated)
 		staleFrom = 0
 	}
 
-	kvs := s.sealBlocks(&updated, newMan, 0, data)
+	var w write
+	s.sealBlocks(&w, &updated, newMan, 0, data)
 	for i := staleFrom; i < oldMan.FullBlocks(); i++ {
-		key := meta.BlockKey(r.ino, oldGen, i)
-		kvs = append(kvs, wire.KV{NS: wire.NSData, Key: key, Delete: true})
-		s.cache.Delete(ckBlock + key)
+		w.add(wire.KV{NS: wire.NSData, Key: meta.BlockKey(r.ino, oldGen, i), Delete: true})
 	}
-	kvs = append(kvs, s.dropTail(r.ino, oldMan, newMan)...)
+	w.add(dropTail(r.ino, oldMan, newMan)...)
 	// Owners also refresh the metadata copies so stat stays fresh for
 	// users without read access.
 	if isOwner {
 		updated.Attr.Size = uint64(len(data))
 		updated.Attr.MTime = now
-		kvs = append(kvs, s.sealMetaVariants(&updated)...)
+		s.sealMetaVariants(&w, &updated)
 	}
-	return s.store.BatchPut(kvs)
+	return s.commit(&w)
 }
 
 // Append implements vfs.FS: extend a file, re-encrypting only the final
@@ -353,16 +346,16 @@ func (s *Session) appendFile(path string, data []byte) error {
 
 	newMan := meta.NewManifest(man.Size+uint64(len(data)), man.BlockSize, time.Now().UnixNano())
 	copy(newMan.Digests, man.Digests[:firstDirty])
-	kvs := s.sealBlocks(m, newMan, firstDirty, tail)
-	kvs = append(kvs, s.dropTail(r.ino, man, newMan)...)
-	return s.store.BatchPut(kvs)
+	var w write
+	s.sealBlocks(&w, m, newMan, firstDirty, tail)
+	w.add(dropTail(r.ino, man, newMan)...)
+	return s.commit(&w)
 }
 
 // rotateForWrite rotates a file's data keys in place on m without
 // re-encrypting the outgoing content (the caller is about to replace it,
 // and deletes the old generation's blobs).
-func (s *Session) rotateForWrite(r ref, m *meta.Metadata) {
-	oldGen := m.Attr.DataGen
+func (s *Session) rotateForWrite(m *meta.Metadata) {
 	stop := s.crypto("rotate-data-keys")
 	dsk, dvk := sharocrypto.NewSigningPair()
 	m.Keys.DEK = sharocrypto.NewSymKey()
@@ -370,7 +363,4 @@ func (s *Session) rotateForWrite(r ref, m *meta.Metadata) {
 	m.Attr.DataGen++
 	m.Attr.Flags &^= meta.FlagRekeyPending
 	stop()
-
-	s.cache.DeletePrefix(ckBlock + meta.BlockPrefix(r.ino, oldGen))
-	s.cache.Delete(ckManifest + meta.ManifestKey(r.ino))
 }

@@ -79,7 +79,7 @@ func (s *Session) OpenFile(path string, flags int, perm types.Perm) (*File, erro
 			f.buf = content
 		}
 	case errors.Is(err, types.ErrNotExist) && flags&OCreate != 0 && f.write:
-		if _, cerr := s.createObject(path, at, pre, perm, types.KindFile, []byte{}); cerr != nil {
+		if cerr := s.createObject(path, at, pre, perm, types.KindFile, []byte{}); cerr != nil {
 			return nil, pathErr("open", path, cerr)
 		}
 		f.buf = nil

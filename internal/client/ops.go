@@ -123,23 +123,24 @@ func (s *Session) ReadDir(path string) ([]string, error) {
 	if !s.triplet(m.Attr).CanRead() {
 		return nil, pathErr("readdir", path, types.ErrPermission)
 	}
-	view, err := s.openViewOf(r, m, pre)
+	dv, err := s.openViewOf(r, m, pre)
 	if err != nil {
 		return nil, pathErr("readdir", path, err)
 	}
-	names, err := view.Names()
+	names, err := dv.Names()
 	if err != nil {
 		if errors.Is(err, cap.ErrNoKeys) {
 			err = types.ErrPermission
 		}
 		return nil, pathErr("readdir", path, err)
 	}
-	// A getattr of an entry usually follows ("ls -l"): remember that this
-	// view was listed, so the first such miss fetches its siblings too. The
-	// mark lives and dies with the view — only a full view carries the rows
-	// a sibling fetch needs, and a disabled cache cannot hold a mark at all.
-	if _, err := view.Full(); err == nil {
-		s.cache.Put(ckListed+meta.TableKey(r.ino, r.variant), struct{}{}, 1)
+	// A getattr of an entry usually follows ("ls -l"): mark the view
+	// listed, so the first such miss fetches its siblings too. The mark is
+	// part of the cached view and dies with it — only a full view carries
+	// the rows a sibling fetch needs, and a view the cache does not hold
+	// carries its mark nowhere.
+	if _, err := dv.Full(); err == nil {
+		dv.listed = true
 	}
 	out := make([]string, len(names))
 	copy(out, names)
@@ -153,8 +154,7 @@ func (s *Session) Mkdir(path string, perm types.Perm) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	defer s.beginOp("mkdir")()
-	_, err := s.createObject(path, dirent{}, nil, perm, types.KindDir, nil)
-	return pathErrNil("mkdir", path, err)
+	return pathErrNil("mkdir", path, s.createObject(path, dirent{}, nil, perm, types.KindDir, nil))
 }
 
 // Create implements vfs.FS: create an empty file (mknod).
@@ -162,8 +162,7 @@ func (s *Session) Create(path string, perm types.Perm) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	defer s.beginOp("create")()
-	_, err := s.createObject(path, dirent{}, nil, perm, types.KindFile, []byte{})
-	return pathErrNil("create", path, err)
+	return pathErrNil("create", path, s.createObject(path, dirent{}, nil, perm, types.KindFile, []byte{}))
 }
 
 func pathErrNil(op, path string, err error) error {
@@ -174,52 +173,45 @@ func pathErrNil(op, path string, err error) error {
 }
 
 // createObject creates a file or directory with optional initial data.
-// It returns the new object's full metadata (creator knowledge). at and
-// pre are the final hop of the caller's own walk to path, and that hop's
-// reply, when that walk read the parent's table and found no such entry;
-// at is zero otherwise — Mkdir and Create, which have not walked — and the
-// writer's walk is then made here. One way or the other the parent is
-// resolved once, and the reply of its hop answers for the writer tables.
-func (s *Session) createObject(path string, at dirent, pre replyIndex, perm types.Perm, kind types.ObjKind, data []byte) (*meta.Metadata, error) {
+// at and pre are the final hop of the caller's own walk to path, and that
+// hop's reply, when that walk read the parent's table and found no such
+// entry; at is zero otherwise — Mkdir and Create, which have not walked —
+// and the writer's walk is then made here. One way or the other the
+// parent is resolved once, and the reply of its hop answers for the
+// writer tables.
+func (s *Session) createObject(path string, at dirent, pre replyIndex, perm types.Perm, kind types.ObjKind, data []byte) error {
 	if err := cap.ValidatePerm(kind, perm); err != nil {
-		return nil, err
+		return err
 	}
 	if at.view == nil {
 		var err error
-		_, at, pre, err = s.resolveRef(path, true)
-		switch {
-		case at.view != nil:
-			// Whatever the lookup said: whether the entry exists is
-			// decided below, in the writer's own table, after the right
-			// to write the directory.
-		case err != nil:
-			return nil, err
-		case at.meta == nil:
-			return nil, errOnRoot
-		default: // a row resolved before: the entry exists
-			if err := s.requireDirWriter(at.meta); err != nil {
-				return nil, err
+		// Whatever the lookup said: whether the entry exists is decided
+		// below, in the writer's own table, after the right to write the
+		// directory. Every hop that gets that far has read the view.
+		if _, at, pre, err = s.resolveRef(path, true); at.view == nil {
+			if err == nil { // the walk had no hop to make
+				err = errOnRoot
 			}
-			return nil, types.ErrExist
+			return err
 		}
 	}
 	pr, pm, base := at.dir, at.meta, at.name
 	if err := s.requireDirWriter(pm); err != nil {
-		return nil, err
+		return err
 	}
 	tables, err := s.loadParentTables(pr, pm, at.view, pre)
 	if err != nil {
-		return nil, err
+		return err
 	}
 	if _, err := tables[pr.variant].Lookup(base); err == nil {
-		return nil, types.ErrExist
+		return types.ErrExist
 	}
 
 	now := time.Now().UnixNano()
 	stop := s.crypto("mint-keys")
 	child := &meta.Metadata{
 		Attr: meta.Attr{
-			Inode: randInode(),
+			Inode: types.NewInode(),
 			Kind:  kind,
 			Owner: s.user.ID,
 			Group: pm.Attr.Group, // BSD semantics: inherit the parent's group
@@ -231,11 +223,10 @@ func (s *Session) createObject(path string, at dirent, pre replyIndex, perm type
 	}
 	stop()
 
-	var kvs []wire.KV
-
 	// Child metadata, one sealed copy per CAP variant.
+	var w write
 	stop = s.crypto("seal-meta")
-	kvs = append(kvs, layout.BuildMetaKVs(s.eng, child)...)
+	w.add(layout.BuildMetaKVs(s.eng, child)...)
 	stop()
 
 	switch kind {
@@ -244,33 +235,25 @@ func (s *Session) createObject(path string, at dirent, pre replyIndex, perm type
 		tkvs, err := layout.BuildTableKVs(s.eng, child, &meta.DirTable{})
 		stop()
 		if err != nil {
-			return nil, err
+			return err
 		}
-		kvs = append(kvs, tkvs...)
+		w.add(tkvs...)
 	case types.KindFile:
-		dkvs, err := s.sealFileData(child, data, s.blockSize, now)
-		if err != nil {
-			return nil, err
+		if err := s.sealFileData(&w, child, data, s.blockSize, now); err != nil {
+			return err
 		}
-		kvs = append(kvs, dkvs...)
 	}
 
 	// Parent directory table: add the row to every view.
 	grants, err := layout.BuildRows(s.eng, pm, tables, base, child)
 	if err != nil {
-		return nil, err
+		return err
 	}
-	kvs = append(kvs, grants...)
-	tkvs, err := s.writeParentTables(pr, pm, tables)
-	if err != nil {
-		return nil, err
+	w.add(grants...)
+	if err := s.writeParentTables(&w, pr, pm, tables); err != nil {
+		return err
 	}
-	kvs = append(kvs, tkvs...)
-
-	if err := s.store.BatchPut(kvs); err != nil {
-		return nil, err
-	}
-	return child, nil
+	return s.commit(&w)
 }
 
 // Remove implements vfs.FS: unlink a file or remove an empty directory.
@@ -326,22 +309,20 @@ func (s *Session) remove(path string) error {
 			return err
 		}
 	}
-	kvs, err := s.writeParentTables(pr, pm, tables)
-	if err != nil {
+	// The batch names every key the child has — its metadata variants,
+	// its tables or its manifest and blocks — so commit forgets all that
+	// is cached of it.
+	var w write
+	if err := s.writeParentTables(&w, pr, pm, tables); err != nil {
 		return err
 	}
-	kvs = append(kvs, layout.DeleteMetaKVs(s.eng, cm.Attr)...)
+	w.add(layout.DeleteMetaKVs(s.eng, cm.Attr)...)
 	dkvs, err := s.deleteDataKVs(cr, cm, pre)
 	if err != nil {
 		return err
 	}
-	kvs = append(kvs, dkvs...)
-
-	if err := s.store.BatchPut(kvs); err != nil {
-		return err
-	}
-	s.invalidateObject(cm.Attr.Inode)
-	return nil
+	w.add(dkvs...)
+	return s.commit(&w)
 }
 
 // deleteDataKVs enumerates an object's data blobs and split pointers for
@@ -472,17 +453,15 @@ func (s *Session) rename(oldPath, newPath string) error {
 		}
 	}
 
-	kvs, err := s.writeParentTables(opr, opm, srcTables)
-	if err != nil {
+	var w write
+	if err := s.writeParentTables(&w, opr, opm, srcTables); err != nil {
 		return err
 	}
 	if !samePar {
-		nkvs, err := s.writeParentTables(npr, npm, dstTables)
-		if err != nil {
+		if err := s.writeParentTables(&w, npr, npm, dstTables); err != nil {
 			return err
 		}
-		kvs = append(kvs, nkvs...)
 	}
-	kvs = append(kvs, grants...)
-	return s.store.BatchPut(kvs)
+	w.add(grants...)
+	return s.commit(&w)
 }

@@ -3,7 +3,6 @@ package client
 import (
 	"errors"
 	"fmt"
-	"strconv"
 
 	"github.com/sharoes/sharoes/internal/cap"
 	"github.com/sharoes/sharoes/internal/keys"
@@ -61,21 +60,18 @@ func (s *Session) resolveRef(path string, parentWriter bool) (ref, dirent, reply
 // fetched together, and for a writer of the directory so are the tables of
 // its other fixed variants, asked for blind (the ACL variants' can only be
 // named once the metadata is open; loadParentTables fetches those) — and a
-// previously resolved row costs none.
+// row resolved before costs none: it is remembered in the directory's
+// cached view (dirView.refs), so a warm hop is one cache lookup for the
+// view, one for the metadata and the exec check.
 func (s *Session) walkHop(dir ref, comp string, writer bool) (ref, dirent, replyIndex, error) {
-	// A previously resolved hop skips the table lookup entirely. Entries
-	// are keyed by parent (inode, variant) and name, and are dropped
-	// whenever the parent's table changes (writeParentTables,
-	// invalidateObject) — the same machinery that invalidates
-	// ckView/ckWTable — so they can never outlive the row they came from.
-	rkey := refCacheKey(dir, comp)
-	known, resolved := s.cache.Get(rkey)
+	var known *dirView
+	var key [64]byte // a lookup key the cache does not keep: built without allocating
+	if v, ok := s.cache.Get(string(meta.AppendTableKey(append(key[:0], ckView...), dir.ino, dir.variant))); ok {
+		known = v.(*dirView)
+	}
 	with := withView
-	switch {
-	case writer:
+	if writer {
 		with = withTables
-	case resolved:
-		with = alone
 	}
 	m, pre, err := s.fetchMeta(dir, with)
 	if err != nil {
@@ -88,20 +84,23 @@ func (s *Session) walkHop(dir ref, comp string, writer bool) (ref, dirent, reply
 	// Traversal requires exec on the directory — enforced
 	// cryptographically for non-owners (no DEK ⇒ no table), and as
 	// policy for owners, like a local filesystem. The check runs on
-	// every hop, cached ref or not, so a chmod on an ancestor (which
-	// invalidates only its ckMeta entry) takes effect immediately.
+	// every hop, remembered row or not, so a chmod on an ancestor (which
+	// re-seals only its metadata) takes effect immediately.
 	if !s.triplet(m.Attr).CanExec() {
 		return ref{}, at, pre, types.ErrPermission
 	}
-	if resolved {
-		return known.(ref), at, pre, nil
+	if known != nil {
+		if next, ok := known.refs[comp]; ok {
+			at.view = known.View
+			return next, at, pre, nil
+		}
 	}
-	view, err := s.openViewOf(dir, m, pre)
+	dv, err := s.openViewOf(dir, m, pre)
 	if err != nil {
 		return ref{}, at, pre, err
 	}
-	at.view = view
-	entry, err := view.Lookup(comp)
+	at.view = dv.View
+	entry, err := dv.Lookup(comp)
 	if err != nil {
 		if errors.Is(err, meta.ErrNoEntry) {
 			err = types.ErrNotExist
@@ -110,40 +109,24 @@ func (s *Session) walkHop(dir ref, comp string, writer bool) (ref, dirent, reply
 	}
 	if entry.Split {
 		// Split pointers are re-sealed out of band on revocation with
-		// no parent-table write to hook invalidation on, so split
-		// hops are deliberately not cached.
+		// no parent-table write to drop them with, so split hops are
+		// deliberately not remembered.
 		next, err := s.resolveSplit(entry.Inode)
 		return next, at, pre, err
 	}
 	next := ref{ino: entry.Inode, variant: entry.Variant, mek: entry.MEK, mvk: entry.MVK}
-	s.cache.Put(rkey, next, int64(len(comp))+96)
+	s.remember(dv, comp, next)
 	return next, at, pre, nil
 }
 
 // dirent names the directory row a resolved object was reached through:
-// the parent's (inode, variant), its opened metadata, its table view when
-// the walk had to read it, and the entry name. The namespace root has no
-// row and gets the zero dirent.
+// the parent's (inode, variant), its opened metadata, its table view and
+// the entry name. The namespace root has no row and gets the zero dirent.
 type dirent struct {
 	dir  ref
 	meta *meta.Metadata
 	view *cap.View
 	name string
-}
-
-// refCacheKey names a resolved directory entry in the session cache:
-// parent inode and variant (the view the entry row lives in) plus the
-// component name. It runs on every hop of every operation, so it is one
-// sized append rather than a format call.
-func refCacheKey(parent ref, comp string) string {
-	var buf [96]byte
-	b := append(buf[:0], ckRef+"d/"...)
-	b = strconv.AppendUint(b, uint64(parent.ino), 10)
-	b = append(b, '/')
-	b = append(b, parent.variant...)
-	b = append(b, '|')
-	b = append(b, comp...)
-	return string(b)
 }
 
 // resolve walks to path and fetches the object's metadata.
@@ -352,28 +335,25 @@ func tableSize(t *meta.DirTable) int64 {
 }
 
 // writeParentTables seals every view of the directory from the per-variant
-// tables, under one signature (layout.SealTables), and returns the KVs to
-// store. Reader-view cache entries for the directory are invalidated and
-// the writer-table cache is refreshed with the new contents
-// (write-through: within a session the client is the only writer it is
-// coherent with).
-func (s *Session) writeParentTables(r ref, m *meta.Metadata, tables map[string]*meta.DirTable) ([]wire.KV, error) {
+// tables, under one signature (layout.SealTables), adds them to w, and
+// stages the tables as the writer-table cache entries and the writer's own
+// full view as its reader view: within a session the client is the only
+// writer it is coherent with, so the next lookup or mutation in this
+// directory pays no refetch once the store has taken the batch.
+func (s *Session) writeParentTables(w *write, r ref, m *meta.Metadata, tables map[string]*meta.DirTable) error {
 	stop := s.crypto("seal-table")
 	kvs, err := layout.SealTables(s.eng, m, tables)
 	stop()
 	if err != nil {
-		return nil, err
+		return err
 	}
-	id := strconv.FormatUint(uint64(r.ino), 10) + "/"
-	s.cache.DeletePrefix(ckView+"t/"+id, ckRef+"d/"+id, ckListed+"t/"+id)
+	w.add(kvs...)
 	for id, tbl := range tables {
-		s.cache.Put(ckWTable+meta.TableKey(r.ino, id), tbl.Clone(), tableSize(tbl))
+		w.stage(ckWTable+meta.TableKey(r.ino, id), tbl.Clone(), tableSize(tbl))
 	}
-	// The writer's own reader-view is derivable from the table just
-	// written; refresh it in place instead of paying a refetch on the
-	// next lookup in this directory.
 	if own, ok := tables[r.variant]; ok {
-		s.cache.Put(ckView+meta.TableKey(r.ino, r.variant), cap.NewFullView(own.Clone()), tableSize(own))
+		dv := &dirView{View: cap.NewFullView(own.Clone()), key: ckView + meta.TableKey(r.ino, r.variant), size: tableSize(own)}
+		w.stage(dv.key, dv, dv.size)
 	}
-	return kvs, nil
+	return nil
 }

@@ -8,6 +8,7 @@ import (
 
 	"github.com/sharoes/sharoes/internal/keys"
 	"github.com/sharoes/sharoes/internal/layout"
+	"github.com/sharoes/sharoes/internal/meta"
 	"github.com/sharoes/sharoes/internal/migrate"
 	"github.com/sharoes/sharoes/internal/ssp"
 	"github.com/sharoes/sharoes/internal/types"
@@ -94,8 +95,11 @@ func TestImmediateRevocationFile(t *testing.T) {
 		// persist (any revocation scheme allows that); the new content
 		// must be unreachable. Clear only the plaintext block cache to
 		// model an attacker holding keys but not content.
-		carol.cache.DeletePrefix(ckBlock)
-		carol.cache.DeletePrefix(ckManifest)
+		info, err := alice.Stat("/doc")
+		if err != nil {
+			t.Fatal(err)
+		}
+		forgetContent(t, carol, info.Inode)
 		if got, err := carol.ReadFile("/doc"); err == nil {
 			t.Errorf("carol read after revocation: %q", got)
 		}
@@ -139,7 +143,11 @@ func TestImmediateRevocationDir(t *testing.T) {
 		// Stale session with cached old table key: the stored views were
 		// re-encrypted under rotated keys, so after its view cache
 		// expires the old key opens nothing.
-		carol.cache.DeletePrefix(ckView)
+		wiki, _, _, err := carol.resolveRef("/wiki", false)
+		if err != nil {
+			t.Fatal(err)
+		}
+		forget(carol, ckView+meta.TableKey(wiki.ino, wiki.variant))
 		if _, err := carol.ReadDir("/wiki"); err == nil {
 			t.Error("stale carol listed the re-keyed directory")
 		}
@@ -187,8 +195,11 @@ func TestLazyRevocation(t *testing.T) {
 	}
 	// Lazy: data not yet re-keyed. carol's cached DEK still opens the
 	// stored blocks (drop her plaintext cache to prove it's the key).
-	carol.cache.DeletePrefix(ckBlock)
-	carol.cache.DeletePrefix(ckManifest)
+	info, err := alice.Stat("/brief")
+	if err != nil {
+		t.Fatal(err)
+	}
+	forgetContent(t, carol, info.Inode)
 	if got, err := carol.ReadFile("/brief"); err != nil || string(got) != "shared brief" {
 		t.Fatalf("lazy window read = %q, %v (lazy revocation should defer re-keying)", got, err)
 	}
@@ -196,8 +207,7 @@ func TestLazyRevocation(t *testing.T) {
 	if err := alice.WriteFile("/brief", []byte("owner-only brief"), 0); err != nil {
 		t.Fatal(err)
 	}
-	carol.cache.DeletePrefix(ckBlock)
-	carol.cache.DeletePrefix(ckManifest)
+	forgetContent(t, carol, info.Inode)
 	if got, err := carol.ReadFile("/brief"); err == nil {
 		t.Errorf("carol read after deferred rekey: %q", got)
 	}

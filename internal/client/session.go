@@ -11,12 +11,9 @@
 package client
 
 import (
-	"crypto/rand"
-	"encoding/binary"
 	"errors"
 	"fmt"
 	"io"
-	"strconv"
 	"sync"
 	"time"
 
@@ -250,22 +247,6 @@ func (s *Session) triplet(attr meta.Attr) types.Triplet {
 	return attr.EffectiveTriplet(s.user.ID, s.reg.IsMember)
 }
 
-// randInode allocates a fresh inode number. Clients allocate inodes (the
-// SSP is untrusted); random 64-bit values make concurrent clients
-// collision-free without coordination.
-func randInode() types.Inode {
-	var b [8]byte
-	for {
-		if _, err := rand.Read(b[:]); err != nil {
-			panic("client: entropy unavailable: " + err.Error())
-		}
-		ino := types.Inode(binary.BigEndian.Uint64(b[:]))
-		if ino > types.RootInode {
-			return ino
-		}
-	}
-}
-
 // newObjectKeys mints the complete key material for a new object.
 func newObjectKeys() meta.KeySet {
 	dsk, dvk := sharocrypto.NewSigningPair()
@@ -288,8 +269,6 @@ const (
 	ckWTable   = "W|" // writer-side decoded per-variant tables
 	ckManifest = "F|"
 	ckBlock    = "B|"
-	ckRef      = "R|" // resolved directory-entry refs, keyed by parent inode
-	ckListed   = "L|" // directories ReadDir has listed, keyed like ckView
 )
 
 // companion names what a metadata miss asks for in the same round trip:
@@ -350,7 +329,7 @@ func (s *Session) fetchMetaMiss(r ref, with companion, at dirent, ride []wire.KV
 		unlessCached(ckBlock, meta.TailKey(r.ino))
 	}
 	want = append(want, ride...)
-	sibs := s.listedSiblings(at)
+	dv, sibs := s.listedSiblings(at)
 	var batch *obs.Span
 	if len(sibs) > 0 {
 		batch = s.tracer.Start("client.stat.batch", obs.ClassNone)
@@ -360,7 +339,7 @@ func (s *Session) fetchMetaMiss(r ref, with companion, at dirent, ride []wire.KV
 	}
 	pre, err := s.fetch(want)
 	if err == nil && len(sibs) > 0 {
-		s.cacheSiblings(at.dir, sibs, pre)
+		s.cacheSiblings(dv, sibs, pre)
 	}
 	batch.End()
 	if err != nil {
@@ -386,19 +365,46 @@ func (s *Session) cached(key string) bool {
 	return ok
 }
 
+// dirView is a directory's table view as the session caches it (under
+// ckView), together with what the session has learned from it since: the
+// rows its walks resolved (name → ref) and whether ReadDir listed it. Both
+// live and die with the view — a write that names the table key drops the
+// whole entry — so neither can outlive the rows it came from.
+type dirView struct {
+	*cap.View
+	key    string // the cache key
+	size   int64  // the cache charge: the view plus one refCost per remembered row
+	refs   map[string]ref
+	listed bool
+}
+
+// refCost is the cache charge of one remembered row beyond its name.
+const refCost = 96
+
+// remember records that name resolved to r in dv and charges it to dv's
+// cache entry.
+func (s *Session) remember(dv *dirView, name string, r ref) {
+	if dv.refs == nil {
+		dv.refs = make(map[string]ref)
+	}
+	dv.refs[name] = r
+	dv.size += int64(len(name)) + refCost
+	s.cache.Put(dv.key, dv, dv.size)
+}
+
 // openViewOf retrieves and opens the directory-table view belonging to
 // the metadata variant the caller holds, from the cache, from pre (the
 // reply that carried the metadata) or by a fetch of its own. A missing
 // view is treated as an empty directory (fresh directories store views
 // eagerly, so in an untampered store this only happens for variants that
-// legitimately have no view).
-func (s *Session) openViewOf(r ref, m *meta.Metadata, pre replyIndex) (*cap.View, error) {
+// legitimately have no view) and is not cached.
+func (s *Session) openViewOf(r ref, m *meta.Metadata, pre replyIndex) (*dirView, error) {
 	if m.Keys.DEK.IsZero() {
 		return nil, types.ErrPermission
 	}
 	key := meta.TableKey(r.ino, r.variant)
 	if v, ok := s.cache.Get(ckView + key); ok {
-		return v.(*cap.View), nil
+		return v.(*dirView), nil
 	}
 	blob, ok, err := s.blobOf(pre, wire.NSData, key)
 	if err != nil {
@@ -409,7 +415,7 @@ func (s *Session) openViewOf(r ref, m *meta.Metadata, pre replyIndex) (*cap.View
 		if serr != nil {
 			return nil, serr
 		}
-		return cap.EmptyView(shape), nil
+		return &dirView{View: cap.EmptyView(shape)}, nil
 	}
 	stop := s.crypto("open-view")
 	v, err := cap.OpenView(r.variant, m.Keys.DEK, m.Keys.DVK, r.ino, blob)
@@ -417,8 +423,9 @@ func (s *Session) openViewOf(r ref, m *meta.Metadata, pre replyIndex) (*cap.View
 	if err != nil {
 		return nil, err
 	}
-	s.cache.Put(ckView+key, v, int64(len(blob)))
-	return v, nil
+	dv := &dirView{View: v, key: ckView + key, size: int64(len(blob))}
+	s.cache.Put(dv.key, dv, dv.size)
+	return dv, nil
 }
 
 // variantCap resolves the CAP a variant of an object encodes.
@@ -431,18 +438,61 @@ func (s *Session) variantCap(attr meta.Attr, variant string) (cap.ID, error) {
 	return cap.ID{}, fmt.Errorf("client: unknown variant %q", variant)
 }
 
-// invalidateObject drops all cached state for an inode, including the
-// resolved refs of its directory entries (the inode may be a directory
-// whose table is about to change under it).
-func (s *Session) invalidateObject(ino types.Inode) {
-	id := strconv.FormatUint(uint64(ino), 10) + "/"
-	s.cache.DeletePrefix(
-		ckMeta+"m/"+id,
-		ckView+"t/"+id,
-		ckWTable+"t/"+id,
-		ckManifest+"f/"+id,
-		ckBlock+"f/"+id,
-		ckRef+"d/"+id,
-		ckListed+"t/"+id,
-	)
+// --- the commit point -----------------------------------------------------
+
+// write is one client write as an operation builds it: the batch for the
+// store, and the decoded objects the session caches once the store has
+// taken it — objects the write produced itself, never ones read back from
+// the SSP. It is passed to commit; nothing of it lives in the Session.
+type write struct {
+	kvs    []wire.KV
+	staged []staged
+}
+
+// staged is one object a write caches: its cache key (namespace prefix
+// plus storage key), value and charge.
+type staged struct {
+	key  string
+	val  any
+	size int64
+}
+
+func (w *write) add(kvs ...wire.KV) { w.kvs = append(w.kvs, kvs...) }
+
+func (w *write) stage(key string, val any, size int64) {
+	w.staged = append(w.staged, staged{key: key, val: val, size: size})
+}
+
+// cacheNamespaces lists, per store namespace, the cache namespaces whose
+// keys are that namespace's storage keys behind a prefix.
+var cacheNamespaces = map[wire.NS][]string{
+	wire.NSMeta: {ckMeta},
+	wire.NSData: {ckView, ckWTable, ckManifest, ckBlock},
+}
+
+// commit is the one place a client write reaches the store and the one
+// place it changes the cache. Whether the store takes the batch or not,
+// the cache forgets every entry at every storage key the batch names —
+// what it held there is stale if the store took the batch, and what the
+// write staged was never stored if it did not — and only once the store
+// has taken it are the staged objects cached. A cache key is a namespace
+// prefix plus a storage key, so this costs one delete per (key, namespace)
+// and never a scan. Under write-behind the store acknowledges before it
+// flushes, so a flush that fails later can leave the cache ahead of the
+// store (DESIGN.md §7.20).
+func (s *Session) commit(w *write) error {
+	err := s.store.BatchPut(w.kvs)
+	var key [64]byte // a key the cache does not keep: built without allocating
+	for _, kv := range w.kvs {
+		for _, prefix := range cacheNamespaces[kv.NS] {
+			s.cache.Delete(string(append(append(key[:0], prefix...), kv.Key...)))
+		}
+	}
+	if err != nil {
+		return err
+	}
+	for _, st := range w.staged {
+		s.cache.Put(st.key, st.val, st.size)
+	}
+	return nil
 }

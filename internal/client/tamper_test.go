@@ -251,11 +251,11 @@ func TestUnauthorizedWriteDetected(t *testing.T) {
 	}
 	tmp := *cm
 	tmp.Keys.DSK = newObjectKeys().DSK // a signing key of her own, not the file's DSK
-	forged, err := carol.sealFileData(&tmp, []byte("forged!!"), 64, 1)
-	if err != nil {
+	var forged write
+	if err := carol.sealFileData(&forged, &tmp, []byte("forged!!"), 64, 1); err != nil {
 		t.Fatal(err)
 	}
-	if err := store.BatchPut(forged); err != nil {
+	if err := store.BatchPut(forged.kvs); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := alice.ReadFile("/readonly-for-carol"); !errors.Is(err, types.ErrTampered) {

@@ -416,7 +416,16 @@ func MetaKey(ino types.Inode, variant string) string {
 
 // TableKey is the storage key of a directory-table view.
 func TableKey(ino types.Inode, variant string) string {
-	return "t/" + strconv.FormatUint(uint64(ino), 10) + "/" + variant
+	var buf [48]byte
+	return string(AppendTableKey(buf[:0], ino, variant))
+}
+
+// AppendTableKey appends TableKey(ino, variant) to dst: a caller that only
+// looks the key up can build it without allocating.
+func AppendTableKey(dst []byte, ino types.Inode, variant string) []byte {
+	dst = append(dst, "t/"...)
+	dst = strconv.AppendUint(dst, uint64(ino), 10)
+	return append(append(dst, '/'), variant...)
 }
 
 // BlockKey is the storage key of a file data block.

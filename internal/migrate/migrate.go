@@ -6,7 +6,6 @@
 package migrate
 
 import (
-	"crypto/rand"
 	"errors"
 	"fmt"
 	"io/fs"
@@ -187,7 +186,7 @@ func buildNode(opts *Options, up *uploader, st *Stats, n Node, ino types.Inode) 
 		n.Owner = opts.RootOwner
 	}
 	if ino == 0 {
-		ino = randInode()
+		ino = types.NewInode()
 	}
 	dsk, dvk := sharocrypto.NewSigningPair()
 	msk, _ := sharocrypto.NewSigningPair()
@@ -254,20 +253,6 @@ func buildNode(opts *Options, up *uploader, st *Stats, n Node, ino types.Inode) 
 	}
 
 	return m, up.add(layout.BuildMetaKVs(opts.Layout, m)...)
-}
-
-// randInode mirrors the client's inode allocation.
-func randInode() types.Inode {
-	var b [8]byte
-	if _, err := rand.Read(b[:]); err != nil {
-		panic("migrate: entropy unavailable: " + err.Error())
-	}
-	ino := types.Inode(uint64(b[0])<<56 | uint64(b[1])<<48 | uint64(b[2])<<40 | uint64(b[3])<<32 |
-		uint64(b[4])<<24 | uint64(b[5])<<16 | uint64(b[6])<<8 | uint64(b[7]))
-	if ino <= types.RootInode {
-		ino = types.RootInode + 1
-	}
-	return ino
 }
 
 // SanitizePerm maps an arbitrary *nix permission onto the nearest setting

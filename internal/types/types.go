@@ -4,18 +4,34 @@
 package types
 
 import (
+	"crypto/rand"
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"strings"
 )
 
 // Inode identifies a filesystem object. Inode numbers are allocated by
-// clients (the SSP is untrusted and does no allocation) from a per-filesystem
-// counter seeded at migration time.
+// clients (the SSP is untrusted and does no allocation); see NewInode.
 type Inode uint64
 
 // RootInode is the conventional inode of the namespace root ("/").
 const RootInode Inode = 1
+
+// NewInode allocates a fresh inode number. Random 64-bit values make
+// concurrent clients collision-free without coordination; values up to
+// RootInode are reserved, and drawn again.
+func NewInode() Inode {
+	var b [8]byte
+	for {
+		if _, err := rand.Read(b[:]); err != nil {
+			panic("types: entropy unavailable: " + err.Error())
+		}
+		if ino := Inode(binary.BigEndian.Uint64(b[:])); ino > RootInode {
+			return ino
+		}
+	}
+}
 
 // String implements fmt.Stringer.
 func (i Inode) String() string { return fmt.Sprintf("ino:%d", uint64(i)) }
