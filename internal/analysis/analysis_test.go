@@ -173,8 +173,8 @@ func TestErrStringScopedToWireAndSSP(t *testing.T) {
 
 func TestUnverified(t *testing.T) {
 	bad := runOne(t, Unverified{}, filepath.Join("unverifiedbad", "internal", "client"))
-	if len(bad) != 5 {
-		t.Fatalf("unverifiedbad: got %d findings, want 5:\n%s", len(bad), findingsText(bad))
+	if len(bad) != 7 {
+		t.Fatalf("unverifiedbad: got %d findings, want 7:\n%s", len(bad), findingsText(bad))
 	}
 	wantSubstr := []string{
 		"exported client return value of Fetch",
@@ -182,6 +182,8 @@ func TestUnverified(t *testing.T) {
 		"cache insert",
 		"key-selection cap.MEKFor",
 		"cache insert", // Prefetch: the async-goroutine flow
+		"cache insert", // CacheSymOpened: SymKey.Open is no sanitizer
+		"the result of seam opener OpenManifest",
 	}
 	for i, f := range bad {
 		if f.Analyzer != "unverified" {
@@ -202,6 +204,26 @@ func TestUnverifiedDirectiveIsRequired(t *testing.T) {
 	p := fixturePkg(t, filepath.Join("unverifiedgood", "internal", "client"))
 	if raw := (Unverified{}).Check(p); len(raw) != 1 {
 		t.Fatalf("raw unverified findings in unverifiedgood: got %d, want 1 (the suppressed site)", len(raw))
+	}
+}
+
+// TestSeamOpenersAreChecked: an implementation of the client's sealing
+// seam is held to the unverified rule in its own package. Sharoes's
+// openers (internal/layout) end in meta and cap sanitizers; each of the
+// baseline modes' five openers hands the client bytes no signature vouches
+// for, and is a finding but for its allow directive.
+func TestSeamOpenersAreChecked(t *testing.T) {
+	for dir, want := range map[string]int{"layout": 0, "baseline": 5} {
+		p := fixturePkg(t, filepath.Join("..", "..", "..", dir))
+		raw := (Unverified{}).Check(p)
+		if len(raw) != want {
+			t.Errorf("internal/%s: %d raw unverified findings, want %d:\n%s", dir, len(raw), want, findingsText(raw))
+		}
+		for _, f := range raw {
+			if !strings.Contains(f.Message, "reaches the result of seam opener") {
+				t.Errorf("internal/%s: %s", dir, f.Message)
+			}
+		}
 	}
 }
 

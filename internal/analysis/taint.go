@@ -103,6 +103,10 @@ type taintSpec struct {
 	// sinkCall classifies a resolved callee as a sink. args lists the
 	// argument indices that must stay untainted; nil means all.
 	sinkCall func(fn *types.Func) (desc string, args []int, ok bool)
+	// sourceParam classifies a parameter of type t of decl as tainted on
+	// entry (e.g. the bytes an opener of the client's sealing seam is
+	// handed). Returns a short description.
+	sourceParam func(decl *ast.FuncDecl, t types.Type) (string, bool)
 	// sinkReturn reports whether the function's return values are a
 	// trusted sink (e.g. exported client API).
 	sinkReturn func(p *Package, decl *ast.FuncDecl) (string, bool)
@@ -317,6 +321,11 @@ func (e *taintEngine) analyzeBody(fi *funcInfo) *bodyState {
 	for i, obj := range fi.params {
 		if obj != nil {
 			st.vars[obj] = taintSet{{param: i}: struct{}{}}
+			if e.spec.sourceParam != nil {
+				if desc, ok := e.spec.sourceParam(fi.decl, obj.Type()); ok {
+					st.vars[obj].add(concreteLabel(desc, false, obj.Pos()))
+				}
+			}
 		}
 	}
 	for pass := 0; pass < maxBodyPasses; pass++ {

@@ -144,3 +144,31 @@ func (c *Client) Prefetch(keys []string, aad []byte) {
 		}(k)
 	}
 }
+
+// CacheUnwrapped caches what the user's private key opens: RSA-OAEP under
+// a key no other reader holds, a sanitizer told apart from SymKey.Open by
+// its receiver.
+func (c *Client) CacheUnwrapped(priv sharocrypto.PrivateKey, key string) error {
+	blob, err := c.store.Get(wire.NSMeta, key)
+	if err != nil {
+		return err
+	}
+	pt, err := priv.OpenChunked(blob)
+	if err != nil {
+		return err
+	}
+	c.cache.Put(key, pt, int64(len(pt)))
+	return nil
+}
+
+// signedSealer implements an opener of the client's sealing seam that
+// ends in a signature check.
+type signedSealer struct {
+	mek sharocrypto.SymKey
+	mvk sharocrypto.VerifyKey
+}
+
+// OpenManifest verifies and decrypts the SSP's bytes.
+func (s signedSealer) OpenManifest(aad, blob []byte) ([]byte, error) {
+	return meta.OpenVerified(s.mek, s.mvk, aad, blob)
+}

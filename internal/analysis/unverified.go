@@ -40,11 +40,30 @@ var unverifiedSources = map[string]map[string]bool{
 }
 
 // unverifiedSanitizers maps package-path suffix to the functions that
-// authenticate their input: their results are trusted plaintext.
+// authenticate their input: their results are trusted plaintext. A method
+// is named with its receiver type: AES-GCM's SymKey.Open is not here,
+// because every reader of an object holds its DEK and so can forge a blob
+// that opens.
 var unverifiedSanitizers = map[string]map[string]bool{
-	sharocryptoPkgSuffix: {"Open": true, "OpenChunked": true, "Verify": true},
+	sharocryptoPkgSuffix: {"PrivateKey.Open": true, "PrivateKey.OpenChunked": true, "VerifyKey.Verify": true},
 	"internal/meta":      {"OpenVerified": true, "OpenBlock": true, "OpenMetadata": true, "OpenSuperblock": true, "OpenSplitPointer": true},
 	"internal/cap":       {"OpenView": true},
+	// The client's sealing seam. Each implementation is held to the same
+	// rule in its own package: its openers' []byte parameters are
+	// untrusted and their results a trusted sink (seamOpeners).
+	"internal/layout": {"Sealer.OpenMeta": true, "Sealer.OpenView": true, "Sealer.OpenManifest": true,
+		"Sealer.OpenBlock": true, "Sealer.OpenSuperblock": true},
+}
+
+// seamOpeners are the opener methods of layout.Sealer. A method of that
+// name, wherever declared, is checked as an implementation of the seam:
+// the bytes it is handed came from the SSP, and what it returns the
+// client trusts.
+var seamOpeners = map[string]bool{"OpenMeta": true, "OpenView": true, "OpenManifest": true, "OpenBlock": true, "OpenSuperblock": true}
+
+// isSeamOpener reports whether decl implements one of seamOpeners.
+func isSeamOpener(decl *ast.FuncDecl) bool {
+	return decl.Recv != nil && seamOpeners[decl.Name.Name]
 }
 
 // unverifiedSinkCalls maps package-path suffix to sink functions and the
@@ -63,17 +82,40 @@ var unverifiedSinkCalls = map[string]map[string][]int{
 // return values are the trust boundary to the application.
 const unverifiedReturnPkg = "internal/client"
 
-// matchSuffixFunc looks fn up in a suffix→names table.
+// matchSuffixFunc looks fn up in a suffix→names table. An entry
+// "Recv.Name" matches only the method Name of receiver type Recv; a bare
+// "Name" matches any function or method so named.
 func matchSuffixFunc(tables map[string]map[string]bool, fn *types.Func) (pkgSuffix string, ok bool) {
 	if fn.Pkg() == nil {
 		return "", false
 	}
+	recv := recvName(fn)
 	for suffix, names := range tables {
-		if strings.HasSuffix(fn.Pkg().Path(), suffix) && names[fn.Name()] {
+		if !strings.HasSuffix(fn.Pkg().Path(), suffix) {
+			continue
+		}
+		if names[fn.Name()] || (recv != "" && names[recv+"."+fn.Name()]) {
 			return suffix, true
 		}
 	}
 	return "", false
+}
+
+// recvName is the name of fn's receiver type, pointer or not ("" for a
+// plain function).
+func recvName(fn *types.Func) string {
+	sig, ok := fn.Type().(*types.Signature)
+	if !ok || sig.Recv() == nil {
+		return ""
+	}
+	t := sig.Recv().Type()
+	if p, ok := t.(*types.Pointer); ok {
+		t = p.Elem()
+	}
+	if n, ok := t.(*types.Named); ok {
+		return n.Obj().Name()
+	}
+	return ""
 }
 
 // shortPkg trims an import-path suffix to its final element.
@@ -113,7 +155,16 @@ func (Unverified) Check(p *Package) []Finding {
 			}
 			return "", nil, false
 		},
+		sourceParam: func(decl *ast.FuncDecl, t types.Type) (string, bool) {
+			if !isByteSlice(t) || !isSeamOpener(decl) {
+				return "", false
+			}
+			return "SSP bytes handed to " + decl.Name.Name, true
+		},
 		sinkReturn: func(p *Package, decl *ast.FuncDecl) (string, bool) {
+			if isSeamOpener(decl) {
+				return "the result of seam opener " + decl.Name.Name, true
+			}
 			if !strings.HasSuffix(p.Path, unverifiedReturnPkg) {
 				return "", false
 			}

@@ -1,5 +1,5 @@
-// Package baseline implements the four comparison filesystems of the
-// paper's evaluation (§V):
+// Package baseline implements the four comparison systems of the paper's
+// evaluation (§V) as sealing modes of the Sharoes client:
 //
 //	NO-ENC-MD-D — no encryption at all: the floor for networking and
 //	              implementation overheads of a wide-area filesystem.
@@ -11,39 +11,40 @@
 //	              public-key-wrapped per user; one private-key operation
 //	              per metadata read.
 //
-// The four modes share one implementation with each other, but only
-// their building blocks with the Sharoes client: the same SSP and wire
-// protocol (ssp.BlobStore), the same cache, key registry and crypto
-// primitives. Their path walk, object fetch, readdir, metadata and table
-// codecs and block layout are their own (ops.go, codec.go): one
-// unbatched round trip per hop and per object, with none of the client's
-// batched fetches, sibling-batched getattr or tail-block key. So a
-// measured difference against the client mixes the metadata cryptography
-// with the client's round-trip savings; it is not the cryptography
-// alone, as in the paper's comparison. ROADMAP.md item 4 tracks putting
-// the four modes back on the one client.
+// A mode is a layout.Engine (New): it rides in client.Config.Layout, and
+// migrate.Bootstrap builds its filesystem, as Sharoes's two schemes do.
+// It decides which copies of an object exist — one shared copy, or one
+// per user under PUBLIC — and how each blob is sealed, opened and keyed.
+// Everything else is the one client's: the walk, the batched fetches, the
+// sibling-batched getattr, the tail key and the commit point. So a
+// measured difference between two of the five systems is the metadata
+// protection alone, as in the paper's comparison (DESIGN.md §7.21).
 //
-// The NO-ENC modes authenticate nothing by design; the unverified allow
-// directives in this package mark the places that cache or write through
-// such unauthenticated objects.
+// The client reads a filled key slot as a capability. A baseline has no
+// CAPs: every reader of an object's metadata holds every key of it, and
+// permissions are the client's policy checks alone. None of the modes
+// signs anything, and the NO-ENC modes authenticate nothing; the
+// unverified allow directives in this file mark the openers that hand the
+// client bytes no signature vouches for.
 package baseline
 
 import (
+	"crypto/sha256"
 	"errors"
 	"fmt"
-	"sync"
+	"slices"
 
 	"github.com/sharoes/sharoes/internal/binenc"
-	"github.com/sharoes/sharoes/internal/cache"
+	"github.com/sharoes/sharoes/internal/cap"
 	"github.com/sharoes/sharoes/internal/keys"
+	"github.com/sharoes/sharoes/internal/layout"
+	"github.com/sharoes/sharoes/internal/meta"
 	"github.com/sharoes/sharoes/internal/sharocrypto"
-	"github.com/sharoes/sharoes/internal/ssp"
-	"github.com/sharoes/sharoes/internal/stats"
 	"github.com/sharoes/sharoes/internal/types"
-	"github.com/sharoes/sharoes/internal/vfs"
+	"github.com/sharoes/sharoes/internal/wire"
 )
 
-// Mode selects the comparison implementation.
+// Mode selects the comparison system.
 type Mode uint8
 
 // Baseline modes, in the order the paper's figures list them.
@@ -76,266 +77,326 @@ func (m Mode) EncryptsData() bool { return m != NoEncMDD }
 // EncryptsMetadata reports whether the mode protects metadata.
 func (m Mode) EncryptsMetadata() bool { return m == Public || m == PubOpt }
 
-// bMeta is a baseline metadata object: a traditional inode plus the data
-// key (baselines have no CAP machinery; the DEK travels with whatever
-// protection the mode gives metadata).
-type bMeta struct {
-	Attr struct {
-		Inode types.Inode
-		Kind  types.ObjKind
-		Owner types.UserID
-		Group types.GroupID
-		Perm  types.Perm
-		Size  uint64
-		MTime int64
-	}
-	DEK sharocrypto.SymKey
-}
-
 // metaPadSize pads serialized metadata to a representative on-disk inode
 // size (an ext2 inode is 128 B; the SiRiUS-style md-files the PUBLIC
 // baseline models carry key blocks and signatures and run several hundred
-// bytes). A fixed size keeps the four modes byte-identical on the wire so
-// measured differences are purely cryptographic, and it determines how
-// many RSA chunks the PUBLIC mode pays per metadata operation.
+// bytes). A fixed size keeps the four modes' metadata the same size
+// before sealing, and it determines how many RSA chunks the PUBLIC mode
+// pays per metadata operation: ⌈512/190⌉ = 3.
 const metaPadSize = 512
 
-func (m *bMeta) encode() []byte {
-	var w binenc.Writer
-	w.Uvarint(uint64(m.Attr.Inode))
-	w.Byte(byte(m.Attr.Kind))
-	w.String(string(m.Attr.Owner))
-	w.String(string(m.Attr.Group))
-	w.Uvarint(uint64(m.Attr.Perm))
-	w.Uvarint(m.Attr.Size)
-	w.Uvarint(uint64(m.Attr.MTime))
-	w.Raw(m.DEK[:])
-	if n := metaPadSize - w.Len(); n > 0 {
-		w.Raw(make([]byte, n))
-	}
-	return w.Bytes()
+// wrappedLen is the size of one RSA-wrapped PUB-OPT metadata key.
+const wrappedLen = sharocrypto.RSABits / 8
+
+// shared is the variant of the one copy the shared modes keep.
+const shared = "b"
+
+// Engine is one mode over the enterprise registry, as a layout.Engine.
+type Engine struct {
+	mode Mode
+	reg  *keys.Registry
 }
 
-func decodeBMeta(b []byte) (*bMeta, error) {
-	r := binenc.NewReader(b)
-	var m bMeta
-	ino, err := r.Uvarint()
-	if err != nil {
-		return nil, badMeta(err)
-	}
-	m.Attr.Inode = types.Inode(ino)
-	kind, err := r.Byte()
-	if err != nil {
-		return nil, badMeta(err)
-	}
-	m.Attr.Kind = types.ObjKind(kind)
-	owner, err := r.String()
-	if err != nil {
-		return nil, badMeta(err)
-	}
-	m.Attr.Owner = types.UserID(owner)
-	group, err := r.String()
-	if err != nil {
-		return nil, badMeta(err)
-	}
-	m.Attr.Group = types.GroupID(group)
-	perm, err := r.Uvarint()
-	if err != nil {
-		return nil, badMeta(err)
-	}
-	m.Attr.Perm = types.Perm(perm)
-	if m.Attr.Size, err = r.Uvarint(); err != nil {
-		return nil, badMeta(err)
-	}
-	mt, err := r.Uvarint()
-	if err != nil {
-		return nil, badMeta(err)
-	}
-	m.Attr.MTime = int64(mt)
-	raw, err := r.Raw(sharocrypto.SymKeySize)
-	if err != nil {
-		return nil, badMeta(err)
-	}
-	copy(m.DEK[:], raw)
-	return &m, nil
-}
+var _ layout.Engine = (*Engine)(nil)
 
-func badMeta(err error) error { return fmt.Errorf("baseline: bad metadata: %w", err) }
+// New returns the engine of mode over reg.
+func New(mode Mode, reg *keys.Registry) *Engine { return &Engine{mode: mode, reg: reg} }
 
-// bTable is a baseline directory table: the plain ext2 two-column table.
-type bTable struct {
-	entries map[string]types.Inode
-}
+// Name implements layout.Engine with the paper's label.
+func (e *Engine) Name() string { return e.mode.String() }
 
-func newBTable() *bTable { return &bTable{entries: map[string]types.Inode{}} }
-
-func (t *bTable) clone() *bTable {
-	out := newBTable()
-	for k, v := range t.entries {
-		out.entries[k] = v
+// FixedVariants implements layout.Engine: NO-ENC-MD-D, NO-ENC-MD and
+// PUB-OPT keep one shared copy of everything; PUBLIC keeps one per user,
+// as Scheme-1 does ("every metadata object is separately encrypted with
+// the public keys of all users", paper §III-D1).
+func (e *Engine) FixedVariants() []string {
+	if e.mode != Public {
+		return []string{shared}
+	}
+	users := e.reg.Users()
+	out := make([]string, len(users))
+	for i, u := range users {
+		out[i] = "u/" + string(u)
 	}
 	return out
 }
 
-func (t *bTable) encode() []byte {
-	var w binenc.Writer
-	w.Uvarint(uint64(len(t.entries)))
-	names := make([]string, 0, len(t.entries))
-	for n := range t.entries {
-		names = append(names, n)
+// Variants implements layout.Engine. Every copy carries the owner's keys.
+func (e *Engine) Variants(attr meta.Attr) []layout.Variant {
+	owner := cap.IDFor(attr.Kind, attr.Perm, types.ClassOwner)
+	ids := e.FixedVariants()
+	out := make([]layout.Variant, len(ids))
+	for i, id := range ids {
+		out[i] = layout.Variant{ID: id, Cap: owner}
 	}
-	sortStrings(names)
-	for _, n := range names {
-		w.String(n)
-		w.Uvarint(uint64(t.entries[n]))
-	}
-	return w.Bytes()
+	return out
 }
 
-func decodeBTable(b []byte) (*bTable, error) {
-	r := binenc.NewReader(b)
+// UserVariant implements layout.Engine.
+func (e *Engine) UserVariant(user types.UserID, attr meta.Attr) layout.Variant {
+	id := shared
+	if e.mode == Public {
+		id = "u/" + string(user)
+	}
+	return layout.Variant{ID: id, Cap: cap.IDFor(attr.Kind, attr.Perm, types.ClassOwner)}
+}
+
+// Row implements layout.Engine: the plain two-column row, leading to the
+// child's copy of the reader's own variant. Rows carry no keys and never
+// split.
+func (e *Engine) Row(_ meta.Attr, pv layout.Variant, child *meta.Metadata) (meta.DirEntry, []wire.KV, error) {
+	return meta.DirEntry{Inode: child.Attr.Inode, Variant: pv.ID}, nil, nil
+}
+
+// NewKeys implements layout.Engine: every slot filled from fresh random
+// bytes, with no key generation. The signing slots never sign.
+func (e *Engine) NewKeys(layout.Stopwatch) meta.KeySet {
+	k := meta.KeySet{DEK: sharocrypto.NewSymKey(), DataSeed: sharocrypto.NewSymKey(), MetaSeed: sharocrypto.NewSymKey()}
+	var err error
+	if k.DSK, err = sharocrypto.SignKeyFromBytes(seed()); err == nil {
+		if k.MSK, err = sharocrypto.SignKeyFromBytes(seed()); err == nil {
+			k.DVK, err = sharocrypto.VerifyKeyFromBytes(seed())
+		}
+	}
+	if err != nil {
+		panic("baseline: key slot: " + err.Error())
+	}
+	return k
+}
+
+// seed returns 32 fresh random bytes.
+func seed() []byte {
+	a, b := sharocrypto.NewSymKey(), sharocrypto.NewSymKey()
+	return append(a[:], b[:]...)
+}
+
+// SealMeta implements layout.Engine: each copy is the metadata with every
+// key, padded to metaPadSize, then stored as it is (NO-ENC modes),
+// chunk-sealed to its user's public key (PUBLIC), or sealed under a fresh
+// key wrapped to every user (PUB-OPT, sealPubOpt).
+func (e *Engine) SealMeta(sw layout.Stopwatch, full *meta.Metadata, vs []layout.Variant) ([]wire.KV, error) {
+	if e.mode.EncryptsMetadata() {
+		defer sw.Start()()
+	}
+	out := make([]wire.KV, 0, len(vs))
+	for _, v := range vs {
+		m := full
+		if e.mode.EncryptsData() {
+			m = cap.Filter(full, v.Cap, v.ID) // a directory's DEK slot holds this copy's table key
+		}
+		plain := m.Encode()
+		if n := metaPadSize - len(plain); n > 0 {
+			plain = append(plain, make([]byte, n)...)
+		}
+		var blob []byte
+		var err error
+		switch e.mode {
+		case Public:
+			var pub sharocrypto.PublicKey
+			if pub, err = e.reg.UserKey(types.UserID(v.ID[len("u/"):])); err == nil {
+				blob, err = pub.SealChunked(plain)
+			}
+		case PubOpt:
+			blob, err = e.sealPubOpt(full.Attr.Inode, v.ID, plain)
+		default:
+			blob = plain
+		}
+		if err != nil {
+			return nil, fmt.Errorf("baseline: seal metadata of %d: %w", full.Attr.Inode, err)
+		}
+		out = append(out, wire.KV{NS: wire.NSMeta, Key: meta.MetaKey(full.Attr.Inode, v.ID), Val: blob})
+	}
+	return out, nil
+}
+
+// sealPubOpt seals a PUB-OPT copy the way a SiRiUS md-file does: the body
+// under a fresh metadata key bound to (inode, variant), after that key
+// wrapped to every registered user, one RSA chunk each, in registry order:
+// uvarint(n) ‖ n wrapped keys ‖ body.
+func (e *Engine) sealPubOpt(ino types.Inode, variant string, plain []byte) ([]byte, error) {
+	mk := sharocrypto.NewSymKey()
+	users := e.reg.Users()
+	var w binenc.Writer
+	w.Uvarint(uint64(len(users)))
+	for _, u := range users {
+		pub, err := e.reg.UserKey(u)
+		if err != nil {
+			return nil, err
+		}
+		wrapped, err := pub.SealChunked(mk[:])
+		if err != nil {
+			return nil, err
+		}
+		w.Raw(wrapped)
+	}
+	w.Raw(mk.Seal(plain, meta.MetaAAD(ino, variant)))
+	return w.Bytes(), nil
+}
+
+var errNoSlot = errors.New("baseline: no wrapped key for this user")
+
+// OpenMeta implements layout.Engine: the private-key operations the paper
+// measures — one per RSA chunk of the whole object under PUBLIC, one to
+// unwrap the metadata key under PUB-OPT — and none in the NO-ENC modes.
+func (e *Engine) OpenMeta(sw layout.Stopwatch, u *keys.User, ino types.Inode, variant string, _ sharocrypto.SymKey, _ sharocrypto.VerifyKey, blob []byte) (*meta.Metadata, error) {
+	plain := blob
+	if e.mode.EncryptsMetadata() {
+		stop := sw.Start()
+		var err error
+		if e.mode == Public {
+			plain, err = u.Priv.OpenChunked(blob)
+		} else {
+			plain, err = e.openPubOpt(u, ino, variant, blob)
+		}
+		stop()
+		if err != nil {
+			return nil, fmt.Errorf("%w: %w", types.ErrTampered, err)
+		}
+	}
+	m, err := meta.Decode(plain)
+	if err != nil {
+		return nil, err
+	}
+	return m, nil //sharoes-vet:allow unverified baseline metadata is plaintext, RSA-sealed or AES-GCM-sealed, and signed by no one
+}
+
+// openPubOpt unwraps u's metadata key from its slot and opens the body.
+func (e *Engine) openPubOpt(u *keys.User, ino types.Inode, variant string, blob []byte) ([]byte, error) {
+	r := binenc.NewReader(blob)
 	n, err := r.Uvarint()
 	if err != nil {
-		return nil, badMeta(err)
+		return nil, err
 	}
-	if n > uint64(r.Remaining()) {
-		return nil, badMeta(errors.New("absurd entry count"))
+	slot := slices.Index(e.reg.Users(), u.ID)
+	if slot < 0 || uint64(slot) >= n || n > uint64(r.Remaining()/wrappedLen) {
+		return nil, errNoSlot
 	}
-	t := newBTable()
-	for i := uint64(0); i < n; i++ {
-		name, err := r.String()
-		if err != nil {
-			return nil, badMeta(err)
+	if _, err := r.Raw(slot * wrappedLen); err != nil {
+		return nil, err
+	}
+	wrapped, err := r.Raw(wrappedLen)
+	if err != nil {
+		return nil, err
+	}
+	if _, err := r.Raw((int(n) - slot - 1) * wrappedLen); err != nil {
+		return nil, err
+	}
+	body, err := r.Raw(r.Remaining())
+	if err != nil {
+		return nil, err
+	}
+	raw, err := u.Priv.OpenChunked(wrapped)
+	if err != nil {
+		return nil, err
+	}
+	mk, err := sharocrypto.SymKeyFromBytes(raw)
+	if err != nil {
+		return nil, err
+	}
+	return mk.Open(body, meta.MetaAAD(ino, variant))
+}
+
+// seal encrypts a data blob — a table view, a block, a manifest — under
+// key, bound to aad: AES-GCM in every mode but NO-ENC-MD-D, which stores
+// a copy of it as it is.
+func (e *Engine) seal(key sharocrypto.SymKey, aad, plain []byte) []byte {
+	if !e.mode.EncryptsData() {
+		return append([]byte(nil), plain...)
+	}
+	return key.Seal(plain, aad)
+}
+
+// open reverses seal.
+func (e *Engine) open(sw layout.Stopwatch, key sharocrypto.SymKey, aad, blob []byte) ([]byte, error) {
+	if !e.mode.EncryptsData() {
+		return blob, nil
+	}
+	defer sw.Start()()
+	pt, err := key.Open(blob, aad)
+	if err != nil {
+		return nil, fmt.Errorf("%w: %w", types.ErrTampered, err)
+	}
+	return pt, nil
+}
+
+// SealViews implements layout.Engine: each view is the plain full table,
+// sealed under its copy's table key.
+func (e *Engine) SealViews(sw layout.Stopwatch, dirFull *meta.Metadata, views []cap.ViewSpec) ([][]byte, error) {
+	if e.mode.EncryptsData() {
+		defer sw.Start()()
+	}
+	out := make([][]byte, len(views))
+	for i, v := range views {
+		var key sharocrypto.SymKey
+		if e.mode.EncryptsData() {
+			key = cap.TableKey(dirFull, v.Variant)
 		}
-		ino, err := r.Uvarint()
-		if err != nil {
-			return nil, badMeta(err)
-		}
-		t.entries[name] = types.Inode(ino)
+		out[i] = e.seal(key, meta.TableAAD(dirFull.Attr.Inode, v.Variant), v.Table.Encode())
 	}
-	return t, nil
+	return out, nil
 }
 
-func sortStrings(s []string) {
-	for i := 1; i < len(s); i++ {
-		for j := i; j > 0 && s[j] < s[j-1]; j-- {
-			s[j], s[j-1] = s[j-1], s[j]
-		}
+// OpenView implements layout.Engine: every view is a full one.
+func (e *Engine) OpenView(sw layout.Stopwatch, variant string, tkey sharocrypto.SymKey, _ sharocrypto.VerifyKey, ino types.Inode, blob []byte) (*cap.View, error) {
+	pt, err := e.open(sw, tkey, meta.TableAAD(ino, variant), blob)
+	if err != nil {
+		return nil, err
 	}
-}
-
-// Config configures a baseline mount.
-type Config struct {
-	Store      ssp.BlobStore
-	Mode       Mode
-	User       *keys.User
-	Registry   *keys.Registry
-	FSID       string
-	Recorder   *stats.Recorder
-	CacheBytes int64
-	BlockSize  uint32
-}
-
-// Session is a mounted baseline filesystem. It implements vfs.FS.
-type Session struct {
-	mu        sync.Mutex
-	store     ssp.BlobStore
-	mode      Mode
-	user      *keys.User
-	reg       *keys.Registry
-	fsid      string
-	rec       *stats.Recorder
-	cache     *cache.Cache
-	blockSize uint32
-	users     []types.UserID // authorized users (metadata replication targets)
-	closed    bool
-}
-
-var _ vfs.FS = (*Session)(nil)
-
-// Mount opens a baseline session.
-func Mount(cfg Config) (*Session, error) {
-	if cfg.Store == nil || cfg.User == nil || cfg.Registry == nil || cfg.Mode == 0 {
-		return nil, errors.New("baseline: incomplete config")
+	t, err := meta.DecodeTable(pt)
+	if err != nil {
+		return nil, err
 	}
-	bs := cfg.BlockSize
-	if bs == 0 {
-		bs = 64 * 1024
+	return cap.NewFullView(t), nil //sharoes-vet:allow unverified baseline tables are plaintext or AES-GCM-sealed under a key every reader holds
+}
+
+// SealFile implements layout.Engine: the client's block layout, each
+// block and the manifest sealed like any data blob. The manifest records
+// no digests: nothing signs it.
+func (e *Engine) SealFile(sw layout.Stopwatch, m *meta.Metadata, man *meta.Manifest, first uint32, data []byte) []wire.KV {
+	if e.mode.EncryptsData() {
+		defer sw.Start()()
 	}
-	s := &Session{
-		store:     cfg.Store,
-		mode:      cfg.Mode,
-		user:      cfg.User,
-		reg:       cfg.Registry,
-		fsid:      cfg.FSID,
-		rec:       cfg.Recorder,
-		cache:     cache.New(cfg.CacheBytes),
-		blockSize: bs,
-		users:     cfg.Registry.Users(),
+	return layout.SealFile(m, man, first, data,
+		func(aad, plain []byte) ([]byte, [sha256.Size]byte) {
+			return e.seal(m.Keys.DEK, aad, plain), [sha256.Size]byte{}
+		},
+		func(aad, plain []byte) []byte { return e.seal(m.Keys.DEK, aad, plain) })
+}
+
+// OpenManifest implements layout.Engine.
+func (e *Engine) OpenManifest(sw layout.Stopwatch, ino types.Inode, m *meta.Metadata, blob []byte) (*meta.Manifest, error) {
+	pt, err := e.open(sw, m.Keys.DEK, meta.ManifestAAD(ino, m.Attr.DataGen), blob)
+	if err != nil {
+		return nil, err
 	}
-	// Verify the filesystem exists (and that we can decrypt the root).
-	if _, err := s.fetchMeta(types.RootInode); err != nil {
-		return nil, fmt.Errorf("baseline: mount: %w", err)
+	man, err := meta.DecodeManifest(pt)
+	if err != nil {
+		return nil, err
 	}
-	return s, nil
+	return man, nil //sharoes-vet:allow unverified baseline manifests are plaintext or AES-GCM-sealed under a key every reader holds
 }
 
-// Close implements vfs.FS.
-func (s *Session) Close() error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.closed {
-		return nil
+// OpenBlock implements layout.Engine; no manifest names a block's digest.
+func (e *Engine) OpenBlock(sw layout.Stopwatch, key sharocrypto.SymKey, aad, blob []byte, _ [sha256.Size]byte) ([]byte, error) {
+	pt, err := e.open(sw, key, aad, blob)
+	if err != nil {
+		return nil, err
 	}
-	s.closed = true
-	s.cache.Clear()
-	return nil
+	return pt, nil //sharoes-vet:allow unverified baseline blocks are plaintext or AES-GCM-sealed under a key every reader holds
 }
 
-// Refresh drops cached state (same semantics as the Sharoes client).
-func (s *Session) Refresh() {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.cache.Clear()
+// SealSuperblock implements layout.Engine: stored as it is, without its
+// keys. A baseline superblock names the root's inode and the user's copy
+// of it; opening the root needs no key from it.
+func (e *Engine) SealSuperblock(sb *meta.Superblock, _ sharocrypto.PublicKey) ([]byte, error) {
+	return (&meta.Superblock{FSID: sb.FSID, RootInode: sb.RootInode, RootVariant: sb.RootVariant}).Encode(), nil
 }
 
-func (s *Session) crypto() func() { return s.rec.Time(stats.Crypto) }
-
-func (s *Session) classOf(m *bMeta) types.Class {
-	return s.reg.ClassOf(s.user.ID, m.Attr.Owner, m.Attr.Group)
-}
-
-func (s *Session) triplet(m *bMeta) types.Triplet {
-	return m.Attr.Perm.TripletFor(s.classOf(m))
-}
-
-// --- storage keys -----------------------------------------------------------
-
-func (s *Session) metaKey(ino types.Inode) string {
-	base := fmt.Sprintf("%s/m/%d", s.fsid, uint64(ino))
-	if s.mode == Public {
-		// Per-user replicas, like Scheme-1 ("every metadata object is
-		// separately encrypted with the public keys of all users",
-		// paper §III-D1). PUB-OPT shares one symmetric body and stores
-		// per-user wrapped keys instead (see wrapKey).
-		return base + "/u/" + string(s.user.ID)
+// OpenSuperblock implements layout.Engine.
+func (e *Engine) OpenSuperblock(_ layout.Stopwatch, _ sharocrypto.PrivateKey, blob []byte) (*meta.Superblock, error) {
+	sb, err := meta.DecodeSuperblock(blob)
+	if err != nil {
+		return nil, err
 	}
-	return base
-}
-
-// wrapKey is where PUB-OPT stores each user's wrapped symmetric key.
-func (s *Session) wrapKey(ino types.Inode, u types.UserID) string {
-	return fmt.Sprintf("%s/mk/%d/u/%s", s.fsid, uint64(ino), u)
-}
-
-func (s *Session) tableKey(ino types.Inode) string {
-	return fmt.Sprintf("%s/t/%d", s.fsid, uint64(ino))
-}
-
-func (s *Session) blockKey(ino types.Inode, idx uint32) string {
-	return fmt.Sprintf("%s/f/%d/%d", s.fsid, uint64(ino), idx)
-}
-
-func (s *Session) filePrefix(ino types.Inode) string {
-	return fmt.Sprintf("%s/f/%d/", s.fsid, uint64(ino))
+	return sb, nil //sharoes-vet:allow unverified a baseline superblock is plaintext by design
 }

@@ -7,7 +7,9 @@ import (
 	"sync"
 	"testing"
 
+	"github.com/sharoes/sharoes/internal/client"
 	"github.com/sharoes/sharoes/internal/keys"
+	"github.com/sharoes/sharoes/internal/migrate"
 	"github.com/sharoes/sharoes/internal/ssp"
 	"github.com/sharoes/sharoes/internal/stats"
 	"github.com/sharoes/sharoes/internal/types"
@@ -45,27 +47,39 @@ func bFixture(t testing.TB) {
 
 func allModes() []Mode { return []Mode{NoEncMDD, NoEncMD, Public, PubOpt} }
 
-func modeWorld(t *testing.T, mode Mode) (ssp.BlobStore, func(types.UserID) *Session) {
+// bootstrap makes an empty filesystem of mode at store, root owned by
+// alice:eng 0755, through the one migration tool.
+func bootstrap(t testing.TB, store ssp.BlobStore, mode Mode) {
+	t.Helper()
+	if err := migrate.Bootstrap(migrate.Options{Store: store, Registry: bReg, Layout: New(mode, bReg),
+		FSID: "bfs", RootOwner: "alice", RootGroup: "eng", RootPerm: 0o755}); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// mountAs mounts a session of mode at store for the user, through the one
+// client.
+func mountAs(t testing.TB, store ssp.BlobStore, mode Mode, id types.UserID, cacheBytes int64, blockSize uint32, rec *stats.Recorder) *client.Session {
+	t.Helper()
+	s, err := client.Mount(client.Config{Store: store, Layout: New(mode, bReg), User: bUser[id], Registry: bReg,
+		FSID: "bfs", Recorder: rec, CacheBytes: cacheBytes, BlockSize: blockSize})
+	if err != nil {
+		t.Fatalf("mount %s: %v", id, err)
+	}
+	t.Cleanup(func() { s.Close() })
+	return s
+}
+
+func modeWorld(t *testing.T, mode Mode) (ssp.BlobStore, func(types.UserID) *client.Session) {
 	t.Helper()
 	bFixture(t)
 	store := ssp.NewMemStore()
-	if err := Bootstrap(store, mode, "bfs", bReg, "alice", "eng", 0o755); err != nil {
-		t.Fatal(err)
-	}
-	mount := func(id types.UserID) *Session {
-		s, err := Mount(Config{Store: store, Mode: mode, User: bUser[id], Registry: bReg,
-			FSID: "bfs", CacheBytes: -1, BlockSize: 64})
-		if err != nil {
-			t.Fatalf("mount %s: %v", id, err)
-		}
-		t.Cleanup(func() { s.Close() })
-		return s
-	}
-	return store, mount
+	bootstrap(t, store, mode)
+	return store, func(id types.UserID) *client.Session { return mountAs(t, store, mode, id, -1, 64, nil) }
 }
 
 // TestAllModesBasicOps runs the shared-behaviour contract against every
-// baseline mode: the four implementations must be functionally identical,
+// baseline mode: the four systems must be functionally identical,
 // differing only in cryptographic cost.
 func TestAllModesBasicOps(t *testing.T) {
 	for _, mode := range allModes() {
@@ -241,9 +255,12 @@ func TestDataEncryptionPerMode(t *testing.T) {
 }
 
 // TestPerUserMetadataReplication: PUBLIC and PUB-OPT store per-user
-// metadata state (the Scheme-1-equivalent cost the paper calls out).
+// metadata state (the Scheme-1-equivalent cost the paper calls out):
+// PUBLIC a copy per user, PUB-OPT one shared copy that carries a wrapped
+// key per user.
 func TestPerUserMetadataReplication(t *testing.T) {
 	bFixture(t)
+	users := len(bReg.Users())
 	for _, mode := range []Mode{Public, PubOpt} {
 		t.Run(mode.String(), func(t *testing.T) {
 			store, mount := modeWorld(t, mode)
@@ -251,14 +268,23 @@ func TestPerUserMetadataReplication(t *testing.T) {
 			if err := alice.Create("/one", 0o644); err != nil {
 				t.Fatal(err)
 			}
-			st, err := store.Stats()
+			items, err := store.List(wire.NSMeta, "")
 			if err != nil {
 				t.Fatal(err)
 			}
-			// Root + one file, 3 users: at least 3 metadata blobs per
-			// object under PUBLIC; body + 3 wrapped keys under PUB-OPT.
-			if st.PerNS[wire.NSMeta] < 6 {
-				t.Errorf("meta objects = %d, want per-user replication", st.PerNS[wire.NSMeta])
+			// Root + one file.
+			if mode == Public && len(items) != 2*users {
+				t.Errorf("meta objects = %d, want a copy per user of each of 2", len(items))
+			}
+			if mode == PubOpt {
+				if len(items) != 2 {
+					t.Errorf("meta objects = %d, want one shared copy of each of 2", len(items))
+				}
+				for _, it := range items {
+					if len(it.Val) < users*wrappedLen+metaPadSize {
+						t.Errorf("%s is %d bytes, want a %d-byte wrapped key per user and the body", it.Key, len(it.Val), wrappedLen)
+					}
+				}
 			}
 			// Each user can read their own replica.
 			for _, u := range []types.UserID{"bob", "carol"} {
@@ -279,15 +305,9 @@ func TestCryptoCostOrdering(t *testing.T) {
 	cost := make(map[Mode]int64)
 	for _, mode := range allModes() {
 		store := ssp.NewMemStore()
-		if err := Bootstrap(store, mode, "bfs", bReg, "alice", "eng", 0o755); err != nil {
-			t.Fatal(err)
-		}
+		bootstrap(t, store, mode)
 		var rec stats.Recorder
-		s, err := Mount(Config{Store: store, Mode: mode, User: bUser["alice"], Registry: bReg,
-			FSID: "bfs", CacheBytes: 0, BlockSize: 4096, Recorder: &rec})
-		if err != nil {
-			t.Fatal(err)
-		}
+		s := mountAs(t, store, mode, "alice", 0, 4096, &rec)
 		for i := 0; i < 5; i++ {
 			if err := s.Create(fmt.Sprintf("/f%d", i), 0o644); err != nil {
 				t.Fatal(err)
@@ -300,7 +320,6 @@ func TestCryptoCostOrdering(t *testing.T) {
 			}
 		}
 		cost[mode] = int64(rec.Snapshot().Crypto)
-		s.Close()
 	}
 	if !(cost[Public] > cost[PubOpt] && cost[PubOpt] > cost[NoEncMD]) {
 		t.Errorf("stat crypto cost ordering violated: PUBLIC=%d PUB-OPT=%d NO-ENC-MD=%d NO-ENC-MD-D=%d",
@@ -320,11 +339,11 @@ func TestModeStrings(t *testing.T) {
 
 func TestMountErrors(t *testing.T) {
 	bFixture(t)
-	if _, err := Mount(Config{}); err == nil {
+	if _, err := client.Mount(client.Config{}); err == nil {
 		t.Error("empty config mounted")
 	}
 	// Mounting an un-bootstrapped store fails.
-	if _, err := Mount(Config{Store: ssp.NewMemStore(), Mode: NoEncMD, User: bUser["alice"],
+	if _, err := client.Mount(client.Config{Store: ssp.NewMemStore(), Layout: New(NoEncMD, bReg), User: bUser["alice"],
 		Registry: bReg, FSID: "nope"}); err == nil {
 		t.Error("mounted a missing filesystem")
 	}
@@ -353,16 +372,16 @@ func TestRefusedWriteLeavesNoTrace(t *testing.T) {
 	bFixture(t)
 	ops := []struct {
 		name string
-		op   func(s *Session) error
+		op   func(s *client.Session) error
 	}{
-		{"create", func(s *Session) error { return s.Create("/d/x", 0o644) }},
-		{"mkdir", func(s *Session) error { return s.Mkdir("/d/x", 0o755) }},
-		{"overwrite", func(s *Session) error { return s.WriteFile("/d/old", bytes.Repeat([]byte("N"), 100), 0) }},
-		{"append", func(s *Session) error { return s.Append("/d/old", []byte("+tail")) }},
-		{"remove", func(s *Session) error { return s.Remove("/d/old") }},
-		{"rename", func(s *Session) error { return s.Rename("/d/old", "/e/x") }},
+		{"create", func(s *client.Session) error { return s.Create("/d/x", 0o644) }},
+		{"mkdir", func(s *client.Session) error { return s.Mkdir("/d/x", 0o755) }},
+		{"overwrite", func(s *client.Session) error { return s.WriteFile("/d/old", bytes.Repeat([]byte("N"), 100), 0) }},
+		{"append", func(s *client.Session) error { return s.Append("/d/old", []byte("+tail")) }},
+		{"remove", func(s *client.Session) error { return s.Remove("/d/old") }},
+		{"rename", func(s *client.Session) error { return s.Rename("/d/old", "/e/x") }},
 	}
-	observe := func(s *Session) string {
+	observe := func(s *client.Session) string {
 		out := ""
 		for _, p := range []string{"/d", "/e"} {
 			names, err := s.ReadDir(p)
@@ -378,18 +397,8 @@ func TestRefusedWriteLeavesNoTrace(t *testing.T) {
 		for _, tc := range ops {
 			t.Run(mode.String()+"/"+tc.name, func(t *testing.T) {
 				rs := &refusingStore{BlobStore: ssp.NewMemStore()}
-				if err := Bootstrap(rs, mode, "bfs", bReg, "alice", "eng", 0o755); err != nil {
-					t.Fatal(err)
-				}
-				mount := func() *Session {
-					s, err := Mount(Config{Store: rs, Mode: mode, User: bUser["alice"], Registry: bReg,
-						FSID: "bfs", CacheBytes: -1, BlockSize: 64})
-					if err != nil {
-						t.Fatal(err)
-					}
-					t.Cleanup(func() { s.Close() })
-					return s
-				}
+				bootstrap(t, rs, mode)
+				mount := func() *client.Session { return mountAs(t, rs, mode, "alice", -1, 64, nil) }
 				alice := mount()
 				for _, err := range []error{alice.Mkdir("/d", 0o755), alice.Mkdir("/e", 0o755),
 					alice.WriteFile("/d/old", []byte("old"), 0o644)} {

@@ -132,7 +132,9 @@ func (s *Session) setACL(path string, user types.UserID, rights *types.Triplet) 
 			w.add(wire.KV{NS: wire.NSMeta, Key: meta.MetaKey(r.ino, oldID), Delete: true})
 		}
 	}
-	s.sealMetaVariants(&w, &updated)
+	if err := s.sealMetaVariants(&w, &updated); err != nil {
+		return err
+	}
 
 	// Re-route the parent's rows for this object: the grantee now
 	// diverges from (or rejoins) their class co-travellers.

@@ -216,7 +216,7 @@ func (s *Session) cacheSiblings(dv *dirView, sibs []sibling, blobs replyIndex) {
 		err             error
 	}
 	out := make([]opened, len(sibs))
-	stop := s.crypto("open-siblings")
+	sw, end := s.cryptoGroup("open-siblings")
 	layout.RunParallel(len(sibs), func(i int) {
 		r, o := sibs[i].r, &out[i]
 		metaBlob, ok := blobs.get(wire.NSMeta, meta.MetaKey(r.ino, r.variant))
@@ -225,16 +225,16 @@ func (s *Session) cacheSiblings(dv *dirView, sibs []sibling, blobs replyIndex) {
 			return
 		}
 		o.metaLen = int64(len(metaBlob))
-		o.m, o.err = meta.OpenMetadata(r.mek, r.mvk, meta.MetaAAD(r.ino, r.variant), metaBlob)
+		o.m, o.err = s.openMeta(sw, r, metaBlob)
 		if o.err != nil || !hasManifest(o.m) {
 			return
 		}
 		if manBlob, ok := blobs.get(wire.NSData, meta.ManifestKey(r.ino)); ok {
 			o.manLen = int64(len(manBlob))
-			o.man, o.err = verifyManifest(r, o.m, manBlob)
+			o.man, o.err = s.eng.OpenManifest(sw, r.ino, o.m, manBlob)
 		}
 	})
-	stop()
+	end()
 
 	var kept, rejected int64
 	for i, o := range out {

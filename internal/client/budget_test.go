@@ -7,12 +7,15 @@ import (
 	"strings"
 	"testing"
 
+	"github.com/sharoes/sharoes/internal/baseline"
 	"github.com/sharoes/sharoes/internal/layout"
 	"github.com/sharoes/sharoes/internal/meta"
 	"github.com/sharoes/sharoes/internal/migrate"
 	"github.com/sharoes/sharoes/internal/obs"
 	"github.com/sharoes/sharoes/internal/refmodel"
+	"github.com/sharoes/sharoes/internal/sharocrypto"
 	"github.com/sharoes/sharoes/internal/ssp"
+	"github.com/sharoes/sharoes/internal/stats"
 	"github.com/sharoes/sharoes/internal/types"
 	"github.com/sharoes/sharoes/internal/vfs"
 	"github.com/sharoes/sharoes/internal/wire"
@@ -136,9 +139,26 @@ var budgetOps = []budgetOp{
 		}},
 }
 
+// baselineModes are the paper's four comparison systems, in figure order.
+var baselineModes = []baseline.Mode{baseline.NoEncMDD, baseline.NoEncMD, baseline.Public, baseline.PubOpt}
+
+// countedSystems is countedSchemes over all five systems of the paper's
+// evaluation: Sharoes under both schemes, then each baseline's sealing
+// mode on the same client.
+func countedSystems(t *testing.T, body func(t *testing.T, w *world, cs *countingStore)) {
+	countedSchemes(t, body)
+	for _, mode := range baselineModes {
+		t.Run(mode.String(), func(t *testing.T) {
+			cs := &countingStore{BlobStore: ssp.NewMemStore()}
+			body(t, newWorld(t, baseline.New(mode, fixReg), cs), cs)
+		})
+	}
+}
+
 // TestRoundTripBudget pins the per-operation receive table: for every
-// operation, cold and warm, under each cache setting and both schemes, and
-// for every kind of row a path can lead through, the store reads made stay
+// operation, cold and warm, under each cache setting, for all five systems
+// (both schemes and the four baselines pay the same receives), and for
+// every kind of row a path can lead through, the store reads made stay
 // within budget, no key is fetched twice inside one operation, and the
 // result is what the reference filesystem gives the same user.
 func TestRoundTripBudget(t *testing.T) {
@@ -147,7 +167,7 @@ func TestRoundTripBudget(t *testing.T) {
 	members.AddMember("eng", "bob")
 	members.AddMember("qa", "carol")
 
-	countedSchemes(t, func(t *testing.T, w *world, cs *countingStore) {
+	countedSystems(t, func(t *testing.T, w *world, cs *countingStore) {
 		scheme2 := strings.HasSuffix(t.Name(), "scheme2")
 		for ci, cacheBytes := range []int64{-1, 16 << 10, 0} {
 			model := refmodel.New("alice", "eng", 0o755, members)
@@ -242,6 +262,60 @@ func TestRoundTripBudget(t *testing.T) {
 			}
 		}
 	})
+}
+
+// TestCryptoParity pins, without wall time, the cryptography the five
+// systems differ by. A cold getattr of a file whose directory is already
+// open takes no private-key operation under Sharoes and the NO-ENC modes,
+// one under PUB-OPT (the unwrap of the metadata key) and one per RSA chunk
+// of the padded metadata under PUBLIC (⌈512/190⌉ = 3). No baseline signs
+// anything, and NO-ENC-MD-D times no CRYPTO section at all.
+func TestCryptoParity(t *testing.T) {
+	fixture(t)
+	private := map[string]int64{"scheme2": 0, "scheme1": 0, "NO-ENC-MD-D": 0, "NO-ENC-MD": 0, "PUBLIC": 3, "PUB-OPT": 1}
+	engines := []layout.Engine{layout.NewScheme2(fixReg), layout.NewScheme1(fixReg)}
+	for _, mode := range baselineModes {
+		engines = append(engines, baseline.New(mode, fixReg))
+	}
+	for _, eng := range engines {
+		t.Run(eng.Name(), func(t *testing.T) {
+			w := newWorld(t, eng, ssp.NewMemStore())
+			signs := meta.SignCount()
+			alice := w.as("alice")
+			if err := alice.Mkdir("/d", 0o755); err != nil {
+				t.Fatal(err)
+			}
+			if err := alice.WriteFile("/d/f", bytes.Repeat([]byte("f"), 100), 0o644); err != nil {
+				t.Fatal(err)
+			}
+			var rec stats.Recorder
+			s, err := Mount(Config{Store: w.store, User: fixUser["bob"], Registry: fixReg, Layout: eng,
+				FSID: "testfs", Recorder: &rec, CacheBytes: -1, BlockSize: 64})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer s.Close()
+			if _, err := s.Stat("/d"); err != nil {
+				t.Fatal(err)
+			}
+			before := sharocrypto.PrivateOps()
+			info, err := s.Stat("/d/f")
+			if err != nil || info.Size != 100 {
+				t.Fatalf("stat = %+v, %v", info, err)
+			}
+			if got := sharocrypto.PrivateOps() - before; got != private[eng.Name()] {
+				t.Errorf("cold getattr: %d private-key operations, want %d", got, private[eng.Name()])
+			}
+			if _, ok := eng.(*baseline.Engine); ok {
+				if got := meta.SignCount() - signs; got != 0 {
+					t.Errorf("%d signatures, want none", got)
+				}
+			}
+			if got := rec.Snapshot().CryptoOps; eng.Name() == "NO-ENC-MD-D" && got != 0 {
+				t.Errorf("%d CRYPTO sections, want none", got)
+			}
+		})
+	}
 }
 
 // TestPrefetchedTableIsVerifiedLikeAFetchedOne: the table view that now

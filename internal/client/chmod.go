@@ -14,10 +14,13 @@ import (
 
 // sealMetaVariants seals every CAP copy of the metadata into w; commit
 // then forgets the copies the session had cached.
-func (s *Session) sealMetaVariants(w *write, m *meta.Metadata) {
-	stop := s.crypto("seal-meta")
-	w.add(layout.BuildMetaKVs(s.eng, m)...)
-	stop()
+func (s *Session) sealMetaVariants(w *write, m *meta.Metadata) error {
+	kvs, err := s.eng.SealMeta(s.clock("seal-meta"), m, s.eng.Variants(m.Attr))
+	if err != nil {
+		return err
+	}
+	w.add(kvs...)
+	return nil
 }
 
 // requireOwner checks that the session user owns the object and holds the
@@ -168,7 +171,9 @@ func (s *Session) chmod(path string, perm types.Perm) error {
 	}
 	updated.Attr.Perm = perm
 
-	s.sealMetaVariants(&w, &updated)
+	if err := s.sealMetaVariants(&w, &updated); err != nil {
+		return err
+	}
 	return s.commit(&w)
 }
 
@@ -266,7 +271,9 @@ func (s *Session) chown(path string, owner types.UserID, group types.GroupID) er
 		}
 	}
 
-	s.sealMetaVariants(&w, &updated)
+	if err := s.sealMetaVariants(&w, &updated); err != nil {
+		return err
+	}
 	if err := s.commit(&w); err != nil {
 		return err
 	}

@@ -9,6 +9,7 @@ import (
 
 	"github.com/sharoes/sharoes/internal/keys"
 	"github.com/sharoes/sharoes/internal/layout"
+	"github.com/sharoes/sharoes/internal/meta"
 	"github.com/sharoes/sharoes/internal/migrate"
 	"github.com/sharoes/sharoes/internal/ssp"
 	"github.com/sharoes/sharoes/internal/types"
@@ -51,6 +52,9 @@ func fixture(t testing.TB) {
 		fixReg.AddMember("qa", "carol")
 	})
 }
+
+// newObjectKeys mints the complete key set of a new Sharoes object.
+func newObjectKeys() meta.KeySet { return layout.NewScheme2(fixReg).NewKeys(nil) }
 
 // world is one bootstrapped filesystem plus mounted sessions.
 type world struct {

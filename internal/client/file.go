@@ -43,26 +43,14 @@ func (s *Session) fetchManifest(r ref, m *meta.Metadata, pre replyIndex, with co
 	return man, pre, err
 }
 
-// openManifest verifies, decodes and caches a fetched manifest blob.
+// openManifest opens, decodes and caches a fetched manifest blob.
 func (s *Session) openManifest(r ref, m *meta.Metadata, blob []byte) (*meta.Manifest, error) {
-	stop := s.crypto("open-manifest")
-	man, err := verifyManifest(r, m, blob)
-	stop()
+	man, err := s.eng.OpenManifest(s.clock("open-manifest"), r.ino, m, blob)
 	if err != nil {
 		return nil, err
 	}
 	s.cache.Put(ckManifest+meta.ManifestKey(r.ino), man, int64(len(blob)))
 	return man, nil
-}
-
-// verifyManifest checks a manifest blob against the writer's signature
-// under the file's own DEK/DVK and generation-bound AAD, then decodes it.
-func verifyManifest(r ref, m *meta.Metadata, blob []byte) (*meta.Manifest, error) {
-	pt, err := meta.OpenVerified(m.Keys.DEK, m.Keys.DVK, meta.ManifestAAD(r.ino, m.Attr.DataGen), blob)
-	if err != nil {
-		return nil, err
-	}
-	return meta.DecodeManifest(pt)
 }
 
 // sealFileData seals a file's full content as blocks of blockSize plus
@@ -79,13 +67,11 @@ func (s *Session) sealFileData(w *write, m *meta.Metadata, data []byte, blockSiz
 
 // sealBlocks seals data as the file's blocks from block first on, plus
 // the new manifest, into w under one CRYPTO stopwatch (the blocks are
-// sealed across the worker pool inside layout.SealFileKVs), then — back on
-// the session goroutine — stages the plaintext it was given and the
+// sealed across the worker pool inside the Sealer's SealFile), then — back
+// on the session goroutine — stages the plaintext it was given and the
 // manifest for the cache.
 func (s *Session) sealBlocks(w *write, m *meta.Metadata, man *meta.Manifest, first uint32, data []byte) {
-	stop := s.crypto("seal-data")
-	kvs := layout.SealFileKVs(m, man, first, data)
-	stop()
+	kvs := s.eng.SealFile(s.clock("seal-data"), m, man, first, data)
 	w.add(kvs...)
 
 	bs := int(man.BlockSize)
@@ -167,16 +153,16 @@ func (s *Session) readBlocks(r ref, m *meta.Metadata, man *meta.Manifest, from, 
 		return nil, fmt.Errorf("%w: %d of %d blocks missing", types.ErrTampered, absent, len(missing))
 	}
 	errs := make([]error, len(missing))
-	stop := s.crypto("open-block")
+	sw, end := s.cryptoGroup("open-block")
 	layout.RunParallel(len(missing), func(i int) {
 		idx := from + uint32(slots[i])
-		pt, err := meta.OpenBlock(m.Keys.DEK, man.DataAAD(r.ino, gen, idx), sealed[i], man.Digests[idx])
+		pt, err := s.eng.OpenBlock(sw, m.Keys.DEK, man.DataAAD(r.ino, gen, idx), sealed[i], man.Digests[idx])
 		if err == nil && len(pt) != man.DataLen(idx) {
 			err = fmt.Errorf("%w: block %d is %d bytes, the manifest says %d", types.ErrTampered, idx, len(pt), man.DataLen(idx))
 		}
 		out[slots[i]], errs[i] = pt, err
 	})
-	stop()
+	end()
 	for i, kv := range missing {
 		if errs[i] != nil {
 			return nil, errs[i]
@@ -298,7 +284,9 @@ func (s *Session) overwrite(r ref, m *meta.Metadata, pre replyIndex, data []byte
 	if isOwner {
 		updated.Attr.Size = uint64(len(data))
 		updated.Attr.MTime = now
-		s.sealMetaVariants(&w, &updated)
+		if err := s.sealMetaVariants(&w, &updated); err != nil {
+			return err
+		}
 	}
 	return s.commit(&w)
 }

@@ -208,7 +208,6 @@ func (s *Session) createObject(path string, at dirent, pre replyIndex, perm type
 	}
 
 	now := time.Now().UnixNano()
-	stop := s.crypto("mint-keys")
 	child := &meta.Metadata{
 		Attr: meta.Attr{
 			Inode: types.NewInode(),
@@ -219,21 +218,18 @@ func (s *Session) createObject(path string, at dirent, pre replyIndex, perm type
 			MTime: now,
 			Size:  uint64(len(data)),
 		},
-		Keys: newObjectKeys(),
+		Keys: s.eng.NewKeys(s.clock("mint-keys")),
 	}
-	stop()
 
 	// Child metadata, one sealed copy per CAP variant.
 	var w write
-	stop = s.crypto("seal-meta")
-	w.add(layout.BuildMetaKVs(s.eng, child)...)
-	stop()
+	if err := s.sealMetaVariants(&w, child); err != nil {
+		return err
+	}
 
 	switch kind {
 	case types.KindDir:
-		stop = s.crypto("seal-table")
-		tkvs, err := layout.BuildTableKVs(s.eng, child, &meta.DirTable{})
-		stop()
+		tkvs, err := layout.BuildTableKVs(s.eng, s.clock("seal-table"), child, &meta.DirTable{})
 		if err != nil {
 			return err
 		}

@@ -272,9 +272,7 @@ func (s *Session) loadParentTables(r ref, m *meta.Metadata, own *cap.View, pre r
 		if !ok {
 			tables[r.variant] = &meta.DirTable{}
 		} else {
-			stop := s.crypto("open-table")
-			view, err := cap.OpenView(r.variant, cap.TableKey(m, r.variant), m.Keys.DVK, r.ino, blob)
-			stop()
+			view, err := s.eng.OpenView(s.clock("open-table"), r.variant, cap.TableKey(m, r.variant), m.Keys.DVK, r.ino, blob)
 			if err != nil {
 				return nil, err
 			}
@@ -289,9 +287,9 @@ func (s *Session) loadParentTables(r ref, m *meta.Metadata, own *cap.View, pre r
 	names := tables[r.variant].Names()
 
 	// The remaining views were sealed as one group with the writer's own
-	// (meta.SealGroup), so after the first open each is a verified-memo
-	// hit: they open in turn, under one stopwatch, and are cached only
-	// once every one has opened.
+	// (Sealer.SealViews), so after the first open of a signed group each
+	// is a verified-memo hit: they open in turn, under one stopwatch, and
+	// are cached only once every one has opened.
 	type openJob struct {
 		id   string
 		blob []byte
@@ -311,18 +309,18 @@ func (s *Session) loadParentTables(r ref, m *meta.Metadata, own *cap.View, pre r
 	if len(jobs) == 0 {
 		return tables, nil
 	}
-	stop := s.crypto("open-table")
+	sw, end := s.cryptoGroup("open-table")
 	for _, j := range jobs {
-		view, err := cap.OpenView(j.id, cap.TableKey(m, j.id), m.Keys.DVK, r.ino, j.blob)
+		view, err := s.eng.OpenView(sw, j.id, cap.TableKey(m, j.id), m.Keys.DVK, r.ino, j.blob)
 		if err == nil {
 			tables[j.id], err = view.Reconstruct(names)
 		}
 		if err != nil {
-			stop()
+			end()
 			return nil, err
 		}
 	}
-	stop()
+	end()
 	for _, j := range jobs {
 		s.cache.Put(ckWTable+meta.TableKey(r.ino, j.id), tables[j.id].Clone(), tableSize(tables[j.id]))
 	}
@@ -335,15 +333,13 @@ func tableSize(t *meta.DirTable) int64 {
 }
 
 // writeParentTables seals every view of the directory from the per-variant
-// tables, under one signature (layout.SealTables), adds them to w, and
+// tables, as one group (layout.SealTables), adds them to w, and
 // stages the tables as the writer-table cache entries and the writer's own
 // full view as its reader view: within a session the client is the only
 // writer it is coherent with, so the next lookup or mutation in this
 // directory pays no refetch once the store has taken the batch.
 func (s *Session) writeParentTables(w *write, r ref, m *meta.Metadata, tables map[string]*meta.DirTable) error {
-	stop := s.crypto("seal-table")
-	kvs, err := layout.SealTables(s.eng, m, tables)
-	stop()
+	kvs, err := layout.SealTables(s.eng, s.clock("seal-table"), m, tables)
 	if err != nil {
 		return err
 	}

@@ -44,7 +44,9 @@ type Config struct {
 	User *keys.User
 	// Registry is the enterprise principal directory.
 	Registry *keys.Registry
-	// Layout is the metadata layout scheme (Scheme-1 or Scheme-2).
+	// Layout is the metadata layout scheme (Scheme-1 or Scheme-2), or one
+	// of the comparison baselines' sealing modes (internal/baseline): it
+	// decides which copies of an object exist and how each is sealed.
 	Layout layout.Engine
 	// FSID names the filesystem at the SSP.
 	FSID string
@@ -162,9 +164,7 @@ func Mount(cfg Config) (*Session, error) {
 		if p.Group != "" {
 			priv = gk[p.Group]
 		}
-		stop := s.crypto("open-superblock")
-		sb, err = meta.OpenSuperblock(priv, blob)
-		stop()
+		sb, err = s.eng.OpenSuperblock(s.clock("open-superblock"), priv, blob)
 		if err != nil {
 			return nil, fmt.Errorf("client: mount superblock: %w", err)
 		}
@@ -224,6 +224,31 @@ func (s *Session) crypto(name string) func() {
 	}
 }
 
+// clock is the stopwatch of one CRYPTO section named name, for a seal or
+// open of the session's Sealer to start if it does any cryptography.
+func (s *Session) clock(name string) layout.Stopwatch {
+	return func() func() { return s.crypto(name) }
+}
+
+// cryptoGroup is one CRYPTO section named name around a group of seals or
+// opens that may run on several goroutines (layout.RunParallel): the first
+// of them to start the returned stopwatch opens the section, the rest join
+// it, and end — called once the group is done — closes it, if anything
+// opened it.
+func (s *Session) cryptoGroup(name string) (sw layout.Stopwatch, end func()) {
+	var once sync.Once
+	var stop func()
+	sw = func() func() {
+		once.Do(func() { stop = s.crypto(name) })
+		return func() {}
+	}
+	return sw, func() {
+		if stop != nil {
+			stop()
+		}
+	}
+}
+
 // beginOp opens the root span and stopwatch for one vfs operation; the
 // returned func closes the span, observes the op's latency histogram and
 // counts the op on the recorder. Usage: defer s.beginOp("stat")().
@@ -245,20 +270,6 @@ func (s *Session) beginOp(op string) func() {
 // owner bits, then any ACL grant, then group, then other.
 func (s *Session) triplet(attr meta.Attr) types.Triplet {
 	return attr.EffectiveTriplet(s.user.ID, s.reg.IsMember)
-}
-
-// newObjectKeys mints the complete key material for a new object.
-func newObjectKeys() meta.KeySet {
-	dsk, dvk := sharocrypto.NewSigningPair()
-	msk, _ := sharocrypto.NewSigningPair()
-	return meta.KeySet{
-		DEK:      sharocrypto.NewSymKey(),
-		DataSeed: sharocrypto.NewSymKey(),
-		DVK:      dvk,
-		DSK:      dsk,
-		MSK:      msk,
-		MetaSeed: sharocrypto.NewSymKey(),
-	}
 }
 
 // --- fetch/cache layer -------------------------------------------------
@@ -349,14 +360,17 @@ func (s *Session) fetchMetaMiss(r ref, with companion, at dirent, ride []wire.KV
 	if !ok {
 		return nil, nil, types.ErrNotExist
 	}
-	stop := s.crypto("open-meta")
-	m, err := meta.OpenMetadata(r.mek, r.mvk, meta.MetaAAD(r.ino, r.variant), blob)
-	stop()
+	m, err := s.openMeta(s.clock("open-meta"), r, blob)
 	if err != nil {
 		return nil, nil, err
 	}
 	s.cache.Put(ckMeta+metaKey, m, int64(len(blob)))
 	return m, pre, nil
+}
+
+// openMeta opens the metadata blob fetched for r.
+func (s *Session) openMeta(sw layout.Stopwatch, r ref, blob []byte) (*meta.Metadata, error) {
+	return s.eng.OpenMeta(sw, s.user, r.ino, r.variant, r.mek, r.mvk, blob)
 }
 
 // cached reports whether key is in the session cache.
@@ -417,9 +431,7 @@ func (s *Session) openViewOf(r ref, m *meta.Metadata, pre replyIndex) (*dirView,
 		}
 		return &dirView{View: cap.EmptyView(shape)}, nil
 	}
-	stop := s.crypto("open-view")
-	v, err := cap.OpenView(r.variant, m.Keys.DEK, m.Keys.DVK, r.ino, blob)
-	stop()
+	v, err := s.eng.OpenView(s.clock("open-view"), r.variant, m.Keys.DEK, m.Keys.DVK, r.ino, blob)
 	if err != nil {
 		return nil, err
 	}

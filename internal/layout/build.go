@@ -1,6 +1,7 @@
 package layout
 
 import (
+	"crypto/sha256"
 	"fmt"
 
 	"github.com/sharoes/sharoes/internal/cap"
@@ -8,20 +9,6 @@ import (
 	"github.com/sharoes/sharoes/internal/meta"
 	"github.com/sharoes/sharoes/internal/wire"
 )
-
-// BuildMetaKVs seals every CAP variant of a metadata object and returns
-// the key-value pairs to store at the SSP. full must carry the complete
-// key set (creator or owner knowledge).
-func BuildMetaKVs(eng Engine, full *meta.Metadata) []wire.KV {
-	variants := eng.Variants(full.Attr)
-	out := make([]wire.KV, 0, len(variants))
-	for _, v := range variants {
-		filtered := cap.Filter(full, v.Cap, v.ID)
-		blob := filtered.Seal(v.MEK(full), full.Keys.MSK, meta.MetaAAD(full.Attr.Inode, v.ID))
-		out = append(out, wire.KV{NS: wire.NSMeta, Key: meta.MetaKey(full.Attr.Inode, v.ID), Val: blob})
-	}
-	return out
-}
 
 // DeleteMetaKVs returns delete markers for every variant of an object.
 func DeleteMetaKVs(eng Engine, attr meta.Attr) []wire.KV {
@@ -39,13 +26,13 @@ func DeleteMetaKVs(eng Engine, attr meta.Attr) []wire.KV {
 // shape sealed under a derived key their holders never receive, so
 // relaxing permissions later never requires reconstructing other owners'
 // child keys.
-func BuildTableKVs(eng Engine, dirFull *meta.Metadata, table *meta.DirTable) ([]wire.KV, error) {
+func BuildTableKVs(eng Engine, sw Stopwatch, dirFull *meta.Metadata, table *meta.DirTable) ([]wire.KV, error) {
 	variants := eng.Variants(dirFull.Attr)
 	tables := make(map[string]*meta.DirTable, len(variants))
 	for _, v := range variants {
 		tables[v.ID] = table
 	}
-	return SealTables(eng, dirFull, tables)
+	return SealTables(eng, sw, dirFull, tables)
 }
 
 // DeleteTableKVs returns delete markers for every table view of a
@@ -111,17 +98,17 @@ func dedupeKVs(kvs []wire.KV) []wire.KV {
 
 // SealTables seals per-variant directory tables (unlike BuildTableKVs,
 // which replicates one table into every view — only correct for tables
-// whose rows are variant-independent, such as empty ones) as one signed
-// group (cap.SealTableViews), in variant order. Variants tables lacks are
-// left alone.
-func SealTables(eng Engine, dirFull *meta.Metadata, tables map[string]*meta.DirTable) ([]wire.KV, error) {
+// whose rows are variant-independent, such as empty ones) as one group
+// (Sealer.SealViews), in variant order. Variants tables lacks are left
+// alone.
+func SealTables(eng Engine, sw Stopwatch, dirFull *meta.Metadata, tables map[string]*meta.DirTable) ([]wire.KV, error) {
 	var specs []cap.ViewSpec
 	for _, v := range eng.Variants(dirFull.Attr) {
 		if tbl, ok := tables[v.ID]; ok {
 			specs = append(specs, cap.ViewSpec{Table: tbl, ID: v.Cap, Variant: v.ID})
 		}
 	}
-	blobs, err := cap.SealTableViews(dirFull, specs)
+	blobs, err := eng.SealViews(sw, dirFull, specs)
 	if err != nil {
 		return nil, fmt.Errorf("layout: seal tables of %d: %w", dirFull.Attr.Inode, err)
 	}
@@ -143,8 +130,8 @@ func NewTables(eng Engine, attr meta.Attr) map[string]*meta.DirTable {
 
 // BuildFileKVs seals a file's whole content — blocks plus manifest —
 // under the file's data keys.
-func BuildFileKVs(m *meta.Metadata, data []byte, blockSize uint32, mtime int64) []wire.KV {
-	return SealFileKVs(m, meta.NewManifest(uint64(len(data)), blockSize, mtime), 0, data)
+func BuildFileKVs(sl Sealer, m *meta.Metadata, data []byte, blockSize uint32, mtime int64) []wire.KV {
+	return sl.SealFile(nil, m, meta.NewManifest(uint64(len(data)), blockSize, mtime), 0, data)
 }
 
 // SealFileKVs seals data as the blocks of a file from block first on —
@@ -164,6 +151,17 @@ func BuildFileKVs(m *meta.Metadata, data []byte, blockSize uint32, mtime int64) 
 // and signed last, once every digest is in: it is the one signature of
 // the write.
 func SealFileKVs(m *meta.Metadata, man *meta.Manifest, first uint32, data []byte) []wire.KV {
+	return SealFile(m, man, first, data,
+		func(aad, plain []byte) ([]byte, [sha256.Size]byte) { return meta.SealBlock(m.Keys.DEK, aad, plain) },
+		func(aad, plain []byte) []byte { return meta.SealSigned(m.Keys.DEK, m.Keys.DSK, aad, plain) })
+}
+
+// SealFile is SealFileKVs with the seals of a block and of the manifest
+// given, each under the file's data keys: the one block-sealing loop,
+// whichever system's seals it runs. block returns each sealed block and
+// the digest the manifest records for it.
+func SealFile(m *meta.Metadata, man *meta.Manifest, first uint32, data []byte,
+	block func(aad, plain []byte) ([]byte, [sha256.Size]byte), manifest func(aad, plain []byte) []byte) []wire.KV {
 	ino, gen := m.Attr.Inode, m.Attr.DataGen
 	bs := int(man.BlockSize)
 	n := (len(data) + bs - 1) / bs
@@ -174,11 +172,11 @@ func SealFileKVs(m *meta.Metadata, man *meta.Manifest, first uint32, data []byte
 			hi = len(data)
 		}
 		idx := first + uint32(i)
-		sealed, digest := meta.SealBlock(m.Keys.DEK, man.DataAAD(ino, gen, idx), data[lo:hi])
+		sealed, digest := block(man.DataAAD(ino, gen, idx), data[lo:hi])
 		man.Digests[idx] = digest
 		kvs[i] = wire.KV{NS: wire.NSData, Key: man.DataKey(ino, gen, idx), Val: sealed}
 	})
-	sealedMan := meta.SealSigned(m.Keys.DEK, m.Keys.DSK, meta.ManifestAAD(ino, gen), man.Encode())
+	sealedMan := manifest(meta.ManifestAAD(ino, gen), man.Encode())
 	kvs[n] = wire.KV{NS: wire.NSData, Key: meta.ManifestKey(ino), Val: sealedMan}
 	return kvs
 }
@@ -202,7 +200,7 @@ func BuildSuperblockKVs(eng Engine, reg *keys.Registry, fsid string, rootMeta *m
 		if err != nil {
 			return nil, err
 		}
-		sealed, err := meta.SealSuperblock(sb, pub)
+		sealed, err := eng.SealSuperblock(sb, pub)
 		if err != nil {
 			return nil, err
 		}

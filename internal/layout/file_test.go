@@ -106,7 +106,7 @@ func manifestEqual(a, b *meta.Manifest) bool {
 func TestBuildFileKVsIsWholeFileSeal(t *testing.T) {
 	m := newFullMeta(78, types.KindFile, "alice", "eng", "640")
 	data := bytes.Repeat([]byte("x"), 200)
-	kvs := BuildFileKVs(m, data, 64, 99)
+	kvs := BuildFileKVs(signed{}, m, data, 64, 99)
 	if len(kvs) != 5 {
 		t.Fatalf("%d KVs, want 4 blocks + manifest", len(kvs))
 	}

@@ -49,7 +49,7 @@ func TestViewGroupBytes(t *testing.T) {
 			lone[v.ID] = len(blob)
 			loneTotal += len(blob)
 		}
-		kvs, err := BuildTableKVs(eng, dir, table)
+		kvs, err := BuildTableKVs(eng, nil, dir, table)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -44,7 +44,8 @@ func (v Variant) MEK(m *meta.Metadata) sharocrypto.SymKey {
 	return cap.MEKFor(m.Keys.MetaSeed, v.ID)
 }
 
-// Engine is a layout scheme.
+// Engine is a layout scheme: which copies of an object exist, and how
+// each is sealed.
 type Engine interface {
 	// Name identifies the scheme ("scheme1" or "scheme2").
 	Name() string
@@ -62,6 +63,8 @@ type Engine interface {
 	// child, the row is a split point and the second return value carries
 	// the sealed per-principal pointers to store (Scheme-2 only).
 	Row(parentAttr meta.Attr, pv Variant, child *meta.Metadata) (meta.DirEntry, []wire.KV, error)
+	// Sealer is how the system seals, opens and keys each blob.
+	Sealer
 }
 
 // classes are the accessor classes, in Scheme-2 variant order.
@@ -106,6 +109,7 @@ func capForTriplet(kind types.ObjKind, t types.Triplet, owner bool) cap.ID {
 
 // Scheme2 shares CAP copies by accessor class.
 type Scheme2 struct {
+	signed
 	reg *keys.Registry
 }
 
@@ -245,6 +249,7 @@ func directEntry(child *meta.Metadata, cv Variant, mvk sharocrypto.VerifyKey) me
 
 // Scheme1 replicates the tree per user.
 type Scheme1 struct {
+	signed
 	reg *keys.Registry
 }
 

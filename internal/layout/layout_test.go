@@ -304,7 +304,10 @@ func TestBuildMetaKVs(t *testing.T) {
 	u := testUniverse(t)
 	for _, eng := range []Engine{NewScheme1(u.reg), NewScheme2(u.reg)} {
 		full := newFullMeta(42, types.KindFile, "alice", "eng", "640")
-		kvs := BuildMetaKVs(eng, full)
+		kvs, err := eng.SealMeta(nil, full, eng.Variants(full.Attr))
+		if err != nil {
+			t.Fatal(err)
+		}
 		want := len(eng.Variants(full.Attr))
 		if len(kvs) != want {
 			t.Fatalf("%s: kvs = %d, want %d", eng.Name(), len(kvs), want)
@@ -368,7 +371,7 @@ func TestBuildTableKVs(t *testing.T) {
 	entry.Name = "report"
 	table.Insert(entry)
 
-	kvs, err := BuildTableKVs(eng, dir, table)
+	kvs, err := BuildTableKVs(eng, nil, dir, table)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -17,7 +17,6 @@ import (
 	"github.com/sharoes/sharoes/internal/keys"
 	"github.com/sharoes/sharoes/internal/layout"
 	"github.com/sharoes/sharoes/internal/meta"
-	"github.com/sharoes/sharoes/internal/sharocrypto"
 	"github.com/sharoes/sharoes/internal/ssp"
 	"github.com/sharoes/sharoes/internal/types"
 	"github.com/sharoes/sharoes/internal/wire"
@@ -188,8 +187,6 @@ func buildNode(opts *Options, up *uploader, st *Stats, n Node, ino types.Inode) 
 	if ino == 0 {
 		ino = types.NewInode()
 	}
-	dsk, dvk := sharocrypto.NewSigningPair()
-	msk, _ := sharocrypto.NewSigningPair()
 	m := &meta.Metadata{
 		Attr: meta.Attr{
 			Inode: ino,
@@ -200,21 +197,14 @@ func buildNode(opts *Options, up *uploader, st *Stats, n Node, ino types.Inode) 
 			Size:  uint64(len(n.Data)),
 			MTime: time.Now().UnixNano(),
 		},
-		Keys: meta.KeySet{
-			DEK:      sharocrypto.NewSymKey(),
-			DataSeed: sharocrypto.NewSymKey(),
-			DVK:      dvk,
-			DSK:      dsk,
-			MSK:      msk,
-			MetaSeed: sharocrypto.NewSymKey(),
-		},
+		Keys: opts.Layout.NewKeys(nil),
 	}
 
 	switch n.Kind {
 	case types.KindFile:
 		st.Files++
 		st.Bytes += int64(len(n.Data))
-		if err := up.add(layout.BuildFileKVs(m, n.Data, opts.BlockSize, m.Attr.MTime)...); err != nil {
+		if err := up.add(layout.BuildFileKVs(opts.Layout, m, n.Data, opts.BlockSize, m.Attr.MTime)...); err != nil {
 			return nil, err
 		}
 	case types.KindDir:
@@ -241,7 +231,7 @@ func buildNode(opts *Options, up *uploader, st *Stats, n Node, ino types.Inode) 
 				}
 			}
 		}
-		tkvs, err := layout.SealTables(opts.Layout, m, tables)
+		tkvs, err := layout.SealTables(opts.Layout, nil, m, tables)
 		if err != nil {
 			return nil, err
 		}
@@ -252,7 +242,11 @@ func buildNode(opts *Options, up *uploader, st *Stats, n Node, ino types.Inode) 
 		return nil, fmt.Errorf("migrate: %q: unknown kind", n.Name)
 	}
 
-	return m, up.add(layout.BuildMetaKVs(opts.Layout, m)...)
+	mkvs, err := opts.Layout.SealMeta(nil, m, opts.Layout.Variants(m.Attr))
+	if err != nil {
+		return nil, err
+	}
+	return m, up.add(mkvs...)
 }
 
 // SanitizePerm maps an arbitrary *nix permission onto the nearest setting

@@ -32,6 +32,7 @@ import (
 	"fmt"
 	"io"
 	"sync"
+	"sync/atomic"
 )
 
 // SymKeySize is the size of a symmetric key in bytes (128-bit AES).
@@ -361,11 +362,19 @@ func (p PublicKey) Seal(msg []byte) ([]byte, error) {
 	return out, nil
 }
 
+// privateOps counts RSA private-key operations (PrivateOps).
+var privateOps atomic.Int64
+
+// PrivateOps returns the process-wide number of RSA private-key
+// operations made so far: one per Open, one per chunk of OpenChunked.
+func PrivateOps() int64 { return privateOps.Load() }
+
 // Open decrypts a blob produced by PublicKey.Seal.
 func (p PrivateKey) Open(blob []byte) ([]byte, error) {
 	if len(blob) < rsaCipherLen {
 		return nil, ErrShortBlob
 	}
+	privateOps.Add(1)
 	keyBytes, err := rsa.DecryptOAEP(sha256.New(), rand.Reader, p.key, blob[:rsaCipherLen], oaepLabel)
 	if err != nil {
 		return nil, ErrDecrypt
@@ -411,6 +420,7 @@ func (p PrivateKey) OpenChunked(blob []byte) ([]byte, error) {
 	}
 	out := make([]byte, 0, len(blob)/rsaCipherLen*rsaChunk)
 	for off := 0; off < len(blob); off += rsaCipherLen {
+		privateOps.Add(1)
 		pt, err := rsa.DecryptOAEP(sha256.New(), rand.Reader, p.key, blob[off:off+rsaCipherLen], oaepLabel)
 		if err != nil {
 			return nil, ErrDecrypt

@@ -217,36 +217,32 @@ func Build(kind SystemKind, opts Options) (*System, error) {
 
 	// Bootstrap in bulk directly against the backing store: the migration
 	// tool runs out-of-band, and only client traffic should be shaped and
-	// measured.
+	// measured. All five systems are the one client; they differ in the
+	// layout engine alone, and a baseline's is its sealing mode.
 	const fsid = "benchfs"
-	alice := users["alice"]
+	var eng layout.Engine
 	switch kind {
 	case SysSharoes:
-		var eng layout.Engine = layout.NewScheme2(reg)
+		eng = layout.NewScheme2(reg)
 		if opts.Scheme == "scheme1" {
 			eng = layout.NewScheme1(reg)
 		}
-		if err := migrate.Bootstrap(migrate.Options{Store: backing, Registry: reg, Layout: eng,
-			FSID: fsid, RootOwner: "alice", RootGroup: "eng", RootPerm: 0o755,
-			BlockSize: opts.BlockSize}); err != nil {
-			return nil, errors.Join(err, sys.Close())
-		}
-		sys.FS, err = client.Mount(client.Config{Store: remote, User: alice, Registry: reg,
-			Layout: eng, FSID: fsid, Recorder: rec, CacheBytes: opts.CacheBytes,
-			BlockSize: opts.BlockSize, LazyRevocation: opts.LazyRevocation,
-			Tracer: sys.Tracer, Metrics: sys.Metrics})
 	default:
-		var mode baseline.Mode
-		if mode, err = baselineMode(kind); err != nil {
+		mode, err := baselineMode(kind)
+		if err != nil {
 			return nil, errors.Join(err, sys.Close())
 		}
-		if err := baseline.Bootstrap(backing, mode, fsid, reg, "alice", "eng", 0o755); err != nil {
-			return nil, errors.Join(err, sys.Close())
-		}
-		sys.FS, err = baseline.Mount(baseline.Config{Store: remote, Mode: mode, User: alice,
-			Registry: reg, FSID: fsid, Recorder: rec, CacheBytes: opts.CacheBytes,
-			BlockSize: opts.BlockSize})
+		eng = baseline.New(mode, reg)
 	}
+	if err := migrate.Bootstrap(migrate.Options{Store: backing, Registry: reg, Layout: eng,
+		FSID: fsid, RootOwner: "alice", RootGroup: "eng", RootPerm: 0o755,
+		BlockSize: opts.BlockSize}); err != nil {
+		return nil, errors.Join(err, sys.Close())
+	}
+	sys.FS, err = client.Mount(client.Config{Store: remote, User: users["alice"], Registry: reg,
+		Layout: eng, FSID: fsid, Recorder: rec, CacheBytes: opts.CacheBytes,
+		BlockSize: opts.BlockSize, LazyRevocation: opts.LazyRevocation,
+		Tracer: sys.Tracer, Metrics: sys.Metrics})
 	if err != nil {
 		return nil, errors.Join(err, sys.Close())
 	}

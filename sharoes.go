@@ -16,8 +16,9 @@
 // The package re-exports the public surface of the implementation:
 // principals and the key registry, the SSP server and stores, the two
 // metadata layout schemes, the client filesystem, the migration tool,
-// the network simulator, the four comparison baselines, and the benchmark
-// harness that regenerates every figure of the paper's evaluation.
+// the network simulator, and the four comparison baselines — sealing
+// modes that Bootstrap and Mount take in place of a layout scheme, so
+// that all five systems run on the one client.
 //
 // A minimal end-to-end session:
 //
@@ -71,8 +72,7 @@ type (
 	ACLEntry = types.ACLEntry
 	// Info is what Stat returns.
 	Info = vfs.Info
-	// FS is the filesystem interface shared by the Sharoes client and
-	// the comparison baselines.
+	// FS is the filesystem interface the client implements.
 	FS = vfs.FS
 )
 
@@ -280,13 +280,9 @@ func ListenSim(p NetProfile) *NetListener { return netsim.Listen(p) }
 
 // --- baselines ----------------------------------------------------------------
 
-// Baseline types: the paper's four comparison implementations.
-type (
-	// BaselineMode selects NO-ENC-MD-D, NO-ENC-MD, PUBLIC or PUB-OPT.
-	BaselineMode = baseline.Mode
-	// BaselineConfig configures a baseline mount.
-	BaselineConfig = baseline.Config
-)
+// BaselineMode selects NO-ENC-MD-D, NO-ENC-MD, PUBLIC or PUB-OPT, the
+// paper's four comparison systems.
+type BaselineMode = baseline.Mode
 
 // Baseline modes.
 const (
@@ -296,11 +292,7 @@ const (
 	BaselinePubOpt   = baseline.PubOpt
 )
 
-// MountBaseline opens a baseline session.
-func MountBaseline(cfg BaselineConfig) (FS, error) { return baseline.Mount(cfg) }
-
-// BootstrapBaseline creates an empty baseline filesystem.
-func BootstrapBaseline(store BlobStore, mode BaselineMode, fsid string, reg *Registry,
-	owner UserID, group GroupID, perm Perm) error {
-	return baseline.Bootstrap(store, mode, fsid, reg, owner, group, perm)
-}
+// NewBaseline returns a baseline as a layout engine: the sealing mode
+// that, in MigrateOptions.Layout and MountConfig.Layout, makes Bootstrap
+// and Mount build and run that comparison system on the one client.
+func NewBaseline(mode BaselineMode, reg *Registry) LayoutEngine { return baseline.New(mode, reg) }

@@ -120,10 +120,12 @@ func TestPublicAPIEndToEnd(t *testing.T) {
 func TestPublicAPIBaseline(t *testing.T) {
 	facadeFixture(t)
 	store := NewMemStore()
-	if err := BootstrapBaseline(store, BaselinePubOpt, "base", fReg, "alice", "", 0o755); err != nil {
+	eng := NewBaseline(BaselinePubOpt, fReg)
+	if err := Bootstrap(MigrateOptions{Store: store, Registry: fReg, Layout: eng,
+		FSID: "base", RootOwner: "alice"}); err != nil {
 		t.Fatal(err)
 	}
-	fs, err := MountBaseline(BaselineConfig{Store: store, Mode: BaselinePubOpt,
+	fs, err := Mount(MountConfig{Store: store, Layout: eng,
 		User: fAlice, Registry: fReg, FSID: "base"})
 	if err != nil {
 		t.Fatal(err)
