@@ -115,4 +115,7 @@ fuzz-smoke:
 		$(GO) test $$pkg -run "^$$target$$" -fuzz "^$$target$$" -fuzztime $(FUZZTIME) || exit 1; \
 	done
 
-check: build fmt-check vet test race fuzz-smoke
+# check runs every gate CI runs (.github/workflows/ci.yml), so a tree
+# that passes it locally passes CI: build, format, vet, tests, the race
+# detector, the fuzz burst, the chaos campaign and the benchmark smoke.
+check: build fmt-check vet test race fuzz-smoke chaos-smoke bench-smoke

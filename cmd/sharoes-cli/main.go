@@ -36,7 +36,6 @@ import (
 	"flag"
 	"fmt"
 	"io"
-	"log"
 	"net"
 	"os"
 	"strings"
@@ -50,79 +49,111 @@ import (
 	"github.com/sharoes/sharoes/internal/vfs"
 )
 
+// Exit codes.
+const (
+	exitOK    = 0
+	exitFail  = 1 // the operation, the mount or the final flush failed
+	exitUsage = 2 // bad flags or arguments
+)
+
 func main() {
-	log.SetFlags(0)
-	log.SetPrefix("sharoes-cli: ")
-	keyPath := flag.String("key", "", "user private key file")
-	regPath := flag.String("registry", "", "enterprise registry file")
-	sspAddr := flag.String("ssp", "localhost:7070", "SSP address, or a comma-separated list to shard over several SSPs")
-	storeDir := flag.String("storedir", "", "local disk store instead of a remote SSP")
-	fsid := flag.String("fsid", "corp", "filesystem identifier")
-	scheme := flag.String("scheme", "scheme2", "metadata layout: scheme1 or scheme2")
-	replicas := flag.Int("replicas", 2, "shard replication factor with a multi-address -ssp (clamped to the SSP count)")
-	writeQuorum := flag.Int("write-quorum", 0, "shard write quorum (0 = majority of -replicas)")
-	hedge := flag.Duration("hedge", 0, "sharded read hedge threshold (0 = default, negative disables)")
-	flag.Parse()
+	os.Exit(run(os.Args[1:], os.Stdout, os.Stderr))
+}
+
+// run is the whole command: it parses args, mounts the filesystem, runs
+// one operation and returns the exit code. Every store and session it
+// opens is closed before it returns, on failure too.
+func run(args []string, stdout, stderr io.Writer) (code int) {
+	flags := flag.NewFlagSet("sharoes-cli", flag.ContinueOnError)
+	flags.SetOutput(stderr)
+	keyPath := flags.String("key", "", "user private key file")
+	regPath := flags.String("registry", "", "enterprise registry file")
+	sspAddr := flags.String("ssp", "localhost:7070", "SSP address, or a comma-separated list to shard over several SSPs")
+	storeDir := flags.String("storedir", "", "local disk store instead of a remote SSP")
+	fsid := flags.String("fsid", "corp", "filesystem identifier")
+	scheme := flags.String("scheme", "scheme2", "metadata layout: scheme1 or scheme2")
+	replicas := flags.Int("replicas", 2, "shard replication factor with a multi-address -ssp (clamped to the SSP count)")
+	writeQuorum := flags.Int("write-quorum", 0, "shard write quorum (0 = majority of -replicas)")
+	hedge := flags.Duration("hedge", 0, "sharded read hedge threshold (0 = default, negative disables)")
+	if err := flags.Parse(args); err != nil {
+		return exitUsage
+	}
+	usage := func(msg string) int {
+		fmt.Fprintln(stderr, "sharoes-cli:", msg)
+		return exitUsage
+	}
+	fail := func(err error) int {
+		fmt.Fprintln(stderr, "sharoes-cli:", err)
+		return exitFail
+	}
 
 	if *keyPath == "" || *regPath == "" {
-		log.Fatal("-key and -registry are required")
+		return usage("-key and -registry are required")
 	}
-	args := flag.Args()
-	if len(args) == 0 {
-		log.Fatal("no operation; see -h")
+	if flags.NArg() == 0 {
+		return usage("no operation; see -h")
+	}
+	if *scheme != "scheme1" && *scheme != "scheme2" {
+		return usage(fmt.Sprintf("unknown -scheme %q: want scheme1 or scheme2", *scheme))
 	}
 
 	user, err := keys.LoadUser(*keyPath)
 	if err != nil {
-		log.Fatal(err)
+		return fail(err)
 	}
 	reg, err := keys.LoadRegistry(*regPath)
 	if err != nil {
-		log.Fatal(err)
+		return fail(err)
 	}
 
 	var store ssp.BlobStore
 	if *storeDir != "" {
 		ds, err := ssp.NewDiskStore(*storeDir)
 		if err != nil {
-			log.Fatal(err)
+			return fail(err)
 		}
 		store = ds
 	} else {
 		addrs := splitAddrs(*sspAddr)
 		if len(addrs) == 0 {
-			log.Fatal("no SSP address")
+			return usage("no SSP address")
 		}
-		dial := func(addr string) (*ssp.Client, error) {
-			return ssp.Dial(func() (net.Conn, error) { return net.Dial("tcp", addr) }, nil)
-		}
-		if len(addrs) == 1 {
-			cl, err := dial(addrs[0])
-			if err != nil {
-				log.Fatal(err)
-			}
-			store = cl
-		} else {
-			backends := make([]shard.Backend, len(addrs))
-			for i, a := range addrs {
-				cl, err := dial(a)
-				if err != nil {
-					log.Fatalf("dial %s: %v", a, err)
+		var conns []*ssp.Client
+		defer func() {
+			// The session closes its store; the shard router does not
+			// close its backends. Closing a client twice is a no-op.
+			for _, cl := range conns {
+				if err := cl.Close(); err != nil {
+					fmt.Fprintln(stderr, "sharoes-cli: ssp close:", err)
 				}
+			}
+		}()
+		for _, a := range addrs {
+			cl, err := ssp.Dial(func() (net.Conn, error) { return net.Dial("tcp", a) }, nil)
+			if err != nil {
+				return fail(fmt.Errorf("dial %s: %w", a, err))
+			}
+			conns = append(conns, cl)
+		}
+		if len(conns) == 1 {
+			store = conns[0]
+		} else {
+			backends := make([]shard.Backend, len(conns))
+			for i, cl := range conns {
 				// The address is the shard ID: every client naming the
 				// same SSP set builds the same ring, whatever the order.
-				backends[i] = shard.Backend{ID: a, Store: cl}
+				backends[i] = shard.Backend{ID: addrs[i], Store: cl}
 			}
 			sh, err := shard.New(backends, shard.Options{Replicas: *replicas,
 				WriteQuorum: *writeQuorum, HedgeDelay: *hedge})
 			if err != nil {
-				log.Fatal(err)
+				return fail(err)
 			}
 			// Writes are synchronous; Close waits for the replies of
-			// hedged-read stragglers before the process exits.
+			// hedged-read stragglers before the connections close.
 			defer func() {
 				if err := sh.Close(); err != nil {
-					log.Printf("shard close: %v", err)
+					fmt.Fprintln(stderr, "sharoes-cli: shard close:", err)
 				}
 			}()
 			store = sh
@@ -137,18 +168,20 @@ func main() {
 		Store: store, User: user, Registry: reg, Layout: eng, FSID: *fsid, CacheBytes: -1,
 	})
 	if err != nil {
-		log.Fatalf("mount: %v", err)
+		return fail(fmt.Errorf("mount: %w", err))
 	}
 	defer func() {
 		// The session flushes on close; a failed flush is lost work.
 		if err := fs.Close(); err != nil {
-			log.Printf("close: %v", err)
+			fmt.Fprintln(stderr, "sharoes-cli: close:", err)
+			code = exitFail
 		}
 	}()
 
-	if err := dispatch(fs, args); err != nil {
-		log.Fatal(err)
+	if err := dispatch(fs, flags.Args(), stdout); err != nil {
+		return fail(err)
 	}
+	return exitOK
 }
 
 // splitAddrs parses a comma-separated address list, dropping empty
@@ -181,7 +214,7 @@ func parseRights(s string) (types.Triplet, error) {
 	return t, nil
 }
 
-func dispatch(fs vfs.FS, args []string) error {
+func dispatch(fs vfs.FS, args []string, stdout io.Writer) error {
 	op, rest := args[0], args[1:]
 	need := func(n int) error {
 		if len(rest) != n {
@@ -199,14 +232,14 @@ func dispatch(fs vfs.FS, args []string) error {
 			return err
 		}
 		for _, n := range names {
-			fmt.Println(n)
+			fmt.Fprintln(stdout, n)
 		}
 		return nil
 	case "tree":
 		if err := need(1); err != nil {
 			return err
 		}
-		return tree(fs, rest[0], "")
+		return tree(stdout, fs, rest[0], "")
 	case "stat":
 		if err := need(1); err != nil {
 			return err
@@ -215,7 +248,7 @@ func dispatch(fs vfs.FS, args []string) error {
 		if err != nil {
 			return err
 		}
-		printInfo(info)
+		printInfo(stdout, info)
 		return nil
 	case "cat":
 		if err := need(1); err != nil {
@@ -225,7 +258,7 @@ func dispatch(fs vfs.FS, args []string) error {
 		if err != nil {
 			return err
 		}
-		_, err = os.Stdout.Write(data)
+		_, err = stdout.Write(data)
 		return err
 	case "put":
 		if err := need(2); err != nil {
@@ -294,7 +327,7 @@ func dispatch(fs vfs.FS, args []string) error {
 			return err
 		}
 		for _, e := range acl {
-			fmt.Printf("user:%s:%s\n", e.User, e.Rights)
+			fmt.Fprintf(stdout, "user:%s:%s\n", e.User, e.Rights)
 		}
 		return nil
 	case "fsck":
@@ -309,9 +342,9 @@ func dispatch(fs vfs.FS, args []string) error {
 		if err != nil {
 			return err
 		}
-		fmt.Println(rep)
+		fmt.Fprintln(stdout, rep)
 		for _, p := range rep.Problems {
-			fmt.Printf("PROBLEM %s: %v\n", p.Path, p.Err)
+			fmt.Fprintf(stdout, "PROBLEM %s: %v\n", p.Path, p.Err)
 		}
 		if !rep.OK() {
 			return fmt.Errorf("%d integrity problem(s)", len(rep.Problems))
@@ -322,28 +355,27 @@ func dispatch(fs vfs.FS, args []string) error {
 	}
 }
 
-func printInfo(info vfs.Info) {
+func printInfo(w io.Writer, info vfs.Info) {
 	kind := "-"
 	if info.IsDir() {
 		kind = "d"
 	}
-	fmt.Printf("%s%s %8d %s:%s %s %s\n",
+	fmt.Fprintf(w, "%s%s %8d %s:%s %s %s\n",
 		kind, info.Perm, info.Size, info.Owner, info.Group,
 		info.MTime.Format("2006-01-02 15:04:05"), info.Name)
 }
 
-func tree(fs vfs.FS, path, indent string) error {
+func tree(w io.Writer, fs vfs.FS, path, indent string) error {
 	info, err := fs.Stat(path)
 	if err != nil {
 		return err
 	}
-	name := info.Name
-	fmt.Printf("%s%s", indent, name)
+	fmt.Fprintf(w, "%s%s", indent, info.Name)
 	if info.IsDir() {
-		fmt.Println("/")
+		fmt.Fprintln(w, "/")
 		names, err := fs.ReadDir(path)
 		if err != nil {
-			fmt.Printf("%s  (unreadable: %v)\n", indent, err)
+			fmt.Fprintf(w, "%s  (unreadable: %v)\n", indent, err)
 			return nil
 		}
 		for _, n := range names {
@@ -351,12 +383,12 @@ func tree(fs vfs.FS, path, indent string) error {
 			if path == "/" {
 				child = "/" + n
 			}
-			if err := tree(fs, child, indent+"  "); err != nil {
+			if err := tree(w, fs, child, indent+"  "); err != nil {
 				return err
 			}
 		}
 		return nil
 	}
-	fmt.Printf("  (%d bytes)\n", info.Size)
+	fmt.Fprintf(w, "  (%d bytes)\n", info.Size)
 	return nil
 }

@@ -12,9 +12,10 @@ import (
 )
 
 // TestShardedClientsNegotiateV2 builds the production shape — a shard
-// router over pipelined connections to real (simulated) SSP servers, each
-// opened with the hello — and checks that quorum writes and hedged reads
-// round-trip through the pack-batched frames of every connection.
+// router over pipelined connections to real (simulated) SSP servers — and
+// checks that quorum writes and hedged reads round-trip through the
+// pack frames of every connection. Nothing is negotiated on a
+// connection; the name predates that.
 func TestShardedClientsNegotiateV2(t *testing.T) {
 	const shards = 3
 	backends := make([]Backend, shards)

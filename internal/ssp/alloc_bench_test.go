@@ -72,7 +72,7 @@ func BenchmarkRoundTripPipelined(b *testing.B) {
 		b.Fatal(err)
 	}
 	defer c.Close()
-	if err := c.Ping(); err != nil { // take the hello ack before timing
+	if err := c.Ping(); err != nil { // warm the connection before timing
 		b.Fatal(err)
 	}
 

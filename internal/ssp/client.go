@@ -112,10 +112,6 @@ const sendQueueDepth = 64
 // Dial connects to an SSP. rec may be nil. An optional tracer may be
 // passed so even the first RPCs are traced (equivalent to calling Observe
 // before any call); the old Dial-then-Observe path keeps working.
-//
-// The first frame out is the wire hello. Dial does not wait for the
-// server's ack: requests pipeline behind the hello at once, and the read
-// loop fails the connection if the ack names a version other than 2.
 func Dial(dial Dialer, rec *stats.Recorder, tracer ...*obs.Tracer) (*Client, error) {
 	conn, err := dial()
 	if err != nil {
@@ -133,15 +129,6 @@ func Dial(dial Dialer, rec *stats.Recorder, tracer ...*obs.Tracer) (*Client, err
 	}
 	if len(tracer) > 0 {
 		c.tracer.Store(tracer[0])
-	}
-	// The loops have not started, so the writer side is still ours.
-	_, err = wire.WriteFrame(c.bw, wire.AppendHello(nil, wire.Version2, 0))
-	if err == nil {
-		err = c.bw.Flush()
-	}
-	if err != nil {
-		conn.Close()
-		return nil, fmt.Errorf("ssp: dial: %w", err)
 	}
 	go c.writeLoop()
 	go c.readLoop()
@@ -244,13 +231,12 @@ func (c *Client) Go(req *wire.Request, done chan *Call) *Call {
 // write happen here, off the callers' goroutines, so a caller's latency is
 // its own round trip, not the serialization of everyone else's. Whatever
 // has queued up while the previous write was in flight is taken as one
-// batch and flushed once as a single pack frame, so a pipelined burst (or
-// a write-behind lane flush) costs one syscall and one netsim transmit
-// event instead of one per request.
+// batch and flushed once, packed into as few frames as maxPackBytes
+// allows, so a pipelined burst (or a write-behind lane flush) costs one
+// syscall and one netsim transmit event instead of one per request.
 func (c *Client) writeLoop() {
 	defer close(c.writerDone)
 	var pk wire.Pack
-	var scratch []byte
 	batch := make([]*Call, 0, wire.MaxPackFrames)
 	for {
 		select {
@@ -265,7 +251,7 @@ func (c *Client) writeLoop() {
 					break greedy
 				}
 			}
-			c.writeBatch(&pk, &scratch, batch)
+			c.writeBatch(&pk, batch)
 		case <-c.readerDone:
 			// Reader hit a terminal error (or Close); drain stragglers
 			// that raced past the closing check until the queue is empty
@@ -289,7 +275,7 @@ func reqApproxSize(q *wire.Request) int {
 // writeBatch serializes the batch and flushes once. A write failure is
 // terminal for the connection: it fails everything pending so blocked
 // senders unstick.
-func (c *Client) writeBatch(pk *wire.Pack, scratch *[]byte, batch []*Call) {
+func (c *Client) writeBatch(pk *wire.Pack, batch []*Call) {
 	// Skip calls a concurrent terminate already failed: their frames
 	// would never be answered. A call whose deadline expired before its
 	// frame was written is dropped the same way — nothing went out, so no
@@ -309,7 +295,7 @@ func (c *Client) writeBatch(pk *wire.Pack, scratch *[]byte, batch []*Call) {
 	if len(live) == 0 {
 		return
 	}
-	err := c.writePacks(pk, scratch, live)
+	err := c.writePacks(pk, live)
 	if err == nil {
 		err = c.bw.Flush()
 	}
@@ -318,43 +304,26 @@ func (c *Client) writeBatch(pk *wire.Pack, scratch *[]byte, batch []*Call) {
 	}
 }
 
-// writePacks coalesces the batch into pack frames bounded by
-// maxPackBytes; oversized requests (big Put blobs, bulk BatchPut) go out
-// as standalone frames so a pack can never approach wire.MaxMessageSize.
-func (c *Client) writePacks(pk *wire.Pack, scratch *[]byte, live []*Call) error {
-	flushPack := func() error {
-		if pk.Len() == 0 {
-			return nil
-		}
-		_, err := wire.WriteFrame(c.bw, pk.Payload())
-		pk.Reset()
-		return err
-	}
+// writePacks writes the batch as pack frames. A pack is written out
+// before a request that would take it past maxPackBytes, so a request
+// bigger than that travels in a pack of its own and no frame approaches
+// wire.MaxMessageSize.
+func (c *Client) writePacks(pk *wire.Pack, live []*Call) error {
 	pk.Reset()
 	for _, call := range live {
-		if reqApproxSize(call.Req) > maxPackBytes {
-			if err := flushPack(); err != nil {
+		if pk.Len() > 0 && pk.Size()+reqApproxSize(call.Req) > maxPackBytes {
+			if _, err := wire.WriteFrame(c.bw, pk.Payload()); err != nil {
 				return err
 			}
-			*scratch = wire.AppendRequestV2((*scratch)[:0], call.Req)
-			// Charged before the write: a frame larger than c.bw goes
-			// straight to the socket, and the reply can complete the call
-			// before WriteFrame returns here.
-			call.bytesOut.Store(int64(len(*scratch)) + 4)
-			if _, err := wire.WriteFrame(c.bw, *scratch); err != nil {
-				return err
-			}
-			continue
+			pk.Reset()
 		}
-		sublen := pk.AddRequest(call.Req)
-		call.bytesOut.Store(int64(sublen) + 4)
-		if pk.Size() >= maxPackBytes {
-			if err := flushPack(); err != nil {
-				return err
-			}
-		}
+		// Charged before any write: a frame larger than c.bw goes
+		// straight to the socket, and the reply can complete the call
+		// before WriteFrame returns here.
+		call.bytesOut.Store(int64(pk.AddRequest(call.Req)) + 4)
 	}
-	return flushPack()
+	_, err := wire.WriteFrame(c.bw, pk.Payload())
+	return err
 }
 
 // drainQueue fails queued sends after shutdown/termination.
@@ -378,13 +347,14 @@ func (c *Client) drainQueue() {
 // the frame buffer itself is recycled, never reallocated per frame.
 func (c *Client) readLoop() {
 	defer close(c.readerDone)
+	var frame wire.Msg
 	for {
-		buf, n, err := wire.ReadFrameBuf(c.br)
+		buf, _, err := wire.ReadFrameBuf(c.br)
 		if err != nil {
 			c.terminate(fmt.Errorf("ssp: read: %w", err))
 			return
 		}
-		err = c.readFrame(buf.Bytes(), int64(n))
+		err = c.readFrame(buf.Bytes(), &frame)
 		buf.Release()
 		if err != nil {
 			c.terminate(fmt.Errorf("ssp: read: %w", err))
@@ -393,39 +363,33 @@ func (c *Client) readLoop() {
 	}
 }
 
-// readFrame processes one frame. The payload is borrowed from the pooled
-// buffer the caller releases; everything delivered is detached first. Any
-// error is terminal for the connection.
-func (c *Client) readFrame(payload []byte, n int64) error {
-	m, err := wire.DecodeV2(payload)
-	if err != nil {
+// readFrame processes one frame, which must be a pack of responses;
+// frame is reused across calls. The payload is borrowed from the pooled
+// buffer the caller releases; everything delivered is detached first.
+// Each response is charged its message length plus its 4-byte element
+// length. Any error is terminal for the connection.
+func (c *Client) readFrame(payload []byte, frame *wire.Msg) error {
+	if err := wire.DecodeV2Into(payload, frame); err != nil {
 		return err
 	}
-	switch m.Kind {
-	case wire.KindHelloAck:
-		if m.HelloVer != wire.Version2 {
-			return fmt.Errorf("%w: server acked wire version %d, want %d", wire.ErrBadMessage, m.HelloVer, wire.Version2)
-		}
-		return nil
-	case wire.KindResponse:
-		return c.handleResp(&m.Resp, n)
-	case wire.KindPack:
-		for _, raw := range m.Pack {
-			sub, err := wire.DecodeV2(raw)
-			if err != nil {
-				return err
-			}
-			if sub.Kind != wire.KindResponse {
-				return fmt.Errorf("%w: pack element kind %d", wire.ErrBadMessage, sub.Kind)
-			}
-			if err := c.handleResp(&sub.Resp, int64(len(raw)+4)); err != nil {
-				return err
-			}
-		}
-		return nil
-	default:
-		return fmt.Errorf("%w: unexpected frame kind %d", wire.ErrBadMessage, m.Kind)
+	if frame.Kind != wire.KindPack {
+		return fmt.Errorf("%w: frame kind %d, want a pack", wire.ErrBadMessage, frame.Kind)
 	}
+	for _, raw := range frame.Pack {
+		// A fresh Msg per element: the delivered response keeps the
+		// Items slice the decode builds.
+		var sub wire.Msg
+		if err := wire.DecodeV2Into(raw, &sub); err != nil {
+			return err
+		}
+		if sub.Kind != wire.KindResponse {
+			return fmt.Errorf("%w: pack element kind %d", wire.ErrBadMessage, sub.Kind)
+		}
+		if err := c.handleResp(&sub.Resp, int64(len(raw)+4)); err != nil {
+			return err
+		}
+	}
+	return nil
 }
 
 // handleResp matches one borrowed response to its pending call and

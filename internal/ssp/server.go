@@ -18,9 +18,9 @@ import (
 
 // Server serves a BlobStore over the wire protocol. One reader and one
 // response-writer goroutine per connection; the store provides its own
-// synchronization. Requests dispatch concurrently and their responses go
-// back in pack frames, matched by ReqID; a hello is answered with an ack
-// of version 2, ahead of every response to the requests behind it.
+// synchronization. Every frame is a pack: requests arrive in packs,
+// dispatch concurrently, and their responses go back in packs, matched
+// by ReqID.
 type Server struct {
 	store BlobStore
 	views ViewStore // non-nil when store supports borrowed reads
@@ -218,23 +218,16 @@ func (s *Server) isDraining() bool {
 	return s.draining || s.closed
 }
 
-// outMsg is one unit of work for a connection's response writer: either
-// a response to serialize or the hello ack.
-type outMsg struct {
-	resp     *wire.Response
-	helloAck bool
-}
-
 // connState is the per-connection transport state shared by the read
 // loop, the dispatch workers, and the response writer.
 type connState struct {
-	out      chan outMsg
+	out      chan *wire.Response
 	bytesOut int64 // owned by the response writer until it exits
 }
 
-// maxPackBytes caps how large a coalesced response pack grows; responses
-// estimated bigger than this go out as standalone frames so a pack can
-// never approach wire.MaxMessageSize.
+// maxPackBytes caps how large a pack of several messages grows, on both
+// sides of the connection; a message estimated bigger than this travels
+// in a pack of its own, so no frame approaches wire.MaxMessageSize.
 const maxPackBytes = 1 << 20
 
 func (s *Server) handle(conn net.Conn, entry *connEntry) {
@@ -242,7 +235,7 @@ func (s *Server) handle(conn net.Conn, entry *connEntry) {
 	var workers sync.WaitGroup
 	sem := make(chan struct{}, maxConnConcurrency)
 	br := bufio.NewReaderSize(conn, 64<<10)
-	st := &connState{out: make(chan outMsg, maxConnConcurrency)}
+	st := &connState{out: make(chan *wire.Response, maxConnConcurrency)}
 	writerDone := make(chan struct{})
 	go s.respWriter(conn, st, writerDone)
 	var bytesIn int64
@@ -262,6 +255,7 @@ func (s *Server) handle(conn net.Conn, entry *connEntry) {
 	}()
 	s.reg.Gauge("ssp.conns").Add(1)
 	defer s.reg.Gauge("ssp.conns").Add(-1)
+	var frame wire.Msg
 	for {
 		buf, n, err := wire.ReadFrameBuf(br)
 		if err != nil {
@@ -271,7 +265,7 @@ func (s *Server) handle(conn net.Conn, entry *connEntry) {
 			return
 		}
 		bytesIn += int64(n)
-		if !s.readFrame(st, entry, &workers, sem, buf) {
+		if !s.readFrame(st, entry, &workers, sem, buf, &frame) {
 			return
 		}
 		if s.isDraining() {
@@ -280,14 +274,32 @@ func (s *Server) handle(conn net.Conn, entry *connEntry) {
 	}
 }
 
-// readFrame decodes one frame — hello, request or pack — and routes it
-// to dispatch. It consumes the caller's buffer reference (transferring it
-// to dispatch workers, with one extra Retain per additional pack
-// sub-message). Returns false when the connection should be torn down:
-// on a frame that does not decode, and on a hello offering a version
-// below 2.
-func (s *Server) readFrame(st *connState, entry *connEntry, workers *sync.WaitGroup, sem chan struct{}, buf *wire.Buf) bool {
-	m, err := wire.DecodeV2(buf.Bytes())
+// readFrame decodes one frame, which must be a pack of requests, and
+// routes each request to dispatch; frame is reused across calls. It
+// consumes the caller's buffer reference (transferring it to dispatch
+// workers, with one extra Retain per additional request). Returns false,
+// with nothing dispatched, when the frame is anything else or an element
+// does not decode: the connection is then torn down.
+func (s *Server) readFrame(st *connState, entry *connEntry, workers *sync.WaitGroup, sem chan struct{}, buf *wire.Buf, frame *wire.Msg) bool {
+	err := wire.DecodeV2Into(buf.Bytes(), frame)
+	if err == nil && frame.Kind != wire.KindPack {
+		err = fmt.Errorf("%w: frame kind %d, want a pack", wire.ErrBadMessage, frame.Kind)
+	}
+	var subs []wire.Msg
+	if err == nil {
+		// Decode and validate every element while the read loop still
+		// holds the only reference: a bad element drops the whole pack.
+		subs = make([]wire.Msg, len(frame.Pack))
+		for i, raw := range frame.Pack {
+			err = wire.DecodeV2Into(raw, &subs[i])
+			if err == nil && subs[i].Kind != wire.KindRequest {
+				err = fmt.Errorf("%w: pack element kind %d", wire.ErrBadMessage, subs[i].Kind)
+			}
+			if err != nil {
+				break
+			}
+		}
+	}
 	if err != nil {
 		buf.Release()
 		if !s.isDraining() {
@@ -295,64 +307,17 @@ func (s *Server) readFrame(st *connState, entry *connEntry, workers *sync.WaitGr
 		}
 		return false
 	}
-	switch m.Kind {
-	case wire.KindHello:
-		// The ack is ordered through the response channel like any reply,
-		// so it precedes the responses to every request behind the hello.
-		ver := m.HelloVer
-		buf.Release()
-		if ver < wire.Version2 {
-			if !s.isDraining() {
-				s.log.Printf("ssp: read request: hello offers wire version %d, want %d", ver, wire.Version2)
-			}
-			return false
-		}
-		st.out <- outMsg{helloAck: true}
-		return true
-	case wire.KindRequest:
-		s.process(st, entry, workers, sem, &m.Req, buf)
-		return true
-	case wire.KindPack:
-		// Decode and validate every sub-message while the read loop still
-		// holds the only reference: a bad element drops the whole pack
-		// with nothing dispatched.
-		subs := make([]wire.Msg, len(m.Pack))
-		for i, raw := range m.Pack {
-			err := wire.DecodeV2Into(raw, &subs[i])
-			if err == nil && subs[i].Kind != wire.KindRequest {
-				err = fmt.Errorf("%w: pack element kind %d", wire.ErrBadMessage, subs[i].Kind)
-			}
-			if err != nil {
-				buf.Release()
-				if !s.isDraining() {
-					s.log.Printf("ssp: read request: %v", err)
-				}
-				return false
-			}
-		}
-		if len(subs) == 0 {
-			buf.Release()
-			return true
-		}
-		// One buffer, one reference per sub-message, all taken before the
-		// first dispatch: a worker that finishes early releases its own
-		// reference and can never drop the buffer under a sub-message that
-		// has not been handed out yet.
-		for i := 1; i < len(subs); i++ {
-			buf.Retain()
-		}
-		for i := range subs {
-			s.process(st, entry, workers, sem, &subs[i].Req, buf)
-		}
-		return true
-	default:
-		// A client has no business sending responses or acks.
-		buf.Release()
-		if !s.isDraining() {
-			s.log.Printf("ssp: read request: unexpected frame kind %d", m.Kind)
-		}
-		return false
+	// One buffer, one reference per request, all taken before the first
+	// dispatch: a worker that finishes early releases its own reference
+	// and can never drop the buffer under a request that has not been
+	// handed out yet. A pack holds at least one message.
+	for i := 1; i < len(subs); i++ {
+		buf.Retain()
 	}
+	for i := range subs {
+		s.process(st, entry, workers, sem, &subs[i].Req, buf)
+	}
+	return true
 }
 
 // process dispatches one decoded request on its own goroutine, bounded by
@@ -384,31 +349,30 @@ func (s *Server) dispatch(st *connState, entry *connEntry, req *wire.Request, bu
 	s.reg.Histogram("ssp.op." + opName + ".ns").Observe(time.Since(start))
 	s.reg.Counter("ssp.op." + opName).Inc()
 	sp.End()
-	st.out <- outMsg{resp: resp}
+	st.out <- resp
 }
 
 // respWriter is the per-connection response serializer: it drains the
 // response channel, greedily coalescing whatever is already queued, and
-// writes each batch with a single flush as one pack frame, so a burst of
-// pipelined responses costs one syscall (and one netsim transmit event)
-// instead of one per response.
+// writes each batch with a single flush, packed into as few frames as
+// maxPackBytes allows, so a burst of pipelined responses costs one
+// syscall (and one netsim transmit event) instead of one per response.
 func (s *Server) respWriter(conn net.Conn, st *connState, done chan<- struct{}) {
 	defer close(done)
 	bw := bufio.NewWriterSize(conn, 64<<10)
 	var pk wire.Pack
-	var scratch []byte
 	failed := false
-	batch := make([]outMsg, 0, wire.MaxPackFrames)
-	for m := range st.out {
-		batch = append(batch[:0], m)
+	batch := make([]*wire.Response, 0, wire.MaxPackFrames)
+	for resp := range st.out {
+		batch = append(batch[:0], resp)
 	drain:
 		for len(batch) < wire.MaxPackFrames {
 			select {
-			case m2, ok := <-st.out:
+			case more, ok := <-st.out:
 				if !ok {
 					break drain
 				}
-				batch = append(batch, m2)
+				batch = append(batch, more)
 			default:
 				break drain
 			}
@@ -418,7 +382,7 @@ func (s *Server) respWriter(conn net.Conn, st *connState, done chan<- struct{}) 
 			// keep draining so they never block.
 			continue
 		}
-		if err := s.writeBatch(bw, st, &pk, &scratch, batch); err != nil {
+		if err := s.writeBatch(bw, st, &pk, batch); err != nil {
 			if !s.isDraining() {
 				s.log.Printf("ssp: send response: %v", err)
 			}
@@ -437,52 +401,26 @@ func respApproxSize(p *wire.Response) int {
 	return n
 }
 
-// writeBatch serializes a batch of queued responses and flushes once.
-// Consecutive small responses coalesce into pack frames bounded by
-// maxPackBytes; oversized responses go out as individual frames.
-func (s *Server) writeBatch(bw *bufio.Writer, st *connState, pk *wire.Pack, scratch *[]byte, batch []outMsg) error {
-	emit := func(payload []byte) error {
-		n, err := wire.WriteFrame(bw, payload)
+// writeBatch writes a batch of queued responses as pack frames and
+// flushes once. A pack is written out before a response that would take
+// it past maxPackBytes, so a bigger response travels in a pack of its own.
+func (s *Server) writeBatch(bw *bufio.Writer, st *connState, pk *wire.Pack, batch []*wire.Response) error {
+	emit := func() error {
+		n, err := wire.WriteFrame(bw, pk.Payload())
 		st.bytesOut += int64(n)
-		return err
-	}
-	flushPack := func() error {
-		if pk.Len() == 0 {
-			return nil
-		}
-		err := emit(pk.Payload())
 		pk.Reset()
 		return err
 	}
 	pk.Reset()
-	for _, m := range batch {
-		switch {
-		case m.helloAck:
-			if err := flushPack(); err != nil {
-				return err
-			}
-			*scratch = wire.AppendHelloAck((*scratch)[:0], wire.Version2, 0)
-			if err := emit(*scratch); err != nil {
-				return err
-			}
-		case respApproxSize(m.resp) <= maxPackBytes:
-			pk.AddResponse(m.resp)
-			if pk.Size() >= maxPackBytes {
-				if err := flushPack(); err != nil {
-					return err
-				}
-			}
-		default:
-			if err := flushPack(); err != nil {
-				return err
-			}
-			*scratch = wire.AppendResponseV2((*scratch)[:0], m.resp)
-			if err := emit(*scratch); err != nil {
+	for _, resp := range batch {
+		if pk.Len() > 0 && pk.Size()+respApproxSize(resp) > maxPackBytes {
+			if err := emit(); err != nil {
 				return err
 			}
 		}
+		pk.AddResponse(resp)
 	}
-	if err := flushPack(); err != nil {
+	if err := emit(); err != nil {
 		return err
 	}
 	return bw.Flush()

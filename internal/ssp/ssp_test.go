@@ -6,7 +6,7 @@ import (
 	"fmt"
 	"io"
 	"net"
-	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -280,7 +280,7 @@ func TestServerRejectsUnknownOp(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer conn.Close()
-	if _, err := wire.WriteFrame(conn, (&wire.Request{Op: wire.Op(200), ReqID: 1}).EncodeV2()); err != nil {
+	if _, err := wire.WriteFrame(conn, requestPack(&wire.Request{Op: wire.Op(200), ReqID: 1})); err != nil {
 		t.Fatal(err)
 	}
 	buf, _, err := wire.ReadFrameBuf(conn)
@@ -288,18 +288,50 @@ func TestServerRejectsUnknownOp(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer buf.Release()
-	m, err := wire.DecodeV2(buf.Bytes())
-	if err != nil {
-		t.Fatal(err)
-	}
+	m := onlyElement(t, buf.Bytes())
 	if m.Kind != wire.KindResponse || m.Resp.Status != wire.StatusBadRequest || m.Resp.ReqID != 1 {
 		t.Errorf("reply = kind %d %+v", m.Kind, m.Resp)
 	}
 }
 
-// TestClientServerEndToEnd is the happy path over one connection: the
-// hello, then every operation — big blobs, batches, and a pipelined burst
-// that packs in both directions.
+// requestPack and responsePack build one frame payload: a pack of the
+// given messages.
+func requestPack(qs ...*wire.Request) []byte {
+	var pk wire.Pack
+	pk.Reset()
+	for _, q := range qs {
+		pk.AddRequest(q)
+	}
+	return pk.Payload()
+}
+
+func responsePack(ps ...*wire.Response) []byte {
+	var pk wire.Pack
+	pk.Reset()
+	for _, p := range ps {
+		pk.AddResponse(p)
+	}
+	return pk.Payload()
+}
+
+// onlyElement decodes a frame that must be a pack of one message and
+// returns that message.
+func onlyElement(t *testing.T, frame []byte) *wire.Msg {
+	t.Helper()
+	m, err := wire.DecodeV2(frame)
+	if err != nil || m.Kind != wire.KindPack || len(m.Pack) != 1 {
+		t.Fatalf("frame = %+v, %v; want a pack of one", m, err)
+	}
+	sub, err := wire.DecodeV2(m.Pack[0])
+	if err != nil {
+		t.Fatal(err)
+	}
+	return sub
+}
+
+// TestClientServerEndToEnd is the happy path over one connection: every
+// operation — big blobs, batches, and a pipelined burst that packs in
+// both directions.
 func TestClientServerEndToEnd(t *testing.T) {
 	l := netsim.Listen(netsim.Unlimited)
 	defer l.Close()
@@ -354,6 +386,126 @@ func TestClientServerEndToEnd(t *testing.T) {
 	}
 }
 
+// tapConn records every byte a client writes and reads, so a test can
+// parse the frames that crossed the connection.
+type tapConn struct {
+	net.Conn
+	mu      sync.Mutex
+	out, in bytes.Buffer
+}
+
+func (c *tapConn) Write(p []byte) (int, error) {
+	c.mu.Lock()
+	c.out.Write(p)
+	c.mu.Unlock()
+	return c.Conn.Write(p)
+}
+
+func (c *tapConn) Read(p []byte) (int, error) {
+	n, err := c.Conn.Read(p)
+	c.mu.Lock()
+	c.in.Write(p[:n])
+	c.mu.Unlock()
+	return n, err
+}
+
+// TestOversizedMessagePacksAlone pipelines a BatchPut over 1 MiB, and
+// the BatchGet that reads it back, among small calls. Every call must
+// round-trip, every frame in either direction must be a pack, and a
+// pack of several messages must stay within maxPackBytes: the big
+// messages travel in packs of their own.
+func TestOversizedMessagePacksAlone(t *testing.T) {
+	l := netsim.Listen(netsim.Unlimited)
+	defer l.Close()
+	srv := NewServer(NewMemStore(), nil)
+	go srv.Serve(l)
+	defer srv.Close()
+	tap := &tapConn{}
+	c, err := Dial(func() (net.Conn, error) {
+		conn, err := l.Dial()
+		tap.Conn = conn
+		return tap, err
+	}, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+
+	var items []wire.KV
+	for i := 0; i < 3; i++ {
+		items = append(items, wire.KV{NS: wire.NSData, Key: fmt.Sprintf("big/%d", i),
+			Val: bytes.Repeat([]byte{byte('a' + i)}, 512<<10)})
+	}
+	small := func() *Call { return c.Go(&wire.Request{Op: wire.OpPing}, nil) }
+	var calls []*Call
+	for i := 0; i < 8; i++ {
+		calls = append(calls, small())
+	}
+	calls = append(calls, c.Go(&wire.Request{Op: wire.OpBatchPut, Items: items}, nil))
+	for i := 0; i < 8; i++ {
+		calls = append(calls, small())
+	}
+	for i, call := range calls {
+		<-call.Done
+		if _, err := call.Response(); err != nil {
+			t.Fatalf("call %d: %v", i, err)
+		}
+	}
+	keys := make([]wire.KV, len(items))
+	for i, kv := range items {
+		keys[i] = wire.KV{NS: kv.NS, Key: kv.Key}
+	}
+	calls = calls[:0]
+	for i := 0; i < 8; i++ {
+		calls = append(calls, small())
+	}
+	get := c.Go(&wire.Request{Op: wire.OpBatchGet, Items: keys}, nil)
+	for i := 0; i < 8; i++ {
+		calls = append(calls, small())
+	}
+	<-get.Done
+	resp, err := get.Response()
+	if err != nil || len(resp.Items) != len(items) {
+		t.Fatalf("batchget: %+v, %v", resp, err)
+	}
+	for i, kv := range resp.Items {
+		if !bytes.Equal(kv.Val, items[i].Val) {
+			t.Fatalf("batchget item %d: %d bytes differ", i, len(kv.Val))
+		}
+	}
+	for i, call := range calls {
+		<-call.Done
+		if _, err := call.Response(); err != nil {
+			t.Fatalf("small call %d: %v", i, err)
+		}
+	}
+
+	tap.mu.Lock()
+	defer tap.mu.Unlock()
+	for dir, stream := range map[string]*bytes.Buffer{"client": &tap.out, "server": &tap.in} {
+		alone := 0
+		for stream.Len() > 0 {
+			payload, _, err := wire.ReadFrame(stream)
+			if err != nil {
+				t.Fatalf("%s frame: %v", dir, err)
+			}
+			m, err := wire.DecodeV2(payload)
+			if err != nil || m.Kind != wire.KindPack {
+				t.Fatalf("%s frame of %d bytes is not a pack: %v", dir, len(payload), err)
+			}
+			switch {
+			case len(payload) > maxPackBytes && len(m.Pack) == 1:
+				alone++
+			case len(payload) > maxPackBytes:
+				t.Fatalf("%s pack of %d messages is %d bytes, over %d", dir, len(m.Pack), len(payload), maxPackBytes)
+			}
+		}
+		if alone != 1 {
+			t.Fatalf("%s wrote %d oversized messages in packs of their own, want 1", dir, alone)
+		}
+	}
+}
+
 // rawConn dials l and returns the bare connection, closed at cleanup.
 func rawConn(t *testing.T, l *netsim.Listener) net.Conn {
 	t.Helper()
@@ -387,41 +539,9 @@ func readFrameWithin(t *testing.T, conn net.Conn) ([]byte, error) {
 	}
 }
 
-// TestServerAcksHelloFirst writes the hello and a request in one burst,
-// as Dial does, and checks the ack (version 2) precedes the reply.
-func TestServerAcksHelloFirst(t *testing.T) {
-	l := netsim.Listen(netsim.Unlimited)
-	defer l.Close()
-	srv := NewServer(NewMemStore(), nil)
-	go srv.Serve(l)
-	defer srv.Close()
-	conn := rawConn(t, l)
-
-	var burst bytes.Buffer
-	wire.WriteFrame(&burst, wire.AppendHello(nil, 3, 0))
-	wire.WriteFrame(&burst, (&wire.Request{Op: wire.OpPing, ReqID: 1}).EncodeV2())
-	if _, err := conn.Write(burst.Bytes()); err != nil {
-		t.Fatal(err)
-	}
-	payload, err := readFrameWithin(t, conn)
-	if err != nil {
-		t.Fatal(err)
-	}
-	m, err := wire.DecodeV2(payload)
-	if err != nil || m.Kind != wire.KindHelloAck || m.HelloVer != wire.Version2 {
-		t.Fatalf("first frame = %+v, %v; want a hello ack of version 2", m, err)
-	}
-	if payload, err = readFrameWithin(t, conn); err != nil {
-		t.Fatal(err)
-	}
-	if m, err = wire.DecodeV2(payload); err != nil || m.Kind != wire.KindResponse || m.Resp.ReqID != 1 {
-		t.Fatalf("second frame = %+v, %v; want the ping's reply", m, err)
-	}
-}
-
 // TestServerClosesOnNonV2 checks the server drops a connection, without
-// replying, on a frame that is not v2 — a v1-encoded request here — and
-// on a hello offering a version below 2.
+// replying, on any frame that is not a pack of requests: a bare request,
+// a pack holding a response, a nested pack, and an unknown kind byte.
 func TestServerClosesOnNonV2(t *testing.T) {
 	l := netsim.Listen(netsim.Unlimited)
 	defer l.Close()
@@ -429,10 +549,13 @@ func TestServerClosesOnNonV2(t *testing.T) {
 	go srv.Serve(l)
 	defer srv.Close()
 
+	inner := requestPack(&wire.Request{Op: wire.OpPing, ReqID: 1})
+	nested := append([]byte{wire.KindPack, 1, 0, 0, 0, byte(len(inner))}, inner...)
 	for name, payload := range map[string][]byte{
-		// op, ns, key "k", empty val, empty prefix, no items: the v1 codec.
-		"v1 request": {byte(wire.OpGet), byte(wire.NSMeta), 1, 'k', 0, 0, 0},
-		"hello v1":   wire.AppendHello(nil, 1, 0),
+		"bare request":            (&wire.Request{Op: wire.OpPing, ReqID: 1}).EncodeV2(),
+		"pack holding a response": responsePack(&wire.Response{Status: wire.StatusOK, ReqID: 1}),
+		"nested pack":             nested,
+		"unknown kind":            {0xff},
 	} {
 		conn := rawConn(t, l)
 		if _, err := wire.WriteFrame(conn, payload); err != nil {
@@ -444,31 +567,39 @@ func TestServerClosesOnNonV2(t *testing.T) {
 	}
 }
 
-// TestClientRejectsAckVersion runs the client against a raw server that
-// acks version 3: the connection must fail, naming the version.
-func TestClientRejectsAckVersion(t *testing.T) {
-	cli, srvConn := net.Pipe()
-	defer srvConn.Close()
-	go func() {
-		buf, _, err := wire.ReadFrameBuf(srvConn)
-		if err != nil {
-			return
-		}
-		buf.Release()
-		if _, err := wire.WriteFrame(srvConn, wire.AppendHelloAck(nil, 3, 0)); err != nil {
-			return
-		}
-		io.Copy(io.Discard, srvConn) // swallow requests; never answer them
-	}()
-	c, err := Dial(func() (net.Conn, error) { return cli, nil }, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer c.Close()
-	c.SetCallTimeout(5 * time.Second) // a client that ignores the version hangs here
-	err = c.Ping()
-	if err == nil || !strings.Contains(err.Error(), "wire version 3") {
-		t.Fatalf("ping = %v, want an error naming wire version 3", err)
+// TestClientFailsOnNonPack is the client-side twin: a server frame that
+// is not a pack of responses fails every pending call with an error
+// wrapping wire.ErrBadMessage.
+func TestClientFailsOnNonPack(t *testing.T) {
+	for name, reply := range map[string][]byte{
+		"bare response":          (&wire.Response{Status: wire.StatusOK, ReqID: 1}).EncodeV2(),
+		"pack holding a request": requestPack(&wire.Request{Op: wire.OpPing, ReqID: 1}),
+		"unknown kind":           {0xff},
+	} {
+		t.Run(name, func(t *testing.T) {
+			cli, srvConn := net.Pipe()
+			defer srvConn.Close()
+			go io.Copy(io.Discard, srvConn) // swallow requests; never answer them
+			c, err := Dial(func() (net.Conn, error) { return cli, nil }, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer c.Close()
+			c.SetCallTimeout(5 * time.Second) // a client that accepts the frame hangs here
+			calls := []*Call{
+				c.Go(&wire.Request{Op: wire.OpPing}, nil), // ReqID 1, which the reply names
+				c.Go(&wire.Request{Op: wire.OpStats}, nil),
+			}
+			if _, err := wire.WriteFrame(srvConn, reply); err != nil {
+				t.Fatal(err)
+			}
+			for i, call := range calls {
+				<-call.Done
+				if !errors.Is(call.Err, wire.ErrBadMessage) {
+					t.Errorf("call %d: err = %v, want one wrapping wire.ErrBadMessage", i, call.Err)
+				}
+			}
+		})
 	}
 }
 

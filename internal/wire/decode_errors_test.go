@@ -5,19 +5,20 @@ import (
 	"testing"
 )
 
-// requestFrame and responseFrame put a body behind a bare v2 header, so
-// the tables below can reach the body decoders with hand-built bytes.
+// requestFrame and responseFrame put a body behind a zero message
+// header, so the tables below can reach the body decoders with
+// hand-built bytes.
 func requestFrame(body []byte) []byte {
-	return append([]byte{Magic, Version2, KindRequest}, body...)
+	return append([]byte{KindRequest, 0, 0, 0}, body...)
 }
 
 func responseFrame(body []byte) []byte {
-	return append([]byte{Magic, Version2, KindResponse}, body...)
+	return append([]byte{KindResponse, 0}, body...)
 }
 
 // corruptFrames is the table of malformed request bodies shared by the
 // decode error-path tests and the fuzz seed corpus: truncated fields,
-// oversized length prefixes, and plain garbage. Behind a v2 request
+// oversized length prefixes, and plain garbage. Behind a request
 // header, DecodeV2 must return ErrBadMessage (never panic, never
 // over-allocate) for all of them.
 var corruptFrames = []struct {

@@ -23,7 +23,7 @@ func seedRequests() []*Request {
 			{NS: NSData, Key: "b", Delete: true},
 		}},
 		{Op: OpStats},
-		// Extension-block frames: traced, traced and multiplexed, and
+		// Header-field frames: traced, traced and multiplexed, and
 		// multiplexed alone (see Request.TraceID and Request.ReqID).
 		{Op: OpGet, NS: NSMeta, Key: "m/1/u/alice", TraceID: 7, SpanID: 9},
 		{Op: OpGet, NS: NSMeta, Key: "m/1/u/alice", TraceID: 7, SpanID: 9, ReqID: 3},
@@ -39,7 +39,7 @@ func seedResponses() []*Response {
 		{Status: StatusBadRequest, Err: "unknown op"},
 		{Status: StatusError, Err: "disk full"},
 		{Status: StatusOK, Items: []KV{{NS: NSData, Key: "k", Val: []byte("v")}}},
-		// Frames carrying a ReqID extension (see Response.ReqID).
+		// Frames carrying a nonzero ReqID (see Response.ReqID).
 		{Status: StatusOK, Val: []byte("blob"), ReqID: 3},
 		{Status: StatusNotFound, ReqID: 1<<64 - 1},
 	}
@@ -48,7 +48,7 @@ func seedResponses() []*Response {
 // FuzzDecodeRequest checks that DecodeV2 never panics on request frames,
 // that every rejection is an ErrBadMessage with a nil message, and that
 // accepted requests survive a canonical re-encode round trip. Seeds are
-// the valid requests plus the corrupt request bodies behind a v2 header.
+// the valid requests plus the corrupt request bodies behind a request header.
 func FuzzDecodeRequest(f *testing.F) {
 	for _, q := range seedRequests() {
 		f.Add(q.EncodeV2())
@@ -105,10 +105,10 @@ func checkRequestRoundTrip(t *testing.T, q *Request) {
 	t.Helper()
 	m2, err := DecodeV2(q.EncodeV2())
 	if err != nil {
-		t.Fatalf("re-decode of canonical v2 encoding failed: %v", err)
+		t.Fatalf("re-decode of canonical encoding failed: %v", err)
 	}
 	if !reflect.DeepEqual(normalizeReq(q), normalizeReq(&m2.Req)) {
-		t.Fatalf("v2 request round trip diverged:\n  %+v\n  %+v", q, &m2.Req)
+		t.Fatalf("request round trip diverged:\n  %+v\n  %+v", q, &m2.Req)
 	}
 }
 
@@ -116,10 +116,10 @@ func checkResponseRoundTrip(t *testing.T, p *Response) {
 	t.Helper()
 	m2, err := DecodeV2(p.EncodeV2())
 	if err != nil {
-		t.Fatalf("re-decode of canonical v2 encoding failed: %v", err)
+		t.Fatalf("re-decode of canonical encoding failed: %v", err)
 	}
 	if !reflect.DeepEqual(normalizeResp(p), normalizeResp(&m2.Resp)) {
-		t.Fatalf("v2 response round trip diverged:\n  %+v\n  %+v", p, &m2.Resp)
+		t.Fatalf("response round trip diverged:\n  %+v\n  %+v", p, &m2.Resp)
 	}
 }
 

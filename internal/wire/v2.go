@@ -5,156 +5,70 @@ import (
 	"fmt"
 )
 
-// Wire v2: self-describing frames, the only codec the client and the
-// SSP speak. In the style of Celestia's ADR-009 universal share encoding,
-// every message names its own version and kind, and optional metadata
-// lives in a typed extension block up front.
+// The frame layout: the only one the client and the SSP speak. Both
+// peers are built from this tree, so the layout carries no magic, no
+// version and nothing to negotiate; a change to it is a flag day
+// (DESIGN.md §7, refinement 22). The V2 in the function names is only a
+// name.
 //
-// A message (inside the 4-byte length framing of WriteFrame) is:
+// Inside the 4-byte length framing of WriteFrame, every frame is a pack:
 //
-//	msg  := magic version info [ext] body
-//	magic   = 0x53 ('S')
-//	version = 0x02
-//	info    = bits 0-3: kind; bit 4: hasExt; bits 5-7 reserved (must be 0)
-//	ext     = uvarint n, then n × (uvarint id, uvarint val); unknown ids
-//	          are skipped, so new extensions never break old v2 peers
-//	body    = kind-specific
+//	frame := KindPack, uvarint n, n × (u32 len, msg)
+//	msg   := KindRequest,  uvarint ReqID, uvarint TraceID, uvarint SpanID, body
+//	       | KindResponse, uvarint ReqID, body
+//	body  = kind-specific (wire.go)
 //
-// Kinds:
-//
-//	KindRequest  — body is the request body (wire.go); TraceID/SpanID/
-//	               ReqID ride in the ext block
-//	KindResponse — body is the response body; ReqID in the ext block
-//	KindHello    — the client's opener; body is uvarint maxver, uvarint caps
-//	KindHelloAck — server's acceptance; body is uvarint version, uvarint caps
-//	KindPack     — batch container: uvarint n, then n × (u32 len, msg);
-//	               sub-messages must not themselves be packs
-//
-// Any frame that does not parse this way is ErrBadMessage.
-const (
-	Magic    = 0x53 // 'S' for Sharoes
-	Version2 = 0x02
-
-	infoKindMask = 0x0f
-	infoHasExt   = 0x10
-)
-
-// Frame kinds (info bits 0-3).
+// A pack never holds a pack. The client sends packs of requests and the
+// server packs of responses; each reader closes the connection on
+// anything else, and any message that does not parse is ErrBadMessage.
 const (
 	KindRequest  = 1
 	KindResponse = 2
-	KindHello    = 3
-	KindHelloAck = 4
-	KindPack     = 5
+	KindPack     = 3
 )
 
-// Extension IDs. All values are uvarints; unknown IDs are skipped by
-// decoders so the set can grow without version bumps.
-const (
-	ExtTraceID = 1
-	ExtSpanID  = 2
-	ExtReqID   = 3
-)
-
-// maxExtCount bounds the extension block so a corrupt count can't stall
-// the parser. Far above any real use (we define three IDs).
-const maxExtCount = 64
-
-// MaxPackFrames bounds the sub-messages in one pack; it is both the
+// MaxPackFrames bounds the messages in one pack; it is both the
 // encoder's coalescing limit and the decoder's sanity bound.
 const MaxPackFrames = 256
 
-// Msg is a decoded v2 message. Exactly one of the kind-specific fields
-// is meaningful, selected by Kind.
+// Msg is a decoded message. Exactly one of the kind-specific fields is
+// meaningful, selected by Kind.
 type Msg struct {
 	Kind int
 
 	Req  Request  // KindRequest
 	Resp Response // KindResponse
 
-	HelloVer  uint64 // KindHello (peer's max version) / KindHelloAck (chosen)
-	HelloCaps uint64 // capability bits; none defined yet
-
-	// Pack holds each sub-message's raw bytes, aliasing the input
-	// buffer. KindPack only; decode each element with DecodeV2.
+	// Pack holds each element's raw bytes, aliasing the input buffer.
+	// KindPack only; decode each element with DecodeV2Into.
 	Pack [][]byte
 }
 
-// appendV2Header appends magic, version, info, and — when the request's
-// metadata calls for it — the extension block.
-func appendV2Header(dst []byte, kind int, exts ...[2]uint64) []byte {
-	info := byte(kind)
-	if len(exts) > 0 {
-		info |= infoHasExt
-	}
-	dst = append(dst, Magic, Version2, info)
-	if len(exts) > 0 {
-		dst = appendUvarint(dst, uint64(len(exts)))
-		for _, e := range exts {
-			dst = appendUvarint(dst, e[0])
-			dst = appendUvarint(dst, e[1])
-		}
-	}
-	return dst
-}
-
-// AppendRequestV2 appends the v2 encoding of q to dst. TraceID, SpanID,
-// and ReqID travel in the extension block, each emitted independently
-// when nonzero, so every decodable combination re-encodes to the same
-// message.
+// AppendRequestV2 appends the encoding of q to dst: the kind, the
+// fixed header (ReqID, TraceID, SpanID) and the body.
 func AppendRequestV2(dst []byte, q *Request) []byte {
-	var exts [3][2]uint64
-	n := 0
-	if q.TraceID != 0 {
-		exts[n] = [2]uint64{ExtTraceID, q.TraceID}
-		n++
-	}
-	if q.SpanID != 0 {
-		exts[n] = [2]uint64{ExtSpanID, q.SpanID}
-		n++
-	}
-	if q.ReqID != 0 {
-		exts[n] = [2]uint64{ExtReqID, q.ReqID}
-		n++
-	}
-	dst = appendV2Header(dst, KindRequest, exts[:n]...)
+	dst = append(dst, KindRequest)
+	dst = appendUvarint(dst, q.ReqID)
+	dst = appendUvarint(dst, q.TraceID)
+	dst = appendUvarint(dst, q.SpanID)
 	return appendRequestBody(dst, q)
 }
 
-// EncodeV2 serializes the request as a v2 message.
+// EncodeV2 serializes the request as one message.
 func (q *Request) EncodeV2() []byte { return AppendRequestV2(nil, q) }
 
-// AppendResponseV2 appends the v2 encoding of p to dst. ReqID travels in
-// the extension block.
+// AppendResponseV2 appends the encoding of p to dst: the kind, the
+// ReqID and the body.
 func AppendResponseV2(dst []byte, p *Response) []byte {
-	if p.ReqID != 0 {
-		dst = appendV2Header(dst, KindResponse, [2]uint64{ExtReqID, p.ReqID})
-	} else {
-		dst = appendV2Header(dst, KindResponse)
-	}
+	dst = append(dst, KindResponse)
+	dst = appendUvarint(dst, p.ReqID)
 	return appendResponseBody(dst, p)
 }
 
-// EncodeV2 serializes the response as a v2 message.
+// EncodeV2 serializes the response as one message.
 func (p *Response) EncodeV2() []byte { return AppendResponseV2(nil, p) }
 
-// AppendHello appends the client's opener: the highest wire version it
-// speaks and its capability bits (none defined yet).
-func AppendHello(dst []byte, maxVer, caps uint64) []byte {
-	dst = appendV2Header(dst, KindHello)
-	dst = appendUvarint(dst, maxVer)
-	return appendUvarint(dst, caps)
-}
-
-// AppendHelloAck appends the server's answer to a hello: the version
-// both sides will speak and the server's capability bits.
-func AppendHelloAck(dst []byte, version, caps uint64) []byte {
-	dst = appendV2Header(dst, KindHelloAck)
-	dst = appendUvarint(dst, version)
-	return appendUvarint(dst, caps)
-}
-
-// DecodeV2 parses a v2 message. Byte slices in the result (request/
+// DecodeV2 parses one message. Byte slices in the result (request/
 // response Vals, pack elements) alias b — the zero-copy contract; call
 // Req.Detach/Resp.Detach to take ownership, and hold the backing Buf
 // until every borrowed slice is dead.
@@ -166,87 +80,43 @@ func DecodeV2(b []byte) (*Msg, error) {
 	return &m, nil
 }
 
-// DecodeV2Into parses a v2 message into m, reusing m's allocations
+// DecodeV2Into parses one message into m, reusing m's allocations
 // (Items and Pack slices are truncated and re-grown). Borrowed-aliasing
-// rules match DecodeV2. Corrupt input — wrong magic, unknown version,
-// bad kind, truncated header — returns ErrBadMessage, never panics.
+// rules match DecodeV2. The kinds are Request, Response and Pack, and a
+// pack's elements are never packs. Corrupt input returns ErrBadMessage,
+// never panics.
 func DecodeV2Into(b []byte, m *Msg) error {
-	if len(b) < 3 {
-		return fmt.Errorf("%w: short v2 header (%d bytes)", ErrBadMessage, len(b))
+	if len(b) == 0 {
+		return fmt.Errorf("%w: empty message", ErrBadMessage)
 	}
-	if b[0] != Magic {
-		return fmt.Errorf("%w: bad magic 0x%02x", ErrBadMessage, b[0])
-	}
-	if b[1] != Version2 {
-		return fmt.Errorf("%w: unsupported wire version %d", ErrBadMessage, b[1])
-	}
-	info := b[2]
-	kind := int(info & infoKindMask)
-	if kind < KindRequest || kind > KindPack {
-		return fmt.Errorf("%w: unknown frame kind %d", ErrBadMessage, kind)
-	}
+	kind := int(b[0])
 	*m = Msg{Kind: kind, Req: Request{Items: m.Req.Items[:0]},
 		Resp: Response{Items: m.Resp.Items[:0]}, Pack: m.Pack[:0]}
-	r := &reader{b: b[3:]}
-
-	var traceID, spanID, reqID uint64
-	if info&infoHasExt != 0 {
-		n, err := r.uvarint()
-		if err != nil {
-			return fmt.Errorf("%w: ext count: %w", ErrBadMessage, err)
-		}
-		if n > maxExtCount {
-			return fmt.Errorf("%w: absurd ext count %d", ErrBadMessage, n)
-		}
-		for i := uint64(0); i < n; i++ {
-			id, err := r.uvarint()
-			if err != nil {
-				return fmt.Errorf("%w: ext %d id: %w", ErrBadMessage, i, err)
-			}
-			val, err := r.uvarint()
-			if err != nil {
-				return fmt.Errorf("%w: ext %d val: %w", ErrBadMessage, i, err)
-			}
-			switch id {
-			case ExtTraceID:
-				traceID = val
-			case ExtSpanID:
-				spanID = val
-			case ExtReqID:
-				reqID = val
-				// Unknown IDs are skipped for forward compatibility.
-			}
-		}
-	}
-
+	r := &reader{b: b[1:]}
 	switch kind {
 	case KindRequest:
-		if err := decodeRequestBody(r, &m.Req); err != nil {
-			return err
+		for _, f := range []*uint64{&m.Req.ReqID, &m.Req.TraceID, &m.Req.SpanID} {
+			v, err := r.uvarint()
+			if err != nil {
+				return fmt.Errorf("%w: request header: %w", ErrBadMessage, err)
+			}
+			*f = v
 		}
-		m.Req.TraceID, m.Req.SpanID, m.Req.ReqID = traceID, spanID, reqID
+		return decodeRequestBody(r, &m.Req)
 	case KindResponse:
-		if err := decodeResponseBody(r, &m.Resp); err != nil {
-			return err
-		}
-		m.Resp.ReqID = reqID
-	case KindHello, KindHelloAck:
-		ver, err := r.uvarint()
+		v, err := r.uvarint()
 		if err != nil {
-			return fmt.Errorf("%w: hello version: %w", ErrBadMessage, err)
+			return fmt.Errorf("%w: response header: %w", ErrBadMessage, err)
 		}
-		caps, err := r.uvarint()
-		if err != nil {
-			return fmt.Errorf("%w: hello caps: %w", ErrBadMessage, err)
-		}
-		m.HelloVer, m.HelloCaps = ver, caps
+		m.Resp.ReqID = v
+		return decodeResponseBody(r, &m.Resp)
 	case KindPack:
 		n, err := r.uvarint()
 		if err != nil {
 			return fmt.Errorf("%w: pack count: %w", ErrBadMessage, err)
 		}
-		if n > MaxPackFrames {
-			return fmt.Errorf("%w: absurd pack count %d", ErrBadMessage, n)
+		if n == 0 || n > MaxPackFrames {
+			return fmt.Errorf("%w: pack count %d", ErrBadMessage, n)
 		}
 		for i := uint64(0); i < n; i++ {
 			if len(r.b) < 4 {
@@ -261,17 +131,19 @@ func DecodeV2Into(b []byte, m *Msg) error {
 			r.b = r.b[sz:]
 			// Nested packs are rejected: they would let a small frame
 			// claim quadratic decode work and complicate refcounting.
-			if len(sub) >= 3 && sub[0] == Magic && sub[1] == Version2 && sub[2]&infoKindMask == KindPack {
+			if len(sub) > 0 && sub[0] == KindPack {
 				return fmt.Errorf("%w: pack %d: nested pack", ErrBadMessage, i)
 			}
 			m.Pack = append(m.Pack, sub)
 		}
+		return nil
+	default:
+		return fmt.Errorf("%w: unknown message kind %d", ErrBadMessage, kind)
 	}
-	return nil
 }
 
-// Pack accumulates v2 messages into one batch frame so a burst of
-// queued sends pays a single length-prefixed write — one syscall, one
+// Pack builds one frame: every frame on the wire is a pack, so a burst
+// of queued sends pays a single length-prefixed write — one syscall, one
 // netsim transmit event — instead of one per message.
 //
 // Usage: Reset, Add* for each message, then Payload. The builder reuses
@@ -282,9 +154,9 @@ type Pack struct {
 	n   int
 }
 
-// packHeaderLen reserves room for the pack wrapper: 3 header bytes plus
-// a worst-case uvarint count. Payload trims the slack.
-const packHeaderLen = 3 + binary.MaxVarintLen32
+// packHeaderLen reserves room for the pack header: the kind byte plus a
+// worst-case uvarint count. Payload trims the slack.
+const packHeaderLen = 1 + binary.MaxVarintLen32
 
 // Reset clears the builder for a new batch, keeping its capacity.
 func (pk *Pack) Reset() {
@@ -302,7 +174,7 @@ func (pk *Pack) Len() int { return pk.n }
 // a batch before it crosses a size class.
 func (pk *Pack) Size() int { return len(pk.buf) }
 
-// add frames one encoded sub-message, returning its encoded length for
+// add frames one encoded message, returning its encoded length for
 // per-message byte attribution.
 func (pk *Pack) add(encode func([]byte) []byte) int {
 	lenAt := len(pk.buf)
@@ -315,34 +187,26 @@ func (pk *Pack) add(encode func([]byte) []byte) int {
 	return sz
 }
 
-// AddRequest appends a v2-encoded request, returning its sub-message
-// length in bytes.
+// AddRequest appends an encoded request, returning its message length
+// in bytes.
 func (pk *Pack) AddRequest(q *Request) int {
 	return pk.add(func(dst []byte) []byte { return AppendRequestV2(dst, q) })
 }
 
-// AddResponse appends a v2-encoded response, returning its sub-message
-// length in bytes.
+// AddResponse appends an encoded response, returning its message length
+// in bytes.
 func (pk *Pack) AddResponse(p *Response) int {
 	return pk.add(func(dst []byte) []byte { return AppendResponseV2(dst, p) })
 }
 
 // Payload returns the finished frame payload, valid until the next
-// Reset. A single-message batch is unwrapped — the bare message is
-// returned without the pack envelope, so peers only ever see packs when
-// batching actually coalesced something.
+// Reset. The header is written right-aligned in the reserved space, so
+// it sits directly before the first element.
 func (pk *Pack) Payload() []byte {
-	if pk.n == 1 {
-		return pk.buf[packHeaderLen+4:]
-	}
-	// Write the header directly before the first length prefix by
-	// right-aligning it in the reserved space.
-	count := uint64(pk.n)
 	var cnt [binary.MaxVarintLen32]byte
-	cn := binary.PutUvarint(cnt[:], count)
-	start := packHeaderLen - 3 - cn
-	b := pk.buf[start:]
-	b[0], b[1], b[2] = Magic, Version2, KindPack
-	copy(b[3:], cnt[:cn])
+	cn := binary.PutUvarint(cnt[:], uint64(pk.n))
+	b := pk.buf[packHeaderLen-1-cn:]
+	b[0] = KindPack
+	copy(b[1:], cnt[:cn])
 	return b
 }

@@ -37,7 +37,7 @@ func TestV2ResponseRoundTrip(t *testing.T) {
 }
 
 // TestReqIDRoundTrip checks that every combination of the three request
-// extensions, and the response's ReqID, survives encode and decode.
+// header fields, and the response's ReqID, survives encode and decode.
 func TestReqIDRoundTrip(t *testing.T) {
 	cases := []struct {
 		name          string
@@ -73,8 +73,8 @@ func TestReqIDRoundTrip(t *testing.T) {
 	}
 }
 
-// TestTraceExtensionRoundTrip: traced requests keep their IDs, varint
-// boundary values included.
+// TestTraceExtensionRoundTrip: traced requests keep their IDs, which
+// are fixed header fields, varint boundary values included.
 func TestTraceExtensionRoundTrip(t *testing.T) {
 	for _, q := range []*Request{
 		{Op: OpGet, NS: NSMeta, Key: "m/1/o", TraceID: 7, SpanID: 9},
@@ -90,27 +90,6 @@ func TestTraceExtensionRoundTrip(t *testing.T) {
 	}
 }
 
-// TestHelloAckRoundTrip checks both halves of the connection opener.
-func TestHelloAckRoundTrip(t *testing.T) {
-	for _, tc := range []struct {
-		b    []byte
-		kind int
-		ver  uint64
-	}{
-		{AppendHello(nil, 3, 0), KindHello, 3},
-		{AppendHelloAck(nil, Version2, 0), KindHelloAck, Version2},
-	} {
-		m, err := DecodeV2(tc.b)
-		if err != nil {
-			t.Fatalf("DecodeV2(kind %d): %v", tc.kind, err)
-		}
-		if m.Kind != tc.kind || m.HelloVer != tc.ver || m.HelloCaps != 0 {
-			t.Fatalf("decoded as kind=%d ver=%d caps=%d, want kind=%d ver=%d caps=0",
-				m.Kind, m.HelloVer, m.HelloCaps, tc.kind, tc.ver)
-		}
-	}
-}
-
 // TestV2Corrupt drives the parser through hostile headers: every case
 // must surface ErrBadMessage — never panic, never misparse.
 func TestV2Corrupt(t *testing.T) {
@@ -119,23 +98,20 @@ func TestV2Corrupt(t *testing.T) {
 		b    []byte
 	}{
 		{"empty", nil},
-		{"short header", []byte{Magic, Version2}},
-		{"bad magic", []byte{0x54, Version2, KindRequest, byte(OpPing), 0, 0, 0, 0, 0}},
-		{"v1 request", []byte{byte(OpGet), byte(NSMeta), 1, 'k', 0, 0, 0}},
-		{"future version", []byte{Magic, 0x03, KindRequest, byte(OpPing), 0, 0, 0, 0, 0}},
-		{"zero version", []byte{Magic, 0x00, KindRequest, byte(OpPing), 0, 0, 0, 0, 0}},
-		{"kind zero", []byte{Magic, Version2, 0x00, 0, 0}},
-		{"kind out of range", []byte{Magic, Version2, 0x0f, 0, 0}},
-		{"ext block truncated", []byte{Magic, Version2, KindRequest | infoHasExt}},
-		{"ext count absurd", append([]byte{Magic, Version2, KindRequest | infoHasExt}, 0xff, 0xff, 0x01)},
-		{"ext val truncated", []byte{Magic, Version2, KindRequest | infoHasExt, 1, ExtReqID}},
-		{"request body truncated", []byte{Magic, Version2, KindRequest}},
-		{"response body truncated", []byte{Magic, Version2, KindResponse, byte(StatusOK)}},
-		{"hello truncated", []byte{Magic, Version2, KindHello}},
-		{"pack count truncated", []byte{Magic, Version2, KindPack}},
-		{"pack short length", []byte{Magic, Version2, KindPack, 1, 0, 0}},
-		{"pack length overrun", []byte{Magic, Version2, KindPack, 1, 0, 0, 0, 99, 1}},
-		{"pack count absurd", []byte{Magic, Version2, KindPack, 0xff, 0xff, 0x01}},
+		{"kind zero", []byte{0x00, 0, 0}},
+		{"kind out of range", []byte{0xff, 0, 0}},
+		{"magic-prefixed header", []byte{0x53, 0x02, KindRequest, byte(OpPing), 0, 0, 0, 0, 0}},
+		{"request header truncated", []byte{KindRequest}},
+		{"request span truncated", []byte{KindRequest, 1, 0}},
+		{"request header overlong varint", append([]byte{KindRequest}, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x02)},
+		{"request body truncated", []byte{KindRequest, 0, 0, 0}},
+		{"response header truncated", []byte{KindResponse}},
+		{"response body truncated", []byte{KindResponse, 0, byte(StatusOK)}},
+		{"pack count truncated", []byte{KindPack}},
+		{"pack empty", []byte{KindPack, 0}},
+		{"pack short length", []byte{KindPack, 1, 0, 0}},
+		{"pack length overrun", []byte{KindPack, 1, 0, 0, 0, 99, 1}},
+		{"pack count absurd", []byte{KindPack, 0xff, 0xff, 0x01}},
 	}
 	for _, tc := range cases {
 		if _, err := DecodeV2(tc.b); !errors.Is(err, ErrBadMessage) {
@@ -152,7 +128,7 @@ func TestV2NestedPackRejected(t *testing.T) {
 	innerBytes := inner.Payload()
 
 	// Hand-build an outer pack whose single element is the inner pack.
-	outer := []byte{Magic, Version2, KindPack, 1}
+	outer := []byte{KindPack, 1}
 	outer = append(outer, byte(len(innerBytes)>>24), byte(len(innerBytes)>>16),
 		byte(len(innerBytes)>>8), byte(len(innerBytes)))
 	outer = append(outer, innerBytes...)
@@ -202,19 +178,14 @@ func TestPackRoundTrip(t *testing.T) {
 			t.Fatalf("pack resp[%d] diverged:\n  %+v\n  %+v", i, p, &sub.Resp)
 		}
 	}
-}
 
-// TestPackSingleUnwrap pins the one-message optimization: a batch of one
-// is sent as the bare message, so peers never see degenerate packs.
-func TestPackSingleUnwrap(t *testing.T) {
-	q := &Request{Op: OpGet, NS: NSMeta, Key: "m/1/u/alice", ReqID: 7}
-	var pk Pack
+	// A pack of one is still a pack: the frame has one shape.
+	q := reqs[1]
 	pk.Reset()
 	pk.AddRequest(q)
-	payload := pk.Payload()
-	if !reflect.DeepEqual(payload, q.EncodeV2()) {
-		t.Fatalf("single-message pack payload != bare encoding:\n  %x\n  %x",
-			payload, q.EncodeV2())
+	want := append([]byte{KindPack, 1, 0, 0, 0, byte(len(q.EncodeV2()))}, q.EncodeV2()...)
+	if got := pk.Payload(); !reflect.DeepEqual(got, want) {
+		t.Fatalf("pack of one:\n  %x\n  want %x", got, want)
 	}
 }
 
@@ -240,21 +211,6 @@ func TestPackReuse(t *testing.T) {
 		if sub.Req.ReqID != uint64(round)+1 {
 			t.Fatalf("round %d: ReqID %d, want %d", round, sub.Req.ReqID, round+1)
 		}
-	}
-}
-
-// TestV2UnknownExtSkipped checks forward compatibility: extensions this
-// build doesn't know must be skipped, not rejected.
-func TestV2UnknownExtSkipped(t *testing.T) {
-	b := appendV2Header(nil, KindRequest,
-		[2]uint64{4, 42}, [2]uint64{99, 1}, [2]uint64{ExtReqID, 5})
-	b = appendRequestBody(b, &Request{Op: OpPing})
-	m, err := DecodeV2(b)
-	if err != nil {
-		t.Fatalf("DecodeV2 with unknown exts: %v", err)
-	}
-	if m.Req.Op != OpPing || m.Req.ReqID != 5 {
-		t.Fatalf("decoded op=%d reqid=%d, want ping/5", m.Req.Op, m.Req.ReqID)
 	}
 }
 
@@ -290,14 +246,18 @@ func FuzzDecodeV2Frame(f *testing.F) {
 	for _, p := range seedResponses() {
 		f.Add(p.EncodeV2())
 	}
-	f.Add(AppendHello(nil, Version2, 0))
-	f.Add(AppendHelloAck(nil, 2, 0))
 	var pk Pack
+	pk.Reset()
+	pk.AddRequest(&Request{Op: OpPing, ReqID: 1})
+	f.Add(append([]byte(nil), pk.Payload()...))
+	pk.Reset()
+	pk.AddResponse(&Response{Status: StatusOK, ReqID: 1})
+	f.Add(append([]byte(nil), pk.Payload()...))
 	pk.Reset()
 	pk.AddRequest(&Request{Op: OpPing, ReqID: 1})
 	pk.AddResponse(&Response{Status: StatusOK, ReqID: 1})
 	f.Add(append([]byte(nil), pk.Payload()...))
-	f.Add([]byte{Magic, Version2, 0xff})
+	f.Add([]byte{0xff})
 	f.Fuzz(func(t *testing.T, b []byte) {
 		m, err := DecodeV2(b)
 		if err != nil {

@@ -109,15 +109,15 @@ type Request struct {
 	Items  []KV   // OpBatchGet (keys only) / OpBatchPut
 
 	// TraceID and SpanID propagate the client's observability trace so
-	// SSP-side spans can join it (internal/obs). They travel in the v2
-	// extension block, each omitted when zero.
+	// SSP-side spans can join it (internal/obs). They are fixed header
+	// fields of every request message (v2.go), zero when untraced.
 	TraceID uint64
 	SpanID  uint64
 
 	// ReqID multiplexes concurrent requests over one connection: the
 	// client tags each request with a nonzero ReqID and the server echoes
 	// it in the matching Response, so replies can complete out of order.
-	// It travels in the v2 extension block.
+	// It is the first header field of every request and response message.
 	ReqID uint64
 }
 
@@ -254,7 +254,7 @@ func decodeKV(r *reader) (KV, error) {
 }
 
 // appendRequestBody appends the request body — op, ns, key, val, prefix,
-// items — that follows the v2 header (v2.go).
+// items — that follows the message header (v2.go).
 func appendRequestBody(dst []byte, q *Request) []byte {
 	dst = append(dst, byte(q.Op), byte(q.NS))
 	dst = appendString(dst, q.Key)
@@ -324,7 +324,7 @@ func (q *Request) Detach() {
 }
 
 // appendResponseBody appends the response body — status, err, val,
-// items — that follows the v2 header.
+// items — that follows the message header.
 func appendResponseBody(dst []byte, p *Response) []byte {
 	dst = append(dst, byte(p.Status))
 	dst = appendString(dst, p.Err)

@@ -3,6 +3,7 @@ package wire
 import (
 	"bytes"
 	"errors"
+	"fmt"
 	"net"
 	"reflect"
 	"testing"
@@ -130,8 +131,8 @@ func TestFrameTruncated(t *testing.T) {
 	}
 }
 
-// TestCodecRoundTrip drives one request and its reply through framed v2
-// messages over a connection, the way the SSP client and server do.
+// TestCodecRoundTrip drives one request and its reply through framed
+// packs over a connection, the way the SSP client and server do.
 func TestCodecRoundTrip(t *testing.T) {
 	a, b := net.Pipe()
 	defer a.Close()
@@ -144,7 +145,7 @@ func TestCodecRoundTrip(t *testing.T) {
 			return
 		}
 		defer buf.Release()
-		m, err := DecodeV2(buf.Bytes())
+		m, err := packOfOne(buf.Bytes())
 		if err != nil {
 			t.Error(err)
 			return
@@ -152,10 +153,16 @@ func TestCodecRoundTrip(t *testing.T) {
 		if m.Kind != KindRequest || m.Req.Op != OpGet || m.Req.Key != "m/1" || m.Req.ReqID != 4 {
 			t.Errorf("server got kind %d %+v", m.Kind, m.Req)
 		}
-		WriteFrame(b, AppendResponseV2(nil, &Response{Status: StatusOK, Val: []byte("metadata"), ReqID: m.Req.ReqID}))
+		var pk Pack
+		pk.Reset()
+		pk.AddResponse(&Response{Status: StatusOK, Val: []byte("metadata"), ReqID: m.Req.ReqID})
+		WriteFrame(b, pk.Payload())
 	}()
 
-	out, err := WriteFrame(a, (&Request{Op: OpGet, NS: NSMeta, Key: "m/1", ReqID: 4}).EncodeV2())
+	var pk Pack
+	pk.Reset()
+	pk.AddRequest(&Request{Op: OpGet, NS: NSMeta, Key: "m/1", ReqID: 4})
+	out, err := WriteFrame(a, pk.Payload())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -163,7 +170,7 @@ func TestCodecRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	m, err := DecodeV2(payload)
+	m, err := packOfOne(payload)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -173,6 +180,19 @@ func TestCodecRoundTrip(t *testing.T) {
 	if out == 0 || in == 0 {
 		t.Error("frame byte counts not reported")
 	}
+}
+
+// packOfOne decodes a frame that must be a pack holding one message, and
+// returns that message.
+func packOfOne(frame []byte) (*Msg, error) {
+	m, err := DecodeV2(frame)
+	if err != nil {
+		return nil, err
+	}
+	if m.Kind != KindPack || len(m.Pack) != 1 {
+		return nil, fmt.Errorf("frame kind %d with %d elements, want a pack of one", m.Kind, len(m.Pack))
+	}
+	return DecodeV2(m.Pack[0])
 }
 
 func TestResponseAsError(t *testing.T) {
