@@ -61,7 +61,9 @@ vet:
 # envelope memo every seal and open shares, internal/shard for the
 # self-heal stress test and concurrent quorum I/O, internal/resilience and
 # internal/netsim for the retry and sever paths, internal/workload for the
-# chaos campaign's goroutine-leak verdict). It is the dynamic gate for the
+# chaos campaign's goroutine-leak verdict, cmd/sharoes-cli and
+# cmd/sharoes-migrate for a whole command run against an SSP on a loopback
+# port, server goroutines included). It is the dynamic gate for the
 # lock-balance and mixed atomic/plain shapes sharoes-vet does not check
 # (docs/ANALYZERS.md, "Seeded-bug campaign"). Two tests that measure
 # rather than check are skipped: TestAllocBudget (sync.Pool drops items
@@ -74,7 +76,8 @@ race:
 		./internal/ssp ./internal/cache ./internal/obs ./internal/shard \
 		./internal/netsim ./internal/resilience \
 		./internal/keys ./internal/sharocrypto ./internal/stats ./internal/wire \
-		./internal/baseline ./internal/workload
+		./internal/baseline ./internal/workload \
+		./cmd/sharoes-cli ./cmd/sharoes-migrate
 
 # chaos-smoke runs a short fixed-seed chaos campaign — connection drops,
 # slow replicas and injected write errors against the 3-shard R=2 W=1

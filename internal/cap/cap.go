@@ -242,6 +242,13 @@ func TableKey(m *meta.Metadata, variant string) sharocrypto.SymKey {
 	return m.Keys.DataSeed.Derive(tableKeyLabel(variant))
 }
 
+// RowsKey derives the key a names-only view of a directory table seals
+// its rows under. It derives from the data seed like TableKey, under a
+// label no CAP's DEK slot holds, so only directory writers derive it.
+func RowsKey(m *meta.Metadata, variant string) sharocrypto.SymKey {
+	return m.Keys.DataSeed.Derive("rows|" + variant)
+}
+
 // Filter produces the CAP view of a full metadata object: attributes stay
 // visible (stat works for anyone holding the variant MEK), key fields are
 // included or withheld per the CAP design of Figures 4 and 5.

@@ -58,14 +58,15 @@ func SealTableViews(dirFull *meta.Metadata, views []ViewSpec) ([][]byte, error) 
 	}
 	members := make([]meta.GroupMember, len(views))
 	for i, v := range views {
-		tkey := TableKey(dirFull, v.Variant)
-		members[i] = meta.GroupMember{Key: tkey, AAD: meta.TableAAD(dirFull.Attr.Inode, v.Variant), Plain: viewPlain(v.Table, v.ID, tkey)}
+		tkey, aad := TableKey(dirFull, v.Variant), meta.TableAAD(dirFull.Attr.Inode, v.Variant)
+		members[i] = meta.GroupMember{Key: tkey, AAD: aad, Plain: viewPlain(dirFull, v, tkey, aad)}
 	}
 	return meta.SealGroup(dirFull.Keys.DSK, members), nil
 }
 
-// viewPlain encodes the shape of table that CAP id sees.
-func viewPlain(table *meta.DirTable, id ID, tkey sharocrypto.SymKey) []byte {
+// viewPlain encodes the shape of v's table that its CAP sees.
+func viewPlain(dirFull *meta.Metadata, v ViewSpec, tkey sharocrypto.SymKey, aad []byte) []byte {
+	table, id := v.Table, v.ID
 	switch {
 	case id.Class == DirExecOnly && !id.Owner:
 		return encodeExecView(table, tkey)
@@ -74,7 +75,7 @@ func viewPlain(table *meta.DirTable, id ID, tkey sharocrypto.SymKey) []byte {
 		// that re-permissioning can rebuild every view.
 		return encodeFullView(table)
 	case id.Class.CanList():
-		return encodeNamesView(table)
+		return encodeNamesView(table, RowsKey(dirFull, v.Variant), aad)
 	case id.Class == DirExecOnly:
 		return encodeExecView(table, tkey)
 	default:
@@ -90,13 +91,19 @@ func encodeFullView(t *meta.DirTable) []byte {
 	return w.Bytes()
 }
 
-func encodeNamesView(t *meta.DirTable) []byte {
+// encodeNamesView writes the name column, then the full rows sealed
+// under the variant's rows key (RowsKey). Its readers list names and open
+// nothing more; a directory writer derives the key, so the rows survive
+// for the permission change that lets the class traverse again
+// (DESIGN.md §7.4).
+func encodeNamesView(t *meta.DirTable, rowsKey sharocrypto.SymKey, aad []byte) []byte {
 	var w binenc.Writer
 	w.Byte(viewNames)
 	w.Uvarint(uint64(t.Len()))
 	for _, name := range t.Names() {
 		w.String(name)
 	}
+	w.BytesField(rowsKey.Seal(t.Encode(), aad))
 	return w.Bytes()
 }
 
@@ -145,7 +152,9 @@ func encodeExecView(t *meta.DirTable, tkey sharocrypto.SymKey) []byte {
 // CAP it was sealed for.
 type View struct {
 	tkey  sharocrypto.SymKey
+	aad   []byte              // the view's location binding, for its sealed rows
 	names []string            // viewNames
+	rows  []byte              // viewNames: the full rows, sealed under RowsKey
 	full  *meta.DirTable      // viewFull
 	exec  map[[32]byte][]byte // viewExec: tag → sealed row
 }
@@ -165,7 +174,7 @@ func OpenView(variant string, tkey sharocrypto.SymKey, dvk sharocrypto.VerifyKey
 	if err != nil {
 		return nil, badView(err)
 	}
-	v := &View{tkey: tkey}
+	v := &View{tkey: tkey, aad: aad}
 	switch kind {
 	case viewFull:
 		raw, err := r.BytesField()
@@ -191,6 +200,11 @@ func OpenView(variant string, tkey sharocrypto.SymKey, dvk sharocrypto.VerifyKey
 			}
 			v.names = append(v.names, name)
 		}
+		rows, err := r.BytesField()
+		if err != nil {
+			return nil, badView(err)
+		}
+		v.rows = append([]byte(nil), rows...)
 	case viewExec:
 		n, err := r.Uvarint()
 		if err != nil {
@@ -327,21 +341,23 @@ func EmptyView(id ID) *View {
 	}
 }
 
-// Reconstruct rebuilds the logical directory table underlying the view.
-// Full views reconstruct exactly; names-only views yield name-only rows
-// (all a names view ever stores); exec-only views are reassembled row by
-// row from the supplied name list, which a directory writer obtains from
-// their own full view.
-func (v *View) Reconstruct(names []string) (*meta.DirTable, error) {
+// Reconstruct rebuilds the logical directory table underlying the view,
+// for a directory writer. Full views reconstruct exactly; names-only views
+// open their sealed rows under rowsKey (the variant's RowsKey); exec-only
+// views are reassembled row by row from the supplied name list, which the
+// writer obtains from their own full view.
+func (v *View) Reconstruct(names []string, rowsKey sharocrypto.SymKey) (*meta.DirTable, error) {
 	switch {
 	case v.full != nil:
 		return v.full.Clone(), nil
 	case v.names != nil:
-		t := &meta.DirTable{}
-		for _, name := range v.names {
-			if err := t.Insert(meta.DirEntry{Name: name}); err != nil {
-				return nil, err
-			}
+		raw, err := rowsKey.Open(v.rows, v.aad)
+		if err != nil {
+			return nil, fmt.Errorf("%w: names view rows", types.ErrTampered)
+		}
+		t, err := meta.DecodeTable(raw)
+		if err != nil {
+			return nil, badView(err)
 		}
 		return t, nil
 	default:

@@ -214,8 +214,8 @@ func TestViewForgeryBySSPRejected(t *testing.T) {
 	filtered := Filter(b.full, id, id.Variant())
 
 	forgerDSK, _ := sharocrypto.NewSigningPair()
-	forged := meta.SealSigned(filtered.Keys.DEK, forgerDSK,
-		meta.TableAAD(b.full.Attr.Inode, id.Variant()), encodeNamesView(tbl))
+	aad := meta.TableAAD(b.full.Attr.Inode, id.Variant())
+	forged := meta.SealSigned(filtered.Keys.DEK, forgerDSK, aad, encodeNamesView(tbl, RowsKey(b.full, id.Variant()), aad))
 	if _, err := OpenView(id.Variant(), filtered.Keys.DEK, filtered.Keys.DVK, b.full.Attr.Inode, forged); !errors.Is(err, types.ErrTampered) {
 		t.Errorf("forged view accepted: %v", err)
 	}
@@ -343,7 +343,7 @@ func TestReconstruct(t *testing.T) {
 
 	// Full view reconstructs exactly.
 	vFull := sealAndOpen(t, tbl, b, ID{Class: DirReadExec})
-	got, err := vFull.Reconstruct(nil)
+	got, err := vFull.Reconstruct(nil, sharocrypto.SymKey{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -361,22 +361,28 @@ func TestReconstruct(t *testing.T) {
 		t.Error("reconstruct aliased view")
 	}
 
-	// Names view yields name-only rows.
-	vNames := sealAndOpen(t, tbl, b, ID{Class: DirRead})
-	got, err = vNames.Reconstruct(nil)
+	// A names view's rows open for a writer, under the rows key, and for
+	// nobody holding only the view's table key.
+	nid := ID{Class: DirRead}
+	vNames := sealAndOpen(t, tbl, b, nid)
+	if _, err := vNames.Reconstruct(nil, TableKey(b.full, nid.Variant())); !errors.Is(err, types.ErrTampered) {
+		t.Errorf("names reconstruct under the reader's key: %v", err)
+	}
+	got, err = vNames.Reconstruct(nil, RowsKey(b.full, nid.Variant()))
 	if err != nil {
 		t.Fatal(err)
 	}
 	if got.Len() != 3 {
 		t.Errorf("names reconstruct len = %d", got.Len())
 	}
-	if e, _ := got.Lookup("src"); !e.MEK.IsZero() {
-		t.Error("names reconstruct invented keys")
+	e, _ = got.Lookup("src")
+	if e.MEK != want.MEK {
+		t.Error("names reconstruct lost keys")
 	}
 
 	// Exec view reassembles from the name list.
 	vExec := sealAndOpen(t, tbl, b, ID{Class: DirExecOnly})
-	got, err = vExec.Reconstruct(names)
+	got, err = vExec.Reconstruct(names, sharocrypto.SymKey{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -386,7 +392,7 @@ func TestReconstruct(t *testing.T) {
 		t.Error("exec reconstruct mismatch")
 	}
 	// A bogus name surfaces skew.
-	if _, err := vExec.Reconstruct([]string{"ghost"}); err == nil {
+	if _, err := vExec.Reconstruct([]string{"ghost"}, sharocrypto.SymKey{}); err == nil {
 		t.Error("reconstruct with unknown name succeeded")
 	}
 }

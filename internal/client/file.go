@@ -7,7 +7,6 @@ import (
 
 	"github.com/sharoes/sharoes/internal/layout"
 	"github.com/sharoes/sharoes/internal/meta"
-	"github.com/sharoes/sharoes/internal/sharocrypto"
 	"github.com/sharoes/sharoes/internal/types"
 	"github.com/sharoes/sharoes/internal/wire"
 )
@@ -269,7 +268,7 @@ func (s *Session) overwrite(r ref, m *meta.Metadata, pre replyIndex, data []byte
 		// now, on the owner's first write after the chmod. The old
 		// content is being replaced, so rotation is nearly free: fresh
 		// keys, next generation, and every block of the old one is stale.
-		s.rotateForWrite(&updated)
+		s.rotateDataKeys(&updated)
 		staleFrom = 0
 	}
 
@@ -338,17 +337,4 @@ func (s *Session) appendFile(path string, data []byte) error {
 	s.sealBlocks(&w, m, newMan, firstDirty, tail)
 	w.add(dropTail(r.ino, man, newMan)...)
 	return s.commit(&w)
-}
-
-// rotateForWrite rotates a file's data keys in place on m without
-// re-encrypting the outgoing content (the caller is about to replace it,
-// and deletes the old generation's blobs).
-func (s *Session) rotateForWrite(m *meta.Metadata) {
-	stop := s.crypto("rotate-data-keys")
-	dsk, dvk := sharocrypto.NewSigningPair()
-	m.Keys.DEK = sharocrypto.NewSymKey()
-	m.Keys.DSK, m.Keys.DVK = dsk, dvk
-	m.Attr.DataGen++
-	m.Attr.Flags &^= meta.FlagRekeyPending
-	stop()
 }

@@ -313,7 +313,7 @@ func (s *Session) loadParentTables(r ref, m *meta.Metadata, own *cap.View, pre r
 	for _, j := range jobs {
 		view, err := s.eng.OpenView(sw, j.id, cap.TableKey(m, j.id), m.Keys.DVK, r.ino, j.blob)
 		if err == nil {
-			tables[j.id], err = view.Reconstruct(names)
+			tables[j.id], err = view.Reconstruct(names, cap.RowsKey(m, j.id))
 		}
 		if err != nil {
 			end()

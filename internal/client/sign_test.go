@@ -57,20 +57,41 @@ var signOps = []signOp{
 		run: func(s *Session, i int) error { return s.Chmod("/e", []types.Perm{0o751, 0o755}[i%2]) }},
 	// Granting rw- to bob adds a Scheme-2 variant (a/bob), so a copy more,
 	// and re-routes the parent's rows (one group). Scheme-1 has a copy
-	// per user already.
-	{name: "acl-set-file", s2: 4 + 1, s1: 4 + 1,
+	// per user already, and the parent's rows do not move.
+	{name: "acl-set-file", s2: 4 + 1, s1: 4,
 		run: func(s *Session, i int) error {
 			return s.SetACL(fmt.Sprintf("/d/acl%d", i), "bob", types.TripletRead|types.TripletWrite)
 		}},
 	// Taking the grant away revokes write: the data keys rotate, so the
 	// manifest is re-signed too.
-	{name: "acl-remove-file", s2: 3 + 1 + 1, s1: 4 + 1 + 1,
+	{name: "acl-remove-file", s2: 3 + 1 + 1, s1: 4 + 1,
 		run: func(s *Session, i int) error { return s.RemoveACL(fmt.Sprintf("/d/acl%d", i), "bob") }},
-	// On a directory, its own views are one more group.
-	{name: "acl-set-dir", s2: 4 + 1 + 1, s1: 4 + 1 + 1,
+	// On a directory, its own views are one more group. Under Scheme-1
+	// bob's r-x grant changes no copy's CAP: the metadata variants alone.
+	{name: "acl-set-dir", s2: 4 + 1 + 1, s1: 4,
 		run: func(s *Session, i int) error {
 			return s.SetACL(fmt.Sprintf("/d/dacl%d", i), "bob", types.TripletRead|types.TripletExec)
 		}},
+	// Other loses read: the directory's views move to fresh keys, sealed
+	// once under the new permission.
+	{name: "chmod-dir-revoke", s2: 3 + 1, s1: 4 + 1,
+		run: func(s *Session, i int) error { return s.Chmod(fmt.Sprintf("/d/rv%d", i), 0o700) }},
+	// carol's grant narrows from r-x to r--: she loses traverse, so the
+	// views are re-keyed, once. Her copy stays, so the parent's rows stay.
+	{name: "acl-narrow-dir", s2: 4 + 1, s1: 4 + 1,
+		run: func(s *Session, i int) error { return s.SetACL(fmt.Sprintf("/d/nar%d", i), "carol", types.TripletRead) }},
+	// Taking the r-- grant away leaves carol the other class's ---: the
+	// views are re-keyed once, and under Scheme-2 her copy goes, so the
+	// parent's rows move.
+	{name: "acl-remove-dir", s2: 3 + 1 + 1, s1: 4 + 1,
+		run: func(s *Session, i int) error { return s.RemoveACL(fmt.Sprintf("/d/nar%d", i), "carol") }},
+	// A chown rotates every key: the variants, the re-keyed manifest and
+	// the parent's rows.
+	{name: "chown-file", s2: 3 + 1 + 1, s1: 4 + 1 + 1,
+		run: func(s *Session, i int) error { return s.Chown(fmt.Sprintf("/d/own%d", i), "bob", "") }},
+	// On a directory its views take the manifest's place.
+	{name: "chown-dir", s2: 3 + 1 + 1, s1: 4 + 1 + 1,
+		run: func(s *Session, i int) error { return s.Chown(fmt.Sprintf("/d/down%d", i), "bob", "") }},
 }
 
 // TestSignatureBudget pins the signatures each operation makes, counted
@@ -97,6 +118,11 @@ func TestSignatureBudget(t *testing.T) {
 			}
 			must(alice.WriteFile(fmt.Sprintf("/d/g%d", runs+i), []byte("g"), 0o644))
 			must(alice.Mkdir(fmt.Sprintf("/d/dacl%d", i), 0o755))
+			must(alice.Mkdir(fmt.Sprintf("/d/rv%d", i), 0o755))
+			must(alice.Mkdir(fmt.Sprintf("/d/nar%d", i), 0o750))
+			must(alice.SetACL(fmt.Sprintf("/d/nar%d", i), "carol", types.TripletRead|types.TripletExec))
+			must(alice.WriteFile(fmt.Sprintf("/d/own%d", i), []byte("own"), 0o644))
+			must(alice.Mkdir(fmt.Sprintf("/d/down%d", i), 0o755))
 		}
 		for _, op := range signOps {
 			want := op.s2
