@@ -63,7 +63,8 @@ vet:
 # internal/netsim for the retry and sever paths, internal/workload for the
 # chaos campaign's goroutine-leak verdict, cmd/sharoes-cli and
 # cmd/sharoes-migrate for a whole command run against an SSP on a loopback
-# port, server goroutines included). It is the dynamic gate for the
+# port, server goroutines included, and cmd/sharoes-ssp for the server
+# command itself, run until cancelled and drained). It is the dynamic gate for the
 # lock-balance and mixed atomic/plain shapes sharoes-vet does not check
 # (docs/ANALYZERS.md, "Seeded-bug campaign"). Two tests that measure
 # rather than check are skipped: TestAllocBudget (sync.Pool drops items
@@ -77,7 +78,7 @@ race:
 		./internal/netsim ./internal/resilience \
 		./internal/keys ./internal/sharocrypto ./internal/stats ./internal/wire \
 		./internal/baseline ./internal/workload \
-		./cmd/sharoes-cli ./cmd/sharoes-migrate
+		./cmd/sharoes-cli ./cmd/sharoes-migrate ./cmd/sharoes-ssp
 
 # chaos-smoke runs a short fixed-seed chaos campaign — connection drops,
 # slow replicas and injected write errors against the 3-shard R=2 W=1

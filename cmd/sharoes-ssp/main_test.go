@@ -1,13 +1,139 @@
 package main
 
 import (
+	"bufio"
+	"bytes"
+	"context"
+	"encoding/json"
+	"io"
+	"net"
 	"reflect"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
+	"github.com/sharoes/sharoes/internal/obs"
 	"github.com/sharoes/sharoes/internal/ssp"
+	"github.com/sharoes/sharoes/internal/wire"
 )
+
+// TestRunUsageErrors: every flag or argument error exits 2 before
+// anything listens.
+func TestRunUsageErrors(t *testing.T) {
+	for _, args := range [][]string{
+		{"-bogus"},
+		{"-addr", "127.0.0.1:0", "extra"},
+		{"-addr", " , "},
+		{"-addr", "127.0.0.1:0", "-store", "tape"},
+		{"-addr", "127.0.0.1:0", "-fault", "1:writeerr"},
+		{"-addr", "127.0.0.1:0", "-grace", "soon"},
+	} {
+		var out, errOut bytes.Buffer
+		if code := run(context.Background(), args, &out, &errOut); code != exitUsage {
+			t.Errorf("run %q: exit %d, want %d\nstderr: %s", args, code, exitUsage, errOut.String())
+		}
+		if out.Len() != 0 {
+			t.Errorf("run %q wrote %q to stdout", args, out.String())
+		}
+	}
+}
+
+// lockedBuffer is a bytes.Buffer safe for the server loggers' concurrent
+// writes.
+type lockedBuffer struct {
+	mu  sync.Mutex
+	buf bytes.Buffer
+}
+
+func (b *lockedBuffer) Write(p []byte) (int, error) {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	return b.buf.Write(p)
+}
+
+func (b *lockedBuffer) String() string {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	return b.buf.String()
+}
+
+// TestRunServesUntilCancelled: a loopback SSP on 127.0.0.1:0, with its
+// debug endpoint, answers Ping, BatchPut and BatchGet, and on cancel
+// drains and exits 0 with no connection left open (its final snapshot
+// reads ssp.conns 0).
+func TestRunServesUntilCancelled(t *testing.T) {
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	pr, pw := io.Pipe()
+	var stderr lockedBuffer
+	exited := make(chan int, 1)
+	go func() {
+		code := run(ctx, []string{"-addr", "127.0.0.1:0", "-debug-addr", "127.0.0.1:0", "-grace", "2s"}, pw, &stderr)
+		pw.Close()
+		exited <- code
+	}()
+	addrc := make(chan string, 1)
+	go func() {
+		sc := bufio.NewScanner(pr)
+		for sc.Scan() {
+			if _, addr, ok := strings.Cut(sc.Text(), "serving mem store on "); ok {
+				addrc <- addr
+			}
+		}
+	}()
+	var addr string
+	select {
+	case addr = <-addrc:
+	case code := <-exited:
+		t.Fatalf("exit %d before serving\nstderr: %s", code, stderr.String())
+	case <-time.After(10 * time.Second):
+		t.Fatal("not serving after 10s")
+	}
+
+	c, err := ssp.Dial(func() (net.Conn, error) { return net.Dial("tcp", addr) }, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := c.Ping(); err != nil {
+		t.Fatal(err)
+	}
+	put := []wire.KV{{NS: wire.NSData, Key: "k1", Val: []byte("v1")}, {NS: wire.NSMeta, Key: "k2", Val: []byte("v2")}}
+	if err := c.BatchPut(put); err != nil {
+		t.Fatal(err)
+	}
+	got, err := c.BatchGet([]wire.KV{{NS: wire.NSData, Key: "k1"}, {NS: wire.NSMeta, Key: "k2"}, {NS: wire.NSData, Key: "absent"}})
+	if err != nil || len(got) != 2 || string(got[0].Val) != "v1" || string(got[1].Val) != "v2" {
+		t.Fatalf("BatchGet = %+v, %v", got, err)
+	}
+	if err := c.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	cancel()
+	select {
+	case code := <-exited:
+		if code != exitOK {
+			t.Fatalf("exit %d after cancel, want %d\nstderr: %s", code, exitOK, stderr.String())
+		}
+	case <-time.After(10 * time.Second):
+		t.Fatal("run did not return after cancel")
+	}
+	_, snap, ok := strings.Cut(stderr.String(), "final metrics snapshot:\n")
+	if !ok {
+		t.Fatalf("no final snapshot on stderr: %s", stderr.String())
+	}
+	var metrics obs.RegistrySnapshot
+	if err := json.NewDecoder(strings.NewReader(snap)).Decode(&metrics); err != nil {
+		t.Fatal(err)
+	}
+	if n, ok := metrics.Gauges["ssp.conns"]; !ok || n != 0 {
+		t.Errorf("ssp.conns after drain = %d (present %v), want 0", n, ok)
+	}
+	if metrics.Counters["ssp.op.batchput"] != 1 || metrics.Counters["ssp.op.batchget"] != 1 {
+		t.Errorf("op counters %v, want one batchput and one batchget", metrics.Counters)
+	}
+}
 
 func TestSplitAddrs(t *testing.T) {
 	cases := []struct {

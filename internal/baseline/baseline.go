@@ -180,11 +180,7 @@ func (e *Engine) SealMeta(sw layout.Stopwatch, full *meta.Metadata, vs []layout.
 	}
 	out := make([]wire.KV, 0, len(vs))
 	for _, v := range vs {
-		m := full
-		if e.mode.EncryptsData() {
-			m = cap.Filter(full, v.Cap, v.ID) // a directory's DEK slot holds this copy's table key
-		}
-		plain := m.Encode()
+		plain := e.MetaCopy(full, v).Encode()
 		if n := metaPadSize - len(plain); n > 0 {
 			plain = append(plain, make([]byte, n)...)
 		}
@@ -207,6 +203,15 @@ func (e *Engine) SealMeta(sw layout.Stopwatch, full *meta.Metadata, vs []layout.
 		out = append(out, wire.KV{NS: wire.NSMeta, Key: meta.MetaKey(full.Attr.Inode, v.ID), Val: blob})
 	}
 	return out, nil
+}
+
+// MetaCopy implements layout.Engine: every key, but in the modes that
+// encrypt data a directory's DEK slot holds this copy's table key.
+func (e *Engine) MetaCopy(full *meta.Metadata, v layout.Variant) *meta.Metadata {
+	if e.mode.EncryptsData() {
+		return cap.Filter(full, v.Cap, v.ID)
+	}
+	return &meta.Metadata{Attr: full.Attr, Keys: full.Keys}
 }
 
 // sealPubOpt seals a PUB-OPT copy the way a SiRiUS md-file does: the body

@@ -23,6 +23,10 @@ func (w *Writer) Bytes() []byte { return w.buf.Bytes() }
 // Len returns the current encoded size.
 func (w *Writer) Len() int { return w.buf.Len() }
 
+// Grow makes room for n more bytes, so that fields adding up to at most
+// n append without growing the buffer again.
+func (w *Writer) Grow(n int) { w.buf.Grow(n) }
+
 // Uvarint appends v.
 func (w *Writer) Uvarint(v uint64) {
 	var tmp [binary.MaxVarintLen64]byte

@@ -18,7 +18,11 @@ import (
 func (s *Session) Chmod(path string, perm types.Perm) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	defer s.beginOp("chmod")()
+	end, err := s.beginOp("chmod")
+	defer end()
+	if err != nil {
+		return pathErr("chmod", path, err)
+	}
 	return pathErrNil("chmod", path, s.setAttr(path, attrMode, func(a *meta.Attr) error {
 		if err := cap.ValidatePerm(a.Kind, perm); err != nil {
 			return err
@@ -38,7 +42,11 @@ func (s *Session) Chmod(path string, perm types.Perm) error {
 func (s *Session) Chown(path string, owner types.UserID, group types.GroupID) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	defer s.beginOp("chown")()
+	end, err := s.beginOp("chown")
+	defer end()
+	if err != nil {
+		return pathErr("chown", path, err)
+	}
 	return pathErrNil("chown", path, s.setAttr(path, attrOwner, func(a *meta.Attr) error {
 		if owner != "" {
 			a.Owner = owner
@@ -55,7 +63,11 @@ func (s *Session) Chown(path string, owner types.UserID, group types.GroupID) er
 func (s *Session) GetACL(path string) ([]types.ACLEntry, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	defer s.beginOp("getacl")()
+	end, err := s.beginOp("getacl")
+	defer end()
+	if err != nil {
+		return nil, pathErr("getacl", path, err)
+	}
 	_, m, err := s.resolve(path)
 	if err != nil {
 		return nil, pathErr("getacl", path, err)
@@ -73,7 +85,11 @@ func (s *Session) GetACL(path string) ([]types.ACLEntry, error) {
 func (s *Session) SetACL(path string, user types.UserID, rights types.Triplet) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	defer s.beginOp("setacl")()
+	end, err := s.beginOp("setacl")
+	defer end()
+	if err != nil {
+		return pathErr("setacl", path, err)
+	}
 	return pathErrNil("setacl", path, s.setAttr(path, attrACL, func(a *meta.Attr) error {
 		if err := s.aclGrantee(a, user); err != nil {
 			return err
@@ -91,7 +107,11 @@ func (s *Session) SetACL(path string, user types.UserID, rights types.Triplet) e
 func (s *Session) RemoveACL(path string, user types.UserID) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	defer s.beginOp("removeacl")()
+	end, err := s.beginOp("removeacl")
+	defer end()
+	if err != nil {
+		return pathErr("removeacl", path, err)
+	}
 	return pathErrNil("removeacl", path, s.setAttr(path, attrACL, func(a *meta.Attr) error {
 		if err := s.aclGrantee(a, user); err != nil {
 			return err
@@ -237,7 +257,7 @@ func (s *Session) setAttr(path string, op attrOp, change func(*meta.Attr) error)
 	if err := s.sealMetaVariants(&w, &updated); err != nil {
 		return err
 	}
-	if err := s.commit(&w); err != nil {
+	if err := s.commit(&w, true); err != nil {
 		return err
 	}
 	if atRoot {

@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"github.com/sharoes/sharoes/internal/cap"
+	"github.com/sharoes/sharoes/internal/layout"
 	"github.com/sharoes/sharoes/internal/meta"
 	"github.com/sharoes/sharoes/internal/ssp"
 	"github.com/sharoes/sharoes/internal/types"
@@ -170,5 +171,69 @@ func checkReach(t *testing.T, w *world, u types.UserID, c cap.Class, desc string
 		if _, _, err := s.fetchMeta(ref{ino: e.Inode, variant: e.Variant, mek: e.MEK, mvk: e.MVK}, alone); err != nil {
 			t.Errorf("%s: %s (%v) opens %q through its row: %v", desc, u, c, name, err)
 		}
+	}
+}
+
+// TestChownDirExposureCharacterization pins a known exposure (DESIGN.md
+// §5, ROADMAP item 11) exactly, so that this test fails when it widens or
+// when a fix closes it. Under Scheme-2, alice makes /d (0755) and /d/f
+// (0600) and chowns /d to bob. The chown re-seals /d's views under fresh
+// keys but keeps their rows routed for the old owner: bob's walk through
+// /d's owner view reaches /d/f's owner copy, with its DEK, MetaSeed and
+// MSK. Re-routing the row needs /d/f's owner's metadata seed, which the
+// directory's owner does not hold. The honest client still refuses bob
+// by policy, and carol, of the other class, reaches no key of /d/f.
+func TestChownDirExposureCharacterization(t *testing.T) {
+	fixture(t)
+	w := newWorld(t, layout.NewScheme2(fixReg), ssp.NewMemStore())
+	alice := w.mountFresh("alice", -1)
+	defer alice.Close()
+	must(t, alice.Mkdir("/d", 0o755), alice.WriteFile("/d/f", []byte("secret"), 0o600), alice.Chown("/d", "bob", ""))
+
+	// reach opens u's view of /d and the copy of /d/f its row leads to,
+	// with no policy check.
+	reach := func(u types.UserID) (dirVariant string, row meta.DirEntry, f *meta.Metadata) {
+		t.Helper()
+		s := w.mountFresh(u, 0)
+		defer s.Close()
+		r, _, _, err := s.resolveRef("/d", false)
+		if err != nil {
+			t.Fatalf("%s resolves /d: %v", u, err)
+		}
+		m, _, err := s.fetchMeta(r, alone)
+		if err != nil {
+			t.Fatalf("%s opens /d's metadata: %v", u, err)
+		}
+		v, err := s.openViewOf(r, m, nil)
+		if err != nil {
+			t.Fatalf("%s opens /d's view: %v", u, err)
+		}
+		e, err := v.Lookup("f")
+		if err != nil || e.Split {
+			t.Fatalf("%s looks up f in /d's %q view: %+v, %v; want a plain row", u, r.variant, e, err)
+		}
+		f, _, err = s.fetchMeta(ref{ino: e.Inode, variant: e.Variant, mek: e.MEK, mvk: e.MVK}, alone)
+		if err != nil {
+			t.Fatalf("%s opens /d/f through its row: %v", u, err)
+		}
+		return r.variant, *e, f
+	}
+
+	dv, row, f := reach("bob")
+	if dv != "o" || row.Variant != "o" || f.Attr.Owner != "alice" {
+		t.Errorf("bob walks /d's %q view to /d/f's %q copy (owner %s); the exposure is /d's o view to /d/f's o copy, owner alice",
+			dv, row.Variant, f.Attr.Owner)
+	}
+	if f.Keys.DEK.IsZero() || f.Keys.MetaSeed.IsZero() || f.Keys.MSK.IsZero() {
+		t.Errorf("bob's copy of /d/f holds DEK %v, MetaSeed %v, MSK %v: the exposure has narrowed or closed; update DESIGN.md §5, ROADMAP item 11 and this test",
+			!f.Keys.DEK.IsZero(), !f.Keys.MetaSeed.IsZero(), !f.Keys.MSK.IsZero())
+	}
+	bob := w.mountFresh("bob", 0)
+	defer bob.Close()
+	if _, err := bob.ReadFile("/d/f"); !errors.Is(err, types.ErrPermission) {
+		t.Errorf("bob's ReadFile of /d/f: %v, want the policy refusal", err)
+	}
+	if _, _, f := reach("carol"); !f.Keys.DEK.IsZero() || !f.Keys.MetaSeed.IsZero() || !f.Keys.MSK.IsZero() || !f.Keys.DSK.IsZero() {
+		t.Error("carol (other class) reaches a key of /d/f (0600): the exposure has widened")
 	}
 }

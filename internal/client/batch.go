@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"sort"
 	"strconv"
+	"strings"
 
 	"github.com/sharoes/sharoes/internal/layout"
 	"github.com/sharoes/sharoes/internal/meta"
@@ -35,12 +36,14 @@ type replyBlob struct {
 // everything the caller can name at this point, one BatchGet, and the
 // reply indexed by key for the caller to open. Nothing in the reply is
 // verified or cached here; each blob passes its own Open/Verify at the
-// place that uses it.
+// place that uses it. A batch in flight that names a wanted key lands
+// first, so the read sees it; any other batch does not hold the read up.
 func (s *Session) fetch(want []wire.KV) (replyIndex, error) {
 	if sp := s.tracer.Start("client.fetch", obs.ClassNone); sp != nil {
 		sp.Annotate("keys", strconv.Itoa(len(want)))
 		defer sp.End()
 	}
+	s.drainNaming(want)
 	s.fetches++
 	items, err := s.store.BatchGet(want)
 	if err != nil {
@@ -64,8 +67,19 @@ func (s *Session) blobOf(pre replyIndex, ns wire.NS, key string) (val []byte, ok
 	return b.val, b.returned, nil
 }
 
-// list is the server-side listing fallback, counted with the fetches.
+// list is the server-side listing fallback, counted with the fetches. A
+// batch in flight that names a key under the prefix lands first.
 func (s *Session) list(ns wire.NS, prefix string) ([]wire.KV, error) {
+	if len(s.inflight) > 0 {
+		s.drain(func(b *batch) bool {
+			for _, kv := range b.kvs {
+				if kv.NS == ns && strings.HasPrefix(kv.Key, prefix) {
+					return true
+				}
+			}
+			return false
+		})
+	}
 	s.fetches++
 	return s.store.List(ns, prefix)
 }

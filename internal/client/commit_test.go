@@ -6,6 +6,7 @@ import (
 	"strings"
 	"testing"
 
+	"github.com/sharoes/sharoes/internal/layout"
 	"github.com/sharoes/sharoes/internal/ssp"
 	"github.com/sharoes/sharoes/internal/types"
 	"github.com/sharoes/sharoes/internal/wire"
@@ -34,9 +35,12 @@ var observedPaths = []string{"/", "/d", "/d/old", "/d/new", "/d/newdir", "/d/ren
 
 // observe is what a session reports of each observed path: its stat, its
 // listing or its content, and its ACL.
-func observe(s *Session) []string {
+func observe(s *Session) []string { return observeAt(s, observedPaths) }
+
+// observeAt is observe over the given paths.
+func observeAt(s *Session, paths []string) []string {
 	var out []string
-	for _, p := range observedPaths {
+	for _, p := range paths {
 		line := p + ":"
 		info, err := s.Stat(p)
 		if err != nil {
@@ -59,8 +63,13 @@ func observe(s *Session) []string {
 
 // TestRefusedWriteLeavesNoTrace: when the store refuses a write's batch,
 // the session that made it reads exactly what a fresh mount reads — the
-// cache changes only once the store has taken the batch — and the same
+// cache keeps nothing of a batch the store did not take — and the same
 // write, retried, succeeds and is then read back the same way by both.
+// In the "-acked" cases the store is an ssp.Sender that takes the batch
+// on the wire and fails it after the write has returned: the failure
+// comes back once, from the session's next operation (at once, from
+// the operation itself, for an attribute change, which waits for its
+// reply).
 func TestRefusedWriteLeavesNoTrace(t *testing.T) {
 	cases := []struct {
 		name  string
@@ -93,45 +102,92 @@ func TestRefusedWriteLeavesNoTrace(t *testing.T) {
 	}
 	schemes(t, func(t *testing.T, sw *world) {
 		for _, tc := range cases {
-			t.Run(tc.name, func(t *testing.T) {
-				rs := &refusingStore{BlobStore: ssp.NewMemStore()}
-				w := newWorld(t, sw.eng, rs)
-				alice := w.as("alice")
-				for _, err := range []error{
-					alice.Mkdir("/d", 0o755),
-					alice.Mkdir("/e", 0o755),
-					alice.Mkdir("/d/sub", 0o755),
-					alice.WriteFile("/d/old", []byte("old"), 0o644),
-				} {
-					if err != nil {
-						t.Fatal(err)
-					}
+			for _, acked := range []bool{false, true} {
+				name := tc.name
+				if acked {
+					name += "-acked"
 				}
-				if tc.setup != nil {
-					if err := tc.setup(alice); err != nil {
-						t.Fatal(err)
-					}
-				}
-				before := observe(alice) // the writer's cache is warm
-
-				rs.refuse = true
-				if err := tc.op(alice); !errors.Is(err, errRefused) {
-					t.Fatalf("refused %s: %v", tc.name, err)
-				}
-				rs.refuse = false
-				fresh := w.mountFresh("alice", -1)
-				defer fresh.Close()
-				want := observe(fresh)
-				sameLines(t, "store after the refused write", want, before)
-				sameLines(t, "writer after the refused write", observe(alice), want)
-
-				if err := tc.op(alice); err != nil {
-					t.Fatalf("retried %s: %v", tc.name, err)
-				}
-				again := w.mountFresh("alice", -1)
-				defer again.Close()
-				sameLines(t, "writer after the retry", observe(alice), observe(again))
-			})
+				t.Run(name, func(t *testing.T) { refusedWrite(t, sw.eng, acked, tc.setup, tc.op) })
+			}
 		}
+	})
+}
+
+// refusedWrite is one case of TestRefusedWriteLeavesNoTrace.
+func refusedWrite(t *testing.T, eng layout.Engine, acked bool, setup, op func(s *Session) error) {
+	rs := &refusingStore{BlobStore: ssp.NewMemStore()}
+	var store ssp.BlobStore = rs
+	var g *gatedStore
+	if acked {
+		g = &gatedStore{MemStore: ssp.NewMemStore()}
+		store = g
+	}
+	refuse := func(err error) {
+		if acked {
+			g.setRefuse(err)
+		} else {
+			rs.refuse = err != nil
+		}
+	}
+	w := newWorld(t, eng, store)
+	alice := w.as("alice")
+	must(t, alice.Mkdir("/d", 0o755), alice.Mkdir("/e", 0o755), alice.Mkdir("/d/sub", 0o755),
+		alice.WriteFile("/d/old", []byte("old"), 0o644))
+	if setup != nil {
+		must(t, setup(alice))
+	}
+	must(t, alice.Sync())
+	before := observe(alice) // the writer's cache is warm
+
+	refuse(errRefused)
+	err := op(alice)
+	if acked && err == nil {
+		err = alice.Sync()
+	}
+	if !errors.Is(err, errRefused) {
+		t.Fatalf("refused write: %v", err)
+	}
+	refuse(nil)
+	if err := alice.Sync(); err != nil {
+		t.Fatalf("the refusal came back twice: %v", err)
+	}
+	fresh := w.mountFresh("alice", -1)
+	defer fresh.Close()
+	want := observe(fresh)
+	sameLines(t, "store after the refused write", want, before)
+	sameLines(t, "writer after the refused write", observe(alice), want)
+
+	must(t, op(alice), alice.Sync())
+	again := w.mountFresh("alice", -1)
+	defer again.Close()
+	sameLines(t, "writer after the retry", observe(alice), observe(again))
+}
+
+// TestCreateCachesWhatItSealed: in a warm session, a new directory and
+// the files made in it right after cost one store read — the first create
+// reads the new directory's tables, which are not cached so that it sees
+// what other users made there since, and nothing else: the creator's own
+// metadata copy is cached as it was sealed — and every result then equals
+// what a fresh mount reads.
+func TestCreateCachesWhatItSealed(t *testing.T) {
+	countedSchemes(t, func(t *testing.T, w *world, cs *countingStore) {
+		alice := w.as("alice")
+		must(t, alice.Mkdir("/warm", 0o755)) // the root's metadata and tables are cached
+		cs.takeReads()
+		must(t, alice.Mkdir("/a", 0o750), alice.Create("/a/f", 0o640),
+			alice.WriteFile("/a/g", []byte("content"), 0o600))
+		reads := cs.takeReads()
+		if len(reads) != 1 {
+			t.Fatalf("mkdir, create and write in the new directory read %v, want one read of its tables", reads)
+		}
+		for _, k := range reads[0] {
+			if _, key, _ := strings.Cut(k, "/"); !strings.HasPrefix(key, "t/") {
+				t.Errorf("the first create in the new directory read %s, want its tables only (all: %v)", k, reads[0])
+			}
+		}
+		paths := []string{"/", "/a", "/a/f", "/a/g"}
+		fresh := w.mountFresh("alice", -1)
+		defer fresh.Close()
+		sameLines(t, "creator against a fresh mount", observeAt(alice, paths), observeAt(fresh, paths))
 	})
 }

@@ -180,7 +180,11 @@ func (s *Session) readBlocks(r ref, m *meta.Metadata, man *meta.Manifest, from, 
 func (s *Session) ReadFile(path string) ([]byte, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	defer s.beginOp("read")()
+	end, err := s.beginOp("read")
+	defer end()
+	if err != nil {
+		return nil, pathErr("read", path, err)
+	}
 	r, _, m, pre, err := s.resolveObject(path, withContent, false)
 	if err != nil {
 		return nil, pathErr("read", path, err)
@@ -226,7 +230,11 @@ func (s *Session) readContent(r ref, m *meta.Metadata, pre replyIndex) ([]byte, 
 func (s *Session) WriteFile(path string, data []byte, perm types.Perm) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	defer s.beginOp("write")()
+	end, err := s.beginOp("write")
+	defer end()
+	if err != nil {
+		return pathErr("write", path, err)
+	}
 	return pathErrNil("write", path, s.writeFile(path, data, perm))
 }
 
@@ -287,7 +295,7 @@ func (s *Session) overwrite(r ref, m *meta.Metadata, pre replyIndex, data []byte
 			return err
 		}
 	}
-	return s.commit(&w)
+	return s.commit(&w, false)
 }
 
 // Append implements vfs.FS: extend a file, re-encrypting only the final
@@ -296,7 +304,11 @@ func (s *Session) overwrite(r ref, m *meta.Metadata, pre replyIndex, data []byte
 func (s *Session) Append(path string, data []byte) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	defer s.beginOp("append")()
+	end, err := s.beginOp("append")
+	defer end()
+	if err != nil {
+		return pathErr("append", path, err)
+	}
 	return pathErrNil("append", path, s.appendFile(path, data))
 }
 
@@ -336,5 +348,5 @@ func (s *Session) appendFile(path string, data []byte) error {
 	var w write
 	s.sealBlocks(&w, m, newMan, firstDirty, tail)
 	w.add(dropTail(r.ino, man, newMan)...)
-	return s.commit(&w)
+	return s.commit(&w, false)
 }

@@ -43,7 +43,11 @@ const (
 func (s *Session) OpenFile(path string, flags int, perm types.Perm) (*File, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	defer s.beginOp("open")()
+	end, err := s.beginOp("open")
+	defer end()
+	if err != nil {
+		return nil, pathErr("open", path, err)
+	}
 
 	f := &File{s: s, path: path, write: flags&OWrite != 0}
 	// A truncating open reads no content; one that may create writes the

@@ -7,6 +7,7 @@ import (
 	"math/rand"
 	"strings"
 	"testing"
+	"time"
 
 	"github.com/sharoes/sharoes/internal/layout"
 	"github.com/sharoes/sharoes/internal/migrate"
@@ -81,7 +82,14 @@ func TestModelEquivalence(t *testing.T) {
 	// produced — full, names-only, exec-only, split rows — right after a
 	// mutation made through the same cache, and every listed name and
 	// attribute must match the model.
-	for _, mode := range []string{"", "wb", "wbshard", "lsl"} {
+	//
+	// "pipe1" and "pipe8" put the sessions over an ssp.Sender that takes
+	// each batch as it is sent and answers it one to three milliseconds
+	// later, out of order, with the window of batches in flight at 1 and
+	// at maxInFlight: the pipelined commit point's waits and reaping must
+	// leave every result as the model's.
+	pipelined := 0 // pipe8 runs in which a session had several batches in flight
+	for _, mode := range []string{"", "wb", "wbshard", "lsl", "pipe1", "pipe8"} {
 		name := func(scheme string, seed int64) string {
 			if mode != "" {
 				return fmt.Sprintf("%s/seed%d/%s", scheme, seed, mode)
@@ -93,6 +101,9 @@ func TestModelEquivalence(t *testing.T) {
 				t.Run(name(scheme, seed), func(t *testing.T) {
 					rng := rand.New(rand.NewSource(seed))
 					var store ssp.BlobStore = ssp.NewMemStore()
+					if mode == "pipe1" || mode == "pipe8" {
+						store = &gatedStore{MemStore: ssp.NewMemStore(), delay: time.Millisecond}
+					}
 					if mode == "wbshard" {
 						var bks []shard.Backend
 						for i := 0; i < 3; i++ {
@@ -135,6 +146,9 @@ func TestModelEquivalence(t *testing.T) {
 							t.Fatal(err)
 						}
 						defer s.Close()
+						if mode == "pipe1" {
+							s.window = 1
+						}
 						sess[u] = s
 					}
 
@@ -189,6 +203,7 @@ func TestModelEquivalence(t *testing.T) {
 						}
 					}
 
+					maxFlight := 0 // the most batches a session had in flight after a step
 					for step := 0; step < steps; step++ {
 						u := users[rng.Intn(len(users))]
 						s := sess[u]
@@ -300,6 +315,18 @@ func TestModelEquivalence(t *testing.T) {
 							dir, _, _ := types.SplitPath(path)
 							listLong(step, u, s, dir)
 						}
+						maxFlight = max(maxFlight, len(s.inflight))
+					}
+					if mode == "pipe1" && maxFlight > 1 {
+						t.Errorf("%d batches in flight with a window of 1", maxFlight)
+					}
+					if mode == "pipe8" && maxFlight > 1 {
+						pipelined++
+					}
+					for _, s := range sess {
+						if err := s.Sync(); err != nil {
+							t.Fatal(err)
+						}
 					}
 					if n := reg.Counter("client.stat.batch").Value(); mode == "lsl" && n < 20 {
 						t.Errorf("only %d sibling batches in %d steps: the mode is not exercising the batch", n, steps)
@@ -307,5 +334,8 @@ func TestModelEquivalence(t *testing.T) {
 				})
 			}
 		}
+	}
+	if pipelined == 0 {
+		t.Error("no pipe8 run had more than one batch in flight: the mode is not exercising the window")
 	}
 }

@@ -28,7 +28,11 @@ func pathErr(op, path string, err error) error {
 func (s *Session) Stat(path string) (vfs.Info, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	defer s.beginOp("stat")()
+	end, err := s.beginOp("stat")
+	defer end()
+	if err != nil {
+		return vfs.Info{}, pathErr("stat", path, err)
+	}
 	_, base, err := types.SplitPath(path)
 	if err != nil {
 		return vfs.Info{}, pathErr("stat", path, err)
@@ -108,7 +112,11 @@ func infoFromAttr(name string, a meta.Attr) vfs.Info {
 func (s *Session) ReadDir(path string) ([]string, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	defer s.beginOp("readdir")()
+	end, err := s.beginOp("readdir")
+	defer end()
+	if err != nil {
+		return nil, pathErr("readdir", path, err)
+	}
 	r, _, _, err := s.resolveRef(path, false)
 	if err != nil {
 		return nil, pathErr("readdir", path, err)
@@ -153,7 +161,11 @@ func (s *Session) ReadDir(path string) ([]string, error) {
 func (s *Session) Mkdir(path string, perm types.Perm) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	defer s.beginOp("mkdir")()
+	end, err := s.beginOp("mkdir")
+	defer end()
+	if err != nil {
+		return pathErr("mkdir", path, err)
+	}
 	return pathErrNil("mkdir", path, s.createObject(path, dirent{}, nil, perm, types.KindDir, nil))
 }
 
@@ -161,7 +173,11 @@ func (s *Session) Mkdir(path string, perm types.Perm) error {
 func (s *Session) Create(path string, perm types.Perm) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	defer s.beginOp("create")()
+	end, err := s.beginOp("create")
+	defer end()
+	if err != nil {
+		return pathErr("create", path, err)
+	}
 	return pathErrNil("create", path, s.createObject(path, dirent{}, nil, perm, types.KindFile, []byte{}))
 }
 
@@ -221,14 +237,25 @@ func (s *Session) createObject(path string, at dirent, pre replyIndex, perm type
 		Keys: s.eng.NewKeys(s.clock("mint-keys")),
 	}
 
-	// Child metadata, one sealed copy per CAP variant.
+	// Child metadata, one sealed copy per CAP variant, of which the
+	// creator's own is staged: their next walk into it reads nothing.
 	var w write
 	if err := s.sealMetaVariants(&w, child); err != nil {
 		return err
 	}
+	own := s.eng.UserVariant(s.user.ID, child.Attr)
+	ownKey := meta.MetaKey(child.Attr.Inode, own.ID)
+	for _, kv := range w.kvs {
+		if kv.Key == ownKey {
+			w.stage(ckMeta+kv.Key, s.eng.MetaCopy(child, own), int64(len(kv.Val)))
+		}
+	}
 
 	switch kind {
 	case types.KindDir:
+		// The empty tables are not staged: the first walk into the new
+		// directory reads them, so it sees what other users have created
+		// there since.
 		tkvs, err := layout.BuildTableKVs(s.eng, s.clock("seal-table"), child, &meta.DirTable{})
 		if err != nil {
 			return err
@@ -249,14 +276,18 @@ func (s *Session) createObject(path string, at dirent, pre replyIndex, perm type
 	if err := s.writeParentTables(&w, pr, pm, tables); err != nil {
 		return err
 	}
-	return s.commit(&w)
+	return s.commit(&w, false)
 }
 
 // Remove implements vfs.FS: unlink a file or remove an empty directory.
 func (s *Session) Remove(path string) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	defer s.beginOp("remove")()
+	end, err := s.beginOp("remove")
+	defer end()
+	if err != nil {
+		return pathErr("remove", path, err)
+	}
 	return pathErrNil("remove", path, s.remove(path))
 }
 
@@ -318,7 +349,7 @@ func (s *Session) remove(path string) error {
 		return err
 	}
 	w.add(dkvs...)
-	return s.commit(&w)
+	return s.commit(&w, false)
 }
 
 // deleteDataKVs enumerates an object's data blobs and split pointers for
@@ -365,7 +396,11 @@ func (s *Session) deleteDataKVs(r ref, m *meta.Metadata, pre replyIndex) ([]wire
 func (s *Session) Rename(oldPath, newPath string) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	defer s.beginOp("rename")()
+	end, err := s.beginOp("rename")
+	defer end()
+	if err != nil {
+		return pathErr("rename", oldPath, err)
+	}
 	return pathErrNil("rename", oldPath, s.rename(oldPath, newPath))
 }
 
@@ -459,5 +494,5 @@ func (s *Session) rename(oldPath, newPath string) error {
 		}
 	}
 	w.add(grants...)
-	return s.commit(&w)
+	return s.commit(&w, false)
 }

@@ -95,6 +95,14 @@ func (s *Session) walkHop(dir ref, comp string, writer bool) (ref, dirent, reply
 			return next, at, pre, nil
 		}
 	}
+	if pre == nil && writer {
+		// The metadata was cached and the view was not — a directory
+		// the session made itself: the view and the writer tables come
+		// in one round trip, as they would with the metadata.
+		if pre, err = s.fetchViewAndTables(dir, m); err != nil {
+			return ref{}, at, nil, err
+		}
+	}
 	dv, err := s.openViewOf(dir, m, pre)
 	if err != nil {
 		return ref{}, at, pre, err
@@ -202,6 +210,26 @@ func (s *Session) requireDirWriter(m *meta.Metadata) error {
 		return types.ErrPermission
 	}
 	return nil
+}
+
+// fetchViewAndTables fetches, in one round trip, whatever of directory
+// r's view and — when m opens them — writer tables is not cached. It
+// fetches nothing, and returns nil, when the view is cached or m opens no
+// table.
+func (s *Session) fetchViewAndTables(r ref, m *meta.Metadata) (replyIndex, error) {
+	key := meta.TableKey(r.ino, r.variant)
+	if m.Keys.DEK.IsZero() || s.cached(ckView+key) {
+		return nil, nil
+	}
+	want := []wire.KV{{NS: wire.NSData, Key: key}}
+	if !m.Keys.DataSeed.IsZero() && !m.Keys.DSK.IsZero() {
+		for _, kv := range s.missingTables(r, m, nil, nil) {
+			if kv.Key != key {
+				want = append(want, kv)
+			}
+		}
+	}
+	return s.fetch(want)
 }
 
 // missingTables lists the writer tables of directory r that

@@ -103,6 +103,16 @@ type Session struct {
 	groupKeys map[types.GroupID]sharocrypto.PrivateKey
 	root      ref
 	closed    bool
+
+	// The pipelined commit point (commit). sender is the store when it
+	// can send a batch without waiting for the reply, window the most
+	// batches in flight (maxInFlight), inflight the batches sent and not
+	// yet landed, in send order, and failed the failures landed since the
+	// last reap.
+	sender   ssp.Sender
+	window   int
+	inflight []*batch
+	failed   error
 }
 
 var _ vfs.FS = (*Session)(nil)
@@ -131,7 +141,9 @@ func Mount(cfg Config) (*Session, error) {
 		blockSize: bs,
 		lazy:      cfg.LazyRevocation,
 		sibChunk:  siblingChunk(cfg.CacheBytes),
+		window:    maxInFlight,
 	}
+	s.sender, _ = cfg.Store.(ssp.Sender)
 	// Only attach a tracer the caller actually supplied: extra untraced
 	// sessions mounted over a shared client (the parallel workloads) must
 	// not clobber the tracer the first session installed.
@@ -177,31 +189,38 @@ func Mount(cfg Config) (*Session, error) {
 	return s, nil
 }
 
-// Close releases the session. The underlying store is closed if the
-// session's config provided an io.Closer (e.g. an ssp.Client connection).
+// Close releases the session once every batch in flight is answered,
+// and returns the write failures not yet reported. The underlying store
+// is closed if the session's config provided an io.Closer (e.g. an
+// ssp.Client connection).
 func (s *Session) Close() error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if s.closed {
 		return nil
 	}
+	s.drain(nil)
+	err := s.reap()
 	s.closed = true
 	s.cache.Clear()
 	if c, ok := s.store.(io.Closer); ok {
-		return c.Close()
+		err = errors.Join(err, c.Close())
 	}
-	return nil
+	return err
 }
 
-// Refresh drops all locally cached (decrypted) state, forcing the next
-// operations to re-fetch from the SSP. Sharoes, like the paper's
-// prototype, provides no cross-client cache coherence protocol — the
+// Refresh waits for every batch in flight, then drops all locally cached
+// (decrypted) state, forcing the next operations to re-fetch from the
+// SSP; a write failure it waits for is reported by the next operation.
+// Sharoes, like the paper's prototype, provides no cross-client cache
+// coherence protocol — the
 // paper defers consistency semantics to a SUNDR-style integration (§VI) —
 // so a client that must observe another client's recent writes calls
 // Refresh (close-to-open consistency done by hand).
 func (s *Session) Refresh() {
 	s.mu.Lock()
 	defer s.mu.Unlock()
+	s.drain(nil)
 	s.cache.Clear()
 }
 
@@ -249,10 +268,16 @@ func (s *Session) cryptoGroup(name string) (sw layout.Stopwatch, end func()) {
 	}
 }
 
-// beginOp opens the root span and stopwatch for one vfs operation; the
-// returned func closes the span, observes the op's latency histogram and
-// counts the op on the recorder. Usage: defer s.beginOp("stat")().
-func (s *Session) beginOp(op string) func() {
+// beginOp opens the root span and stopwatch for one vfs operation and
+// reaps the batches answered since the last one (reap): err is the write
+// failure the operation reports instead of running. end closes the span,
+// observes the op's latency histogram and counts the op on the recorder.
+// Usage:
+//
+//	end, err := s.beginOp("stat")
+//	defer end()
+//	if err != nil { ... }
+func (s *Session) beginOp(op string) (end func(), err error) {
 	sp := s.tracer.Start("client."+op, obs.ClassNone)
 	start, fetched := time.Now(), s.fetches
 	return func() {
@@ -263,7 +288,7 @@ func (s *Session) beginOp(op string) func() {
 			s.metrics.Histogram("client.op." + op + ".ns").Observe(time.Since(start))
 		}
 		s.rec.AddOp()
-	}
+	}, s.reap()
 }
 
 // triplet returns the permission triplet applying to the session user:
@@ -453,9 +478,9 @@ func (s *Session) variantCap(attr meta.Attr, variant string) (cap.ID, error) {
 // --- the commit point -----------------------------------------------------
 
 // write is one client write as an operation builds it: the batch for the
-// store, and the decoded objects the session caches once the store has
-// taken it — objects the write produced itself, never ones read back from
-// the SSP. It is passed to commit; nothing of it lives in the Session.
+// store, and the decoded objects the session caches once the batch is
+// sent — objects the write produced itself, never ones read back from the
+// SSP. It is passed to commit; nothing of it lives in the Session.
 type write struct {
 	kvs    []wire.KV
 	staged []staged
@@ -482,29 +507,187 @@ var cacheNamespaces = map[wire.NS][]string{
 	wire.NSData: {ckView, ckWTable, ckManifest, ckBlock},
 }
 
+// maxInFlight is how many batches a session over an ssp.Sender may have
+// sent and not yet seen answered (DESIGN.md §7.20).
+const maxInFlight = 8
+
+// batch is one committed write on its way to the store: sent, and not yet
+// taken out of flight by land.
+type batch struct {
+	kvs   []wire.KV
+	reply <-chan error
+	keys  map[blobKey]struct{} // the keys kvs names, built on first ask
+}
+
+// names reports whether the batch names (ns, key).
+func (b *batch) names(ns wire.NS, key string) bool {
+	if b.keys == nil {
+		b.keys = make(map[blobKey]struct{}, len(b.kvs))
+		for _, kv := range b.kvs {
+			b.keys[blobKey{kv.NS, kv.Key}] = struct{}{}
+		}
+	}
+	_, ok := b.keys[blobKey{ns, key}]
+	return ok
+}
+
 // commit is the one place a client write reaches the store and the one
-// place it changes the cache. Whether the store takes the batch or not,
-// the cache forgets every entry at every storage key the batch names —
-// what it held there is stale if the store took the batch, and what the
-// write staged was never stored if it did not — and only once the store
-// has taken it are the staged objects cached. A cache key is a namespace
-// prefix plus a storage key, so this costs one delete per (key, namespace)
-// and never a scan. Under write-behind the store acknowledges before it
-// flushes, so a flush that fails later can leave the cache ahead of the
-// store (DESIGN.md §7.20).
-func (s *Session) commit(w *write) error {
-	err := s.store.BatchPut(w.kvs)
+// place it changes the cache. The batch waits first for every batch in
+// flight that names one of its keys — the SSP applies one connection's
+// requests in any order — and for room among the window's batches in
+// flight. Then the cache forgets every entry at every storage key the
+// batch names, the batch is sent, and the staged objects are cached. A
+// cache key is a namespace prefix plus a storage key, so forgetting costs
+// one delete per (key, namespace) and never a scan.
+//
+// A reply in hand once the batch is sent — any store's but a Sender's,
+// and an ssp.Client's over a link faster than its pipelining threshold —
+// lands at once, and commit returns its error. Otherwise commit returns
+// once the batch is sent, and its reply is taken later (reap, drain),
+// unless wait is set: then it waits for the reply. wait also waits for
+// every earlier batch first, so the write is the last to land: setAttr's
+// revocations take effect before it returns. A batch that fails makes the
+// cache forget its keys and those of every batch sent after it (land);
+// a write that finds a failure while it waits is not sent, and returns
+// that failure.
+func (s *Session) commit(w *write, wait bool) error {
+	if wait {
+		s.drain(nil)
+	} else {
+		s.drainNaming(w.kvs)
+	}
+	for len(s.inflight) >= s.window {
+		s.failed = errors.Join(s.failed, s.await(s.inflight[0]))
+	}
+	if s.failed != nil {
+		// The write was built on what the session had cached, which a
+		// failed batch may have staged: it is not sent.
+		return s.reap()
+	}
+	s.forget(w.kvs)
+	b := &batch{kvs: w.kvs}
+	if s.sender != nil {
+		b.reply = s.sender.SendBatch(w.kvs)
+	} else {
+		done := make(chan error, 1)
+		done <- s.store.BatchPut(w.kvs)
+		b.reply = done
+	}
+	s.inflight = append(s.inflight, b)
+	for _, st := range w.staged {
+		s.cache.Put(st.key, st.val, st.size)
+	}
+	select {
+	case err := <-b.reply: // answered already: any store but a Sender over a slow link
+		s.land(b, err)
+		return err
+	default:
+	}
+	if wait {
+		return s.await(b)
+	}
+	return nil
+}
+
+// forget drops every cache entry at a storage key kvs names.
+func (s *Session) forget(kvs []wire.KV) {
 	var key [64]byte // a key the cache does not keep: built without allocating
-	for _, kv := range w.kvs {
+	for _, kv := range kvs {
 		for _, prefix := range cacheNamespaces[kv.NS] {
 			s.cache.Delete(string(append(append(key[:0], prefix...), kv.Key...)))
 		}
 	}
-	if err != nil {
-		return err
+}
+
+// await waits for b's reply, takes b out of flight and returns its error.
+// The time it blocks is charged to NETWORK: a reply already in hand cost
+// nothing here, and a synchronous store charged its own wait.
+func (s *Session) await(b *batch) error {
+	var err error
+	select {
+	case err = <-b.reply:
+	default:
+		stop := s.rec.Time(stats.Network)
+		err = <-b.reply
+		stop()
 	}
-	for _, st := range w.staged {
-		s.cache.Put(st.key, st.val, st.size)
+	s.land(b, err)
+	return err
+}
+
+// land takes b, answered with err, out of flight. If it failed, the
+// cache forgets every key of b and of every batch sent after it: what
+// they staged may rest on what b was to store.
+func (s *Session) land(b *batch, err error) {
+	for i, f := range s.inflight {
+		if f != b {
+			continue
+		}
+		if err != nil {
+			for _, later := range s.inflight[i:] {
+				s.forget(later.kvs)
+			}
+		}
+		s.inflight = append(s.inflight[:i], s.inflight[i+1:]...)
+		return
+	}
+}
+
+// drain waits, in send order, for every batch in flight that match
+// selects (all of them for a nil match), and keeps their failures for
+// reap to report.
+func (s *Session) drain(match func(*batch) bool) {
+	for i := 0; i < len(s.inflight); {
+		if b := s.inflight[i]; match == nil || match(b) {
+			s.failed = errors.Join(s.failed, s.await(b)) // b leaves s.inflight[i]
+			continue
+		}
+		i++
+	}
+}
+
+// drainNaming waits for every batch in flight that names a key of kvs.
+func (s *Session) drainNaming(kvs []wire.KV) {
+	if len(s.inflight) == 0 {
+		return
+	}
+	s.drain(func(b *batch) bool {
+		for _, kv := range kvs {
+			if b.names(kv.NS, kv.Key) {
+				return true
+			}
+		}
+		return false
+	})
+}
+
+// reap takes every reply that has arrived, without waiting for any other,
+// and returns the failures among them and those kept since the last reap,
+// which it then forgets: each failure is reported once, by the operation
+// that reaps it. Every operation reaps first.
+func (s *Session) reap() error {
+	for i := 0; i < len(s.inflight); {
+		select {
+		case err := <-s.inflight[i].reply:
+			s.land(s.inflight[i], err)
+			s.failed = errors.Join(s.failed, err)
+		default:
+			i++
+		}
+	}
+	err := s.failed
+	s.failed = nil
+	if err != nil {
+		return fmt.Errorf("client: an acknowledged write failed: %w", err)
 	}
 	return nil
+}
+
+// Sync waits for every batch in flight and returns the failures not yet
+// reported, once.
+func (s *Session) Sync() error {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	s.drain(nil)
+	return s.reap()
 }

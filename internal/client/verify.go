@@ -48,7 +48,11 @@ func (r *VerifyReport) String() string {
 func (s *Session) Verify(path string) (*VerifyReport, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	defer s.beginOp("verify")()
+	end, err := s.beginOp("verify")
+	defer end()
+	if err != nil {
+		return nil, pathErr("verify", path, err)
+	}
 
 	// Bypass (and afterwards restore) the cache so the SSP cannot hide
 	// behind previously verified copies.

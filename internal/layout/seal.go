@@ -37,6 +37,9 @@ type Sealer interface {
 	// SealMeta seals the copies vs of an object's metadata, from the
 	// complete key set full carries.
 	SealMeta(sw Stopwatch, full *meta.Metadata, vs []Variant) ([]wire.KV, error)
+	// MetaCopy is the plaintext SealMeta seals as the copy v: what
+	// OpenMeta returns for it.
+	MetaCopy(full *meta.Metadata, v Variant) *meta.Metadata
 	// OpenMeta opens the copy of ino's metadata stored for variant, with
 	// the keys its directory row or superblock gave (mek, mvk) or with
 	// user u's private key.
@@ -93,6 +96,11 @@ func (signed) SealMeta(sw Stopwatch, full *meta.Metadata, vs []Variant) ([]wire.
 		out = append(out, wire.KV{NS: wire.NSMeta, Key: meta.MetaKey(full.Attr.Inode, v.ID), Val: blob})
 	}
 	return out, nil
+}
+
+// MetaCopy implements Sealer: the keys v's CAP grants.
+func (signed) MetaCopy(full *meta.Metadata, v Variant) *meta.Metadata {
+	return cap.Filter(full, v.Cap, v.ID)
 }
 
 // OpenMeta implements Sealer.

@@ -14,6 +14,7 @@ package meta
 
 import (
 	"crypto/sha256"
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"sort"
@@ -423,7 +424,8 @@ func (t *DirTable) Clone() *DirTable {
 	return out
 }
 
-// encodeEntry writes one row.
+// encodeEntry writes one row, allocating nothing once the writer has
+// room for maxEntrySize(e).
 func encodeEntry(w *binenc.Writer, e *DirEntry) {
 	w.String(e.Name)
 	w.Uvarint(uint64(e.Inode))
@@ -433,8 +435,13 @@ func encodeEntry(w *binenc.Writer, e *DirEntry) {
 		return
 	}
 	w.Raw(e.MEK[:])
-	mvk := e.MVK.Marshal()
-	w.BytesField(mvk)
+	var mvk [sharocrypto.VerifyKeySize]byte
+	w.BytesField(e.MVK.AppendMarshal(mvk[:0]))
+}
+
+// maxEntrySize bounds the size encodeEntry writes for e.
+func maxEntrySize(e *DirEntry) int {
+	return 4*binary.MaxVarintLen64 + 1 + len(e.Name) + len(e.Variant) + sharocrypto.SymKeySize + sharocrypto.VerifyKeySize
 }
 
 func decodeEntry(r *binenc.Reader) (DirEntry, error) {
@@ -478,6 +485,11 @@ func decodeEntry(r *binenc.Reader) (DirEntry, error) {
 // with fewer visible columns are produced by package cap.
 func (t *DirTable) Encode() []byte {
 	var w binenc.Writer
+	n := binary.MaxVarintLen64
+	for i := range t.Entries {
+		n += maxEntrySize(&t.Entries[i])
+	}
+	w.Grow(n)
 	w.Uvarint(uint64(len(t.Entries)))
 	for i := range t.Entries {
 		encodeEntry(&w, &t.Entries[i])

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"reflect"
 	"slices"
+	"strconv"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -203,6 +204,25 @@ func TestDirTableEncodeDecode(t *testing.T) {
 	}
 	if _, err := DecodeTable([]byte{0xFF, 0xFF, 0xFF}); !errors.Is(err, ErrBadEncoding) {
 		t.Errorf("garbage table: %v", err)
+	}
+}
+
+// TestDirTableEncodeAllocsFlat: encoding a table allocates per table, not
+// per row — a row's MVK is written without a copy of its own, and the
+// buffer is sized once — so 32 rows cost what 4 do.
+func TestDirTableEncodeAllocsFlat(t *testing.T) {
+	_, dvk := sharocrypto.NewSigningPair()
+	allocs := func(rows int) float64 {
+		tbl := &DirTable{}
+		for i := 0; i < rows; i++ {
+			tbl.Insert(DirEntry{Name: "entry-" + strconv.Itoa(i), Inode: types.Inode(1000 + i), Variant: "o",
+				MEK: sharocrypto.NewSymKey(), MVK: dvk})
+		}
+		tbl.Insert(DirEntry{Name: "split", Inode: 1, Split: true})
+		return testing.AllocsPerRun(100, func() { _ = tbl.Encode() })
+	}
+	if four, thirtyTwo := allocs(4), allocs(32); four != thirtyTwo {
+		t.Errorf("DirTable.Encode allocates %v times for 4 rows, %v for 32", four, thirtyTwo)
 	}
 }
 

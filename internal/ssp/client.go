@@ -53,6 +53,21 @@ type Call struct {
 	// stay pending to absorb the eventual reply instead of letting the
 	// reader treat that reply as unsolicited. Guarded by the client mutex.
 	expired bool
+	// onDone, when set, takes the completed call instead of Done: it runs
+	// on whichever goroutine completes the call, so it must not block.
+	onDone func(*Call)
+	// sent is when the call was registered; a reply measures the round
+	// trip from it (Client.minRTT).
+	sent time.Time
+}
+
+// complete hands the completed call to its consumer.
+func (call *Call) complete() {
+	if call.onDone != nil {
+		call.onDone(call)
+		return
+	}
+	call.Done <- call
 }
 
 // Response returns the reply, folding transport errors and non-OK remote
@@ -90,6 +105,17 @@ type Client struct {
 	pending map[uint64]*Call // by ReqID
 	closing bool             // Close started; new calls fail fast
 	stopErr error            // terminal transport error, sticky
+	// live holds the ReqID of every registered call whose delivery has
+	// not finished — its consumer has not yet run — and done is signalled
+	// when one leaves it while a Barrier waits (barriers counts them).
+	live     map[uint64]struct{}
+	done     *sync.Cond
+	barriers int
+
+	// minRTT is the shortest round trip a reply has measured on this
+	// connection, in nanoseconds (0 until the first reply): the link's own
+	// delay, which decides whether SendBatch pipelines.
+	minRTT atomic.Int64
 
 	readerDone chan struct{}
 	writerDone chan struct{}
@@ -103,7 +129,11 @@ type Client struct {
 	timeout atomic.Int64
 }
 
-var _ BlobStore = (*Client)(nil)
+var (
+	_ BlobStore = (*Client)(nil)
+	_ Sender    = (*Client)(nil)
+	_ Flusher   = (*Client)(nil)
+)
 
 // sendQueueDepth bounds the send queue; callers block (backpressure) once
 // this many requests await the writer goroutine.
@@ -124,9 +154,11 @@ func Dial(dial Dialer, rec *stats.Recorder, tracer ...*obs.Tracer) (*Client, err
 		rec:        rec,
 		sendq:      make(chan *Call, sendQueueDepth),
 		pending:    make(map[uint64]*Call),
+		live:       make(map[uint64]struct{}),
 		readerDone: make(chan struct{}),
 		writerDone: make(chan struct{}),
 	}
+	c.done = sync.NewCond(&c.mu)
 	if len(tracer) > 0 {
 		c.tracer.Store(tracer[0])
 	}
@@ -191,7 +223,13 @@ func (c *Client) Go(req *wire.Request, done chan *Call) *Call {
 		panic("ssp: Go called with unbuffered done channel")
 	}
 	call := &Call{Req: req, Done: done}
+	c.send(call)
+	return call
+}
 
+// send registers call and queues it for the writer goroutine.
+func (c *Client) send(call *Call) {
+	req := call.Req
 	c.mu.Lock()
 	if c.closing || c.stopErr != nil {
 		err := c.stopErr
@@ -201,12 +239,14 @@ func (c *Client) Go(req *wire.Request, done chan *Call) *Call {
 		}
 		call.completed.Store(true)
 		call.Err = err
-		call.Done <- call
-		return call
+		call.complete()
+		return
 	}
 	c.seq++
 	req.ReqID = c.seq
 	c.pending[req.ReqID] = call
+	c.live[req.ReqID] = struct{}{}
+	call.sent = time.Now()
 	// Arm the deadline while the registration lock is held, so every
 	// goroutine that finds the call in pending also sees its timer.
 	if d := c.timeout.Load(); d > 0 {
@@ -224,7 +264,71 @@ func (c *Client) Go(req *wire.Request, done chan *Call) *Call {
 		// termination was already failed, so this is usually a no-op.
 		c.failPending(req.ReqID)
 	}
-	return call
+}
+
+// pipelineRTT is the shortest link round trip over which SendBatch
+// pipelines. Below it — loopback, a LAN — the wait for a reply is no
+// longer than the client's own work per operation, so a batch left in
+// flight buys little, and the next read, queued behind it at both peers,
+// pays for it (EXPERIMENTS.md E1). Over a wide-area link the wait is most
+// of an operation's time.
+const pipelineRTT = time.Millisecond
+
+// SendBatch implements Sender: it queues a BatchPut and returns at once,
+// once the connection has measured a round trip of at least pipelineRTT;
+// until then, and on a faster link, it is BatchPut, and returns with the
+// reply. The returned channel yields the reply's error, or the
+// transport's, once. The bytes both ways are charged to the recorder and
+// the call traced as an "rpc.batchput" span exactly as BatchPut charges
+// them, before the call counts as finished for Barrier; the span is
+// detached from the tracer's stack, because it ends on the reader
+// goroutine, after the operation that sent it may have ended. The wait
+// for a pipelined reply is not charged here: the caller blocks for it
+// later, or not at all, and charges what it blocks.
+func (c *Client) SendBatch(items []wire.KV) <-chan error {
+	errc := make(chan error, 1)
+	if c.minRTT.Load() < int64(pipelineRTT) {
+		errc <- c.BatchPut(items)
+		return errc
+	}
+	req := &wire.Request{Op: wire.OpBatchPut, Items: items}
+	sp := c.startSpan(req, true)
+	c.send(&Call{Req: req, onDone: func(call *Call) {
+		c.endRPC(call, sp)
+		if call.Err != nil {
+			errc <- fmt.Errorf("ssp: %s: %w", req.Op, call.Err)
+			return
+		}
+		errc <- call.Resp.AsError()
+	}})
+	return errc
+}
+
+// Barrier implements Flusher: it returns once every call issued before
+// it has been delivered — its reply or its failure handed over, and a
+// SendBatch call charged — so that whatever the connection carried
+// before it, pipelined batches included, has been applied or refused at
+// the SSP. It returns the connection's terminal error, if it has one.
+func (c *Client) Barrier() error {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	c.barriers++
+	defer func() { c.barriers-- }()
+	for last := c.seq; c.unfinished(last); {
+		c.done.Wait()
+	}
+	return c.stopErr
+}
+
+// unfinished reports whether a call with ReqID up to last is still live.
+// Called under c.mu.
+func (c *Client) unfinished(last uint64) bool {
+	for id := range c.live {
+		if id <= last {
+			return true
+		}
+	}
+	return false
 }
 
 // writeLoop drains the send queue onto the wire. Encoding and the shaped
@@ -498,7 +602,26 @@ func (c *Client) deliver(call *Call, resp *wire.Response, bytesIn int64, err err
 	if g := c.inflight.Load(); g != nil {
 		g.Add(-1)
 	}
-	call.Done <- call
+	if resp != nil {
+		c.noteRTT(time.Since(call.sent))
+	}
+	call.complete()
+	c.mu.Lock()
+	delete(c.live, call.Req.ReqID)
+	if c.barriers > 0 {
+		c.done.Broadcast()
+	}
+	c.mu.Unlock()
+}
+
+// noteRTT keeps rtt if it is the connection's shortest round trip yet.
+func (c *Client) noteRTT(rtt time.Duration) {
+	for {
+		cur := c.minRTT.Load()
+		if cur != 0 && cur <= int64(rtt) || c.minRTT.CompareAndSwap(cur, int64(rtt)) {
+			return
+		}
+	}
 }
 
 // call performs one synchronous round trip, charging the wait to NETWORK.
@@ -506,15 +629,40 @@ func (c *Client) deliver(call *Call, resp *wire.Response, bytesIn int64, err err
 // "rpc.<op>" span, and the frame carries the trace context so the SSP's
 // handler span joins the same trace.
 func (c *Client) call(req *wire.Request) (*wire.Response, error) {
-	tracer := c.tracer.Load()
-	sp := tracer.Start("rpc."+req.Op.String(), obs.ClassNetwork)
-	if tid, sid := tracer.Current(); tid != 0 {
-		req.TraceID, req.SpanID = uint64(tid), uint64(sid)
-	}
+	sp := c.startSpan(req, false)
 	stop := c.rec.Time(stats.Network)
 	call := c.Go(req, make(chan *Call, 1))
 	<-call.Done
 	stop()
+	c.endRPC(call, sp)
+	if call.Err != nil {
+		return nil, fmt.Errorf("ssp: %s: %w", req.Op, call.Err)
+	}
+	return call.Resp, nil
+}
+
+// startSpan starts one round trip's "rpc.<op>" span and stamps its trace
+// context on the request. A detached span joins the open operation
+// without entering the tracer's stack, for a call that may complete after
+// that operation has ended.
+func (c *Client) startSpan(req *wire.Request, detached bool) *obs.Span {
+	tracer := c.tracer.Load()
+	var sp *obs.Span
+	if detached {
+		tid, sid := tracer.Current()
+		sp = tracer.StartRemote(tid, sid, "rpc."+req.Op.String(), obs.ClassNetwork)
+	} else {
+		sp = tracer.Start("rpc."+req.Op.String(), obs.ClassNetwork)
+	}
+	if sp != nil {
+		req.TraceID, req.SpanID = uint64(sp.Trace), uint64(sp.ID)
+	}
+	return sp
+}
+
+// endRPC accounts for call once it has completed: the bytes both ways go
+// to the recorder, and the span from startSpan ends.
+func (c *Client) endRPC(call *Call, sp *obs.Span) {
 	out, in := call.bytesOut.Load(), call.bytesIn
 	c.rec.AddBytes(int(out), int(in))
 	if sp != nil { // skip the strconv work when untraced
@@ -522,10 +670,6 @@ func (c *Client) call(req *wire.Request) (*wire.Response, error) {
 		sp.Annotate("bytes_in", strconv.FormatInt(in, 10))
 		sp.End()
 	}
-	if call.Err != nil {
-		return nil, fmt.Errorf("ssp: %s: %w", req.Op, call.Err)
-	}
-	return call.Resp, nil
 }
 
 // Ping checks liveness.

@@ -61,6 +61,18 @@ type ViewStore interface {
 	BatchGetView(items []wire.KV) ([]wire.KV, error)
 }
 
+// Sender is the optional pipelined-write extension of BlobStore, for a
+// store that can put a batch on the wire without waiting for its reply:
+// SendBatch returns once the batch is queued, and the channel it returns
+// yields the reply's error exactly once. The store gives no ordering
+// between batches, or between a batch and a later read, that are in
+// flight together (the SSP dispatches one connection's requests
+// concurrently): a caller that needs one waits for the earlier reply
+// first (docs/TRANSPORT.md §6).
+type Sender interface {
+	SendBatch(items []wire.KV) <-chan error
+}
+
 // MemStore is the in-memory backend: a mutex-guarded hashtable, exactly the
 // paper's description of the SSP server.
 type MemStore struct {

@@ -79,10 +79,11 @@ type WriteBehind struct {
 
 var _ BlobStore = (*WriteBehind)(nil)
 
-// Flusher is the barrier interface exposed by write-behind stores, the
-// only layer that buffers writes; callers that need read-after-write
-// visibility across clients (or a durability point) type-assert against
-// it.
+// Flusher is the barrier interface of the stores that acknowledge a
+// write before the SSP has applied it: write-behind, which buffers
+// writes, and the pipelined Client, whose SendBatch returns before the
+// reply. Callers that need read-after-write visibility across clients
+// (or a durability point) type-assert against it.
 type Flusher interface {
 	Barrier() error
 }

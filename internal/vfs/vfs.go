@@ -81,6 +81,11 @@ type FS interface {
 	// GetACL lists the object's per-user grants.
 	GetACL(path string) ([]types.ACLEntry, error)
 
+	// Sync waits until every write made so far has been answered by the
+	// SSP and returns the failures not yet reported. Benchmarks end each
+	// timed phase with it, so a phase's time includes its writes.
+	Sync() error
+
 	// Refresh drops the client's local cache of decrypted objects,
 	// forcing subsequent operations back to the SSP. Benchmarks use it
 	// to model phase boundaries (each Andrew phase is a separate

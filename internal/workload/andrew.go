@@ -130,6 +130,9 @@ func Andrew(fs vfs.FS, cfg AndrewConfig) (AndrewResult, error) {
 			return res, fmt.Errorf("andrew phase1: %w", err)
 		}
 	}
+	if err := fs.Sync(); err != nil {
+		return res, fmt.Errorf("andrew phase1: %w", err)
+	}
 	res.Phase[0] = time.Since(start)
 	fs.Refresh()
 
@@ -139,6 +142,9 @@ func Andrew(fs vfs.FS, cfg AndrewConfig) (AndrewResult, error) {
 		if err := fs.WriteFile("/andrew/"+name, src[name], 0o644); err != nil {
 			return res, fmt.Errorf("andrew phase2: %w", err)
 		}
+	}
+	if err := fs.Sync(); err != nil {
+		return res, fmt.Errorf("andrew phase2: %w", err)
 	}
 	res.Phase[1] = time.Since(start)
 	fs.Refresh()
@@ -203,6 +209,9 @@ func Andrew(fs vfs.FS, cfg AndrewConfig) (AndrewResult, error) {
 		binary = append(binary, h[:]...)
 	}
 	if err := fs.WriteFile("/andrew/a.out", binary, 0o755); err != nil {
+		return res, fmt.Errorf("andrew phase5 link: %w", err)
+	}
+	if err := fs.Sync(); err != nil {
 		return res, fmt.Errorf("andrew phase5 link: %w", err)
 	}
 	res.Phase[4] = time.Since(start)

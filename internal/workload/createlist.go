@@ -75,6 +75,9 @@ func CreateList(fs vfs.FS, rec *stats.Recorder, cfg CreateListConfig) (CreateLis
 		}
 		createHist.Observe(time.Since(t))
 	}
+	if err := fs.Sync(); err != nil {
+		return res, fmt.Errorf("createlist: %w", err)
+	}
 	res.Create = time.Since(start)
 	res.CreateLat = createHist.Snapshot()
 	mid := rec.Snapshot()

@@ -2,6 +2,7 @@ package workload
 
 import (
 	"bytes"
+	"errors"
 	"fmt"
 	"time"
 
@@ -64,7 +65,7 @@ func OpCosts(fs vfs.FS, rec *stats.Recorder, cfg OpCostsConfig) (OpCostsResult, 
 			fs.Refresh()
 			before := rec.Snapshot()
 			start := time.Now()
-			if err := action(i); err != nil {
+			if err := errors.Join(action(i), fs.Sync()); err != nil {
 				return fmt.Errorf("opcosts %s: %w", op, err)
 			}
 			wall += time.Since(start)

@@ -156,6 +156,9 @@ func Postmark(fs vfs.FS, cfg PostmarkConfig) (PostmarkResult, error) {
 		txHist.Observe(time.Since(txStart))
 		res.Transactions++
 	}
+	if err := fs.Sync(); err != nil {
+		return res, fmt.Errorf("postmark: %w", err)
+	}
 	res.Total = time.Since(start)
 	res.TxLat = txHist.Snapshot()
 	return res, nil
