@@ -20,6 +20,7 @@ FUZZ_TARGETS := \
 	./internal/meta:FuzzOpenVerified \
 	./internal/meta:FuzzOpenBlock \
 	./internal/cap:FuzzOpenView \
+	./internal/cache:FuzzCache \
 	./internal/analysis:FuzzParseAllowDirective
 
 FUZZTIME ?= 10s

@@ -376,6 +376,19 @@ func (s *Session) sealMetaVariants(w *write, m *meta.Metadata) error {
 	return nil
 }
 
+// stageOwnMeta stages, out of the metadata copies of m that w seals, the
+// one the session user reads, as it was sealed: their next walk into the
+// object, or Stat of it, reads nothing.
+func (s *Session) stageOwnMeta(w *write, m *meta.Metadata) {
+	own := s.eng.UserVariant(s.user.ID, m.Attr)
+	ownKey := meta.MetaKey(m.Attr.Inode, own.ID)
+	for _, kv := range w.kvs {
+		if kv.NS == wire.NSMeta && kv.Key == ownKey {
+			w.stage(ckMeta+kv.Key, s.eng.MetaCopy(m, own), int64(len(kv.Val)))
+		}
+	}
+}
+
 // requireOwner checks that the session user owns the object and holds the
 // owner keys (MSK + metadata seed).
 func (s *Session) requireOwner(m *meta.Metadata) error {

@@ -110,9 +110,9 @@ var budgetOps = []budgetOp{
 	// Appending touches the tail alone, however many blocks precede it.
 	{name: "append", cold: hops + 1, warm: 0, split: true, run: appendOp("/f")},
 	{name: "append1", cold: hops + 1, warm: 0, split: true, run: appendOp("/s")},
-	// An owner's write also re-seals the metadata (size, mtime), so the
-	// copy it had cached is gone by the next one: warm, that is one fetch.
-	{name: "overwrite", cold: hops + 1, warm: 1, split: true,
+	// An owner's write also re-seals the metadata (size, mtime) and caches
+	// its own new copy, so warm the next one reads nothing.
+	{name: "overwrite", cold: hops + 1, warm: 0, split: true,
 		run: func(s *Session, m *refmodel.Model, u types.UserID, dir string, i int) (string, string) {
 			data := bytes.Repeat([]byte{byte('a' + i)}, 70+i)
 			return errClass(s.WriteFile(dir+"/f", data, 0o644)), errClass(m.WriteFile(u, dir+"/f", data, 0o644))

@@ -191,3 +191,29 @@ func TestCreateCachesWhatItSealed(t *testing.T) {
 		sameLines(t, "creator against a fresh mount", observeAt(alice, paths), observeAt(fresh, paths))
 	})
 }
+
+// TestOverwriteCachesOwnersMeta: an owner's overwrite re-seals every
+// metadata copy and caches its own as it was sealed, as a create does, so
+// a Stat and a ReadFile right after it read nothing from the store, and
+// every result then equals what a fresh mount reads.
+func TestOverwriteCachesOwnersMeta(t *testing.T) {
+	countedSchemes(t, func(t *testing.T, w *world, cs *countingStore) {
+		alice := w.as("alice")
+		must(t, alice.WriteFile("/f", []byte("first"), 0o644))
+		cs.takeReads()
+		must(t, alice.WriteFile("/f", []byte("second, and longer"), 0o644))
+		if _, err := alice.Stat("/f"); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := alice.ReadFile("/f"); err != nil {
+			t.Fatal(err)
+		}
+		if reads := cs.takeReads(); len(reads) != 0 {
+			t.Errorf("overwrite, Stat and ReadFile read %v, want nothing", reads)
+		}
+		paths := []string{"/", "/f"}
+		fresh := w.mountFresh("alice", -1)
+		defer fresh.Close()
+		sameLines(t, "owner after an overwrite against a fresh mount", observeAt(alice, paths), observeAt(fresh, paths))
+	})
+}

@@ -287,13 +287,14 @@ func (s *Session) overwrite(r ref, m *meta.Metadata, pre replyIndex, data []byte
 	}
 	w.add(dropTail(r.ino, oldMan, newMan)...)
 	// Owners also refresh the metadata copies so stat stays fresh for
-	// users without read access.
+	// users without read access, and keep their own.
 	if isOwner {
 		updated.Attr.Size = uint64(len(data))
 		updated.Attr.MTime = now
 		if err := s.sealMetaVariants(&w, &updated); err != nil {
 			return err
 		}
+		s.stageOwnMeta(&w, &updated)
 	}
 	return s.commit(&w, false)
 }

@@ -243,13 +243,7 @@ func (s *Session) createObject(path string, at dirent, pre replyIndex, perm type
 	if err := s.sealMetaVariants(&w, child); err != nil {
 		return err
 	}
-	own := s.eng.UserVariant(s.user.ID, child.Attr)
-	ownKey := meta.MetaKey(child.Attr.Inode, own.ID)
-	for _, kv := range w.kvs {
-		if kv.Key == ownKey {
-			w.stage(ckMeta+kv.Key, s.eng.MetaCopy(child, own), int64(len(kv.Val)))
-		}
-	}
+	s.stageOwnMeta(&w, child)
 
 	switch kind {
 	case types.KindDir:

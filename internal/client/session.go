@@ -8,6 +8,17 @@
 // private key the user manages, and from there every key needed to walk
 // the tree is obtained from the structures themselves: directory tables
 // carry the MEK/MVK of children, metadata carries the DEK/DSK/DVK of data.
+//
+// The session caches what it opens and what it seals (internal/cache).
+// The cache keeps what saves the most round trips per byte, so every
+// insert — a cache.Put on the read side, a write.stage on the write side
+// — charges the size of what it holds:
+//   - a metadata copy or a manifest: the length of its sealed blob;
+//   - a data block: its plaintext length;
+//   - a writer table: tableSize;
+//   - a view: its blob length, or tableSize when the writer staged it,
+//     plus, for each row the session remembers in it, the row's name
+//     length and refCost.
 package client
 
 import (

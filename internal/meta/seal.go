@@ -121,11 +121,13 @@ func sign(sk sharocrypto.SignKey, m *[sha256.Size]byte) []byte {
 // process-wide: every session in one process shares one trust domain
 // (DESIGN.md §5).
 //
-// It is 2^12 sets of four 32-byte keys, 512 KiB, each set newest first; a
-// key's first bytes pick its set, and an insert into a full set evicts the
-// set's oldest key. Four ways, not one: in a direct-mapped table every key
-// that lands on a live entry's slot evicts it, and a test tree of a dozen
-// objects lost one that way in about one run of fifty.
+// It is 2^12 sets of four 32-byte keys, 512 KiB, each set most recently
+// used first; a key's first bytes pick its set, a hit or an insert moves
+// the key to the front of its set, and an insert into a full set evicts
+// the set's least recently used key. Four ways, not one: in a
+// direct-mapped table every key that lands on a live entry's slot evicts
+// it, and a test tree of a dozen objects lost one that way in about one
+// run of fifty.
 const (
 	memoSets = 1 << 12
 	memoWays = 4
@@ -153,21 +155,27 @@ func memoKey(vk sharocrypto.VerifyKey, m *[sha256.Size]byte, sig []byte) [sha256
 // memoSetOf is the index of k's set.
 func memoSetOf(k *[sha256.Size]byte) uint32 { return binary.LittleEndian.Uint32(k[:]) % memoSets }
 
-// memoFind returns k's set and whether k is in it. memoMu held.
-func memoFind(k *[sha256.Size]byte) (*[memoWays][sha256.Size]byte, bool) {
+// memoFind returns k's set and k's way in it, -1 if k is not in it.
+// memoMu held.
+func memoFind(k *[sha256.Size]byte) (*[memoWays][sha256.Size]byte, int) {
 	set := &memo[memoSetOf(k)]
 	for w := range set {
 		if set[w] == *k {
-			return set, true
+			return set, w
 		}
 	}
-	return set, false
+	return set, -1
 }
 
-// memoHas reports whether k is in the memo, counting the hit or miss.
+// memoHas reports whether k is in the memo, counting the hit or miss. A
+// hit moves k to the front of its set.
 func memoHas(k *[sha256.Size]byte) bool {
 	memoMu.Lock()
-	_, hit := memoFind(k)
+	set, w := memoFind(k)
+	hit := w >= 0
+	if hit {
+		memoFront(set, w, k)
+	}
 	memoMu.Unlock()
 	if hit {
 		memoHit.Add(1)
@@ -177,14 +185,23 @@ func memoHas(k *[sha256.Size]byte) bool {
 	return hit
 }
 
-// memoAdd records k as the newest key of its set.
+// memoAdd records k as the most recently used key of its set.
 func memoAdd(k *[sha256.Size]byte) {
 	memoMu.Lock()
-	if set, ok := memoFind(k); !ok {
-		copy(set[1:], set[:memoWays-1])
-		set[0] = *k
-	}
+	set, w := memoFind(k)
+	memoFront(set, w, k)
 	memoMu.Unlock()
+}
+
+// memoFront moves k to the front of set from its way w or, when k is not
+// in the set (w < 0), from the last way, evicting the key there. memoMu
+// held.
+func memoFront(set *[memoWays][sha256.Size]byte, w int, k *[sha256.Size]byte) {
+	if w < 0 {
+		w = memoWays - 1
+	}
+	copy(set[1:w+1], set[:w])
+	set[0] = *k
 }
 
 // VerifyMemoCounts returns the process-wide memo counters

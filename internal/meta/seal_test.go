@@ -352,8 +352,8 @@ func envelopeMemoKey(vk sharocrypto.VerifyKey, aad, blob []byte) [sha256.Size]by
 func memoHolds(k [sha256.Size]byte) bool {
 	memoMu.Lock()
 	defer memoMu.Unlock()
-	_, ok := memoFind(&k)
-	return ok
+	_, w := memoFind(&k)
+	return w >= 0
 }
 
 // memoForget drops k from the memo.
@@ -495,6 +495,37 @@ func TestVerifyMemoSetCollision(t *testing.T) {
 	}
 	if h, m := memoDelta(func() { _, _ = OpenVerified(key, vk, aad, blob) }); h != 1 || m != 0 {
 		t.Errorf("verified envelope after the forgeries: %d hits, %d misses, want one hit", h, m)
+	}
+}
+
+// TestVerifyMemoHitRefreshes: a verified envelope that is re-read
+// between inserts into its set survives four of them, as many as the set
+// has ways: each hit moves it to the front, so the inserts evict the keys
+// put in before it. Without re-reads, the same four inserts evict it.
+func TestVerifyMemoHitRefreshes(t *testing.T) {
+	key := sharocrypto.NewSymKey()
+	sk, vk := sharocrypto.NewSigningPair()
+	aad := MetaAAD(12, "c/2")
+	blob := SealSigned(key, sk, aad, []byte("a hot metadata copy"))
+	hot := envelopeMemoKey(vk, aad, blob)
+	for pass, reread := range []bool{true, false} {
+		memoForget(hot)
+		if _, err := OpenVerified(key, vk, aad, blob); err != nil || !memoHolds(hot) {
+			t.Fatalf("verified envelope not memoized: %v", err)
+		}
+		for i := 0; i < memoWays; i++ {
+			k := hot // another key of hot's set, new in each pass
+			k[sha256.Size-1] ^= byte(1 + i + memoWays*pass)
+			if reread {
+				if h, m := memoDelta(func() { _, _ = OpenVerified(key, vk, aad, blob) }); h != 1 || m != 0 {
+					t.Fatalf("re-read before insert %d: %d hits, %d misses, want one hit", i, h, m)
+				}
+			}
+			memoAdd(&k)
+		}
+		if memoHolds(hot) != reread {
+			t.Errorf("re-read between inserts %v: hot envelope memoized %v after %d inserts into its set", reread, !reread, memoWays)
+		}
 	}
 }
 
