@@ -43,11 +43,11 @@ test:
 	$(GO) test ./...
 
 # vet = the stock toolchain vet plus the repo's own invariant analyzers:
-# six security analyzers (key leaks, AAD binding, seeded randomness,
-# error hygiene, untrusted-input verification, key egress), two
+# five security analyzers (key leaks, AAD binding, seeded randomness,
+# error hygiene, the trust boundary's call-site list), two
 # concurrency analyzers (lock ordering, goroutine leaks), and three
 # error-propagation/lifecycle analyzers (errdrop, errwrap, resleak).
-# Copied locks are go vet's copylocks check. sharoes-vet runs all eleven
+# Copied locks are go vet's copylocks check. sharoes-vet runs all ten
 # over the whole module, cold, and fails on ANY unsuppressed finding
 # (exit 1) or load error (exit 2). Bare //sharoes-vet:allow directives
 # (no justification) are findings. See docs/ANALYZERS.md for the

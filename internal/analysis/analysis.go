@@ -5,13 +5,13 @@
 // predictable key source is a full compromise, so these properties are
 // checked mechanically on every build rather than by review.
 //
-// Eleven analyzers are provided: two concurrency analyzers (lockorder,
+// Ten analyzers are provided: two concurrency analyzers (lockorder,
 // goleak) and three error-propagation ones (errdrop, errwrap, resleak),
-// described in docs/ANALYZERS.md, and six security analyzers:
+// described in docs/ANALYZERS.md, and five security analyzers:
 //
 //   - keyleak:   no fmt.* / log.* argument whose static type is or contains
 //     sharocrypto.SymKey, SignKey or PrivateKey, nor raw key bytes obtained
-//     from one (k[:], k[i], k.Marshal()).
+//     from one (k.Marshal()).
 //   - aadbind:   no SymKey.Seal/Open call with a nil or empty-literal AAD —
 //     every AEAD operation must bind its object context.
 //   - rawrand:   no math/rand import in non-test files; key material must
@@ -19,14 +19,11 @@
 //     deterministic benchmark traffic, never key material).
 //   - errstring: wire/ssp error and log strings must not embed blob
 //     contents ([]byte values, KV structs, or string(blob) conversions).
-//   - unverified: taint-flow — bytes from untrusted sources (SSP reads,
-//     wire decoding, netsim reads) must pass an authenticating sanitizer
-//     (AEAD Open, signature Verify, the meta/cap openers) before reaching
-//     trusted sinks: exported client return values, cache inserts,
-//     layout/cap key-selection decisions.
-//   - keyegress: taint-flow — key-typed values and raw key bytes must be
-//     sealed (AEAD Seal, RSA-OAEP wrap, the meta/cap sealers) before
-//     flowing into wire encoders, SSP store writes, or file writes.
+//   - boundary:  in the key-holding packages, SSP reads, wire-frame reads
+//     and raw-secret accessors (a key's Marshal, the plaintext Encode of a
+//     key-bearing object) appear only at a listed set of call sites. The
+//     rest of the trust boundary is in types: SSP bytes reach the client
+//     as an opaque layout.Sealed, and a SymKey's bytes are unexported.
 //
 // The suite is self-contained: it uses only go/parser, go/ast and go/types
 // from the standard library, so the repo stays offline-buildable with no
@@ -85,7 +82,7 @@ type Analyzer interface {
 // Analyzers returns the full sharoes-vet suite.
 func Analyzers() []Analyzer {
 	return []Analyzer{
-		KeyLeak{}, AADBind{}, RawRand{}, ErrString{}, Unverified{}, KeyEgress{},
+		KeyLeak{}, AADBind{}, RawRand{}, ErrString{}, Boundary{},
 		LockOrder{}, GoLeak{},
 		ErrDrop{}, ErrWrap{}, ResLeak{},
 	}

@@ -46,8 +46,8 @@ func TestKeyLeak(t *testing.T) {
 	}
 	wantSubstr := []string{
 		"key-bearing type",
-		"slice of key value",
-		"index of key value",
+		"raw key bytes (Marshal() on key value)",
+		"via index",
 		"key-bearing type",
 		"Marshal() on key value",
 	}
@@ -74,10 +74,10 @@ func TestKeyLeakObs(t *testing.T) {
 		t.Fatalf("obsleakbad: got %d findings, want 5:\n%s", len(bad), findingsText(bad))
 	}
 	wantSubstr := []string{
-		"via string conversion", // Annotate(string(k[:]))
+		"via string conversion", // Annotate(string(k.Marshal()))
 		"via fmt.Sprintf",       // Annotate(fmt.Sprintf(..., k))
 		"key-bearing type",      // k inside the Sprintf itself
-		"via string conversion", // Counter("op." + string(k[:]))
+		"via string conversion", // Counter("op." + string(k.Marshal()))
 		"via string conversion", // Histogram(string(sk.Marshal()))
 	}
 	for i, f := range bad {
@@ -168,93 +168,6 @@ func TestErrStringScopedToWireAndSSP(t *testing.T) {
 	p := fixturePkg(t, "keyleakbad")
 	if got := Run(p, []Analyzer{ErrString{}}); len(got) != 0 {
 		t.Fatalf("errstring fired outside wire/ssp:\n%s", findingsText(got))
-	}
-}
-
-func TestUnverified(t *testing.T) {
-	bad := runOne(t, Unverified{}, filepath.Join("unverifiedbad", "internal", "client"))
-	if len(bad) != 7 {
-		t.Fatalf("unverifiedbad: got %d findings, want 7:\n%s", len(bad), findingsText(bad))
-	}
-	wantSubstr := []string{
-		"exported client return value of Fetch",
-		"exported client return value of FetchVia",
-		"cache insert",
-		"key-selection cap.MEKFor",
-		"cache insert", // Prefetch: the async-goroutine flow
-		"cache insert", // CacheSymOpened: SymKey.Open is no sanitizer
-		"the result of seam opener OpenManifest",
-	}
-	for i, f := range bad {
-		if f.Analyzer != "unverified" {
-			t.Errorf("finding %d: analyzer %q", i, f.Analyzer)
-		}
-		if !strings.Contains(f.Message, wantSubstr[i]) {
-			t.Errorf("finding %d: message %q does not mention %q", i, f.Message, wantSubstr[i])
-		}
-	}
-	if good := runOne(t, Unverified{}, filepath.Join("unverifiedgood", "internal", "client")); len(good) != 0 {
-		t.Fatalf("unverifiedgood: unexpected findings:\n%s", findingsText(good))
-	}
-}
-
-func TestUnverifiedDirectiveIsRequired(t *testing.T) {
-	// unverifiedgood's Raw method returns unverified bytes behind an allow
-	// directive: without Run's suppression pass it IS a violation.
-	p := fixturePkg(t, filepath.Join("unverifiedgood", "internal", "client"))
-	if raw := (Unverified{}).Check(p); len(raw) != 1 {
-		t.Fatalf("raw unverified findings in unverifiedgood: got %d, want 1 (the suppressed site)", len(raw))
-	}
-}
-
-// TestSeamOpenersAreChecked: an implementation of the client's sealing
-// seam is held to the unverified rule in its own package. Sharoes's
-// openers (internal/layout) end in meta and cap sanitizers; each of the
-// baseline modes' five openers hands the client bytes no signature vouches
-// for, and is a finding but for its allow directive.
-func TestSeamOpenersAreChecked(t *testing.T) {
-	for dir, want := range map[string]int{"layout": 0, "baseline": 5} {
-		p := fixturePkg(t, filepath.Join("..", "..", "..", dir))
-		raw := (Unverified{}).Check(p)
-		if len(raw) != want {
-			t.Errorf("internal/%s: %d raw unverified findings, want %d:\n%s", dir, len(raw), want, findingsText(raw))
-		}
-		for _, f := range raw {
-			if !strings.Contains(f.Message, "reaches the result of seam opener") {
-				t.Errorf("internal/%s: %s", dir, f.Message)
-			}
-		}
-	}
-}
-
-func TestKeyEgress(t *testing.T) {
-	bad := runOne(t, KeyEgress{}, "keyegressbad")
-	if len(bad) != 6 {
-		t.Fatalf("keyegressbad: got %d findings, want 6:\n%s", len(bad), findingsText(bad))
-	}
-	wantSubstr := []string{
-		"wire.KV literal",
-		"wire.Request literal",
-		"wire encoder wire.Encode",
-		"store write ssp.Put",
-		"file write os.WriteFile",
-		"store write ssp.Put", // BadAsyncStore: the async-goroutine flow
-	}
-	for i, f := range bad {
-		if f.Analyzer != "keyegress" {
-			t.Errorf("finding %d: analyzer %q", i, f.Analyzer)
-		}
-		if !strings.Contains(f.Message, wantSubstr[i]) {
-			t.Errorf("finding %d: message %q does not mention %q", i, f.Message, wantSubstr[i])
-		}
-	}
-	// The base64-laundered Marshal flow must be reported as raw key bytes:
-	// encoding is not sealing, and module-opacity must not launder it.
-	if !strings.Contains(bad[4].Message, "raw key bytes (Marshal)") {
-		t.Errorf("file-write finding %q does not identify raw key bytes", bad[4].Message)
-	}
-	if good := runOne(t, KeyEgress{}, "keyegressgood"); len(good) != 0 {
-		t.Fatalf("keyegressgood: unexpected findings:\n%s", findingsText(good))
 	}
 }
 

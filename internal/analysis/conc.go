@@ -10,10 +10,9 @@ import (
 )
 
 // This file implements the concurrency effect engine shared by the
-// lockorder and goleak analyzers. It is a second effect domain over the
-// effectEngine framework (effects.go), alongside taint: where taint
-// summaries describe data flowing through a function, lock summaries
-// describe the function's net effect on the lock state — which locks it
+// lockorder and goleak analyzers. It is an effect domain over the
+// effectEngine framework (effects.go): lock summaries describe the
+// function's net effect on the lock state — which locks it
 // acquires or releases for its caller — plus the facts goleak needs
 // about the loops and shutdown edges it reaches.
 //

@@ -7,10 +7,10 @@ import (
 )
 
 // This file is the interprocedural effect-summary framework shared by the
-// taint engine (taint.go) and the concurrency engine (conc.go). An
-// "effect" is any fact about a function body that callers inherit — taint
-// flowing through results, locks acquired or net-held, goroutine loops
-// started. The framework owns the parts every effect domain needs:
+// concurrency engine (conc.go) and the error-propagation analyzers
+// (errdrop.go, resleak.go). An "effect" is any fact about a function body
+// that callers inherit — an error made fault-relevant, locks acquired or
+// net-held, goroutine loops started. The framework owns the parts every effect domain needs:
 //
 //   - collecting the package's analyzable function units (declarations
 //     and function literals) and mapping *types.Func objects back to

@@ -85,6 +85,22 @@ type errdropEngine struct {
 	opensFile map[*funcUnit]bool
 }
 
+// moduleRootOf guesses the module path from an import path: everything
+// before the first /internal/ or /cmd/ segment (the whole path
+// otherwise). This keeps the engines independent of the Loader while
+// still recognizing sibling packages of this module, including test
+// fixtures (whose nested internal/ trees make the real module a prefix).
+func moduleRootOf(path string) string {
+	cut := len(path)
+	if i := strings.Index(path, "/internal/"); i >= 0 && i < cut {
+		cut = i
+	}
+	if i := strings.Index(path, "/cmd/"); i >= 0 && i < cut {
+		cut = i
+	}
+	return path[:cut]
+}
+
 func (ErrDrop) Check(p *Package) []Finding {
 	if p.Info == nil || p.Types == nil {
 		return nil

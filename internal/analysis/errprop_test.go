@@ -5,12 +5,12 @@ import (
 	"testing"
 )
 
-// TestErrDrop pins the nine ways errdropbad loses fault-relevant
+// TestErrDrop pins the ten ways errdropbad loses fault-relevant
 // errors, in source order, and that the handled forms stay quiet.
 func TestErrDrop(t *testing.T) {
 	bad := runOne(t, ErrDrop{}, "errdropbad/internal/client")
-	if len(bad) != 9 {
-		t.Fatalf("errdropbad: got %d findings, want 9:\n%s", len(bad), findingsText(bad))
+	if len(bad) != 10 {
+		t.Fatalf("errdropbad: got %d findings, want 10:\n%s", len(bad), findingsText(bad))
 	}
 	wantSubstr := []string{
 		"ssp.Put error discarded;",
@@ -20,6 +20,7 @@ func TestErrDrop(t *testing.T) {
 		"ssp.Flush error lost in goroutine",
 		"ssp.Put error assigned to err but never read",
 		"flushAll error discarded",
+		"flushOdd error discarded", // through a mutually recursive cycle
 		"os.File.Write error discarded",
 		"os.File.Close on a write path error discarded",
 	}
@@ -133,5 +134,20 @@ func TestBufRelease(t *testing.T) {
 	}
 	if good := runOne(t, ResLeak{}, "bufreleasegood/internal/server"); len(good) != 0 {
 		t.Fatalf("bufreleasegood: unexpected findings:\n%s", findingsText(good))
+	}
+}
+
+func TestModuleRootOf(t *testing.T) {
+	for _, tc := range []struct{ path, want string }{
+		{"github.com/sharoes/sharoes/internal/ssp", "github.com/sharoes/sharoes"},
+		{"github.com/sharoes/sharoes/cmd/sharoes-vet", "github.com/sharoes/sharoes"},
+		{"github.com/sharoes/sharoes", "github.com/sharoes/sharoes"},
+		// A fixture's nested internal/ tree makes the real module a
+		// prefix, so its packages count as module-internal too.
+		{"github.com/sharoes/sharoes/internal/analysis/testdata/src/x/internal/client", "github.com/sharoes/sharoes"},
+	} {
+		if got := moduleRootOf(tc.path); got != tc.want {
+			t.Errorf("moduleRootOf(%q) = %q, want %q", tc.path, got, tc.want)
+		}
 	}
 }

@@ -84,7 +84,7 @@ func (KeyLeak) leaks(info *types.Info, arg ast.Expr) (string, bool) {
 	}
 	switch e := arg.(type) {
 	case *ast.BinaryExpr:
-		// "prefix" + string(k[:]) — concatenation is see-through.
+		// "prefix" + string(k.Marshal()) — concatenation is see-through.
 		if e.Op == token.ADD {
 			if reason, leak := (KeyLeak{}).leaks(info, e.X); leak {
 				return reason, true
@@ -92,17 +92,17 @@ func (KeyLeak) leaks(info *types.Info, arg ast.Expr) (string, bool) {
 			return (KeyLeak{}).leaks(info, e.Y)
 		}
 	case *ast.SliceExpr:
-		// k[:] — raw key bytes as []byte.
-		if t := info.TypeOf(e.X); t != nil && containsKeyType(t) {
-			return "raw key bytes (slice of key value)", true
+		// k.Marshal()[:n] — part of the raw key bytes is still key bytes.
+		if reason, leak := (KeyLeak{}).leaks(info, e.X); leak {
+			return reason + " via slice", true
 		}
 	case *ast.IndexExpr:
-		// k[i] — a single key byte.
-		if t := info.TypeOf(e.X); t != nil && containsKeyType(t) {
-			return "raw key byte (index of key value)", true
+		// k.Marshal()[i] — a single key byte.
+		if reason, leak := (KeyLeak{}).leaks(info, e.X); leak {
+			return reason + " via index", true
 		}
 	case *ast.CallExpr:
-		// string(k[:]) and the like — a conversion to a string type is
+		// string(k.Marshal()) and the like — a conversion to a string type is
 		// see-through: the bytes it launders are still key bytes.
 		if tv, ok := info.Types[e.Fun]; ok && tv.IsType() && len(e.Args) == 1 {
 			if b, ok := tv.Type.Underlying().(*types.Basic); ok && b.Info()&types.IsString != 0 {

@@ -60,9 +60,9 @@ func TestScanAllowCounts(t *testing.T) {
 		fixtures []string
 		want     map[string]int
 	}{
-		{[]string{"unverifiedgood/internal/client"}, map[string]int{"unverified": 1}},
+		{[]string{"rawrandallowed"}, map[string]int{}},
 		{[]string{"errdropgood/internal/client"}, map[string]int{"errdrop": 1}},
-		{[]string{"aadbindgood", "unverifiedgood/internal/client", "allowbare"}, map[string]int{"aadbind": 1, "unverified": 1}},
+		{[]string{"aadbindgood", "errdropgood/internal/client", "allowbare"}, map[string]int{"aadbind": 1, "errdrop": 1}},
 	} {
 		var dirs []string
 		for _, f := range tc.fixtures {
@@ -83,10 +83,8 @@ func TestAllowBudget(t *testing.T) {
 		t.Fatalf("ExpandPatterns: %v", err)
 	}
 	want := map[string]int{
-		"errdrop":    2, // bench/workloads.go: math/rand.Rand.Read never fails
-		"keyegress":  1, // internal/keys/persist.go: the user's own 0600 key file
-		"rawrand":    1, // bench/workloads.go: seeded benchmark traffic
-		"unverified": 5, // internal/baseline: the five seam openers of modes that sign nothing
+		"errdrop": 2, // bench/workloads.go: math/rand.Rand.Read never fails
+		"rawrand": 1, // bench/workloads.go: seeded benchmark traffic
 	}
 	if got := ScanAllowCounts(dirs); !reflect.DeepEqual(got, want) {
 		t.Errorf("allow directives in the module = %v, want %v", got, want)

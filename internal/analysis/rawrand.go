@@ -1,9 +1,6 @@
 package analysis
 
-import (
-	"strconv"
-	"strings"
-)
+import "strconv"
 
 // RawRand flags math/rand imports in non-test files. All key and nonce
 // generation must come from crypto/rand; a deterministic generator
@@ -29,10 +26,8 @@ func (RawRand) Doc() string {
 
 // Check implements Analyzer.
 func (a RawRand) Check(p *Package) []Finding {
-	for _, suffix := range rawRandAllowedPkgs {
-		if strings.HasSuffix(p.Path, suffix) {
-			return nil
-		}
+	if hasAnySuffix(p.Path, rawRandAllowedPkgs) {
+		return nil
 	}
 	var out []Finding
 	for _, file := range p.Files {

@@ -8,8 +8,9 @@
 //  5. Flush error lost in a goroutine
 //  6. Put error assigned to the named result, then overridden by return nil
 //  7. local wrapper's derived error discarded
-//  8. os.File.Write error discarded on a write path
-//  9. os.File.Close error discarded on a write path
+//  8. mutually recursive wrapper's derived error discarded
+//  9. os.File.Write error discarded on a write path
+//  10. os.File.Close error discarded on a write path
 package client
 
 import (
@@ -60,6 +61,23 @@ func flushAll(c *ssp.Client) error {
 // UseWrapper discards the wrapper's derived error.
 func UseWrapper(c *ssp.Client) {
 	flushAll(c) // want errdrop: wrapper error discarded
+}
+
+// flushEven and flushOdd are mutually recursive wrappers of ssp.Flush:
+// the effect fixpoint must converge on the cycle and still mark both
+// fault-relevant.
+func flushEven(c *ssp.Client, n int) error {
+	if n == 0 {
+		return c.Flush()
+	}
+	return flushOdd(c, n-1)
+}
+
+func flushOdd(c *ssp.Client, n int) error { return flushEven(c, n-1) }
+
+// UseCycle discards the recursive wrapper's derived error.
+func UseCycle(c *ssp.Client) {
+	flushOdd(c, 3) // want errdrop: recursive wrapper error discarded
 }
 
 // WriteTemp is a write path (os.Create in scope), so both the Write and

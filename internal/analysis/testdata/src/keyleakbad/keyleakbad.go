@@ -16,9 +16,9 @@ type holder struct {
 // Bad exercises each leak form.
 func Bad(l *log.Logger) error {
 	k := sharocrypto.NewSymKey()
-	fmt.Printf("key=%v\n", k)   // leak: key-typed value
-	fmt.Println(k[:])           // leak: sliced raw key bytes
-	log.Printf("byte %d", k[0]) // leak: single key byte
+	fmt.Printf("key=%v\n", k)             // leak: key-typed value
+	fmt.Println(k.Marshal())              // leak: raw key bytes
+	log.Printf("byte %d", k.Marshal()[0]) // leak: single key byte
 
 	var h holder
 	l.Printf("holder %v", h) // leak: struct containing a key

@@ -15,9 +15,9 @@ import (
 func Bad(t *obs.Tracer, reg *obs.Registry) {
 	k := sharocrypto.NewSymKey()
 	sp := t.Start("op", obs.ClassNone)
-	sp.Annotate("dek", string(k[:]))         // leak: key bytes laundered through string()
-	sp.Annotate("key", fmt.Sprintf("%x", k)) // leak: key formatted into the label (and at the Sprintf itself)
-	reg.Counter("op." + string(k[:])).Inc()  // leak: key bytes concatenated into a metric name
+	sp.Annotate("dek", string(k.Marshal()))        // leak: key bytes laundered through string()
+	sp.Annotate("key", fmt.Sprintf("%x", k))       // leak: key formatted into the label (and at the Sprintf itself)
+	reg.Counter("op." + string(k.Marshal())).Inc() // leak: key bytes concatenated into a metric name
 	sk, _ := sharocrypto.NewSigningPair()
 	reg.Histogram(string(sk.Marshal())).Observe(time.Millisecond) // leak: marshalled secret as metric name
 	sp.End()

@@ -124,7 +124,7 @@ func encodeExecView(t *meta.DirTable, tkey sharocrypto.SymKey) []byte {
 		body.String(e.Variant)
 		body.Bool(e.Split)
 		if !e.Split {
-			body.Raw(e.MEK[:])
+			body.Raw(e.MEK.Marshal())
 			body.BytesField(e.MVK.Marshal())
 		}
 		tag := tkey.NameTag(e.Name)
@@ -284,7 +284,9 @@ func (v *View) Lookup(name string) (*meta.DirEntry, error) {
 			if err != nil {
 				return nil, badView(err)
 			}
-			copy(e.MEK[:], raw)
+			if e.MEK, err = sharocrypto.SymKeyFromBytes(raw); err != nil {
+				return nil, badView(err)
+			}
 			mvkRaw, err := r.BytesField()
 			if err != nil {
 				return nil, badView(err)

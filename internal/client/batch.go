@@ -28,7 +28,7 @@ type blobKey struct {
 type replyIndex map[blobKey]replyBlob
 
 type replyBlob struct {
-	val      []byte
+	val      layout.Sealed
 	returned bool
 }
 
@@ -45,7 +45,7 @@ func (s *Session) fetch(want []wire.KV) (replyIndex, error) {
 	}
 	s.drainNaming(want)
 	s.fetches++
-	items, err := s.store.BatchGet(want)
+	items, err := layout.BatchGet(s.store, want)
 	if err != nil {
 		return nil, err
 	}
@@ -55,12 +55,12 @@ func (s *Session) fetch(want []wire.KV) (replyIndex, error) {
 // blobOf returns the blob at (ns, key): out of pre when that fetch already
 // asked for it, otherwise by a fetch of its own. ok is false when the SSP
 // has no such blob.
-func (s *Session) blobOf(pre replyIndex, ns wire.NS, key string) (val []byte, ok bool, err error) {
+func (s *Session) blobOf(pre replyIndex, ns wire.NS, key string) (val layout.Sealed, ok bool, err error) {
 	b, asked := pre[blobKey{ns, key}]
 	if !asked {
 		one, err := s.fetch([]wire.KV{{NS: ns, Key: key}})
 		if err != nil {
-			return nil, false, err
+			return layout.Sealed{}, false, err
 		}
 		b = one[blobKey{ns, key}]
 	}
@@ -68,8 +68,9 @@ func (s *Session) blobOf(pre replyIndex, ns wire.NS, key string) (val []byte, ok
 }
 
 // list is the server-side listing fallback, counted with the fetches. A
-// batch in flight that names a key under the prefix lands first.
-func (s *Session) list(ns wire.NS, prefix string) ([]wire.KV, error) {
+// batch in flight that names a key under the prefix lands first, and a
+// listed key outside the prefix is refused as tampering (layout.List).
+func (s *Session) list(ns wire.NS, prefix string) ([]layout.Reply, error) {
 	if len(s.inflight) > 0 {
 		s.drain(func(b *batch) bool {
 			for _, kv := range b.kvs {
@@ -81,7 +82,7 @@ func (s *Session) list(ns wire.NS, prefix string) ([]wire.KV, error) {
 		})
 	}
 	s.fetches++
-	return s.store.List(ns, prefix)
+	return layout.List(s.store, ns, prefix)
 }
 
 // indexReply indexes the items the SSP returned for the asked keys. Keys
@@ -89,7 +90,7 @@ func (s *Session) list(ns wire.NS, prefix string) ([]wire.KV, error) {
 // for, or that answers the same key twice, is the SSP answering a
 // different question than the one put to it, and is refused as tampering
 // before any of the reply is used.
-func indexReply(asked, items []wire.KV) (replyIndex, error) {
+func indexReply(asked []wire.KV, items []layout.Reply) (replyIndex, error) {
 	idx := make(replyIndex, len(asked))
 	for _, kv := range asked {
 		idx[blobKey{kv.NS, kv.Key}] = replyBlob{}
@@ -105,7 +106,7 @@ func indexReply(asked, items []wire.KV) (replyIndex, error) {
 }
 
 // get returns the blob the SSP returned for (ns, key), if it returned one.
-func (x replyIndex) get(ns wire.NS, key string) ([]byte, bool) {
+func (x replyIndex) get(ns wire.NS, key string) (layout.Sealed, bool) {
 	b := x[blobKey{ns, key}]
 	return b.val, b.returned
 }
@@ -238,14 +239,14 @@ func (s *Session) cacheSiblings(dv *dirView, sibs []sibling, blobs replyIndex) {
 			o.err = types.ErrNotExist
 			return
 		}
-		o.metaLen = int64(len(metaBlob))
+		o.metaLen = int64(metaBlob.Len())
 		o.m, o.err = s.openMeta(sw, r, metaBlob)
 		if o.err != nil || !hasManifest(o.m) {
 			return
 		}
 		if manBlob, ok := blobs.get(wire.NSData, meta.ManifestKey(r.ino)); ok {
-			o.manLen = int64(len(manBlob))
-			o.man, o.err = s.eng.OpenManifest(sw, r.ino, o.m, manBlob)
+			o.manLen = int64(manBlob.Len())
+			o.man, o.err = layout.OpenManifest(s.eng, sw, r.ino, o.m, manBlob)
 		}
 	})
 	end()

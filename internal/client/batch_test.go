@@ -480,7 +480,7 @@ func (s injectStore) BatchGet(items []wire.KV) ([]wire.KV, error) {
 // key); an item outside the request fails the operation.
 func TestUnrequestedBatchItemIsTampering(t *testing.T) {
 	asked := []wire.KV{{NS: wire.NSMeta, Key: "k"}, {NS: wire.NSData, Key: "gone"}}
-	idx, err := indexReply(asked, []wire.KV{{NS: wire.NSMeta, Key: "k", Val: []byte{}}})
+	idx, err := indexReply(asked, []layout.Reply{{NS: wire.NSMeta, Key: "k"}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -493,7 +493,7 @@ func TestUnrequestedBatchItemIsTampering(t *testing.T) {
 	if _, ok := idx.get(wire.NSData, "k"); ok {
 		t.Error("same key in another namespace reported present")
 	}
-	if _, err := indexReply(asked, []wire.KV{{NS: wire.NSData, Key: "k"}}); !errors.Is(err, types.ErrTampered) {
+	if _, err := indexReply(asked, []layout.Reply{{NS: wire.NSData, Key: "k"}}); !errors.Is(err, types.ErrTampered) {
 		t.Errorf("same key, wrong namespace: %v", err)
 	}
 

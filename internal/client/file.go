@@ -43,12 +43,12 @@ func (s *Session) fetchManifest(r ref, m *meta.Metadata, pre replyIndex, with co
 }
 
 // openManifest opens, decodes and caches a fetched manifest blob.
-func (s *Session) openManifest(r ref, m *meta.Metadata, blob []byte) (*meta.Manifest, error) {
-	man, err := s.eng.OpenManifest(s.clock("open-manifest"), r.ino, m, blob)
+func (s *Session) openManifest(r ref, m *meta.Metadata, blob layout.Sealed) (*meta.Manifest, error) {
+	man, err := layout.OpenManifest(s.eng, s.clock("open-manifest"), r.ino, m, blob)
 	if err != nil {
 		return nil, err
 	}
-	s.cache.Put(ckManifest+meta.ManifestKey(r.ino), man, int64(len(blob)))
+	s.cache.Put(ckManifest+meta.ManifestKey(r.ino), man, int64(blob.Len()))
 	return man, nil
 }
 
@@ -136,7 +136,7 @@ func (s *Session) readBlocks(r ref, m *meta.Metadata, man *meta.Manifest, from, 
 			return nil, err
 		}
 	}
-	sealed := make([][]byte, len(missing))
+	sealed := make([]layout.Sealed, len(missing))
 	absent := 0
 	for i, kv := range missing {
 		blobs := fetched
@@ -155,7 +155,7 @@ func (s *Session) readBlocks(r ref, m *meta.Metadata, man *meta.Manifest, from, 
 	sw, end := s.cryptoGroup("open-block")
 	layout.RunParallel(len(missing), func(i int) {
 		idx := from + uint32(slots[i])
-		pt, err := s.eng.OpenBlock(sw, m.Keys.DEK, man.DataAAD(r.ino, gen, idx), sealed[i], man.Digests[idx])
+		pt, err := layout.OpenBlock(s.eng, sw, m.Keys.DEK, man.DataAAD(r.ino, gen, idx), sealed[i], man.Digests[idx])
 		if err == nil && len(pt) != man.DataLen(idx) {
 			err = fmt.Errorf("%w: block %d is %d bytes, the manifest says %d", types.ErrTampered, idx, len(pt), man.DataLen(idx))
 		}

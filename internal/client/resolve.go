@@ -164,7 +164,7 @@ func (s *Session) resolveSplit(ino types.Inode) (ref, error) {
 		return ref{}, types.ErrPermission
 	}
 	stop := s.crypto("open-split")
-	ptr, err := meta.OpenSplitPointer(s.user.Priv, blob)
+	ptr, err := layout.OpenSplitPointer(s.user.Priv, blob)
 	stop()
 	if err != nil {
 		return ref{}, err
@@ -300,7 +300,7 @@ func (s *Session) loadParentTables(r ref, m *meta.Metadata, own *cap.View, pre r
 		if !ok {
 			tables[r.variant] = &meta.DirTable{}
 		} else {
-			view, err := s.eng.OpenView(s.clock("open-table"), r.variant, cap.TableKey(m, r.variant), m.Keys.DVK, r.ino, blob)
+			view, err := layout.OpenView(s.eng, s.clock("open-table"), r.variant, cap.TableKey(m, r.variant), m.Keys.DVK, r.ino, blob)
 			if err != nil {
 				return nil, err
 			}
@@ -320,7 +320,7 @@ func (s *Session) loadParentTables(r ref, m *meta.Metadata, own *cap.View, pre r
 	// are cached only once every one has opened.
 	type openJob struct {
 		id   string
-		blob []byte
+		blob layout.Sealed
 	}
 	var jobs []openJob
 	for _, pv := range variants {
@@ -339,7 +339,7 @@ func (s *Session) loadParentTables(r ref, m *meta.Metadata, own *cap.View, pre r
 	}
 	sw, end := s.cryptoGroup("open-table")
 	for _, j := range jobs {
-		view, err := s.eng.OpenView(sw, j.id, cap.TableKey(m, j.id), m.Keys.DVK, r.ino, j.blob)
+		view, err := layout.OpenView(s.eng, sw, j.id, cap.TableKey(m, j.id), m.Keys.DVK, r.ino, j.blob)
 		if err == nil {
 			tables[j.id], err = view.Reconstruct(names, cap.RowsKey(m, j.id))
 		}

@@ -176,7 +176,7 @@ func Mount(cfg Config) (*Session, error) {
 	}
 	var sb *meta.Superblock
 	for _, p := range principals {
-		blob, err := cfg.Store.Get(wire.NSSuper, meta.SuperKey(cfg.FSID, p.String()))
+		blob, err := layout.Get(cfg.Store, wire.NSSuper, meta.SuperKey(cfg.FSID, p.String()))
 		if errors.Is(err, wire.ErrNotFound) {
 			continue
 		}
@@ -187,7 +187,7 @@ func Mount(cfg Config) (*Session, error) {
 		if p.Group != "" {
 			priv = gk[p.Group]
 		}
-		sb, err = s.eng.OpenSuperblock(s.clock("open-superblock"), priv, blob)
+		sb, err = layout.OpenSuperblock(s.eng, s.clock("open-superblock"), priv, blob)
 		if err != nil {
 			return nil, fmt.Errorf("client: mount superblock: %w", err)
 		}
@@ -400,13 +400,13 @@ func (s *Session) fetchMetaMiss(r ref, with companion, at dirent, ride []wire.KV
 	if err != nil {
 		return nil, nil, err
 	}
-	s.cache.Put(ckMeta+metaKey, m, int64(len(blob)))
+	s.cache.Put(ckMeta+metaKey, m, int64(blob.Len()))
 	return m, pre, nil
 }
 
 // openMeta opens the metadata blob fetched for r.
-func (s *Session) openMeta(sw layout.Stopwatch, r ref, blob []byte) (*meta.Metadata, error) {
-	return s.eng.OpenMeta(sw, s.user, r.ino, r.variant, r.mek, r.mvk, blob)
+func (s *Session) openMeta(sw layout.Stopwatch, r ref, blob layout.Sealed) (*meta.Metadata, error) {
+	return layout.OpenMeta(s.eng, sw, s.user, r.ino, r.variant, r.mek, r.mvk, blob)
 }
 
 // cached reports whether key is in the session cache.
@@ -467,11 +467,11 @@ func (s *Session) openViewOf(r ref, m *meta.Metadata, pre replyIndex) (*dirView,
 		}
 		return &dirView{View: cap.EmptyView(shape)}, nil
 	}
-	v, err := s.eng.OpenView(s.clock("open-view"), r.variant, m.Keys.DEK, m.Keys.DVK, r.ino, blob)
+	v, err := layout.OpenView(s.eng, s.clock("open-view"), r.variant, m.Keys.DEK, m.Keys.DVK, r.ino, blob)
 	if err != nil {
 		return nil, err
 	}
-	dv := &dirView{View: v, key: ckView + key, size: int64(len(blob))}
+	dv := &dirView{View: v, key: ckView + key, size: int64(blob.Len())}
 	s.cache.Put(dv.key, dv, dv.size)
 	return dv, nil
 }

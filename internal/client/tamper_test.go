@@ -385,3 +385,65 @@ func TestDroppedBlobSurfacesError(t *testing.T) {
 		t.Errorf("read with dropped blocks: %v", err)
 	}
 }
+
+// strayListStore answers every data listing with one more key, outside
+// the prefix it was asked for: an SSP, or one shard behind a router,
+// steering the deletes a client builds from the listing.
+type strayListStore struct{ ssp.BlobStore }
+
+func (s strayListStore) List(ns wire.NS, prefix string) ([]wire.KV, error) {
+	out, err := s.BlobStore.List(ns, prefix)
+	if ns == wire.NSData {
+		out = append(out, wire.KV{NS: ns, Key: "f/999/m"})
+	}
+	return out, err
+}
+
+// TestStrayListedKeyIsTampering: the two operations that delete by a
+// listing — a remove by a user who cannot read the file's manifest, and
+// a re-keying chmod dropping the old generation's blocks — refuse a
+// listed key outside the asked prefix before they delete anything.
+func TestStrayListedKeyIsTampering(t *testing.T) {
+	fixture(t)
+	mem := ssp.NewMemStore()
+	w := newWorld(t, layout.NewScheme2(fixReg), mem)
+	alice := w.as("alice")
+	if err := alice.Mkdir("/shared", perm(t, "777")); err != nil {
+		t.Fatal(err)
+	}
+	content := bytes.Repeat([]byte("secret"), 40)
+	for _, p := range []string{"/shared/private", "/open"} {
+		if err := alice.WriteFile(p, content, perm(t, "600")); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := alice.Chmod("/open", perm(t, "644")); err != nil {
+		t.Fatal(err)
+	}
+	mount := func(id types.UserID) *Session {
+		s, err := Mount(Config{Store: strayListStore{mem}, User: fixUser[id], Registry: fixReg, Layout: w.eng,
+			FSID: "testfs", CacheBytes: -1, BlockSize: 64})
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { s.Close() })
+		return s
+	}
+	// bob may unlink in /shared but holds no DEK of alice's 600 file, so
+	// the remove lists the file's blobs (deleteDataKVs).
+	if err := mount("bob").Remove("/shared/private"); !errors.Is(err, types.ErrTampered) {
+		t.Errorf("remove over a stray listing: %v", err)
+	}
+	// Revoking read re-keys the file and lists the old generation
+	// (rekeyFile).
+	if err := mount("alice").Chmod("/open", perm(t, "600")); !errors.Is(err, types.ErrTampered) {
+		t.Errorf("re-keying chmod over a stray listing: %v", err)
+	}
+	fresh := w.mountFresh("alice", -1)
+	defer fresh.Close()
+	for _, p := range []string{"/shared/private", "/open"} {
+		if got, err := fresh.ReadFile(p); err != nil || !bytes.Equal(got, content) {
+			t.Errorf("%s after the refused operation: %d bytes, %v", p, len(got), err)
+		}
+	}
+}

@@ -237,14 +237,14 @@ func RevokeGroupKey(store ssp.BlobStore, g types.GroupID, u types.UserID) error 
 // the system ... she obtains her encrypted group key blocks and uses her
 // private key to decrypt").
 func FetchGroupKeys(store ssp.BlobStore, u *User) (map[types.GroupID]sharocrypto.PrivateKey, error) {
-	items, err := store.List(wire.NSGroupKey, "u/"+string(u.ID)+"/g/")
+	prefix := "u/" + string(u.ID) + "/g/"
+	items, err := ssp.ListUnder(store, wire.NSGroupKey, prefix)
 	if err != nil {
 		return nil, fmt.Errorf("keys: fetch group keys: %w", err)
 	}
 	out := make(map[types.GroupID]sharocrypto.PrivateKey, len(items))
-	prefixLen := len("u/" + string(u.ID) + "/g/")
 	for _, it := range items {
-		gid := types.GroupID(it.Key[prefixLen:])
+		gid := types.GroupID(it.Key[len(prefix):])
 		blob, err := u.Priv.Open(it.Val)
 		if err != nil {
 			return nil, fmt.Errorf("keys: unwrap group key %q: %w", gid, err)

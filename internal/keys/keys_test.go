@@ -9,6 +9,7 @@ import (
 
 	"github.com/sharoes/sharoes/internal/ssp"
 	"github.com/sharoes/sharoes/internal/types"
+	"github.com/sharoes/sharoes/internal/wire"
 )
 
 // Key generation is slow (RSA-2048); share fixtures across tests.
@@ -279,5 +280,22 @@ func TestRegistrySaveLoad(t *testing.T) {
 	}
 	if _, err := LoadRegistry("/nonexistent/registry.json"); err == nil {
 		t.Error("loaded missing registry")
+	}
+}
+
+// shortListStore answers a listing with a key shorter than the prefix
+// asked for.
+type shortListStore struct{ ssp.BlobStore }
+
+func (s shortListStore) List(ns wire.NS, prefix string) ([]wire.KV, error) {
+	return []wire.KV{{NS: ns, Key: "u/"}}, nil
+}
+
+// TestFetchGroupKeysRefusesStrayKey: a listed key outside the member's
+// prefix is tampering, reported as such rather than sliced past its end.
+func TestFetchGroupKeysRefusesStrayKey(t *testing.T) {
+	fixtures(t)
+	if _, err := FetchGroupKeys(shortListStore{ssp.NewMemStore()}, alice); !errors.Is(err, types.ErrTampered) {
+		t.Fatalf("FetchGroupKeys over a stray listing: %v", err)
 	}
 }

@@ -33,7 +33,7 @@ func (u *User) Save(path string) error {
 	}
 	// The key file is the user's own trust root on their own machine,
 	// written with owner-only permissions — not SSP egress.
-	return os.WriteFile(path, blob, 0o600) //sharoes-vet:allow keyegress local user key file (0600) is the user's own trust root
+	return os.WriteFile(path, blob, 0o600)
 }
 
 // LoadUser reads a user key saved by Save.

@@ -7,6 +7,7 @@ import (
 	"github.com/sharoes/sharoes/internal/keys"
 	"github.com/sharoes/sharoes/internal/meta"
 	"github.com/sharoes/sharoes/internal/sharocrypto"
+	"github.com/sharoes/sharoes/internal/ssp"
 	"github.com/sharoes/sharoes/internal/types"
 	"github.com/sharoes/sharoes/internal/wire"
 )
@@ -62,6 +63,82 @@ type Sealer interface {
 	SealSuperblock(sb *meta.Superblock, pub sharocrypto.PublicKey) ([]byte, error)
 	// OpenSuperblock opens a superblock with a principal's private key.
 	OpenSuperblock(sw Stopwatch, priv sharocrypto.PrivateKey, blob []byte) (*meta.Superblock, error)
+}
+
+// Sealed is a blob as the SSP returned it. Nothing has authenticated its
+// bytes, and nothing outside this package can read them: the openers
+// below hand them to a Sealer opener or to meta.OpenSplitPointer, and
+// what those return is what the client may trust. So a Sealed value can
+// ride in any field or cache entry without being read unopened. The
+// Sealer interface itself takes []byte: an implementation sees the bytes
+// only when one of these openers calls it.
+type Sealed struct{ b []byte }
+
+// Len is the blob's size in bytes, for cache accounting.
+func (s Sealed) Len() int { return len(s.b) }
+
+// Reply is one blob of a batch read or a listing.
+type Reply struct {
+	NS  wire.NS
+	Key string
+	Val Sealed
+}
+
+// Get reads the blob at (ns, key).
+func Get(st ssp.BlobStore, ns wire.NS, key string) (Sealed, error) {
+	b, err := st.Get(ns, key)
+	return Sealed{b}, err
+}
+
+// BatchGet reads the blobs want names in one request.
+func BatchGet(st ssp.BlobStore, want []wire.KV) ([]Reply, error) {
+	items, err := st.BatchGet(want)
+	return replies(items), err
+}
+
+// List lists ns under prefix (ssp.ListUnder: a key outside prefix is
+// refused as tampering).
+func List(st ssp.BlobStore, ns wire.NS, prefix string) ([]Reply, error) {
+	items, err := ssp.ListUnder(st, ns, prefix)
+	return replies(items), err
+}
+
+func replies(items []wire.KV) []Reply {
+	out := make([]Reply, len(items))
+	for i, it := range items {
+		out[i] = Reply{NS: it.NS, Key: it.Key, Val: Sealed{it.Val}}
+	}
+	return out
+}
+
+// OpenMeta opens blob with sl.OpenMeta.
+func OpenMeta(sl Sealer, sw Stopwatch, u *keys.User, ino types.Inode, variant string, mek sharocrypto.SymKey, mvk sharocrypto.VerifyKey, blob Sealed) (*meta.Metadata, error) {
+	return sl.OpenMeta(sw, u, ino, variant, mek, mvk, blob.b)
+}
+
+// OpenView opens blob with sl.OpenView.
+func OpenView(sl Sealer, sw Stopwatch, variant string, tkey sharocrypto.SymKey, dvk sharocrypto.VerifyKey, ino types.Inode, blob Sealed) (*cap.View, error) {
+	return sl.OpenView(sw, variant, tkey, dvk, ino, blob.b)
+}
+
+// OpenManifest opens blob with sl.OpenManifest.
+func OpenManifest(sl Sealer, sw Stopwatch, ino types.Inode, m *meta.Metadata, blob Sealed) (*meta.Manifest, error) {
+	return sl.OpenManifest(sw, ino, m, blob.b)
+}
+
+// OpenBlock opens blob with sl.OpenBlock.
+func OpenBlock(sl Sealer, sw Stopwatch, key sharocrypto.SymKey, aad []byte, blob Sealed, want [sha256.Size]byte) ([]byte, error) {
+	return sl.OpenBlock(sw, key, aad, blob.b, want)
+}
+
+// OpenSuperblock opens blob with sl.OpenSuperblock.
+func OpenSuperblock(sl Sealer, sw Stopwatch, priv sharocrypto.PrivateKey, blob Sealed) (*meta.Superblock, error) {
+	return sl.OpenSuperblock(sw, priv, blob.b)
+}
+
+// OpenSplitPointer opens a split pointer sealed to priv's principal.
+func OpenSplitPointer(priv sharocrypto.PrivateKey, blob Sealed) (*meta.SplitPointer, error) {
+	return meta.OpenSplitPointer(priv, blob.b)
 }
 
 // signed is the Sharoes Sealer, shared by both schemes: every metadata

@@ -199,10 +199,10 @@ func (m *Metadata) Encode() []byte {
 	}
 	w.Byte(mask)
 	if mask&hasDEK != 0 {
-		w.Raw(m.Keys.DEK[:])
+		w.Raw(m.Keys.DEK.Marshal())
 	}
 	if mask&hasDataSeed != 0 {
-		w.Raw(m.Keys.DataSeed[:])
+		w.Raw(m.Keys.DataSeed.Marshal())
 	}
 	if mask&hasDVK != 0 {
 		w.Raw(m.Keys.DVK.Marshal())
@@ -214,7 +214,7 @@ func (m *Metadata) Encode() []byte {
 		w.Raw(m.Keys.MSK.Marshal())
 	}
 	if mask&hasMetaSeed != 0 {
-		w.Raw(m.Keys.MetaSeed[:])
+		w.Raw(m.Keys.MetaSeed.Marshal())
 	}
 	return w.Bytes()
 }
@@ -288,18 +288,14 @@ func Decode(b []byte) (*Metadata, error) {
 		return nil, badEnc(err)
 	}
 	if mask&hasDEK != 0 {
-		raw, err := r.Raw(sharocrypto.SymKeySize)
-		if err != nil {
+		if m.Keys.DEK, err = readSymKey(r); err != nil {
 			return nil, badEnc(err)
 		}
-		copy(m.Keys.DEK[:], raw)
 	}
 	if mask&hasDataSeed != 0 {
-		raw, err := r.Raw(sharocrypto.SymKeySize)
-		if err != nil {
+		if m.Keys.DataSeed, err = readSymKey(r); err != nil {
 			return nil, badEnc(err)
 		}
-		copy(m.Keys.DataSeed[:], raw)
 	}
 	if mask&hasDVK != 0 {
 		raw, err := r.Raw(sharocrypto.VerifyKeySize)
@@ -329,16 +325,23 @@ func Decode(b []byte) (*Metadata, error) {
 		}
 	}
 	if mask&hasMetaSeed != 0 {
-		raw, err := r.Raw(sharocrypto.SymKeySize)
-		if err != nil {
+		if m.Keys.MetaSeed, err = readSymKey(r); err != nil {
 			return nil, badEnc(err)
 		}
-		copy(m.Keys.MetaSeed[:], raw)
 	}
 	return &m, nil
 }
 
 func badEnc(err error) error { return fmt.Errorf("%w: %w", ErrBadEncoding, err) }
+
+// readSymKey reads a raw symmetric key.
+func readSymKey(r *binenc.Reader) (sharocrypto.SymKey, error) {
+	raw, err := r.Raw(sharocrypto.SymKeySize)
+	if err != nil {
+		return sharocrypto.SymKey{}, err
+	}
+	return sharocrypto.SymKeyFromBytes(raw)
+}
 
 // DirEntry is one row of a directory table: the ext2 (inode, name) columns
 // plus the MEK and MVK columns Sharoes adds (paper Figure 3).
@@ -434,7 +437,7 @@ func encodeEntry(w *binenc.Writer, e *DirEntry) {
 	if e.Split {
 		return
 	}
-	w.Raw(e.MEK[:])
+	w.Raw(e.MEK.Marshal())
 	var mvk [sharocrypto.VerifyKeySize]byte
 	w.BytesField(e.MVK.AppendMarshal(mvk[:0]))
 }
@@ -464,11 +467,9 @@ func decodeEntry(r *binenc.Reader) (DirEntry, error) {
 	if e.Split {
 		return e, nil
 	}
-	raw, err := r.Raw(sharocrypto.SymKeySize)
-	if err != nil {
+	if e.MEK, err = readSymKey(r); err != nil {
 		return e, err
 	}
-	copy(e.MEK[:], raw)
 	mvkRaw, err := r.BytesField()
 	if err != nil {
 		return e, err
@@ -627,7 +628,7 @@ func (s *Superblock) Encode() []byte {
 	w.String(s.FSID)
 	w.Uvarint(uint64(s.RootInode))
 	w.String(s.RootVariant)
-	w.Raw(s.RootMEK[:])
+	w.Raw(s.RootMEK.Marshal())
 	w.BytesField(s.RootMVK.Marshal())
 	return w.Bytes()
 }
@@ -648,11 +649,9 @@ func DecodeSuperblock(b []byte) (*Superblock, error) {
 	if s.RootVariant, err = r.String(); err != nil {
 		return nil, badEnc(err)
 	}
-	raw, err := r.Raw(sharocrypto.SymKeySize)
-	if err != nil {
+	if s.RootMEK, err = readSymKey(r); err != nil {
 		return nil, badEnc(err)
 	}
-	copy(s.RootMEK[:], raw)
 	mvkRaw, err := r.BytesField()
 	if err != nil {
 		return nil, badEnc(err)
@@ -680,7 +679,7 @@ func (p *SplitPointer) Encode() []byte {
 	var w binenc.Writer
 	w.Uvarint(uint64(p.Inode))
 	w.String(p.Variant)
-	w.Raw(p.MEK[:])
+	w.Raw(p.MEK.Marshal())
 	w.BytesField(p.MVK.Marshal())
 	return w.Bytes()
 }
@@ -697,11 +696,9 @@ func DecodeSplitPointer(b []byte) (*SplitPointer, error) {
 	if p.Variant, err = r.String(); err != nil {
 		return nil, badEnc(err)
 	}
-	raw, err := r.Raw(sharocrypto.SymKeySize)
-	if err != nil {
+	if p.MEK, err = readSymKey(r); err != nil {
 		return nil, badEnc(err)
 	}
-	copy(p.MEK[:], raw)
 	mvkRaw, err := r.BytesField()
 	if err != nil {
 		return nil, badEnc(err)

@@ -46,13 +46,15 @@ var (
 	ErrKeySize   = errors.New("sharocrypto: bad key size")
 )
 
-// SymKey is a 128-bit symmetric encryption key (a DEK or MEK).
-type SymKey [SymKeySize]byte
+// SymKey is a 128-bit symmetric encryption key (a DEK or MEK). Its
+// bytes are unexported: outside this package a key can be sealed,
+// derived and compared, but its raw bytes leave only through Marshal.
+type SymKey struct{ b [SymKeySize]byte }
 
 // NewSymKey generates a fresh random symmetric key.
 func NewSymKey() SymKey {
 	var k SymKey
-	if _, err := io.ReadFull(rand.Reader, k[:]); err != nil {
+	if _, err := io.ReadFull(rand.Reader, k.b[:]); err != nil {
 		panic("sharocrypto: entropy unavailable: " + err.Error())
 	}
 	return k
@@ -64,9 +66,13 @@ func SymKeyFromBytes(b []byte) (SymKey, error) {
 	if len(b) != SymKeySize {
 		return k, fmt.Errorf("%w: got %d want %d", ErrKeySize, len(b), SymKeySize)
 	}
-	copy(k[:], b)
+	copy(k.b[:], b)
 	return k, nil
 }
+
+// Marshal returns the raw key bytes, a copy: the secret itself, for an
+// encoder whose output is sealed before it leaves the client.
+func (k SymKey) Marshal() []byte { return k.b[:] }
 
 // IsZero reports whether the key is all zero (the "inaccessible" value).
 func (k SymKey) IsZero() bool {
@@ -79,7 +85,7 @@ func (k SymKey) IsZero() bool {
 // material: a short-circuiting comparison leaks the length of the
 // matching prefix through timing.
 func (k SymKey) Equal(o SymKey) bool {
-	return subtle.ConstantTimeCompare(k[:], o[:]) == 1
+	return subtle.ConstantTimeCompare(k.b[:], o.b[:]) == 1
 }
 
 const gcmNonceSize = 12
@@ -122,7 +128,7 @@ func (k SymKey) Open(blob, aad []byte) ([]byte, error) {
 const SealOverhead = gcmNonceSize + 16
 
 func (k SymKey) aead() cipher.AEAD {
-	block, err := aes.NewCipher(k[:])
+	block, err := aes.NewCipher(k.b[:])
 	if err != nil {
 		panic("sharocrypto: " + err.Error()) // impossible: key size is fixed
 	}
@@ -138,11 +144,11 @@ func (k SymKey) aead() cipher.AEAD {
 // row keys (label = entry name) and per-variant MEK derivation from an
 // object's metadata key seed (label = CAP identifier).
 func (k SymKey) Derive(label string) SymKey {
-	mac := hmac.New(sha256.New, k[:])
+	mac := hmac.New(sha256.New, k.b[:])
 	mac.Write([]byte(label))
 	sum := mac.Sum(nil)
 	var out SymKey
-	copy(out[:], sum[:SymKeySize])
+	copy(out.b[:], sum[:SymKeySize])
 	return out
 }
 
@@ -151,7 +157,7 @@ func (k SymKey) Derive(label string) SymKey {
 // client that knows a name can find (and decrypt) its row without being
 // able to list the table.
 func (k SymKey) NameTag(name string) [32]byte {
-	mac := hmac.New(sha256.New, k[:])
+	mac := hmac.New(sha256.New, k.b[:])
 	mac.Write([]byte("tag\x00"))
 	mac.Write([]byte(name))
 	var tag [32]byte
@@ -352,7 +358,7 @@ const rsaCipherLen = RSABits / 8
 // baseline's metadata key wrapping.
 func (p PublicKey) Seal(msg []byte) ([]byte, error) {
 	body := NewSymKey()
-	wrapped, err := rsa.EncryptOAEP(sha256.New(), rand.Reader, p.key, body[:], oaepLabel)
+	wrapped, err := rsa.EncryptOAEP(sha256.New(), rand.Reader, p.key, body.b[:], oaepLabel)
 	if err != nil {
 		return nil, fmt.Errorf("sharocrypto: rsa seal: %w", err)
 	}

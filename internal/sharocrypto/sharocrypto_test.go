@@ -101,15 +101,21 @@ func TestSymKeyProperty(t *testing.T) {
 
 func TestSymKeyFromBytes(t *testing.T) {
 	k := NewSymKey()
-	k2, err := SymKeyFromBytes(k[:])
+	k2, err := SymKeyFromBytes(k.Marshal())
 	if err != nil {
 		t.Fatal(err)
 	}
 	if k != k2 {
 		t.Error("round trip mismatch")
 	}
-	if _, err := SymKeyFromBytes(k[:10]); !errors.Is(err, ErrKeySize) {
+	if _, err := SymKeyFromBytes(k.Marshal()[:10]); !errors.Is(err, ErrKeySize) {
 		t.Errorf("short key err = %v", err)
+	}
+	// Marshal hands out a copy: writing to it leaves the key as it was.
+	raw := k.Marshal()
+	raw[0] ^= 0xff
+	if k != k2 {
+		t.Error("Marshal exposed the key's own bytes")
 	}
 }
 
@@ -125,7 +131,7 @@ func TestSymKeyIsZero(t *testing.T) {
 
 func TestSymKeyEqual(t *testing.T) {
 	k := NewSymKey()
-	same, err := SymKeyFromBytes(k[:])
+	same, err := SymKeyFromBytes(k.Marshal())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -142,7 +148,7 @@ func TestSymKeyEqual(t *testing.T) {
 	// covers every byte).
 	for i := 0; i < SymKeySize; i++ {
 		flipped := k
-		flipped[i] ^= 1
+		flipped.b[i] ^= 1
 		if k.Equal(flipped) {
 			t.Fatalf("key Equal after flipping byte %d", i)
 		}

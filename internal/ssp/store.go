@@ -19,6 +19,7 @@ import (
 	"strings"
 	"sync"
 
+	"github.com/sharoes/sharoes/internal/types"
 	"github.com/sharoes/sharoes/internal/wire"
 )
 
@@ -41,6 +42,23 @@ type BlobStore interface {
 	BatchGet(items []wire.KV) ([]wire.KV, error)
 	BatchPut(items []wire.KV) error
 	Stats() (Stats, error)
+}
+
+// ListUnder is st.List(ns, prefix) for a client that acts on the listed
+// keys. A key outside prefix is the SSP (or one shard behind a router)
+// answering a different question than the one put to it, and is refused
+// as tampering before the caller deletes or parses by it.
+func ListUnder(st BlobStore, ns wire.NS, prefix string) ([]wire.KV, error) {
+	items, err := st.List(ns, prefix)
+	if err != nil {
+		return nil, err
+	}
+	for _, it := range items {
+		if !strings.HasPrefix(it.Key, prefix) {
+			return nil, fmt.Errorf("%w: listed %s key %q is not under %q", types.ErrTampered, ns, it.Key, prefix)
+		}
+	}
+	return items, nil
 }
 
 // ViewStore is the optional borrowed-read extension of BlobStore. The
