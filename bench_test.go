@@ -81,7 +81,8 @@ func BenchmarkFig9CreateAndList(b *testing.B) {
 				}
 				b.ReportMetric(res.Create.Seconds(), "create-s")
 				b.ReportMetric(res.List.Seconds(), "list-s")
-				b.ReportMetric(100*res.ListStats.CryptoFraction(), "list-crypto-%")
+				_, list := res.CryptoShares()
+				b.ReportMetric(100*list, "list-crypto-%")
 			}
 		})
 	}

@@ -55,7 +55,7 @@ var boundarySites = []struct {
 	{"layout.Get", "ssp.Get", 1, "wraps the reply as a Sealed"},
 	{"layout.BatchGet", "ssp.BatchGet", 1, "wraps each reply as a Sealed"},
 	{"layout.List", "ssp.ListUnder", 1, "wraps each reply as a Sealed"},
-	{"keys.FetchGroupKeys", "ssp.ListUnder", 1, "each blob is opened right here with the member's private key"},
+	{"keys.FetchGroupKeys", "ssp.ListUnder", 1, "each blob is opened right here with the member's private key, and its public half checked against the registry's group key"},
 	{"meta.Metadata.Encode", "sharocrypto.SymKey.Marshal", 3, "the DEK, data seed and metadata seed of a copy sealed by its caller"},
 	{"meta.Metadata.Encode", "sharocrypto.SignKey.Marshal", 2, "the DSK and MSK of a copy sealed by its caller"},
 	{"meta.encodeEntry", "sharocrypto.SymKey.Marshal", 1, "a row's MEK, in a table sealed by its caller"},

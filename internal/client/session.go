@@ -163,7 +163,7 @@ func Mount(cfg Config) (*Session, error) {
 	}
 
 	// In-band group key distribution (paper §II-A).
-	gk, err := keys.FetchGroupKeys(cfg.Store, cfg.User)
+	gk, err := keys.FetchGroupKeys(cfg.Store, cfg.Registry, cfg.User)
 	if err != nil {
 		return nil, fmt.Errorf("client: mount: %w", err)
 	}
@@ -247,7 +247,7 @@ func (s *Session) User() types.UserID { return s.user.ID }
 // analyzer enforces this for obs sinks).
 func (s *Session) crypto(name string) func() {
 	sp := s.tracer.Start("crypto."+name, obs.ClassCrypto)
-	stop := s.rec.Time(stats.Crypto)
+	stop := s.rec.Time(obs.ClassCrypto)
 	return func() {
 		stop()
 		sp.End()
@@ -618,7 +618,7 @@ func (s *Session) await(b *batch) error {
 	select {
 	case err = <-b.reply:
 	default:
-		stop := s.rec.Time(stats.Network)
+		stop := s.rec.Time(obs.ClassNetwork)
 		err = <-b.reply
 		stop()
 	}

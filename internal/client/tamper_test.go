@@ -7,9 +7,11 @@ import (
 	"reflect"
 	"testing"
 
+	"github.com/sharoes/sharoes/internal/keys"
 	"github.com/sharoes/sharoes/internal/layout"
 	"github.com/sharoes/sharoes/internal/meta"
 	"github.com/sharoes/sharoes/internal/migrate"
+	"github.com/sharoes/sharoes/internal/sharocrypto"
 	"github.com/sharoes/sharoes/internal/ssp"
 	"github.com/sharoes/sharoes/internal/types"
 	"github.com/sharoes/sharoes/internal/wire"
@@ -445,5 +447,62 @@ func TestStrayListedKeyIsTampering(t *testing.T) {
 		if got, err := fresh.ReadFile(p); err != nil || !bytes.Equal(got, content) {
 			t.Errorf("%s after the refused operation: %d bytes, %v", p, len(got), err)
 		}
+	}
+}
+
+// TestMountRefusesUnvouchedGroupKey: the SSP chooses which wrapped group
+// keys a member's listing holds, and RSA-OAEP authenticates nothing, so a
+// malicious SSP can seal a key of its own to alice's public key, list it
+// as one of her groups and store a superblock sealed to it. Hiding her
+// own and her group's superblocks leaves the mount only the forged root;
+// the mount must refuse the unvouched key instead.
+func TestMountRefusesUnvouchedGroupKey(t *testing.T) {
+	fixture(t)
+	evil, err := keys.NewGroup("evil")
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, mvk := sharocrypto.NewSigningPair()
+	forgedRoot := &meta.Superblock{FSID: "testfs", RootInode: 4242, RootVariant: "c/forged",
+		RootMEK: sharocrypto.NewSymKey(), RootMVK: mvk}
+	// "evil" is in no registry group; "eng" is alice's, but the key is not
+	// the one the registry holds for it.
+	for _, gid := range []types.GroupID{"evil", "eng"} {
+		t.Run(string(gid), func(t *testing.T) {
+			store := ssp.NewMemStore()
+			eng := layout.NewScheme2(fixReg)
+			if err := migrate.Bootstrap(migrate.Options{Store: store, Registry: fixReg, Layout: eng,
+				FSID: "testfs", RootOwner: "alice", RootGroup: "eng", RootPerm: 0o755}); err != nil {
+				t.Fatal(err)
+			}
+			for _, p := range []string{"u:alice", "g:eng"} {
+				if err := store.Delete(wire.NSSuper, meta.SuperKey("testfs", p)); err != nil {
+					t.Fatal(err)
+				}
+			}
+			wrapped, err := fixUser["alice"].Public().Seal(evil.Priv.Marshal())
+			if err != nil {
+				t.Fatal(err)
+			}
+			sb, err := meta.SealSuperblock(forgedRoot, evil.Priv.Public())
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := store.BatchPut([]wire.KV{
+				{NS: wire.NSGroupKey, Key: "u/alice/g/" + string(gid), Val: wrapped},
+				{NS: wire.NSSuper, Key: meta.SuperKey("testfs", "g:"+string(gid)), Val: sb},
+			}); err != nil {
+				t.Fatal(err)
+			}
+			s, err := Mount(Config{Store: store, User: fixUser["alice"], Registry: fixReg, Layout: eng,
+				FSID: "testfs", CacheBytes: -1, BlockSize: 64})
+			if err == nil {
+				s.Close()
+				t.Fatalf("mount accepted a root at inode %d, variant %q", s.root.ino, s.root.variant)
+			}
+			if !errors.Is(err, types.ErrTampered) {
+				t.Fatalf("mount over a forged group key: %v, want ErrTampered", err)
+			}
+		})
 	}
 }

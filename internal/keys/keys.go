@@ -235,8 +235,12 @@ func RevokeGroupKey(store ssp.BlobStore, g types.GroupID, u types.UserID) error 
 // FetchGroupKeys retrieves and unwraps every group private key stored for
 // user u — the in-band half of mount (paper §II-A: "when a user logs into
 // the system ... she obtains her encrypted group key blocks and uses her
-// private key to decrypt").
-func FetchGroupKeys(store ssp.BlobStore, u *User) (map[types.GroupID]sharocrypto.PrivateKey, error) {
+// private key to decrypt"). The SSP chooses what it lists and RSA-OAEP
+// authenticates nothing, so each key is vouched for by reg: a group reg
+// does not know, or a key whose public half is not the group's registered
+// key, is types.ErrTampered. A key of a group u has left is skipped
+// unopened: RemoveMember leaves the wrapped copy until the group re-keys.
+func FetchGroupKeys(store ssp.BlobStore, reg *Registry, u *User) (map[types.GroupID]sharocrypto.PrivateKey, error) {
 	prefix := "u/" + string(u.ID) + "/g/"
 	items, err := ssp.ListUnder(store, wire.NSGroupKey, prefix)
 	if err != nil {
@@ -245,6 +249,13 @@ func FetchGroupKeys(store ssp.BlobStore, u *User) (map[types.GroupID]sharocrypto
 	out := make(map[types.GroupID]sharocrypto.PrivateKey, len(items))
 	for _, it := range items {
 		gid := types.GroupID(it.Key[len(prefix):])
+		pub, err := reg.GroupKey(gid)
+		if err != nil {
+			return nil, fmt.Errorf("keys: group key %q: %w: %w", gid, types.ErrTampered, err)
+		}
+		if !reg.IsMember(gid, u.ID) {
+			continue
+		}
 		blob, err := u.Priv.Open(it.Val)
 		if err != nil {
 			return nil, fmt.Errorf("keys: unwrap group key %q: %w", gid, err)
@@ -252,6 +263,9 @@ func FetchGroupKeys(store ssp.BlobStore, u *User) (map[types.GroupID]sharocrypto
 		priv, err := sharocrypto.PrivateKeyFromBytes(blob)
 		if err != nil {
 			return nil, fmt.Errorf("keys: parse group key %q: %w", gid, err)
+		}
+		if priv.Public().Fingerprint() != pub.Fingerprint() {
+			return nil, fmt.Errorf("keys: group key %q is not the registered one: %w", gid, types.ErrTampered)
 		}
 		out[gid] = priv
 	}

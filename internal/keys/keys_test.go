@@ -122,7 +122,7 @@ func TestGroupKeyDistribution(t *testing.T) {
 	}
 
 	// Alice (a member) can fetch and unwrap the group key in-band.
-	got, err := FetchGroupKeys(store, alice)
+	got, err := FetchGroupKeys(store, reg, alice)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -142,7 +142,7 @@ func TestGroupKeyDistribution(t *testing.T) {
 	}
 
 	// Carol (not a member) gets nothing.
-	gotCarol, err := FetchGroupKeys(store, carol)
+	gotCarol, err := FetchGroupKeys(store, reg, carol)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -185,7 +185,7 @@ func TestRevokeGroupKey(t *testing.T) {
 	if err := RevokeGroupKey(store, "engineering", "bob"); err != nil {
 		t.Fatal(err)
 	}
-	got, err := FetchGroupKeys(store, bob)
+	got, err := FetchGroupKeys(store, reg, bob)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -295,7 +295,47 @@ func (s shortListStore) List(ns wire.NS, prefix string) ([]wire.KV, error) {
 // prefix is tampering, reported as such rather than sliced past its end.
 func TestFetchGroupKeysRefusesStrayKey(t *testing.T) {
 	fixtures(t)
-	if _, err := FetchGroupKeys(shortListStore{ssp.NewMemStore()}, alice); !errors.Is(err, types.ErrTampered) {
+	if _, err := FetchGroupKeys(shortListStore{ssp.NewMemStore()}, testRegistry(t), alice); !errors.Is(err, types.ErrTampered) {
 		t.Fatalf("FetchGroupKeys over a stray listing: %v", err)
+	}
+}
+
+// TestFetchGroupKeysVouchedByRegistry: the SSP picks what the listing
+// holds, so a wrapped key is used only if the registry vouches for it.
+// A group the registry does not know and a key that is not the group's
+// registered one are tampering; an ex-member's leftover copy is skipped.
+func TestFetchGroupKeysVouchedByRegistry(t *testing.T) {
+	forge := func(t *testing.T, gid types.GroupID) ssp.BlobStore {
+		t.Helper()
+		store := ssp.NewMemStore()
+		if err := PublishGroupKey(store, testRegistry(t), engineering); err != nil {
+			t.Fatal(err)
+		}
+		// Any private key will do as the forgery: carol's.
+		sealed, err := alice.Public().Seal(carol.Priv.Marshal())
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := store.Put(wire.NSGroupKey, groupKeyStorageKey(alice.ID, gid), sealed); err != nil {
+			t.Fatal(err)
+		}
+		return store
+	}
+	for _, gid := range []types.GroupID{"evil", engineering.ID} {
+		store := forge(t, gid)
+		if _, err := FetchGroupKeys(store, testRegistry(t), alice); !errors.Is(err, types.ErrTampered) {
+			t.Errorf("forged key listed as %q: %v", gid, err)
+		}
+	}
+
+	reg := testRegistry(t)
+	store := ssp.NewMemStore()
+	if err := PublishGroupKey(store, reg, engineering); err != nil {
+		t.Fatal(err)
+	}
+	reg.RemoveMember(engineering.ID, bob.ID)
+	got, err := FetchGroupKeys(store, reg, bob)
+	if err != nil || len(got) != 0 {
+		t.Errorf("ex-member fetch = %d keys, %v; want none and no error", len(got), err)
 	}
 }

@@ -3,15 +3,14 @@ package obs
 import (
 	"encoding/json"
 	"io"
-	"sort"
 	"sync"
 	"sync/atomic"
 	"time"
 )
 
-// Counter is a named monotonic counter backed by a sharded atomic.
+// Counter is a named monotonic counter.
 type Counter struct {
-	v ShardedInt64
+	v atomic.Int64
 }
 
 // Inc adds one.
@@ -80,9 +79,9 @@ const (
 	bucketBaseNanos  = 1000 // 1 µs
 )
 
-// BucketUpperNanos returns the inclusive upper bound of finite bucket i
+// bucketUpperNanos returns the inclusive upper bound of finite bucket i
 // in nanoseconds.
-func BucketUpperNanos(i int) int64 {
+func bucketUpperNanos(i int) int64 {
 	return bucketBaseNanos << uint(i)
 }
 
@@ -92,7 +91,7 @@ func bucketFor(n int64) int {
 		return 0
 	}
 	for i := 1; i < numFiniteBuckets; i++ {
-		if n <= BucketUpperNanos(i) {
+		if n <= bucketUpperNanos(i) {
 			return i
 		}
 	}
@@ -102,7 +101,7 @@ func bucketFor(n int64) int {
 // Histogram is a fixed-bucket latency histogram safe for concurrent use.
 type Histogram struct {
 	buckets [numBuckets]atomic.Int64
-	sum     ShardedInt64
+	sum     atomic.Int64
 }
 
 // Observe records one duration.
@@ -180,13 +179,13 @@ func (s HistSnapshot) Quantile(q float64) time.Duration {
 		next := cum + float64(n)
 		if rank <= next || i == numBuckets-1 {
 			if i >= numFiniteBuckets {
-				return time.Duration(BucketUpperNanos(numFiniteBuckets - 1))
+				return time.Duration(bucketUpperNanos(numFiniteBuckets - 1))
 			}
 			lo := int64(0)
 			if i > 0 {
-				lo = BucketUpperNanos(i - 1)
+				lo = bucketUpperNanos(i - 1)
 			}
-			hi := BucketUpperNanos(i)
+			hi := bucketUpperNanos(i)
 			frac := (rank - cum) / float64(n)
 			if frac < 0 {
 				frac = 0
@@ -227,19 +226,7 @@ func (r *Registry) Counter(name string) *Counter {
 	if r == nil {
 		return nil
 	}
-	r.mu.RLock()
-	c := r.counters[name]
-	r.mu.RUnlock()
-	if c != nil {
-		return c
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if c = r.counters[name]; c == nil {
-		c = &Counter{}
-		r.counters[name] = c
-	}
-	return c
+	return getOrCreate(&r.mu, r.counters, name)
 }
 
 // Gauge returns the named gauge, creating it if needed.
@@ -247,19 +234,7 @@ func (r *Registry) Gauge(name string) *Gauge {
 	if r == nil {
 		return nil
 	}
-	r.mu.RLock()
-	g := r.gauges[name]
-	r.mu.RUnlock()
-	if g != nil {
-		return g
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if g = r.gauges[name]; g == nil {
-		g = &Gauge{}
-		r.gauges[name] = g
-	}
-	return g
+	return getOrCreate(&r.mu, r.gauges, name)
 }
 
 // Histogram returns the named histogram, creating it if needed.
@@ -267,19 +242,25 @@ func (r *Registry) Histogram(name string) *Histogram {
 	if r == nil {
 		return nil
 	}
-	r.mu.RLock()
-	h := r.hists[name]
-	r.mu.RUnlock()
-	if h != nil {
-		return h
+	return getOrCreate(&r.mu, r.hists, name)
+}
+
+// getOrCreate returns m[name], adding a zero metric under mu's write
+// lock the first time the name is asked for.
+func getOrCreate[T any](mu *sync.RWMutex, m map[string]*T, name string) *T {
+	mu.RLock()
+	v := m[name]
+	mu.RUnlock()
+	if v != nil {
+		return v
 	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if h = r.hists[name]; h == nil {
-		h = &Histogram{}
-		r.hists[name] = h
+	mu.Lock()
+	defer mu.Unlock()
+	if v = m[name]; v == nil {
+		v = new(T)
+		m[name] = v
 	}
-	return h
+	return v
 }
 
 // HistJSON is the JSON rendering of one histogram.
@@ -336,26 +317,4 @@ func (r *Registry) WriteJSON(w io.Writer) error {
 	enc := json.NewEncoder(w)
 	enc.SetIndent("", "  ")
 	return enc.Encode(r.Snapshot())
-}
-
-// Names returns all registered metric names, sorted; used by tests and
-// the debug endpoint index.
-func (r *Registry) Names() []string {
-	if r == nil {
-		return nil
-	}
-	r.mu.RLock()
-	defer r.mu.RUnlock()
-	names := make([]string, 0, len(r.counters)+len(r.gauges)+len(r.hists))
-	for n := range r.counters {
-		names = append(names, n)
-	}
-	for n := range r.gauges {
-		names = append(names, n)
-	}
-	for n := range r.hists {
-		names = append(names, n)
-	}
-	sort.Strings(names)
-	return names
 }

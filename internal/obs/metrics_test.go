@@ -7,28 +7,6 @@ import (
 	"time"
 )
 
-func TestShardedInt64(t *testing.T) {
-	var s ShardedInt64
-	if s.Load() != 0 {
-		t.Fatalf("zero value loads %d", s.Load())
-	}
-	s.Add(5)
-	s.Add(-2)
-	if got := s.Load(); got != 3 {
-		t.Fatalf("Load = %d, want 3", got)
-	}
-	s.Reset()
-	if got := s.Load(); got != 0 {
-		t.Fatalf("after Reset, Load = %d", got)
-	}
-	// nil receiver discards
-	var np *ShardedInt64
-	np.Add(1)
-	if np.Load() != 0 {
-		t.Fatal("nil ShardedInt64 not inert")
-	}
-}
-
 func TestBucketBoundaries(t *testing.T) {
 	// Bucket 0 covers (0, 1µs]; each boundary value must land in the
 	// bucket it bounds, and one nanosecond more must land in the next.
@@ -42,10 +20,10 @@ func TestBucketBoundaries(t *testing.T) {
 		{bucketBaseNanos + 1, 1},   // 1µs+1ns → bucket 1
 		{2 * bucketBaseNanos, 1},   // 2µs → bucket 1
 		{2*bucketBaseNanos + 1, 2}, // 2µs+1 → bucket 2
-		{BucketUpperNanos(10), 10},
-		{BucketUpperNanos(10) + 1, 11},
-		{BucketUpperNanos(numFiniteBuckets - 1), numFiniteBuckets - 1},
-		{BucketUpperNanos(numFiniteBuckets-1) + 1, numFiniteBuckets}, // overflow
+		{bucketUpperNanos(10), 10},
+		{bucketUpperNanos(10) + 1, 11},
+		{bucketUpperNanos(numFiniteBuckets - 1), numFiniteBuckets - 1},
+		{bucketUpperNanos(numFiniteBuckets-1) + 1, numFiniteBuckets}, // overflow
 		{1 << 62, numFiniteBuckets},
 	}
 	for _, c := range cases {
@@ -113,7 +91,7 @@ func TestHistogramOverflowClamped(t *testing.T) {
 	if s.Buckets[numFiniteBuckets] != 1 {
 		t.Fatal("overflow observation not in overflow bucket")
 	}
-	want := time.Duration(BucketUpperNanos(numFiniteBuckets - 1))
+	want := time.Duration(bucketUpperNanos(numFiniteBuckets - 1))
 	if got := s.Quantile(0.99); got != want {
 		t.Fatalf("overflow quantile = %v, want clamp to %v", got, want)
 	}
@@ -179,9 +157,8 @@ func TestRegistry(t *testing.T) {
 		t.Fatalf("decoded counter = %d", decoded.Counters["test.ops"])
 	}
 
-	names := r.Names()
-	if len(names) != 3 {
-		t.Fatalf("names = %v", names)
+	if n := len(snap.Counters) + len(snap.Gauges) + len(snap.Histograms); n != 3 {
+		t.Fatalf("snapshot holds %d metrics, want 3", n)
 	}
 }
 
@@ -203,44 +180,8 @@ func TestNilRegistryAndHandles(t *testing.T) {
 	}
 }
 
-func TestCostAccount(t *testing.T) {
-	var a CostAccount
-	a.AddClass(ClassNetwork, 10*time.Millisecond)
-	a.AddClass(ClassCrypto, 5*time.Millisecond)
-	a.AddClass(ClassOther, time.Millisecond)
-	a.AddClass(ClassNone, time.Hour) // discarded
-	a.AddOp()
-	a.AddBytes(100, 200)
-
-	if got := a.ClassNanos(ClassNetwork); got != int64(10*time.Millisecond) {
-		t.Fatalf("network = %d", got)
-	}
-	if got := a.CryptoOps(); got != 1 {
-		t.Fatalf("cryptoOps = %d", got)
-	}
-	if got := a.Ops(); got != 1 {
-		t.Fatalf("ops = %d", got)
-	}
-	out, in := a.Bytes()
-	if out != 100 || in != 200 {
-		t.Fatalf("bytes = %d/%d", out, in)
-	}
-
-	stop := a.Time(ClassCrypto)
-	stop()
-	if a.CryptoOps() != 2 {
-		t.Fatal("Time did not charge crypto")
-	}
-
-	a.Reset()
-	if a.Ops() != 0 || a.ClassNanos(ClassCrypto) != 0 {
-		t.Fatal("Reset incomplete")
-	}
-
-	var nilA *CostAccount
-	nilA.AddClass(ClassCrypto, time.Second)
-	nilA.Time(ClassNetwork)()
-	if nilA.Ops() != 0 {
-		t.Fatal("nil account not inert")
+func TestClassString(t *testing.T) {
+	if ClassNetwork.String() != "NETWORK" || ClassCrypto.String() != "CRYPTO" || ClassNone.String() != "NONE" {
+		t.Error("class strings wrong")
 	}
 }

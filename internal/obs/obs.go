@@ -2,26 +2,25 @@
 // and tracing subsystem shared by the client filesystem, the SSP server
 // and the benchmark harness.
 //
-// It provides three cooperating mechanisms:
+// It provides two mechanisms:
 //
-//   - a metrics Registry of named sharded counters, gauges and
-//     fixed-bucket latency histograms (with p50/p95/p99 estimation),
-//     cheap enough for hot paths and safe under -race;
+//   - a metrics Registry of named counters, gauges and fixed-bucket
+//     latency histograms (with p50/p95/p99 estimation), each a plain
+//     atomic, cheap enough for hot paths and safe under -race;
 //
 //   - hierarchical trace Spans on the monotonic clock, recording each
 //     client operation's tree — resolve → CAP unwrap → RPC → crypto —
 //     with a Chrome trace_event JSON exporter. A trace ID propagated
-//     through the wire protocol lets SSP-side spans join client traces;
+//     through the wire protocol lets SSP-side spans join client traces.
 //
-//   - a CostAccount accumulating time per cost Class. The paper's
-//     Figure 13 NETWORK / CRYPTO / OTHER decomposition is a view over
-//     the same stopwatches that emit classed spans: internal/stats keeps
-//     its Recorder API as a thin adapter over CostAccount.
+// A span carries a cost Class, the bucket of the paper's Figure 13 its
+// time belongs to. The totals per class are kept by stats.Recorder,
+// which times the same crypto.* and rpc.* sections with its own clock.
 //
-// Every type follows the nil-receiver discipline of internal/stats: a nil
-// *Registry, *Tracer, *Span, *Counter, *Gauge, *Histogram or *CostAccount
-// discards all measurements, so instrumentation call sites never need nil
-// checks and uninstrumented runs pay almost nothing.
+// Every type follows the nil-receiver discipline: a nil *Registry,
+// *Tracer, *Span, *Counter, *Gauge or *Histogram discards all
+// measurements, so instrumentation call sites never need nil checks and
+// uninstrumented runs pay almost nothing.
 //
 // Security invariant: span names, annotations and metric names are
 // operational labels that may end up in logs, debug endpoints and
@@ -29,10 +28,9 @@
 // them — the sharoes-vet keyleak analyzer enforces this statically.
 package obs
 
-import "time"
-
-// Class is a cost bucket for classed spans and the CostAccount,
-// mirroring the paper's Figure 13 decomposition.
+// Class is the cost bucket a span's time is charged to. The paper's
+// third bucket, OTHER, is never charged: it is the wall time the two
+// classes leave over (stats.BreakdownFrom).
 type Class uint8
 
 // Cost classes. ClassNone marks structural spans (operation roots,
@@ -41,8 +39,6 @@ const (
 	ClassNone Class = iota
 	ClassNetwork
 	ClassCrypto
-	ClassOther
-	numClasses
 )
 
 // String implements fmt.Stringer.
@@ -52,105 +48,7 @@ func (c Class) String() string {
 		return "NETWORK"
 	case ClassCrypto:
 		return "CRYPTO"
-	case ClassOther:
-		return "OTHER"
 	default:
 		return "NONE"
 	}
-}
-
-// CostAccount accumulates wall time per cost class plus operation and
-// byte counters. It is the substrate behind stats.Recorder and is safe
-// for concurrent use; the zero value is ready to use.
-type CostAccount struct {
-	nanos     [numClasses]ShardedInt64
-	ops       ShardedInt64
-	cryptoOps ShardedInt64
-	bytesOut  ShardedInt64
-	bytesIn   ShardedInt64
-}
-
-// AddClass charges d to class c. ClassNone is discarded.
-func (a *CostAccount) AddClass(c Class, d time.Duration) {
-	if a == nil || c == ClassNone || c >= numClasses {
-		return
-	}
-	a.nanos[c].Add(int64(d))
-	if c == ClassCrypto {
-		a.cryptoOps.Add(1)
-	}
-}
-
-// Time starts a stopwatch charging class c; call the returned func to
-// stop it. Usage: defer a.Time(obs.ClassCrypto)().
-func (a *CostAccount) Time(c Class) func() {
-	if a == nil {
-		return func() {}
-	}
-	start := time.Now()
-	return func() { a.AddClass(c, time.Since(start)) }
-}
-
-// AddOp counts one completed filesystem operation.
-func (a *CostAccount) AddOp() {
-	if a == nil {
-		return
-	}
-	a.ops.Add(1)
-}
-
-// AddBytes records wire traffic: out is bytes sent to the SSP, in is
-// bytes received from it.
-func (a *CostAccount) AddBytes(out, in int) {
-	if a == nil {
-		return
-	}
-	a.bytesOut.Add(int64(out))
-	a.bytesIn.Add(int64(in))
-}
-
-// ClassNanos returns the accumulated time for class c.
-func (a *CostAccount) ClassNanos(c Class) int64 {
-	if a == nil || c >= numClasses {
-		return 0
-	}
-	return a.nanos[c].Load()
-}
-
-// Ops returns the operation count.
-func (a *CostAccount) Ops() int64 {
-	if a == nil {
-		return 0
-	}
-	return a.ops.Load()
-}
-
-// CryptoOps returns the number of timed crypto sections.
-func (a *CostAccount) CryptoOps() int64 {
-	if a == nil {
-		return 0
-	}
-	return a.cryptoOps.Load()
-}
-
-// Bytes returns the wire traffic counters (out, in).
-func (a *CostAccount) Bytes() (out, in int64) {
-	if a == nil {
-		return 0, 0
-	}
-	return a.bytesOut.Load(), a.bytesIn.Load()
-}
-
-// Reset zeroes all counters.
-func (a *CostAccount) Reset() {
-	if a == nil {
-		return
-	}
-	for i := range a.nanos {
-		a.nanos[i].Reset()
-	}
-	a.ops.Reset()
-	a.cryptoOps.Reset()
-	a.bytesOut.Reset()
-	a.bytesIn.Reset()
 }

@@ -63,38 +63,6 @@ func TestRaceRegistry(t *testing.T) {
 	}
 }
 
-// TestRaceCostAccount exercises the sharded counters from concurrent
-// goroutines and checks the final sums are exact.
-func TestRaceCostAccount(t *testing.T) {
-	var a CostAccount
-	const workers = 8
-	const iters = 5000
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := 0; i < iters; i++ {
-				a.AddClass(ClassNetwork, time.Microsecond)
-				a.AddClass(ClassCrypto, time.Microsecond)
-				a.AddOp()
-				a.AddBytes(1, 2)
-			}
-		}()
-	}
-	wg.Wait()
-	if got := a.ClassNanos(ClassNetwork); got != int64(workers*iters)*1000 {
-		t.Fatalf("network nanos = %d", got)
-	}
-	if got := a.Ops(); got != workers*iters {
-		t.Fatalf("ops = %d", got)
-	}
-	out, in := a.Bytes()
-	if out != workers*iters || in != 2*workers*iters {
-		t.Fatalf("bytes = %d/%d", out, in)
-	}
-}
-
 // TestRaceTracer runs a stacked client tracer and a shared server
 // tracer concurrently: sessions serialize their own span stacks, but a
 // server tracer receives StartRemote/End from many handler goroutines.

@@ -225,17 +225,3 @@ func (t *Tracer) Reset() {
 	t.spans = nil
 	t.drops = 0
 }
-
-// Decompose sums classed span durations per class — the Figure 13
-// NETWORK / CRYPTO view recomputed purely from a trace. Structural
-// (ClassNone) spans contribute nothing, so nesting them around classed
-// leaves does not double count.
-func Decompose(spans []*Span) map[Class]time.Duration {
-	out := make(map[Class]time.Duration)
-	for _, sp := range spans {
-		if sp.Class != ClassNone {
-			out[sp.Class] += sp.Dur
-		}
-	}
-	return out
-}

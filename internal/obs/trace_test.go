@@ -124,25 +124,6 @@ func TestSpanLimit(t *testing.T) {
 	}
 }
 
-func TestDecompose(t *testing.T) {
-	spans := []*Span{
-		{Name: "root", Class: ClassNone, Dur: time.Second},
-		{Name: "rpc", Class: ClassNetwork, Dur: 300 * time.Millisecond},
-		{Name: "rpc", Class: ClassNetwork, Dur: 200 * time.Millisecond},
-		{Name: "seal", Class: ClassCrypto, Dur: 50 * time.Millisecond},
-	}
-	d := Decompose(spans)
-	if d[ClassNetwork] != 500*time.Millisecond {
-		t.Fatalf("network = %v", d[ClassNetwork])
-	}
-	if d[ClassCrypto] != 50*time.Millisecond {
-		t.Fatalf("crypto = %v", d[ClassCrypto])
-	}
-	if _, ok := d[ClassNone]; ok {
-		t.Fatal("structural spans must not be decomposed")
-	}
-}
-
 func TestWriteChromeTrace(t *testing.T) {
 	client := NewTracer("client")
 	server := NewTracer("ssp")

@@ -52,17 +52,19 @@ func Transient(err error) bool {
 		errors.Is(err, net.ErrClosed)
 }
 
+// maxAttempts bounds total tries per operation, first included.
+// baseDelay seeds the between-attempt backoff and maxDelay caps it; the
+// actual sleeps are full-jitter: uniform in [0, min(maxDelay,
+// baseDelay<<attempt)).
+const (
+	maxAttempts = 3
+	baseDelay   = 200 * time.Microsecond
+	maxDelay    = 20 * time.Millisecond
+)
+
 // Policy configures a retrying Store. Zero values take the defaults
 // noted on each field.
 type Policy struct {
-	// MaxAttempts bounds total tries per operation, first included
-	// (default 3; 1 disables retries).
-	MaxAttempts int
-	// BaseDelay seeds the between-attempt backoff (default 200µs);
-	// MaxDelay caps it (default 20ms). Actual sleeps are full-jitter:
-	// uniform in [0, min(MaxDelay, BaseDelay<<attempt)).
-	BaseDelay time.Duration
-	MaxDelay  time.Duration
 	// BudgetRatio is the Finagle-style retry budget: every operation
 	// deposits this many retry tokens (scaled by 1000 internally) and
 	// each retry withdraws one whole token, so sustained retry load is
@@ -72,10 +74,7 @@ type Policy struct {
 	// resilience.retry.budget_denied.
 	BudgetRatio float64
 	BudgetBurst int
-	// Rand supplies jitter in [0,1); nil uses a fixed-seed splitmix64
-	// stream (math/rand is banned outside internal/workload). Sleep is
-	// injectable for tests; nil uses time.Sleep.
-	Rand  func() float64
+	// Sleep is injectable for tests; nil uses time.Sleep.
 	Sleep func(time.Duration)
 	// Registry, when non-nil, receives the resilience.retry.* counters:
 	// attempts (retries issued), success (ops rescued by a retry),
@@ -85,23 +84,11 @@ type Policy struct {
 }
 
 func (p *Policy) defaults() {
-	if p.MaxAttempts == 0 {
-		p.MaxAttempts = 3
-	}
-	if p.BaseDelay == 0 {
-		p.BaseDelay = 200 * time.Microsecond
-	}
-	if p.MaxDelay == 0 {
-		p.MaxDelay = 20 * time.Millisecond
-	}
 	if p.BudgetRatio == 0 {
 		p.BudgetRatio = 0.2
 	}
 	if p.BudgetBurst == 0 {
 		p.BudgetBurst = 10
-	}
-	if p.Rand == nil {
-		p.Rand = splitmixRand(0x5eed5eed5eed5eed)
 	}
 	if p.Sleep == nil {
 		p.Sleep = time.Sleep
@@ -122,6 +109,7 @@ type Store struct {
 	inner      ssp.BlobStore
 	pol        Policy
 	contentKey ContentKeyFunc
+	jitter     func() float64 // uniform in [0, 1), a fixed-seed splitmix64 stream
 
 	// budget is the token bucket in milli-tokens, capped at
 	// BudgetBurst*1000; each retry costs 1000.
@@ -133,7 +121,7 @@ var _ ssp.BlobStore = (*Store)(nil)
 // NewStore wraps inner with pol. contentKey may be nil (no Put retries).
 func NewStore(inner ssp.BlobStore, pol Policy, contentKey ContentKeyFunc) *Store {
 	pol.defaults()
-	s := &Store{inner: inner, pol: pol, contentKey: contentKey}
+	s := &Store{inner: inner, pol: pol, contentKey: contentKey, jitter: splitmixRand(0x5eed5eed5eed5eed)}
 	s.budget.Store(int64(pol.BudgetBurst) * 1000)
 	return s
 }
@@ -176,14 +164,14 @@ func (s *Store) withdraw() bool {
 
 // backoff returns the jittered pre-retry delay for retry n (1-based).
 func (s *Store) backoff(n int) time.Duration {
-	d := s.pol.BaseDelay
-	for i := 1; i < n && d < s.pol.MaxDelay; i++ {
+	d := baseDelay
+	for i := 1; i < n && d < maxDelay; i++ {
 		d *= 2
 	}
-	if d > s.pol.MaxDelay {
-		d = s.pol.MaxDelay
+	if d > maxDelay {
+		d = maxDelay
 	}
-	return time.Duration(s.pol.Rand() * float64(d))
+	return time.Duration(s.jitter() * float64(d))
 }
 
 // do runs op under the retry policy. Only idempotent ops retry, only on
@@ -191,7 +179,7 @@ func (s *Store) backoff(n int) time.Duration {
 func (s *Store) do(idempotent bool, op func() error) error {
 	s.deposit()
 	err := op()
-	for retry := 1; err != nil && retry < s.pol.MaxAttempts; retry++ {
+	for retry := 1; err != nil && retry < maxAttempts; retry++ {
 		if !idempotent || !Transient(err) {
 			return err
 		}

@@ -148,7 +148,7 @@ func TestGetExhaustsAttempts(t *testing.T) {
 	}
 	gets, _ := inner.counts()
 	if gets != 3 {
-		t.Fatalf("inner gets = %d, want MaxAttempts=3", gets)
+		t.Fatalf("inner gets = %d, want maxAttempts=3", gets)
 	}
 	if n := reg.Counter("resilience.retry.exhausted").Value(); n != 1 {
 		t.Errorf("retry.exhausted = %d, want 1", n)

@@ -445,21 +445,19 @@ func (c *Client) drainQueue() {
 // readLoop matches reply frames to pending calls by the ReqID each reply
 // echoes.
 //
-// Frames land in pooled buffers (wire.ReadFrameBuf) and are decoded
-// borrowed; responses are detached — Val/item bytes copied out — just
-// before delivery, so only bytes the caller keeps are ever copied and
-// the frame buffer itself is recycled, never reallocated per frame.
+// Each frame is read into a buffer of its own (wire.ReadFrame) that the
+// responses decoded from it borrow: a delivered reply aliases its frame,
+// which the GC frees with the last reply still holding it. Nothing is
+// copied between the wire and the caller, and no pool Release can
+// recycle a frame under a reply the caller kept.
 func (c *Client) readLoop() {
 	defer close(c.readerDone)
 	var frame wire.Msg
 	for {
-		buf, _, err := wire.ReadFrameBuf(c.br)
-		if err != nil {
-			c.terminate(fmt.Errorf("ssp: read: %w", err))
-			return
+		payload, _, err := wire.ReadFrame(c.br)
+		if err == nil {
+			err = c.readFrame(payload, &frame)
 		}
-		err = c.readFrame(buf.Bytes(), &frame)
-		buf.Release()
 		if err != nil {
 			c.terminate(fmt.Errorf("ssp: read: %w", err))
 			return
@@ -468,8 +466,7 @@ func (c *Client) readLoop() {
 }
 
 // readFrame processes one frame, which must be a pack of responses;
-// frame is reused across calls. The payload is borrowed from the pooled
-// buffer the caller releases; everything delivered is detached first.
+// frame is reused across calls. The responses delivered borrow payload.
 // Each response is charged its message length plus its 4-byte element
 // length. Any error is terminal for the connection.
 func (c *Client) readFrame(payload []byte, frame *wire.Msg) error {
@@ -496,9 +493,9 @@ func (c *Client) readFrame(payload []byte, frame *wire.Msg) error {
 	return nil
 }
 
-// handleResp matches one borrowed response to its pending call and
-// delivers an owned (detached) copy. A reply whose ReqID is not pending
-// is unsolicited, and the error it returns is terminal.
+// handleResp matches one response to its pending call and delivers it.
+// A reply whose ReqID is not pending is unsolicited, and the error it
+// returns is terminal.
 func (c *Client) handleResp(resp *wire.Response, bytesIn int64) error {
 	call, expired := c.take(resp.ReqID)
 	if call == nil {
@@ -510,9 +507,10 @@ func (c *Client) handleResp(resp *wire.Response, bytesIn int64) error {
 		// payload and keep reading — the connection itself is fine.
 		return nil
 	}
-	owned := *resp
-	owned.Detach()
-	c.deliver(call, &owned, bytesIn, nil)
+	// Deliver a copy: the caller then keeps a Response, not the whole
+	// decoded Msg around it.
+	reply := *resp
+	c.deliver(call, &reply, bytesIn, nil)
 	return nil
 }
 
@@ -630,7 +628,7 @@ func (c *Client) noteRTT(rtt time.Duration) {
 // handler span joins the same trace.
 func (c *Client) call(req *wire.Request) (*wire.Response, error) {
 	sp := c.startSpan(req, false)
-	stop := c.rec.Time(stats.Network)
+	stop := c.rec.Time(obs.ClassNetwork)
 	call := c.Go(req, make(chan *Call, 1))
 	<-call.Done
 	stop()

@@ -20,45 +20,35 @@ import (
 // (and the last dial error) until the client is closed.
 var ErrReconnectFailed = errors.New("ssp: reconnect budget exhausted")
 
+// The backoff between redials: redialBaseDelay seeds it, redialMaxDelay
+// caps it, and the actual sleep is full-jitter: uniform in [0,
+// min(redialMaxDelay, redialBaseDelay<<attempt)).
+const (
+	redialBaseDelay = time.Millisecond
+	redialMaxDelay  = 250 * time.Millisecond
+)
+
 // ReconnectOptions configures a ReconnectClient. Zero values take the
 // defaults noted on each field.
 type ReconnectOptions struct {
 	// MaxRedials is the consecutive-dial-failure budget before the client
 	// goes sticky with ErrReconnectFailed (default 8; <0 never gives up).
 	MaxRedials int
-	// BaseDelay seeds the exponential backoff between redials (default
-	// 1ms); MaxDelay caps it (default 250ms). The actual sleep is
-	// full-jitter: uniform in [0, min(MaxDelay, BaseDelay<<attempt)).
-	BaseDelay time.Duration
-	MaxDelay  time.Duration
 	// CallTimeout is installed on every dialed client via SetCallTimeout
 	// (0 = no per-call deadline).
 	CallTimeout time.Duration
-	// Rand supplies jitter in [0, 1); nil uses an internal splitmix64
-	// stream (math/rand is banned outside internal/workload). Sleep is
-	// injectable for tests; nil uses time.Sleep.
-	Rand  func() float64
+	// Sleep is injectable for tests; nil uses time.Sleep.
 	Sleep func(time.Duration)
-	// Recorder and Tracer are forwarded to each dialed Client; Registry
-	// additionally receives the ssp.reconnect.* counters and is bound to
-	// each client's ObserveMetrics.
+	// Recorder is forwarded to each dialed Client; Registry receives the
+	// ssp.reconnect.* counters and is bound to each client's
+	// ObserveMetrics.
 	Recorder *stats.Recorder
-	Tracer   *obs.Tracer
 	Registry *obs.Registry
 }
 
 func (o *ReconnectOptions) defaults() {
 	if o.MaxRedials == 0 {
 		o.MaxRedials = 8
-	}
-	if o.BaseDelay == 0 {
-		o.BaseDelay = time.Millisecond
-	}
-	if o.MaxDelay == 0 {
-		o.MaxDelay = 250 * time.Millisecond
-	}
-	if o.Rand == nil {
-		o.Rand = newJitterRand()
 	}
 	if o.Sleep == nil {
 		o.Sleep = time.Sleep
@@ -79,8 +69,9 @@ func (o *ReconnectOptions) defaults() {
 // redial simply starts a fresh sequence on a fresh conn, so replies can
 // never cross connections.
 type ReconnectClient struct {
-	dial Dialer
-	opt  ReconnectOptions
+	dial   Dialer
+	opt    ReconnectOptions
+	jitter func() float64 // uniform in [0, 1)
 
 	mu        sync.Mutex
 	cond      *sync.Cond
@@ -98,7 +89,7 @@ var _ BlobStore = (*ReconnectClient)(nil)
 // is opened until the first call.
 func NewReconnectClient(dial Dialer, opt ReconnectOptions) *ReconnectClient {
 	opt.defaults()
-	r := &ReconnectClient{dial: dial, opt: opt}
+	r := &ReconnectClient{dial: dial, opt: opt, jitter: newJitterRand()}
 	r.cond = sync.NewCond(&r.mu)
 	return r
 }
@@ -130,14 +121,14 @@ func connErr(err error) bool {
 
 // backoff returns the jittered delay before dial attempt n (0-based).
 func (r *ReconnectClient) backoff(n int) time.Duration {
-	d := r.opt.BaseDelay
-	for i := 0; i < n && d < r.opt.MaxDelay; i++ {
+	d := redialBaseDelay
+	for i := 0; i < n && d < redialMaxDelay; i++ {
 		d *= 2
 	}
-	if d > r.opt.MaxDelay {
-		d = r.opt.MaxDelay
+	if d > redialMaxDelay {
+		d = redialMaxDelay
 	}
-	return time.Duration(r.opt.Rand() * float64(d))
+	return time.Duration(r.jitter() * float64(d))
 }
 
 // client returns a live Client, dialing if necessary. Exactly one
@@ -166,7 +157,7 @@ func (r *ReconnectClient) client() (*Client, error) {
 			r.opt.Sleep(r.backoff(attempt))
 		}
 		r.count("ssp.reconnect.attempts")
-		c, err := Dial(r.dial, r.opt.Recorder, r.opt.Tracer)
+		c, err := Dial(r.dial, r.opt.Recorder)
 
 		r.mu.Lock()
 		r.dialing = false
@@ -320,8 +311,7 @@ func (r *ReconnectClient) Stats() (Stats, error) {
 var jitterSeq atomic.Uint64
 
 // newJitterRand returns a splitmix64-backed uniform [0,1) source. Quality
-// far exceeds what backoff jitter needs; determinism-sensitive callers
-// (tests, the chaos harness) inject their own Rand instead.
+// far exceeds what backoff jitter needs.
 func newJitterRand() func() float64 {
 	var mu sync.Mutex
 	state := 0x9e3779b97f4a7c15 * (jitterSeq.Add(1) + 0x243f6a8885a308d3)

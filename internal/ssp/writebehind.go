@@ -8,15 +8,15 @@ import (
 	"github.com/sharoes/sharoes/internal/wire"
 )
 
+// maxBufferedBytes flushes the buffer once its values reach this size.
+const maxBufferedBytes = 1 << 20
+
 // WriteBehindOptions configures a WriteBehind layer. Zero values take the
 // defaults noted on each field.
 type WriteBehindOptions struct {
 	// MaxItems flushes the buffer once this many writes are pending
 	// (default 64).
 	MaxItems int
-	// MaxBytes flushes once the buffered values reach this size
-	// (default 1 MiB).
-	MaxBytes int64
 	// MaxDelay bounds how long a buffered write may wait before a flush
 	// is kicked, so writes are not deferred indefinitely on an idle
 	// client (default 2ms).
@@ -33,9 +33,6 @@ type WriteBehindOptions struct {
 func (o *WriteBehindOptions) defaults() {
 	if o.MaxItems == 0 {
 		o.MaxItems = 64
-	}
-	if o.MaxBytes == 0 {
-		o.MaxBytes = 1 << 20
 	}
 	if o.MaxDelay == 0 {
 		o.MaxDelay = 2 * time.Millisecond
@@ -128,7 +125,7 @@ func (w *WriteBehind) add(kv wire.KV) bool {
 		}
 	}
 	w.opt.Registry.Gauge("ssp.wb.buffered").Set(int64(len(w.buf)))
-	return len(w.buf) >= w.opt.MaxItems || w.bytes >= w.opt.MaxBytes
+	return len(w.buf) >= w.opt.MaxItems || w.bytes >= maxBufferedBytes
 }
 
 // armTimer schedules a latency-bound flush. Called under w.mu when the

@@ -5,18 +5,20 @@ import (
 	"sync"
 	"testing"
 	"time"
+
+	"github.com/sharoes/sharoes/internal/obs"
 )
 
 func TestRecorderAddAndSnapshot(t *testing.T) {
 	var r Recorder
-	r.Add(Network, 100*time.Millisecond)
-	r.Add(Crypto, 10*time.Millisecond)
-	r.Add(Other, 5*time.Millisecond)
+	r.add(obs.ClassNetwork, 100*time.Millisecond)
+	r.add(obs.ClassCrypto, 10*time.Millisecond)
+	r.add(obs.ClassNone, time.Hour) // charged to no class
 	r.AddOp()
 	r.AddBytes(128, 4096)
 
 	s := r.Snapshot()
-	if s.Network != 100*time.Millisecond || s.Crypto != 10*time.Millisecond || s.Other != 5*time.Millisecond {
+	if s.Network != 100*time.Millisecond || s.Crypto != 10*time.Millisecond {
 		t.Errorf("snapshot = %+v", s)
 	}
 	if s.Ops != 1 || s.BytesOut != 128 || s.BytesIn != 4096 {
@@ -25,18 +27,14 @@ func TestRecorderAddAndSnapshot(t *testing.T) {
 	if s.CryptoOps != 1 {
 		t.Errorf("cryptoOps = %d", s.CryptoOps)
 	}
-	if s.Total() != 115*time.Millisecond {
-		t.Errorf("Total = %v", s.Total())
-	}
 }
 
 func TestNilRecorderSafe(t *testing.T) {
 	var r *Recorder
-	r.Add(Network, time.Second)
+	r.Time(obs.ClassNetwork)()
 	r.AddOp()
 	r.AddBytes(1, 2)
-	r.Reset()
-	r.Time(Crypto)()
+	r.Time(obs.ClassCrypto)()
 	if s := r.Snapshot(); s != (Snapshot{}) {
 		t.Errorf("nil recorder snapshot = %+v", s)
 	}
@@ -44,22 +42,15 @@ func TestNilRecorderSafe(t *testing.T) {
 
 func TestTime(t *testing.T) {
 	var r Recorder
-	stop := r.Time(Crypto)
+	stop := r.Time(obs.ClassCrypto)
 	time.Sleep(2 * time.Millisecond)
 	stop()
-	if got := r.Snapshot().Crypto; got < time.Millisecond {
-		t.Errorf("timed crypto = %v, want >= 1ms", got)
+	s := r.Snapshot()
+	if s.Crypto < time.Millisecond {
+		t.Errorf("timed crypto = %v, want >= 1ms", s.Crypto)
 	}
-}
-
-func TestReset(t *testing.T) {
-	var r Recorder
-	r.Add(Network, time.Second)
-	r.AddOp()
-	r.AddBytes(10, 20)
-	r.Reset()
-	if s := r.Snapshot(); s != (Snapshot{}) {
-		t.Errorf("after reset: %+v", s)
+	if s.CryptoOps != 1 || s.Network != 0 {
+		t.Errorf("one crypto section charged %+v", s)
 	}
 }
 
@@ -73,12 +64,18 @@ func TestSnapshotSub(t *testing.T) {
 }
 
 func TestCryptoFraction(t *testing.T) {
-	s := Snapshot{Network: 93 * time.Millisecond, Crypto: 7 * time.Millisecond}
-	if f := s.CryptoFraction(); f < 0.069 || f > 0.071 {
+	// The share is of wall time: OTHER, the untimed remainder, counts.
+	b := BreakdownFrom("list", Snapshot{}, Snapshot{Network: 43 * time.Millisecond, Crypto: 7 * time.Millisecond}, 100*time.Millisecond)
+	if f := b.CryptoFraction(); f < 0.069 || f > 0.071 {
 		t.Errorf("CryptoFraction = %v, want ~0.07", f)
 	}
-	if (Snapshot{}).CryptoFraction() != 0 {
-		t.Error("empty snapshot fraction != 0")
+	// Timed sections that overran the wall never read above 100%.
+	b = BreakdownFrom("x", Snapshot{}, Snapshot{Crypto: 30 * time.Millisecond}, 10*time.Millisecond)
+	if f := b.CryptoFraction(); f != 1 {
+		t.Errorf("overrun CryptoFraction = %v, want 1", f)
+	}
+	if (OpBreakdown{}).CryptoFraction() != 0 {
+		t.Error("empty breakdown fraction != 0")
 	}
 }
 
@@ -99,30 +96,30 @@ func TestBreakdownFrom(t *testing.T) {
 	}
 }
 
+// TestRecorderConcurrency charges one recorder from concurrent
+// goroutines and checks the final sums are exact. Run with -race.
 func TestRecorderConcurrency(t *testing.T) {
 	var r Recorder
+	const workers, iters = 8, 5000
 	var wg sync.WaitGroup
-	for i := 0; i < 8; i++ {
+	for i := 0; i < workers; i++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			for j := 0; j < 1000; j++ {
-				r.Add(Network, time.Microsecond)
+			for j := 0; j < iters; j++ {
+				r.add(obs.ClassNetwork, time.Microsecond)
+				r.add(obs.ClassCrypto, time.Microsecond)
 				r.AddOp()
-				r.AddBytes(1, 1)
+				r.AddBytes(1, 2)
 			}
 		}()
 	}
 	wg.Wait()
 	s := r.Snapshot()
-	if s.Ops != 8000 || s.BytesOut != 8000 || s.Network != 8000*time.Microsecond {
+	const n = workers * iters
+	if s.Ops != n || s.BytesOut != n || s.BytesIn != 2*n || s.CryptoOps != n ||
+		s.Network != n*time.Microsecond || s.Crypto != n*time.Microsecond {
 		t.Errorf("concurrent totals = %+v", s)
-	}
-}
-
-func TestComponentString(t *testing.T) {
-	if Network.String() != "NETWORK" || Crypto.String() != "CRYPTO" || Other.String() != "OTHER" {
-		t.Error("component strings wrong")
 	}
 }
 

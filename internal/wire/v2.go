@@ -69,9 +69,9 @@ func AppendResponseV2(dst []byte, p *Response) []byte {
 func (p *Response) EncodeV2() []byte { return AppendResponseV2(nil, p) }
 
 // DecodeV2 parses one message. Byte slices in the result (request/
-// response Vals, pack elements) alias b — the zero-copy contract; call
-// Req.Detach/Resp.Detach to take ownership, and hold the backing Buf
-// until every borrowed slice is dead.
+// response Vals, pack elements) alias b — the zero-copy contract: a
+// caller decoding from a pooled Buf holds it until every borrowed slice
+// is dead; one decoding from memory of its own (ReadFrame) needs nothing.
 func DecodeV2(b []byte) (*Msg, error) {
 	var m Msg
 	if err := DecodeV2Into(b, &m); err != nil {

@@ -310,19 +310,6 @@ func decodeRequestBody(r *reader, q *Request) error {
 	return nil
 }
 
-// Detach copies every borrowed byte slice in q into owned memory, making
-// the request safe to retain after its backing buffer is released.
-func (q *Request) Detach() {
-	if len(q.Val) > 0 {
-		q.Val = append([]byte(nil), q.Val...)
-	}
-	for i := range q.Items {
-		if len(q.Items[i].Val) > 0 {
-			q.Items[i].Val = append([]byte(nil), q.Items[i].Val...)
-		}
-	}
-}
-
 // appendResponseBody appends the response body — status, err, val,
 // items — that follows the message header.
 func appendResponseBody(dst []byte, p *Response) []byte {
@@ -369,19 +356,6 @@ func decodeResponseBody(r *reader, p *Response) error {
 		p.Items = append(p.Items, kv)
 	}
 	return nil
-}
-
-// Detach copies every borrowed byte slice in p into owned memory, making
-// the response safe to retain after its backing buffer is released.
-func (p *Response) Detach() {
-	if len(p.Val) > 0 {
-		p.Val = append([]byte(nil), p.Val...)
-	}
-	for i := range p.Items {
-		if len(p.Items[i].Val) > 0 {
-			p.Items[i].Val = append([]byte(nil), p.Items[i].Val...)
-		}
-	}
 }
 
 // --- framing ----------------------------------------------------------------

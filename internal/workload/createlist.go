@@ -48,6 +48,15 @@ type CreateListResult struct {
 	ListLat     obs.HistSnapshot
 }
 
+// CryptoShares returns Figure 9's CRYPTO(C) and CRYPTO(L): each phase's
+// CRYPTO time as a share of its wall time, the denominator Figure 13
+// uses, so the untimed OTHER remainder counts.
+func (r CreateListResult) CryptoShares() (create, list float64) {
+	c := stats.BreakdownFrom("create", stats.Snapshot{}, r.CreateStats, r.Create)
+	l := stats.BreakdownFrom("list", stats.Snapshot{}, r.ListStats, r.List)
+	return c.CryptoFraction(), l.CryptoFraction()
+}
+
 // CreateList runs the benchmark: the create phase measures metadata
 // encryption (every mknod seals new metadata and re-encrypts the parent
 // table); the list phase measures metadata decryption (every stat opens a

@@ -92,9 +92,9 @@ func PrintFig9(w io.Writer, rows []Fig9Row) {
 	fmt.Fprintf(w, "Figure 9 — Create-and-List benchmark\n")
 	fmt.Fprintf(w, "%-12s %12s %12s %10s %10s\n", "SYSTEM", "CREATE", "LIST", "CRYPTO(C)", "CRYPTO(L)")
 	for _, r := range rows {
+		create, list := r.Result.CryptoShares()
 		fmt.Fprintf(w, "%-12s %12s %12s %9.1f%% %9.1f%%\n",
-			r.System, round(r.Result.Create), round(r.Result.List),
-			100*r.Result.CreateStats.CryptoFraction(), 100*r.Result.ListStats.CryptoFraction())
+			r.System, round(r.Result.Create), round(r.Result.List), 100*create, 100*list)
 	}
 }
 
@@ -261,13 +261,8 @@ func PrintFig13(w io.Writer, res OpCostsResult) {
 	fmt.Fprintf(w, "Figure 13 — Sharoes filesystem operation costs\n")
 	fmt.Fprintf(w, "%-12s %12s %12s %12s %12s %8s\n", "OP", "TOTAL", "NETWORK", "CRYPTO", "OTHER", "CRYPTO%")
 	for _, op := range res.Ops {
-		total := op.Total()
-		pct := 0.0
-		if total > 0 {
-			pct = 100 * float64(op.Crypto) / float64(total)
-		}
 		fmt.Fprintf(w, "%-12s %12s %12s %12s %12s %7.1f%%\n",
-			op.Op, round(total), round(op.Network), round(op.Crypto), round(op.Other), pct)
+			op.Op, round(op.Total()), round(op.Network), round(op.Crypto), round(op.Other), 100*op.CryptoFraction())
 	}
 }
 

@@ -135,7 +135,7 @@ func OpCosts(fs vfs.FS, rec *stats.Recorder, cfg OpCostsConfig) (OpCostsResult, 
 
 func addSnap(a, b stats.Snapshot) stats.Snapshot {
 	return stats.Snapshot{
-		Network: a.Network + b.Network, Crypto: a.Crypto + b.Crypto, Other: a.Other + b.Other,
+		Network: a.Network + b.Network, Crypto: a.Crypto + b.Crypto,
 		Ops: a.Ops + b.Ops, BytesOut: a.BytesOut + b.BytesOut, BytesIn: a.BytesIn + b.BytesIn,
 		CryptoOps: a.CryptoOps + b.CryptoOps,
 	}
@@ -144,7 +144,7 @@ func addSnap(a, b stats.Snapshot) stats.Snapshot {
 func divSnap(a stats.Snapshot, n int64) stats.Snapshot {
 	d := time.Duration(n)
 	return stats.Snapshot{
-		Network: a.Network / d, Crypto: a.Crypto / d, Other: a.Other / d,
+		Network: a.Network / d, Crypto: a.Crypto / d,
 		Ops: a.Ops / n, BytesOut: a.BytesOut / n, BytesIn: a.BytesIn / n,
 		CryptoOps: a.CryptoOps / n,
 	}

@@ -117,9 +117,9 @@ func TestTracedCreateListRoundTrip(t *testing.T) {
 		t.Errorf("client.op.create = %d, want 12", n)
 	}
 	var sspOps int64
-	for _, name := range sys.Metrics.Names() {
-		if strings.HasPrefix(name, "ssp.op.") && !strings.HasSuffix(name, ".ns") {
-			sspOps += sys.Metrics.Counter(name).Value()
+	for name, n := range sys.Metrics.Snapshot().Counters {
+		if strings.HasPrefix(name, "ssp.op.") {
+			sspOps += n
 		}
 	}
 	if sspOps == 0 {

@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"github.com/sharoes/sharoes/internal/netsim"
+	"github.com/sharoes/sharoes/internal/stats"
 )
 
 // fastOpts builds systems over an effectively instant link so harness
@@ -56,6 +57,48 @@ func TestCreateListRuns(t *testing.T) {
 		}
 		if res.CreateStats.Ops == 0 {
 			t.Errorf("%v: no ops recorded", kind)
+		}
+	}
+}
+
+// TestCryptoShareIsOfWallTime pins Figure 9's CRYPTO(C) and CRYPTO(L)
+// to CRYPTO ÷ the phase's wall time: the untimed OTHER remainder is part
+// of the denominator, and the share never reads above 100%.
+func TestCryptoShareIsOfWallTime(t *testing.T) {
+	r := CreateListResult{
+		Create: 100 * time.Millisecond, List: 40 * time.Millisecond,
+		CreateStats: stats.Snapshot{Network: 50 * time.Millisecond, Crypto: 10 * time.Millisecond},
+		ListStats:   stats.Snapshot{Crypto: 80 * time.Millisecond}, // parallel sections overran the wall
+	}
+	if create, list := r.CryptoShares(); create != 0.1 || list != 1 {
+		t.Errorf("CryptoShares = %v, %v; want 0.1 (crypto ÷ wall), 1 (capped)", create, list)
+	}
+	for _, kind := range []SystemKind{SysSharoes, SysPublic} {
+		sys, err := Build(kind, fastOpts().Options)
+		if err != nil {
+			t.Fatal(err)
+		}
+		res, err := CreateList(sys.FS, sys.Rec, PaperCreateList.Scaled(25))
+		sys.Close()
+		if err != nil {
+			t.Fatalf("%v: %v", kind, err)
+		}
+		create, list := res.CryptoShares()
+		for _, ph := range []struct {
+			name  string
+			share float64
+			wall  time.Duration
+			st    stats.Snapshot
+		}{{"create", create, res.Create, res.CreateStats}, {"list", list, res.List, res.ListStats}} {
+			if ph.share < 0 || ph.share > 1 {
+				t.Errorf("%v %s: share %v outside [0, 1]", kind, ph.name, ph.share)
+			}
+			if ph.st.Network+ph.st.Crypto > ph.wall {
+				continue // overran: capped above, not crypto ÷ wall
+			}
+			if want := float64(ph.st.Crypto) / float64(ph.wall); ph.share != want {
+				t.Errorf("%v %s: share %v, want crypto ÷ wall = %v", kind, ph.name, ph.share, want)
+			}
 		}
 	}
 }
@@ -206,10 +249,10 @@ func TestFig9ShapeHolds(t *testing.T) {
 	}
 	// The paper's crypto claim: the PUBLIC list phase is dominated by
 	// private-key operations.
-	if f := byKind[SysPublic].ListStats.CryptoFraction(); f < 0.3 {
+	if _, f := byKind[SysPublic].CryptoShares(); f < 0.3 {
 		t.Errorf("PUBLIC list crypto fraction = %.2f, expected dominance", f)
 	}
-	if f := byKind[SysSharoes].ListStats.CryptoFraction(); f > 0.5 {
+	if _, f := byKind[SysSharoes].CryptoShares(); f > 0.5 {
 		t.Errorf("SHAROES list crypto fraction = %.2f, expected small", f)
 	}
 }

@@ -146,7 +146,7 @@ type (
 	DiskStore = ssp.DiskStore
 	// Dialer opens connections to a remote SSP.
 	Dialer = ssp.Dialer
-	// Recorder accumulates NETWORK/CRYPTO/OTHER instrumentation.
+	// Recorder accumulates NETWORK and CRYPTO time plus op and byte counts.
 	Recorder = stats.Recorder
 )
 
