@@ -187,8 +187,8 @@ func runChaos(spec string) error {
 	s := res.Summary
 	fmt.Printf("chaos: seed=%d profile=%s workers=%d\n", s.Seed, s.Profile, s.Workers)
 	fmt.Printf("  injected: severs=%d fault-windows=%d\n", s.Severs, s.Faults)
-	fmt.Printf("  healed:   redials=%d retries=%d breaker-opens=%d degraded-barriers=%d\n",
-		s.Redials, s.Retries, s.Breaker, s.Degraded)
+	fmt.Printf("  healed:   redials=%d deadlines=%d retries=%d breaker-opens=%d degraded-barriers=%d\n",
+		s.Redials, s.Deadlines, s.Retries, s.Breaker, s.Degraded)
 	fmt.Printf("  verdict:  ops=%d keys=%d diverged=%d pass=%v\n", s.Ops, s.Keys, s.Diverged, s.Pass)
 	if !s.Pass {
 		return fmt.Errorf("campaign failed: %d/%d durable keys diverged", s.Diverged, s.Keys)

@@ -65,9 +65,9 @@ type Config struct {
 	Recorder *stats.Recorder
 	// Tracer receives hierarchical spans for every operation: a
 	// "client.<op>" root with resolve, CAP-unwrap, RPC and crypto
-	// children (see docs/OBSERVABILITY.md). May be nil. When Store is an
-	// ssp.Client the tracer is attached to it too, so RPC spans nest
-	// inside the op and the SSP joins the trace over the wire.
+	// children (see docs/OBSERVABILITY.md). May be nil. For RPC spans to
+	// nest inside the op, and the SSP to join the trace over the wire,
+	// whoever dials the ssp.Client passes it the same tracer (Observe).
 	Tracer *obs.Tracer
 	// Metrics receives per-operation counters (client.op.<op>, and
 	// client.op.<op>.fetches for the store reads made under it) and
@@ -106,6 +106,7 @@ type Session struct {
 	rec       *stats.Recorder
 	tracer    *obs.Tracer
 	metrics   *obs.Registry
+	ops       map[string]*opObs // by op name, resolved on first use (beginOp)
 	cache     *cache.Cache
 	blockSize uint32
 	lazy      bool
@@ -148,6 +149,7 @@ func Mount(cfg Config) (*Session, error) {
 		rec:       cfg.Recorder,
 		tracer:    cfg.Tracer,
 		metrics:   cfg.Metrics,
+		ops:       make(map[string]*opObs),
 		cache:     cache.New(cfg.CacheBytes),
 		blockSize: bs,
 		lazy:      cfg.LazyRevocation,
@@ -155,12 +157,6 @@ func Mount(cfg Config) (*Session, error) {
 		window:    maxInFlight,
 	}
 	s.sender, _ = cfg.Store.(ssp.Sender)
-	// Only attach a tracer the caller actually supplied: extra untraced
-	// sessions mounted over a shared client (the parallel workloads) must
-	// not clobber the tracer the first session installed.
-	if sc, ok := cfg.Store.(*ssp.Client); ok && cfg.Tracer != nil {
-		sc.Observe(cfg.Tracer)
-	}
 
 	// In-band group key distribution (paper §II-A).
 	gk, err := keys.FetchGroupKeys(cfg.Store, cfg.Registry, cfg.User)
@@ -289,17 +285,30 @@ func (s *Session) cryptoGroup(name string) (sw layout.Stopwatch, end func()) {
 //	defer end()
 //	if err != nil { ... }
 func (s *Session) beginOp(op string) (end func(), err error) {
-	sp := s.tracer.Start("client."+op, obs.ClassNone)
+	m := s.ops[op]
+	if m == nil {
+		m = &opObs{span: "client." + op, count: s.metrics.Counter("client.op." + op),
+			fetches: s.metrics.Counter("client.op." + op + ".fetches"),
+			ns:      s.metrics.Histogram("client.op." + op + ".ns")}
+		s.ops[op] = m
+	}
+	sp := s.tracer.Start(m.span, obs.ClassNone)
 	start, fetched := time.Now(), s.fetches
 	return func() {
 		sp.End()
-		if s.metrics != nil {
-			s.metrics.Counter("client.op." + op).Inc()
-			s.metrics.Counter("client.op." + op + ".fetches").Add(s.fetches - fetched)
-			s.metrics.Histogram("client.op." + op + ".ns").Observe(time.Since(start))
-		}
+		m.count.Inc()
+		m.fetches.Add(s.fetches - fetched)
+		m.ns.Observe(time.Since(start))
 		s.rec.AddOp()
 	}, s.reap()
+}
+
+// opObs is one operation's instrumentation: its span name, counters and
+// latency histogram (all handles nil without Config.Metrics).
+type opObs struct {
+	span           string
+	count, fetches *obs.Counter
+	ns             *obs.Histogram
 }
 
 // triplet returns the permission triplet applying to the session user:

@@ -218,9 +218,10 @@ func (d *pipeDir) closeWrite() {
 }
 
 // Conn is one endpoint of a shaped pipe. It implements net.Conn.
-// Deadlines are accepted but not enforced; the ssp client's per-call
-// deadlines are timer-based (ssp.ErrDeadline) rather than conn-based,
-// and the simulator's sleeps are bounded by construction.
+// Deadlines are accepted but not enforced; the ssp reconnect wrapper's
+// per-call deadline is a timer that closes the connection
+// (ssp.ErrDeadline), not a conn deadline, and the simulator's sleeps are
+// bounded by construction.
 type Conn struct {
 	name string
 	out  *pipeDir // direction we write to

@@ -5,9 +5,9 @@
 // with exponential backoff, full jitter, and a token budget so a sick
 // backend is never hammered with amplified load.
 //
-// Division of labor across the stack: the pipelined ssp.Client fails
-// calls fast (per-call deadlines), the ReconnectClient heals the
-// connection (redial with backoff), and this package re-issues the work
+// Division of labor across the stack: the ReconnectClient fails a hung
+// call fast (its per-call deadline condemns the connection) and heals
+// the connection (redial with backoff); this package re-issues the work
 // when doing so is provably safe. Reads are always idempotent; Put is
 // retried only when the caller vouches (via the content-key predicate)
 // that the key is content-addressed, i.e. every writer writes the same

@@ -9,6 +9,7 @@ import (
 	"testing"
 	"time"
 
+	"github.com/sharoes/sharoes/internal/netsim"
 	"github.com/sharoes/sharoes/internal/obs"
 	"github.com/sharoes/sharoes/internal/ssp"
 	"github.com/sharoes/sharoes/internal/wire"
@@ -249,5 +250,59 @@ func TestRetryBudgetDenies(t *testing.T) {
 	}
 	if n := reg.Counter("resilience.retry.budget_denied").Value(); n != 2 {
 		t.Errorf("retry.budget_denied = %d, want 2", n)
+	}
+}
+
+// stallFirstGet holds the first Get of each key until gate closes, and
+// serves every later Get at once: a server hung on one request. It
+// embeds the interface, so the server cannot bypass Get through a
+// borrowed-read ViewStore.
+type stallFirstGet struct {
+	ssp.BlobStore
+	gate chan struct{}
+	mu   sync.Mutex
+	seen map[string]bool
+}
+
+func (s *stallFirstGet) Get(ns wire.NS, key string) ([]byte, error) {
+	s.mu.Lock()
+	first := !s.seen[key]
+	s.seen[key] = true
+	s.mu.Unlock()
+	if first {
+		<-s.gate
+	}
+	return s.BlobStore.Get(ns, key)
+}
+
+// TestDeadlineRetriedOnFreshConnection: the full self-healing path for a
+// hung call. The reconnect layer's deadline fails the stuck Get and drops
+// its connection, the error classifies transient, and the retry redials
+// and reads the value on a fresh connection.
+func TestDeadlineRetriedOnFreshConnection(t *testing.T) {
+	store := &stallFirstGet{BlobStore: ssp.NewMemStore(), gate: make(chan struct{}), seen: map[string]bool{}}
+	defer close(store.gate)
+	if err := store.Put(wire.NSData, "k", []byte("v")); err != nil {
+		t.Fatal(err)
+	}
+	l := netsim.Listen(netsim.Unlimited)
+	srv := ssp.NewServer(store, nil)
+	go srv.Serve(l)
+	t.Cleanup(func() { srv.Close() }) // after the deferred gate opening
+
+	reg := obs.NewRegistry()
+	rc := ssp.NewReconnectClient(l.Dial, ssp.ReconnectOptions{
+		CallTimeout: 30 * time.Millisecond, Sleep: func(time.Duration) {}, Registry: reg})
+	t.Cleanup(func() { rc.Close() })
+	s := NewStore(rc, fastPolicy(reg), nil)
+
+	v, err := s.Get(wire.NSData, "k")
+	if err != nil || string(v) != "v" {
+		t.Fatalf("Get = %q, %v, want the value from the retry", v, err)
+	}
+	for _, name := range []string{"ssp.reconnect.deadline_expired", "ssp.reconnect.success", "resilience.retry.success"} {
+		if n := reg.Counter(name).Value(); n != 1 {
+			t.Errorf("%s = %d, want 1", name, n)
+		}
 	}
 }

@@ -23,13 +23,6 @@ type Dialer func() (net.Conn, error)
 // closed client.
 var ErrShutdown = errors.New("ssp: client is shut down")
 
-// ErrDeadline is returned (wrapped) for calls that exceeded the client's
-// per-call timeout. The connection itself is left alone: a late reply is
-// dropped silently and the client stays usable. Layers that treat a
-// deadline as evidence of a hung server (the reconnect wrapper does)
-// match it with errors.Is and redial.
-var ErrDeadline = errors.New("ssp: call deadline exceeded")
-
 // Call is one in-flight RPC issued through Client.Go. When the server
 // replies (or the transport fails), the call is delivered on Done.
 type Call struct {
@@ -41,18 +34,6 @@ type Call struct {
 	bytesOut atomic.Int64
 	bytesIn  int64
 
-	// completed makes delivery exactly-once: a deadline expiry, a late
-	// reply, and a terminate can all race to finish the same call, and
-	// only the CAS winner writes Resp/Err and sends Done.
-	completed atomic.Bool
-	// timer is the pending deadline; stopped on delivery. Written under
-	// the client mutex before the call is visible in pending.
-	timer *time.Timer
-	// expired marks a call failed by its deadline but left in pending as
-	// a tombstone: its frame is (or may be) on the wire, so its ReqID must
-	// stay pending to absorb the eventual reply instead of letting the
-	// reader treat that reply as unsolicited. Guarded by the client mutex.
-	expired bool
 	// onDone, when set, takes the completed call instead of Done: it runs
 	// on whichever goroutine completes the call, so it must not block.
 	onDone func(*Call)
@@ -123,10 +104,6 @@ type Client struct {
 	// tracer and inflight are read on call paths without c.mu.
 	tracer   atomic.Pointer[obs.Tracer]
 	inflight atomic.Pointer[obs.Gauge]
-	expiries atomic.Pointer[obs.Counter]
-
-	// timeout is the per-call deadline in nanoseconds (0 = none).
-	timeout atomic.Int64
 }
 
 var (
@@ -139,10 +116,9 @@ var (
 // this many requests await the writer goroutine.
 const sendQueueDepth = 64
 
-// Dial connects to an SSP. rec may be nil. An optional tracer may be
-// passed so even the first RPCs are traced (equivalent to calling Observe
-// before any call); the old Dial-then-Observe path keeps working.
-func Dial(dial Dialer, rec *stats.Recorder, tracer ...*obs.Tracer) (*Client, error) {
+// Dial connects to an SSP. rec may be nil. To trace every RPC, the first
+// included, call Observe before the first call.
+func Dial(dial Dialer, rec *stats.Recorder) (*Client, error) {
 	conn, err := dial()
 	if err != nil {
 		return nil, fmt.Errorf("ssp: dial: %w", err)
@@ -159,9 +135,6 @@ func Dial(dial Dialer, rec *stats.Recorder, tracer ...*obs.Tracer) (*Client, err
 		writerDone: make(chan struct{}),
 	}
 	c.done = sync.NewCond(&c.mu)
-	if len(tracer) > 0 {
-		c.tracer.Store(tracer[0])
-	}
 	go c.writeLoop()
 	go c.readLoop()
 	return c, nil
@@ -176,25 +149,7 @@ func (c *Client) Observe(tracer *obs.Tracer) { c.tracer.Store(tracer) }
 // ObserveMetrics attaches a metrics registry: the client then maintains an
 // "ssp.client.inflight" gauge counting calls issued but not yet completed.
 func (c *Client) ObserveMetrics(reg *obs.Registry) {
-	if reg == nil {
-		c.inflight.Store(nil)
-		c.expiries.Store(nil)
-		return
-	}
 	c.inflight.Store(reg.Gauge("ssp.client.inflight"))
-	c.expiries.Store(reg.Counter("ssp.client.deadline_expired"))
-}
-
-// SetCallTimeout arms a per-call deadline: any call not answered within d
-// completes with an error wrapping ErrDeadline. Zero disables deadlines.
-// The writer and reader goroutines are unaffected — a hung server fails
-// the pending call, not the client — and a reply arriving after expiry is
-// discarded silently, leaving the connection usable.
-func (c *Client) SetCallTimeout(d time.Duration) {
-	if d < 0 {
-		d = 0
-	}
-	c.timeout.Store(int64(d))
 }
 
 // Close closes the connection. In-flight and queued calls complete with
@@ -237,7 +192,6 @@ func (c *Client) send(call *Call) {
 		if err == nil {
 			err = ErrShutdown
 		}
-		call.completed.Store(true)
 		call.Err = err
 		call.complete()
 		return
@@ -247,11 +201,6 @@ func (c *Client) send(call *Call) {
 	c.pending[req.ReqID] = call
 	c.live[req.ReqID] = struct{}{}
 	call.sent = time.Now()
-	// Arm the deadline while the registration lock is held, so every
-	// goroutine that finds the call in pending also sees its timer.
-	if d := c.timeout.Load(); d > 0 {
-		call.timer = time.AfterFunc(time.Duration(d), func() { c.expire(call) })
-	}
 	c.mu.Unlock()
 
 	if g := c.inflight.Load(); g != nil {
@@ -381,19 +330,13 @@ func reqApproxSize(q *wire.Request) int {
 // senders unstick.
 func (c *Client) writeBatch(pk *wire.Pack, batch []*Call) {
 	// Skip calls a concurrent terminate already failed: their frames
-	// would never be answered. A call whose deadline expired before its
-	// frame was written is dropped the same way — nothing went out, so no
-	// reply will come and its tombstone can go now.
+	// would never be answered.
 	live := batch[:0]
 	c.mu.Lock()
 	for _, call := range batch {
-		if cur, ok := c.pending[call.Req.ReqID]; !ok {
-			continue
-		} else if cur.expired {
-			delete(c.pending, call.Req.ReqID)
-			continue
+		if _, ok := c.pending[call.Req.ReqID]; ok {
+			live = append(live, call)
 		}
-		live = append(live, call)
 	}
 	c.mu.Unlock()
 	if len(live) == 0 {
@@ -497,15 +440,9 @@ func (c *Client) readFrame(payload []byte, frame *wire.Msg) error {
 // A reply whose ReqID is not pending is unsolicited, and the error it
 // returns is terminal.
 func (c *Client) handleResp(resp *wire.Response, bytesIn int64) error {
-	call, expired := c.take(resp.ReqID)
+	call := c.take(resp.ReqID)
 	if call == nil {
 		return fmt.Errorf("%w: unsolicited reply (req %d)", wire.ErrBadMessage, resp.ReqID)
-	}
-	if expired {
-		// The reply to a deadline-expired call finally arrived. The
-		// caller was already failed with ErrDeadline; discard the
-		// payload and keep reading — the connection itself is fine.
-		return nil
 	}
 	// Deliver a copy: the caller then keeps a Response, not the whole
 	// decoded Msg around it.
@@ -514,22 +451,19 @@ func (c *Client) handleResp(resp *wire.Response, bytesIn int64) error {
 	return nil
 }
 
-// take removes and returns the pending call for id, reporting whether it
-// was a deadline-expired tombstone.
-func (c *Client) take(id uint64) (*Call, bool) {
+// take removes and returns the pending call for id (nil if none). Only
+// the goroutine that takes a call delivers it.
+func (c *Client) take(id uint64) *Call {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	call, ok := c.pending[id]
-	if !ok {
-		return nil, false
-	}
+	call := c.pending[id]
 	delete(c.pending, id)
-	return call, call.expired
+	return call
 }
 
 // failPending completes the pending call id with the sticky stop error.
 func (c *Client) failPending(id uint64) {
-	call, _ := c.take(id)
+	call := c.take(id)
 	if call == nil {
 		return
 	}
@@ -541,25 +475,6 @@ func (c *Client) failPending(id uint64) {
 		err = ErrShutdown
 	}
 	c.deliver(call, nil, 0, err)
-}
-
-// expire fails one call with ErrDeadline when its timer fires. The call
-// stays in pending as a tombstone (see Call.expired): its frame may be on
-// the wire, so the slot must survive to swallow the late reply.
-func (c *Client) expire(call *Call) {
-	c.mu.Lock()
-	cur, ok := c.pending[call.Req.ReqID]
-	if !ok || cur != call {
-		// Already answered, failed, or superseded; nothing to do.
-		c.mu.Unlock()
-		return
-	}
-	call.expired = true
-	c.mu.Unlock()
-	if ctr := c.expiries.Load(); ctr != nil {
-		ctr.Inc()
-	}
-	c.deliver(call, nil, 0, ErrDeadline)
 }
 
 // terminate marks the transport broken and fails every pending call.
@@ -581,21 +496,14 @@ func (c *Client) terminate(err error) {
 	}
 	c.mu.Unlock()
 	for _, call := range calls {
-		// Expired tombstones were already delivered; the CAS in deliver
-		// makes this a no-op for them.
 		c.deliver(call, nil, 0, err)
 	}
 }
 
-// deliver completes a call exactly once: the first of {reply, deadline,
-// terminate} to arrive wins, writes the outcome, and signals Done.
+// deliver writes a call's outcome and hands it over. Its caller has just
+// removed the call from pending under c.mu (take, terminate) or never
+// registered it, so each call is delivered exactly once.
 func (c *Client) deliver(call *Call, resp *wire.Response, bytesIn int64, err error) {
-	if !call.completed.CompareAndSwap(false, true) {
-		return
-	}
-	if call.timer != nil {
-		call.timer.Stop()
-	}
 	call.Resp, call.bytesIn, call.Err = resp, bytesIn, err
 	if g := c.inflight.Load(); g != nil {
 		g.Add(-1)

@@ -25,12 +25,10 @@ func (g *gateStore) Get(ns wire.NS, key string) ([]byte, error) {
 	return g.BlobStore.Get(ns, key)
 }
 
-// TestCallDeadlineExpires: a call stuck behind an unresponsive server
-// must fail with ErrDeadline once the per-call timeout elapses — and the
-// connection must remain usable afterwards, the late reply being
-// discarded by the expired call's tombstone rather than corrupting the
-// reply stream.
-func TestCallDeadlineExpires(t *testing.T) {
+// gatedReconnect serves a gateStore holding "slow/k" = v1 and
+// "fast/k" = v2, and returns it with a ReconnectClient over it.
+func gatedReconnect(t *testing.T, opt ReconnectOptions) (*gateStore, *ReconnectClient) {
+	t.Helper()
 	store := &gateStore{BlobStore: NewMemStore(), gate: make(chan struct{})}
 	if err := store.BlobStore.Put(wire.NSData, "slow/k", []byte("v1")); err != nil {
 		t.Fatal(err)
@@ -38,66 +36,64 @@ func TestCallDeadlineExpires(t *testing.T) {
 	if err := store.BlobStore.Put(wire.NSData, "fast/k", []byte("v2")); err != nil {
 		t.Fatal(err)
 	}
-
 	l := netsim.Listen(netsim.Unlimited)
 	srv := NewServer(store, nil)
 	go srv.Serve(l)
 	t.Cleanup(func() { srv.Close() })
+	opt.Sleep = noSleep
+	rc := NewReconnectClient(l.Dial, opt)
+	t.Cleanup(func() { rc.Close() })
+	return store, rc
+}
 
-	c, err := Dial(l.Dial, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { c.Close() })
+// TestCallDeadlineExpires: a call stuck behind an unresponsive server
+// fails with ErrDeadline once CallTimeout elapses, its connection is
+// condemned, and the next call redials and succeeds while the server is
+// still stuck on the first.
+func TestCallDeadlineExpires(t *testing.T) {
 	reg := obs.NewRegistry()
-	c.ObserveMetrics(reg)
-	c.SetCallTimeout(30 * time.Millisecond)
+	store, rc := gatedReconnect(t, ReconnectOptions{CallTimeout: 30 * time.Millisecond, Registry: reg})
+	defer close(store.gate)
 
 	start := time.Now()
-	_, err = c.Get(wire.NSData, "slow/k")
+	_, err := rc.Get(wire.NSData, "slow/k")
 	if !errors.Is(err, ErrDeadline) {
 		t.Fatalf("stuck Get = %v, want ErrDeadline", err)
 	}
 	if elapsed := time.Since(start); elapsed > 2*time.Second {
 		t.Fatalf("deadline took %v to fire", elapsed)
 	}
-	if n := reg.Counter("ssp.client.deadline_expired").Value(); n != 1 {
+	if n := reg.Counter("ssp.reconnect.deadline_expired").Value(); n != 1 {
 		t.Fatalf("deadline_expired = %d, want 1", n)
 	}
 
-	// Unstick the server; its late reply for the expired call must be
-	// consumed by the tombstone, leaving the connection healthy.
-	close(store.gate)
-	v, err := c.Get(wire.NSData, "fast/k")
+	v, err := rc.Get(wire.NSData, "fast/k")
 	if err != nil || string(v) != "v2" {
-		t.Fatalf("Get after expiry = %q, %v; conn should have survived", v, err)
+		t.Fatalf("Get after expiry = %q, %v; want a redialed connection", v, err)
 	}
-	if err := c.Ping(); err != nil {
-		t.Fatalf("Ping after expiry: %v", err)
+	if n := reg.Counter("ssp.reconnect.success").Value(); n != 1 {
+		t.Fatalf("reconnect.success = %d, want 1", n)
+	}
+	if n := reg.Counter("ssp.reconnect.deadline_expired").Value(); n != 1 {
+		t.Fatalf("deadline_expired after the healthy call = %d, want 1", n)
 	}
 }
 
-// TestCallDeadlineZeroDisables: without a timeout the call waits out a
-// slow server rather than expiring.
+// TestCallDeadlineZeroDisables: without a CallTimeout the call waits out
+// a slow server rather than expiring, on the connection it started on.
 func TestCallDeadlineZeroDisables(t *testing.T) {
-	store := &gateStore{BlobStore: NewMemStore(), gate: make(chan struct{})}
-	if err := store.BlobStore.Put(wire.NSData, "slow/k", []byte("v")); err != nil {
-		t.Fatal(err)
-	}
-	l := netsim.Listen(netsim.Unlimited)
-	srv := NewServer(store, nil)
-	go srv.Serve(l)
-	t.Cleanup(func() { srv.Close() })
-
-	c, err := Dial(l.Dial, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { c.Close() })
+	reg := obs.NewRegistry()
+	store, rc := gatedReconnect(t, ReconnectOptions{Registry: reg})
 
 	time.AfterFunc(50*time.Millisecond, func() { close(store.gate) })
-	v, err := c.Get(wire.NSData, "slow/k")
-	if err != nil || string(v) != "v" {
+	v, err := rc.Get(wire.NSData, "slow/k")
+	if err != nil || string(v) != "v1" {
 		t.Fatalf("Get = %q, %v, want the value once the server unsticks", v, err)
+	}
+	if n := reg.Counter("ssp.reconnect.deadline_expired").Value(); n != 0 {
+		t.Fatalf("deadline_expired = %d, want 0", n)
+	}
+	if n := reg.Counter("ssp.reconnect.drops").Value(); n != 0 {
+		t.Fatalf("reconnect.drops = %d, want 0", n)
 	}
 }

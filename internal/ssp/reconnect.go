@@ -20,6 +20,12 @@ import (
 // (and the last dial error) until the client is closed.
 var ErrReconnectFailed = errors.New("ssp: reconnect budget exhausted")
 
+// ErrDeadline is returned (wrapped) for a ReconnectClient call that was
+// not answered within CallTimeout. The wrapper treats a deadline as
+// evidence of a hung server: the call's connection is already dropped by
+// the time the error returns, and the next call redials.
+var ErrDeadline = errors.New("ssp: call deadline exceeded")
+
 // The backoff between redials: redialBaseDelay seeds it, redialMaxDelay
 // caps it, and the actual sleep is full-jitter: uniform in [0,
 // min(redialMaxDelay, redialBaseDelay<<attempt)).
@@ -34,8 +40,10 @@ type ReconnectOptions struct {
 	// MaxRedials is the consecutive-dial-failure budget before the client
 	// goes sticky with ErrReconnectFailed (default 8; <0 never gives up).
 	MaxRedials int
-	// CallTimeout is installed on every dialed client via SetCallTimeout
-	// (0 = no per-call deadline).
+	// CallTimeout bounds each call (0 = no per-call deadline). A call
+	// still unanswered when it elapses condemns its connection, failing
+	// every call in flight on it, and returns an error wrapping
+	// ErrDeadline; the next call redials.
 	CallTimeout time.Duration
 	// Sleep is injectable for tests; nil uses time.Sleep.
 	Sleep func(time.Duration)
@@ -57,13 +65,13 @@ func (o *ReconnectOptions) defaults() {
 
 // ReconnectClient is a self-healing BlobStore over a Dialer: it lazily
 // dials a pipelined Client and, when a call fails with a connection-class
-// error (ErrShutdown, ErrDeadline, EOF, a closed or timed-out conn), it
-// discards the broken client so the next call redials — with exponential
-// backoff plus full jitter, and a sticky give-up state after MaxRedials
-// consecutive dial failures. The failing call itself is NOT retried here:
-// in-flight calls fail fast and retry policy lives one layer up
-// (internal/resilience), which classifies the very errors this wrapper
-// lets through.
+// error (ErrShutdown, EOF, a closed or timed-out conn) or outlives
+// CallTimeout, it discards the broken client so the next call redials —
+// with exponential backoff plus full jitter, and a sticky give-up state
+// after MaxRedials consecutive dial failures. The failing call itself is
+// NOT retried here: in-flight calls fail fast and retry policy lives one
+// layer up (internal/resilience), which classifies the very errors this
+// wrapper lets through.
 //
 // Each dialed client uses the same ReqID machinery as a direct Dial; a
 // redial simply starts a fresh sequence on a fresh conn, so replies can
@@ -112,7 +120,6 @@ func connErr(err error) bool {
 		return true
 	}
 	return errors.Is(err, ErrShutdown) ||
-		errors.Is(err, ErrDeadline) ||
 		errors.Is(err, io.EOF) ||
 		errors.Is(err, io.ErrUnexpectedEOF) ||
 		errors.Is(err, net.ErrClosed) ||
@@ -173,7 +180,6 @@ func (r *ReconnectClient) client() (*Client, error) {
 				}
 				return nil, ErrShutdown
 			}
-			c.SetCallTimeout(r.opt.CallTimeout)
 			c.ObserveMetrics(r.opt.Registry)
 			if redial {
 				r.count("ssp.reconnect.success")
@@ -209,19 +215,31 @@ func (r *ReconnectClient) dropConn(c *Client) {
 }
 
 // do runs op against the current client, condemning the connection on a
-// connection-class failure so the next call redials.
+// connection-class failure so the next call redials. With a CallTimeout,
+// a call still running when it elapses condemns the connection there and
+// then: closing it fails the stuck call, and every other call in flight
+// on it, at once.
 func (r *ReconnectClient) do(op func(*Client) error) error {
 	c, err := r.client()
 	if err != nil {
 		return err
 	}
-	if err := op(c); err != nil {
-		if connErr(err) {
+	var deadline *time.Timer
+	if d := r.opt.CallTimeout; d > 0 {
+		deadline = time.AfterFunc(d, func() {
+			r.count("ssp.reconnect.deadline_expired")
 			r.dropConn(c)
-		}
-		return err
+		})
 	}
-	return nil
+	err = op(c)
+	if deadline != nil && !deadline.Stop() && err != nil {
+		// The deadline fired: dropConn has condemned c, and op failed on it.
+		return fmt.Errorf("%w after %v: %w", ErrDeadline, r.opt.CallTimeout, err)
+	}
+	if connErr(err) {
+		r.dropConn(c)
+	}
+	return err
 }
 
 // Close shuts the wrapper down; subsequent calls fail with ErrShutdown.

@@ -40,10 +40,11 @@ func dialTo(t *testing.T, link netsim.Profile, store BlobStore, rec *stats.Recor
 	srv := NewServer(store, nil)
 	go srv.Serve(l)
 	t.Cleanup(func() { srv.Close() })
-	c, err := Dial(l.Dial, rec, tracer)
+	c, err := Dial(l.Dial, rec)
 	if err != nil {
 		t.Fatal(err)
 	}
+	c.Observe(tracer)
 	t.Cleanup(func() { c.Close() })
 	if err := c.Ping(); err != nil {
 		t.Fatal(err)

@@ -26,9 +26,12 @@ type Server struct {
 	views ViewStore // non-nil when store supports borrowed reads
 	log   *log.Logger
 
-	// Observability; all nil-safe, attached via Observe.
-	reg    *obs.Registry
-	tracer *obs.Tracer
+	// Observability; all nil-safe, attached via Observe, which resolves
+	// the per-request handles (ops, inflight) once.
+	reg      *obs.Registry
+	tracer   *obs.Tracer
+	ops      []opObs
+	inflight *obs.Gauge
 
 	mu        sync.Mutex
 	listeners map[net.Listener]struct{}
@@ -60,6 +63,7 @@ func NewServer(store BlobStore, logger *log.Logger) *Server {
 		store:     store,
 		views:     views,
 		log:       logger,
+		ops:       observeOps(nil),
 		listeners: make(map[net.Listener]struct{}),
 		conns:     make(map[net.Conn]*connEntry),
 	}
@@ -75,10 +79,37 @@ func NewServer(store BlobStore, logger *log.Logger) *Server {
 // requests carrying a trace ID get an "ssp.<op>" span on tracer joined
 // to the client's trace. Labels are operation names from the wire
 // protocol — never request keys or values, which are untrusted and, in
-// Sharoes, ciphertext.
+// Sharoes, ciphertext; an op number outside the protocol is counted as
+// ssp.op.unknown.
 func (s *Server) Observe(reg *obs.Registry, tracer *obs.Tracer) {
 	s.reg = reg
 	s.tracer = tracer
+	s.ops = observeOps(reg)
+	s.inflight = reg.Gauge("ssp.inflight")
+}
+
+// opObs is one wire operation's instrumentation: its span name, counter
+// and latency histogram.
+type opObs struct {
+	span  string
+	count *obs.Counter
+	ns    *obs.Histogram
+}
+
+// observeOps resolves every operation's instrumentation on reg (nil
+// gives names and nil handles), indexed by wire.Op. Slot 0, which no
+// operation uses, is "unknown": an op number the protocol lacks comes off
+// the wire, so no name is built from it.
+func observeOps(reg *obs.Registry) []opObs {
+	ops := make([]opObs, wire.OpMax+1)
+	for op := range ops {
+		name := "unknown"
+		if op > 0 {
+			name = wire.Op(op).String()
+		}
+		ops[op] = opObs{"ssp." + name, reg.Counter("ssp.op." + name), reg.Histogram("ssp.op." + name + ".ns")}
+	}
+	return ops
 }
 
 // Serve accepts connections on l until the listener fails or the server is
@@ -338,16 +369,19 @@ func (s *Server) process(st *connState, entry *connEntry, workers *sync.WaitGrou
 // reference is released as soon as apply returns.
 func (s *Server) dispatch(st *connState, entry *connEntry, req *wire.Request, buf *wire.Buf) {
 	defer entry.inflight.Add(-1)
-	s.reg.Gauge("ssp.inflight").Add(1)
-	defer s.reg.Gauge("ssp.inflight").Add(-1)
-	opName := req.Op.String()
-	sp := s.tracer.StartRemote(obs.TraceID(req.TraceID), obs.SpanID(req.SpanID), "ssp."+opName, obs.ClassNone)
+	s.inflight.Add(1)
+	defer s.inflight.Add(-1)
+	m := &s.ops[0]
+	if req.Op <= wire.OpMax {
+		m = &s.ops[req.Op]
+	}
+	sp := s.tracer.StartRemote(obs.TraceID(req.TraceID), obs.SpanID(req.SpanID), m.span, obs.ClassNone)
 	start := time.Now()
 	resp := s.apply(req)
 	resp.ReqID = req.ReqID
 	buf.Release()
-	s.reg.Histogram("ssp.op." + opName + ".ns").Observe(time.Since(start))
-	s.reg.Counter("ssp.op." + opName).Inc()
+	m.ns.Observe(time.Since(start))
+	m.count.Inc()
 	sp.End()
 	st.out <- resp
 }

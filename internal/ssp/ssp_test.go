@@ -6,11 +6,13 @@ import (
 	"fmt"
 	"io"
 	"net"
+	"strings"
 	"sync"
 	"testing"
 	"time"
 
 	"github.com/sharoes/sharoes/internal/netsim"
+	"github.com/sharoes/sharoes/internal/obs"
 	"github.com/sharoes/sharoes/internal/stats"
 	"github.com/sharoes/sharoes/internal/wire"
 )
@@ -269,9 +271,14 @@ func TestServerCloseUnblocksClients(t *testing.T) {
 	srv.Close() // double close is fine
 }
 
+// TestServerRejectsUnknownOp: an op number outside the protocol gets a
+// bad-request reply and is counted as ssp.op.unknown, under no name
+// built from the number.
 func TestServerRejectsUnknownOp(t *testing.T) {
 	l := netsim.Listen(netsim.Unlimited)
 	srv := NewServer(NewMemStore(), nil)
+	reg := obs.NewRegistry()
+	srv.Observe(reg, nil)
 	go srv.Serve(l)
 	defer srv.Close()
 
@@ -291,6 +298,15 @@ func TestServerRejectsUnknownOp(t *testing.T) {
 	m := onlyElement(t, buf.Bytes())
 	if m.Kind != wire.KindResponse || m.Resp.Status != wire.StatusBadRequest || m.Resp.ReqID != 1 {
 		t.Errorf("reply = kind %d %+v", m.Kind, m.Resp)
+	}
+	counters := reg.Snapshot().Counters
+	if counters["ssp.op.unknown"] != 1 {
+		t.Errorf("ssp.op.unknown = %d, want 1", counters["ssp.op.unknown"])
+	}
+	for name, n := range counters {
+		if strings.HasPrefix(name, "ssp.op.") && n != 0 && name != "ssp.op.unknown" {
+			t.Errorf("%s = %d, want only ssp.op.unknown counted", name, n)
+		}
 	}
 }
 
@@ -585,7 +601,6 @@ func TestClientFailsOnNonPack(t *testing.T) {
 				t.Fatal(err)
 			}
 			defer c.Close()
-			c.SetCallTimeout(5 * time.Second) // a client that accepts the frame hangs here
 			calls := []*Call{
 				c.Go(&wire.Request{Op: wire.OpPing}, nil), // ReqID 1, which the reply names
 				c.Go(&wire.Request{Op: wire.OpStats}, nil),
@@ -594,7 +609,12 @@ func TestClientFailsOnNonPack(t *testing.T) {
 				t.Fatal(err)
 			}
 			for i, call := range calls {
-				<-call.Done
+				// A client that accepts the frame hangs here.
+				select {
+				case <-call.Done:
+				case <-time.After(5 * time.Second):
+					t.Fatalf("call %d: no delivery within 5s", i)
+				}
 				if !errors.Is(call.Err, wire.ErrBadMessage) {
 					t.Errorf("call %d: err = %v, want one wrapping wire.ErrBadMessage", i, call.Err)
 				}

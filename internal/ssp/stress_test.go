@@ -143,3 +143,72 @@ func TestCloseWithInflightCalls(t *testing.T) {
 		t.Fatal("in-flight calls did not drain after Close")
 	}
 }
+
+// TestCloseDeliversEachCallOnce races Close against many goroutines
+// issuing Go calls: some answered at once, some stuck at the server until
+// after Close, some issued after it. Every call's Done must receive
+// exactly one delivery — a reply or an error — and none may hang. Each
+// Done has room for two, so a second delivery would show instead of
+// blocking its sender.
+func TestCloseDeliversEachCallOnce(t *testing.T) {
+	store := &gateStore{BlobStore: NewMemStore(), gate: make(chan struct{})}
+	defer close(store.gate)
+	if err := store.BlobStore.Put(wire.NSData, "fast/k", []byte("v")); err != nil {
+		t.Fatal(err)
+	}
+	l := netsim.Listen(netsim.Unlimited)
+	srv := NewServer(store, nil)
+	go srv.Serve(l)
+	t.Cleanup(func() { srv.Close() }) // after the deferred gate opening
+
+	c, err := Dial(l.Dial, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const workers, perWorker = 8, 200
+	calls := make([][]*Call, workers)
+	var wg sync.WaitGroup
+	started := make(chan struct{}, workers)
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			for i := 0; i < perWorker; i++ {
+				key := "fast/k"
+				if i%4 == 0 {
+					key = "slow/k"
+				}
+				calls[w] = append(calls[w], c.Go(&wire.Request{Op: wire.OpGet, NS: wire.NSData, Key: key}, make(chan *Call, 2)))
+				if i == perWorker/4 {
+					started <- struct{}{}
+				}
+			}
+		}(w)
+	}
+	for w := 0; w < workers; w++ {
+		<-started
+	}
+	if err := c.Close(); err != nil {
+		t.Fatalf("close: %v", err)
+	}
+	wg.Wait()
+
+	// Close has returned and every Go call with it: each call is
+	// delivered by now or never will be.
+	timeout := time.After(5 * time.Second)
+	for w := range calls {
+		for i, call := range calls[w] {
+			select {
+			case got := <-call.Done:
+				if got != call || (call.Err == nil) == (call.Resp == nil) {
+					t.Fatalf("worker %d call %d: delivery has Err %v and Resp %v", w, i, call.Err, call.Resp)
+				}
+			case <-timeout:
+				t.Fatalf("worker %d call %d: never delivered", w, i)
+			}
+			if n := len(call.Done); n != 0 {
+				t.Fatalf("worker %d call %d: delivered %d more times", w, i, n)
+			}
+		}
+	}
+}

@@ -29,6 +29,9 @@ const (
 	OpBatchGet // many gets in one round trip
 	OpBatchPut // many puts (and deletes) in one round trip
 	OpStats    // storage statistics (object count, byte total)
+
+	// OpMax is the highest-numbered operation in the protocol.
+	OpMax = OpStats
 )
 
 // String implements fmt.Stringer.

@@ -61,16 +61,17 @@ type ChaosResult struct {
 // self-healing counters that prove the transport actually exercised its
 // recovery paths.
 type ChaosSummary struct {
-	Seed     int64  `json:"seed"`
-	Profile  string `json:"profile"`
-	Workers  int    `json:"workers"`
-	Ops      int64  `json:"ops"`      // client operations issued
-	Severs   int64  `json:"severs"`   // connection severs injected
-	Faults   int64  `json:"faults"`   // fault-window arms (slow/writeerr)
-	Redials  int64  `json:"redials"`  // successful reconnects
-	Retries  int64  `json:"retries"`  // resilience-layer retries issued
-	Breaker  int64  `json:"breaker"`  // breaker open transitions
-	Degraded int64  `json:"degraded"` // barriers surfacing classified errors
+	Seed      int64  `json:"seed"`
+	Profile   string `json:"profile"`
+	Workers   int    `json:"workers"`
+	Ops       int64  `json:"ops"`       // client operations issued
+	Severs    int64  `json:"severs"`    // connection severs injected
+	Faults    int64  `json:"faults"`    // fault-window arms (slow/writeerr)
+	Redials   int64  `json:"redials"`   // successful reconnects
+	Deadlines int64  `json:"deadlines"` // calls failed by the reconnect CallTimeout
+	Retries   int64  `json:"retries"`   // resilience-layer retries issued
+	Breaker   int64  `json:"breaker"`   // breaker open transitions
+	Degraded  int64  `json:"degraded"`  // barriers surfacing classified errors
 	// Keys is how many durable keys the convergence check verified;
 	// Diverged how many came back wrong or missing (must be 0 to pass).
 	Keys     int  `json:"keys"`
@@ -530,19 +531,20 @@ func RunChaos(opts ChaosOptions) (*ChaosResult, error) {
 	out := &ChaosResult{
 		Registry: reg,
 		Summary: ChaosSummary{
-			Seed:     opts.Seed,
-			Profile:  opts.Profile,
-			Workers:  opts.Workers,
-			Ops:      ops,
-			Severs:   snap.Counters["netsim.severs"],
-			Faults:   faults,
-			Redials:  snap.Counters["ssp.reconnect.success"],
-			Retries:  snap.Counters["resilience.retry.attempts"],
-			Breaker:  snap.Counters["shard.breaker.open"],
-			Degraded: degraded,
-			Keys:     len(durable),
-			Diverged: diverged,
-			Pass:     diverged == 0,
+			Seed:      opts.Seed,
+			Profile:   opts.Profile,
+			Workers:   opts.Workers,
+			Ops:       ops,
+			Severs:    snap.Counters["netsim.severs"],
+			Faults:    faults,
+			Redials:   snap.Counters["ssp.reconnect.success"],
+			Deadlines: snap.Counters["ssp.reconnect.deadline_expired"],
+			Retries:   snap.Counters["resilience.retry.attempts"],
+			Breaker:   snap.Counters["shard.breaker.open"],
+			Degraded:  degraded,
+			Keys:      len(durable),
+			Diverged:  diverged,
+			Pass:      diverged == 0,
 		},
 	}
 	return out, nil

@@ -126,8 +126,8 @@ type Options struct {
 	// span trees with SSP-side handler spans joined over the wire, at a
 	// small constant per-op cost — off by default so benchmark numbers
 	// stay comparable. A metrics registry (System.Metrics) is always
-	// attached: counters are sharded atomics, far below the simulated
-	// link's noise floor.
+	// attached: each layer resolves its handles once and updates plain
+	// atomics, far below the simulated link's noise floor.
 	Trace bool
 }
 
@@ -206,12 +206,13 @@ func Build(kind SystemKind, opts Options) (*System, error) {
 		}
 	}()
 	sys.teardown = append(sys.teardown, server.Close)
-	// The tracer rides along on Dial so even the mount-path RPCs are
-	// traced (nil when Options.Trace is off — tracing disabled).
-	remote, err := ssp.Dial(lis.Dial, rec, sys.Tracer)
+	remote, err := ssp.Dial(lis.Dial, rec)
 	if err != nil {
 		return nil, errors.Join(err, sys.Close())
 	}
+	// Observed before the mount, so its RPCs are traced too (a nil
+	// tracer when Options.Trace is off: tracing disabled).
+	remote.Observe(sys.Tracer)
 	remote.ObserveMetrics(sys.Metrics)
 	sys.teardown = append(sys.teardown, remote.Close)
 
