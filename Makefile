@@ -25,7 +25,7 @@ FUZZ_TARGETS := \
 
 FUZZTIME ?= 10s
 
-.PHONY: all build fmt-check test vet race chaos-smoke fuzz-smoke bench-smoke check
+.PHONY: all build fmt-check test vet race chaos-smoke fuzz-smoke micro-smoke bench-smoke check
 
 all: build
 
@@ -67,13 +67,12 @@ vet:
 # port, server goroutines included, and cmd/sharoes-ssp for the server
 # command itself, run until cancelled and drained). It is the dynamic gate for the
 # lock-balance and mixed atomic/plain shapes sharoes-vet does not check
-# (docs/ANALYZERS.md, "Seeded-bug campaign"). Two tests that measure
-# rather than check are skipped: TestAllocBudget (sync.Pool drops items
-# under the race detector, so allocation counts mean nothing there) and
-# TestFig9ShapeHolds (its crypto share of wall time is a timing ratio the
-# detector's instrumentation distorts).
+# (docs/ANALYZERS.md, "Seeded-bug campaign"). TestFig9ShapeHolds is
+# skipped: its crypto share of wall time is a timing ratio the
+# detector's instrumentation distorts. TestAllocBudget runs: with no
+# sync.Pool left in the module its counts hold under the detector too.
 race:
-	$(GO) test -race -skip '^(TestAllocBudget|TestFig9ShapeHolds)$$' \
+	$(GO) test -race -skip '^TestFig9ShapeHolds$$' \
 		./internal/client ./internal/layout ./internal/meta ./internal/cap \
 		./internal/ssp ./internal/cache ./internal/obs ./internal/shard \
 		./internal/netsim ./internal/resilience \
@@ -111,6 +110,14 @@ bench-smoke:
 		case "$$out" in *'"failed":0,'*) ;; *) echo "bench-smoke: $$w result line has a \"failed\" count other than 0" >&2; exit 1;; esac; \
 	done
 
+# micro-smoke runs the SSP's read-behind-a-batch benchmark
+# (internal/ssp BenchmarkReadBehindBatch: a two-key read while a 64 B,
+# 12 KiB or 128 KiB BatchPut is in flight on the same loopback
+# connection) once per size, so it keeps building and running. It checks
+# that the benchmark works, not its numbers; EXPERIMENTS.md has those.
+micro-smoke:
+	$(GO) test ./internal/ssp -run '^$$' -bench '^BenchmarkReadBehindBatch$$' -benchtime 1x
+
 # fuzz-smoke runs every fuzz target for a short burst — enough to catch
 # regressions on the saved corpus plus a little fresh exploration.
 fuzz-smoke:
@@ -122,5 +129,6 @@ fuzz-smoke:
 
 # check runs every gate CI runs (.github/workflows/ci.yml), so a tree
 # that passes it locally passes CI: build, format, vet, tests, the race
-# detector, the fuzz burst, the chaos campaign and the benchmark smoke.
-check: build fmt-check vet test race fuzz-smoke chaos-smoke bench-smoke
+# detector, the fuzz burst, the micro-benchmark smoke, the chaos campaign
+# and the benchmark smoke.
+check: build fmt-check vet test race fuzz-smoke micro-smoke chaos-smoke bench-smoke

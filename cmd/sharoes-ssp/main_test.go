@@ -58,18 +58,16 @@ func (b *lockedBuffer) String() string {
 	return b.buf.String()
 }
 
-// TestRunServesUntilCancelled: a loopback SSP on 127.0.0.1:0, with its
-// debug endpoint, answers Ping, BatchPut and BatchGet, and on cancel
-// drains and exits 0 with no connection left open (its final snapshot
-// reads ssp.conns 0).
-func TestRunServesUntilCancelled(t *testing.T) {
-	ctx, cancel := context.WithCancel(context.Background())
-	defer cancel()
+// startRun starts run with args until ctx is cancelled and returns the
+// address it serves on, the channel its exit code arrives on, and its
+// stderr.
+func startRun(t *testing.T, ctx context.Context, args ...string) (string, <-chan int, *lockedBuffer) {
+	t.Helper()
 	pr, pw := io.Pipe()
-	var stderr lockedBuffer
+	stderr := &lockedBuffer{}
 	exited := make(chan int, 1)
 	go func() {
-		code := run(ctx, []string{"-addr", "127.0.0.1:0", "-debug-addr", "127.0.0.1:0", "-grace", "2s"}, pw, &stderr)
+		code := run(ctx, args, pw, stderr)
 		pw.Close()
 		exited <- code
 	}()
@@ -82,14 +80,59 @@ func TestRunServesUntilCancelled(t *testing.T) {
 			}
 		}
 	}()
-	var addr string
 	select {
-	case addr = <-addrc:
+	case addr := <-addrc:
+		return addr, exited, stderr
 	case code := <-exited:
 		t.Fatalf("exit %d before serving\nstderr: %s", code, stderr.String())
 	case <-time.After(10 * time.Second):
 		t.Fatal("not serving after 10s")
 	}
+	return "", nil, nil
+}
+
+// TestRunExitsWithAStuckStore: a request stuck inside the store does not
+// keep the server command from exiting. The store here sleeps an hour in
+// every read (a slow fault rule); once the request is in it, cancelling
+// drains for the 50 ms grace and run exits 1, naming the stuck connection.
+func TestRunExitsWithAStuckStore(t *testing.T) {
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	addr, exited, stderr := startRun(t, ctx, "-addr", "127.0.0.1:0", "-grace", "50ms", "-fault", "0:slow:1h")
+	c, err := ssp.Dial(func() (net.Conn, error) { return net.Dial("tcp", addr) }, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	c.Go(&wire.Request{Op: wire.OpBatchGet, Items: []wire.KV{{NS: wire.NSData, Key: "k"}}}, nil)
+	// The server reads one connection's frames in order and counts a
+	// request in flight before it reads the next frame, so once this
+	// ping is answered the BatchGet is in the store.
+	if err := c.Ping(); err != nil {
+		t.Fatal(err)
+	}
+	cancel()
+	select {
+	case code := <-exited:
+		if code != exitFail {
+			t.Fatalf("exit %d with a stuck store, want %d\nstderr: %s", code, exitFail, stderr.String())
+		}
+	case <-time.After(10 * time.Second):
+		t.Fatal("run did not return after cancel with a stuck store")
+	}
+	if !strings.Contains(stderr.String(), "1 connection(s) still have a request in the store") {
+		t.Errorf("stderr does not name the stuck connection:\n%s", stderr.String())
+	}
+}
+
+// TestRunServesUntilCancelled: a loopback SSP on 127.0.0.1:0, with its
+// debug endpoint, answers Ping, BatchPut and BatchGet, and on cancel
+// drains and exits 0 with no connection left open (its final snapshot
+// reads ssp.conns 0).
+func TestRunServesUntilCancelled(t *testing.T) {
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	addr, exited, stderr := startRun(t, ctx, "-addr", "127.0.0.1:0", "-debug-addr", "127.0.0.1:0", "-grace", "2s")
 
 	c, err := ssp.Dial(func() (net.Conn, error) { return net.Dial("tcp", addr) }, nil)
 	if err != nil {

@@ -5,7 +5,7 @@ import (
 	"go/types"
 )
 
-// AADBind flags SymKey.Seal / SymKey.AppendSeal / SymKey.Open calls whose
+// AADBind flags SymKey.Seal / AppendSeal / Open / AppendOpen calls whose
 // AAD argument (always the last) is nil or an empty literal. AES-GCM
 // without additional authenticated data lets a malicious SSP satisfy a
 // request for one object with any other validly sealed blob under the
@@ -18,12 +18,12 @@ func (AADBind) Name() string { return "aadbind" }
 
 // Doc implements Analyzer.
 func (AADBind) Doc() string {
-	return "every SymKey.Seal/AppendSeal/Open must bind a non-empty AAD to its object context"
+	return "every SymKey.Seal/AppendSeal/Open/AppendOpen must bind a non-empty AAD to its object context"
 }
 
 // aadBindMethods maps the SymKey methods that take an AAD to their
 // argument count; the AAD is the last argument of each.
-var aadBindMethods = map[string]int{"Seal": 2, "Open": 2, "AppendSeal": 3}
+var aadBindMethods = map[string]int{"Seal": 2, "Open": 2, "AppendSeal": 3, "AppendOpen": 3}
 
 // Check implements Analyzer.
 func (a AADBind) Check(p *Package) []Finding {

@@ -37,8 +37,7 @@ var boundaryPkgs = []string{
 var boundaryCallees = map[string]string{
 	"ssp.Get": "SSP read", "ssp.List": "SSP read", "ssp.BatchGet": "SSP read", "ssp.ListUnder": "SSP read",
 	"ssp.GetView": "SSP read", "ssp.ListView": "SSP read", "ssp.BatchGetView": "SSP read",
-	"wire.ReadFrame": "wire-frame read", "wire.ReadFrameBuf": "wire-frame read",
-	"wire.DecodeV2": "wire-frame read", "wire.DecodeV2Into": "wire-frame read",
+	"wire.ReadFrame": "wire-frame read", "wire.DecodeV2": "wire-frame read", "wire.DecodeV2Into": "wire-frame read",
 	"sharocrypto.SymKey.Marshal": "raw secret", "sharocrypto.SignKey.Marshal": "raw secret",
 	"sharocrypto.PrivateKey.Marshal": "raw secret",
 	"meta.Metadata.Encode":           "plaintext of a key-bearing object", "meta.DirTable.Encode": "plaintext of a key-bearing object",

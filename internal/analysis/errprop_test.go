@@ -105,38 +105,6 @@ func TestResLeak(t *testing.T) {
 	}
 }
 
-// TestBufRelease pins resleak's coverage of the wire buffer arena:
-// AcquireBuf/ReadFrameBuf create Release obligations, and the decode-
-// error return — the path the arena actually leaks on in a careless
-// server loop — is caught, also when buf.Bytes() was passed to a call
-// first. The good fixture proves defer, per-path Release, channel
-// handoff, passing the buffer to a callee and returning it all discharge
-// it, and that Retain (a read of the handle) does not.
-func TestBufRelease(t *testing.T) {
-	bad := runOne(t, ResLeak{}, "bufreleasebad/internal/server")
-	wantSubstr := []string{
-		`wire.Buf "buf" is not released on the path leaving at line 27`,
-		`wire.Buf "buf" is not released on the path leaving at line 38`,
-		`wire.Buf "buf" is not released on the path leaving at line 54`,
-		`wire.Buf "buf" is not released on the path leaving at line 63`,
-		`wire.Buf "buf" is not released on the path leaving at line 78`,
-	}
-	if len(bad) != len(wantSubstr) {
-		t.Fatalf("bufreleasebad: got %d findings, want %d:\n%s", len(bad), len(wantSubstr), findingsText(bad))
-	}
-	for i, f := range bad {
-		if f.Analyzer != "resleak" {
-			t.Errorf("finding %d: analyzer %q", i, f.Analyzer)
-		}
-		if !strings.Contains(f.Message, wantSubstr[i]) {
-			t.Errorf("finding %d: message %q does not mention %q", i, f.Message, wantSubstr[i])
-		}
-	}
-	if good := runOne(t, ResLeak{}, "bufreleasegood/internal/server"); len(good) != 0 {
-		t.Fatalf("bufreleasegood: unexpected findings:\n%s", findingsText(good))
-	}
-}
-
 func TestModuleRootOf(t *testing.T) {
 	for _, tc := range []struct{ path, want string }{
 		{"github.com/sharoes/sharoes/internal/ssp", "github.com/sharoes/sharoes"},

@@ -35,16 +35,12 @@ func (ResLeak) Doc() string {
 }
 
 // rlAcqPrefixes are the constructor-name prefixes that create an
-// obligation when the result type carries a release method. Acquire and
-// ReadFrame cover the wire buffer arena: AcquireBuf/ReadFrameBuf hand
-// out pool-backed refcounted frames whose missed Release silently
-// degrades the arena back to per-frame heap allocation.
-var rlAcqPrefixes = []string{"New", "Open", "Dial", "Listen", "Accept", "Start", "Acquire", "ReadFrame"}
+// obligation when the result type carries a release method.
+var rlAcqPrefixes = []string{"New", "Open", "Dial", "Listen", "Accept", "Start"}
 
 // rlReleaseNames discharge an obligation when called on the value.
-// Release is the refcount drop of pooled wire buffers.
 var rlReleaseNames = map[string]bool{
-	"Close": true, "Stop": true, "Shutdown": true, "End": true, "Release": true,
+	"Close": true, "Stop": true, "Shutdown": true, "End": true,
 }
 
 // rlObl is one outstanding release obligation, keyed by the local

@@ -311,13 +311,13 @@ func (e *Engine) seal(key sharocrypto.SymKey, aad, plain []byte) []byte {
 	return key.Seal(plain, aad)
 }
 
-// open reverses seal.
-func (e *Engine) open(sw layout.Stopwatch, key sharocrypto.SymKey, aad, blob []byte) ([]byte, error) {
+// open reverses seal, appending the plaintext to dst.
+func (e *Engine) open(sw layout.Stopwatch, dst []byte, key sharocrypto.SymKey, aad, blob []byte) ([]byte, error) {
 	if !e.mode.EncryptsData() {
-		return blob, nil
+		return append(dst, blob...), nil
 	}
 	defer sw.Start()()
-	pt, err := key.Open(blob, aad)
+	pt, err := key.AppendOpen(dst, blob, aad)
 	if err != nil {
 		return nil, fmt.Errorf("%w: %w", types.ErrTampered, err)
 	}
@@ -343,7 +343,7 @@ func (e *Engine) SealViews(sw layout.Stopwatch, dirFull *meta.Metadata, views []
 
 // OpenView implements layout.Engine: every view is a full one.
 func (e *Engine) OpenView(sw layout.Stopwatch, variant string, tkey sharocrypto.SymKey, _ sharocrypto.VerifyKey, ino types.Inode, blob []byte) (*cap.View, error) {
-	pt, err := e.open(sw, tkey, meta.TableAAD(ino, variant), blob)
+	pt, err := e.open(sw, nil, tkey, meta.TableAAD(ino, variant), blob)
 	if err != nil {
 		return nil, err
 	}
@@ -370,7 +370,7 @@ func (e *Engine) SealFile(sw layout.Stopwatch, m *meta.Metadata, man *meta.Manif
 
 // OpenManifest implements layout.Engine.
 func (e *Engine) OpenManifest(sw layout.Stopwatch, ino types.Inode, m *meta.Metadata, blob []byte) (*meta.Manifest, error) {
-	pt, err := e.open(sw, m.Keys.DEK, meta.ManifestAAD(ino, m.Attr.DataGen), blob)
+	pt, err := e.open(sw, nil, m.Keys.DEK, meta.ManifestAAD(ino, m.Attr.DataGen), blob)
 	if err != nil {
 		return nil, err
 	}
@@ -378,8 +378,8 @@ func (e *Engine) OpenManifest(sw layout.Stopwatch, ino types.Inode, m *meta.Meta
 }
 
 // OpenBlock implements layout.Engine; no manifest names a block's digest.
-func (e *Engine) OpenBlock(sw layout.Stopwatch, key sharocrypto.SymKey, aad, blob []byte, _ [sha256.Size]byte) ([]byte, error) {
-	return e.open(sw, key, aad, blob)
+func (e *Engine) OpenBlock(sw layout.Stopwatch, dst []byte, key sharocrypto.SymKey, aad, blob []byte, _ [sha256.Size]byte) ([]byte, error) {
+	return e.open(sw, dst, key, aad, blob)
 }
 
 // SealSuperblock implements layout.Engine: stored as it is, without its

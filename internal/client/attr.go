@@ -326,13 +326,9 @@ func (s *Session) rekeyFile(w *write, r ref, m *meta.Metadata) error {
 	if err != nil {
 		return err
 	}
-	blocks, err := s.readBlocks(r, m, man, 0, man.NBlocks, pre)
+	content, err := s.readBlocks(nil, r, m, man, 0, man.NBlocks, pre)
 	if err != nil {
 		return err
-	}
-	var content []byte
-	for _, b := range blocks {
-		content = append(content, b...)
 	}
 	oldGen := m.Attr.DataGen
 	s.rotateDataKeys(m)

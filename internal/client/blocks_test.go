@@ -8,6 +8,7 @@ import (
 	"sync"
 	"testing"
 
+	"github.com/sharoes/sharoes/internal/baseline"
 	"github.com/sharoes/sharoes/internal/layout"
 	"github.com/sharoes/sharoes/internal/meta"
 	"github.com/sharoes/sharoes/internal/refmodel"
@@ -431,5 +432,63 @@ func TestConcurrentMultiBlockSessions(t *testing.T) {
 		if err != nil {
 			t.Error(err)
 		}
+	}
+}
+
+// TestReadResultIsTheCallers: what ReadFile returns is the caller's to
+// overwrite. Blocks are opened straight into it, and the cache keeps a
+// copy of its own, so scribbling over one read — or over an open handle's
+// buffer — changes neither the next read nor what the cache serves. One
+// block and several (with a tail), cache on and off, a cold reader and the
+// warm writer, under both schemes and every baseline.
+func TestReadResultIsTheCallers(t *testing.T) {
+	fixture(t)
+	engines := []layout.Engine{layout.NewScheme2(fixReg), layout.NewScheme1(fixReg)}
+	for _, mode := range baselineModes {
+		engines = append(engines, baseline.New(mode, fixReg))
+	}
+	files := []struct {
+		path string
+		data []byte
+	}{{"/one", pattern(testBlockSize/2, 1)}, {"/multi", pattern(5*testBlockSize+7, 2)}}
+	for _, eng := range engines {
+		t.Run(eng.Name(), func(t *testing.T) {
+			w := newWorld(t, eng, ssp.NewMemStore())
+			alice := w.as("alice")
+			for _, f := range files {
+				if err := alice.WriteFile(f.path, f.data, 0o644); err != nil {
+					t.Fatal(err)
+				}
+			}
+			readers := map[string]*Session{"writer": alice, "cached": w.mountFresh("alice", -1), "uncached": w.mountFresh("alice", 0)}
+			for name, s := range readers {
+				for _, f := range files {
+					for pass := 0; pass < 3; pass++ {
+						got, err := s.ReadFile(f.path)
+						if err != nil {
+							t.Fatalf("%s %s pass %d: %v", name, f.path, pass, err)
+						}
+						if !bytes.Equal(got, f.data) {
+							t.Fatalf("%s %s pass %d: a read after the caller overwrote the last one differs", name, f.path, pass)
+						}
+						for i := range got {
+							got[i] = 0xEE
+						}
+					}
+					h, err := s.OpenFile(f.path, OWrite, 0)
+					if err != nil {
+						t.Fatal(err)
+					}
+					if _, err := h.WriteAt(bytes.Repeat([]byte{0xDD}, len(f.data)), 0); err != nil {
+						t.Fatal(err)
+					}
+					got, err := s.ReadFile(f.path)
+					if err != nil || !bytes.Equal(got, f.data) {
+						t.Fatalf("%s %s: a read beside a handle written in place differs (%v)", name, f.path, err)
+					}
+					// h is dropped unclosed: Close would write its junk back.
+				}
+			}
+		})
 	}
 }

@@ -3,6 +3,7 @@ package client
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"time"
 
 	"github.com/sharoes/sharoes/internal/layout"
@@ -97,37 +98,51 @@ func dropTail(ino types.Inode, old, now *meta.Manifest) []wire.KV {
 }
 
 // readBlocks fetches, verifies and decrypts the blocks [from, to) of a
-// file: each from the cache, else out of pre (the reply that carried the
-// metadata or the manifest, which answers for the tail), else by one fetch
-// naming every block still missing. A blob in pre that man does not call
-// for is never looked at. man is verified, and names each block by its
-// digest; a block carries no signature of its own, only its own nonce and
-// AAD, so the sealed ones are checked against man's digests and opened
-// across the worker pool. The closure writes only its own slot, and the
-// cache is touched only after the join, by this goroutine, with blocks
-// that verified. A block of another version of the file — a tail kept
-// from when the file was shorter, a block the last write replaced — fails
-// its digest; the length check against man is a second line behind it.
-func (s *Session) readBlocks(r ref, m *meta.Metadata, man *meta.Manifest, from, to uint32, pre replyIndex) ([][]byte, error) {
+// file and appends their content to dst, growing it once to the exact
+// length: each block from the cache, else out of pre (the reply that
+// carried the metadata or the manifest, which answers for the tail), else
+// by one fetch naming every block still missing. A blob in pre that man
+// does not call for is never looked at. man is verified, and names each
+// block by its digest; a block carries no signature of its own, only its
+// own nonce and AAD, so the sealed ones are checked against man's digests
+// and opened across the worker pool, each straight into its own place in
+// dst. The closure writes only its own place, and the cache is touched
+// only after the join, by this goroutine, with blocks that verified: each
+// as a copy of its own, made only when the cache would keep it, so the
+// cache never shares memory with dst, which is the caller's. A block of
+// another version of the file — a tail kept from when the file was
+// shorter, a block the last write replaced — fails its digest; the length
+// check against man is a second line behind it.
+func (s *Session) readBlocks(dst []byte, r ref, m *meta.Metadata, man *meta.Manifest, from, to uint32, pre replyIndex) ([]byte, error) {
 	gen := m.Attr.DataGen
-	out := make([][]byte, to-from)
+	base := len(dst)
+	at := func(idx uint32) int { return base + int(idx-from)*int(man.BlockSize) }
+	n := 0
+	for i := from; i < to; i++ {
+		n += man.DataLen(i)
+	}
+	dst = slices.Grow(dst, n)[:base+n]
 	var missing, want []wire.KV
-	var slots []int // missing[i] is block from+slots[i]
+	var idxs []uint32 // missing[i] is block idxs[i]
 	for i := from; i < to; i++ {
 		key := man.DataKey(r.ino, gen, i)
 		if v, ok := s.cache.Get(ckBlock + key); ok {
-			out[i-from] = v.([]byte)
+			b := v.([]byte)
+			if len(b) != man.DataLen(i) {
+				return nil, fmt.Errorf("%w: block %d is %d bytes, the manifest says %d", types.ErrTampered, i, len(b), man.DataLen(i))
+			}
+			copy(dst[at(i):], b)
 			continue
 		}
 		kv := wire.KV{NS: wire.NSData, Key: key}
 		missing = append(missing, kv)
-		slots = append(slots, int(i-from))
+		idxs = append(idxs, i)
 		if !pre.asked(kv.NS, kv.Key) {
 			want = append(want, kv)
 		}
 	}
 	if len(missing) == 0 {
-		return out, nil
+		return dst, nil
 	}
 	var fetched replyIndex
 	if len(want) > 0 {
@@ -154,22 +169,30 @@ func (s *Session) readBlocks(r ref, m *meta.Metadata, man *meta.Manifest, from, 
 	errs := make([]error, len(missing))
 	sw, end := s.cryptoGroup("open-block")
 	layout.RunParallel(len(missing), func(i int) {
-		idx := from + uint32(slots[i])
-		pt, err := layout.OpenBlock(s.eng, sw, m.Keys.DEK, man.DataAAD(r.ino, gen, idx), sealed[i], man.Digests[idx])
-		if err == nil && len(pt) != man.DataLen(idx) {
-			err = fmt.Errorf("%w: block %d is %d bytes, the manifest says %d", types.ErrTampered, idx, len(pt), man.DataLen(idx))
+		idx := idxs[i]
+		lo, size := at(idx), man.DataLen(idx)
+		// The place has no spare capacity: a block that opens longer
+		// than the manifest says is appended elsewhere, never over its
+		// neighbour.
+		pt, err := layout.OpenBlock(s.eng, sw, dst[lo:lo:lo+size], m.Keys.DEK, man.DataAAD(r.ino, gen, idx), sealed[i], man.Digests[idx])
+		if err == nil && len(pt) != size {
+			err = fmt.Errorf("%w: block %d is %d bytes, the manifest says %d", types.ErrTampered, idx, len(pt), size)
 		}
-		out[slots[i]], errs[i] = pt, err
+		errs[i] = err
 	})
 	end()
-	for i, kv := range missing {
-		if errs[i] != nil {
-			return nil, errs[i]
+	for _, err := range errs {
+		if err != nil {
+			return nil, err
 		}
-		pt := out[slots[i]]
-		s.cache.Put(ckBlock+kv.Key, pt, int64(len(pt)))
 	}
-	return out, nil
+	for i, kv := range missing {
+		if size := man.DataLen(idxs[i]); s.cache.Holds(int64(size)) {
+			lo := at(idxs[i])
+			s.cache.Put(ckBlock+kv.Key, append([]byte(nil), dst[lo:lo+size]...), int64(size))
+		}
+	}
+	return dst, nil
 }
 
 // ReadFile implements vfs.FS: obtain the encrypted data blocks, verify the
@@ -210,18 +233,9 @@ func (s *Session) readContent(r ref, m *meta.Metadata, pre replyIndex) ([]byte, 
 	if err != nil {
 		return nil, err
 	}
-	blocks, err := s.readBlocks(r, m, man, 0, man.NBlocks, pre)
-	if err != nil {
-		return nil, err
-	}
-	out := make([]byte, 0, man.Size)
-	for _, b := range blocks {
-		out = append(out, b...)
-	}
-	if uint64(len(out)) != man.Size {
-		return nil, fmt.Errorf("%w: size mismatch (%d != %d)", types.ErrTampered, len(out), man.Size)
-	}
-	return out, nil
+	// man's geometry is checked when it is decoded: its blocks add up
+	// to its size, so the file is allocated once, whole.
+	return s.readBlocks(make([]byte, 0, man.Size), r, m, man, 0, man.NBlocks, pre)
 }
 
 // WriteFile implements vfs.FS: create or replace a file's content. All
@@ -330,17 +344,14 @@ func (s *Session) appendFile(path string, data []byte) error {
 		return err
 	}
 
-	// Reassemble the tail: the final partial block, if any, plus the new
-	// data. Full blocks before it are untouched, so the file keeps the
-	// block size it was written with, whatever this session's is.
+	// Reassemble the tail: the final partial block, if any (opened
+	// straight into the buffer), plus the new data. Full blocks before it
+	// are untouched, so the file keeps the block size it was written
+	// with, whatever this session's is.
 	firstDirty := man.FullBlocks()
-	var tail []byte
-	if man.TailLen() > 0 {
-		blocks, err := s.readBlocks(r, m, man, firstDirty, firstDirty+1, pre)
-		if err != nil {
-			return err
-		}
-		tail = append(tail, blocks[0]...)
+	tail, err := s.readBlocks(make([]byte, 0, man.TailLen()+len(data)), r, m, man, firstDirty, man.NBlocks, pre)
+	if err != nil {
+		return err
 	}
 	tail = append(tail, data...)
 

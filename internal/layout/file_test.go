@@ -71,19 +71,19 @@ func TestSealFileKVs(t *testing.T) {
 				t.Errorf("first=%d size=%d: KV %d is %v %q, want %q", tc.first, tc.size, i, kv.NS, kv.Key, key)
 			}
 			want := sealedMan.Digests[idx]
-			pt, err := meta.OpenBlock(m.Keys.DEK, aad, kv.Val, want)
+			pt, err := meta.OpenBlock(nil, m.Keys.DEK, aad, kv.Val, want)
 			if err != nil {
 				t.Fatalf("first=%d size=%d: block %d: %v", tc.first, tc.size, idx, err)
 			}
 			got = append(got, pt...)
-			if _, err := meta.OpenBlock(m.Keys.DEK, man.DataAAD(77, 5, idx+1), kv.Val, want); !errors.Is(err, types.ErrTampered) {
+			if _, err := meta.OpenBlock(nil, m.Keys.DEK, man.DataAAD(77, 5, idx+1), kv.Val, want); !errors.Is(err, types.ErrTampered) {
 				t.Errorf("block %d opened at index %d: %v", idx, idx+1, err)
 			}
-			if _, err := meta.OpenBlock(m.Keys.DEK, wrong, kv.Val, want); !errors.Is(err, types.ErrTampered) {
+			if _, err := meta.OpenBlock(nil, m.Keys.DEK, wrong, kv.Val, want); !errors.Is(err, types.ErrTampered) {
 				t.Errorf("block %d opened under the other kind's AAD: %v", idx, err)
 			}
 			if i > 0 {
-				if _, err := meta.OpenBlock(m.Keys.DEK, aad, kv.Val, sealedMan.Digests[idx-1]); !errors.Is(err, types.ErrTampered) {
+				if _, err := meta.OpenBlock(nil, m.Keys.DEK, aad, kv.Val, sealedMan.Digests[idx-1]); !errors.Is(err, types.ErrTampered) {
 					t.Errorf("block %d opened under block %d's digest: %v", idx, idx-1, err)
 				}
 			}
@@ -119,7 +119,7 @@ func TestBuildFileKVsIsWholeFileSeal(t *testing.T) {
 		t.Fatalf("manifest %+v, %v; want 200 bytes in 4 blocks of 64 at mtime 99", man, err)
 	}
 	for i, kv := range kvs[:4] {
-		if _, err := meta.OpenBlock(m.Keys.DEK, man.DataAAD(78, m.Attr.DataGen, uint32(i)), kv.Val, man.Digests[i]); err != nil {
+		if _, err := meta.OpenBlock(nil, m.Keys.DEK, man.DataAAD(78, m.Attr.DataGen, uint32(i)), kv.Val, man.Digests[i]); err != nil {
 			t.Errorf("block %d: %v", i, err)
 		}
 	}

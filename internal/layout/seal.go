@@ -56,9 +56,11 @@ type Sealer interface {
 	SealFile(sw Stopwatch, m *meta.Metadata, man *meta.Manifest, first uint32, data []byte) []wire.KV
 	// OpenManifest opens file ino's manifest under m's data keys.
 	OpenManifest(sw Stopwatch, ino types.Inode, m *meta.Metadata, blob []byte) (*meta.Manifest, error)
-	// OpenBlock opens one block under key and aad; want is the digest
-	// the manifest names for it.
-	OpenBlock(sw Stopwatch, key sharocrypto.SymKey, aad, blob []byte, want [sha256.Size]byte) ([]byte, error)
+	// OpenBlock opens one block under key and aad and appends its
+	// plaintext to dst, which does not overlap blob; want is the digest
+	// the manifest names for it. A reader that gives dst room for the
+	// block gets it opened in place.
+	OpenBlock(sw Stopwatch, dst []byte, key sharocrypto.SymKey, aad, blob []byte, want [sha256.Size]byte) ([]byte, error)
 	// SealSuperblock seals a superblock to one principal's public key.
 	SealSuperblock(sb *meta.Superblock, pub sharocrypto.PublicKey) ([]byte, error)
 	// OpenSuperblock opens a superblock with a principal's private key.
@@ -126,9 +128,9 @@ func OpenManifest(sl Sealer, sw Stopwatch, ino types.Inode, m *meta.Metadata, bl
 	return sl.OpenManifest(sw, ino, m, blob.b)
 }
 
-// OpenBlock opens blob with sl.OpenBlock.
-func OpenBlock(sl Sealer, sw Stopwatch, key sharocrypto.SymKey, aad []byte, blob Sealed, want [sha256.Size]byte) ([]byte, error) {
-	return sl.OpenBlock(sw, key, aad, blob.b, want)
+// OpenBlock opens blob with sl.OpenBlock, appending to dst.
+func OpenBlock(sl Sealer, sw Stopwatch, dst []byte, key sharocrypto.SymKey, aad []byte, blob Sealed, want [sha256.Size]byte) ([]byte, error) {
+	return sl.OpenBlock(sw, dst, key, aad, blob.b, want)
 }
 
 // OpenSuperblock opens blob with sl.OpenSuperblock.
@@ -216,9 +218,9 @@ func (signed) OpenManifest(sw Stopwatch, ino types.Inode, m *meta.Metadata, blob
 }
 
 // OpenBlock implements Sealer: the digest the verified manifest names.
-func (signed) OpenBlock(sw Stopwatch, key sharocrypto.SymKey, aad, blob []byte, want [sha256.Size]byte) ([]byte, error) {
+func (signed) OpenBlock(sw Stopwatch, dst []byte, key sharocrypto.SymKey, aad, blob []byte, want [sha256.Size]byte) ([]byte, error) {
 	defer sw.Start()()
-	return meta.OpenBlock(key, aad, blob, want)
+	return meta.OpenBlock(dst, key, aad, blob, want)
 }
 
 // SealSuperblock implements Sealer.

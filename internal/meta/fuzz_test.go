@@ -245,7 +245,7 @@ func FuzzOpenBlock(f *testing.F) {
 	f.Add([]byte{0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0x01}, uint8(2), uint8(2))
 	f.Fuzz(func(t *testing.T, blob []byte, which, digest uint8) {
 		i, j := int(which)%len(aads), int(digest)%len(digests)
-		pt, err := OpenBlock(sym, aads[i], blob, digests[j])
+		pt, err := OpenBlock(nil, sym, aads[i], blob, digests[j])
 		if err != nil {
 			if !errors.Is(err, types.ErrTampered) {
 				t.Fatalf("failure is not ErrTampered: %v", err)

@@ -344,13 +344,14 @@ func SealBlock(key sharocrypto.SymKey, aad, plaintext []byte) ([]byte, [sha256.S
 }
 
 // OpenBlock reverses SealBlock against want, the digest a verified
-// manifest names for this block. It checks the shape (exactly one framed
-// field, nothing after it), then the digest in constant time, then opens
-// the AES-GCM seal; any failure is ErrVerify wrapped with
-// types.ErrTampered. The digest, not the GCM tag, is what authenticates
-// the block: anyone holding the DEK can seal a block that opens, but only
-// a writer's signed manifest can name it.
-func OpenBlock(key sharocrypto.SymKey, aad, blob []byte, want [sha256.Size]byte) ([]byte, error) {
+// manifest names for this block, appending the plaintext to dst
+// (SymKey.AppendOpen). It checks the shape (exactly one framed field,
+// nothing after it), then the digest in constant time, then opens the
+// AES-GCM seal; any failure is ErrVerify wrapped with types.ErrTampered.
+// The digest, not the GCM tag, is what authenticates the block: anyone
+// holding the DEK can seal a block that opens, but only a writer's
+// signed manifest can name it.
+func OpenBlock(dst []byte, key sharocrypto.SymKey, aad, blob []byte, want [sha256.Size]byte) ([]byte, error) {
 	r := binenc.NewReader(blob)
 	sealed, err := r.BytesField()
 	if err != nil {
@@ -363,7 +364,7 @@ func OpenBlock(key sharocrypto.SymKey, aad, blob []byte, want [sha256.Size]byte)
 	if subtle.ConstantTimeCompare(d[:], want[:]) != 1 {
 		return nil, tampered(errBlockDigest)
 	}
-	pt, err := key.Open(sealed, aad)
+	pt, err := key.AppendOpen(dst, sealed, aad)
 	if err != nil {
 		return nil, tampered(err)
 	}

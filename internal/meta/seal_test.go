@@ -51,7 +51,7 @@ func mustTamper(t *testing.T, what string, key sharocrypto.SymKey, vk sharocrypt
 
 func mustRefuseBlock(t *testing.T, what string, key sharocrypto.SymKey, aad, blob []byte, want [sha256.Size]byte) {
 	t.Helper()
-	pt, err := OpenBlock(key, aad, blob, want)
+	pt, err := OpenBlock(nil, key, aad, blob, want)
 	if !errors.Is(err, types.ErrTampered) {
 		t.Errorf("%s: accepted (pt %d bytes, err %v)", what, len(pt), err)
 	}
@@ -193,7 +193,7 @@ func TestOpenBlockTamperMatrix(t *testing.T) {
 	if f.prefix[1] != 2 {
 		t.Fatalf("want a 2-byte length prefix, got %d", f.prefix[1])
 	}
-	if pt, err := OpenBlock(key, aad, blob, want); err != nil || !bytes.Equal(pt, plain) {
+	if pt, err := OpenBlock(nil, key, aad, blob, want); err != nil || !bytes.Equal(pt, plain) {
 		t.Fatalf("control: honest block rejected: %v", err)
 	}
 
@@ -276,7 +276,7 @@ func TestBlockPresentedElsewhere(t *testing.T) {
 	mustTamper(t, "block 0 served as the manifest", key, vk, ManifestAAD(ino, gen), block)
 	mustRefuseBlock(t, "manifest served as block 0", key, BlockAAD(ino, gen, 0), manifest, framedDigest(blockDomain, manifest, BlockAAD(ino, gen, 0)))
 	mustTamper(t, "manifest replayed into the next generation", key, vk, ManifestAAD(ino, gen+1), manifest)
-	if _, err := OpenBlock(key, BlockAAD(ino, gen, 0), block, bd); err != nil {
+	if _, err := OpenBlock(nil, key, BlockAAD(ino, gen, 0), block, bd); err != nil {
 		t.Errorf("control: %v", err)
 	}
 
@@ -288,7 +288,7 @@ func TestBlockPresentedElsewhere(t *testing.T) {
 	mustRefuseBlock(t, "tail replayed after the file grew a block", key, TailAAD(ino, gen, 2), tail, td)
 	mustRefuseBlock(t, "tail replayed into the next generation", key, TailAAD(ino, gen+1, 1), tail, td)
 	mustRefuseBlock(t, "another file's tail", key, TailAAD(ino+1, gen, 1), tail, td)
-	if _, err := OpenBlock(key, TailAAD(ino, gen, 1), tail, td); err != nil {
+	if _, err := OpenBlock(nil, key, TailAAD(ino, gen, 1), tail, td); err != nil {
 		t.Errorf("control: %v", err)
 	}
 }
@@ -617,7 +617,7 @@ func TestSealOpenAllocs(t *testing.T) {
 		t.Errorf("SealBlock(64 KiB): %.0f allocs/op, want <= %d", n, maxBlockAllocs)
 	}
 	if n := testing.AllocsPerRun(50, func() {
-		pt, err := OpenBlock(key, aad, block, digest)
+		pt, err := OpenBlock(nil, key, aad, block, digest)
 		if err != nil {
 			panic(err)
 		}
@@ -631,7 +631,7 @@ func TestSealOpenAllocs(t *testing.T) {
 		"SealSigned":   func() { sink = SealSigned(key, sk, aad, plain) },
 		"OpenVerified": func() { sink, _ = OpenVerified(key, vk, aad, blob) },
 		"SealBlock":    func() { sink, _ = SealBlock(key, aad, plain) },
-		"OpenBlock":    func() { sink, _ = OpenBlock(key, aad, block, digest) },
+		"OpenBlock":    func() { sink, _ = OpenBlock(nil, key, aad, block, digest) },
 	} {
 		const runs = 50
 		var before, after runtime.MemStats
@@ -719,7 +719,7 @@ func BenchmarkOpenBlock64K(b *testing.B) {
 	blob, d := SealBlock(key, aad, plain)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		pt, err := OpenBlock(key, aad, blob, d)
+		pt, err := OpenBlock(nil, key, aad, blob, d)
 		if err != nil {
 			b.Fatal(err)
 		}

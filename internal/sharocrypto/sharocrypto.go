@@ -113,11 +113,19 @@ func (k SymKey) AppendSeal(dst, plaintext, aad []byte) []byte {
 
 // Open decrypts a blob produced by Seal with the same key and aad.
 func (k SymKey) Open(blob, aad []byte) ([]byte, error) {
+	return k.AppendOpen(nil, blob, aad)
+}
+
+// AppendOpen is Open into a caller-owned buffer: it appends the
+// plaintext, len(blob)-SealOverhead bytes, to dst and returns the
+// extended slice, so a reader that knows where the plaintext goes opens
+// it there without an allocation or a copy. dst must not overlap blob. On
+// a failed open the spare capacity of dst may have been written.
+func (k SymKey) AppendOpen(dst, blob, aad []byte) ([]byte, error) {
 	if len(blob) < gcmNonceSize {
 		return nil, ErrShortBlob
 	}
-	aead := k.aead()
-	pt, err := aead.Open(nil, blob[:gcmNonceSize], blob[gcmNonceSize:], aad)
+	pt, err := k.aead().Open(dst, blob[:gcmNonceSize], blob[gcmNonceSize:], aad)
 	if err != nil {
 		return nil, ErrDecrypt
 	}

@@ -54,11 +54,10 @@ func BenchmarkDecodeResponse(b *testing.B) {
 }
 
 // BenchmarkRoundTripPipelined measures whole-stack cost per call — pack
-// batching both directions, pooled frame reads at the server, one
-// buffer per frame at the client — with
-// a 32-deep pipeline over an unlimited netsim link. Per-call goroutine
-// and channel machinery allocates by design; TestAllocBudget caps it so
-// lost pooling or a reintroduced copy fails.
+// batching both directions, one exact-size buffer per frame on both
+// peers — with a 32-deep pipeline over an unlimited netsim link. Per-call
+// goroutine and channel machinery allocates by design; TestAllocBudget
+// caps it so a reintroduced copy fails.
 func BenchmarkRoundTripPipelined(b *testing.B) {
 	store := ssp.NewMemStore()
 	if err := store.Put(wire.NSData, "k", make([]byte, benchVal)); err != nil {
@@ -104,9 +103,8 @@ func BenchmarkRoundTripPipelined(b *testing.B) {
 // TestAllocBudget is the allocation gate on the codec hot paths and the
 // pipelined round trip. The ceilings are the last committed measurements:
 // encode and decode allocate nothing, and a round trip takes at most 9
-// allocations and 10% over 9421 bytes. A lost pool release or a
-// reintroduced copy fails it. The race detector makes sync.Pool drop
-// items, so race runs skip this test.
+// allocations and 10% over 9421 bytes. A reintroduced copy fails it.
+// The counts hold under the race detector too, so race runs include it.
 func TestAllocBudget(t *testing.T) {
 	for _, c := range []struct {
 		name      string

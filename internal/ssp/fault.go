@@ -250,9 +250,7 @@ func (s *FaultStore) Put(ns wire.NS, key string, val []byte) error {
 	}
 	hk := histKey(ns, key)
 	if _, ok := s.history[hk]; !ok {
-		cp := make([]byte, len(val))
-		copy(cp, val)
-		s.history[hk] = cp
+		s.history[hk] = val // the store's now: nobody writes into it
 	}
 	s.mu.Unlock()
 	return s.Inner.Put(ns, key, val)

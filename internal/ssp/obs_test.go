@@ -1,6 +1,7 @@
 package ssp
 
 import (
+	"strings"
 	"testing"
 	"time"
 
@@ -164,4 +165,66 @@ type slowStore struct {
 func (s *slowStore) Put(ns wire.NS, key string, val []byte) error {
 	time.Sleep(s.delay)
 	return s.BlobStore.Put(ns, key, val)
+}
+
+// TestShutdownBoundedByGrace: a request stuck inside the store does not
+// hold Shutdown past its grace. Shutdown force-closes the connections,
+// returns an error that counts the one still in the store, and the stuck
+// handler finishes on its own once the store lets go.
+func TestShutdownBoundedByGrace(t *testing.T) {
+	stuck := &gatedStore{BlobStore: NewMemStore(), entered: make(chan struct{}, 1), release: make(chan struct{})}
+	l := netsim.Listen(netsim.Unlimited)
+	srv := NewServer(stuck, nil)
+	go srv.Serve(l)
+
+	c, err := Dial(l.Dial, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	call := c.Go(&wire.Request{Op: wire.OpBatchGet, Items: []wire.KV{{NS: wire.NSData, Key: "k"}}}, nil)
+	select {
+	case <-stuck.entered:
+	case <-time.After(10 * time.Second):
+		t.Fatal("BatchGet never reached the store")
+	}
+
+	shut := make(chan error, 1)
+	go func() { shut <- srv.Shutdown(50 * time.Millisecond) }()
+	select {
+	case err = <-shut:
+	case <-time.After(5 * time.Second):
+		close(stuck.release)
+		t.Fatal("Shutdown(50ms) with a stuck store still waiting after 5s")
+	}
+	if err == nil || !strings.Contains(err.Error(), "1 connection(s)") {
+		t.Fatalf("Shutdown(50ms) = %v, want an error counting 1 stuck connection", err)
+	}
+	close(stuck.release)
+	select {
+	case <-call.Done:
+	case <-time.After(10 * time.Second):
+		t.Fatal("the stuck call never completed")
+	}
+	if err := srv.Close(); err != nil { // the released handler drains
+		t.Fatal(err)
+	}
+}
+
+// gatedStore blocks every BatchGet until release is closed, announcing
+// each on entered. It embeds the BlobStore interface only, so the server
+// sees no ViewStore and reads through BatchGet.
+type gatedStore struct {
+	BlobStore
+	entered chan struct{}
+	release chan struct{}
+}
+
+func (s *gatedStore) BatchGet(items []wire.KV) ([]wire.KV, error) {
+	select {
+	case s.entered <- struct{}{}:
+	default:
+	}
+	<-s.release
+	return s.BlobStore.BatchGet(items)
 }

@@ -90,12 +90,12 @@ func TestConcurrentMixedOps(t *testing.T) {
 // TestPackDispatchSharedClient is the regression test for the server's
 // pack dispatch: two goroutines share ONE pipelined client over loopback
 // TCP and issue bursts of asynchronous calls, so the client's writer
-// coalesces them into multi-request pack frames. The server must hold one
-// buffer reference per sub-message before it dispatches the first; taking
-// them one at a time let an early worker release the frame buffer back to
-// its pool under the sub-messages still to be decoded ("wire: Buf
-// over-released", or a put that stores another frame's bytes). Run under
-// -race (make race / CI).
+// coalesces them into multi-request pack frames. Every sub-message of a
+// pack is decoded before the first is dispatched, and the puts are stored
+// in the frame they arrived in: a frame whose memory went back to a pool
+// under a request still running, or under a value still stored, shows up
+// here as a get that reads another frame's bytes. Run under -race (make
+// race / CI).
 func TestPackDispatchSharedClient(t *testing.T) {
 	lis, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {

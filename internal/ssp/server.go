@@ -149,12 +149,23 @@ func (s *Server) Serve(l net.Listener) error {
 }
 
 // Close stops accepting, closes every live connection and waits for
-// handlers to drain.
+// handlers to drain, however long a request stuck inside the store takes;
+// Shutdown bounds the wait.
 func (s *Server) Close() error {
+	if s.closeAll() {
+		s.wg.Wait()
+	}
+	return nil
+}
+
+// closeAll marks the server closed and closes its listeners and
+// connections. It reports whether this call did so: false if the server
+// was already closed.
+func (s *Server) closeAll() bool {
 	s.mu.Lock()
+	defer s.mu.Unlock()
 	if s.closed {
-		s.mu.Unlock()
-		return nil
+		return false
 	}
 	s.closed = true
 	for l := range s.listeners {
@@ -163,9 +174,7 @@ func (s *Server) Close() error {
 	for c := range s.conns {
 		c.Close()
 	}
-	s.mu.Unlock()
-	s.wg.Wait()
-	return nil
+	return true
 }
 
 // SeverConns force-closes every live connection without stopping the
@@ -198,8 +207,11 @@ func (s *Server) SeverConns() int {
 // everything. Idle connections (parked between requests) are closed
 // immediately; busy handlers finish their current request, send the
 // response, and exit. If the drain has not completed within grace, the
-// remaining connections are force-closed. Safe to call concurrently with
-// Close and with itself.
+// remaining connections are force-closed and Shutdown returns without
+// waiting further: a handler whose request is stuck inside the store
+// cannot be stopped from here, and the error counts the connections that
+// still had a request in the store. Safe to call concurrently with Close
+// and with itself.
 func (s *Server) Shutdown(grace time.Duration) error {
 	s.mu.Lock()
 	if s.closed {
@@ -238,9 +250,25 @@ func (s *Server) Shutdown(grace time.Duration) error {
 	}()
 	select {
 	case <-done:
+		s.closeAll()
+		return nil
 	case <-time.After(grace):
 	}
-	return s.Close()
+	if !s.closeAll() {
+		return nil
+	}
+	s.mu.Lock()
+	stuck := 0
+	for _, e := range s.conns {
+		if e.inflight.Load() > 0 {
+			stuck++
+		}
+	}
+	s.mu.Unlock()
+	if stuck == 0 {
+		return nil
+	}
+	return fmt.Errorf("ssp: shutdown: %d connection(s) still have a request in the store after %v", stuck, grace)
 }
 
 func (s *Server) isDraining() bool {
@@ -288,7 +316,7 @@ func (s *Server) handle(conn net.Conn, entry *connEntry) {
 	defer s.reg.Gauge("ssp.conns").Add(-1)
 	var frame wire.Msg
 	for {
-		buf, n, err := wire.ReadFrameBuf(br)
+		payload, n, err := wire.ReadFrame(br)
 		if err != nil {
 			if err != io.EOF && !errors.Is(err, net.ErrClosed) && !s.isDraining() {
 				s.log.Printf("ssp: read request: %v", err)
@@ -296,7 +324,7 @@ func (s *Server) handle(conn net.Conn, entry *connEntry) {
 			return
 		}
 		bytesIn += int64(n)
-		if !s.readFrame(st, entry, &workers, sem, buf, &frame) {
+		if !s.readFrame(st, entry, &workers, sem, payload, &frame) {
 			return
 		}
 		if s.isDraining() {
@@ -306,20 +334,21 @@ func (s *Server) handle(conn net.Conn, entry *connEntry) {
 }
 
 // readFrame decodes one frame, which must be a pack of requests, and
-// routes each request to dispatch; frame is reused across calls. It
-// consumes the caller's buffer reference (transferring it to dispatch
-// workers, with one extra Retain per additional request). Returns false,
-// with nothing dispatched, when the frame is anything else or an element
-// does not decode: the connection is then torn down.
-func (s *Server) readFrame(st *connState, entry *connEntry, workers *sync.WaitGroup, sem chan struct{}, buf *wire.Buf, frame *wire.Msg) bool {
-	err := wire.DecodeV2Into(buf.Bytes(), frame)
+// routes each request to dispatch; frame is reused across calls. The
+// decoded requests alias payload, which is theirs: a store keeps the
+// values a write hands it, so the frame lives as long as the last value
+// stored from it. Returns false, with nothing dispatched, when the frame
+// is anything else or an element does not decode: the connection is then
+// torn down.
+func (s *Server) readFrame(st *connState, entry *connEntry, workers *sync.WaitGroup, sem chan struct{}, payload []byte, frame *wire.Msg) bool {
+	err := wire.DecodeV2Into(payload, frame)
 	if err == nil && frame.Kind != wire.KindPack {
 		err = fmt.Errorf("%w: frame kind %d, want a pack", wire.ErrBadMessage, frame.Kind)
 	}
 	var subs []wire.Msg
 	if err == nil {
-		// Decode and validate every element while the read loop still
-		// holds the only reference: a bad element drops the whole pack.
+		// Decode and validate every element before dispatching any: a
+		// bad element drops the whole pack.
 		subs = make([]wire.Msg, len(frame.Pack))
 		for i, raw := range frame.Pack {
 			err = wire.DecodeV2Into(raw, &subs[i])
@@ -332,42 +361,32 @@ func (s *Server) readFrame(st *connState, entry *connEntry, workers *sync.WaitGr
 		}
 	}
 	if err != nil {
-		buf.Release()
 		if !s.isDraining() {
 			s.log.Printf("ssp: read request: %v", err)
 		}
 		return false
 	}
-	// One buffer, one reference per request, all taken before the first
-	// dispatch: a worker that finishes early releases its own reference
-	// and can never drop the buffer under a request that has not been
-	// handed out yet. A pack holds at least one message.
-	for i := 1; i < len(subs); i++ {
-		buf.Retain()
-	}
 	for i := range subs {
-		s.process(st, entry, workers, sem, &subs[i].Req, buf)
+		s.process(st, entry, workers, sem, &subs[i].Req)
 	}
 	return true
 }
 
 // process dispatches one decoded request on its own goroutine, bounded by
-// the semaphore. Consumes one reference on buf.
-func (s *Server) process(st *connState, entry *connEntry, workers *sync.WaitGroup, sem chan struct{}, req *wire.Request, buf *wire.Buf) {
+// the semaphore.
+func (s *Server) process(st *connState, entry *connEntry, workers *sync.WaitGroup, sem chan struct{}, req *wire.Request) {
 	entry.inflight.Add(1)
 	sem <- struct{}{}
 	workers.Add(1)
 	go func() {
 		defer func() { workers.Done(); <-sem }()
-		s.dispatch(st, entry, req, buf)
+		s.dispatch(st, entry, req)
 	}()
 }
 
 // dispatch executes one request and enqueues its response, echoing the
 // request's ReqID so pipelined clients can match out-of-order replies.
-// The request borrows buf; apply copies whatever it stores, so the
-// reference is released as soon as apply returns.
-func (s *Server) dispatch(st *connState, entry *connEntry, req *wire.Request, buf *wire.Buf) {
+func (s *Server) dispatch(st *connState, entry *connEntry, req *wire.Request) {
 	defer entry.inflight.Add(-1)
 	s.inflight.Add(1)
 	defer s.inflight.Add(-1)
@@ -379,7 +398,6 @@ func (s *Server) dispatch(st *connState, entry *connEntry, req *wire.Request, bu
 	start := time.Now()
 	resp := s.apply(req)
 	resp.ReqID = req.ReqID
-	buf.Release()
 	m.ns.Observe(time.Since(start))
 	m.count.Inc()
 	sp.End()
@@ -467,7 +485,9 @@ func (s *Server) writeBatch(bw *bufio.Writer, st *connState, pk *wire.Pack, batc
 // Reads go through the store's ViewStore methods when available: the
 // handler only serializes the value onto the wire and drops it, so the
 // defensive copy regular Get/List/BatchGet make would be pure waste
-// (the old double-copy: store→response, response→frame).
+// (the old double-copy: store→response, response→frame). Writes hand the
+// store values that alias the request's frame, which nothing else writes
+// into, so a store that keeps them copies nothing either.
 func (s *Server) apply(req *wire.Request) *wire.Response {
 	switch req.Op {
 	case wire.OpPing:

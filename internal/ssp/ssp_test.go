@@ -141,15 +141,14 @@ func TestDiskStorePersistsAcrossReopen(t *testing.T) {
 	}
 }
 
+// TestMemStoreReturnsCopies: what Get returns is the caller's, so
+// writing into it leaves the store as it was. A value given to Put is the
+// store's (BlobStore's ownership rule), so the caller does not write into
+// it afterwards and nothing here does.
 func TestMemStoreReturnsCopies(t *testing.T) {
 	s := NewMemStore()
-	val := []byte("original")
-	s.Put(wire.NSData, "k", val)
-	val[0] = 'X' // caller mutation must not affect stored value
+	s.Put(wire.NSData, "k", []byte("original"))
 	got, _ := s.Get(wire.NSData, "k")
-	if string(got) != "original" {
-		t.Errorf("stored value aliased caller buffer: %q", got)
-	}
 	got[0] = 'Y' // returned value mutation must not affect store
 	got2, _ := s.Get(wire.NSData, "k")
 	if string(got2) != "original" {
@@ -290,12 +289,11 @@ func TestServerRejectsUnknownOp(t *testing.T) {
 	if _, err := wire.WriteFrame(conn, requestPack(&wire.Request{Op: wire.Op(200), ReqID: 1})); err != nil {
 		t.Fatal(err)
 	}
-	buf, _, err := wire.ReadFrameBuf(conn)
+	payload, _, err := wire.ReadFrame(conn)
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer buf.Release()
-	m := onlyElement(t, buf.Bytes())
+	m := onlyElement(t, payload)
 	if m.Kind != wire.KindResponse || m.Resp.Status != wire.StatusBadRequest || m.Resp.ReqID != 1 {
 		t.Errorf("reply = kind %d %+v", m.Kind, m.Resp)
 	}

@@ -34,6 +34,13 @@ type Stats struct {
 // BlobStore is the storage abstraction shared by local backends and the
 // remote client: everything the Sharoes filesystem needs from an SSP.
 // Get returns wire.ErrNotFound for missing keys.
+//
+// Ownership: a value passed to Put or BatchPut becomes the store's. A
+// store may keep the slice itself rather than a copy (MemStore does, so
+// the SSP server stores a write's values in the frame they arrived in),
+// and the caller never writes into a value after passing it. Values a
+// store returns from Get, List and BatchGet are the caller's to keep and
+// to modify.
 type BlobStore interface {
 	Get(ns wire.NS, key string) ([]byte, error)
 	Put(ns wire.NS, key string, val []byte) error
@@ -67,12 +74,13 @@ func ListUnder(st BlobStore, ns wire.NS, prefix string) ([]wire.KV, error) {
 // serialize the value onto the wire and drop it.
 //
 // Aliasing contract: returned slices are stable snapshots. The store
-// must never mutate a stored value in place — updates must replace the
-// slice (MemStore's Put/BatchPut always insert fresh copies), so a view
-// taken before an overwrite keeps reading the old bytes, never a torn
-// mix. Callers must not write through a view; views stay readable
-// indefinitely, but holding large ones pins dead values in memory, so
-// serialize and drop promptly.
+// must never mutate a stored value in place — updates replace the slice,
+// and by BlobStore's ownership rule no writer touches a value it handed
+// over — so a view taken before an overwrite keeps reading the old
+// bytes, never a torn mix. Callers must not write through a view; views
+// stay readable indefinitely, but holding large ones pins dead values
+// (and the frames they arrived in) in memory, so serialize and drop
+// promptly.
 type ViewStore interface {
 	GetView(ns wire.NS, key string) ([]byte, error)
 	ListView(ns wire.NS, prefix string) ([]wire.KV, error)
@@ -117,8 +125,8 @@ func (s *MemStore) Get(ns wire.NS, key string) ([]byte, error) {
 }
 
 // GetView implements ViewStore: like Get but the returned slice aliases
-// the store's copy of the value. Safe under the ViewStore contract
-// because Put/BatchPut replace value slices and never write into them.
+// the stored value. Safe under the ViewStore contract because Put and
+// BatchPut replace value slices and nobody writes into them.
 func (s *MemStore) GetView(ns wire.NS, key string) ([]byte, error) {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
@@ -129,19 +137,22 @@ func (s *MemStore) GetView(ns wire.NS, key string) ([]byte, error) {
 	return val, nil
 }
 
-// Put implements BlobStore.
+// Put implements BlobStore; it keeps val itself.
 func (s *MemStore) Put(ns wire.NS, key string, val []byte) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
+	s.putLocked(ns, key, val)
+	return nil
+}
+
+// putLocked stores val, not a copy, under (ns, key). s.mu held.
+func (s *MemStore) putLocked(ns wire.NS, key string, val []byte) {
 	nsm, ok := s.m[ns]
 	if !ok {
 		nsm = make(map[string][]byte)
 		s.m[ns] = nsm
 	}
-	cp := make([]byte, len(val))
-	copy(cp, val)
-	nsm[key] = cp
-	return nil
+	nsm[key] = val
 }
 
 // Delete implements BlobStore. Deleting a missing key is not an error,
@@ -214,6 +225,7 @@ func (s *MemStore) BatchGetView(items []wire.KV) ([]wire.KV, error) {
 }
 
 // BatchPut implements BlobStore; entries with Delete set are removed.
+// It keeps each item's Val itself.
 func (s *MemStore) BatchPut(items []wire.KV) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -222,14 +234,7 @@ func (s *MemStore) BatchPut(items []wire.KV) error {
 			delete(s.m[it.NS], it.Key)
 			continue
 		}
-		nsm, ok := s.m[it.NS]
-		if !ok {
-			nsm = make(map[string][]byte)
-			s.m[it.NS] = nsm
-		}
-		cp := make([]byte, len(it.Val))
-		copy(cp, it.Val)
-		nsm[it.Key] = cp
+		s.putLocked(it.NS, it.Key, it.Val)
 	}
 	return nil
 }

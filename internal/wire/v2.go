@@ -69,9 +69,9 @@ func AppendResponseV2(dst []byte, p *Response) []byte {
 func (p *Response) EncodeV2() []byte { return AppendResponseV2(nil, p) }
 
 // DecodeV2 parses one message. Byte slices in the result (request/
-// response Vals, pack elements) alias b — the zero-copy contract: a
-// caller decoding from a pooled Buf holds it until every borrowed slice
-// is dead; one decoding from memory of its own (ReadFrame) needs nothing.
+// response Vals, pack elements) alias b — the zero-copy contract: they
+// keep b alive, and b must not be written while any of them is in use.
+// A frame from ReadFrame is memory of its own, so that needs nothing.
 func DecodeV2(b []byte) (*Msg, error) {
 	var m Msg
 	if err := DecodeV2Into(b, &m); err != nil {

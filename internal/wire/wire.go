@@ -211,7 +211,10 @@ func (r *reader) bytes() ([]byte, error) {
 	if n > uint64(len(r.b)) {
 		return nil, errShortBuffer
 	}
-	out := r.b[:n]
+	// Capped at its own end: the bytes after it are the frame's next
+	// field, which may be another value someone keeps, so an append to
+	// this one must reallocate rather than write there.
+	out := r.b[:n:n]
 	r.b = r.b[n:]
 	return out, nil
 }
@@ -380,8 +383,11 @@ func WriteFrame(w io.Writer, payload []byte) (int, error) {
 	return 4 + len(payload), nil
 }
 
-// ReadFrame reads one length-prefixed message and returns the payload and
-// the number of bytes consumed from the wire.
+// ReadFrame reads one length-prefixed message into an allocation of its
+// own, exactly the payload's size, and returns it with the number of
+// bytes consumed from the wire. Both peers read every frame this way:
+// what is decoded from the payload may alias it, and the caller may keep
+// it for as long as it likes, since nothing recycles the memory.
 func ReadFrame(r io.Reader) ([]byte, int, error) {
 	var hdr [4]byte
 	if _, err := io.ReadFull(r, hdr[:]); err != nil {

@@ -75,6 +75,25 @@ func TestRequestPropertyRoundTrip(t *testing.T) {
 	}
 }
 
+// TestDecodedValuesEndAtTheirOwnBytes: decoded values alias the frame,
+// and a store may keep them there, so appending to one must never write
+// into the next value's bytes.
+func TestDecodedValuesEndAtTheirOwnBytes(t *testing.T) {
+	frame := AppendRequestV2(nil, &Request{Op: OpBatchPut, Items: []KV{
+		{NS: NSData, Key: "a", Val: []byte("first")},
+		{NS: NSData, Key: "b", Val: []byte("second")},
+	}})
+	m, err := DecodeV2(frame)
+	if err != nil {
+		t.Fatal(err)
+	}
+	items := m.Req.Items
+	_ = append(items[0].Val, "XXXXXXXX"...)
+	if string(items[1].Val) != "second" {
+		t.Fatalf("appending to the first value rewrote the second: %q", items[1].Val)
+	}
+}
+
 func TestDecodeRejectsGarbage(t *testing.T) {
 	for _, b := range [][]byte{nil, {1}, {1, 2, 200}, bytes.Repeat([]byte{0xFF}, 10)} {
 		if _, err := DecodeV2(requestFrame(b)); err == nil {
@@ -139,13 +158,12 @@ func TestCodecRoundTrip(t *testing.T) {
 	defer b.Close()
 
 	go func() {
-		buf, _, err := ReadFrameBuf(b)
+		payload, _, err := ReadFrame(b)
 		if err != nil {
 			t.Error(err)
 			return
 		}
-		defer buf.Release()
-		m, err := packOfOne(buf.Bytes())
+		m, err := packOfOne(payload)
 		if err != nil {
 			t.Error(err)
 			return
