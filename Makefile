@@ -60,8 +60,9 @@ vet:
 # detector (internal/layout for the crypto worker pool that seals file
 # blocks, internal/meta and internal/cap for the process-wide verified-
 # envelope memo every seal and open shares, internal/shard for the
-# self-heal stress test and concurrent quorum I/O, internal/resilience and
-# internal/netsim for the retry and sever paths, internal/workload for the
+# self-heal stress test and concurrent quorum I/O, internal/resilience for
+# the retry path, internal/netsim for the simulated link the sever and
+# drain tests run over, internal/workload for the
 # chaos campaign's goroutine-leak verdict, cmd/sharoes-cli and
 # cmd/sharoes-migrate for a whole command run against an SSP on a loopback
 # port, server goroutines included, and cmd/sharoes-ssp for the server

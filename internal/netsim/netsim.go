@@ -218,19 +218,15 @@ func (d *pipeDir) closeWrite() {
 }
 
 // Conn is one endpoint of a shaped pipe. It implements net.Conn.
-// Deadlines are accepted but not enforced; the ssp reconnect wrapper's
-// per-call deadline is a timer that closes the connection
-// (ssp.ErrDeadline), not a conn deadline, and the simulator's sleeps are
-// bounded by construction.
+// Deadlines are accepted but not enforced: nothing in the tree sets one.
+// The ssp reconnect wrapper's per-call deadline is a timer that closes
+// the connection (ssp.ErrDeadline), the server ends a connection by
+// closing it (a sever, a drain, a shutdown), and the simulator's sleeps
+// are bounded by construction.
 type Conn struct {
 	name string
 	out  *pipeDir // direction we write to
 	in   *pipeDir // direction we read from
-
-	// onClose, when set, runs exactly once on the first Close — the
-	// owning Listener uses it to drop the conn from its live set.
-	closeOnce sync.Once
-	onClose   func()
 }
 
 // Read implements net.Conn.
@@ -240,13 +236,10 @@ func (c *Conn) Read(b []byte) (int, error) { return c.in.read(b) }
 func (c *Conn) Write(b []byte) (int, error) { return c.out.write(b) }
 
 // Close implements net.Conn. It closes both directions: the peer's reads
-// see EOF after draining, and our own blocked reads return.
+// see EOF after draining, our own blocked reads return, and writes from
+// either end fail. Closing either end is therefore the same event on the
+// link, a cut; a second Close is a no-op.
 func (c *Conn) Close() error {
-	c.closeOnce.Do(func() {
-		if c.onClose != nil {
-			c.onClose()
-		}
-	})
 	c.out.closeWrite()
 	c.in.closeWrite()
 	return nil
@@ -286,6 +279,8 @@ func Pipe(p Profile) (client, server *Conn) {
 
 // Listener accepts simulated connections; it lets an ssp.Server serve
 // shaped in-process traffic exactly as it would serve a real net.Listener.
+// It keeps no record of the connections it hands out: cutting a link is
+// the server's to do (ssp.Server.SeverConns), as over real sockets.
 type Listener struct {
 	profile Profile
 	ch      chan net.Conn
@@ -293,9 +288,6 @@ type Listener struct {
 	closed  bool
 	done    chan struct{}
 	reg     *obs.Registry
-	// live tracks the client ends of dialed conns so SeverConns can cut
-	// every link at once; entries remove themselves on Close.
-	live map[*Conn]struct{}
 }
 
 // Observe attaches a metrics registry (nil detaches). Subsequent dials
@@ -307,8 +299,7 @@ func (l *Listener) Observe(reg *obs.Registry) { l.reg = reg }
 
 // Listen creates a Listener whose connections are shaped by p.
 func Listen(p Profile) *Listener {
-	return &Listener{profile: p, ch: make(chan net.Conn, 16), done: make(chan struct{}),
-		live: make(map[*Conn]struct{})}
+	return &Listener{profile: p, ch: make(chan net.Conn, 16), done: make(chan struct{})}
 }
 
 // Dial creates a new shaped connection to the listener and returns the
@@ -328,45 +319,12 @@ func (l *Listener) Dial() (net.Conn, error) {
 		client.out.transmits = transmits
 		client.in.transmits = transmits
 	}
-	client.onClose = func() {
-		l.mu.Lock()
-		delete(l.live, client)
-		l.mu.Unlock()
-	}
-	l.mu.Lock()
-	l.live[client] = struct{}{}
-	l.mu.Unlock()
 	select {
 	case l.ch <- server:
 		return client, nil
 	case <-l.done:
-		client.onClose() // never handed out; untrack without severing
 		return nil, net.ErrClosed
 	}
-}
-
-// SeverConns force-closes every live connection dialed through this
-// listener and reports how many were cut. The listener itself stays up,
-// so redials succeed — this models a transient network partition (the
-// FaultConnDrop / FaultFlap fault modes), not an outage of the SSP.
-func (l *Listener) SeverConns() int {
-	l.mu.Lock()
-	conns := make([]*Conn, 0, len(l.live))
-	for c := range l.live {
-		conns = append(conns, c)
-	}
-	l.mu.Unlock()
-	for _, c := range conns {
-		if err := c.Close(); err != nil {
-			// Conn.Close never fails today; keep the contract honest if
-			// that changes.
-			panic(fmt.Sprintf("netsim: sever close: %v", err))
-		}
-	}
-	if l.reg != nil && len(conns) > 0 {
-		l.reg.Counter("netsim.severs").Add(int64(len(conns)))
-	}
-	return len(conns)
 }
 
 // Accept implements net.Listener.

@@ -100,6 +100,28 @@ func TestWriteAfterPeerClose(t *testing.T) {
 	}
 }
 
+// TestConnCloseIdempotent: a second Close is a no-op, and closing one
+// end is a cut of the whole link, whichever end it is: the peer reads
+// EOF and writes fail at both ends. The server cuts a link by closing
+// its own end (ssp.Server.SeverConns, which holds the sever tests).
+func TestConnCloseIdempotent(t *testing.T) {
+	c, s := Pipe(Unlimited)
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Close(); err != nil {
+		t.Fatalf("second Close = %v", err)
+	}
+	if _, err := c.Read(make([]byte, 1)); err != io.EOF {
+		t.Errorf("peer read after close = %v, want io.EOF", err)
+	}
+	for name, end := range map[string]*Conn{"closed end": s, "peer": c} {
+		if _, err := end.Write([]byte("x")); !errors.Is(err, net.ErrClosed) {
+			t.Errorf("write on the %s = %v, want net.ErrClosed", name, err)
+		}
+	}
+}
+
 func TestLatencyApplied(t *testing.T) {
 	p := Profile{Name: "test", Latency: 30 * time.Millisecond}
 	c, s := Pipe(p)

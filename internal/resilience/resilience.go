@@ -56,24 +56,24 @@ func Transient(err error) bool {
 // baseDelay seeds the between-attempt backoff and maxDelay caps it; the
 // actual sleeps are full-jitter: uniform in [0, min(maxDelay,
 // baseDelay<<attempt)).
+//
+// budgetRatio and budgetBurst are the Finagle-style retry budget: every
+// operation deposits budgetRatio retry tokens (kept in milli-tokens) and
+// each retry withdraws one whole token, so sustained retry load is
+// bounded to that fraction of request load; the bucket starts full and
+// holds at most budgetBurst tokens. A denied withdrawal surfaces the
+// error immediately and counts resilience.retry.budget_denied.
 const (
 	maxAttempts = 3
 	baseDelay   = 200 * time.Microsecond
 	maxDelay    = 20 * time.Millisecond
+	budgetRatio = 0.2
+	budgetBurst = 10
 )
 
 // Policy configures a retrying Store. Zero values take the defaults
 // noted on each field.
 type Policy struct {
-	// BudgetRatio is the Finagle-style retry budget: every operation
-	// deposits this many retry tokens (scaled by 1000 internally) and
-	// each retry withdraws one whole token, so sustained retry load is
-	// bounded to this fraction of request load (default 0.2). BudgetBurst
-	// is the bucket cap in whole tokens (default 10). A denied withdrawal
-	// surfaces the error immediately and counts
-	// resilience.retry.budget_denied.
-	BudgetRatio float64
-	BudgetBurst int
 	// Sleep is injectable for tests; nil uses time.Sleep.
 	Sleep func(time.Duration)
 	// Registry, when non-nil, receives the resilience.retry.* counters:
@@ -84,12 +84,6 @@ type Policy struct {
 }
 
 func (p *Policy) defaults() {
-	if p.BudgetRatio == 0 {
-		p.BudgetRatio = 0.2
-	}
-	if p.BudgetBurst == 0 {
-		p.BudgetBurst = 10
-	}
 	if p.Sleep == nil {
 		p.Sleep = time.Sleep
 	}
@@ -112,7 +106,7 @@ type Store struct {
 	jitter     func() float64 // uniform in [0, 1), a fixed-seed splitmix64 stream
 
 	// budget is the token bucket in milli-tokens, capped at
-	// BudgetBurst*1000; each retry costs 1000.
+	// budgetBurst*1000; each retry costs 1000.
 	budget atomic.Int64
 }
 
@@ -122,7 +116,7 @@ var _ ssp.BlobStore = (*Store)(nil)
 func NewStore(inner ssp.BlobStore, pol Policy, contentKey ContentKeyFunc) *Store {
 	pol.defaults()
 	s := &Store{inner: inner, pol: pol, contentKey: contentKey, jitter: splitmixRand(0x5eed5eed5eed5eed)}
-	s.budget.Store(int64(pol.BudgetBurst) * 1000)
+	s.budget.Store(budgetBurst * 1000)
 	return s
 }
 
@@ -134,13 +128,11 @@ func (s *Store) count(name string) {
 
 // deposit credits the retry budget for one attempted operation.
 func (s *Store) deposit() {
-	burst := int64(s.pol.BudgetBurst) * 1000
-	credit := int64(s.pol.BudgetRatio * 1000)
 	for {
 		cur := s.budget.Load()
-		next := cur + credit
-		if next > burst {
-			next = burst
+		next := cur + budgetRatio*1000
+		if next > budgetBurst*1000 {
+			next = budgetBurst * 1000
 		}
 		if next == cur || s.budget.CompareAndSwap(cur, next) {
 			return

@@ -228,29 +228,40 @@ func TestBatchPutMixedBatchNotRetried(t *testing.T) {
 	}
 }
 
+// TestRetryBudgetDenies drains the retry budget's bucket with Gets that
+// always fail. Each Get deposits 0.2 tokens and asks for 2 retries: the
+// full bucket of 10 pays both for Gets 1-5 (0.8 tokens left), Get 6 gets
+// one retry and Get 7 none. From then on the bucket refills at 0.2 per
+// op, so 50 more Gets get 10 retries between them: a fifth of the load.
 func TestRetryBudgetDenies(t *testing.T) {
-	inner := &countStore{MemStore: ssp.NewMemStore(), err: ssp.ErrDeadline, failGets: 100}
+	inner := &countStore{MemStore: ssp.NewMemStore(), err: ssp.ErrDeadline, failGets: 1 << 20}
 	reg := obs.NewRegistry()
-	pol := fastPolicy(reg)
-	pol.BudgetRatio = 0.001 // deposits round to ~0 milli-tokens
-	pol.BudgetBurst = 1     // one token in the bucket, ever
-	s := NewStore(inner, pol, nil)
+	s := NewStore(inner, fastPolicy(reg), nil)
+	getN := func(n int) {
+		t.Helper()
+		for i := 0; i < n; i++ {
+			if _, err := s.Get(wire.NSData, "k"); !errors.Is(err, ssp.ErrDeadline) {
+				t.Fatalf("Get = %v", err)
+			}
+		}
+	}
+	check := func(wantGets, wantRetries, wantDenied int64) {
+		t.Helper()
+		gets, _ := inner.counts()
+		retries := reg.Counter("resilience.retry.attempts").Value()
+		denied := reg.Counter("resilience.retry.budget_denied").Value()
+		if int64(gets) != wantGets || retries != wantRetries || denied != wantDenied {
+			t.Fatalf("inner gets, retries, budget_denied = %d, %d, %d; want %d, %d, %d",
+				gets, retries, denied, wantGets, wantRetries, wantDenied)
+		}
+	}
 
-	// First Get: spends the only token on retry 1, is denied retry 2.
-	if _, err := s.Get(wire.NSData, "k"); !errors.Is(err, ssp.ErrDeadline) {
-		t.Fatalf("Get = %v", err)
-	}
-	// Second Get: bucket empty, denied immediately after the first try.
-	if _, err := s.Get(wire.NSData, "k"); !errors.Is(err, ssp.ErrDeadline) {
-		t.Fatalf("Get = %v", err)
-	}
-	gets, _ := inner.counts()
-	if gets != 3 { // 2 + 1
-		t.Fatalf("inner gets = %d, want 3 (budget must bound retries)", gets)
-	}
-	if n := reg.Counter("resilience.retry.budget_denied").Value(); n != 2 {
-		t.Errorf("retry.budget_denied = %d, want 2", n)
-	}
+	getN(5)
+	check(15, 10, 0) // the full bucket pays every retry
+	getN(2)
+	check(18, 11, 2) // 6: one retry, then denied; 7: denied at once
+	getN(50)
+	check(78, 21, 52) // 10 retries for 50 ops, every op denied once
 }
 
 // stallFirstGet holds the first Get of each key until gate closes, and

@@ -40,6 +40,7 @@ func TestSelfHealStress(t *testing.T) {
 		lis := netsim.Listen(netsim.Unlimited)
 		lis.Observe(reg)
 		srv := ssp.NewServer(ssp.NewMemStore(), nil)
+		srv.Observe(reg, nil)
 		go srv.Serve(lis)
 		rc := ssp.NewReconnectClient(lis.Dial, ssp.ReconnectOptions{
 			CallTimeout: 250 * time.Millisecond,
@@ -84,8 +85,8 @@ func TestSelfHealStress(t *testing.T) {
 			t.Fatalf("warm-up put: %v", err)
 		}
 	}
-	for _, lis := range listeners {
-		lis.SeverConns()
+	for _, srv := range servers {
+		srv.SeverConns()
 	}
 
 	// Flapper: severs each shard's conns round-robin while writers run.
@@ -98,7 +99,7 @@ func TestSelfHealStress(t *testing.T) {
 			case <-stop:
 				return
 			case <-time.After(3 * time.Millisecond):
-				listeners[i%shards].SeverConns()
+				servers[i%shards].SeverConns()
 			}
 		}
 	}()
@@ -165,7 +166,7 @@ func TestSelfHealStress(t *testing.T) {
 	}
 
 	// The campaign must actually have exercised the machinery.
-	if n := reg.Counter("netsim.severs").Value(); n == 0 {
+	if n := reg.Counter("ssp.severs").Value(); n == 0 {
 		t.Error("flapper never severed a connection")
 	}
 	if n := reg.Counter("ssp.reconnect.success").Value(); n == 0 {

@@ -79,8 +79,9 @@ type FaultStore struct {
 	// Triggered counts how many reads were maliciously altered.
 	triggered int
 	// sever cuts the transport to this backend (FaultConnDrop/FaultFlap);
-	// wired by OnSever, typically to netsim.Listener.SeverConns or
-	// Server.SeverConns. Called outside mu.
+	// wired by OnSever to the serving Server's SeverConns, the one way a
+	// link is cut, in-process over netsim as over real sockets. Called
+	// outside mu.
 	sever func()
 }
 

@@ -1,7 +1,10 @@
 package ssp
 
 import (
+	"net"
 	"strings"
+	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -129,7 +132,10 @@ func TestShutdownDrains(t *testing.T) {
 }
 
 // TestShutdownFinishesInFlight: a request already being processed when
-// Shutdown starts must complete and get its response.
+// Shutdown starts must complete and get its response, and the drain ends
+// when that response is written, not at the grace: netsim enforces no
+// read deadline, so nothing but the connection's own last write can end
+// it early.
 func TestShutdownFinishesInFlight(t *testing.T) {
 	slow := &slowStore{BlobStore: NewMemStore(), delay: 100 * time.Millisecond}
 	l := netsim.Listen(netsim.Unlimited)
@@ -148,12 +154,105 @@ func TestShutdownFinishesInFlight(t *testing.T) {
 	errc := make(chan error, 1)
 	go func() { errc <- c.Put(wire.NSData, "k", []byte("v")) }()
 	time.Sleep(20 * time.Millisecond) // let the put reach the slow store
+	start := time.Now()
 	if err := srv.Shutdown(5 * time.Second); err != nil {
 		t.Fatal(err)
+	}
+	if d := time.Since(start); d > time.Second {
+		t.Errorf("Shutdown(5s) with one 100ms request in flight took %v, want under 1s", d)
 	}
 	if err := <-errc; err != nil {
 		t.Fatalf("in-flight put failed during drain: %v", err)
 	}
+}
+
+// TestShutdownWaitsForQueuedResponse: a request whose response is queued
+// but not yet written is still in flight. Shutdown starts while the
+// server's write of the response is held; the connection must stay up
+// until the write goes out, and the call must succeed.
+func TestShutdownWaitsForQueuedResponse(t *testing.T) {
+	l := netsim.Listen(netsim.Unlimited)
+	gl := &writeGatedListener{Listener: l, gate: make(chan struct{}), held: make(chan struct{}, 1)}
+	srv := NewServer(NewMemStore(), nil)
+	go srv.Serve(gl)
+
+	c, err := Dial(l.Dial, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	if err := c.Ping(); err != nil { // ungated: the handler is up
+		t.Fatal(err)
+	}
+
+	gl.armed.Store(true)
+	errc := make(chan error, 1)
+	go func() { errc <- c.Put(wire.NSData, "k", []byte("v")) }()
+	select {
+	case <-gl.held:
+	case <-time.After(10 * time.Second):
+		t.Fatal("the put's response never reached the server's write")
+	}
+	shut := make(chan error, 1)
+	go func() { shut <- srv.Shutdown(5 * time.Second) }()
+	time.Sleep(50 * time.Millisecond) // let Shutdown sweep the conns
+	close(gl.gate)
+	if err := <-errc; err != nil {
+		t.Fatalf("put whose response was queued at Shutdown failed: %v", err)
+	}
+	select {
+	case err := <-shut:
+		if err != nil {
+			t.Fatal(err)
+		}
+	case <-time.After(time.Second):
+		t.Fatal("Shutdown did not return within 1s of the last response")
+	}
+}
+
+// writeGatedListener wraps each accepted conn so that, once armed, a
+// write waits for gate (announcing itself on held) or for the conn to
+// close.
+type writeGatedListener struct {
+	net.Listener
+	armed atomic.Bool
+	gate  chan struct{}
+	held  chan struct{}
+}
+
+func (l *writeGatedListener) Accept() (net.Conn, error) {
+	c, err := l.Listener.Accept()
+	if err != nil {
+		return nil, err
+	}
+	return &writeGatedConn{Conn: c, l: l, closed: make(chan struct{})}, nil
+}
+
+type writeGatedConn struct {
+	net.Conn
+	l         *writeGatedListener
+	closeOnce sync.Once
+	closed    chan struct{}
+}
+
+func (c *writeGatedConn) Write(b []byte) (int, error) {
+	if c.l.armed.Load() {
+		select {
+		case c.l.held <- struct{}{}:
+		default:
+		}
+		select {
+		case <-c.l.gate:
+		case <-c.closed:
+			return 0, net.ErrClosed
+		}
+	}
+	return c.Conn.Write(b)
+}
+
+func (c *writeGatedConn) Close() error {
+	c.closeOnce.Do(func() { close(c.closed) })
+	return c.Conn.Close()
 }
 
 // slowStore delays writes to keep a request in flight during drain.

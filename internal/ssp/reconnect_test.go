@@ -31,7 +31,7 @@ func TestReconnectHealsAfterSever(t *testing.T) {
 	if err := rc.Put(wire.NSData, "k", []byte("v")); err != nil {
 		t.Fatal(err)
 	}
-	if n := l.SeverConns(); n != 1 {
+	if n := srv.SeverConns(); n != 1 {
 		t.Fatalf("severed %d conns, want 1", n)
 	}
 

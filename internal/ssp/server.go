@@ -35,16 +35,18 @@ type Server struct {
 
 	mu        sync.Mutex
 	listeners map[net.Listener]struct{}
-	conns     map[net.Conn]*connEntry
+	conns     map[net.Conn]*connEntry // live: accepted and not yet cut
 	closed    bool
-	draining  bool
-	wg        sync.WaitGroup
+	// draining is set under mu by Shutdown; response writers read
+	// it after a flush to cut a connection the drain found busy.
+	draining atomic.Bool
+	wg       sync.WaitGroup
 }
 
 // connEntry tracks one connection's handler state for graceful drain:
 // inflight counts requests read off the wire whose responses have not yet
-// been written; zero means the handler is parked waiting for the next
-// frame (or between reads) with nothing outstanding.
+// been written; zero means nothing is outstanding, so cutting the
+// connection loses no reply.
 type connEntry struct {
 	inflight atomic.Int64
 }
@@ -116,7 +118,7 @@ func observeOps(reg *obs.Registry) []opObs {
 // closed. It blocks; run it in a goroutine.
 func (s *Server) Serve(l net.Listener) error {
 	s.mu.Lock()
-	if s.closed || s.draining {
+	if s.closed || s.draining.Load() {
 		s.mu.Unlock()
 		return net.ErrClosed
 	}
@@ -127,7 +129,7 @@ func (s *Server) Serve(l net.Listener) error {
 		conn, err := l.Accept()
 		if err != nil {
 			s.mu.Lock()
-			stopped := s.closed || s.draining
+			stopped := s.closed || s.draining.Load()
 			s.mu.Unlock()
 			if stopped {
 				return nil
@@ -135,7 +137,7 @@ func (s *Server) Serve(l net.Listener) error {
 			return fmt.Errorf("ssp: accept: %w", err)
 		}
 		s.mu.Lock()
-		if s.closed || s.draining {
+		if s.closed || s.draining.Load() {
 			s.mu.Unlock()
 			conn.Close()
 			return nil
@@ -148,100 +150,111 @@ func (s *Server) Serve(l net.Listener) error {
 	}
 }
 
-// Close stops accepting, closes every live connection and waits for
+// Close stops accepting, cuts every live connection and waits for
 // handlers to drain, however long a request stuck inside the store takes;
 // Shutdown bounds the wait.
 func (s *Server) Close() error {
-	if s.closeAll() {
+	if _, ok := s.closeAll(); ok {
 		s.wg.Wait()
 	}
 	return nil
 }
 
-// closeAll marks the server closed and closes its listeners and
-// connections. It reports whether this call did so: false if the server
-// was already closed.
-func (s *Server) closeAll() bool {
+// closeAll marks the server closed, closes its listeners and cuts every
+// live connection, returning the entries it cut. ok is false, with
+// nothing done, if the server was already closed.
+func (s *Server) closeAll() (cut []*connEntry, ok bool) {
 	s.mu.Lock()
-	defer s.mu.Unlock()
 	if s.closed {
-		return false
+		s.mu.Unlock()
+		return nil, false
 	}
 	s.closed = true
 	for l := range s.listeners {
 		l.Close()
 	}
-	for c := range s.conns {
-		c.Close()
-	}
-	return true
+	s.mu.Unlock()
+	return s.cutAll(nil), true
 }
 
-// SeverConns force-closes every live connection without stopping the
-// listeners: clients see their links die mid-stream (in-flight calls
-// fail) and may immediately redial. It is the server-side analogue of
-// netsim.Listener.SeverConns — the fault injection hook behind the
-// connection-drop and flap modes — and is also reachable operationally
-// to kick all clients off a live SSP. Returns the number of connections
-// severed.
-func (s *Server) SeverConns() int {
+// cutAll cuts every live connection that pick accepts (nil accepts all)
+// and returns the entries it cut.
+func (s *Server) cutAll(pick func(*connEntry) bool) []*connEntry {
 	s.mu.Lock()
-	conns := make([]net.Conn, 0, len(s.conns))
-	for c := range s.conns {
-		conns = append(conns, c)
+	conns := make(map[net.Conn]*connEntry, len(s.conns))
+	for c, e := range s.conns {
+		conns[c] = e
 	}
 	s.mu.Unlock()
-	for _, c := range conns {
-		if err := c.Close(); err != nil && !errors.Is(err, net.ErrClosed) {
-			s.log.Printf("ssp: sever close: %v", err)
+	var cut []*connEntry
+	for c, e := range conns {
+		if (pick == nil || pick(e)) && s.cut(c) {
+			cut = append(cut, e)
 		}
 	}
-	if len(conns) > 0 {
-		s.reg.Counter("ssp.severs").Add(int64(len(conns)))
+	return cut
+}
+
+// cut is the one way a connection ends: it takes c out of s.conns and
+// closes it. A connection leaves s.conns once, so of all the callers that
+// race to cut it (a sever, a drain, Close, its own handler's exit) one
+// closes it and reports true. The handler then finds its reads failing,
+// lets its workers finish and exits.
+func (s *Server) cut(c net.Conn) bool {
+	s.mu.Lock()
+	_, live := s.conns[c]
+	delete(s.conns, c)
+	s.mu.Unlock()
+	if live {
+		if err := c.Close(); err != nil && !errors.Is(err, net.ErrClosed) {
+			s.log.Printf("ssp: close: %v", err)
+		}
 	}
-	return len(conns)
+	return live
+}
+
+// SeverConns cuts every live connection without stopping the listeners:
+// clients see their links die mid-stream (in-flight calls fail) and may
+// immediately redial. It is the fault injection hook behind the
+// connection-drop and flap modes, in-process over netsim as over real
+// sockets, and is also reachable operationally to kick all clients off a
+// live SSP. Returns the number of connections cut, also counted under
+// ssp.severs: a connection cut earlier and still tearing down is not
+// live, so it is not cut or counted twice.
+func (s *Server) SeverConns() int {
+	n := len(s.cutAll(nil))
+	s.reg.Counter("ssp.severs").Add(int64(n))
+	return n
 }
 
 // Shutdown drains the server gracefully: it stops accepting new
 // connections, lets requests already being processed finish, then closes
-// everything. Idle connections (parked between requests) are closed
-// immediately; busy handlers finish their current request, send the
-// response, and exit. If the drain has not completed within grace, the
-// remaining connections are force-closed and Shutdown returns without
-// waiting further: a handler whose request is stuck inside the store
-// cannot be stopped from here, and the error counts the connections that
-// still had a request in the store. Safe to call concurrently with Close
-// and with itself.
+// everything. A draining connection is cut by whichever side finds it
+// idle: Shutdown cuts those with no request outstanding at once, and a
+// busy connection's response writer cuts it after writing its last
+// response. If the drain has not completed within grace, the remaining
+// connections are cut and Shutdown returns without waiting further: a
+// handler whose request is stuck inside the store cannot be stopped from
+// here, and the error counts the connections that still had a request in
+// the store. Safe to call concurrently with Close and with itself.
 func (s *Server) Shutdown(grace time.Duration) error {
 	s.mu.Lock()
 	if s.closed {
 		s.mu.Unlock()
 		return nil
 	}
-	alreadyDraining := s.draining
-	s.draining = true
+	s.draining.Store(true)
 	for l := range s.listeners {
 		l.Close()
 	}
-	conns := make(map[net.Conn]*connEntry, len(s.conns))
-	for c, e := range s.conns {
-		conns[c] = e
-	}
 	s.mu.Unlock()
 
-	if !alreadyDraining {
-		for c, e := range conns {
-			// Unblock parked readers. The deadline covers real TCP
-			// conns; closing idle conns covers transports that accept
-			// but do not enforce deadlines (netsim). A conn that turns
-			// busy between the check and the close just drops one
-			// not-yet-processed request — never one in flight.
-			c.SetReadDeadline(time.Now())
-			if e.inflight.Load() == 0 {
-				c.Close()
-			}
-		}
-	}
+	// draining is set before each inflight load here, and a response
+	// writer decrements inflight before it loads draining, so at least
+	// one of the two sees a connection idle. A connection that turns busy
+	// between the load and the cut drops a request not yet processed,
+	// never one in flight.
+	s.cutAll(func(e *connEntry) bool { return e.inflight.Load() == 0 })
 
 	done := make(chan struct{})
 	go func() {
@@ -254,27 +267,17 @@ func (s *Server) Shutdown(grace time.Duration) error {
 		return nil
 	case <-time.After(grace):
 	}
-	if !s.closeAll() {
-		return nil
-	}
-	s.mu.Lock()
+	cut, _ := s.closeAll()
 	stuck := 0
-	for _, e := range s.conns {
+	for _, e := range cut {
 		if e.inflight.Load() > 0 {
 			stuck++
 		}
 	}
-	s.mu.Unlock()
 	if stuck == 0 {
 		return nil
 	}
 	return fmt.Errorf("ssp: shutdown: %d connection(s) still have a request in the store after %v", stuck, grace)
-}
-
-func (s *Server) isDraining() bool {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.draining || s.closed
 }
 
 // connState is the per-connection transport state shared by the read
@@ -296,7 +299,7 @@ func (s *Server) handle(conn net.Conn, entry *connEntry) {
 	br := bufio.NewReaderSize(conn, 64<<10)
 	st := &connState{out: make(chan *wire.Response, maxConnConcurrency)}
 	writerDone := make(chan struct{})
-	go s.respWriter(conn, st, writerDone)
+	go s.respWriter(conn, entry, st, writerDone)
 	var bytesIn int64
 	defer func() {
 		// Let in-flight workers enqueue their responses, then close the
@@ -305,10 +308,7 @@ func (s *Server) handle(conn net.Conn, entry *connEntry) {
 		workers.Wait()
 		close(st.out)
 		<-writerDone
-		conn.Close()
-		s.mu.Lock()
-		delete(s.conns, conn)
-		s.mu.Unlock()
+		s.cut(conn)
 		s.reg.Counter("ssp.bytes_in").Add(bytesIn)
 		s.reg.Counter("ssp.bytes_out").Add(st.bytesOut)
 	}()
@@ -318,16 +318,13 @@ func (s *Server) handle(conn net.Conn, entry *connEntry) {
 	for {
 		payload, n, err := wire.ReadFrame(br)
 		if err != nil {
-			if err != io.EOF && !errors.Is(err, net.ErrClosed) && !s.isDraining() {
+			if err != io.EOF && !errors.Is(err, net.ErrClosed) {
 				s.log.Printf("ssp: read request: %v", err)
 			}
 			return
 		}
 		bytesIn += int64(n)
 		if !s.readFrame(st, entry, &workers, sem, payload, &frame) {
-			return
-		}
-		if s.isDraining() {
 			return
 		}
 	}
@@ -361,9 +358,7 @@ func (s *Server) readFrame(st *connState, entry *connEntry, workers *sync.WaitGr
 		}
 	}
 	if err != nil {
-		if !s.isDraining() {
-			s.log.Printf("ssp: read request: %v", err)
-		}
+		s.log.Printf("ssp: read request: %v", err)
 		return false
 	}
 	for i := range subs {
@@ -380,14 +375,13 @@ func (s *Server) process(st *connState, entry *connEntry, workers *sync.WaitGrou
 	workers.Add(1)
 	go func() {
 		defer func() { workers.Done(); <-sem }()
-		s.dispatch(st, entry, req)
+		s.dispatch(st, req)
 	}()
 }
 
 // dispatch executes one request and enqueues its response, echoing the
 // request's ReqID so pipelined clients can match out-of-order replies.
-func (s *Server) dispatch(st *connState, entry *connEntry, req *wire.Request) {
-	defer entry.inflight.Add(-1)
+func (s *Server) dispatch(st *connState, req *wire.Request) {
 	s.inflight.Add(1)
 	defer s.inflight.Add(-1)
 	m := &s.ops[0]
@@ -409,7 +403,9 @@ func (s *Server) dispatch(st *connState, entry *connEntry, req *wire.Request) {
 // writes each batch with a single flush, packed into as few frames as
 // maxPackBytes allows, so a burst of pipelined responses costs one
 // syscall (and one netsim transmit event) instead of one per response.
-func (s *Server) respWriter(conn net.Conn, st *connState, done chan<- struct{}) {
+// A request stops counting as in flight when its response is flushed, or
+// dropped on a dead conn; a draining conn left with none is cut here.
+func (s *Server) respWriter(conn net.Conn, entry *connEntry, st *connState, done chan<- struct{}) {
 	defer close(done)
 	bw := bufio.NewWriterSize(conn, 64<<10)
 	var pk wire.Pack
@@ -429,16 +425,18 @@ func (s *Server) respWriter(conn net.Conn, st *connState, done chan<- struct{}) 
 				break drain
 			}
 		}
-		if failed {
-			// The conn is dead but workers may still be enqueueing;
-			// keep draining so they never block.
-			continue
-		}
-		if err := s.writeBatch(bw, st, &pk, batch); err != nil {
-			if !s.isDraining() {
-				s.log.Printf("ssp: send response: %v", err)
+		// After a failed write the conn is dead, but workers may still
+		// be enqueueing: keep draining so they never block.
+		if !failed {
+			if err := s.writeBatch(bw, st, &pk, batch); err != nil {
+				if !errors.Is(err, net.ErrClosed) {
+					s.log.Printf("ssp: send response: %v", err)
+				}
+				failed = true
 			}
-			failed = true
+		}
+		if entry.inflight.Add(-int64(len(batch))) == 0 && s.draining.Load() {
+			s.cut(conn)
 		}
 	}
 }

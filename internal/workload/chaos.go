@@ -162,8 +162,8 @@ func RunChaos(opts ChaosOptions) (*ChaosResult, error) {
 		b.server.Observe(reg, nil)
 		b.lis = netsim.Listen(profile)
 		b.lis.Observe(reg)
-		lis := b.lis
-		b.fault.OnSever(func() { lis.SeverConns() })
+		srv := b.server
+		b.fault.OnSever(func() { srv.SeverConns() })
 		go func(srv *ssp.Server, l *netsim.Listener) {
 			// Serve returns nil on Close; any other exit is a harness bug.
 			if err := srv.Serve(l); err != nil {
@@ -369,7 +369,7 @@ func RunChaos(opts ChaosOptions) (*ChaosResult, error) {
 			switch action {
 			case ChaosDrops:
 				if rng.Intn(10) < 7 {
-					b.lis.SeverConns()
+					b.server.SeverConns()
 				} else {
 					window(b, ssp.FaultRule{Mode: ssp.FaultFlap, Every: 5}, dur)
 				}
@@ -535,7 +535,7 @@ func RunChaos(opts ChaosOptions) (*ChaosResult, error) {
 			Profile:   opts.Profile,
 			Workers:   opts.Workers,
 			Ops:       ops,
-			Severs:    snap.Counters["netsim.severs"],
+			Severs:    snap.Counters["ssp.severs"],
 			Faults:    faults,
 			Redials:   snap.Counters["ssp.reconnect.success"],
 			Deadlines: snap.Counters["ssp.reconnect.deadline_expired"],
