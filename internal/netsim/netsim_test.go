@@ -103,7 +103,7 @@ func TestWriteAfterPeerClose(t *testing.T) {
 // TestConnCloseIdempotent: a second Close is a no-op, and closing one
 // end is a cut of the whole link, whichever end it is: the peer reads
 // EOF and writes fail at both ends. The server cuts a link by closing
-// its own end (ssp.Server.SeverConns, which holds the sever tests).
+// its own end (ssp.Server.SeverConns; see sever_test.go).
 func TestConnCloseIdempotent(t *testing.T) {
 	c, s := Pipe(Unlimited)
 	if err := s.Close(); err != nil {

@@ -1,113 +1,122 @@
 package netsim
 
 import (
+	"errors"
 	"io"
+	"net"
 	"testing"
-	"time"
 
 	"github.com/sharoes/sharoes/internal/obs"
 )
 
-// TestSeverConns cuts every live conn at once: reads on the peer ends
-// fail, the listener itself stays dialable, and already-closed conns are
-// not double-counted by a second sever.
+// TestSeverConns cuts every live conn of a listener at once, the way a
+// server severs its links (ssp.Server.SeverConns closes the ends it
+// accepted): every dialed end reads EOF and refuses writes, cutting a cut
+// conn again is a no-op, and the listener survives the partition: a
+// redial is accepted and carries data both ways.
 func TestSeverConns(t *testing.T) {
 	reg := obs.NewRegistry()
 	l := Listen(Unlimited)
 	l.Observe(reg)
 	t.Cleanup(func() { l.Close() })
 
-	c1, err := l.Dial()
-	if err != nil {
-		t.Fatal(err)
-	}
-	s1, err := l.Accept()
-	if err != nil {
-		t.Fatal(err)
-	}
-	c2, err := l.Dial()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := l.Accept(); err != nil {
-		t.Fatal(err)
+	var clients, servers []net.Conn
+	for i := 0; i < 2; i++ {
+		c, err := l.Dial()
+		if err != nil {
+			t.Fatal(err)
+		}
+		s, err := l.Accept()
+		if err != nil {
+			t.Fatal(err)
+		}
+		clients, servers = append(clients, c), append(servers, s)
 	}
 
-	if n := l.SeverConns(); n != 2 {
-		t.Fatalf("SeverConns = %d, want 2", n)
+	for _, s := range servers {
+		if err := s.Close(); err != nil {
+			t.Fatalf("cut: %v", err)
+		}
 	}
-	if n := reg.Counter("netsim.severs").Value(); n != 2 {
-		t.Fatalf("netsim.severs = %d, want 2", n)
+	for i, c := range clients {
+		if _, err := c.Read(make([]byte, 8)); err != io.EOF {
+			t.Errorf("read on cut conn %d = %v, want io.EOF", i, err)
+		}
+		if _, err := c.Write([]byte("x")); !errors.Is(err, net.ErrClosed) {
+			t.Errorf("write on cut conn %d = %v, want net.ErrClosed", i, err)
+		}
 	}
-
-	// The server end of a severed link reads EOF (possibly after
-	// draining whatever was in flight — nothing here).
-	buf := make([]byte, 8)
-	if _, err := s1.Read(buf); err != io.EOF {
-		t.Fatalf("server read on severed conn = %v, want io.EOF", err)
-	}
-	// The severed client ends refuse further writes.
-	if _, err := c1.Write([]byte("x")); err == nil {
-		t.Fatal("write on severed conn succeeded")
-	}
-	if _, err := c2.Write([]byte("x")); err == nil {
-		t.Fatal("write on severed conn succeeded")
+	for i, s := range servers {
+		if err := s.Close(); err != nil {
+			t.Errorf("second cut of conn %d = %v, want nil", i, err)
+		}
 	}
 
-	// The listener survives the partition: a redial works, and a second
-	// sever counts only the live conn (the dead ones untracked
-	// themselves on close).
 	c3, err := l.Dial()
 	if err != nil {
 		t.Fatalf("redial after sever: %v", err)
 	}
-	if _, err := l.Accept(); err != nil {
+	t.Cleanup(func() { c3.Close() })
+	s3, err := l.Accept()
+	if err != nil {
 		t.Fatal(err)
 	}
+	t.Cleanup(func() { s3.Close() })
 	if _, err := c3.Write([]byte("hello")); err != nil {
-		t.Fatalf("write on fresh conn: %v", err)
+		t.Fatalf("write on redialed conn: %v", err)
 	}
-	if n := l.SeverConns(); n != 1 {
-		t.Fatalf("second SeverConns = %d, want 1 (only the redialed conn)", n)
+	buf := make([]byte, 5)
+	if _, err := io.ReadFull(s3, buf); err != nil || string(buf) != "hello" {
+		t.Fatalf("server read on redialed conn = %q, %v", buf, err)
+	}
+	if _, err := s3.Write([]byte("world")); err != nil {
+		t.Fatalf("reply on redialed conn: %v", err)
+	}
+	if _, err := io.ReadFull(c3, buf); err != nil || string(buf) != "world" {
+		t.Fatalf("client read on redialed conn = %q, %v", buf, err)
+	}
+	if n := reg.Counter("netsim.dials").Value(); n != 3 {
+		t.Errorf("netsim.dials = %d, want 3", n)
 	}
 }
 
-// TestSeverConnsEmpty: severing with nothing live is a counted no-op of
-// zero.
+// TestSeverConnsEmpty: cutting a link whose dialer already closed it (a
+// sever racing the client's own close) is a no-op: it returns nil, sends
+// nothing, and leaves the listener accepting.
 func TestSeverConnsEmpty(t *testing.T) {
 	reg := obs.NewRegistry()
 	l := Listen(Unlimited)
 	l.Observe(reg)
 	t.Cleanup(func() { l.Close() })
-	if n := l.SeverConns(); n != 0 {
-		t.Fatalf("SeverConns on idle listener = %d, want 0", n)
-	}
-	if n := reg.Counter("netsim.severs").Value(); n != 0 {
-		t.Fatalf("netsim.severs = %d, want 0", n)
-	}
-}
 
-// TestConnCloseIdempotent: double Close must not panic or double-count
-// the live map (SeverConns relies on closeOnce).
-func TestConnCloseIdempotent(t *testing.T) {
-	l := Listen(Unlimited)
-	t.Cleanup(func() { l.Close() })
 	c, err := l.Dial()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := l.Accept(); err != nil {
+	s, err := l.Accept()
+	if err != nil {
 		t.Fatal(err)
 	}
 	if err := c.Close(); err != nil {
 		t.Fatal(err)
 	}
-	if err := c.Close(); err != nil {
-		t.Fatalf("second Close = %v", err)
+	if err := s.Close(); err != nil {
+		t.Fatalf("cut of a link its dialer closed = %v, want nil", err)
 	}
-	// Give the bookkeeping a beat, then confirm nothing is left to cut.
-	time.Sleep(time.Millisecond)
-	if n := l.SeverConns(); n != 0 {
-		t.Fatalf("SeverConns after close = %d, want 0", n)
+	for _, name := range []string{"netsim.bytes_up", "netsim.bytes_down", "netsim.transmits"} {
+		if n := reg.Counter(name).Value(); n != 0 {
+			t.Errorf("%s = %d, want 0: a cut sends nothing", name, n)
+		}
 	}
+
+	c2, err := l.Dial()
+	if err != nil {
+		t.Fatalf("dial after the cut: %v", err)
+	}
+	t.Cleanup(func() { c2.Close() })
+	s2, err := l.Accept()
+	if err != nil {
+		t.Fatalf("accept after the cut: %v", err)
+	}
+	s2.Close()
 }
