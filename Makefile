@@ -19,6 +19,7 @@ FUZZ_TARGETS := \
 	./internal/meta:FuzzDecodeSplitPointer \
 	./internal/meta:FuzzOpenVerified \
 	./internal/meta:FuzzOpenBlock \
+	./internal/meta:FuzzOpenMeta \
 	./internal/cap:FuzzOpenView \
 	./internal/cache:FuzzCache \
 	./internal/analysis:FuzzParseAllowDirective

@@ -61,6 +61,7 @@ var boundarySites = []struct {
 	{"meta.Superblock.Encode", "sharocrypto.SymKey.Marshal", 1, "the root MEK, sealed to a principal by SealSuperblock"},
 	{"meta.SplitPointer.Encode", "sharocrypto.SymKey.Marshal", 1, "the child's MEK, sealed to a principal by SealSplitPointer"},
 	{"meta.Metadata.Seal", "meta.Metadata.Encode", 1, "sealed and signed right here"},
+	{"meta.SealMeta", "meta.Metadata.Encode", 1, "each section sealed under its MEK and signed right here"},
 	{"meta.SealSuperblock", "meta.Superblock.Encode", 1, "sealed to the principal's public key right here"},
 	{"meta.SealSplitPointer", "meta.SplitPointer.Encode", 1, "sealed to the principal's public key right here"},
 	{"cap.encodeFullView", "meta.DirTable.Encode", 1, "the view plaintext viewPlain's caller seals"},

@@ -204,10 +204,18 @@ func (e *Engine) SealMeta(sw layout.Stopwatch, full *meta.Metadata, vs []layout.
 		if err != nil {
 			return nil, fmt.Errorf("baseline: seal metadata of %d: %w", full.Attr.Inode, err)
 		}
-		out = append(out, wire.KV{NS: wire.NSMeta, Key: meta.MetaKey(full.Attr.Inode, v.ID), Val: blob})
+		out = append(out, wire.KV{NS: wire.NSMeta, Key: e.MetaKey(full.Attr.Inode, v.ID), Val: blob})
 	}
 	return out, nil
 }
+
+// MetaKey implements layout.Engine: every copy is a blob of its own.
+func (e *Engine) MetaKey(ino types.Inode, variant string) string {
+	return layout.CopyMetaKey(ino, variant)
+}
+
+// CopyLen implements layout.Engine: every copy is a blob of its own.
+func (e *Engine) CopyLen(blob []byte, _ string) int { return len(blob) }
 
 // MetaCopy implements layout.Engine: every key, but in the modes that
 // encrypt data a directory's DEK slot holds this copy's table key.

@@ -154,10 +154,11 @@ const (
 //  4. a directory's tables are loaded once, reshaped for the new variant
 //     set and sealed once, under the new metadata, when keys rotated or a
 //     variant was added, dropped or changed CAP;
-//  5. the metadata copies of dropped variants are deleted;
-//  6. the parent's rows — at the root, the superblocks — are re-routed
+//  5. the parent's rows — at the root, the superblocks — are re-routed
 //     when the variant set or the MEKs changed;
-//  7. the metadata variants are sealed and the batch committed.
+//  6. the metadata variants are sealed and the batch committed. A dropped
+//     variant's copy goes with the blob the batch rewrites: only Scheme-2
+//     drops a variant, and its copies share one blob per inode.
 func (s *Session) setAttr(path string, op attrOp, change func(*meta.Attr) error) error {
 	r, m, err := s.resolve(path)
 	if err != nil {
@@ -228,10 +229,6 @@ func (s *Session) setAttr(path string, op attrOp, change func(*meta.Attr) error)
 			return err
 		}
 	}
-	for _, id := range dropped {
-		w.add(wire.KV{NS: wire.NSMeta, Key: meta.MetaKey(r.ino, id), Delete: true})
-	}
-
 	if op == attrOwner || rerouted {
 		if atRoot {
 			sbkvs, err := s.sealSuperblocks(&updated)
@@ -373,14 +370,14 @@ func (s *Session) sealMetaVariants(w *write, m *meta.Metadata) error {
 }
 
 // stageOwnMeta stages, out of the metadata copies of m that w seals, the
-// one the session user reads, as it was sealed: their next walk into the
-// object, or Stat of it, reads nothing.
+// one the session user reads, charged as a reader of it is: their next
+// walk into the object, or Stat of it, reads nothing.
 func (s *Session) stageOwnMeta(w *write, m *meta.Metadata) {
 	own := s.eng.UserVariant(s.user.ID, m.Attr)
-	ownKey := meta.MetaKey(m.Attr.Inode, own.ID)
+	ownKey := s.eng.MetaKey(m.Attr.Inode, own.ID)
 	for _, kv := range w.kvs {
 		if kv.NS == wire.NSMeta && kv.Key == ownKey {
-			w.stage(ckMeta+kv.Key, s.eng.MetaCopy(m, own), int64(len(kv.Val)))
+			w.stage(ckMeta+kv.Key, metaCopy{own.ID, s.eng.MetaCopy(m, own)}, int64(s.eng.CopyLen(kv.Val, own.ID)))
 		}
 	}
 }

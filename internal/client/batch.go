@@ -161,9 +161,9 @@ func siblingChunk(cacheBytes int64) int {
 // appendStatKeys adds the blobs getattr wants for one object. The manifest
 // key is asked for blind — the kind is only known once the metadata is
 // open — and a directory simply has none.
-func appendStatKeys(dst []wire.KV, r ref) []wire.KV {
+func (s *Session) appendStatKeys(dst []wire.KV, r ref) []wire.KV {
 	return append(dst,
-		wire.KV{NS: wire.NSMeta, Key: meta.MetaKey(r.ino, r.variant)},
+		wire.KV{NS: wire.NSMeta, Key: s.metaKey(r)},
 		wire.KV{NS: wire.NSData, Key: meta.ManifestKey(r.ino)})
 }
 
@@ -205,10 +205,11 @@ func (s *Session) listedSiblings(at dirent) (*dirView, []sibling) {
 		if e.Split {
 			continue
 		}
-		if _, ok := s.cache.Get(ckMeta + meta.MetaKey(e.Inode, e.Variant)); ok {
+		r := ref{ino: e.Inode, variant: e.Variant, mek: e.MEK, mvk: e.MVK}
+		if _, ok := s.cachedMeta(r); ok {
 			continue
 		}
-		sibs = append(sibs, sibling{name: e.Name, r: ref{ino: e.Inode, variant: e.Variant, mek: e.MEK, mvk: e.MVK}})
+		sibs = append(sibs, sibling{name: e.Name, r: r})
 	}
 	return dv, sibs
 }
@@ -234,13 +235,14 @@ func (s *Session) cacheSiblings(dv *dirView, sibs []sibling, blobs replyIndex) {
 	sw, end := s.cryptoGroup("open-siblings")
 	layout.RunParallel(len(sibs), func(i int) {
 		r, o := sibs[i].r, &out[i]
-		metaBlob, ok := blobs.get(wire.NSMeta, meta.MetaKey(r.ino, r.variant))
+		metaBlob, ok := blobs.get(wire.NSMeta, s.metaKey(r))
 		if !ok {
 			o.err = types.ErrNotExist
 			return
 		}
-		o.metaLen = int64(metaBlob.Len())
-		o.m, o.err = s.openMeta(sw, r, metaBlob)
+		var size int
+		o.m, size, o.err = s.openMeta(sw, r, metaBlob)
+		o.metaLen = int64(size)
 		if o.err != nil || !hasManifest(o.m) {
 			return
 		}
@@ -259,7 +261,7 @@ func (s *Session) cacheSiblings(dv *dirView, sibs []sibling, blobs replyIndex) {
 		}
 		kept++
 		r := sibs[i].r
-		s.cache.Put(ckMeta+meta.MetaKey(r.ino, r.variant), o.m, o.metaLen)
+		s.cache.Put(ckMeta+s.metaKey(r), metaCopy{r.variant, o.m}, o.metaLen)
 		if o.man != nil {
 			s.cache.Put(ckManifest+meta.ManifestKey(r.ino), o.man, o.manLen)
 		}

@@ -392,7 +392,7 @@ func TestTamperedSiblingNeverFailsNeighbours(t *testing.T) {
 		return info.Inode
 	}
 	badMeta, badMan := paths[3], paths[5]
-	fs.AddRule(ssp.FaultRule{Mode: ssp.FaultTamper, NS: wire.NSMeta, KeyPart: fmt.Sprintf("m/%d/", uint64(ino(badMeta)))})
+	fs.AddRule(ssp.FaultRule{Mode: ssp.FaultTamper, NS: wire.NSMeta, KeyPart: w.eng.MetaKey(ino(badMeta), "o")})
 	fs.AddRule(ssp.FaultRule{Mode: ssp.FaultTamper, NS: wire.NSData, KeyPart: meta.ManifestKey(ino(badMan))})
 
 	reg, tracer := obs.NewRegistry(), obs.NewTracer("client")

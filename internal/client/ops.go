@@ -67,8 +67,8 @@ func (s *Session) Stat(path string) (vfs.Info, error) {
 // directory, not one per entry. The companions are opened by the caller
 // (fetchManifest, readBlocks) out of the returned reply.
 func (s *Session) fetchObject(r ref, at dirent, with companion, ride []wire.KV) (*meta.Metadata, replyIndex, error) {
-	if v, ok := s.cache.Get(ckMeta + meta.MetaKey(r.ino, r.variant)); ok {
-		return v.(*meta.Metadata), nil, nil
+	if m, ok := s.cachedMeta(r); ok {
+		return m, nil, nil
 	}
 	return s.fetchMetaMiss(r, with, at, ride)
 }

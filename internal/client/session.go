@@ -13,7 +13,9 @@
 // The cache keeps what saves the most round trips per byte, so every
 // insert — a cache.Put on the read side, a write.stage on the write side
 // — charges the size of what it holds:
-//   - a metadata copy or a manifest: the length of its sealed blob;
+//   - a metadata copy: the bytes of its blob that hold it
+//     (layout.Sealer.CopyLen);
+//   - a manifest: the length of its sealed blob;
 //   - a data block: its plaintext length;
 //   - a writer table: tableSize;
 //   - a view: its blob length, or tableSize when the writer staged it,
@@ -347,10 +349,32 @@ const (
 // companions, which the caller opens out of it (openViewOf, fetchManifest,
 // readBlocks, loadParentTables) instead of paying a round trip of its own.
 func (s *Session) fetchMeta(r ref, with companion) (*meta.Metadata, replyIndex, error) {
-	if v, ok := s.cache.Get(ckMeta + meta.MetaKey(r.ino, r.variant)); ok {
-		return v.(*meta.Metadata), nil, nil
+	if m, ok := s.cachedMeta(r); ok {
+		return m, nil, nil
 	}
 	return s.fetchMetaMiss(r, with, dirent{}, nil)
+}
+
+// metaCopy is a metadata copy as the session caches it: under ckMeta and
+// the storage key of its blob, which other copies of the object may
+// share (layout.Sealer.MetaKey), together with the variant it was opened
+// as. A write that names the blob's key drops it, whatever the variant.
+type metaCopy struct {
+	variant string
+	m       *meta.Metadata
+}
+
+// metaKey is the storage key of the blob holding r's metadata copy.
+func (s *Session) metaKey(r ref) string { return s.eng.MetaKey(r.ino, r.variant) }
+
+// cachedMeta returns r's metadata copy if the session has it cached: a
+// copy of another variant cached under the same key is a miss.
+func (s *Session) cachedMeta(r ref) (*meta.Metadata, bool) {
+	v, ok := s.cache.Get(ckMeta + s.metaKey(r))
+	if !ok || v.(metaCopy).variant != r.variant {
+		return nil, false
+	}
+	return v.(metaCopy).m, true
 }
 
 // fetchMetaMiss is the one round trip of a metadata miss: the metadata,
@@ -361,7 +385,7 @@ func (s *Session) fetchMeta(r ref, with companion) (*meta.Metadata, replyIndex, 
 // actually asked for ends up the most recently used entry when a finite
 // cache has to evict.
 func (s *Session) fetchMetaMiss(r ref, with companion, at dirent, ride []wire.KV) (*meta.Metadata, replyIndex, error) {
-	metaKey := meta.MetaKey(r.ino, r.variant)
+	metaKey := s.metaKey(r)
 	want := append(make([]wire.KV, 0, 3+len(ride)), wire.KV{NS: wire.NSMeta, Key: metaKey})
 	unlessCached := func(prefix, key string) {
 		if !s.cached(prefix + key) {
@@ -390,7 +414,7 @@ func (s *Session) fetchMetaMiss(r ref, with companion, at dirent, ride []wire.KV
 	if len(sibs) > 0 {
 		batch = s.tracer.Start("client.stat.batch", obs.ClassNone)
 		for _, sib := range sibs {
-			want = appendStatKeys(want, sib.r)
+			want = s.appendStatKeys(want, sib.r)
 		}
 	}
 	pre, err := s.fetch(want)
@@ -405,16 +429,17 @@ func (s *Session) fetchMetaMiss(r ref, with companion, at dirent, ride []wire.KV
 	if !ok {
 		return nil, nil, types.ErrNotExist
 	}
-	m, err := s.openMeta(s.clock("open-meta"), r, blob)
+	m, size, err := s.openMeta(s.clock("open-meta"), r, blob)
 	if err != nil {
 		return nil, nil, err
 	}
-	s.cache.Put(ckMeta+metaKey, m, int64(blob.Len()))
+	s.cache.Put(ckMeta+metaKey, metaCopy{r.variant, m}, int64(size))
 	return m, pre, nil
 }
 
-// openMeta opens the metadata blob fetched for r.
-func (s *Session) openMeta(sw layout.Stopwatch, r ref, blob layout.Sealed) (*meta.Metadata, error) {
+// openMeta opens the metadata blob fetched for r, and returns with the
+// copy its cache charge: the bytes of the blob that held it.
+func (s *Session) openMeta(sw layout.Stopwatch, r ref, blob layout.Sealed) (*meta.Metadata, int, error) {
 	return layout.OpenMeta(s.eng, sw, s.user, r.ino, r.variant, r.mek, r.mvk, blob)
 }
 

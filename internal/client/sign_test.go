@@ -10,10 +10,12 @@ import (
 )
 
 // signOp is one row of the signature table (DESIGN.md §7.19): the Ed25519
-// signatures one operation makes, under Scheme-2 (three class variants)
-// and Scheme-1 (one variant per user; the fixture has four). Each
-// metadata variant and each manifest is a signature of its own; all the
-// table views one directory update writes share one.
+// signatures one operation makes, under Scheme-2 (three class variants,
+// sections of one metadata envelope per inode) and Scheme-1 (one variant
+// per user; the fixture has four). Under Scheme-2 an object's metadata is
+// one signature; under Scheme-1 each variant is one. Each manifest is a
+// signature of its own; all the table views one directory update writes
+// share one.
 type signOp struct {
 	name   string
 	s2, s1 int
@@ -21,12 +23,12 @@ type signOp struct {
 }
 
 var signOps = []signOp{
-	// Metadata variants, the parent's views (one group), the manifest.
-	{name: "create", s2: 3 + 1 + 1, s1: 4 + 1 + 1,
+	// Metadata, the parent's views (one group), the manifest.
+	{name: "create", s2: 1 + 1 + 1, s1: 4 + 1 + 1,
 		run: func(s *Session, i int) error { return s.WriteFile(fmt.Sprintf("/d/n%d", i), []byte("new"), 0o644) }},
-	// Metadata variants, the child's empty views (one group), the
-	// parent's views (one group).
-	{name: "mkdir", s2: 3 + 1 + 1, s1: 4 + 1 + 1,
+	// Metadata, the child's empty views (one group), the parent's views
+	// (one group).
+	{name: "mkdir", s2: 1 + 1 + 1, s1: 4 + 1 + 1,
 		run: func(s *Session, i int) error { return s.Mkdir(fmt.Sprintf("/d/sub%d", i), 0o755) }},
 	{name: "remove", s2: 1, s1: 1,
 		run: func(s *Session, i int) error { return s.Remove(fmt.Sprintf("/d/g%d", i)) }},
@@ -45,52 +47,52 @@ var signOps = []signOp{
 		run: func(s *Session, _ int) error { _, err := s.ReadFile("/d/f"); return err }},
 	{name: "readdir", s2: 0, s1: 0,
 		run: func(s *Session, _ int) error { _, err := s.ReadDir("/d"); return err }},
-	// No capability is lost: the metadata variants alone.
-	{name: "chmod-file", s2: 3, s1: 4,
+	// No capability is lost: the metadata alone.
+	{name: "chmod-file", s2: 1, s1: 4,
 		run: func(s *Session, i int) error { return s.Chmod("/d/f", []types.Perm{0o664, 0o666}[i]) }},
 	// Group and other lose read: the data keys rotate, so the manifest
 	// is re-signed too.
-	{name: "chmod-file-revoke", s2: 3 + 1, s1: 4 + 1,
+	{name: "chmod-file-revoke", s2: 1 + 1, s1: 4 + 1,
 		run: func(s *Session, i int) error { return s.Chmod(fmt.Sprintf("/d/g%d", i+2), 0o600) }},
-	// A class's view changes shape: the variants and one group of views.
-	{name: "chmod-dir", s2: 3 + 1, s1: 4 + 1,
+	// A class's view changes shape: the metadata and one group of views.
+	{name: "chmod-dir", s2: 1 + 1, s1: 4 + 1,
 		run: func(s *Session, i int) error { return s.Chmod("/e", []types.Perm{0o751, 0o755}[i%2]) }},
-	// Granting rw- to bob adds a Scheme-2 variant (a/bob), so a copy more,
-	// and re-routes the parent's rows (one group). Scheme-1 has a copy
-	// per user already, and the parent's rows do not move.
-	{name: "acl-set-file", s2: 4 + 1, s1: 4,
+	// Granting rw- to bob adds a Scheme-2 variant (a/bob), so a section
+	// more, and re-routes the parent's rows (one group). Scheme-1 has a
+	// copy per user already, and the parent's rows do not move.
+	{name: "acl-set-file", s2: 1 + 1, s1: 4,
 		run: func(s *Session, i int) error {
 			return s.SetACL(fmt.Sprintf("/d/acl%d", i), "bob", types.TripletRead|types.TripletWrite)
 		}},
 	// Taking the grant away revokes write: the data keys rotate, so the
 	// manifest is re-signed too.
-	{name: "acl-remove-file", s2: 3 + 1 + 1, s1: 4 + 1,
+	{name: "acl-remove-file", s2: 1 + 1 + 1, s1: 4 + 1,
 		run: func(s *Session, i int) error { return s.RemoveACL(fmt.Sprintf("/d/acl%d", i), "bob") }},
 	// On a directory, its own views are one more group. Under Scheme-1
 	// bob's r-x grant changes no copy's CAP: the metadata variants alone.
-	{name: "acl-set-dir", s2: 4 + 1 + 1, s1: 4,
+	{name: "acl-set-dir", s2: 1 + 1 + 1, s1: 4,
 		run: func(s *Session, i int) error {
 			return s.SetACL(fmt.Sprintf("/d/dacl%d", i), "bob", types.TripletRead|types.TripletExec)
 		}},
 	// Other loses read: the directory's views move to fresh keys, sealed
 	// once under the new permission.
-	{name: "chmod-dir-revoke", s2: 3 + 1, s1: 4 + 1,
+	{name: "chmod-dir-revoke", s2: 1 + 1, s1: 4 + 1,
 		run: func(s *Session, i int) error { return s.Chmod(fmt.Sprintf("/d/rv%d", i), 0o700) }},
 	// carol's grant narrows from r-x to r--: she loses traverse, so the
 	// views are re-keyed, once. Her copy stays, so the parent's rows stay.
-	{name: "acl-narrow-dir", s2: 4 + 1, s1: 4 + 1,
+	{name: "acl-narrow-dir", s2: 1 + 1, s1: 4 + 1,
 		run: func(s *Session, i int) error { return s.SetACL(fmt.Sprintf("/d/nar%d", i), "carol", types.TripletRead) }},
 	// Taking the r-- grant away leaves carol the other class's ---: the
-	// views are re-keyed once, and under Scheme-2 her copy goes, so the
+	// views are re-keyed once, and under Scheme-2 her section goes, so the
 	// parent's rows move.
-	{name: "acl-remove-dir", s2: 3 + 1 + 1, s1: 4 + 1,
+	{name: "acl-remove-dir", s2: 1 + 1 + 1, s1: 4 + 1,
 		run: func(s *Session, i int) error { return s.RemoveACL(fmt.Sprintf("/d/nar%d", i), "carol") }},
-	// A chown rotates every key: the variants, the re-keyed manifest and
+	// A chown rotates every key: the metadata, the re-keyed manifest and
 	// the parent's rows.
-	{name: "chown-file", s2: 3 + 1 + 1, s1: 4 + 1 + 1,
+	{name: "chown-file", s2: 1 + 1 + 1, s1: 4 + 1 + 1,
 		run: func(s *Session, i int) error { return s.Chown(fmt.Sprintf("/d/own%d", i), "bob", "") }},
 	// On a directory its views take the manifest's place.
-	{name: "chown-dir", s2: 3 + 1 + 1, s1: 4 + 1 + 1,
+	{name: "chown-dir", s2: 1 + 1 + 1, s1: 4 + 1 + 1,
 		run: func(s *Session, i int) error { return s.Chown(fmt.Sprintf("/d/down%d", i), "bob", "") }},
 }
 

@@ -3,6 +3,7 @@ package layout
 import (
 	"crypto/sha256"
 	"fmt"
+	"slices"
 
 	"github.com/sharoes/sharoes/internal/cap"
 	"github.com/sharoes/sharoes/internal/keys"
@@ -10,12 +11,15 @@ import (
 	"github.com/sharoes/sharoes/internal/wire"
 )
 
-// DeleteMetaKVs returns delete markers for every variant of an object.
+// DeleteMetaKVs returns delete markers for every metadata blob of an
+// object, one per storage key its copies are stored under.
 func DeleteMetaKVs(eng Engine, attr meta.Attr) []wire.KV {
-	variants := eng.Variants(attr)
-	out := make([]wire.KV, 0, len(variants))
-	for _, v := range variants {
-		out = append(out, wire.KV{NS: wire.NSMeta, Key: meta.MetaKey(attr.Inode, v.ID), Delete: true})
+	var out []wire.KV
+	for _, v := range eng.Variants(attr) {
+		key := eng.MetaKey(attr.Inode, v.ID)
+		if !slices.ContainsFunc(out, func(kv wire.KV) bool { return kv.Key == key }) {
+			out = append(out, wire.KV{NS: wire.NSMeta, Key: key, Delete: true})
+		}
 	}
 	return out
 }

@@ -254,7 +254,9 @@ type Scheme1 struct {
 }
 
 // NewScheme1 builds a Scheme-1 engine over the enterprise registry.
-func NewScheme1(reg *keys.Registry) *Scheme1 { return &Scheme1{reg: reg} }
+func NewScheme1(reg *keys.Registry) *Scheme1 {
+	return &Scheme1{signed: signed{perCopy: true}, reg: reg}
+}
 
 // Name implements Engine.
 func (s *Scheme1) Name() string { return "scheme1" }

@@ -308,7 +308,11 @@ func TestBuildMetaKVs(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		want := len(eng.Variants(full.Attr))
+		// Scheme-1 stores a blob per user copy, Scheme-2 one per inode.
+		want := 1
+		if eng.Name() == "scheme1" {
+			want = len(eng.Variants(full.Attr))
+		}
 		if len(kvs) != want {
 			t.Fatalf("%s: kvs = %d, want %d", eng.Name(), len(kvs), want)
 		}
@@ -316,14 +320,14 @@ func TestBuildMetaKVs(t *testing.T) {
 		for _, v := range eng.Variants(full.Attr) {
 			var blob []byte
 			for _, kv := range kvs {
-				if kv.Key == meta.MetaKey(42, v.ID) && kv.NS == wire.NSMeta {
+				if kv.Key == eng.MetaKey(42, v.ID) && kv.NS == wire.NSMeta {
 					blob = kv.Val
 				}
 			}
 			if blob == nil {
 				t.Fatalf("%s: variant %q not stored", eng.Name(), v.ID)
 			}
-			m, err := meta.OpenMetadata(v.MEK(full), mvk, meta.MetaAAD(42, v.ID), blob)
+			m, err := eng.OpenMeta(nil, nil, 42, v.ID, v.MEK(full), mvk, blob)
 			if err != nil {
 				t.Fatalf("%s: open %q: %v", eng.Name(), v.ID, err)
 			}
@@ -349,9 +353,9 @@ func TestBuildMetaKVs(t *testing.T) {
 		if len(dels) != len(kvs) {
 			t.Errorf("%s: deletes = %d", eng.Name(), len(dels))
 		}
-		for _, d := range dels {
-			if !d.Delete {
-				t.Errorf("%s: delete marker not set", eng.Name())
+		for i, d := range dels {
+			if !d.Delete || d.Key != kvs[i].Key {
+				t.Errorf("%s: delete %d = %+v, want a delete of %q", eng.Name(), i, d, kvs[i].Key)
 			}
 		}
 	}

@@ -2,6 +2,7 @@ package layout
 
 import (
 	"crypto/sha256"
+	"strconv"
 
 	"github.com/sharoes/sharoes/internal/cap"
 	"github.com/sharoes/sharoes/internal/keys"
@@ -35,12 +36,19 @@ func (sw Stopwatch) Start() func() {
 type Sealer interface {
 	// NewKeys mints the key set of a new object.
 	NewKeys(sw Stopwatch) meta.KeySet
+	// MetaKey is the storage key of the blob that holds the copy variant
+	// of inode ino's metadata. Copies may share a blob.
+	MetaKey(ino types.Inode, variant string) string
 	// SealMeta seals the copies vs of an object's metadata, from the
-	// complete key set full carries.
+	// complete key set full carries, into one blob per storage key
+	// (MetaKey) they are stored under.
 	SealMeta(sw Stopwatch, full *meta.Metadata, vs []Variant) ([]wire.KV, error)
 	// MetaCopy is the plaintext SealMeta seals as the copy v: what
 	// OpenMeta returns for it.
 	MetaCopy(full *meta.Metadata, v Variant) *meta.Metadata
+	// CopyLen is how many bytes of a metadata blob SealMeta made hold
+	// the copy variant: what keeping that copy costs a cache.
+	CopyLen(blob []byte, variant string) int
 	// OpenMeta opens the copy of ino's metadata stored for variant, with
 	// the keys its directory row or superblock gave (mek, mvk) or with
 	// user u's private key.
@@ -113,9 +121,14 @@ func replies(items []wire.KV) []Reply {
 	return out
 }
 
-// OpenMeta opens blob with sl.OpenMeta.
-func OpenMeta(sl Sealer, sw Stopwatch, u *keys.User, ino types.Inode, variant string, mek sharocrypto.SymKey, mvk sharocrypto.VerifyKey, blob Sealed) (*meta.Metadata, error) {
-	return sl.OpenMeta(sw, u, ino, variant, mek, mvk, blob.b)
+// OpenMeta opens blob with sl.OpenMeta, and returns with the copy the
+// bytes of blob that held it (sl.CopyLen).
+func OpenMeta(sl Sealer, sw Stopwatch, u *keys.User, ino types.Inode, variant string, mek sharocrypto.SymKey, mvk sharocrypto.VerifyKey, blob Sealed) (*meta.Metadata, int, error) {
+	m, err := sl.OpenMeta(sw, u, ino, variant, mek, mvk, blob.b)
+	if err != nil {
+		return nil, 0, err
+	}
+	return m, sl.CopyLen(blob.b, variant), nil
 }
 
 // OpenView opens blob with sl.OpenView.
@@ -144,10 +157,27 @@ func OpenSplitPointer(priv sharocrypto.PrivateKey, blob Sealed) (*meta.SplitPoin
 }
 
 // signed is the Sharoes Sealer, shared by both schemes: every metadata
-// copy, view and manifest is encrypted and signed (meta.SealSigned,
-// SealGroup), every block is named by its digest in the signed manifest,
-// and superblocks are sealed to their principal's public key.
-type signed struct{}
+// copy is a section of a signed envelope (meta.SealMeta), every view and
+// manifest is encrypted and signed (meta.SealGroup, SealSigned), every
+// block is named by its digest in the signed manifest, and superblocks
+// are sealed to their principal's public key. Scheme-2 keeps one
+// metadata envelope per inode, holding every copy; Scheme-1 (perCopy)
+// one per user copy, as it replicates everything per user.
+type signed struct{ perCopy bool }
+
+// MetaKey implements Sealer: "m/<ino>", or CopyMetaKey per copy.
+func (s signed) MetaKey(ino types.Inode, variant string) string {
+	if s.perCopy {
+		return CopyMetaKey(ino, variant)
+	}
+	return "m/" + strconv.FormatUint(uint64(ino), 10)
+}
+
+// CopyMetaKey is the storage key "m/<ino>/<variant>" of a metadata copy
+// kept as a blob of its own.
+func CopyMetaKey(ino types.Inode, variant string) string {
+	return "m/" + strconv.FormatUint(uint64(ino), 10) + "/" + variant
+}
 
 // NewKeys implements Sealer: fresh keys in every slot.
 func (signed) NewKeys(sw Stopwatch) meta.KeySet {
@@ -165,14 +195,29 @@ func (signed) NewKeys(sw Stopwatch) meta.KeySet {
 }
 
 // SealMeta implements Sealer: each copy holds the keys its CAP grants,
-// under its own MEK, signed with the object's MSK.
-func (signed) SealMeta(sw Stopwatch, full *meta.Metadata, vs []Variant) ([]wire.KV, error) {
+// as a section under its own MEK, and each envelope is signed once with
+// the object's MSK.
+func (s signed) SealMeta(sw Stopwatch, full *meta.Metadata, vs []Variant) ([]wire.KV, error) {
 	defer sw.Start()()
-	out := make([]wire.KV, 0, len(vs))
-	for _, v := range vs {
-		filtered := cap.Filter(full, v.Cap, v.ID)
-		blob := filtered.Seal(v.MEK(full), full.Keys.MSK, meta.MetaAAD(full.Attr.Inode, v.ID))
-		out = append(out, wire.KV{NS: wire.NSMeta, Key: meta.MetaKey(full.Attr.Inode, v.ID), Val: blob})
+	ino := full.Attr.Inode
+	secs := make([]meta.MetaSection, len(vs))
+	for i, v := range vs {
+		secs[i] = meta.MetaSection{Variant: v.ID, MEK: v.MEK(full), Copy: cap.Filter(full, v.Cap, v.ID)}
+	}
+	envelopes := [][]meta.MetaSection{secs}
+	if s.perCopy {
+		envelopes = make([][]meta.MetaSection, len(secs))
+		for i := range secs {
+			envelopes[i] = secs[i : i+1]
+		}
+	}
+	out := make([]wire.KV, len(envelopes))
+	for i, env := range envelopes {
+		blob, err := meta.SealMeta(ino, full.Keys.MSK, env)
+		if err != nil {
+			return nil, err
+		}
+		out[i] = wire.KV{NS: wire.NSMeta, Key: s.MetaKey(ino, env[0].Variant), Val: blob}
 	}
 	return out, nil
 }
@@ -182,10 +227,14 @@ func (signed) MetaCopy(full *meta.Metadata, v Variant) *meta.Metadata {
 	return cap.Filter(full, v.Cap, v.ID)
 }
 
+// CopyLen implements Sealer: the copy's own section, not the envelope
+// around it.
+func (signed) CopyLen(blob []byte, variant string) int { return meta.SectionLen(blob, variant) }
+
 // OpenMeta implements Sealer.
 func (signed) OpenMeta(sw Stopwatch, _ *keys.User, ino types.Inode, variant string, mek sharocrypto.SymKey, mvk sharocrypto.VerifyKey, blob []byte) (*meta.Metadata, error) {
 	defer sw.Start()()
-	return meta.OpenMetadata(mek, mvk, meta.MetaAAD(ino, variant), blob)
+	return meta.OpenMeta(ino, variant, mek, mvk, blob)
 }
 
 // SealViews implements Sealer: one signature over the whole group.

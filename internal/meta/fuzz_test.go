@@ -3,6 +3,7 @@ package meta
 import (
 	"bytes"
 	"crypto/sha256"
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"reflect"
@@ -254,6 +255,133 @@ func FuzzOpenBlock(f *testing.F) {
 		}
 		if i != j || !bytes.Equal(blob, blobs[i]) || !bytes.Equal(pt, plains[i]) {
 			t.Fatalf("a block the writer never named opened under AAD %q and digest %d (%d bytes)", aads[i], j, len(pt))
+		}
+	})
+}
+
+// metaFuzzVariants are the sections FuzzOpenMeta's seeds hold: a Scheme-2
+// envelope's classes and one ACL grantee, and a Scheme-1 envelope's one
+// user copy.
+var metaFuzzVariants = []string{"a/carol", "g", "o", "t", "u/alice"}
+
+// metaFuzzSections returns the sections of variants, each copy and MEK
+// its own.
+func metaFuzzSections(tb testing.TB, variants ...string) []MetaSection {
+	sym, _, _ := fuzzKeys(tb)
+	secs := make([]MetaSection, len(variants))
+	for i, v := range variants {
+		m := seedMetadata(tb)
+		m.Attr.Owner = types.UserID(v)
+		secs[i] = MetaSection{Variant: v, MEK: sym.Derive("mek/" + v), Copy: m}
+	}
+	return secs
+}
+
+// signedBody signs body as an envelope of inode ino with sk: the forgery
+// only the MSK holder can make, for shapes SealMeta refuses to build.
+func signedBody(ino types.Inode, sk sharocrypto.SignKey, body []byte) []byte {
+	m := metaMessage(ino, body)
+	return append(append([]byte(nil), body...), sk.Sign(m[:])...)
+}
+
+// rawEnvelope lays sections out as an envelope body, labels and sealed
+// bytes as given, in the order given.
+func rawEnvelope(labels []string, sealed [][]byte) []byte {
+	body := binary.AppendUvarint(nil, uint64(len(labels)))
+	for i, l := range labels {
+		body = binary.AppendUvarint(body, uint64(len(l)))
+		body = append(body, l...)
+		body = binary.AppendUvarint(body, uint64(len(sealed[i])))
+		body = append(body, sealed[i]...)
+	}
+	return body
+}
+
+// FuzzOpenMeta feeds arbitrary bytes — seeded with a Scheme-2 envelope
+// (sections o, g, t and a/carol) and a Scheme-1 one (u/alice), their
+// truncations and extensions, and envelopes signed by the MSK holder
+// with repeated, unsorted, empty and moved sections — to OpenMeta, asking
+// for each variant's section. Nothing may panic; what opens must be
+// exactly the copy sealed for that variant; every other outcome must be
+// types.ErrTampered, except types.ErrNotExist for an envelope whose
+// signature holds and that has no section for the variant: an honest
+// object without that copy. Every seed is opened once first, so the
+// honest envelopes are in the verified memo.
+func FuzzOpenMeta(f *testing.F) {
+	const ino = 9
+	_, sk, vk := fuzzKeys(f)
+	all := metaFuzzSections(f, metaFuzzVariants...)
+	plains := make(map[string][]byte, len(all))
+	meks := make(map[string]sharocrypto.SymKey, len(all))
+	for _, sec := range all {
+		plains[sec.Variant], meks[sec.Variant] = sec.Copy.Encode(), sec.MEK
+	}
+	variant := func(which uint8) string { return metaFuzzVariants[int(which)%len(metaFuzzVariants)] }
+	open := func(blob []byte, which uint8) (*Metadata, error) {
+		v := variant(which)
+		return OpenMeta(ino, v, meks[v], vk, blob)
+	}
+	seed := func(blob []byte) {
+		for i := range metaFuzzVariants {
+			_, _ = open(blob, uint8(i))
+			f.Add(blob, uint8(i))
+		}
+	}
+	for _, secs := range [][]MetaSection{all[:4], all[4:]} {
+		blob, err := SealMeta(ino, sk, secs)
+		if err != nil {
+			f.Fatal(err)
+		}
+		seed(blob)
+		seed(blob[:len(blob)-1])
+		seed(append(append([]byte(nil), blob...), 0))
+	}
+	// The MSK holder's own malformed envelopes: each must be refused for
+	// its shape, signature notwithstanding.
+	sealed := func(v, under string) []byte {
+		return meks[v].Seal(plains[v], MetaAAD(ino, under))
+	}
+	for _, env := range []struct {
+		labels []string
+		under  []string // the label each section's AAD names
+	}{
+		{[]string{"g", "o", "o"}, []string{"g", "o", "o"}}, // repeated
+		{[]string{"o", "g", "t"}, []string{"o", "g", "t"}}, // unsorted
+		{[]string{"", "o"}, []string{"", "o"}},             // empty label
+		{[]string{"g", "o"}, []string{"o", "g"}},           // sections moved between labels
+		{nil, nil},                                         // no section
+	} {
+		ss := make([][]byte, len(env.labels))
+		for i, l := range env.labels {
+			v := l
+			if v == "" {
+				v = "o"
+			}
+			ss[i] = sealed(v, env.under[i])
+		}
+		seed(signedBody(ino, sk, rawEnvelope(env.labels, ss)))
+	}
+	seed([]byte{})
+	seed([]byte{0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0x01})
+	f.Fuzz(func(t *testing.T, blob []byte, which uint8) {
+		v := variant(which)
+		m, err := open(blob, which)
+		switch {
+		case err == nil:
+			if !bytes.Equal(m.Encode(), plains[v]) {
+				t.Fatalf("a copy the owner never sealed opened as %q", v)
+			}
+		case errors.Is(err, types.ErrNotExist):
+			if len(blob) < sharocrypto.SigSize {
+				t.Fatalf("no section %q reported for a blob with no signature: %v", v, err)
+			}
+			body, sig := blob[:len(blob)-sharocrypto.SigSize], blob[len(blob)-sharocrypto.SigSize:]
+			msg := metaMessage(ino, body)
+			if vk.Verify(msg[:], sig) != nil {
+				t.Fatalf("an unsigned envelope reported as an honest one without section %q: %v", v, err)
+			}
+		case !errors.Is(err, types.ErrTampered):
+			t.Fatalf("failure is neither ErrTampered nor an honest absence: %v", err)
 		}
 	})
 }

@@ -447,7 +447,6 @@ func TestSuperblockSealOpen(t *testing.T) {
 
 func TestStorageKeysDistinct(t *testing.T) {
 	keys := []string{
-		MetaKey(1, "c/1"), MetaKey(1, "c/2"), MetaKey(2, "c/1"),
 		TableKey(1, "c/1"),
 		BlockKey(1, 0, 0), BlockKey(1, 0, 1), BlockKey(1, 1, 0),
 		ManifestKey(1), TailKey(1), TailKey(2),

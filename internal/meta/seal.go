@@ -9,6 +9,7 @@ import (
 	"fmt"
 	"slices"
 	"strconv"
+	"strings"
 	"sync"
 	"sync/atomic"
 
@@ -32,11 +33,13 @@ var (
 // signed group message and from every other use of SHA-256 in the system
 // (content hashes, HMAC row keys, fingerprints). Each is a fixed string
 // ending in NUL, and none is a prefix of another, so no block digest is a
-// group member's digest and neither is ever a signed message.
+// group member's digest, neither is ever a signed message, and no
+// metadata envelope's signed message is ever a group's.
 const (
 	envelopeDomain = "sharoes/signed-envelope\x00" // a group member's digest
 	groupDomain    = "sharoes/signed-group\x00"    // the signed message
 	blockDomain    = "sharoes/block-digest\x00"
+	metaDomain     = "sharoes/meta-envelope\x00" // a metadata envelope's signed message
 )
 
 // framedDigest is SHA-256(domain ‖ framed ‖ aad), where framed is a blob's
@@ -93,7 +96,7 @@ func groupMessage(own *[sha256.Size]byte, sibs []byte) (m [sha256.Size]byte, ok 
 var signs atomic.Int64
 
 // SignCount returns the process-wide number of signatures sealing has
-// made (meta.sign.count): one per SealSigned and one per SealGroup.
+// made (meta.sign.count): one per SealSigned, SealGroup and SealMeta.
 func SignCount() int64 { return signs.Load() }
 
 // sign signs the group message m with sk, counts the signature, and
@@ -375,19 +378,186 @@ func tampered(err error) error {
 	return fmt.Errorf("%w: %w (%w)", types.ErrTampered, ErrVerify, err)
 }
 
-// Seal produces the sealed form of the metadata object for one variant:
-// encrypted with that variant's MEK and signed with the object's MSK.
+// Seal seals the metadata object alone as a lone signed envelope
+// (SealSigned) under mek, bound to aad, signed with msk. The stored
+// metadata is the sectioned envelope (SealMeta); Seal is what one
+// section costs with a signature of its own.
 func (m *Metadata) Seal(mek sharocrypto.SymKey, msk sharocrypto.SignKey, aad []byte) []byte {
 	return SealSigned(mek, msk, aad, m.Encode())
 }
 
-// OpenMetadata opens and verifies a sealed metadata object.
+// OpenMetadata reverses Seal.
 func OpenMetadata(mek sharocrypto.SymKey, mvk sharocrypto.VerifyKey, aad, blob []byte) (*Metadata, error) {
 	pt, err := OpenVerified(mek, mvk, aad, blob)
 	if err != nil {
 		return nil, err
 	}
 	return Decode(pt)
+}
+
+// --- the metadata envelope ----------------------------------------------------
+//
+// The copies of an object's metadata stored under one key are sections
+// of one signed blob (DESIGN.md §7.27):
+//
+//	uvarint(n) ‖ n × (bytes(label) ‖ bytes(nonce‖ciphertext‖tag)) ‖ sig
+//
+// with n ≥ 1, every bytes(x) a uvarint length and x, and the labels —
+// the variant IDs — non-empty and strictly ascending. Section v holds the
+// copy variant v reads, encoded with inode 0 — the envelope names the
+// inode, in every section's AAD and in the signed message — sealed under
+// v's MEK and bound to MetaAAD(ino, v). sig is the object's MSK
+// signature over metaMessage: the whole blob before it, and the inode. A
+// reader checks the signature once, through the verified memo, and opens
+// its own section only: the others are sealed under MEKs it does not
+// hold. Under Scheme-2 every copy of an inode is a section of its one
+// blob; under Scheme-1 each user's copy is a blob of one section.
+
+var (
+	errMetaShape    = errors.New("meta: blob is not a section count, its sections and one signature")
+	errSectionOrder = errors.New("meta: section labels are empty, repeated or not ascending")
+)
+
+// MetaSection is one copy of a metadata envelope: Copy, sealed under
+// MEK, in the section labelled Variant.
+type MetaSection struct {
+	Variant string
+	MEK     sharocrypto.SymKey
+	Copy    *Metadata
+}
+
+// metaMessage is the message an envelope's signature covers:
+// SHA-256(metaDomain ‖ uvarint(ino) ‖ body), body being the blob before
+// the signature. Streamed: nothing is concatenated.
+func metaMessage(ino types.Inode, body []byte) [sha256.Size]byte {
+	h := sha256.New()
+	var u [binary.MaxVarintLen64]byte
+	h.Write([]byte(metaDomain))
+	h.Write(u[:binary.PutUvarint(u[:], uint64(ino))])
+	h.Write(body)
+	var m [sha256.Size]byte
+	h.Sum(m[:0])
+	return m
+}
+
+// SealMeta seals secs as the sections of one envelope of inode ino's
+// metadata, in label order, and signs it once with msk, in one buffer
+// sized up front. The envelope joins the verified memo, so the writer
+// reading it back checks nothing. No section, or an empty or repeated
+// label, is refused.
+func SealMeta(ino types.Inode, msk sharocrypto.SignKey, secs []MetaSection) ([]byte, error) {
+	if len(secs) == 0 {
+		return nil, fmt.Errorf("meta: seal metadata of %d: no sections", ino)
+	}
+	secs = slices.Clone(secs)
+	slices.SortFunc(secs, func(a, b MetaSection) int { return strings.Compare(a.Variant, b.Variant) })
+	plains := make([][]byte, len(secs))
+	size := binary.MaxVarintLen64 + sharocrypto.SigSize
+	for i, sec := range secs {
+		if sec.Variant == "" || i > 0 && sec.Variant == secs[i-1].Variant {
+			return nil, fmt.Errorf("meta: seal metadata of %d: %w", ino, errSectionOrder)
+		}
+		c := *sec.Copy
+		c.Attr.Inode = 0
+		plains[i] = c.Encode()
+		size += 2*binary.MaxVarintLen64 + len(sec.Variant) + len(plains[i]) + sharocrypto.SealOverhead
+	}
+	out := binary.AppendUvarint(make([]byte, 0, size), uint64(len(secs)))
+	for i, sec := range secs {
+		out = binary.AppendUvarint(out, uint64(len(sec.Variant)))
+		out = append(out, sec.Variant...)
+		out = binary.AppendUvarint(out, uint64(len(plains[i])+sharocrypto.SealOverhead))
+		out = sec.MEK.AppendSeal(out, plains[i], MetaAAD(ino, sec.Variant))
+	}
+	m := metaMessage(ino, out)
+	return append(out, sign(msk, &m)...), nil
+}
+
+// OpenMeta opens variant's section of an envelope of inode ino's
+// metadata. It checks the shape — a section count of at least one, that
+// many sections with non-empty, strictly ascending labels, one signature
+// and nothing else — then the signature with mvk, unless the verified
+// memo holds the envelope, then opens variant's section under mek and
+// its AAD. A failure of any of these is ErrVerify wrapped with
+// types.ErrTampered. An envelope whose signature holds and that has no
+// section for variant is types.ErrNotExist: the object keeps no such
+// copy.
+func OpenMeta(ino types.Inode, variant string, mek sharocrypto.SymKey, mvk sharocrypto.VerifyKey, blob []byte) (*Metadata, error) {
+	own, err := sectionOf(blob, variant)
+	if err != nil {
+		return nil, tampered(err)
+	}
+	body, sig := blob[:len(blob)-sharocrypto.SigSize], blob[len(blob)-sharocrypto.SigSize:]
+	m := metaMessage(ino, body)
+	if k := memoKey(mvk, &m, sig); !memoHas(&k) {
+		if err := mvk.Verify(m[:], sig); err != nil {
+			return nil, tampered(err)
+		}
+		memoAdd(&k)
+	}
+	if own == nil {
+		return nil, fmt.Errorf("%w: metadata of %d has no copy %q", types.ErrNotExist, ino, variant)
+	}
+	pt, err := mek.Open(own, MetaAAD(ino, variant))
+	if err != nil {
+		return nil, tampered(err)
+	}
+	c, err := Decode(pt)
+	if err != nil {
+		return nil, err
+	}
+	c.Attr.Inode = ino
+	return c, nil
+}
+
+// SectionLen is the length of variant's sealed section in the envelope
+// blob — what the copy it holds costs to keep — or 0 when blob is not an
+// envelope or has no such section. It checks the shape only: nothing is
+// verified or opened.
+func SectionLen(blob []byte, variant string) int {
+	own, err := sectionOf(blob, variant)
+	if err != nil {
+		return 0
+	}
+	return len(own)
+}
+
+// sectionOf checks blob's shape as an envelope and returns variant's
+// sealed section, nil if it has none.
+func sectionOf(blob []byte, variant string) ([]byte, error) {
+	if len(blob) < sharocrypto.SigSize {
+		return nil, errMetaShape
+	}
+	r := binenc.NewReader(blob[:len(blob)-sharocrypto.SigSize])
+	n, err := r.Uvarint()
+	if err != nil {
+		return nil, err
+	}
+	if n == 0 || n > uint64(r.Remaining()) {
+		return nil, errMetaShape
+	}
+	var own, prev []byte
+	for i := uint64(0); i < n; i++ {
+		label, err := r.BytesField()
+		if err != nil {
+			return nil, err
+		}
+		sealed, err := r.BytesField()
+		if err != nil {
+			return nil, err
+		}
+		if len(label) == 0 || i > 0 && bytes.Compare(prev, label) >= 0 {
+			return nil, errSectionOrder
+		}
+		if string(label) == variant {
+			own = sealed
+		}
+		prev = label
+	}
+	if r.Remaining() != 0 {
+		return nil, errMetaShape
+	}
+	return own, nil
 }
 
 // SealSuperblock seals the superblock to a principal's public key. This is
@@ -422,15 +592,13 @@ func OpenSplitPointer(priv sharocrypto.PrivateKey, blob []byte) (*SplitPointer, 
 
 // --- SSP storage keys and AADs ----------------------------------------------
 //
-// The SSP's hashtable is indexed by inode number plus variant identifier
-// (user hash for Scheme-1, CAP ID for Scheme-2), per paper §IV. AAD strings
-// bind each blob to its logical location so that a malicious SSP cannot
-// satisfy a request for one object with another validly-sealed object.
-
-// MetaKey is the storage key of a metadata variant.
-func MetaKey(ino types.Inode, variant string) string {
-	return "m/" + strconv.FormatUint(uint64(ino), 10) + "/" + variant
-}
+// The paper's SSP indexes every blob by inode number plus variant
+// identifier (§IV). Table views, superblocks and split pointers keep
+// that; where a metadata envelope is stored is its layout's decision
+// (layout.Engine.MetaKey). AAD strings bind each blob — and each section
+// of a metadata envelope — to its logical location so that a malicious
+// SSP cannot satisfy a request for one object with another validly-sealed
+// object.
 
 // TableKey is the storage key of a directory-table view.
 func TableKey(ino types.Inode, variant string) string {
@@ -488,7 +656,7 @@ func SplitKey(ino types.Inode, principal string) string {
 	return "sp/" + strconv.FormatUint(uint64(ino), 10) + "/" + principal
 }
 
-// MetaAAD binds a sealed metadata blob to (inode, variant).
+// MetaAAD binds a sealed metadata copy to (inode, variant).
 func MetaAAD(ino types.Inode, variant string) []byte {
 	return []byte("meta|" + strconv.FormatUint(uint64(ino), 10) + "|" + variant)
 }

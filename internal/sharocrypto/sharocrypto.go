@@ -31,6 +31,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"log/slog"
 	"sync"
 	"sync/atomic"
 )
@@ -73,6 +74,16 @@ func SymKeyFromBytes(b []byte) (SymKey, error) {
 // Marshal returns the raw key bytes, a copy: the secret itself, for an
 // encoder whose output is sealed before it leaves the client.
 func (k SymKey) Marshal() []byte { return k.b[:] }
+
+// redacted is what a secret key prints as, whatever the verb, and what
+// it logs as: its bytes leave this package through Marshal only.
+const redacted = "[REDACTED]"
+
+// Format implements fmt.Formatter: every verb prints redacted.
+func (k SymKey) Format(f fmt.State, _ rune) { io.WriteString(f, redacted) }
+
+// LogValue implements slog.LogValuer: the key logs as redacted.
+func (k SymKey) LogValue() slog.Value { return slog.StringValue(redacted) }
 
 // IsZero reports whether the key is all zero (the "inaccessible" value).
 func (k SymKey) IsZero() bool {
@@ -246,6 +257,12 @@ func (s SignKey) VerifyKey() VerifyKey {
 // IsZero reports whether the key is unset (the "inaccessible" value).
 func (s SignKey) IsZero() bool { return s.k == nil }
 
+// Format implements fmt.Formatter: every verb prints redacted.
+func (s SignKey) Format(f fmt.State, _ rune) { io.WriteString(f, redacted) }
+
+// LogValue implements slog.LogValuer: the key logs as redacted.
+func (s SignKey) LogValue() slog.Value { return slog.StringValue(redacted) }
+
 // IsZero reports whether the key is unset.
 func (v VerifyKey) IsZero() bool { return len(v.pub) == 0 }
 
@@ -320,6 +337,12 @@ func (p PrivateKey) Public() PublicKey { return PublicKey{key: &p.key.PublicKey}
 
 // IsZero reports whether the key is unset.
 func (p PrivateKey) IsZero() bool { return p.key == nil }
+
+// Format implements fmt.Formatter: every verb prints redacted.
+func (p PrivateKey) Format(f fmt.State, _ rune) { io.WriteString(f, redacted) }
+
+// LogValue implements slog.LogValuer: the key logs as redacted.
+func (p PrivateKey) LogValue() slog.Value { return slog.StringValue(redacted) }
 
 // IsZero reports whether the key is unset.
 func (p PublicKey) IsZero() bool { return p.key == nil }
