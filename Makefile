@@ -44,11 +44,13 @@ test:
 	$(GO) test ./...
 
 # vet = the stock toolchain vet plus the repo's own invariant analyzers:
-# five security analyzers (key leaks, AAD binding, seeded randomness,
-# error hygiene, the trust boundary's call-site list), two
-# concurrency analyzers (lock ordering, goroutine leaks), and three
+# three security analyzers (seeded randomness, error hygiene, the trust
+# boundary's call-site list, which confines a key's raw bytes in every
+# package), one concurrency analyzer (lock ordering), and three
 # error-propagation/lifecycle analyzers (errdrop, errwrap, resleak).
-# Copied locks are go vet's copylocks check. sharoes-vet runs all ten
+# Copied locks are go vet's copylocks check; keys that print, empty
+# AADs and leaked goroutines are held by sharocrypto's types, a panic
+# and each test binary's leak check. sharoes-vet runs all seven
 # over the whole module, cold, and fails on ANY unsuppressed finding
 # (exit 1) or load error (exit 2). Bare //sharoes-vet:allow directives
 # (no justification) are findings. See docs/ANALYZERS.md for the
@@ -64,10 +66,13 @@ vet:
 # self-heal stress test and concurrent quorum I/O, internal/resilience for
 # the retry path, internal/netsim for the simulated link the sever and
 # drain tests run over, internal/workload for the
-# chaos campaign's goroutine-leak verdict, cmd/sharoes-cli and
+# chaos campaign, cmd/sharoes-cli and
 # cmd/sharoes-migrate for a whole command run against an SSP on a loopback
 # port, server goroutines included, and cmd/sharoes-ssp for the server
-# command itself, run until cancelled and drained). It is the dynamic gate for the
+# command itself, run until cancelled and drained). The goroutine-leak
+# verdict is per package: every package here that starts the module's
+# goroutines has a TestMain (internal/leakcheck) that fails its binary
+# when its tests leave one running, under the detector too. It is the dynamic gate for the
 # lock-balance and mixed atomic/plain shapes sharoes-vet does not check
 # (docs/ANALYZERS.md, "Seeded-bug campaign"). TestFig9ShapeHolds is
 # skipped: its crypto share of wall time is a timing ratio the

@@ -6,18 +6,22 @@ import (
 	"os/exec"
 	"strings"
 	"testing"
+
+	"github.com/sharoes/sharoes/internal/leakcheck"
 )
 
 // TestMain turns the test binary into sharoes-bench when its first
 // argument is "sharoes-bench", so the tests below can run main in a child
-// process and observe its exit status.
+// process and observe its exit status. Either way the binary fails if
+// it exits 0 with goroutines of the module still running: a main that
+// returns, as the tests run it, must leave none.
 func TestMain(m *testing.M) {
 	if len(os.Args) > 1 && os.Args[1] == "sharoes-bench" {
 		os.Args = append([]string{"sharoes-bench"}, os.Args[2:]...)
 		main()
-		os.Exit(0)
+		leakcheck.Exit(0)
 	}
-	os.Exit(m.Run())
+	leakcheck.Main(m)
 }
 
 // runMain runs sharoes-bench with args and returns its combined output and

@@ -92,13 +92,16 @@ func startRun(t *testing.T, ctx context.Context, args ...string) (string, <-chan
 }
 
 // TestRunExitsWithAStuckStore: a request stuck inside the store does not
-// keep the server command from exiting. The store here sleeps an hour in
+// keep the server command from exiting. The store here sleeps 2 s in
 // every read (a slow fault rule); once the request is in it, cancelling
-// drains for the 50 ms grace and run exits 1, naming the stuck connection.
+// drains for the 50 ms grace and run must exit 1 within a second, half
+// the sleep, naming the stuck connection. A run that waited for the read
+// would exit only when it ended. The read then ends within the test
+// binary's leak check, as the server's goroutines must.
 func TestRunExitsWithAStuckStore(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
-	addr, exited, stderr := startRun(t, ctx, "-addr", "127.0.0.1:0", "-grace", "50ms", "-fault", "0:slow:1h")
+	addr, exited, stderr := startRun(t, ctx, "-addr", "127.0.0.1:0", "-grace", "50ms", "-fault", "0:slow:2s")
 	c, err := ssp.Dial(func() (net.Conn, error) { return net.Dial("tcp", addr) }, nil)
 	if err != nil {
 		t.Fatal(err)
@@ -117,8 +120,8 @@ func TestRunExitsWithAStuckStore(t *testing.T) {
 		if code != exitFail {
 			t.Fatalf("exit %d with a stuck store, want %d\nstderr: %s", code, exitFail, stderr.String())
 		}
-	case <-time.After(10 * time.Second):
-		t.Fatal("run did not return after cancel with a stuck store")
+	case <-time.After(time.Second):
+		t.Fatal("run did not return within 1s of cancel with a stuck store")
 	}
 	if !strings.Contains(stderr.String(), "1 connection(s) still have a request in the store") {
 		t.Errorf("stderr does not name the stuck connection:\n%s", stderr.String())

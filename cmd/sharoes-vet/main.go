@@ -1,10 +1,10 @@
 // Command sharoes-vet runs the Sharoes invariant analyzers (package
 // internal/analysis) over the repository:
 //
-//	sharoes-vet ./...                      # whole module, all analyzers
-//	sharoes-vet ./internal/ssp             # one package
-//	sharoes-vet -run keyleak,aadbind ./... # a subset of the analyzers
-//	sharoes-vet -list                      # describe the analyzers + allow counts
+//	sharoes-vet ./...                       # whole module, all analyzers
+//	sharoes-vet ./internal/ssp              # one package
+//	sharoes-vet -run boundary,rawrand ./... # a subset of the analyzers
+//	sharoes-vet -list                       # describe the analyzers + allow counts
 //
 // Every run is cold and sequential: each package is parsed and
 // type-checked from source, then every selected analyzer runs over it.

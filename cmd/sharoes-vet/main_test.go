@@ -11,7 +11,7 @@ import (
 
 // fixture names a package under internal/analysis/testdata/src.
 func fixture(name string) string {
-	return filepath.Join("..", "..", "internal", "analysis", "testdata", "src", name)
+	return filepath.Join("..", "..", "internal", "analysis", "testdata", "src", filepath.FromSlash(name))
 }
 
 func TestRunExitCodes(t *testing.T) {
@@ -20,10 +20,10 @@ func TestRunExitCodes(t *testing.T) {
 		args []string
 		want int
 	}{
-		{"clean fixture", []string{fixture("keyleakgood")}, exitClean},
-		{"bad fixture", []string{fixture("keyleakbad")}, exitFindings},
-		{"unknown analyzer", []string{"-run", "nosuch", fixture("keyleakgood")}, exitError},
-		{"removed flag", []string{"-baseline", "vet-baseline.json", fixture("keyleakgood")}, exitError},
+		{"clean fixture", []string{fixture("boundarygood/internal/client")}, exitClean},
+		{"bad fixture", []string{fixture("boundarybad/internal/client")}, exitFindings},
+		{"unknown analyzer", []string{"-run", "nosuch", fixture("boundarygood/internal/client")}, exitError},
+		{"removed flag", []string{"-baseline", "vet-baseline.json", fixture("boundarygood/internal/client")}, exitError},
 		{"load error", []string{fixture("brokenload")}, exitError},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
@@ -34,10 +34,10 @@ func TestRunExitCodes(t *testing.T) {
 			}
 			if tc.want == exitFindings {
 				// Findings print module-root-relative, one per line.
-				prefix := "internal/analysis/testdata/src/keyleakbad/"
+				prefix := "internal/analysis/testdata/src/boundarybad/internal/client/"
 				for _, line := range strings.Split(strings.TrimSpace(stdout.String()), "\n") {
-					if !strings.HasPrefix(line, prefix) || !strings.Contains(line, "[keyleak]") {
-						t.Errorf("finding line %q: want prefix %q and [keyleak]", line, prefix)
+					if !strings.HasPrefix(line, prefix) || !strings.Contains(line, "[boundary]") {
+						t.Errorf("finding line %q: want prefix %q and [boundary]", line, prefix)
 					}
 				}
 			}

@@ -15,7 +15,7 @@ func FuzzParseAllowDirective(f *testing.F) {
 	seeds := []string{
 		"//sharoes-vet:allow errdrop warm-up traffic is advisory; a miss only costs latency",
 		"//sharoes-vet:allow errdrop the write error is already being returned; close is cleanup on a failed dump",
-		"//sharoes-vet:allow goleak server owns the conn; Close unblocks the reader",
+		"//sharoes-vet:allow lockorder server owns the conn; Close unblocks the reader",
 		"//sharoes-vet:allow errdrop,resleak teardown path; first error wins",
 		"//sharoes-vet:allow rawrand nonce only; uniqueness not secrecy",
 		"//sharoes-vet:allow errdrop",

@@ -2,28 +2,26 @@
 // enforces the security invariants Sharoes' threat model depends on but
 // the Go compiler cannot see. The SSP is curious-or-malicious (paper §II):
 // a single key byte reaching a log line, an unauthenticated AAD, or a
-// predictable key source is a full compromise, so these properties are
-// checked mechanically on every build rather than by review.
+// predictable key source is a full compromise. What a type or a runtime
+// check cannot hold is checked mechanically on every build rather than
+// by review.
 //
-// Ten analyzers are provided: two concurrency analyzers (lockorder,
-// goleak) and three error-propagation ones (errdrop, errwrap, resleak),
-// described in docs/ANALYZERS.md, and five security analyzers:
+// Seven analyzers are provided: one concurrency analyzer (lockorder)
+// and three error-propagation ones (errdrop, errwrap, resleak),
+// described in docs/ANALYZERS.md, and three security analyzers:
 //
-//   - keyleak:   no fmt.* / log.* argument whose static type is or contains
-//     sharocrypto.SymKey, SignKey or PrivateKey, nor raw key bytes obtained
-//     from one (k.Marshal()).
-//   - aadbind:   no SymKey.Seal/Open call with a nil or empty-literal AAD —
-//     every AEAD operation must bind its object context.
 //   - rawrand:   no math/rand import in non-test files; key material must
 //     come from crypto/rand. internal/workload is allowlisted (seeded
 //     deterministic benchmark traffic, never key material).
 //   - errstring: wire/ssp error and log strings must not embed blob
 //     contents ([]byte values, KV structs, or string(blob) conversions).
-//   - boundary:  in the key-holding packages, SSP reads, wire-frame reads
-//     and raw-secret accessors (a key's Marshal, the plaintext Encode of a
-//     key-bearing object) appear only at a listed set of call sites. The
-//     rest of the trust boundary is in types: SSP bytes reach the client
-//     as an opaque layout.Sealed, and a SymKey's bytes are unexported.
+//   - boundary:  a key's raw bytes (its Marshal) are taken only at a
+//     listed set of call sites, in any package; in the key-holding
+//     packages so are SSP reads, wire-frame reads and the plaintext
+//     Encode of a key-bearing object. The rest of the trust boundary is
+//     in types and runtime checks: SSP bytes reach the client as an
+//     opaque layout.Sealed, a sharocrypto key neither slices nor prints,
+//     and a seal or open with an empty AAD panics.
 //
 // The suite is self-contained: it uses only go/parser, go/ast and go/types
 // from the standard library, so the repo stays offline-buildable with no
@@ -31,7 +29,7 @@
 //
 // A finding can be suppressed — after review — with a line directive:
 //
-//	k.Seal(plain, nil) //sharoes-vet:allow aadbind sealed value is self-describing
+//	import "math/rand" //sharoes-vet:allow rawrand seeded benchmark traffic, never key material
 //
 // placed on the offending line or the line directly above it.
 package analysis
@@ -82,8 +80,8 @@ type Analyzer interface {
 // Analyzers returns the full sharoes-vet suite.
 func Analyzers() []Analyzer {
 	return []Analyzer{
-		KeyLeak{}, AADBind{}, RawRand{}, ErrString{}, Boundary{},
-		LockOrder{}, GoLeak{},
+		RawRand{}, ErrString{}, Boundary{},
+		LockOrder{},
 		ErrDrop{}, ErrWrap{}, ResLeak{},
 	}
 }
@@ -212,70 +210,6 @@ func collectAllowances(p *Package) (allowances, []Finding) {
 
 // --- shared type helpers ----------------------------------------------------
 
-// sharocryptoPkgSuffix identifies the crypto package by import-path suffix
-// so the analyzers work on any checkout location of the module.
-const sharocryptoPkgSuffix = "internal/sharocrypto"
-
-// keyTypeNames are the sharocrypto named types that hold secret material.
-var keyTypeNames = map[string]bool{
-	"SymKey":     true,
-	"SignKey":    true,
-	"PrivateKey": true,
-}
-
-// isKeyType reports whether t is exactly one of the sharocrypto key types.
-func isKeyType(t types.Type) bool {
-	n, ok := t.(*types.Named)
-	if !ok {
-		return false
-	}
-	obj := n.Obj()
-	if obj.Pkg() == nil || !strings.HasSuffix(obj.Pkg().Path(), sharocryptoPkgSuffix) {
-		return false
-	}
-	return keyTypeNames[obj.Name()]
-}
-
-// containsKeyType reports whether t is, or transitively contains, a
-// sharocrypto key type (through named types, structs, pointers, slices,
-// arrays, maps and channels).
-func containsKeyType(t types.Type) bool {
-	return containsKey(t, make(map[types.Type]bool))
-}
-
-func containsKey(t types.Type, seen map[types.Type]bool) bool {
-	if t == nil || seen[t] {
-		return false
-	}
-	seen[t] = true
-	if isKeyType(t) {
-		return true
-	}
-	switch u := t.(type) {
-	case *types.Named:
-		return containsKey(u.Underlying(), seen)
-	case *types.Alias:
-		return containsKey(types.Unalias(u), seen)
-	case *types.Pointer:
-		return containsKey(u.Elem(), seen)
-	case *types.Slice:
-		return containsKey(u.Elem(), seen)
-	case *types.Array:
-		return containsKey(u.Elem(), seen)
-	case *types.Chan:
-		return containsKey(u.Elem(), seen)
-	case *types.Map:
-		return containsKey(u.Key(), seen) || containsKey(u.Elem(), seen)
-	case *types.Struct:
-		for i := 0; i < u.NumFields(); i++ {
-			if containsKey(u.Field(i).Type(), seen) {
-				return true
-			}
-		}
-	}
-	return false
-}
-
 // printSink resolves a call to a fmt/log print-style function or a
 // log.Logger method. It returns the resolved function and true when the
 // call can turn its arguments into user-visible text.
@@ -307,15 +241,5 @@ func isByteSlice(t types.Type) bool {
 		return false
 	}
 	b, ok := s.Elem().Underlying().(*types.Basic)
-	return ok && b.Kind() == types.Byte
-}
-
-// isByteArray reports whether t is a [N]byte (possibly via a named type).
-func isByteArray(t types.Type) bool {
-	a, ok := t.Underlying().(*types.Array)
-	if !ok {
-		return false
-	}
-	b, ok := a.Elem().Underlying().(*types.Basic)
 	return ok && b.Kind() == types.Byte
 }

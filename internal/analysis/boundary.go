@@ -10,10 +10,12 @@ import (
 
 // Boundary confines what the trust-boundary types leave open (DESIGN.md
 // §7.25). SSP bytes reach the client as layout.Sealed, which only
-// layout's openers read, and a sharocrypto.SymKey cannot be sliced
-// outside its package. What no type stops is a key-holding package
-// calling the SSP read, or a raw-secret accessor, itself. So in those
-// packages every such call must be one of boundarySites.
+// layout's openers read, and a sharocrypto key neither slices nor
+// prints outside its package. What no type stops is a package calling a
+// raw-secret accessor, or a key-holding package calling the SSP read,
+// itself. So in every package each raw-secret call, and in the
+// key-holding packages each confined call, must be one of
+// boundarySites.
 type Boundary struct{}
 
 // Name implements Analyzer.
@@ -21,7 +23,7 @@ func (Boundary) Name() string { return "boundary" }
 
 // Doc implements Analyzer.
 func (Boundary) Doc() string {
-	return "SSP reads and raw-secret accessors in key-holding packages only at the listed call sites"
+	return "raw-secret accessors anywhere, and SSP reads in key-holding packages, only at the listed call sites"
 }
 
 // boundaryPkgs are the key-holding packages, by import-path suffix.
@@ -29,6 +31,9 @@ var boundaryPkgs = []string{
 	"internal/client", "internal/layout", "internal/baseline", "internal/keys",
 	"internal/migrate", "internal/meta", "internal/cap",
 }
+
+// rawSecret is the kind of the calls confined in every package.
+const rawSecret = "raw secret"
 
 // boundaryCallees are the confined calls. A name is the callee's package
 // (the element after internal/), then the receiver type for a method,
@@ -38,8 +43,8 @@ var boundaryCallees = map[string]string{
 	"ssp.Get": "SSP read", "ssp.List": "SSP read", "ssp.BatchGet": "SSP read", "ssp.ListUnder": "SSP read",
 	"ssp.GetView": "SSP read", "ssp.ListView": "SSP read", "ssp.BatchGetView": "SSP read",
 	"wire.ReadFrame": "wire-frame read", "wire.DecodeV2": "wire-frame read", "wire.DecodeV2Into": "wire-frame read",
-	"sharocrypto.SymKey.Marshal": "raw secret", "sharocrypto.SignKey.Marshal": "raw secret",
-	"sharocrypto.PrivateKey.Marshal": "raw secret",
+	"sharocrypto.SymKey.Marshal": rawSecret, "sharocrypto.SignKey.Marshal": rawSecret,
+	"sharocrypto.PrivateKey.Marshal": rawSecret,
 	"meta.Metadata.Encode":           "plaintext of a key-bearing object", "meta.DirTable.Encode": "plaintext of a key-bearing object",
 	"meta.Superblock.Encode": "plaintext of a key-bearing object", "meta.SplitPointer.Encode": "plaintext of a key-bearing object",
 }
@@ -77,9 +82,7 @@ var boundarySites = []struct {
 
 // Check implements Analyzer.
 func (a Boundary) Check(p *Package) []Finding {
-	if !hasAnySuffix(p.Path, boundaryPkgs) {
-		return nil
-	}
+	keyHolding := hasAnySuffix(p.Path, boundaryPkgs)
 	allowed := make(map[[2]string]int)
 	for _, s := range boundarySites {
 		allowed[[2]string{s.fn, s.callee}] = s.n
@@ -101,7 +104,7 @@ func (a Boundary) Check(p *Package) []Finding {
 				}
 				callee := calleeName(p.Info, call)
 				kind, ok := boundaryCallees[callee]
-				if !ok {
+				if !ok || (!keyHolding && kind != rawSecret) {
 					return true
 				}
 				if seen[callee]++; seen[callee] > allowed[[2]string{site, callee}] {

@@ -39,9 +39,9 @@ func TestBoundary(t *testing.T) {
 // TestUnbuildableShapes pins the half of the trust boundary that is in
 // types: each fixture under testdata/src/unbuildable must fail to
 // type-check with the repo's own loader, and the two opaque types keep
-// their bytes unexported. A SymKey turned back into an array, a Sealed
-// turned into a []byte type, or either given an exported field, fails
-// here.
+// their bytes unexported. A SymKey turned back into an array or made
+// comparable, a Sealed turned into a []byte type, or either given an
+// exported field, fails here.
 func TestUnbuildableShapes(t *testing.T) {
 	loaderOnce.Do(func() { loader, loaderErr = NewLoader(".") })
 	if loaderErr != nil {
@@ -49,6 +49,7 @@ func TestUnbuildableShapes(t *testing.T) {
 	}
 	for dir, want := range map[string]string{
 		"keyslice":    "cannot slice k (variable of struct type",
+		"keyequal":    "a == b (struct containing [0]func() cannot be compared)",
 		"sealedbytes": "cannot convert blob (variable of struct type",
 	} {
 		_, err := loader.LoadDir(filepath.Join("testdata", "src", "unbuildable", dir))

@@ -6,15 +6,12 @@ import (
 	"go/token"
 	"go/types"
 	"strings"
-	"sync"
 )
 
-// This file implements the concurrency effect engine shared by the
-// lockorder and goleak analyzers. It is an effect domain over the
-// effectEngine framework (effects.go): lock summaries describe the
-// function's net effect on the lock state — which locks it
-// acquires or releases for its caller — plus the facts goleak needs
-// about the loops and shutdown edges it reaches.
+// This file implements the concurrency effect engine of the lockorder
+// analyzer. It is an effect domain over the effectEngine framework
+// (effects.go): lock summaries describe the function's net effect on the
+// lock state — which locks it acquires or releases for its caller.
 //
 // The engine runs two phases per package, both through the shared path
 // walk (walk.go) with the lock rules below:
@@ -24,9 +21,7 @@ import (
 //     seen by a caller) and the set of lock classes it transitively
 //     acquires. Summaries only grow/stabilize, so recursion terminates.
 //  2. Record walk: every unit is walked again against the converged
-//     summaries, recording lock-acquisition edges (lockorder), goroutine
-//     spawn sites, plain local call sites, closed and received channel
-//     classes (goleak).
+//     summaries, recording lock-acquisition edges.
 //
 // Precision choices, deliberately traded for signal on the real tree:
 //
@@ -41,8 +36,7 @@ import (
 
 // --- lock classes -----------------------------------------------------------
 
-// concClass describes one lock or channel "class" — the unit of
-// aliasing.
+// concClass describes one lock "class" — the unit of aliasing.
 type concClass struct {
 	key   string // unique key ("field:pkg.Type.f", "var:pkg.v", "local:off")
 	owner string // "pkg.Type" for fields, "" otherwise
@@ -84,34 +78,10 @@ type lockSummary struct {
 	// acquisitions happen on another thread and impose no ordering on
 	// this one).
 	acquired map[string]bool
-	// loopRisk marks a body that can run forever: a for-statement with
-	// no condition, or a range over a channel, here or in a plain local
-	// callee. goleak only audits spawns of loopRisk units.
-	loopRisk bool
-	// waits marks a body containing a sync.WaitGroup Wait call — a
-	// joining spawner owns its goroutines' lifetimes.
-	waits bool
-	// usesDone marks a body (transitively) selecting on a
-	// context.Context.Done channel.
-	usesDone bool
 }
 
 func newLockSummary() *lockSummary {
 	return &lockSummary{net: make(map[string]int), acquired: make(map[string]bool)}
-}
-
-// callSite records one plain local call, for goleak's transitive
-// receive sets.
-type callSite struct {
-	caller *funcUnit
-	callee *funcUnit
-}
-
-// spawnSite records one go statement for goleak.
-type spawnSite struct {
-	unit   *funcUnit // spawning unit
-	target *funcUnit // spawned local unit (nil if cross-package: skipped)
-	pos    token.Pos
 }
 
 // concEngine is the per-package concurrency analysis state.
@@ -121,36 +91,19 @@ type concEngine struct {
 	sums    map[*funcUnit]*lockSummary
 	classes map[string]concClass // key -> class metadata
 
-	// record-walk outputs
-	edges  map[[2]string]token.Pos // held-before-acquired pairs of base keys
-	sites  []callSite
-	spawns []spawnSite
-	closes map[string]bool               // classes of channels passed to close()
-	recvs  map[*funcUnit]map[string]bool // channel classes a unit receives from
+	// record-walk output: held-before-acquired pairs of base keys
+	edges map[[2]string]token.Pos
 }
 
-// concCache memoizes one engine run per package so the two analyzers
-// share it. It is package state behind the exported Check methods,
-// which callers may run from concurrent goroutines, hence the lock.
-var (
-	concCacheMu sync.Mutex
-	concCache   = map[*Package]*concEngine{}
-)
-
+// concFor runs the engine over p: the summary fixpoint, then the record
+// walk.
 func concFor(p *Package) *concEngine {
-	concCacheMu.Lock()
-	defer concCacheMu.Unlock()
-	if e, ok := concCache[p]; ok {
-		return e
-	}
 	e := &concEngine{
 		p:       p,
 		eng:     newEffectEngine(p),
 		sums:    make(map[*funcUnit]*lockSummary),
 		classes: make(map[string]concClass),
 		edges:   make(map[[2]string]token.Pos),
-		closes:  make(map[string]bool),
-		recvs:   make(map[*funcUnit]map[string]bool),
 	}
 	for _, u := range e.eng.units {
 		e.sums[u] = newLockSummary()
@@ -164,7 +117,6 @@ func concFor(p *Package) *concEngine {
 		w := &concWalker{e: e, u: u, record: true}
 		w.walkUnit()
 	}
-	concCache[p] = e
 	return e
 }
 
@@ -184,25 +136,13 @@ func (e *concEngine) mergeSummary(u *funcUnit, w *concWalker) bool {
 			changed = true
 		}
 	}
-	if w.loopRisk && !sum.loopRisk {
-		sum.loopRisk = true
-		changed = true
-	}
-	if w.waits && !sum.waits {
-		sum.waits = true
-		changed = true
-	}
-	if w.usesDone && !sum.usesDone {
-		sum.usesDone = true
-		changed = true
-	}
 	return changed
 }
 
 // --- class resolution -------------------------------------------------------
 
-// classOf resolves an expression to its lock/channel class. Returns the
-// zero class (key "") when no stable class exists.
+// classOf resolves an expression to its lock class. Returns the zero
+// class (key "") when no stable class exists.
 func (e *concEngine) classOf(expr ast.Expr) concClass {
 	for {
 		switch x := ast.Unparen(expr).(type) {
@@ -328,18 +268,6 @@ func (e *concEngine) lockOp(call *ast.CallExpr) (op string, cls concClass) {
 	return fn.Name(), e.classOf(sel.X)
 }
 
-// isSyncMethod reports a method named name on sync.<typeName>.
-func isSyncMethod(fn *types.Func, typeName, name string) bool {
-	if fn.Name() != name || fn.Pkg() == nil || fn.Pkg().Path() != "sync" {
-		return false
-	}
-	sig, ok := fn.Type().(*types.Signature)
-	if !ok || sig.Recv() == nil {
-		return false
-	}
-	return syncNamed(sig.Recv().Type(), typeName)
-}
-
 // addEdge records a lock-order edge: from held while acquiring to.
 func (e *concEngine) addEdge(from, to string, pos token.Pos) {
 	k := [2]string{from, to}
@@ -381,9 +309,8 @@ func (st *lockState) heldBases() map[string]bool {
 
 // concWalker applies the lock rules to one unit. The summary walk
 // (record unset) only computes the unit's effects; the record walk also
-// logs edges, spawns, call sites and channel classes, and clamps an
-// unlock of a lock it does not see held at zero rather than letting the
-// count go negative.
+// logs edges, and clamps an unlock of a lock it does not see held at
+// zero rather than letting the count go negative.
 type concWalker struct {
 	e      *concEngine
 	u      *funcUnit
@@ -393,9 +320,6 @@ type concWalker struct {
 	fallExit *lockState   // state at body end, nil if unreachable
 
 	acquired map[string]bool
-	loopRisk bool
-	waits    bool
-	usesDone bool
 }
 
 func (w *concWalker) walkUnit() {
@@ -492,23 +416,7 @@ func (w *concWalker) expr(st *lockState, e ast.Expr) { w.walkExpr(st, e) }
 
 func (w *concWalker) refine(*lockState, ast.Expr, bool) {}
 
-// loop marks loops that can run forever: no condition, or a range over a
-// channel (which exits when the channel closes).
-func (w *concWalker) loop(st *lockState, s ast.Stmt) {
-	switch x := s.(type) {
-	case *ast.ForStmt:
-		if x.Cond == nil {
-			w.loopRisk = true
-		}
-	case *ast.RangeStmt:
-		if t := w.e.p.Info.TypeOf(x.X); t != nil {
-			if _, isChan := t.Underlying().(*types.Chan); isChan {
-				w.loopRisk = true
-				w.recordRecv(x.X)
-			}
-		}
-	}
-}
+func (w *concWalker) loop(*lockState, ast.Stmt) {}
 
 func (w *concWalker) backEdge(*lockState) *lockState { return nil }
 
@@ -527,10 +435,6 @@ func (w *concWalker) walkGo(st *lockState, x *ast.GoStmt) {
 	}
 	if sel, ok := ast.Unparen(x.Call.Fun).(*ast.SelectorExpr); ok {
 		w.walkExpr(st, sel.X)
-	}
-	if w.record {
-		target := w.e.eng.unitForCall(x.Call)
-		w.e.spawns = append(w.e.spawns, spawnSite{unit: w.u, target: target, pos: x.Pos()})
 	}
 }
 
@@ -552,17 +456,6 @@ func (w *concWalker) walkDefer(st *lockState, x *ast.DeferStmt) {
 		}
 		st.defers = append(st.defers, delta)
 		return
-	}
-	if id, ok := ast.Unparen(x.Call.Fun).(*ast.Ident); ok && len(x.Call.Args) == 1 {
-		if b, isB := w.e.p.Info.Uses[id].(*types.Builtin); isB && b.Name() == "close" {
-			// defer close(ch) still closes the channel at exit.
-			if w.record {
-				if c := w.e.classOf(x.Call.Args[0]); c.key != "" {
-					w.e.closes[c.key] = true
-				}
-			}
-			return
-		}
 	}
 	if sel, ok := ast.Unparen(x.Call.Fun).(*ast.SelectorExpr); ok {
 		w.walkExpr(st, sel.X)
@@ -600,9 +493,6 @@ func (w *concWalker) walkExpr(st *lockState, expr ast.Expr) {
 	case *ast.StarExpr:
 		w.walkExpr(st, x.X)
 	case *ast.UnaryExpr:
-		if x.Op == token.ARROW {
-			w.recordRecv(x.X)
-		}
 		w.walkExpr(st, x.X)
 	case *ast.BinaryExpr:
 		w.walkExpr(st, x.X)
@@ -622,23 +512,6 @@ func (w *concWalker) walkExpr(st *lockState, expr ast.Expr) {
 	// runs when called, not where it appears.
 }
 
-// recordRecv logs a channel-receive class for goleak's shutdown-edge
-// matching (a goroutine receiving from a channel that something closes
-// has a way out).
-func (w *concWalker) recordRecv(ch ast.Expr) {
-	if !w.record {
-		return
-	}
-	c := w.e.classOf(ch)
-	if c.key == "" {
-		return
-	}
-	if w.e.recvs[w.u] == nil {
-		w.e.recvs[w.u] = make(map[string]bool)
-	}
-	w.e.recvs[w.u][c.key] = true
-}
-
 // walkCall evaluates a call's operands and applies its lock effect.
 func (w *concWalker) walkCall(st *lockState, call *ast.CallExpr) {
 	// Immediately-invoked literal: its body runs here.
@@ -650,19 +523,6 @@ func (w *concWalker) walkCall(st *lockState, call *ast.CallExpr) {
 			w.applyCallee(st, u, call.Pos())
 		}
 		return
-	}
-
-	// close(ch): register the channel as closeable for goleak.
-	if id, ok := ast.Unparen(call.Fun).(*ast.Ident); ok {
-		if b, isB := w.e.p.Info.Uses[id].(*types.Builtin); isB && b.Name() == "close" && len(call.Args) == 1 {
-			w.walkExpr(st, call.Args[0])
-			if w.record {
-				if c := w.e.classOf(call.Args[0]); c.key != "" {
-					w.e.closes[c.key] = true
-				}
-			}
-			return
-		}
 	}
 
 	// Operands first (receiver, then arguments).
@@ -678,44 +538,20 @@ func (w *concWalker) walkCall(st *lockState, call *ast.CallExpr) {
 		return
 	}
 
-	if fn := resolvedCallee(w.e.p.Info, call); fn != nil {
-		switch {
-		case isSyncMethod(fn, "WaitGroup", "Wait"):
-			w.waits = true
-			return
-		case fn.Name() == "Done" && fn.Pkg() != nil && fn.Pkg().Path() == "context":
-			w.usesDone = true
-			return
-		case isSyncMethod(fn, "Cond", "Wait"):
-			return // releases and re-acquires its Locker: net zero
-		}
-	}
-
-	// Plain local call: apply the callee's net effect and record the
-	// site for goleak's receive sets and lockorder's edges.
+	// Plain local call: apply the callee's net effect and record
+	// lockorder's edges. A call into another package, sync.Cond.Wait
+	// among them, changes nothing here.
 	if callee := w.e.eng.unitForCall(call); callee != nil {
-		if w.record {
-			w.e.sites = append(w.e.sites, callSite{caller: w.u, callee: callee})
-		}
 		w.applyCallee(st, callee, call.Pos())
 	}
 }
 
 // applyCallee folds a callee's summary into the path state: its net
-// lock deltas, transitive acquisitions (for edges) and goleak flags.
+// lock deltas and transitive acquisitions (for edges).
 func (w *concWalker) applyCallee(st *lockState, callee *funcUnit, pos token.Pos) {
 	sum := w.e.sums[callee]
 	if sum == nil {
 		return
-	}
-	if sum.loopRisk {
-		w.loopRisk = true
-	}
-	if sum.waits {
-		w.waits = true
-	}
-	if sum.usesDone {
-		w.usesDone = true
 	}
 	for k := range sum.acquired {
 		w.acquired[k] = true

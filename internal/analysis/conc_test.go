@@ -5,9 +5,8 @@ import (
 	"testing"
 )
 
-// The concurrency-analyzer tests drive the shared effect engine through
-// each analyzer's spec over dedicated fixtures: lock-order cycles split
-// across call boundaries, and goroutine lifecycle edges.
+// The concurrency-analyzer test drives the effect engine through
+// lockorder's fixtures: lock-order cycles split across call boundaries.
 
 func TestLockOrder(t *testing.T) {
 	bad := runOne(t, LockOrder{}, "lockorderbad")
@@ -35,34 +34,5 @@ func TestLockOrder(t *testing.T) {
 	}
 	if good := runOne(t, LockOrder{}, "lockordergood"); len(good) != 0 {
 		t.Fatalf("lockordergood: unexpected findings:\n%s", findingsText(good))
-	}
-}
-
-func TestGoLeak(t *testing.T) {
-	bad := runOne(t, GoLeak{}, "goleakbad")
-	if len(bad) != 3 {
-		t.Fatalf("goleakbad: got %d findings, want 3:\n%s", len(bad), findingsText(bad))
-	}
-	wantSubstr := []string{
-		"goroutine drain",       // method spawn from the constructor
-		"goroutine Watch.func1", // literal ranging over an unclosed channel
-		"goroutine redialLoop",  // reconnect-style dial loop with no Close
-	}
-	for i, f := range bad {
-		if f.Analyzer != "goleak" {
-			t.Errorf("finding %d: analyzer %q", i, f.Analyzer)
-		}
-		if !strings.Contains(f.Message, wantSubstr[i]) {
-			t.Errorf("finding %d: message %q does not mention %q", i, f.Message, wantSubstr[i])
-		}
-		if !strings.Contains(f.Message, "no reachable shutdown edge") {
-			t.Errorf("finding %d: message %q does not explain the leak", i, f.Message)
-		}
-	}
-	// goleakgood covers one exemption per shutdown edge: owner Close
-	// closing the select channel, WaitGroup join, context cancel — and
-	// the healed redial-loop shape (Close closing the stop channel).
-	if good := runOne(t, GoLeak{}, "goleakgood"); len(good) != 0 {
-		t.Fatalf("goleakgood: unexpected findings:\n%s", findingsText(good))
 	}
 }

@@ -30,10 +30,10 @@ func TestAllowCounts(t *testing.T) {
 		fixture string
 		want    map[string]int
 	}{
-		{"aadbindgood", map[string]int{"aadbind": 1}},
+		{"boundarygood/internal/client", map[string]int{"boundary": 1}},
 		{"allowbare", map[string]int{}},
 	} {
-		allow, _ := collectAllowances(fixturePkg(t, tc.fixture))
+		allow, _ := collectAllowances(fixturePkg(t, filepath.FromSlash(tc.fixture)))
 		honoured := make(map[string]int)
 		for _, lines := range allow {
 			for _, names := range lines {
@@ -45,7 +45,7 @@ func TestAllowCounts(t *testing.T) {
 		if !reflect.DeepEqual(honoured, tc.want) {
 			t.Errorf("%s: Run honours %v, want %v", tc.fixture, honoured, tc.want)
 		}
-		got := ScanAllowCounts([]string{filepath.Join("testdata", "src", tc.fixture)})
+		got := ScanAllowCounts([]string{filepath.Join("testdata", "src", filepath.FromSlash(tc.fixture))})
 		if !reflect.DeepEqual(got, tc.want) {
 			t.Errorf("ScanAllowCounts(%s) = %v, want %v", tc.fixture, got, tc.want)
 		}
@@ -62,7 +62,7 @@ func TestScanAllowCounts(t *testing.T) {
 	}{
 		{[]string{"rawrandallowed"}, map[string]int{}},
 		{[]string{"errdropgood/internal/client"}, map[string]int{"errdrop": 1}},
-		{[]string{"aadbindgood", "errdropgood/internal/client", "allowbare"}, map[string]int{"aadbind": 1, "errdrop": 1}},
+		{[]string{"boundarygood/internal/client", "errdropgood/internal/client", "allowbare"}, map[string]int{"boundary": 1, "errdrop": 1}},
 	} {
 		var dirs []string
 		for _, f := range tc.fixtures {

@@ -23,8 +23,8 @@ import (
 // returned, stored into a field, map, slice or global, passed to another
 // call (the value itself, not a result read from it such as
 // buf.Bytes()), captured by a function literal, sent on a channel, or
-// handed to a goroutine — the goleak ownership rule: whoever can reach
-// the value can stop it. Paths on which the paired error is non-nil (or
+// handed to a goroutine — the ownership rule: whoever can reach the
+// value can stop it. Paths on which the paired error is non-nil (or
 // the value itself is nil) carry no obligation, until that error variable
 // is assigned again.
 type ResLeak struct{}
@@ -257,7 +257,7 @@ func (w *rlWalker) procExpr(st *rlState, e ast.Expr) {
 		}
 	case *ast.FuncLit:
 		// The literal may release or own the capture; either way the
-		// obligation leaves this path (goleak's ownership rule).
+		// obligation leaves this path (the ownership rule).
 		w.transferIn(st, x.Body)
 	}
 }

@@ -1,6 +1,7 @@
 // Package client is a sharoes-vet test fixture (path suffix
 // internal/client): every call below is a near miss of the boundary
-// check's list and must not be flagged.
+// check's list, or carries a reviewed allow directive, and must not be
+// flagged under Run.
 package client
 
 import (
@@ -49,6 +50,13 @@ type Metadata struct{ name string }
 
 // Encode implements nothing of meta's.
 func (m *Metadata) Encode() []byte { return []byte(m.name) }
+
+// Fingerprint takes a key's raw bytes at a site the list does not name,
+// under a reviewed allow directive: only the digest leaves.
+func Fingerprint(k sharocrypto.SymKey) [32]byte {
+	//sharoes-vet:allow boundary fixture: reviewed, only the digest leaves
+	return sharocrypto.ContentHash(k.Marshal())
+}
 
 // Get is this package's own read, of what it already holds.
 func (s *Session) Get(m *Metadata) []byte { return m.Encode() }

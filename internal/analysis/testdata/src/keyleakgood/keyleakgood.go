@@ -1,6 +1,5 @@
 // Package keyleakgood is a sharoes-vet test fixture: key values are in
-// scope but nothing secret reaches a print sink, so keyleak must stay
-// silent.
+// scope but no key's raw bytes are taken, so boundary must stay silent.
 package keyleakgood
 
 import (

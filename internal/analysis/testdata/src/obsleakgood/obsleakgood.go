@@ -1,6 +1,6 @@
 // Package obsleakgood is a sharoes-vet test fixture: observability
 // labels built from fixed operation names and plain numbers are exactly
-// what the keyleak analyzer must allow.
+// what the boundary analyzer must allow.
 package obsleakgood
 
 import (

@@ -8,7 +8,7 @@ import (
 )
 
 // This file holds the statement walk shared by the path-sensitive
-// analyzers (lockorder and goleak through the concurrency engine in
+// analyzers (lockorder through the concurrency engine in
 // conc.go, resleak through its obligation rules in resleak.go). The
 // walker owns control flow: statement sequencing, if/else, for and range
 // loops, switch, type switch and select, labels, break, continue,

@@ -283,11 +283,11 @@ func TestFilterFileClasses(t *testing.T) {
 		t.Error("FileZero leaked DEK")
 	}
 	read := Filter(m, ID{Class: FileRead}, ID{Class: FileRead}.Variant())
-	if read.Keys.DEK != m.Keys.DEK || read.Keys.DVK.IsZero() || !read.Keys.DSK.IsZero() {
+	if !read.Keys.DEK.Equal(m.Keys.DEK) || read.Keys.DVK.IsZero() || !read.Keys.DSK.IsZero() {
 		t.Error("FileRead keys wrong")
 	}
 	rw := Filter(m, ID{Class: FileReadWrite}, ID{Class: FileReadWrite}.Variant())
-	if rw.Keys.DEK != m.Keys.DEK || rw.Keys.DSK.IsZero() {
+	if !rw.Keys.DEK.Equal(m.Keys.DEK) || rw.Keys.DSK.IsZero() {
 		t.Error("FileReadWrite keys wrong")
 	}
 	if !rw.Keys.MSK.IsZero() {
@@ -303,13 +303,13 @@ func TestMEKForDistinct(t *testing.T) {
 	seed := sharocrypto.NewSymKey()
 	a := MEKFor(seed, "c4o")
 	b := MEKFor(seed, "c3")
-	if a == b {
+	if a.Equal(b) {
 		t.Error("MEKs collide across variants")
 	}
-	if a != MEKFor(seed, "c4o") {
+	if !a.Equal(MEKFor(seed, "c4o")) {
 		t.Error("MEK derivation not deterministic")
 	}
-	if MEKFor(sharocrypto.NewSymKey(), "c4o") == a {
+	if MEKFor(sharocrypto.NewSymKey(), "c4o").Equal(a) {
 		t.Error("MEK ignores seed")
 	}
 }

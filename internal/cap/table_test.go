@@ -108,7 +108,7 @@ func TestReadExecViewFullAccess(t *testing.T) {
 		t.Fatal(err)
 	}
 	want, _ := tbl.Lookup("src")
-	if e.Inode != want.Inode || e.MEK != want.MEK || !e.MVK.Equal(want.MVK) || e.Variant != want.Variant {
+	if e.Inode != want.Inode || !e.MEK.Equal(want.MEK) || !e.MVK.Equal(want.MVK) || e.Variant != want.Variant {
 		t.Errorf("entry = %+v, want %+v", e, want)
 	}
 	if _, err := v.Full(); err != nil {
@@ -131,7 +131,7 @@ func TestExecOnlyView(t *testing.T) {
 		t.Fatal(err)
 	}
 	want, _ := tbl.Lookup("secret-plan.doc")
-	if e.Inode != want.Inode || e.MEK != want.MEK || !e.MVK.Equal(want.MVK) {
+	if e.Inode != want.Inode || !e.MEK.Equal(want.MEK) || !e.MVK.Equal(want.MVK) {
 		t.Errorf("entry = %+v, want %+v", e, want)
 	}
 	// Unknown names are indistinguishable from absent ones.
@@ -352,7 +352,7 @@ func TestReconstruct(t *testing.T) {
 	}
 	e, _ := got.Lookup("src")
 	want, _ := tbl.Lookup("src")
-	if e.MEK != want.MEK {
+	if !e.MEK.Equal(want.MEK) {
 		t.Error("full reconstruct lost keys")
 	}
 	// Mutating the reconstruction must not affect the view.
@@ -376,7 +376,7 @@ func TestReconstruct(t *testing.T) {
 		t.Errorf("names reconstruct len = %d", got.Len())
 	}
 	e, _ = got.Lookup("src")
-	if e.MEK != want.MEK {
+	if !e.MEK.Equal(want.MEK) {
 		t.Error("names reconstruct lost keys")
 	}
 
@@ -388,7 +388,7 @@ func TestReconstruct(t *testing.T) {
 	}
 	e, _ = got.Lookup("secret-plan.doc")
 	want, _ = tbl.Lookup("secret-plan.doc")
-	if e.Inode != want.Inode || e.MEK != want.MEK {
+	if e.Inode != want.Inode || !e.MEK.Equal(want.MEK) {
 		t.Error("exec reconstruct mismatch")
 	}
 	// A bogus name surfaces skew.
@@ -433,7 +433,7 @@ func TestViewPropertyRoundTrip(t *testing.T) {
 					t.Fatalf("trial %d %v lookup %q: %v", trial, id.Class, name, err)
 				}
 				want, _ := tbl.Lookup(name)
-				if got.Inode != want.Inode || got.MEK != want.MEK || got.Split != want.Split {
+				if got.Inode != want.Inode || !got.MEK.Equal(want.MEK) || got.Split != want.Split {
 					t.Fatalf("trial %d %v: entry mismatch for %q", trial, id.Class, name)
 				}
 			}

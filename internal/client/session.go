@@ -241,8 +241,8 @@ func (s *Session) User() types.UserID { return s.user.ID }
 
 // crypto returns a stopwatch charging the CRYPTO component and, with a
 // tracer attached, recording a "crypto.<name>" leaf span. The name is a
-// fixed operation label — never key material or user data (the keyleak
-// analyzer enforces this for obs sinks).
+// fixed operation label — never key material or user data (a key
+// prints redacted, and boundary confines its raw bytes).
 func (s *Session) crypto(name string) func() {
 	sp := s.tracer.Start("crypto."+name, obs.ClassCrypto)
 	stop := s.rec.Time(obs.ClassCrypto)

@@ -115,13 +115,12 @@ func TestVariantMEKsDistinct(t *testing.T) {
 	eng := NewScheme2(u.reg)
 	dir := newFullMeta(10, types.KindDir, "alice", "eng", "755")
 	vs := eng.Variants(dir.Attr)
-	seen := map[sharocrypto.SymKey]string{}
-	for _, v := range vs {
-		k := v.MEK(dir)
-		if prev, ok := seen[k]; ok {
-			t.Errorf("MEK collision between %q and %q", prev, v.ID)
+	for i, v := range vs {
+		for _, w := range vs[:i] {
+			if v.MEK(dir).Equal(w.MEK(dir)) {
+				t.Errorf("MEK collision between %q and %q", w.ID, v.ID)
+			}
 		}
-		seen[k] = v.ID
 	}
 }
 
@@ -147,7 +146,7 @@ func TestScheme2RowUniform(t *testing.T) {
 		if entry.Variant != pv.ID {
 			t.Errorf("variant %q: row links to %q", pv.ID, entry.Variant)
 		}
-		if entry.MEK != cap.MEKFor(child.Keys.MetaSeed, entry.Variant) {
+		if !entry.MEK.Equal(cap.MEKFor(child.Keys.MetaSeed, entry.Variant)) {
 			t.Errorf("variant %q: wrong MEK", pv.ID)
 		}
 		if !entry.MVK.Equal(child.Keys.MSK.VerifyKey()) {
@@ -205,7 +204,7 @@ func TestScheme2RowSplit(t *testing.T) {
 			if ptr.Variant != wantV {
 				t.Errorf("%s pointer variant = %q, want %q", uid, ptr.Variant, wantV)
 			}
-			if ptr.MEK != cap.MEKFor(child.Keys.MetaSeed, wantV) {
+			if !ptr.MEK.Equal(cap.MEKFor(child.Keys.MetaSeed, wantV)) {
 				t.Errorf("%s pointer MEK wrong", uid)
 			}
 			// The other user must not be able to open it.
@@ -514,7 +513,7 @@ func TestSplitRowResolution(t *testing.T) {
 	if ptr.Variant != "o" {
 		t.Errorf("carol's variant = %q, want owner", ptr.Variant)
 	}
-	if ptr.MEK != cap.MEKFor(child.Keys.MetaSeed, "o") {
+	if !ptr.MEK.Equal(cap.MEKFor(child.Keys.MetaSeed, "o")) {
 		t.Error("carol's MEK wrong")
 	}
 }
@@ -628,7 +627,7 @@ func TestScheme2ACLCausesSplit(t *testing.T) {
 	if carolPtr.Variant != "a/carol" {
 		t.Errorf("carol pointer variant = %q", carolPtr.Variant)
 	}
-	if carolPtr.MEK != cap.MEKFor(child.Keys.MetaSeed, "a/carol") {
+	if !carolPtr.MEK.Equal(cap.MEKFor(child.Keys.MetaSeed, "a/carol")) {
 		t.Error("carol pointer MEK wrong")
 	}
 }

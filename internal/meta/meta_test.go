@@ -43,7 +43,7 @@ func metaEqual(a, b *Metadata) bool {
 	if !AttrEqual(a.Attr, b.Attr) {
 		return false
 	}
-	if a.Keys.DEK != b.Keys.DEK || a.Keys.DataSeed != b.Keys.DataSeed || a.Keys.MetaSeed != b.Keys.MetaSeed {
+	if !a.Keys.DEK.Equal(b.Keys.DEK) || !a.Keys.DataSeed.Equal(b.Keys.DataSeed) || !a.Keys.MetaSeed.Equal(b.Keys.MetaSeed) {
 		return false
 	}
 	if !a.Keys.DVK.Equal(b.Keys.DVK) {
@@ -195,7 +195,7 @@ func TestDirTableEncodeDecode(t *testing.T) {
 	}
 	a, _ := got.Lookup("file-a")
 	orig, _ := tbl.Lookup("file-a")
-	if a.Inode != orig.Inode || a.MEK != orig.MEK || !a.MVK.Equal(orig.MVK) || a.Variant != orig.Variant {
+	if a.Inode != orig.Inode || !a.MEK.Equal(orig.MEK) || !a.MVK.Equal(orig.MVK) || a.Variant != orig.Variant {
 		t.Errorf("entry mismatch: %+v vs %+v", a, orig)
 	}
 	sp, _ := got.Lookup("split-child")
@@ -322,7 +322,7 @@ func TestSuperblockRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	if got.FSID != s.FSID || got.RootInode != s.RootInode || got.RootVariant != s.RootVariant ||
-		got.RootMEK != s.RootMEK || !got.RootMVK.Equal(s.RootMVK) {
+		!got.RootMEK.Equal(s.RootMEK) || !got.RootMVK.Equal(s.RootMVK) {
 		t.Errorf("round trip: %+v", got)
 	}
 }
@@ -334,7 +334,7 @@ func TestSplitPointerRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got.Inode != p.Inode || got.Variant != p.Variant || got.MEK != p.MEK || !got.MVK.Equal(p.MVK) {
+	if got.Inode != p.Inode || got.Variant != p.Variant || !got.MEK.Equal(p.MEK) || !got.MVK.Equal(p.MVK) {
 		t.Errorf("round trip: %+v", got)
 	}
 }
@@ -419,7 +419,7 @@ func TestSuperblockSealOpen(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got.RootMEK != s.RootMEK {
+	if !got.RootMEK.Equal(s.RootMEK) {
 		t.Error("root MEK lost")
 	}
 	// Another principal's key cannot open it.
@@ -440,7 +440,7 @@ func TestSuperblockSealOpen(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if gotP.MEK != p.MEK {
+	if !gotP.MEK.Equal(p.MEK) {
 		t.Error("split pointer MEK lost")
 	}
 }

@@ -25,7 +25,8 @@
 // Security invariant: span names, annotations and metric names are
 // operational labels that may end up in logs, debug endpoints and
 // committed benchmark artifacts. Key material must never be routed into
-// them — the sharoes-vet keyleak analyzer enforces this statically.
+// them: a sharocrypto key prints redacted, and the sharoes-vet boundary
+// analyzer confines its raw bytes (Marshal) to a listed set of sites.
 package obs
 
 // Class is the cost bucket a span's time is charged to. The paper's

@@ -11,9 +11,12 @@ import (
 
 // TestSecretsDoNotPrint: a SymKey, SignKey or PrivateKey prints as the
 // fixed redaction under every verb, alone and as an exported field of a
-// struct, and logs as it through slog's text and JSON handlers. Each
-// check also looks for the secret itself in the output, in the forms fmt
-// would print its bytes: decimal, hex and quoted.
+// struct, and logs as it through slog's text and JSON handlers. As an
+// unexported field, where fmt reflects into the value instead of calling
+// its Format, it prints no byte of the secret either: each type holds
+// its secret behind a pointer, so fmt finds an address. Each check looks
+// for the secret itself in the output, in the forms fmt would print its
+// bytes: decimal, hex and quoted.
 func TestSecretsDoNotPrint(t *testing.T) {
 	sym := NewSymKey()
 	sk, _ := NewSigningPair()
@@ -37,6 +40,15 @@ func TestSecretsDoNotPrint(t *testing.T) {
 		Priv PrivateKey
 	}
 	h := holder{Name: "keys", DEK: sym, MSK: sk, Priv: priv}
+	// The same keys as unexported fields, as cap.View holds its table key
+	// and the client's ref its MEK: fmt cannot call Format on these.
+	type hidden struct {
+		name string
+		dek  SymKey
+		msk  SignKey
+		priv PrivateKey
+	}
+	u := hidden{name: "keys", dek: sym, msk: sk, priv: priv}
 
 	leaks := func(out string) string {
 		for _, s := range secrets {
@@ -50,7 +62,7 @@ func TestSecretsDoNotPrint(t *testing.T) {
 		}
 		return ""
 	}
-	for _, verb := range []string{"%v", "%+v", "%#v", "%s", "%x", "%q"} {
+	for _, verb := range []string{"%v", "%+v", "%#v", "%s", "%d", "%x", "%q"} {
 		for _, s := range secrets {
 			if got := fmt.Sprintf(verb, s.key); got != redacted {
 				t.Errorf("%s printed with %s = %q, want %q", s.name, verb, got, redacted)
@@ -63,6 +75,11 @@ func TestSecretsDoNotPrint(t *testing.T) {
 			}
 			if strings.Count(out, redacted) != 3 {
 				t.Errorf("a struct printed with %s = %s, want each of its three keys as %q", verb, out, redacted)
+			}
+		}
+		for _, v := range []any{u, &u} {
+			if out := fmt.Sprintf(verb, v); leaks(out) != "" {
+				t.Errorf("a struct printed with %s shows its unexported %s: %s", verb, leaks(out), out)
 			}
 		}
 	}
@@ -81,7 +98,7 @@ func TestSecretsDoNotPrint(t *testing.T) {
 			}
 		}
 		buf.Reset()
-		log.Info("keys", "holder", h, "ptr", &h)
+		log.Info("keys", "holder", h, "ptr", &h, "hidden", u, "hiddenptr", &u)
 		if who := leaks(buf.String()); who != "" {
 			t.Errorf("slog %s handler logs a struct's %s: %s", name, who, buf.String())
 		}

@@ -50,30 +50,80 @@ var (
 // SymKey is a 128-bit symmetric encryption key (a DEK or MEK). Its
 // bytes are unexported: outside this package a key can be sealed,
 // derived and compared, but its raw bytes leave only through Marshal.
-type SymKey struct{ b [SymKeySize]byte }
+// They sit in a secret box (newSecret), so a key held in another
+// type's unexported field, where fmt reflects instead of calling
+// Format, prints as an address. The zero key (the "inaccessible"
+// value) is the nil handle. The zero-length func array makes == on a
+// key a build error: it would compare handles, not keys (use Equal).
+type SymKey struct {
+	p **[SymKeySize]byte
+	_ [0]func()
+}
+
+// secretBox holds a secret two pointers away from the key that owns
+// it. fmt, reflecting into an unexported field, prints a pointer as an
+// address, except under a verb it cannot apply to one (%s, %q, ...):
+// then it prints what the pointer points at, which here is p, another
+// pointer, printed as an address. The box is one allocation.
+type secretBox[T any] struct {
+	p *T // &v
+	v T
+}
+
+// newSecret allocates a zero T in a box and returns the handle to it.
+func newSecret[T any]() **T {
+	b := new(secretBox[T])
+	b.p = &b.v
+	return &b.p
+}
+
+// zeroBytes backs the zero key's reads; nothing writes it.
+var zeroBytes [SymKeySize]byte
+
+// symKeyOf copies b, SymKeySize bytes, into a new key. All-zero bytes
+// are the zero key, so a key Equal to the zero key is the zero key.
+func symKeyOf(b []byte) SymKey {
+	if subtle.ConstantTimeCompare(b, zeroBytes[:]) == 1 {
+		return SymKey{}
+	}
+	p := newSecret[[SymKeySize]byte]()
+	copy((*p)[:], b)
+	return SymKey{p: p}
+}
+
+// raw returns the key's bytes for this package's own reads.
+func (k SymKey) raw() *[SymKeySize]byte {
+	if k.p == nil {
+		return &zeroBytes
+	}
+	return *k.p
+}
 
 // NewSymKey generates a fresh random symmetric key.
 func NewSymKey() SymKey {
-	var k SymKey
-	if _, err := io.ReadFull(rand.Reader, k.b[:]); err != nil {
+	var b [SymKeySize]byte
+	if _, err := io.ReadFull(rand.Reader, b[:]); err != nil {
 		panic("sharocrypto: entropy unavailable: " + err.Error())
 	}
-	return k
+	return symKeyOf(b[:])
 }
 
-// SymKeyFromBytes builds a key from b, which must be SymKeySize long.
+// SymKeyFromBytes builds a key from a copy of b, which must be
+// SymKeySize long.
 func SymKeyFromBytes(b []byte) (SymKey, error) {
-	var k SymKey
 	if len(b) != SymKeySize {
-		return k, fmt.Errorf("%w: got %d want %d", ErrKeySize, len(b), SymKeySize)
+		return SymKey{}, fmt.Errorf("%w: got %d want %d", ErrKeySize, len(b), SymKeySize)
 	}
-	copy(k.b[:], b)
-	return k, nil
+	return symKeyOf(b), nil
 }
 
 // Marshal returns the raw key bytes, a copy: the secret itself, for an
 // encoder whose output is sealed before it leaves the client.
-func (k SymKey) Marshal() []byte { return k.b[:] }
+// Inlined into an encoder that copies it, the copy stays on the stack.
+func (k SymKey) Marshal() []byte {
+	b := *k.raw()
+	return b[:]
+}
 
 // redacted is what a secret key prints as, whatever the verb, and what
 // it logs as: its bytes leave this package through Marshal only.
@@ -85,24 +135,28 @@ func (k SymKey) Format(f fmt.State, _ rune) { io.WriteString(f, redacted) }
 // LogValue implements slog.LogValuer: the key logs as redacted.
 func (k SymKey) LogValue() slog.Value { return slog.StringValue(redacted) }
 
-// IsZero reports whether the key is all zero (the "inaccessible" value).
-func (k SymKey) IsZero() bool {
-	var z SymKey
-	return k.Equal(z)
-}
+// IsZero reports whether the key is the zero key (the "inaccessible"
+// value).
+func (k SymKey) IsZero() bool { return k.p == nil }
 
 // Equal reports whether two symmetric keys are identical, in constant
 // time. Always use this (never == or bytes.Equal) to compare key
 // material: a short-circuiting comparison leaks the length of the
 // matching prefix through timing.
 func (k SymKey) Equal(o SymKey) bool {
-	return subtle.ConstantTimeCompare(k.b[:], o.b[:]) == 1
+	return subtle.ConstantTimeCompare(k.raw()[:], o.raw()[:]) == 1
 }
 
 const gcmNonceSize = 12
 
+// errEmptyAAD is the panic of a seal or open with no AAD: a blob bound
+// to no location is one a malicious SSP can swap for any other sealed
+// under the same key, so an empty AAD is a bug, not an input.
+const errEmptyAAD = "sharocrypto: seal or open with an empty AAD: bind the object context (inode, variant, generation)"
+
 // Seal encrypts plaintext under k with AES-128-GCM, binding aad as
-// additional authenticated data. The random nonce is prepended.
+// additional authenticated data. The random nonce is prepended. It
+// panics if aad is empty.
 func (k SymKey) Seal(plaintext, aad []byte) []byte {
 	return k.AppendSeal(make([]byte, 0, len(plaintext)+SealOverhead), plaintext, aad)
 }
@@ -113,6 +167,9 @@ func (k SymKey) Seal(plaintext, aad []byte) []byte {
 // bytes can be built in one allocation. plaintext must not overlap the
 // spare capacity of dst.
 func (k SymKey) AppendSeal(dst, plaintext, aad []byte) []byte {
+	if len(aad) == 0 {
+		panic(errEmptyAAD)
+	}
 	n := len(dst)
 	dst = append(dst, make([]byte, gcmNonceSize)...)
 	nonce := dst[n:]
@@ -122,7 +179,8 @@ func (k SymKey) AppendSeal(dst, plaintext, aad []byte) []byte {
 	return k.aead().Seal(dst, nonce, plaintext, aad)
 }
 
-// Open decrypts a blob produced by Seal with the same key and aad.
+// Open decrypts a blob produced by Seal with the same key and aad. It
+// panics if aad is empty.
 func (k SymKey) Open(blob, aad []byte) ([]byte, error) {
 	return k.AppendOpen(nil, blob, aad)
 }
@@ -133,6 +191,9 @@ func (k SymKey) Open(blob, aad []byte) ([]byte, error) {
 // it there without an allocation or a copy. dst must not overlap blob. On
 // a failed open the spare capacity of dst may have been written.
 func (k SymKey) AppendOpen(dst, blob, aad []byte) ([]byte, error) {
+	if len(aad) == 0 {
+		panic(errEmptyAAD)
+	}
 	if len(blob) < gcmNonceSize {
 		return nil, ErrShortBlob
 	}
@@ -147,7 +208,7 @@ func (k SymKey) AppendOpen(dst, blob, aad []byte) ([]byte, error) {
 const SealOverhead = gcmNonceSize + 16
 
 func (k SymKey) aead() cipher.AEAD {
-	block, err := aes.NewCipher(k.b[:])
+	block, err := aes.NewCipher(k.raw()[:])
 	if err != nil {
 		panic("sharocrypto: " + err.Error()) // impossible: key size is fixed
 	}
@@ -163,12 +224,9 @@ func (k SymKey) aead() cipher.AEAD {
 // row keys (label = entry name) and per-variant MEK derivation from an
 // object's metadata key seed (label = CAP identifier).
 func (k SymKey) Derive(label string) SymKey {
-	mac := hmac.New(sha256.New, k.b[:])
+	mac := hmac.New(sha256.New, k.raw()[:])
 	mac.Write([]byte(label))
-	sum := mac.Sum(nil)
-	var out SymKey
-	copy(out.b[:], sum[:SymKeySize])
-	return out
+	return symKeyOf(mac.Sum(nil)[:SymKeySize])
 }
 
 // NameTag computes a deterministic lookup tag for an entry name under the
@@ -176,7 +234,7 @@ func (k SymKey) Derive(label string) SymKey {
 // client that knows a name can find (and decrypt) its row without being
 // able to list the table.
 func (k SymKey) NameTag(name string) [32]byte {
-	mac := hmac.New(sha256.New, k.b[:])
+	mac := hmac.New(sha256.New, k.raw()[:])
 	mac.Write([]byte("tag\x00"))
 	mac.Write([]byte(name))
 	var tag [32]byte
@@ -191,8 +249,8 @@ func (k SymKey) NameTag(name string) [32]byte {
 // multiplication to derive) is expanded on the first Sign or VerifyKey
 // and shared by every copy of the value. Metadata decoding rebuilds DSK
 // and MSK on every open, reads included, and most of those keys never
-// sign anything.
-type SignKey struct{ k *signState }
+// sign anything. The state sits in a secret box, as a SymKey's bytes do.
+type SignKey struct{ k **signState }
 
 type signState struct {
 	seed [SignKeySeedSize]byte
@@ -201,13 +259,16 @@ type signState struct {
 }
 
 func newSignKey(seed [SignKeySeedSize]byte) SignKey {
-	return SignKey{k: &signState{seed: seed}}
+	k := newSecret[signState]()
+	(*k).seed = seed
+	return SignKey{k: k}
 }
 
 // expanded returns the Ed25519 private key, deriving it on first use.
 func (s SignKey) expanded() ed25519.PrivateKey {
-	s.k.once.Do(func() { s.k.priv = ed25519.NewKeyFromSeed(s.k.seed[:]) })
-	return s.k.priv
+	st := *s.k
+	st.once.Do(func() { st.priv = ed25519.NewKeyFromSeed(st.seed[:]) })
+	return st.priv
 }
 
 // VerifyKey is the matching verification key (a DVK or MVK), distributed to
@@ -272,7 +333,7 @@ func (s SignKey) Marshal() []byte {
 		return nil
 	}
 	out := make([]byte, SignKeySeedSize)
-	copy(out, s.k.seed[:])
+	copy(out, (*s.k).seed[:])
 	return out
 }
 
@@ -389,7 +450,7 @@ const rsaCipherLen = RSABits / 8
 // baseline's metadata key wrapping.
 func (p PublicKey) Seal(msg []byte) ([]byte, error) {
 	body := NewSymKey()
-	wrapped, err := rsa.EncryptOAEP(sha256.New(), rand.Reader, p.key, body.b[:], oaepLabel)
+	wrapped, err := rsa.EncryptOAEP(sha256.New(), rand.Reader, p.key, body.raw()[:], oaepLabel)
 	if err != nil {
 		return nil, fmt.Errorf("sharocrypto: rsa seal: %w", err)
 	}

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"crypto/ed25519"
 	"errors"
+	"reflect"
 	"sync"
 	"testing"
 	"testing/quick"
@@ -26,6 +27,10 @@ func rsaTestKey(t testing.TB) PrivateKey {
 	return testKey
 }
 
+// testAAD is the AAD of the tests that do not check binding: Seal and
+// Open panic on an empty one.
+var testAAD = []byte("inode:7")
+
 func TestSymSealOpenRoundTrip(t *testing.T) {
 	k := NewSymKey()
 	for _, msg := range [][]byte{nil, {}, []byte("x"), bytes.Repeat([]byte("sharoes"), 1000)} {
@@ -42,8 +47,8 @@ func TestSymSealOpenRoundTrip(t *testing.T) {
 
 func TestSymSealDistinctNonces(t *testing.T) {
 	k := NewSymKey()
-	a := k.Seal([]byte("same"), nil)
-	b := k.Seal([]byte("same"), nil)
+	a := k.Seal([]byte("same"), testAAD)
+	b := k.Seal([]byte("same"), testAAD)
 	if bytes.Equal(a, b) {
 		t.Error("two seals of the same plaintext produced identical ciphertext")
 	}
@@ -51,8 +56,8 @@ func TestSymSealDistinctNonces(t *testing.T) {
 
 func TestSymOpenRejectsWrongKey(t *testing.T) {
 	k1, k2 := NewSymKey(), NewSymKey()
-	blob := k1.Seal([]byte("secret"), nil)
-	if _, err := k2.Open(blob, nil); !errors.Is(err, ErrDecrypt) {
+	blob := k1.Seal([]byte("secret"), testAAD)
+	if _, err := k2.Open(blob, testAAD); !errors.Is(err, ErrDecrypt) {
 		t.Errorf("wrong key: err = %v, want ErrDecrypt", err)
 	}
 }
@@ -67,15 +72,15 @@ func TestSymOpenRejectsWrongAAD(t *testing.T) {
 
 func TestSymOpenRejectsTamper(t *testing.T) {
 	k := NewSymKey()
-	blob := k.Seal([]byte("secret data block"), nil)
+	blob := k.Seal([]byte("secret data block"), testAAD)
 	for _, i := range []int{0, gcmNonceSize, len(blob) - 1} {
 		mut := append([]byte(nil), blob...)
 		mut[i] ^= 0x01
-		if _, err := k.Open(mut, nil); !errors.Is(err, ErrDecrypt) {
+		if _, err := k.Open(mut, testAAD); !errors.Is(err, ErrDecrypt) {
 			t.Errorf("tamper at %d: err = %v, want ErrDecrypt", i, err)
 		}
 	}
-	if _, err := k.Open(blob[:5], nil); !errors.Is(err, ErrShortBlob) {
+	if _, err := k.Open(blob[:5], testAAD); !errors.Is(err, ErrShortBlob) {
 		t.Errorf("short blob: err = %v, want ErrShortBlob", err)
 	}
 }
@@ -83,7 +88,7 @@ func TestSymOpenRejectsTamper(t *testing.T) {
 func TestSymSealOverhead(t *testing.T) {
 	k := NewSymKey()
 	msg := make([]byte, 1234)
-	if got := len(k.Seal(msg, nil)); got != len(msg)+SealOverhead {
+	if got := len(k.Seal(msg, testAAD)); got != len(msg)+SealOverhead {
 		t.Errorf("overhead = %d, want %d", got-len(msg), SealOverhead)
 	}
 }
@@ -91,6 +96,7 @@ func TestSymSealOverhead(t *testing.T) {
 func TestSymKeyProperty(t *testing.T) {
 	k := NewSymKey()
 	f := func(msg, aad []byte) bool {
+		aad = append([]byte("aad"), aad...) // an empty AAD panics
 		got, err := k.Open(k.Seal(msg, aad), aad)
 		return err == nil && bytes.Equal(got, msg)
 	}
@@ -105,7 +111,7 @@ func TestSymKeyFromBytes(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if k != k2 {
+	if !k.Equal(k2) {
 		t.Error("round trip mismatch")
 	}
 	if _, err := SymKeyFromBytes(k.Marshal()[:10]); !errors.Is(err, ErrKeySize) {
@@ -114,8 +120,50 @@ func TestSymKeyFromBytes(t *testing.T) {
 	// Marshal hands out a copy: writing to it leaves the key as it was.
 	raw := k.Marshal()
 	raw[0] ^= 0xff
-	if k != k2 {
+	if !k.Equal(k2) {
 		t.Error("Marshal exposed the key's own bytes")
+	}
+	// SymKeyFromBytes keeps a copy: writing to its input afterwards
+	// leaves the key as it was.
+	k3, _ := SymKeyFromBytes(raw)
+	raw[0] ^= 0xff
+	if k3.Equal(k) || !reflect.DeepEqual(k, k2) {
+		t.Error("SymKeyFromBytes kept its caller's bytes, or a round trip is not DeepEqual")
+	}
+	// 16 zero bytes are the zero key, so a decoded "inaccessible" key is
+	// DeepEqual to a never-set one.
+	zero, err := SymKeyFromBytes(make([]byte, SymKeySize))
+	if err != nil || !zero.IsZero() || !reflect.DeepEqual(zero, SymKey{}) {
+		t.Errorf("SymKeyFromBytes(zeros) = %v, %v: want the zero key", zero.IsZero(), err)
+	}
+	if got := (SymKey{}).Marshal(); !bytes.Equal(got, make([]byte, SymKeySize)) {
+		t.Errorf("zero key marshals as %d bytes, want %d zeros", len(got), SymKeySize)
+	}
+}
+
+// TestEmptyAADPanics: a seal or open that binds no AAD is a bug, so it
+// panics rather than producing or accepting a blob an SSP could swap
+// for any other sealed under the same key.
+func TestEmptyAADPanics(t *testing.T) {
+	k := NewSymKey()
+	blob := k.Seal([]byte("x"), testAAD)
+	calls := map[string]func(aad []byte){
+		"Seal":       func(aad []byte) { k.Seal([]byte("x"), aad) },
+		"AppendSeal": func(aad []byte) { k.AppendSeal(nil, []byte("x"), aad) },
+		"Open":       func(aad []byte) { _, _ = k.Open(blob, aad) },
+		"AppendOpen": func(aad []byte) { _, _ = k.AppendOpen(nil, blob, aad) },
+	}
+	for name, call := range calls {
+		for _, aad := range [][]byte{nil, {}} {
+			func() {
+				defer func() {
+					if r := recover(); r != errEmptyAAD {
+						t.Errorf("%s with AAD %#v: recovered %v, want the empty-AAD panic", name, aad, r)
+					}
+				}()
+				call(aad)
+			}()
+		}
 	}
 }
 
@@ -147,8 +195,12 @@ func TestSymKeyEqual(t *testing.T) {
 	// A single flipped bit must break equality (the constant-time compare
 	// covers every byte).
 	for i := 0; i < SymKeySize; i++ {
-		flipped := k
-		flipped.b[i] ^= 1
+		raw := k.Marshal()
+		raw[i] ^= 1
+		flipped, err := SymKeyFromBytes(raw)
+		if err != nil {
+			t.Fatal(err)
+		}
 		if k.Equal(flipped) {
 			t.Fatalf("key Equal after flipping byte %d", i)
 		}
@@ -258,13 +310,13 @@ func TestSignKeyExpandsLazily(t *testing.T) {
 	if sk.IsZero() {
 		t.Error("fresh key IsZero")
 	}
-	if sk.k.priv != nil {
+	if (*sk.k).priv != nil {
 		t.Error("SignKeyFromBytes expanded the key eagerly")
 	}
 	if !bytes.Equal(sk.Marshal(), seed) {
 		t.Error("Marshal before expansion is not the seed")
 	}
-	if sk.k.priv != nil {
+	if (*sk.k).priv != nil {
 		t.Error("Marshal expanded the key")
 	}
 
@@ -284,7 +336,7 @@ func TestSignKeyExpandsLazily(t *testing.T) {
 			t.Errorf("signature %d differs from the eagerly built key's", i)
 		}
 	}
-	if sk.k.priv == nil {
+	if (*sk.k).priv == nil {
 		t.Error("expansion through a copy is not shared with the original")
 	}
 	if !bytes.Equal(sk.VerifyKey().Marshal(), want.Public().(ed25519.PublicKey)) {
@@ -440,16 +492,16 @@ func BenchmarkSymSeal1K(b *testing.B) {
 	msg := make([]byte, 1024)
 	b.SetBytes(1024)
 	for i := 0; i < b.N; i++ {
-		k.Seal(msg, nil)
+		k.Seal(msg, testAAD)
 	}
 }
 
 func BenchmarkSymOpen1K(b *testing.B) {
 	k := NewSymKey()
-	blob := k.Seal(make([]byte, 1024), nil)
+	blob := k.Seal(make([]byte, 1024), testAAD)
 	b.SetBytes(1024)
 	for i := 0; i < b.N; i++ {
-		if _, err := k.Open(blob, nil); err != nil {
+		if _, err := k.Open(blob, testAAD); err != nil {
 			b.Fatal(err)
 		}
 	}
